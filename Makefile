@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test audit bench bench-quick bench-pytest bench-paper figures extensions examples all clean telemetry-gate report gate
+.PHONY: install lint test audit bench bench-quick perfbench-smoke bench-pytest bench-paper figures extensions examples all clean telemetry-gate report gate
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -39,6 +39,14 @@ bench:
 
 bench-quick:
 	$(PYTHON) tools/bench_compare.py --quick
+
+# The end-to-end benchmark that judges every performance PR
+# (BENCHMARK.json -> perfbench/run.py): its own self-tests plus one
+# smoke pass of all five workloads, untraced then traced, so the
+# harness cannot rot unnoticed.  Writes only perfbench/out/ (ignored).
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench -q
+	$(PYTHON) perfbench/run.py --smoke
 
 # Relative overhead gate: the instrumented 100k churn round vs its
 # bare twin, interleaved same-run timing (<=5%, exit 1 on breach).

@@ -46,13 +46,19 @@ class CipherError(ValueError):
 _ENCODED_COUNTERS = tuple(i.to_bytes(8, "big") for i in range(256))
 
 
+#: RFC 2104 pad XORs as byte-translation tables: ``key.translate(_IPAD)``
+#: is ``bytes(b ^ 0x36 for b in key)`` without the per-byte generator
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
 def _hmac_sha256(key: bytes, message: bytes) -> bytes:
     """RFC 2104 HMAC over SHA-256, written out from the definition."""
     if len(key) > _BLOCK:
         key = hashlib.sha256(key).digest()
     key = key.ljust(_BLOCK, b"\x00")
-    o_key = bytes(b ^ 0x5C for b in key)
-    i_key = bytes(b ^ 0x36 for b in key)
+    o_key = key.translate(_OPAD)
+    i_key = key.translate(_IPAD)
     inner = hashlib.sha256(i_key + message).digest()
     return hashlib.sha256(o_key + inner).digest()
 
@@ -95,8 +101,8 @@ class SymmetricKey:
         # RFC 2104 pad blocks, absorbed once per key: _mac_key is 32
         # bytes (< block), so it is zero-padded, never pre-hashed.
         padded = self._mac_key.ljust(_BLOCK, b"\x00")
-        self._mac_inner = hashlib.sha256(bytes(b ^ 0x36 for b in padded))
-        self._mac_outer = hashlib.sha256(bytes(b ^ 0x5C for b in padded))
+        self._mac_inner = hashlib.sha256(padded.translate(_IPAD))
+        self._mac_outer = hashlib.sha256(padded.translate(_OPAD))
         # Keystream prefix state: SHA256(enc_key || …), extended with
         # nonce + counter per block.
         self._ks_prefix = hashlib.sha256(self._enc_key)

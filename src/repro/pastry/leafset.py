@@ -3,17 +3,19 @@
 Half of the entries are the closest ids clockwise (numerically larger,
 wrapping) and half counterclockwise.  The leaf set determines the last
 routing step and — shared with PAST — the replica-set neighbourhood.
+
+Members are one ascending id list: ring order, clockwise from the owner
+when read from the owner's position (one bisect).  Counterclockwise
+distance is ``2**128 -`` clockwise distance, so the halves are the two
+ends of that one order and every query is an index or a bisect of it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.pastry.constants import DEFAULT_LEAF_SET_SIZE
-from repro.util.ids import ID_SPACE, ring_distance
-
-
-def _cw_dist(frm: int, to: int) -> int:
-    """Clockwise (increasing-id) distance from ``frm`` to ``to``."""
-    return (to - frm) % ID_SPACE
+from repro.util.ids import ID_SPACE
 
 
 class LeafSet:
@@ -24,7 +26,9 @@ class LeafSet:
             raise ValueError("leaf-set capacity must be an even number >= 2")
         self.owner_id = owner_id
         self.capacity = capacity
-        self._members: set[int] = set()
+        self.half = capacity // 2
+        #: member ids, ascending
+        self._ids: list[int] = []
         #: optional ``(owner_id, added_id)`` callback observed by the
         #: network's referrer index; fired per *candidate* (superset
         #: semantics — eviction by :meth:`_trim` is not reported)
@@ -34,41 +38,34 @@ class LeafSet:
     @property
     def members(self) -> set[int]:
         """All current leaf ids (excluding the owner)."""
-        return set(self._members)
+        return set(self._ids)
 
-    @property
-    def half(self) -> int:
-        return self.capacity // 2
+    def _clockwise(self) -> list[int]:
+        """Members in clockwise order from the owner, nearest first."""
+        start = bisect_left(self._ids, self.owner_id)
+        return self._ids[start:] + self._ids[:start]
 
     def cw_members(self) -> list[int]:
         """Clockwise half, nearest first."""
-        ranked = sorted(self._members, key=lambda x: _cw_dist(self.owner_id, x))
-        return ranked[: self.half]
+        return self._clockwise()[: self.half]
 
     def ccw_members(self) -> list[int]:
         """Counterclockwise half, nearest first."""
-        ranked = sorted(self._members, key=lambda x: _cw_dist(x, self.owner_id))
-        return ranked[: self.half]
+        return self._clockwise()[: -self.half - 1 : -1]
 
     def add(self, node_id: int) -> bool:
-        """Insert a candidate; evict the furthest if a half overflows.
-
-        Returns True if the candidate is retained.
-        """
-        if node_id == self.owner_id:
-            return False
-        self._members.add(node_id)
-        self._trim()
-        if self.on_add is not None:
-            self.on_add(self.owner_id, node_id)
-        return node_id in self._members
+        """Insert a candidate, evicting the furthest if a half overflows;
+        True if the candidate is retained."""
+        self.add_all((node_id,))
+        return node_id in self
 
     def add_all(self, node_ids) -> None:
-        added = []
-        for node_id in node_ids:
-            if node_id != self.owner_id:
-                self._members.add(node_id)
-                added.append(node_id)
+        ids = self._ids
+        added = [node_id for node_id in node_ids if node_id != self.owner_id]
+        for node_id in added:
+            pos = bisect_left(ids, node_id)
+            if pos == len(ids) or ids[pos] != node_id:
+                ids.insert(pos, node_id)
         self._trim()
         if self.on_add is not None:
             for node_id in added:
@@ -77,39 +74,35 @@ class LeafSet:
     def bulk_load(self, node_ids) -> None:
         """Trusted direct load used by the bulk ring constructor and the
         snapshot-restore path: the caller guarantees the ids are exactly
-        a valid (trimmed) leaf set for the owner, so the per-add
-        ranking sorts of :meth:`_trim` are skipped entirely."""
-        self._members = {m for m in node_ids if m != self.owner_id}
+        a valid (trimmed) leaf set for the owner, so they are ordered
+        once and :meth:`_trim` is skipped."""
+        self._ids = sorted(set(node_ids) - {self.owner_id})
 
     def remove(self, node_id: int) -> None:
-        self._members.discard(node_id)
+        if node_id in self:
+            self._ids.remove(node_id)
 
     def _trim(self) -> None:
-        """Keep only ids that belong to either bounded half."""
-        keep = set(self.cw_members()) | set(self.ccw_members())
-        self._members = keep
+        """Keep only ids that belong to either bounded half, i.e. drop
+        the middle of the clockwise order.  (A half with a vacancy is
+        thereby filled from the other side of the ring.)"""
+        ids = self._ids
+        while len(ids) > self.capacity:
+            del ids[(bisect_left(ids, self.owner_id) + self.half) % len(ids)]
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._members
+        pos = bisect_left(self._ids, node_id)
+        return pos < len(self._ids) and self._ids[pos] == node_id
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._ids)
 
     # -- routing queries -------------------------------------------------
     def is_full(self) -> bool:
-        """Both halves at capacity *and* disjoint.
-
-        When the population is small the same node ranks in the top
-        |L|/2 of both directions; such a "wrapped" leaf set spans the
-        entire ring and must not be treated as bounding an arc.
-        """
-        cw = self.cw_members()
-        ccw = self.ccw_members()
-        return (
-            len(cw) == self.half
-            and len(ccw) == self.half
-            and not set(cw) & set(ccw)
-        )
+        """Both halves at capacity *and* disjoint.  With fewer members
+        the same node ranks in the top |L|/2 of both directions; such a
+        "wrapped" leaf set spans the entire ring and bounds no arc."""
+        return len(self._ids) >= self.capacity
 
     def covers(self, key: int) -> bool:
         """True if ``key`` falls within the leaf-set arc.
@@ -118,21 +111,26 @@ class LeafSet:
         key lies between the furthest CCW and furthest CW members.  A
         non-full or ring-wrapping leaf set covers everything.
         """
-        if not self.is_full():
+        ids = self._ids
+        if len(ids) < self.capacity:
             return True
-        cw_far = self.cw_members()[-1]
-        ccw_far = self.ccw_members()[-1]
-        span = _cw_dist(ccw_far, cw_far)
-        return _cw_dist(ccw_far, key) <= span
+        start = bisect_left(ids, self.owner_id)
+        ccw_far = ids[start - self.half]
+        cw_far = ids[(start + self.half - 1) % len(ids)]
+        return (key - ccw_far) % ID_SPACE <= (cw_far - ccw_far) % ID_SPACE
 
-    def closest(self, key: int, include_owner: bool = True) -> int:
-        """Numerically closest id to ``key`` among leaves (and owner)."""
-        pool = set(self._members)
-        if include_owner:
-            pool.add(self.owner_id)
+    def closest(self, key: int, include_owner: bool = True, exclude=()) -> int:
+        """Numerically closest id to ``key`` among leaves (and owner),
+        ties toward the smaller id, ids in ``exclude`` skipped: the
+        owner or one of the key's two ring neighbours in the list."""
+        ids = [m for m in self._ids if m not in exclude] if exclude else self._ids
+        pos = bisect_left(ids, key)
+        pool = [ids[pos - 1], ids[pos % len(ids)]] if ids else []
+        if include_owner and self.owner_id not in exclude:
+            pool.append(self.owner_id)
         if not pool:
             raise ValueError("empty leaf set with owner excluded")
-        return min(pool, key=lambda x: (ring_distance(x, key), x))
+        return min(pool, key=lambda x: (min(abs(x - key), ID_SPACE - abs(x - key)), x))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

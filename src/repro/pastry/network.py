@@ -426,8 +426,7 @@ class PastryNetwork:
             had_leaf = dead_id in node.leaf_set
             self._forget_and_refill(node, dead_id)
             if had_leaf:
-                for repl in closest_in_sorted(self._sorted_alive, nid, want):
-                    node.leaf_set.add(repl)
+                node.leaf_set.add_all(closest_in_sorted(self._sorted_alive, nid, want))
 
     def _forget_and_refill(self, node: PastryNode, dead_id: int) -> None:
         """Drop a dead node from local state and repair the vacated

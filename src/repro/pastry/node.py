@@ -7,7 +7,7 @@ from typing import Iterable
 from repro.pastry.constants import DEFAULT_B_BITS, DEFAULT_LEAF_SET_SIZE
 from repro.pastry.leafset import LeafSet
 from repro.pastry.routing_table import RoutingTable
-from repro.util.ids import id_to_hex, ring_distance, shared_prefix_digits
+from repro.util.ids import ID_SPACE, id_to_hex, ring_distance, shared_prefix_digits
 
 
 def ip_for_id(node_id: int) -> str:
@@ -72,12 +72,13 @@ class PastryNode:
         ``exclude`` removes nodes known to have failed; returning
         ``self.node_id`` means this node is responsible for the key.
         """
-        exclude = exclude or set()
+        exclude = exclude or ()
 
         if self.leaf_set.covers(key):
-            pool = (self.leaf_set.members | {self.node_id}) - exclude
-            if pool:
-                return min(pool, key=lambda x: (ring_distance(x, key), x))
+            try:
+                return self.leaf_set.closest(key, exclude=exclude)
+            except ValueError:
+                pass  # every leaf and the owner excluded: try the table
 
         entry = self.routing_table.entry_for_key(key)
         if entry is not None and entry not in exclude:
@@ -88,10 +89,10 @@ class PastryNode:
         own_dist = ring_distance(self.node_id, key)
         best = None
         best_key = None
-        for nid in self.known_nodes() - exclude:
+        for nid in self.known_nodes().difference(exclude):
             if shared_prefix_digits(nid, key, self.routing_table.b_bits) < own_prefix:
                 continue
-            dist = ring_distance(nid, key)
+            dist = min(abs(nid - key), ID_SPACE - abs(nid - key))
             if dist >= own_dist:
                 continue
             cand = (dist, nid)

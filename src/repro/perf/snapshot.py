@@ -149,7 +149,7 @@ class NetworkSnapshot:
         cells = {}
         dead = set()
         for nid, node in network.nodes.items():
-            leafs[nid] = tuple(node.leaf_set._members)
+            leafs[nid] = tuple(node.leaf_set.members)
             cells[nid] = dict(node.routing_table._cells)
             if not node.alive:
                 dead.add(nid)

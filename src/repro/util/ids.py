@@ -81,6 +81,9 @@ def closest_index(sorted_ids: Sequence[int], key: int) -> int:
     n = len(sorted_ids)
     if n == 0:
         raise ValueError("closest_index of empty sequence")
+    # The elements of a sorted id list were validated where it was
+    # built: only ``key`` is checked, distances are plain arithmetic.
+    _check_id(key)
     pos = bisect_left(sorted_ids, key)
     # Candidates: neighbours around the insertion point, plus the two
     # ends of the array (the ring wraps around).
@@ -89,7 +92,9 @@ def closest_index(sorted_ids: Sequence[int], key: int) -> int:
     best_key = None
     for idx in candidates:
         idx %= n
-        cand_key = (ring_distance(sorted_ids[idx], key), sorted_ids[idx])
+        nid = sorted_ids[idx]
+        d = abs(nid - key)
+        cand_key = (min(d, ID_SPACE - d), nid)
         if best_key is None or cand_key < best_key:
             best_key = cand_key
             best = idx
@@ -106,18 +111,18 @@ def closest_in_sorted(sorted_ids: Sequence[int], key: int, count: int = 1) -> li
     n = len(sorted_ids)
     if count >= n:
         return closest_ids(sorted_ids, key, count)
-    centre = closest_index(sorted_ids, key)
+    centre = closest_index(sorted_ids, key)  # validates ``key``
     chosen = [sorted_ids[centre]]
     left = (centre - 1) % n
     right = (centre + 1) % n
     while len(chosen) < count:
-        lkey = (ring_distance(sorted_ids[left], key), sorted_ids[left])
-        rkey = (ring_distance(sorted_ids[right], key), sorted_ids[right])
-        if lkey <= rkey:
-            chosen.append(sorted_ids[left])
+        lid, rid = sorted_ids[left], sorted_ids[right]
+        ld, rd = abs(lid - key), abs(rid - key)
+        if (min(ld, ID_SPACE - ld), lid) <= (min(rd, ID_SPACE - rd), rid):
+            chosen.append(lid)
             left = (left - 1) % n
         else:
-            chosen.append(sorted_ids[right])
+            chosen.append(rid)
             right = (right + 1) % n
     return chosen
 

@@ -131,3 +131,108 @@ class TestTrimInvariant:
         assert ls.members == halves
         assert len(ls.cw_members()) <= 4
         assert len(ls.ccw_members()) <= 4
+
+
+class OracleLeafSet:
+    """The definition the ordered representation replaced, kept as the
+    specification: an unordered set, re-ranked on every question."""
+
+    def __init__(self, owner_id, capacity):
+        self.owner_id, self.half = owner_id, capacity // 2
+        self.members: set[int] = set()
+        self.on_add_calls: list[tuple[int, int]] = []
+
+    def cw_members(self):
+        return sorted(self.members, key=lambda x: (x - self.owner_id) % ID_SPACE)[: self.half]
+
+    def ccw_members(self):
+        return sorted(self.members, key=lambda x: (self.owner_id - x) % ID_SPACE)[: self.half]
+
+    def _trim(self):
+        self.members = set(self.cw_members()) | set(self.ccw_members())
+
+    def add(self, node_id):
+        if node_id == self.owner_id:
+            return False
+        self.members.add(node_id)
+        self._trim()
+        self.on_add_calls.append((self.owner_id, node_id))
+        return node_id in self.members
+
+    def add_all(self, node_ids):
+        added = [n for n in node_ids if n != self.owner_id]
+        self.members.update(added)
+        self._trim()
+        self.on_add_calls.extend((self.owner_id, n) for n in added)
+
+    def bulk_load(self, node_ids):
+        self.members = {m for m in node_ids if m != self.owner_id}
+
+    def remove(self, node_id):
+        self.members.discard(node_id)
+
+    def is_full(self):
+        cw, ccw = self.cw_members(), self.ccw_members()
+        return len(cw) == self.half and len(ccw) == self.half and not set(cw) & set(ccw)
+
+    def covers(self, key):
+        if not self.is_full():
+            return True
+        cw_far, ccw_far = self.cw_members()[-1], self.ccw_members()[-1]
+        return (key - ccw_far) % ID_SPACE <= (cw_far - ccw_far) % ID_SPACE
+
+    def closest(self, key, include_owner=True, exclude=()):
+        pool = (self.members | {self.owner_id} if include_owner else set(self.members)) - set(exclude)
+        if not pool:
+            raise ValueError("empty pool")
+        return min(pool, key=lambda x: (ring_distance(x, key), x))
+
+
+def _closest_or_none(leaf_set, *args):
+    try:
+        return leaf_set.closest(*args)
+    except ValueError:
+        return None
+
+
+#: ids within a few steps of the 0 / 2**128 wrap, so sequences collide,
+#: halves overlap and the clockwise order wraps; or anywhere on the ring
+near_wrap_st = st.integers(-12, 12).map(lambda d: d % ID_SPACE)
+any_id_st = st.one_of(near_wrap_st, ids_st)
+op_st = st.one_of(
+    st.tuples(st.just("add"), any_id_st),
+    st.tuples(st.just("remove"), any_id_st),
+    st.tuples(st.just("add_all"), st.lists(any_id_st, max_size=24)),
+    st.tuples(st.just("bulk_load"), st.lists(any_id_st, max_size=16)),
+)
+
+
+class TestAgainstOracle:
+    @given(
+        owner=any_id_st,
+        capacity=st.sampled_from([2, 4, 6, 8, 16]),
+        ops=st.lists(op_st, max_size=30),
+        keys=st.lists(any_id_st, min_size=1, max_size=4),
+        exclude_mask=st.integers(0, (1 << 17) - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_answer_after_every_step(self, owner, capacity, ops, keys, exclude_mask):
+        real, oracle = LeafSet(owner, capacity), OracleLeafSet(owner, capacity)
+        calls = []
+        real.on_add = lambda owner_id, node_id: calls.append((owner_id, node_id))
+        for name, arg in ops:
+            if name == "bulk_load":
+                arg = arg[:capacity]  # its contract: already a trimmed leaf set
+            assert getattr(real, name)(arg) == getattr(oracle, name)(arg)
+            assert real.members == oracle.members and len(real) == len(oracle.members)
+            assert real.cw_members() == oracle.cw_members()
+            assert real.ccw_members() == oracle.ccw_members()
+            assert real.is_full() == oracle.is_full()
+            assert calls == oracle.on_add_calls
+            pool = sorted(oracle.members | {owner})
+            exclude = {m for i, m in enumerate(pool) if exclude_mask >> i & 1}
+            for key in keys + pool[:3]:
+                assert (key in real) == (key in oracle.members)
+                assert real.covers(key) == oracle.covers(key)
+                for args in ((key,), (key, False), (key, True, exclude), (key, False, exclude)):
+                    assert _closest_or_none(real, *args) == _closest_or_none(oracle, *args)

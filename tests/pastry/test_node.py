@@ -3,7 +3,9 @@
 import random
 
 from repro.pastry.node import PastryNode, ip_for_id
-from repro.util.ids import ID_BITS, random_id, ring_distance, shared_prefix_digits
+from repro.util.ids import ID_BITS, ID_SPACE, random_id, ring_distance, shared_prefix_digits
+from tests.conftest import build_network
+from tests.pastry.test_leafset import OracleLeafSet
 
 
 def _id_with_digits(*digits: int) -> int:
@@ -79,6 +81,77 @@ class TestNextHop:
         nxt = node.next_hop(key, exclude={owner + 1})
         if nxt != owner:
             assert ring_distance(nxt, key) < ring_distance(owner, key)
+
+
+def reference_next_hop(node: PastryNode, key: int, exclude: set[int]) -> int:
+    """The forwarding rule as it stood before the ordered leaf set:
+    leaf decisions by the re-sorting oracle, a ``min`` over the pool,
+    checked ``ring_distance`` for every candidate of the scan."""
+    leaves = OracleLeafSet(node.node_id, node.leaf_set.capacity)
+    leaves.members = node.leaf_set.members
+    if leaves.covers(key):
+        pool = (leaves.members | {node.node_id}) - exclude
+        if pool:
+            return min(pool, key=lambda x: (ring_distance(x, key), x))
+    entry = node.routing_table.entry_for_key(key)
+    if entry is not None and entry not in exclude:
+        return entry
+    b_bits = node.routing_table.b_bits
+    own_prefix = shared_prefix_digits(node.node_id, key, b_bits)
+    own_dist = ring_distance(node.node_id, key)
+    better = [
+        (ring_distance(nid, key), nid)
+        for nid in node.known_nodes() - exclude
+        if shared_prefix_digits(nid, key, b_bits) >= own_prefix
+        and ring_distance(nid, key) < own_dist
+    ]
+    return min(better)[1] if better else node.node_id
+
+
+class TestNextHopUnchanged:
+    """Same decision as before the leaf set was ordered, on overlays
+    whose leaf sets have been through repair, refill and staleness."""
+
+    def _churned(self, eager_repair: bool):
+        net = build_network(200, seed=5, eager_repair=eager_repair)
+        rng = random.Random(12)
+        down = []
+        for step in range(90):
+            if step % 3 == 2:
+                net.revive(down.pop(rng.randrange(len(down))))
+            else:
+                down.append(net.alive_ids[rng.randrange(net.size)])
+                net.fail(down[-1])
+        return net, rng
+
+    def _check(self, eager_repair: bool) -> set[str]:
+        net, rng = self._churned(eager_repair)
+        branches = set()
+        for nid in list(net.alive_ids):
+            node = net.nodes[nid]
+            known = sorted(node.known_nodes())
+            leaves = node.leaf_set.members | {nid}
+            keys = [random_id(rng) for _ in range(4)]
+            keys += [(nid + rng.randrange(-50, 50)) % ID_SPACE, rng.choice(known)]
+            excludes = [set(), set(rng.sample(known, 4)), leaves,
+                        leaves | set(node.routing_table.entries) - {rng.choice(known)}]
+            for key in keys:
+                for exclude in excludes:
+                    got = node.next_hop(key, exclude=set(exclude))
+                    assert got == reference_next_hop(node, key, exclude)
+                    if got in leaves - exclude:
+                        branches.add("leaf")
+                    elif got == node.routing_table.entry_for_key(key):
+                        branches.add("table")
+                    else:
+                        branches.add("scan" if got != nid else "self")
+        return branches
+
+    def test_after_eager_repair(self):
+        assert self._check(eager_repair=True) == {"leaf", "table", "scan", "self"}
+
+    def test_with_stale_dead_references(self):
+        assert self._check(eager_repair=False) == {"leaf", "table", "scan", "self"}
 
 
 class TestLearnForget:

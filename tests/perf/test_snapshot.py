@@ -42,7 +42,7 @@ def overlay_rows(system: TapSystem) -> list[dict]:
         rows.append({
             "id": nid,
             "alive": node.alive,
-            "leaf": sorted(node.leaf_set._members),
+            "leaf": sorted(node.leaf_set.members),
             "cells": sorted(
                 [row, col, entry]
                 for (row, col), entry in node.routing_table._cells.items()
@@ -130,6 +130,20 @@ class TestForkEquivalence:
         fork_rows = exercise(snap.fork(seed=5))
         fresh_rows = exercise(TapSystem.bootstrap(N, seed=5, overlay_seed=BASE_SEED))
         assert rows_digest(fork_rows) == rows_digest(fresh_rows)
+
+    def test_leaf_sets_round_trip_through_a_pickled_snapshot(self):
+        # capture reads the public ``members`` view (unordered ids);
+        # restore must rebuild the same ordered leaf set from it.
+        base = TapSystem.bootstrap(N, seed=BASE_SEED)
+        churn_script(base)
+        network = base.network
+        restored = pickle.loads(pickle.dumps(network.snapshot())).restore()
+        assert list(restored.nodes) == list(network.nodes)
+        for nid, node in network.nodes.items():
+            twin = restored.nodes[nid].leaf_set
+            assert twin.members == node.leaf_set.members
+            assert twin.cw_members() == node.leaf_set.cw_members()
+            assert twin.ccw_members() == node.leaf_set.ccw_members()
 
 
 class TestForkIsolation:
