@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from repro.crypto.symmetric import SymmetricKey
+from repro.crypto.symmetric import CipherError, SymmetricKey
 
 _E = 65537
 _MR_ROUNDS = 24
@@ -168,7 +168,7 @@ class RsaKeyPair:
         session_key = (m & ((1 << 128) - 1)).to_bytes(16, "big")
         try:
             return SymmetricKey(session_key).open(ciphertext[width:])
-        except Exception as exc:
+        except CipherError as exc:
             raise RsaError("payload authentication failed") from exc
 
     def sign(self, message: bytes) -> bytes:

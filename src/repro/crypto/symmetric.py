@@ -1,33 +1,38 @@
 """Authenticated symmetric encryption for tunnel layers.
 
-Construction: a SHA-256-in-counter-mode stream cipher combined with an
-encrypt-then-MAC HMAC-SHA256 tag.  HMAC is implemented per RFC 2104
-directly over :func:`hashlib.sha256` (no :mod:`hmac` import) — the
-reproduction builds its substrates from primitives.
+Construction: a SHAKE-256 stream cipher —
+``keystream(enc_key, nonce, n) = SHAKE-256(enc_key || nonce).digest(n)``
+— combined with an encrypt-then-MAC HMAC-SHA256 tag.  HMAC is
+implemented per RFC 2104 directly over :func:`hashlib.sha256` (no
+:mod:`hmac` import) — the reproduction builds its substrates from
+primitives.
 
 Each TAP tunnel hop performs exactly one ``seal`` or ``open`` per
 message, matching the paper's "single symmetric key operation per
 message" cost claim (§4).
 
-Hot-path engineering (the wire format is pinned by
-``tests/crypto/test_vectors.py`` and unchanged):
+Wire format, pinned by ``tests/crypto/test_vectors.py``: 8-byte nonce
+|| ciphertext || 32-byte tag over ``nonce || ciphertext``.
+
+Hot path: every ``seal``/``open`` is a constant number of C calls,
+whatever the message size —
 
 * the RFC 2104 inner/outer padded key blocks are absorbed into
-  pre-primed SHA-256 states once per :class:`SymmetricKey`; each
-  ``seal``/``open`` only ``copy()``s them instead of re-padding and
-  re-hashing 64-byte blocks per call;
-* the keystream prefix ``SHA256(key || nonce || …)`` is likewise
-  primed per key and extended per call, so each 32-byte block costs
-  one 8-byte counter absorption;
-* the XOR is one whole-buffer big-int operation
-  (``int.from_bytes`` / ``to_bytes``) instead of a per-byte generator,
-  and ``open`` slices the sealed buffer through :class:`memoryview`
-  so nonce/ciphertext/tag extraction copies nothing.
+  pre-primed SHA-256 states once per :class:`SymmetricKey`; each call
+  only ``copy()``s them;
+* the XOF state ``SHAKE-256(enc_key || …)`` is likewise primed per key;
+  each call copies it, absorbs the nonce and squeezes the whole
+  keystream in one ``digest(n)``;
+* the XOR is one NumPy ``uint8`` ``bitwise_xor`` over zero-copy
+  ``frombuffer`` views, and ``open`` slices the sealed buffer through
+  :class:`memoryview` so nonce/ciphertext/tag extraction copies nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import numpy as np
 
 _BLOCK = 64  # SHA-256 block size in bytes (HMAC padding width)
 _TAG_BYTES = 32
@@ -38,12 +43,6 @@ _NONCE_MODULUS = 1 << (8 * _NONCE_BYTES)
 
 class CipherError(ValueError):
     """Raised when decryption fails authentication or framing."""
-
-
-#: big-endian 8-byte encodings of the first 256 keystream block
-#: counters, precomputed so messages up to 8 KiB skip the per-block
-#: ``to_bytes`` on the seal/open hot path
-_ENCODED_COUNTERS = tuple(i.to_bytes(8, "big") for i in range(256))
 
 
 #: RFC 2104 pad XORs as byte-translation tables: ``key.translate(_IPAD)``
@@ -64,17 +63,9 @@ def _hmac_sha256(key: bytes, message: bytes) -> bytes:
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """SHA-256 counter-mode keystream: ``SHA256(key || nonce || ctr)``."""
-    if length <= 0:
-        return b""
-    prefix = hashlib.sha256(key)
-    prefix.update(nonce)
-    blocks = []
-    for counter in range((length + 31) // 32):
-        h = prefix.copy()
-        h.update(counter.to_bytes(8, "big"))
-        blocks.append(h.digest())
-    return b"".join(blocks)[:length]
+    """The keystream from its definition: ``SHAKE-256(key || nonce)``
+    squeezed to ``length`` bytes (the tests' reference)."""
+    return hashlib.shake_256(key + nonce).digest(length)
 
 
 class SymmetricKey:
@@ -103,9 +94,9 @@ class SymmetricKey:
         padded = self._mac_key.ljust(_BLOCK, b"\x00")
         self._mac_inner = hashlib.sha256(padded.translate(_IPAD))
         self._mac_outer = hashlib.sha256(padded.translate(_OPAD))
-        # Keystream prefix state: SHA256(enc_key || …), extended with
-        # nonce + counter per block.
-        self._ks_prefix = hashlib.sha256(self._enc_key)
+        # XOF state SHAKE-256(enc_key || …), extended with the nonce
+        # and squeezed once per message.
+        self._ks_prefix = hashlib.shake_256(self._enc_key)
 
     def _next_nonce(self) -> bytes:
         """Advance the deterministic counter and encode it as the nonce.
@@ -129,31 +120,17 @@ class SymmetricKey:
         return outer.digest()
 
     def _stream_xor(self, nonce, data) -> bytes:
-        """XOR ``data`` with the per-(key, nonce) keystream, vectorised
-        as one whole-buffer big-int operation."""
+        """XOR ``data`` with the per-(key, nonce) keystream: one XOF
+        squeeze, one vector XOR."""
         length = len(data)
         if not length:
             return b""
-        prefix = self._ks_prefix.copy()
-        prefix.update(nonce)
-        n_blocks = (length + 31) // 32
-        counters = (
-            _ENCODED_COUNTERS[:n_blocks]
-            if n_blocks <= len(_ENCODED_COUNTERS)
-            else [i.to_bytes(8, "big") for i in range(n_blocks)]
-        )
-        copy = prefix.copy
-        blocks = []
-        append = blocks.append
-        for counter in counters:
-            h = copy()
-            h.update(counter)
-            append(h.digest())
-        stream = b"".join(blocks)
-        return (
-            int.from_bytes(data, "big")
-            ^ int.from_bytes(memoryview(stream)[:length], "big")
-        ).to_bytes(length, "big")
+        xof = self._ks_prefix.copy()
+        xof.update(nonce)
+        return np.bitwise_xor(
+            np.frombuffer(data, np.uint8),
+            np.frombuffer(xof.digest(length), np.uint8),
+        ).tobytes()
 
     def seal(self, plaintext: bytes, nonce: bytes | None = None) -> bytes:
         """Encrypt-then-MAC: returns ``nonce || ct || tag``."""
@@ -193,7 +170,7 @@ class SymmetricKey:
         return hash(self.key_bytes)
 
     def __getstate__(self) -> bytes:
-        # sha256 states are not picklable; rebuild them on unpickle so
+        # hashlib states are not picklable; rebuild them on unpickle so
         # keys cross process boundaries (the parallel trial executor).
         return self.key_bytes + self._nonce_counter.to_bytes(9, "big")
 

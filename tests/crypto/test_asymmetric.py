@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.crypto.asymmetric import RsaError, RsaKeyPair, RsaPublicKey, _is_probable_prime
+from repro.crypto.symmetric import CipherError, SymmetricKey
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,27 @@ class TestEncryptDecrypt:
     def test_short_ciphertext_rejected(self, keypair):
         with pytest.raises(RsaError):
             keypair.decrypt(b"tiny")
+
+    def test_payload_failures_are_cipher_errors_only(self, keypair, monkeypatch):
+        """``decrypt`` reports a payload that fails authentication or
+        framing as ``RsaError`` (caused by the ``CipherError``), and
+        nothing else: a programming error inside ``open`` must surface
+        as itself, never as "payload authentication failed"."""
+        ct = keypair.public.encrypt(b"secret", random.Random(2))
+        width = keypair.public.modulus_bytes
+        tampered = bytearray(ct)
+        tampered[width + 8] ^= 1  # first ciphertext byte of the payload
+        for bad in (bytes(tampered), ct[: width + 10]):
+            with pytest.raises(RsaError, match="payload authentication") as info:
+                keypair.decrypt(bad)
+            assert isinstance(info.value.__cause__, CipherError)
+
+        def broken_open(self, sealed):
+            raise TypeError("bug inside open")
+
+        monkeypatch.setattr(SymmetricKey, "open", broken_open)
+        with pytest.raises(TypeError, match="bug inside open"):
+            keypair.decrypt(ct)
 
 
 class TestSignVerify:

@@ -1,11 +1,11 @@
 """Regression tests for the optimised crypto hot path.
 
-The seal/open fast path (pre-primed HMAC pads, primed keystream
-prefix, whole-buffer XOR, memoryview slicing) must stay byte-identical
-to the reference construction at every size class the block-oriented
-keystream distinguishes, survive the 8-byte nonce-counter boundary,
-and round-trip through pickling (workers carry keys across process
-boundaries).
+The seal/open fast path (pre-primed HMAC pads, primed XOF state, one
+squeeze, one vector XOR, memoryview slicing) must stay byte-identical
+to the reference construction at every size class the SHAKE-256
+keystream distinguishes, accept every buffer type its callers hand it,
+survive the 8-byte nonce-counter boundary, and round-trip through
+pickling (workers carry keys across process boundaries).
 """
 
 import pickle
@@ -23,9 +23,10 @@ from repro.crypto.symmetric import (
 
 KEY = b"k" * 32
 
-#: the size classes the 32-byte-block keystream distinguishes: empty,
-#: sub-block, block-1, exact block, block+1, and many blocks
-SIZE_CLASSES = (0, 1, 31, 32, 33, 4096)
+#: the size classes the construction distinguishes: empty, one byte,
+#: either side of a 32-byte SIMD lane of the vector XOR, either side of
+#: the 136-byte SHAKE-256 rate, many squeezes, and the paper's 2 Mb file
+SIZE_CLASSES = (0, 1, 31, 32, 33, 135, 136, 137, 4096, 262144)
 
 
 class TestSizeClasses:
@@ -40,15 +41,41 @@ class TestSizeClasses:
 
     @pytest.mark.parametrize("size", SIZE_CLASSES)
     def test_stream_matches_reference_keystream(self, size):
-        """The vectorised XOR must equal byte-by-byte XOR with the
-        (unchanged) counter-mode keystream definition."""
+        """The primed-copy squeeze and the vector XOR must equal a
+        byte-by-byte XOR with the from-definition keystream."""
         key = SymmetricKey(KEY)
         nonce = (5).to_bytes(8, "big")
         plaintext = b"\xa5" * size
         sealed = key.seal(plaintext, nonce=nonce)
         ct = sealed[8:-32]
         stream = _keystream(key._enc_key, nonce, size)
+        assert len(stream) == size
         assert ct == bytes(p ^ s for p, s in zip(plaintext, stream))
+
+    def test_keystream_prefix_property(self):
+        """XOF property: the stream for ``n`` bytes is a prefix of the
+        stream for ``m > n``, so a message's keystream does not depend
+        on its length; distinct nonces give distinct streams."""
+        nonce = (5).to_bytes(8, "big")
+        longest = _keystream(KEY, nonce, max(SIZE_CLASSES))
+        for size in SIZE_CLASSES:
+            assert _keystream(KEY, nonce, size) == longest[:size]
+        other = _keystream(KEY, (6).to_bytes(8, "big"), 136)
+        assert other != longest[:136]
+
+    @pytest.mark.parametrize("size", (0, 137, 4096))
+    def test_open_accepts_any_buffer(self, size):
+        """``open`` takes ``bytes``, ``bytearray`` and a ``memoryview``
+        slice at a non-zero offset (what ``peel_layer`` hands it) and
+        returns ``bytes`` every time."""
+        key = SymmetricKey(KEY)
+        plaintext = b"\x5a" * size
+        sealed = key.seal(plaintext)
+        framed = memoryview(b"hdr" + sealed + b"trailer")[3:3 + len(sealed)]
+        for buffer in (sealed, bytearray(sealed), framed):
+            opened = key.open(buffer)
+            assert opened == plaintext
+            assert type(opened) is bytes
 
     @given(plaintext=st.binary(max_size=2048))
     def test_roundtrip_fuzz(self, plaintext):
@@ -92,6 +119,15 @@ class TestPickling:
         # The clone continues the nonce sequence, not restarts it.
         assert clone.seal(b"x")[:8] == (3).to_bytes(8, "big")
         assert SymmetricKey(KEY).open(clone.seal(b"payload")) == b"payload"
+
+    def test_clone_pickled_mid_stream_seals_identically(self):
+        """A key shipped to a worker mid-stream produces the very bytes
+        the original would have: same nonce, same rebuilt XOF state."""
+        key = SymmetricKey(KEY)
+        key.seal(b"one")
+        clone = pickle.loads(pickle.dumps(key))
+        message = b"\xc3" * 300
+        assert clone.seal(message) == key.seal(message)
 
     def test_unpickled_key_rejects_tampering(self):
         clone = pickle.loads(pickle.dumps(SymmetricKey(KEY)))

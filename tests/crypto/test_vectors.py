@@ -6,6 +6,8 @@ each construction against known inputs.  If any of them fails after a
 refactor, the change is wire-breaking and must be intentional.
 """
 
+import hashlib
+import hmac
 import random
 
 from repro.crypto.hashing import derive_hopid, hash_password, sha1_id
@@ -32,16 +34,33 @@ class TestHashVectors:
 
 class TestCipherVectors:
     def test_seal_with_fixed_nonce(self):
-        key = SymmetricKey(b"0123456789abcdef")
-        sealed = key.seal(b"attack at dawn", nonce=b"\x00" * 8)
-        assert sealed.hex() == (
-            "0000000000000000"  # nonce
-            + sealed[8:-32].hex()  # ciphertext (checked via roundtrip)
-            + sealed[-32:].hex()
-        )
-        assert key.open(sealed) == b"attack at dawn"
-        # the ciphertext bytes themselves are pinned:
-        assert sealed[8:-32].hex() == "8d640def68147a3e7dd2c5d316ee"
+        """Nonce, ciphertext and tag of one seal, byte for byte.
+
+        The keystream changed in PR 13, intentionally: SHA-256 in
+        counter mode cost one Python-level hash call per 32 bytes and
+        throttled every object workload, so it became one SHAKE-256
+        squeeze per message.  Only ciphertext bytes moved — lengths,
+        the nonce and the tag construction are as before.  The expected
+        ciphertext is computed here from ``hashlib`` alone, so this
+        pins the construction without sharing code with it.
+        """
+        secret = b"0123456789abcdef"
+        plaintext = b"attack at dawn"
+        nonce = b"\x00" * 8
+        key = SymmetricKey(secret)
+        sealed = key.seal(plaintext, nonce=nonce)
+        assert len(sealed) == len(plaintext) + SymmetricKey.overhead()
+        assert sealed[:8] == nonce
+        enc_key = hashlib.sha256(b"enc" + secret).digest()
+        stream = hashlib.shake_256(enc_key + nonce).digest(len(plaintext))
+        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+        assert sealed[8:-32] == ciphertext
+        # the tag is RFC 2104 HMAC-SHA256 over nonce || ciphertext
+        mac_key = hashlib.sha256(b"mac" + secret).digest()
+        assert sealed[-32:] == hmac.new(
+            mac_key, nonce + ciphertext, hashlib.sha256
+        ).digest()
+        assert key.open(sealed) == plaintext
 
     def test_layer_framing_vector(self):
         """One onion layer's plaintext framing, byte for byte."""
