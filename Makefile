@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test audit bench bench-quick perfbench-smoke bench-pytest bench-paper figures extensions examples all clean telemetry-gate report gate
+.PHONY: install lint test audit bench bench-quick perfbench-smoke digests bench-pytest bench-paper figures extensions examples all clean telemetry-gate report gate
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -47,6 +47,13 @@ bench-quick:
 perfbench-smoke:
 	$(PYTHON) -m pytest perfbench -q
 	$(PYTHON) perfbench/run.py --smoke
+
+# The invariance evidence for a hot-path PR as one command: every fast
+# rows digest plus the chaos smoke and durability artifact hashes, in
+# the format committed as results/DIGESTS.txt (CI diffs the two).  Run
+# it on the parent and on the change; the outputs must be identical.
+digests:
+	@$(PYTHON) tools/digest_sheet.py
 
 # Relative overhead gate: the instrumented 100k churn round vs its
 # bare twin, interleaved same-run timing (<=5%, exit 1 on breach).

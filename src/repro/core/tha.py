@@ -8,12 +8,21 @@ guarding deletion.
 Generation is node-specific and unlinkable: ``hopid = H(node_ID, hkey,
 t)`` where ``hkey`` is secret and ``t`` a timestamp, so no outsider can
 recompute the hopid for a suspected node (§3.2).
+
+A hop node holds its anchor for the life of the tunnel but is handed
+the stored bytes again on every message.  Decoding them — two field
+reads and priming a :class:`SymmetricKey` (two SHA-256 derivations, two
+HMAC pad states, one SHAKE state) — is a pure function of immutable
+bytes, so :func:`tha_value_decode` memoises it: a hop decodes an anchor
+once, the way an onion relay keeps per-circuit key state, not once per
+message.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.crypto.hashing import (
     derive_hopid,
@@ -89,7 +98,25 @@ def tha_value_encode(anchor: TunnelHopAnchor) -> bytes:
     return pack_fields(anchor.key.key_bytes, anchor.pw_hash)
 
 
-def tha_value_decode(hop_id: int, blob: bytes) -> TunnelHopAnchor:
-    """Parse a stored THA value back into an anchor."""
+#: decoded anchors kept (~1 KiB each: the key's primed hash states)
+_ANCHOR_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_ANCHOR_CACHE_SIZE)
+def _decode_anchor(hop_id: int, blob: bytes) -> TunnelHopAnchor:
     key_bytes, pw_hash = unpack_fields(blob, count=2)
     return TunnelHopAnchor(hop_id, SymmetricKey(key_bytes), pw_hash)
+
+
+def tha_value_decode(hop_id: int, blob) -> TunnelHopAnchor:
+    """Parse a stored THA value (any bytes-like) back into an anchor.
+
+    Memoised by content in one bounded LRU: a refreshed, bit-rotted or
+    tampered value is a different entry, so nothing is ever
+    invalidated, and a malformed value raises ``SerializationError`` on
+    every call (exceptions are not cached).  Repeat decodes return the
+    *same* frozen anchor; its key is shared, which is sound because
+    hops only ``open`` with it and ``open`` is counter-free — seal
+    under an anchor's key only through the owner's :class:`OwnedTha`.
+    """
+    return _decode_anchor(hop_id, bytes(blob))

@@ -10,31 +10,70 @@ generation and a hash-based hybrid mode for arbitrary-length messages
 (RSA carries a fresh symmetric key; the payload rides under that key).
 Default modulus is 512 bits: simulation-scale security, real key
 generation, real algebra.
+
+Key material is prepared once per key pair:
+
+* **Sieve first.**  A prime search tries ~89 odd candidates per
+  256-bit prime, and a Miller–Rabin round is one modexp.  One
+  ``math.gcd`` against the product of every prime below
+  ``_SIEVE_BOUND`` (a few µs) rejects ~85 % of the candidates before
+  any modexp or base draw; whatever passes still faces all
+  ``_MR_ROUNDS`` random-base rounds, so no returned prime is held to
+  less than before.
+* **CRT private operations.**  The pair keeps ``p``, ``q``,
+  ``d mod (p-1)``, ``d mod (q-1)`` and ``q⁻¹ mod p``; ``decrypt`` and
+  ``sign`` are two half-size modexps recombined by Garner's formula
+  instead of one full-size ``pow(c, d, n)``.  ``sign`` re-checks its
+  result under the public key before releasing it — the standard guard
+  against a faulty half leaking a factor of ``n``.  The full private
+  exponent ``d`` is not stored; the tests compute it as the reference.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 from repro.crypto.symmetric import CipherError, SymmetricKey
 
 _E = 65537
 _MR_ROUNDS = 24
+#: candidates are trial-divided (by one gcd) by every prime below this;
+#: measured sweet spot for 256-bit candidates — the gcd costs ~4.5 µs
+#: and lets 14.5 % through, against 27 % for the primes up to 47
+_SIEVE_BOUND = 2048
 
 
 class RsaError(ValueError):
     """Raised on malformed ciphertexts/signatures or bad parameters."""
 
 
+def _primes_below(bound: int) -> list[int]:
+    """Sieve of Eratosthenes."""
+    flags = bytearray([1]) * bound
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, bound, i)))
+    return [i for i, flag in enumerate(flags) if flag]
+
+
+_SMALL_PRIMES = frozenset(_primes_below(_SIEVE_BOUND))
+_SIEVE_PRODUCT = math.prod(_SMALL_PRIMES)
+
+
 def _is_probable_prime(n: int, rng: random.Random) -> bool:
-    """Miller–Rabin with ``_MR_ROUNDS`` random bases (plus small-prime sieve)."""
-    if n < 2:
+    """Miller–Rabin with ``_MR_ROUNDS`` random bases behind a sieve.
+
+    ``n`` below ``_SIEVE_BOUND`` is answered from the prime table; any
+    other ``n`` sharing a factor with ``_SIEVE_PRODUCT`` is composite.
+    Both answers draw nothing from ``rng``.
+    """
+    if n < _SIEVE_BOUND:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SIEVE_PRODUCT) != 1:
         return False
-    small_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-    for p in small_primes:
-        if n % p == 0:
-            return n == p
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -129,13 +168,25 @@ class RsaPublicKey:
 
 
 class RsaKeyPair:
-    """A node's key pair.  ``generate`` is the only constructor users need."""
+    """A node's key pair, held in CRT form (``p``, ``q`` and the three
+    values derived from them).  ``generate`` is the only constructor
+    users need."""
 
-    __slots__ = ("public", "_d")
+    __slots__ = ("public", "_p", "_q", "_d_p", "_d_q", "_q_inv")
 
-    def __init__(self, n: int, e: int, d: int):
-        self.public = RsaPublicKey(n, e)
-        self._d = d
+    def __init__(self, p: int, q: int, e: int = _E):
+        self.public = RsaPublicKey(p * q, e)
+        self._p = p
+        self._q = q
+        try:
+            self._d_p = pow(e, -1, p - 1)
+            self._d_q = pow(e, -1, q - 1)
+            self._q_inv = pow(q, -1, p)
+        except ValueError as exc:
+            raise RsaError(
+                "not a key pair: e needs an inverse modulo p-1 and q-1, "
+                "q one modulo p"
+            ) from exc
 
     @classmethod
     def generate(cls, rng: random.Random, bits: int = 512) -> "RsaKeyPair":
@@ -148,13 +199,17 @@ class RsaKeyPair:
             q = _random_prime(bits - half, rng)
             if p == q:
                 continue
-            n = p * q
-            phi = (p - 1) * (q - 1)
             try:
-                d = pow(_E, -1, phi)
-            except ValueError:
+                return cls(p, q)
+            except RsaError:
                 continue
-            return cls(n, _E, d)
+
+    def _private_op(self, c: int) -> int:
+        """``pow(c, d, n)`` for ``0 <= c < n`` by the CRT: one modexp
+        modulo each prime, recombined by Garner's formula."""
+        m_p = pow(c, self._d_p, self._p)
+        m_q = pow(c, self._d_q, self._q)
+        return m_q + (self._q_inv * (m_p - m_q)) % self._p * self._q
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         """Inverse of :meth:`RsaPublicKey.encrypt`."""
@@ -164,7 +219,7 @@ class RsaKeyPair:
         wrapped = int.from_bytes(ciphertext[:width], "big")
         if wrapped >= self.public.n:
             raise RsaError("RSA block out of range")
-        m = pow(wrapped, self._d, self.public.n)
+        m = self._private_op(wrapped)
         session_key = (m & ((1 << 128) - 1)).to_bytes(16, "big")
         try:
             return SymmetricKey(session_key).open(ciphertext[width:])
@@ -174,7 +229,9 @@ class RsaKeyPair:
     def sign(self, message: bytes) -> bytes:
         """Hash-and-sign (no padding — simulation-grade)."""
         digest = int.from_bytes(hashlib.sha256(message).digest(), "big") % self.public.n
-        sig = pow(digest, self._d, self.public.n)
+        sig = self._private_op(digest)
+        if pow(sig, self.public.e, self.public.n) != digest:
+            raise RsaError("signature failed its own verification")
         return sig.to_bytes(self.public.modulus_bytes, "big")
 
     def __repr__(self) -> str:

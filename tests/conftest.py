@@ -13,6 +13,8 @@ import random
 import pytest
 
 from repro.core.system import TapSystem
+from repro.crypto.symmetric import SymmetricKey
+from repro.past.storage import StoredObject
 from repro.pastry.network import PastryNetwork
 from repro.util.rng import SeedSequenceFactory
 
@@ -69,3 +71,33 @@ def tap_system() -> TapSystem:
 @pytest.fixture()
 def network_factory():
     return build_network
+
+
+@pytest.fixture()
+def key_inits(monkeypatch) -> list[bytes]:
+    """The key bytes of every ``SymmetricKey`` constructed from here on
+    (``clear()`` it to start counting later)."""
+    calls: list[bytes] = []
+    original = SymmetricKey.__init__
+
+    def counting(self, key_bytes):
+        calls.append(key_bytes)
+        original(self, key_bytes)
+
+    monkeypatch.setattr(SymmetricKey, "__init__", counting)
+    return calls
+
+
+def rot_tha_key(system: TapSystem, node_id: int, hop_id: int) -> StoredObject:
+    """Flip one bit of ``K`` in ``node_id``'s replica of anchor
+    ``hop_id`` (the value stays well-formed; ``corrupt_replica`` hits
+    the length prefix instead).  Returns the healthy object."""
+    storage = system.store.storage_of(node_id)
+    stored = storage.lookup(hop_id)
+    value = stored.value
+    rotten = value[:4] + bytes([value[4] ^ 0x01]) + value[5:]
+    storage.insert(
+        StoredObject(hop_id, rotten, stored.delete_proof_hash, stored.meta),
+        overwrite=True,
+    )
+    return stored

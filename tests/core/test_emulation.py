@@ -169,3 +169,23 @@ class TestHints:
         assert trace.delivered, trace.failed_reason
         assert trace.hint_failures >= 1
         assert trace.timeouts >= 1  # the hinted probe timed out
+
+
+class TestDecodedAnchorCache:
+    def test_bit_rotted_replica_fails_after_a_cached_success(self, setup):
+        """The hop decodes its anchor by content: a replica that rots
+        after a successful (cached) delivery is decoded afresh."""
+        from tests.conftest import rot_tha_key
+
+        system, alice, topo, emu = setup
+        tunnel = system.form_tunnel(alice, length=3)
+        ok = emu.send_through_tunnel(alice, tunnel, 42, b"hello")
+        emu.simulator.run()
+        assert ok.delivered
+        hop_id = tunnel.hops[1].hop_id
+        node_id = system.network.closest_alive(hop_id)
+        rot_tha_key(system, node_id, hop_id)
+        bad = emu.send_through_tunnel(alice, tunnel, 42, b"hello")
+        emu.simulator.run()
+        assert not bad.delivered
+        assert bad.failed_reason == f"decryption failed at {node_id:#x}"

@@ -368,3 +368,49 @@ class TestReplyTraversal:
         responder = _destination(system)
         trace = system.forwarder.send_reply(responder, first_hop, blob, b"answer")
         assert not trace.success
+
+
+class TestPeelWithDecodedAnchorCache:
+    """``_peel_at`` reads the replica first and decodes by content, so
+    the anchor cache never outlives what the hop node actually holds."""
+
+    @staticmethod
+    def _first_hop(system, alice):
+        from repro.crypto.onion import build_onion
+
+        tunnel = system.form_tunnel(alice, length=3)
+        hop = tunnel.hops[0]
+        node_id = system.network.closest_alive(hop.hop_id)
+        blob = build_onion(tunnel.onion_layers(), 42, b"payload")
+        return hop, node_id, blob
+
+    def test_repeat_peels_prime_no_key(self, system, alice, key_inits):
+        hop, node_id, blob = self._first_hop(system, alice)
+        first = system.forwarder._peel_at(node_id, hop.hop_id, blob)
+        key_inits.clear()
+        for _ in range(3):
+            again = system.forwarder._peel_at(node_id, hop.hop_id, blob)
+            assert (again.next_id, again.inner) == (first.next_id, first.inner)
+        assert key_inits == []
+
+    def test_bit_rotted_replica_is_decoded_afresh(self, system, alice):
+        from repro.core.forwarding import TunnelBroken
+        from tests.conftest import rot_tha_key
+
+        hop, node_id, blob = self._first_hop(system, alice)
+        assert system.forwarder._peel_at(node_id, hop.hop_id, blob) is not None
+        healthy = rot_tha_key(system, node_id, hop.hop_id)
+        with pytest.raises(TunnelBroken, match="layer decryption failed"):
+            system.forwarder._peel_at(node_id, hop.hop_id, blob)
+        # healing the replica heals the hop: nothing to invalidate
+        system.store.storage_of(node_id).insert(healthy, overwrite=True)
+        assert system.forwarder._peel_at(node_id, hop.hop_id, blob) is not None
+
+    def test_deleted_anchor_is_lost_despite_the_cache(self, system, alice):
+        from repro.core.forwarding import TunnelBroken
+
+        hop, node_id, blob = self._first_hop(system, alice)
+        assert system.forwarder._peel_at(node_id, hop.hop_id, blob) is not None
+        assert system.store.delete(hop.hop_id, hop.pw)
+        with pytest.raises(TunnelBroken, match="anchor lost"):
+            system.forwarder._peel_at(node_id, hop.hop_id, blob)

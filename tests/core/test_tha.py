@@ -88,3 +88,61 @@ class TestValueEncoding:
         tha = generate_tha(b"n", b"h", 7, random.Random(1))
         assert tha.hop_id == tha.anchor.hop_id
         assert tha.key is tha.anchor.key
+
+
+def _blob(index: int) -> bytes:
+    """A distinct well-formed stored value."""
+    key = index.to_bytes(16, "big")
+    return tha_value_encode(TunnelHopAnchor(0, SymmetricKey(key), hash_password(key)))
+
+
+class TestDecodeCache:
+    """``tha_value_decode`` is memoised by content (one bounded LRU)."""
+
+    def test_repeat_decode_is_the_same_anchor_and_primes_no_key(self, key_inits):
+        blob = _blob(1 << 100)
+        key_inits.clear()
+        first = tha_value_decode(7, blob)
+        assert len(key_inits) == 1
+        for _ in range(5):
+            assert tha_value_decode(7, bytes(bytearray(blob))) is first
+        assert len(key_inits) == 1
+
+    def test_keyed_by_hop_id_and_content(self):
+        blob = _blob(1 << 101)
+        rotten = blob[:4] + bytes([blob[4] ^ 1]) + blob[5:]  # first key byte
+        a = tha_value_decode(7, blob)
+        b = tha_value_decode(8, blob)
+        c = tha_value_decode(7, rotten)
+        assert (a.hop_id, b.hop_id) == (7, 8)
+        assert a.key == b.key and a is not b
+        assert c is not a and c.key != a.key and c.pw_hash == a.pw_hash
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview],
+                             ids=["bytearray", "memoryview"])
+    def test_any_bytes_like_value_is_normalised(self, wrap):
+        blob = _blob(1 << 102)
+        assert tha_value_decode(7, wrap(blob)) is tha_value_decode(7, blob)
+
+    def test_malformed_value_raises_every_time(self):
+        from repro.core.tha import _decode_anchor
+        from repro.util.serialize import SerializationError
+
+        truncated = _blob(1 << 103)[:-1]
+        before = _decode_anchor.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(SerializationError):
+                tha_value_decode(7, truncated)
+        assert _decode_anchor.cache_info().currsize == before
+
+    def test_cache_is_bounded(self):
+        from repro.core.tha import _ANCHOR_CACHE_SIZE, _decode_anchor
+
+        assert _decode_anchor.cache_info().maxsize == _ANCHOR_CACHE_SIZE == 1024
+        oldest = tha_value_decode(0, _blob(1 << 104))
+        for index in range(_ANCHOR_CACHE_SIZE + 10):
+            tha_value_decode(9, _blob(index))
+        assert _decode_anchor.cache_info().currsize == _ANCHOR_CACHE_SIZE
+        # evicted, so decoded afresh: equal, not identical
+        again = tha_value_decode(0, _blob(1 << 104))
+        assert again == oldest and again is not oldest

@@ -106,12 +106,33 @@ class TestOnionDeterminism:
 
 class TestRsaDeterminism:
     def test_keygen_vector(self):
-        from repro.crypto.asymmetric import RsaKeyPair
+        """The modulus and both primes drawn from one seed, exactly.
+
+        This is the pin on keygen's RNG draw order: candidate
+        (``getrandbits``), then one ``randrange`` base per Miller–Rabin
+        round run on it.  PR 14 changed that order, intentionally: a
+        candidate with a prime factor below 2,048 is now rejected by a
+        gcd before any base is drawn, where the old 15-prime sieve let
+        it through to draw (at least) one.  So the same seed yields
+        different, equally valid keys.  That is safe because nothing
+        committed depends on key *values*: every ``rows digest`` of
+        ``tap-repro all/extensions --fast``, the chaos smoke report and
+        events, the durability CSV (``results/DIGESTS.txt``) and every
+        perfbench ``work_digest`` were byte-identical before and after.
+        """
+        from repro.crypto.asymmetric import RsaKeyPair, _is_probable_prime
 
         pair = RsaKeyPair.generate(random.Random(2024), bits=384)
-        # pinned: deterministic Miller-Rabin keygen from a seeded rng
+        p = 0xEC7A15BED7F35CEBF0EDEB0C1915EC2810C1525AAFC3434B
+        q = 0xEB76EDE33ACF7175AF32FADF1AB1B2E89D817C4925108831
         assert pair.public.e == 65537
-        assert pair.public.n.bit_length() in (383, 384)
+        assert pair.public.n == int(
+            "d981edfb22ea2f12a036c28512eb09b87d85a9006e824946"
+            "f1efb5720c709b84405ccf2cbab0562ec4e4aa0c6bcfb95b", 16)
+        assert pair.public.n == p * q
+        assert (pair._p, pair._q) == (p, q)
+        rng = random.Random(0)
+        assert _is_probable_prime(p, rng) and _is_probable_prime(q, rng)
         assert pair.decrypt(
             pair.public.encrypt(b"pin", random.Random(1))
         ) == b"pin"

@@ -12,6 +12,7 @@ the base system, or sibling forks) and picklable for worker shipping.
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
@@ -101,6 +102,27 @@ class TestForkEquivalence:
         digest = system_digest(base)
         fork = base.snapshot().fork(seed=BASE_SEED)
         assert system_digest(fork) == digest
+
+    def test_node_keypairs_survive_capture_pickle_restore(self):
+        """A restored system generates the node key pair (CRT form: p,
+        q, d_p, d_q, q⁻¹) a fresh bootstrap would, the pair itself
+        pickles, and the THA bootstrap that decrypts under it works.
+        ``capture`` refuses live TAP state, so the pair is generated on
+        the restored side."""
+        snap = pickle.loads(pickle.dumps(TapSystem.bootstrap(N, seed=BASE_SEED).snapshot()))
+        fork = snap.fork(seed=5)
+        fresh = TapSystem.bootstrap(N, seed=5, overlay_seed=BASE_SEED)
+        node_id = fork.random_node_id("relay")
+        pair = fork.tap_node(node_id).keypair
+        assert pair.public == fresh.tap_node(node_id).keypair.public
+        clone = pickle.loads(pickle.dumps(pair))
+        ct = pair.public.encrypt(b"relay layer", random.Random(1))
+        assert clone.decrypt(ct) == pair.decrypt(ct) == b"relay layer"
+        assert clone.public.verify(b"m", pair.sign(b"m"))
+        alice = fork.tap_node(fork.random_node_id("alice"))
+        fork.deploy_thas(alice, count=3)
+        assert all(tha.deployed for tha in alice.owned_thas)
+        assert fork.send(alice, fork.form_tunnel(alice, length=3), 42, b"x").success
 
     def test_fork_equivalence_survives_churn(self):
         snap = TapSystem.bootstrap(N, seed=BASE_SEED).snapshot()

@@ -132,6 +132,30 @@ def bench_crypto_hmac_1k():
     return lambda: _hmac_sha256(b"bench-mac-key", msg)
 
 
+def bench_crypto_rsa_keygen_512():
+    """One op is 32 key pairs from 32 fixed seeds: a prime search is a
+    geometric draw (~89 candidates per prime), so a single seed would
+    time its luck, not the code."""
+    import random
+
+    from repro.crypto.asymmetric import RsaKeyPair
+
+    return lambda: [
+        RsaKeyPair.generate(random.Random(seed), bits=512) for seed in range(32)
+    ]
+
+
+def bench_crypto_rsa_decrypt_512():
+    """The private operation plus opening a 16-byte hybrid payload."""
+    import random
+
+    from repro.crypto.asymmetric import RsaKeyPair
+
+    pair = RsaKeyPair.generate(random.Random(512), bits=512)
+    wrapped = pair.public.encrypt(b"k" * 16, random.Random(1))
+    return lambda: pair.decrypt(wrapped)
+
+
 def bench_onion_build_l5():
     from repro.crypto.onion import OnionLayer, build_onion
     from repro.crypto.symmetric import SymmetricKey
@@ -253,6 +277,8 @@ MICRO = {
     "crypto.open_1k": bench_crypto_open_1k,
     "crypto.seal_64": bench_crypto_seal_64,
     "crypto.hmac_1k": bench_crypto_hmac_1k,
+    "crypto.rsa_keygen_512": bench_crypto_rsa_keygen_512,
+    "crypto.rsa_decrypt_512": bench_crypto_rsa_decrypt_512,
     "onion.build_l5": bench_onion_build_l5,
     "onion.peel_l5": bench_onion_peel_l5,
     "serialize.unpack4": bench_serialize_roundtrip,
