@@ -29,6 +29,10 @@ class LeafSet:
         self.half = capacity // 2
         #: member ids, ascending
         self._ids: list[int] = []
+        #: moves exactly when ``_ids`` changes (a candidate trimmed
+        #: straight back out, or a repeated ``add``, leaves it alone);
+        #: the network stamps memoised routes with it
+        self.version = 0
         #: optional ``(owner_id, added_id)`` callback observed by the
         #: network's referrer index; fired per *candidate* (superset
         #: semantics — eviction by :meth:`_trim` is not reported)
@@ -61,12 +65,15 @@ class LeafSet:
 
     def add_all(self, node_ids) -> None:
         ids = self._ids
+        before = ids[:]
         added = [node_id for node_id in node_ids if node_id != self.owner_id]
         for node_id in added:
             pos = bisect_left(ids, node_id)
             if pos == len(ids) or ids[pos] != node_id:
                 ids.insert(pos, node_id)
         self._trim()
+        if ids != before:
+            self.version += 1
         if self.on_add is not None:
             for node_id in added:
                 self.on_add(self.owner_id, node_id)
@@ -76,11 +83,15 @@ class LeafSet:
         snapshot-restore path: the caller guarantees the ids are exactly
         a valid (trimmed) leaf set for the owner, so they are ordered
         once and :meth:`_trim` is skipped."""
-        self._ids = sorted(set(node_ids) - {self.owner_id})
+        ids = sorted(set(node_ids) - {self.owner_id})
+        if ids != self._ids:
+            self._ids = ids
+            self.version += 1
 
     def remove(self, node_id: int) -> None:
         if node_id in self:
             self._ids.remove(node_id)
+            self.version += 1
 
     def _trim(self) -> None:
         """Keep only ids that belong to either bounded half, i.e. drop

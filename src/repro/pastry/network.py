@@ -95,11 +95,17 @@ class PastryNetwork:
         #: semantics: owners that have since evicted the entry are
         #: pruned by a membership check at repair time.
         self._referrers: dict[int, set[int]] | None = None
-        # Route-decision caches, valid for one membership epoch (same
-        # invalidation contract as the store's replica_set memoisation).
-        self._route_cache: dict[tuple[int, int], RouteResult] = {}
+        #: ``(src, key) -> [path, stamps, epoch last validated]``.  A
+        #: route is a pure function of the local state of the nodes on
+        #: its path, so an entry outlives any membership event that
+        #: leaves those nodes alone: ``stamps`` holds, per path node,
+        #: the node object with its leaf-set and routing-table versions
+        #: (see :meth:`_revalidated`).  Bounded by ROUTE_CACHE_LIMIT.
+        self._route_cache: dict[tuple[int, int], list] = {}
+        # A pure function of the alive set: valid for one membership
+        # epoch (same contract as the store's replica_set memoisation).
         self._closest_cache: dict[int, int] = {}
-        self._route_cache_epoch = -1
+        self._closest_cache_epoch = -1
         #: optional :class:`repro.obs.MetricsRegistry`
         self.metrics = metrics
         #: optional :class:`repro.obs.SpanTracer`; ``route`` is the one
@@ -465,14 +471,10 @@ class PastryNetwork:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    #: Route-cache size valve; cleared wholesale when exceeded.
+    #: Size valve of the route and closest-node caches, each cleared
+    #: wholesale when exceeded — the only bound on a memoised route's
+    #: lifetime besides a failed validation.
     ROUTE_CACHE_LIMIT = 65536
-
-    def _fresh_route_caches(self) -> None:
-        if self._route_cache_epoch != self.membership_epoch:
-            self._route_cache.clear()
-            self._closest_cache.clear()
-            self._route_cache_epoch = self.membership_epoch
 
     def closest_alive(self, key: int) -> int:
         """Id of the alive node numerically closest to ``key`` (oracle).
@@ -482,7 +484,9 @@ class PastryNetwork:
         """
         if not self._sorted_alive:
             raise RoutingError("no alive nodes")
-        self._fresh_route_caches()
+        if self._closest_cache_epoch != self.membership_epoch:
+            self._closest_cache.clear()
+            self._closest_cache_epoch = self.membership_epoch
         root = self._closest_cache.get(key)
         if root is None:
             root = closest_in_sorted(self._sorted_alive, key, 1)[0]
@@ -533,24 +537,56 @@ class PastryNetwork:
                 m.counter("pastry.route.failed").inc()
         return result
 
+    def _revalidated(self, memo_key: tuple[int, int], entry: list) -> list | None:
+        """A memoised route met after an epoch turn: re-stamped with the
+        current epoch if every node it crossed is alive and carries the
+        leaf-set and routing-table versions it was stamped with — i.e.
+        an uncached walk would take the same decisions hop for hop —
+        else dropped (``None``).  A stamp holds the node *object*, so
+        the fresh node ``join`` installs under a reused id (versions
+        restart at 0) cannot pass for the one the route crossed:
+        ``join`` only ever replaces a dead node's object, and ``revive``
+        reaches registered objects only, so the replaced one stays dead."""
+        m = self.metrics
+        for node, leaf_version, table_version in entry[1]:
+            if (
+                not node.alive
+                or node.leaf_set.version != leaf_version
+                or node.routing_table._version != table_version
+            ):
+                del self._route_cache[memo_key]
+                if m is not None:
+                    m.counter("pastry.route.cache_stale").inc()
+                return None
+        entry[2] = self.membership_epoch
+        if m is not None:
+            m.counter("pastry.route.cache_revalidated").inc()
+        return entry
+
     def _route_impl(self, src_id: int, key: int) -> RouteResult:
         src = self.nodes.get(src_id)
         if src is None or not src.alive:
             raise RoutingError(f"source {src_id:#x} is not alive")
 
-        # Clean routes are a pure function of the overlay state, which
-        # under eager repair is immutable between membership epochs
-        # (dead references — the one in-route mutation trigger — cannot
-        # exist), so they are cached per (src, key) until the epoch
-        # turns.  Routes that discovered failures are never cached.
+        # A clean route is a pure function of the local state of the
+        # nodes on its path, and under eager repair that state holds no
+        # dead reference (the one in-route mutation trigger), so clean
+        # routes are memoised per (src, key).  Within the epoch an entry
+        # was last validated in, a hit is one integer compare; after an
+        # epoch turn it is served only if its stamps still hold, and
+        # dropped otherwise.  Routes that discovered failures are never
+        # cached.
         cacheable = self.eager_repair
         if cacheable:
-            self._fresh_route_caches()
-            hit = self._route_cache.get((src_id, key))
-            if hit is not None:
+            cache = self._route_cache
+            memo_key = (src_id, key)
+            entry = cache.get(memo_key)
+            if entry is not None and entry[2] != self.membership_epoch:
+                entry = self._revalidated(memo_key, entry)
+            if entry is not None:
                 if self.metrics is not None:
                     self.metrics.counter("pastry.route.cache_hits").inc()
-                return RouteResult(key, list(hit.path), True, 0)
+                return RouteResult(key, list(entry[0]), True, 0)
 
         path = [src_id]
         failures = 0
@@ -563,11 +599,13 @@ class PastryNetwork:
                     return RouteResult(key, path, False, failures)
                 if nxt == current.node_id:
                     if cacheable and failures == 0:
-                        if len(self._route_cache) >= self.ROUTE_CACHE_LIMIT:
-                            self._route_cache.clear()
-                        self._route_cache[(src_id, key)] = RouteResult(
-                            key, list(path), True, 0
+                        if len(cache) >= self.ROUTE_CACHE_LIMIT:
+                            cache.clear()
+                        stamps = tuple(
+                            (node, node.leaf_set.version, node.routing_table._version)
+                            for node in map(self.nodes.__getitem__, path)
                         )
+                        cache[memo_key] = [list(path), stamps, self.membership_epoch]
                     return RouteResult(key, path, True, failures)
                 if self.is_alive(nxt):
                     break

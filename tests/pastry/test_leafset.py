@@ -236,3 +236,39 @@ class TestAgainstOracle:
                 assert real.covers(key) == oracle.covers(key)
                 for args in ((key,), (key, False), (key, True, exclude), (key, False, exclude)):
                     assert _closest_or_none(real, *args) == _closest_or_none(oracle, *args)
+
+
+class TestVersion:
+    """``version`` is what the network stamps memoised routes with: it
+    must move on every change of ``members`` and on nothing else."""
+
+    @given(
+        owner=any_id_st,
+        capacity=st.sampled_from([2, 4, 8, 16]),
+        ops=st.lists(op_st, max_size=30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_moves_iff_members_changed(self, owner, capacity, ops):
+        leaf_set = LeafSet(owner, capacity)
+        for name, arg in ops:
+            if name == "bulk_load":
+                arg = arg[:capacity]
+            members, version = leaf_set.members, leaf_set.version
+            getattr(leaf_set, name)(arg)
+            assert (leaf_set.version != version) == (leaf_set.members != members)
+            assert leaf_set.version >= version
+
+    def test_no_op_calls_leave_it_alone(self):
+        leaf_set = LeafSet(1000, capacity=4)
+        leaf_set.add_all([998, 999, 1001, 1002])
+        version = leaf_set.version
+        leaf_set.add(999)  # already a member
+        leaf_set.add_all([1001, 1000, 998])  # members and the owner
+        leaf_set.add_all([1500, 500])  # trimmed straight back out
+        leaf_set.remove(12345)  # never a member
+        leaf_set.bulk_load([1002, 1001, 999, 998])  # the same set
+        assert leaf_set.version == version
+        leaf_set.add(1003)  # refused: further than both clockwise members
+        assert leaf_set.version == version
+        leaf_set.remove(999)
+        assert leaf_set.version == version + 1

@@ -1,0 +1,226 @@
+"""The route memo: entries outlive membership events that leave their
+path alone, and a memoised answer is always what an uncached walk
+would return.
+
+The specification is the walk itself: a twin network whose
+``_route_cache`` is emptied before every route must agree with the
+shipped one after every step of any fail / revive / join / route
+sequence.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs import MetricsRegistry
+from repro.pastry.network import PastryNetwork, RoutingError
+from repro.util.ids import ID_BITS, ID_SPACE
+
+N = 200
+_ID_RNG = random.Random(2004)
+IDS = sorted({_ID_RNG.getrandbits(128) for _ in range(N)})
+#: a few sources and keys, so sequences come back to the same entries
+SOURCES = IDS[::25]
+KEYS = [_ID_RNG.getrandbits(128) for _ in range(8)] + IDS[5::50]
+
+
+def always_walks(network: PastryNetwork) -> PastryNetwork:
+    """Empty the memo before every route (``join`` routes too)."""
+    walk = network._route_impl
+
+    def uncached(src_id, key):
+        network._route_cache.clear()
+        return walk(src_id, key)
+
+    network._route_impl = uncached
+    return network
+
+
+def twins(eager_repair: bool, forked: bool = False):
+    base = PastryNetwork.build(IDS, eager_repair=eager_repair)
+    if forked:
+        snap = base.snapshot()
+        return snap.restore(), always_walks(snap.restore())
+    return base, always_walks(PastryNetwork.build(IDS, eager_repair=eager_repair))
+
+
+def outcome(network: PastryNetwork, op: str, *args):
+    try:
+        result = getattr(network, op)(*args)
+    except (RoutingError, ValueError) as exc:
+        return type(exc).__name__
+    if op == "route":
+        return result.path, result.success, result.failures
+    return None
+
+
+def same_step(shipped, reference, op, *args):
+    assert outcome(shipped, op, *args) == outcome(reference, op, *args), (op, args)
+    assert shipped.alive_ids == reference.alive_ids
+
+
+def beside(key: int, digits: int, tail: int) -> int:
+    """An id sharing ``key``'s first ``digits`` hex digits: joining it
+    fills routing-table cells on the way to ``key`` (a table-only
+    change of its new neighbours' state) without touching their leaf
+    sets."""
+    shift = ID_BITS - 4 * digits
+    return key >> shift << shift | tail & ((1 << shift) - 1)
+
+
+member_st = st.sampled_from(IDS)
+newcomer_st = st.one_of(
+    member_st,
+    st.integers(0, ID_SPACE - 1),
+    st.builds(beside, st.sampled_from(KEYS), st.integers(1, 3), st.integers(0, ID_SPACE - 1)),
+)
+step_st = st.one_of(
+    st.tuples(st.just("fail"), member_st),
+    st.tuples(st.just("revive"), member_st),
+    st.tuples(st.just("join"), newcomer_st),
+    st.tuples(st.just("route"), st.sampled_from(SOURCES), st.sampled_from(KEYS)),
+    st.tuples(st.just("route"), member_st, st.sampled_from(KEYS)),
+)
+
+
+class TestAgainstUncachedTwin:
+    @pytest.mark.parametrize("eager_repair", [True, False], ids=["eager", "lazy"])
+    @given(steps=st.lists(step_st, max_size=60), forked=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_same_answer_after_every_step(self, eager_repair, steps, forked):
+        shipped, reference = twins(eager_repair, forked)
+        for src in SOURCES:  # start with a warm memo
+            for key in KEYS:
+                same_step(shipped, reference, "route", src, key)
+        for op, *args in steps:
+            same_step(shipped, reference, op, *args)
+            for key in KEYS[:4]:
+                same_step(shipped, reference, "route", SOURCES[0], key)
+        if not eager_repair:
+            assert not shipped._route_cache  # lazy repair stays uncached
+
+
+class TestStamps:
+    def test_rejoined_source_is_not_mistaken_for_its_predecessor(self):
+        """fail X -> join X installs a fresh node object under X whose
+        versions restart at 0 and may equal the ones X's surviving
+        entries were stamped with; the stamp holds the *object*, so
+        such an entry is dropped however the numbers fall."""
+        metrics = MetricsRegistry()
+        shipped = PastryNetwork.build(IDS, metrics=metrics)
+        reference = always_walks(PastryNetwork.build(IDS))
+        src, key = SOURCES[1], KEYS[0]
+        same_step(shipped, reference, "route", src, key)
+        _, stamps, _ = shipped._route_cache[(src, key)]
+        old, leaf_version, table_version = stamps[0]
+        assert old is shipped.nodes[src]
+
+        same_step(shipped, reference, "fail", src)
+        same_step(shipped, reference, "join", src)
+        new = shipped.nodes[src]
+        assert new is not old
+        # the worst case: the newcomer's versions land exactly on the stamp
+        new.leaf_set.version = leaf_version
+        new.routing_table._version = table_version
+
+        same_step(shipped, reference, "route", src, key)
+        assert metrics.counter("pastry.route.cache_stale").value == 1
+        assert shipped._route_cache[(src, key)][1][0][0] is new
+
+    def test_a_routing_table_change_alone_is_seen(self):
+        """No node dies and no leaf set moves: one path node swaps the
+        table entry the route went through for another valid one."""
+        shipped = PastryNetwork.build(IDS)
+        reference = always_walks(PastryNetwork.build(IDS))
+        src, key, other = next(
+            (s, k, n)
+            for s in SOURCES for k in KEYS for n in IDS
+            if len(path := shipped.route(s, k).path) >= 3
+            and not shipped.nodes[s].leaf_set.covers(k)
+            and n != path[1]
+            and shipped.nodes[s].routing_table.cell_for(n)
+            == shipped.nodes[s].routing_table.cell_for(path[1])
+        )
+        leaf_version = shipped.nodes[src].leaf_set.version
+        for net in (shipped, reference):
+            assert net.nodes[src].routing_table.add(other, replace=True)
+        assert shipped.nodes[src].leaf_set.version == leaf_version
+        shipped.membership_epoch += 1  # any unrelated event
+        reference.membership_epoch += 1
+        same_step(shipped, reference, "route", src, key)
+        assert shipped.route(src, key).path[1] == other
+
+    def test_a_leaf_set_change_alone_is_seen(self):
+        """No node dies and no routing table moves: the source forgets
+        the leaf-set member it delivered to, and knows it no other way."""
+        shipped = PastryNetwork.build(IDS)
+        reference = always_walks(PastryNetwork.build(IDS))
+        src, key, root = next(
+            (s, k, path[1])
+            for s in IDS for k in KEYS
+            if len(path := shipped.route(s, k).path) == 2
+            and path[1] in shipped.nodes[s].leaf_set
+            and path[1] not in shipped.nodes[s].routing_table.entries
+        )
+        table_version = shipped.nodes[src].routing_table._version
+        for net in (shipped, reference):
+            net.nodes[src].leaf_set.remove(root)
+            net.membership_epoch += 1  # any unrelated event
+        assert shipped.nodes[src].routing_table._version == table_version
+        same_step(shipped, reference, "route", src, key)
+        assert shipped.route(src, key).path != [src, root]
+
+
+class TestBoundedLifetime:
+    def test_two_thousand_events_stay_within_the_limit(self, monkeypatch):
+        """Entries survive epochs now, so ROUTE_CACHE_LIMIT is their
+        only bound: rotate through every source while the membership
+        churns and the memo never outgrows it."""
+        limit = 64
+        monkeypatch.setattr(PastryNetwork, "ROUTE_CACHE_LIMIT", limit)
+        net = PastryNetwork.build(IDS)
+        rng = random.Random(7)
+        down: list[int] = []
+        peak = 0
+        for event in range(2000):
+            if len(down) >= 20:
+                net.revive(down.pop(0))
+            else:
+                down.append(rng.choice(net.alive_ids))
+                net.fail(down[-1])
+            src = IDS[event % N]
+            for key in KEYS[:4]:
+                if net.is_alive(src):
+                    assert net.route(src, key).success
+            peak = max(peak, len(net._route_cache))
+            assert len(net._route_cache) <= limit
+        assert peak == limit  # the valve was reached, not sidestepped
+
+    def test_failed_validation_drops_the_entry(self):
+        net = PastryNetwork.build(IDS)
+        src, key = next(
+            (s, k) for s in SOURCES for k in KEYS if len(net.route(s, k).path) >= 3
+        )
+        victim = net.route(src, key).path[1]
+        # make the re-walk one that is not memoised (it meets a dead hop):
+        # the stale entry must go at once, not linger until overwritten
+        net.eager_repair = False
+        net.fail(victim)
+        net.eager_repair = True
+        assert (src, key) in net._route_cache
+        rerouted = net.route(src, key)
+        assert rerouted.failures and victim not in rerouted.path
+        assert (src, key) not in net._route_cache
+
+    def test_dead_source_raises_whatever_the_memo_holds(self):
+        net = PastryNetwork.build(IDS)
+        src, key = SOURCES[2], KEYS[1]
+        net.route(src, key)
+        assert (src, key) in net._route_cache
+        net.fail(src)
+        with pytest.raises(RoutingError, match="not alive"):
+            net.route(src, key)
+        net.revive(src)
+        assert net.route(src, key).path[0] == src

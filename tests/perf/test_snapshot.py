@@ -17,6 +17,8 @@ import random
 import pytest
 
 from repro.core.system import TapSystem
+from repro.obs import MetricsRegistry
+from repro.pastry.node import PastryNode
 from repro.perf import base_snapshot, rows_digest, run_trials, shared_payload
 from repro.perf.snapshot import _SNAPSHOT_CACHE
 
@@ -206,22 +208,55 @@ class TestForkIsolation:
 
 
 class TestEpochKeyedCaches:
-    def test_route_cache_invalidated_on_membership_change(self):
-        system = TapSystem.bootstrap(N, seed=BASE_SEED)
-        net = system.network
+    @staticmethod
+    def _memoised_route(metrics=None):
+        """A (network, src, key, path) whose memoised path has an
+        intermediate hop."""
+        net = TapSystem.bootstrap(N, seed=BASE_SEED).network
+        net.metrics = metrics
         ids = net.alive_ids
-        src, key = ids[0], ids[len(ids) // 2]
-        first = net.route(src, key)
-        cached = net.route(src, key)
-        assert cached.path == first.path
-        # Fail an intermediate hop: the epoch bump must invalidate the
-        # cached path and re-route around the dead node.
-        victim = first.path[len(first.path) // 2]
-        if victim in (src, key):
-            victim = first.path[1]
+        src = ids[0]
+        key, path = next(
+            (key, path) for key in ids[1:] if len(path := net.route(src, key).path) >= 3
+        )
+        return net, src, key, path
+
+    @staticmethod
+    def _memo_counts(metrics):
+        return tuple(
+            metrics.counter(f"pastry.route.cache_{name}").value
+            for name in ("hits", "revalidated", "stale")
+        )
+
+    def test_unrelated_failure_is_served_from_the_route_memo(self, monkeypatch):
+        metrics = MetricsRegistry()
+        net, src, key, path = self._memoised_route(metrics)
+        known = set(path).union(*(net.nodes[p].known_nodes() for p in path))
+        bystander = next(nid for nid in net.alive_ids if nid not in known)
+        epoch = net.membership_epoch
+        net.fail(bystander)
+        assert net.membership_epoch == epoch + 1
+
+        def no_walk(self, key, exclude=None):
+            raise AssertionError("the memoised route was walked again")
+
+        monkeypatch.setattr(PastryNode, "next_hop", no_walk)
+        hits, revalidated, stale = self._memo_counts(metrics)
+        assert net.route(src, key).path == path
+        assert self._memo_counts(metrics) == (hits + 1, revalidated + 1, stale)
+        # re-stamped with the new epoch: back to the one-compare hit
+        assert net.route(src, key).path == path
+        assert self._memo_counts(metrics) == (hits + 2, revalidated + 1, stale)
+
+    def test_on_path_failure_recomputes_the_route(self):
+        metrics = MetricsRegistry()
+        net, src, key, path = self._memoised_route(metrics)
+        victim = path[1]  # an intermediate hop: neither source nor root
         net.fail(victim)
+        hits, revalidated, stale = self._memo_counts(metrics)
         rerouted = net.route(src, key)
-        assert victim not in rerouted.path
+        assert rerouted.success and victim not in rerouted.path
+        assert self._memo_counts(metrics) == (hits, revalidated, stale + 1)
 
     def test_row_entries_matches_cells(self):
         system = TapSystem.bootstrap(N, seed=BASE_SEED)

@@ -263,6 +263,30 @@ def bench_system_fork():
     return fork_and_route
 
 
+def bench_pastry_route_churn_1000():
+    """One op = 1 fail + 1 revive + 128 fixed ``(src, key)`` routes on a
+    forked N=1,000 overlay: what the route memo is worth when the
+    membership epoch turns between visits to the same routes."""
+    from repro.pastry.network import PastryNetwork
+    from repro.util.rng import make_pyrandom
+
+    ids = sorted(_bench_ids_1000())
+    net = PastryNetwork.build(ids).fork()
+    rng = make_pyrandom(2004, "bench-route-churn")
+    pairs = [(rng.choice(ids), rng.getrandbits(128)) for _ in range(128)]
+    sources = {src for src, _ in pairs}
+    victims = [nid for nid in ids if nid not in sources]
+
+    def churn_and_route():
+        victim = rng.choice(victims)
+        net.fail(victim)
+        net.revive(victim)
+        for src, key in pairs:
+            net.route(src, key)
+
+    return churn_and_route
+
+
 def bench_pastry_row_entries():
     from repro.pastry.network import PastryNetwork
 
@@ -296,6 +320,7 @@ SNAPSHOT = {
 MACRO = {
     "fig6.leg": bench_fig6_leg,
     "pastry.join_200": bench_pastry_join_200,
+    "pastry.route_churn_1000": bench_pastry_route_churn_1000,
     "fig2.rep": bench_fig2_rep,
 }
 
