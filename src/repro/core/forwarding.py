@@ -15,22 +15,21 @@ system would:
 * with the §5 optimisation, the peeled layer carries an IP hint that is
   tried first, falling back to DHT routing when stale.
 
-Reply traversal (§4) is the same walk except termination: the last
-identifier is a ``bid`` recognised by the *initiator's* pending-reply
-table, not by an exit tag — intermediate hops cannot tell the
-difference.
+Reply traversal (§4) is the same walk — :meth:`TunnelForwarder._walk`
+runs both — except termination: the last identifier is a ``bid``
+recognised by the *initiator's* pending-reply table, not by an exit
+tag — intermediate hops cannot tell the difference.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.node import TapNode
 from repro.core.tha import tha_value_decode
-from repro.core.tunnel import ReplyTunnel, Tunnel
-from repro.crypto.onion import build_onion, build_reply_onion, peel_layer
+from repro.core.tunnel import Tunnel
+from repro.crypto.onion import build_onion, peel_layer
 from repro.crypto.symmetric import CipherError
 from repro.past.replication import ReplicatedStore
 from repro.past.storage import StorageError
@@ -54,7 +53,17 @@ def record_links(record: "HopRecord") -> int:
     )
 
 
-@dataclass
+def _settled(hop_span, record: "HopRecord") -> None:
+    """Stamp a ``tap.hop`` span with the hop it turned out to be."""
+    hop_span.set(
+        hop_node=record.hop_node,
+        links=record_links(record),
+        via_hint=record.via_hint,
+        promoted=record.promoted,
+    )
+
+
+@dataclass(slots=True)
 class HopRecord:
     """Trace of locating and traversing one tunnel hop."""
 
@@ -234,7 +243,9 @@ class TunnelForwarder:
         if not route.success:
             raise TunnelBroken(f"routing to hop {hop_id:#x} did not converge")
         record.route_failures = route.failures
-        if record.underlying_path and record.underlying_path[-1] == route.path[0]:
+        if not record.underlying_path:
+            record.underlying_path = route.path  # the route's own list: ours now
+        elif record.underlying_path[-1] == route.path[0]:
             record.underlying_path.extend(route.path[1:])
         else:
             record.underlying_path.extend(route.path)
@@ -243,32 +254,36 @@ class TunnelForwarder:
     def _peel_at(self, node_id: int, hop_id: int, blob: bytes):
         """The hop node's work: local THA lookup + one decryption."""
         tr = self.tracer
-        cm = tr.span("onion.peel", observer="hop",
-                     hop_node=node_id) if tr else nullcontext()
-        with cm as span:
+        span = tr.start_span("onion.peel", observer="hop",
+                             hop_node=node_id) if tr else None
+        try:
             storage = self.store.storage_of(node_id)
             try:
                 stored = storage.lookup(hop_id)
             except StorageError as exc:
-                if span is not None:
-                    span.set(outcome="anchor_lost")
-                if self.metrics is not None:
-                    self.metrics.counter("tap.peel.anchor_lost").inc()
-                raise TunnelBroken(
+                raise self._peel_failed(
+                    span, "anchor_lost", "tap.peel.anchor_lost",
                     f"node {node_id:#x} is closest to hop {hop_id:#x} "
-                    f"but holds no THA replica (anchor lost)"
+                    f"but holds no THA replica (anchor lost)",
                 ) from exc
             anchor = tha_value_decode(hop_id, stored.value)
             try:
                 return peel_layer(anchor.key, blob)
             except (CipherError, SerializationError) as exc:
-                if span is not None:
-                    span.set(outcome="decrypt_failed")
-                if self.metrics is not None:
-                    self.metrics.counter("tap.peel.decrypt_failures").inc()
-                raise TunnelBroken(
-                    f"layer decryption failed at {node_id:#x}"
+                raise self._peel_failed(
+                    span, "decrypt_failed", "tap.peel.decrypt_failures",
+                    f"layer decryption failed at {node_id:#x}",
                 ) from exc
+        finally:
+            if span is not None:
+                tr.finish(span)
+
+    def _peel_failed(self, span, outcome: str, counter: str, why: str) -> TunnelBroken:
+        if span is not None:
+            span.set(outcome=outcome)
+        if self.metrics is not None:
+            self.metrics.counter(counter).inc()
+        return TunnelBroken(why)
 
     # ------------------------------------------------------------------
     # fault injection (repro.faults)
@@ -296,8 +311,17 @@ class TunnelForwarder:
         if byz is not None:
             raise TunnelBroken(f"byzantine hop {hop_node:#x}: {byz}")
 
+    @staticmethod
+    def _check_budget(trace: ForwardTrace, max_links: int) -> None:
+        spent = trace.underlying_hops
+        if spent > max_links:
+            raise TunnelBroken(
+                f"attempt budget exhausted: {spent} links > {max_links} "
+                f"(simulated timeout)"
+            )
+
     # ------------------------------------------------------------------
-    # forward traversal
+    # traversal, both directions
     # ------------------------------------------------------------------
     def send(
         self,
@@ -322,135 +346,18 @@ class TunnelForwarder:
         — the synchronous engine's per-attempt timeout budget (see
         :class:`repro.core.resilience.ResiliencePolicy`).
         """
+        blob = build_onion(tunnel.onion_layers(), destination_id, payload)
         tr = self.tracer
-        cm = tr.span(
+        span = tr.enter(
             "tap.forward", parent=parent, observer="initiator",
             initiator=initiator.node_id, **tunnel.span_attrs(),
-        ) if tr else nullcontext()
-        with cm as span:
-            trace = self._send_impl(
-                initiator, tunnel, destination_id, payload, deliver,
-                max_links=max_links,
-            )
-            if span is not None:
-                span.set(
-                    success=trace.success,
-                    overlay_hops=trace.overlay_hops,
-                    links=trace.underlying_hops,
-                )
-                if trace.failure_reason:
-                    span.set(error=trace.failure_reason)
-        self._observe_trace("forward", trace)
-        return trace
-
-    def _send_impl(
-        self,
-        initiator: TapNode,
-        tunnel: Tunnel,
-        destination_id: int,
-        payload: bytes,
-        deliver: Callable[[int, bytes], None] | None = None,
-        max_links: int | None = None,
-    ) -> ForwardTrace:
-        blob = build_onion(tunnel.onion_layers(), destination_id, payload)
-        trace = ForwardTrace()
-        tr = self.tracer
-        faults = self.faults
-        msg_fault = (
-            faults.draw_message("forward", len(tunnel.hops) + 1)
-            if faults is not None else None
+        ) if tr else None
+        return self._traverse(
+            span, "forward", initiator.node_id, tunnel.hops[0].hop_id,
+            tunnel.hint_ips[0] or "", blob, len(tunnel.hops) + 1,
+            tunnel.formed_roots, max_links, None, deliver,
         )
-        current = initiator.node_id
-        hop_id = tunnel.hops[0].hop_id
-        hint_ip = tunnel.hint_ips[0] or ""
-        expected_roots = {
-            h.hop_id: h.meta.get("formed_root") for h in tunnel.hops
-        }
-        for index in range(len(tunnel.hops) + 1):
-            record = HopRecord(hop_id=hop_id, hop_node=None)
-            trace.records.append(record)
-            cm = tr.span(
-                "tap.hop", observer="hop", hop_index=index
-            ) if tr else nullcontext()
-            with cm as hop_span:
-                try:
-                    if msg_fault is not None and msg_fault.drop_at == index:
-                        faults.note("message.drop", kind="forward", leg=index)
-                        raise TunnelBroken(
-                            f"fault injected: message dropped on leg {index}"
-                        )
-                    hop_node = self._locate_hop(current, hop_id, hint_ip, record)
-                    record.hop_node = hop_node
-                    if faults is not None:
-                        self._check_injected(
-                            faults, msg_fault, current, hop_node, index, "forward"
-                        )
-                    formed_root = expected_roots.get(hop_id)
-                    if formed_root is not None and formed_root != hop_node:
-                        record.promoted = True
-                    peeled = self._peel_at(hop_node, hop_id, blob)
-                    if max_links is not None and trace.underlying_hops > max_links:
-                        raise TunnelBroken(
-                            f"attempt budget exhausted: {trace.underlying_hops} "
-                            f"links > {max_links} (simulated timeout)"
-                        )
-                except TunnelBroken as exc:
-                    trace.failure_reason = str(exc)
-                    if hop_span is not None:
-                        hop_span.set(error=trace.failure_reason,
-                                     links=record_links(record))
-                    return trace
-                if hop_span is not None:
-                    hop_span.set(
-                        hop_node=hop_node,
-                        links=record_links(record),
-                        via_hint=record.via_hint,
-                        promoted=record.promoted,
-                    )
-                if peeled.is_exit:
-                    trace.destination = peeled.next_id
-                    trace.delivered_payload = peeled.inner
-                    try:
-                        exit_route = self.network.route(hop_node, peeled.next_id)
-                    except RoutingError as exc:
-                        trace.failure_reason = f"exit routing failed: {exc}"
-                        if hop_span is not None:
-                            hop_span.set(error=trace.failure_reason)
-                        return trace
-                    if not exit_route.success:
-                        trace.failure_reason = "exit routing did not converge"
-                        if hop_span is not None:
-                            hop_span.set(error=trace.failure_reason)
-                        return trace
-                    trace.exit_path = exit_route.path
-                    if max_links is not None and trace.underlying_hops > max_links:
-                        trace.failure_reason = (
-                            f"attempt budget exhausted: {trace.underlying_hops} "
-                            f"links > {max_links} (simulated timeout)"
-                        )
-                        if hop_span is not None:
-                            hop_span.set(error=trace.failure_reason)
-                        return trace
-                    trace.success = True
-                    if hop_span is not None:
-                        hop_span.set(
-                            is_exit=True,
-                            links=record_links(record)
-                            + max(0, len(exit_route.path) - 1),
-                        )
-                    if deliver is not None:
-                        deliver(exit_route.destination, peeled.inner)
-                    return trace
-            current = hop_node
-            hop_id = peeled.next_id
-            hint_ip = peeled.ip_hint
-            blob = peeled.inner
-        trace.failure_reason = "onion deeper than tunnel length (malformed)"
-        return trace
 
-    # ------------------------------------------------------------------
-    # reply traversal (§4)
-    # ------------------------------------------------------------------
     def send_reply(
         self,
         responder_id: int,
@@ -462,7 +369,7 @@ class TunnelForwarder:
         expected_roots: dict[int, int] | None = None,
         max_links: int | None = None,
     ) -> ForwardTrace:
-        """Route a reply payload back along a reply tunnel.
+        """Route a reply payload back along a reply tunnel (§4).
 
         The responder knows only ``first_hop_id`` (in the clear, §4)
         and the opaque ``reply_blob``.  Traversal ends when the node
@@ -472,20 +379,26 @@ class TunnelForwarder:
 
         ``parent`` attaches the span tree under a caller-owned span.
         ``expected_roots`` maps hop ids to their formed-time replica
-        roots (the reply tunnel's ``formed_root`` metadata, known only
-        to the initiator who formed it); when given, fail-over is
-        recorded as ``promoted`` exactly as on the forward path.
+        roots (the reply tunnel's ``formed_roots``, known only to the
+        initiator who formed it); when given, fail-over is recorded as
+        ``promoted`` exactly as on the forward path.
         """
         tr = self.tracer
-        cm = tr.span(
+        span = tr.enter(
             "tap.reply", parent=parent, observer="exit",
             responder=responder_id,
-        ) if tr else nullcontext()
-        with cm as span:
-            trace = self._send_reply_impl(
-                responder_id, first_hop_id, reply_blob, payload,
-                max_hops, expected_roots, max_links,
-            )
+        ) if tr else None
+        return self._traverse(
+            span, "reply", responder_id, first_hop_id, "", reply_blob,
+            max_hops, expected_roots, max_links, payload, None,
+        )
+
+    def _traverse(self, span, kind: str, *walk_args) -> ForwardTrace:
+        """Run :meth:`_walk` under the traversal's root ``span`` (if
+        any) and report the finished trace to metrics/events."""
+        trace = ForwardTrace()
+        try:
+            self._walk(trace, kind, *walk_args)
             if span is not None:
                 span.set(
                     success=trace.success,
@@ -494,77 +407,81 @@ class TunnelForwarder:
                 )
                 if trace.failure_reason:
                     span.set(error=trace.failure_reason)
-        self._observe_trace("reply", trace)
+        finally:
+            if span is not None:
+                self.tracer.exit(span)
+        self._observe_trace(kind, trace)
         return trace
 
-    def _send_reply_impl(
+    def _walk(
         self,
-        responder_id: int,
-        first_hop_id: int,
-        reply_blob: bytes,
-        payload: bytes,
-        max_hops: int = 32,
-        expected_roots: dict[int, int] | None = None,
-        max_links: int | None = None,
-    ) -> ForwardTrace:
-        trace = ForwardTrace()
+        trace: ForwardTrace,
+        kind: str,
+        current: int,
+        hop_id: int,
+        hint_ip: str,
+        blob: bytes,
+        limit: int,
+        roots: dict[int, int | None] | None,
+        max_links: int | None,
+        payload: bytes | None,
+        deliver: Callable[[int, bytes], None] | None,
+    ) -> None:
+        """Walk ``blob`` hop by hop from ``current``, filling ``trace``.
+
+        Per identifier: locate its hop node, apply installed fault
+        verdicts, peel one layer there, move on.  The directions differ
+        in how the walk *ends* — forward at the layer tagged EXIT, whose
+        node routes the payload on to the destination; reply at the node
+        holding a pending ``bid`` equal to the identifier, which has
+        nothing to peel — and therefore in when a hop is settled (link
+        budget checked, serving node and fail-over attributed): a reply
+        hop on arrival, before it might turn out to be the initiator; a
+        forward hop once it has peeled.
+        """
         tr = self.tracer
         faults = self.faults
-        # A reply walk traverses tunnel_length + 1 identifiers (the
-        # hops plus the terminating bid); the responder cannot know the
+        reply = kind == "reply"
+        # A reply walk traverses tunnel_length + 1 identifiers (the hops
+        # plus the terminating bid); the responder cannot know the
         # length, so the drop leg is sampled over the typical walk.
         msg_fault = (
-            faults.draw_message("reply", 4) if faults is not None else None
+            faults.draw_message(kind, 4 if reply else limit)
+            if faults is not None else None
         )
-        current = responder_id
-        hop_id = first_hop_id
-        blob = reply_blob
-        hint_ip = ""
-        for index in range(max_hops):
-            record = HopRecord(hop_id=hop_id, hop_node=None)
+        for index in range(limit):
+            record = HopRecord(hop_id, None)
             trace.records.append(record)
-            cm = tr.span(
+            hop_span = tr.enter(
                 "tap.hop", observer="hop", hop_index=index
-            ) if tr else nullcontext()
-            with cm as hop_span:
-                try:
-                    if msg_fault is not None and msg_fault.drop_at == index:
-                        faults.note("message.drop", kind="reply", leg=index)
-                        raise TunnelBroken(
-                            f"fault injected: reply dropped on leg {index}"
-                        )
-                    hop_node = self._locate_hop(current, hop_id, hint_ip, record)
-                    if faults is not None:
-                        self._check_injected(
-                            faults, msg_fault, current, hop_node, index, "reply"
-                        )
-                    if max_links is not None and trace.underlying_hops > max_links:
-                        raise TunnelBroken(
-                            f"attempt budget exhausted: {trace.underlying_hops} "
-                            f"links > {max_links} (simulated timeout)"
-                        )
-                except TunnelBroken as exc:
-                    trace.failure_reason = str(exc)
-                    if hop_span is not None:
-                        hop_span.set(error=trace.failure_reason,
-                                     links=record_links(record))
-                    return trace
-                record.hop_node = hop_node
-                if expected_roots is not None:
-                    formed_root = expected_roots.get(hop_id)
+            ) if tr else None
+            try:
+                if msg_fault is not None and msg_fault.drop_at == index:
+                    faults.note("message.drop", kind=kind, leg=index)
+                    raise TunnelBroken(
+                        f"fault injected: {'reply' if reply else 'message'} "
+                        f"dropped on leg {index}"
+                    )
+                hop_node = self._locate_hop(current, hop_id, hint_ip, record)
+                if not reply:
+                    record.hop_node = hop_node
+                if faults is not None:
+                    self._check_injected(
+                        faults, msg_fault, current, hop_node, index, kind
+                    )
+                if reply:
+                    if max_links is not None:
+                        self._check_budget(trace, max_links)
+                    record.hop_node = hop_node
+                if roots is not None:
+                    formed_root = roots.get(hop_id)
                     if formed_root is not None and formed_root != hop_node:
                         record.promoted = True
-                if hop_span is not None:
-                    hop_span.set(
-                        hop_node=hop_node,
-                        links=record_links(record),
-                        via_hint=record.via_hint,
-                        promoted=record.promoted,
-                    )
-
-                tap = self.tap_registry.get(hop_node)
-                if tap is not None:
-                    pending = tap.match_reply(hop_id)
+                if reply:
+                    if hop_span is not None:
+                        _settled(hop_span, record)
+                    tap = self.tap_registry.get(hop_node)
+                    pending = tap.match_reply(hop_id) if tap is not None else None
                     if pending is not None:
                         pending.completed = True
                         trace.success = True
@@ -576,27 +493,61 @@ class TunnelForwarder:
                             hop_span.set(delivered=True, matched_bid=hop_id)
                         if pending.callback is not None:
                             pending.callback(payload)
-                        return trace
-                try:
-                    peeled = self._peel_at(hop_node, hop_id, blob)
-                except TunnelBroken as exc:
-                    trace.failure_reason = str(exc)
+                        return
+                peeled = self._peel_at(hop_node, hop_id, blob)
+                if reply:
+                    if peeled.is_exit:
+                        # build_reply_onion never emits one: fail closed
+                        raise TunnelBroken(
+                            "EXIT-tagged layer inside a reply onion (malformed)"
+                        )
+                else:
+                    if max_links is not None:
+                        self._check_budget(trace, max_links)
                     if hop_span is not None:
-                        hop_span.set(error=trace.failure_reason)
-                    return trace
+                        _settled(hop_span, record)
+                    if peeled.is_exit:
+                        exit_route = self._exit_leg(trace, hop_node, peeled, max_links)
+                        if hop_span is not None:
+                            hop_span.set(
+                                is_exit=True,
+                                links=record_links(record)
+                                + max(0, len(exit_route.path) - 1),
+                            )
+                        if deliver is not None:
+                            deliver(exit_route.destination, peeled.inner)
+                        return
+            except TunnelBroken as exc:
+                trace.failure_reason = str(exc)
+                if hop_span is not None:
+                    hop_span.set(error=trace.failure_reason,
+                                 links=record_links(record))
+                return
+            finally:
+                if hop_span is not None:
+                    tr.exit(hop_span)
             current = hop_node
             hop_id = peeled.next_id
             hint_ip = peeled.ip_hint
             blob = peeled.inner
-        trace.failure_reason = "reply exceeded max hops (fakeonion cycle?)"
-        return trace
+        trace.failure_reason = (
+            "reply exceeded max hops (fakeonion cycle?)" if reply
+            else "onion deeper than tunnel length (malformed)"
+        )
 
-
-def build_request_onion(tunnel: Tunnel, destination_id: int, payload: bytes) -> bytes:
-    """Convenience mirror of the §2 construction (used by tests)."""
-    return build_onion(tunnel.onion_layers(), destination_id, payload)
-
-
-def build_reply_blob(reply_tunnel: ReplyTunnel, fake_onion: bytes) -> tuple[int, bytes]:
-    """Convenience mirror of the §4 reply construction (used by tests)."""
-    return build_reply_onion(reply_tunnel.onion_layers(), reply_tunnel.bid, fake_onion)
+    def _exit_leg(self, trace: ForwardTrace, tail: int, peeled, max_links: int | None):
+        """The forward walk's last leg: the tail routes the now-plain
+        payload to the destination key."""
+        trace.destination = peeled.next_id
+        trace.delivered_payload = peeled.inner
+        try:
+            exit_route = self.network.route(tail, peeled.next_id)
+        except RoutingError as exc:
+            raise TunnelBroken(f"exit routing failed: {exc}") from exc
+        if not exit_route.success:
+            raise TunnelBroken("exit routing did not converge")
+        trace.exit_path = exit_route.path
+        if max_links is not None:
+            self._check_budget(trace, max_links)
+        trace.success = True
+        return exit_route

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.tha import OwnedTha
 from repro.crypto.onion import OnionLayer
@@ -29,7 +30,9 @@ class Tunnel:
 
     ``hint_ips`` optionally records the believed IP of each hop's
     tunnel hop node for the §5 optimisation (parallel list, ``None``
-    entries mean no hint).
+    entries mean no hint).  A tunnel is never mutated once formed — a
+    broken one is replaced — so what every message needs of it
+    (:meth:`onion_layers`, :attr:`formed_roots`) is derived once.
     """
 
     hops: list[OwnedTha]
@@ -52,12 +55,24 @@ class Tunnel:
     def hop_ids(self) -> list[int]:
         return [h.hop_id for h in self.hops]
 
-    def onion_layers(self) -> list[OnionLayer]:
-        """Per-hop layer descriptors for :func:`repro.crypto.onion.build_onion`."""
+    @cached_property
+    def _layers(self) -> list[OnionLayer]:
         return [
             OnionLayer(h.hop_id, h.anchor.key, ip or "")
             for h, ip in zip(self.hops, self.hint_ips)
         ]
+
+    def onion_layers(self) -> list[OnionLayer]:
+        """Per-hop layer descriptors for :func:`repro.crypto.onion.build_onion`
+        (one shared list per tunnel — read-only)."""
+        return self._layers
+
+    @cached_property
+    def formed_roots(self) -> dict[int, int | None]:
+        """hopid -> the replica root recorded when the hop was claimed
+        (``None`` for anchors not claimed through ``TapSystem``); a hop
+        served by any other node has failed over."""
+        return {h.hop_id: h.meta.get("formed_root") for h in self.hops}
 
     def span_attrs(self) -> dict:
         """Structure attributes for the traversal's root span — shape

@@ -11,31 +11,42 @@ Implements the paper's message formats:
   from yet another tunnel hop: the ``fakeonion`` is indistinguishable
   from a further encrypted layer.
 
-Wire format of one decrypted layer::
+Wire format of one decrypted layer — four length-prefixed fields, of
+which only the hint and the inner blob vary in length, so the first 29
+bytes are one fixed header (``_HEADER``, big-endian)::
 
-    RELAY: tag("R") | next_id (16B) | ip_hint (var, may be empty) | inner
-    EXIT:  tag("E") | dest_id (16B) | ip_hint (empty)             | payload
+    offset  0        4     5        9           25       29      29+h     33+h
+            +--------+-----+--------+-----------+--------+-------+--------+-------+
+            | len=1  | tag | len=16 |  next_id  | len=h  | hint  | len=n  | inner |
+            +--------+-----+--------+-----------+--------+-------+--------+-------+
+              u32     R/E    u32      16 bytes    u32      h B     u32      n B
 
-encoded with the length-prefixed fields of :mod:`repro.util.serialize`
-and sealed with the layer's :class:`~repro.crypto.symmetric.SymmetricKey`.
+    RELAY ("R"): next_id = next hopid,       hint = its IP or empty, inner = residual onion
+    EXIT  ("E"): next_id = destination id,   hint = empty,           inner = payload
+
+The layout is what :func:`repro.util.serialize.pack_fields` produces
+for ``(tag, id, hint, inner)``; it is written and read here directly.
+A layer decodes only if both fixed length prefixes hold 1 and 16, the
+tag is known and the fields end exactly where the plaintext does;
+anything else is a :class:`~repro.crypto.symmetric.CipherError`.  Each
+layer is sealed with its hop's :class:`~repro.crypto.symmetric.SymmetricKey`.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 
 from repro.crypto.symmetric import CipherError, SymmetricKey
-from repro.util.serialize import (
-    SerializationError,
-    pack_fields,
-    pack_int,
-    unpack_fields_view,
-    unpack_int,
-)
+from repro.util.serialize import SerializationError
 
 TAG_RELAY = b"R"
 TAG_EXIT = b"E"
+
+#: len(tag)=1 | tag | len(id)=16 | id | len(hint)
+_HEADER = struct.Struct(">I1sI16sI")
+_LEN = struct.Struct(">I")
 
 #: Documentation/test label for fabricated trailing onions; never
 #: appears inside a fake onion (that would make it distinguishable).
@@ -66,23 +77,42 @@ class PeeledLayer:
 
 
 def _encode_layer(tag: bytes, next_id: int, ip_hint: str, inner: bytes) -> bytes:
-    return pack_fields(tag, pack_int(next_id), ip_hint.encode(), inner)
+    hint = ip_hint.encode()
+    try:
+        return b"".join((
+            _HEADER.pack(1, tag, 16, next_id.to_bytes(16, "big"), len(hint)),
+            hint,
+            _LEN.pack(len(inner)),
+            inner,
+        ))
+    except (OverflowError, struct.error) as exc:
+        raise SerializationError(f"onion layer field does not fit its frame: {exc}") from exc
 
 
 def _decode_layer(plaintext: bytes) -> PeeledLayer:
-    # Fields are memoryview slices of the just-decrypted plaintext —
-    # only the surviving pieces (hint string, inner blob) are
-    # materialised, so a peel never copies the residual onion twice.
+    # Only the surviving pieces (hint string, inner blob) are
+    # materialised, so a peel copies the residual onion once.
+    total = len(plaintext)
     try:
-        tag, id_bytes, hint_bytes, inner = unpack_fields_view(plaintext, count=4)
-        next_id = unpack_int(id_bytes)
-    except SerializationError as exc:
+        tag_len, tag, id_len, id_bytes, hint_len = _HEADER.unpack_from(plaintext)
+    except struct.error as exc:
+        raise CipherError("malformed onion layer: truncated header") from exc
+    if tag_len != 1 or id_len != 16:
+        raise CipherError("malformed onion layer: bad tag or id length")
+    inner_at = _HEADER.size + hint_len + _LEN.size
+    if inner_at > total:
+        raise CipherError("malformed onion layer: hint overruns buffer")
+    if inner_at + _LEN.unpack_from(plaintext, inner_at - _LEN.size)[0] != total:
+        raise CipherError("malformed onion layer: inner blob does not end the buffer")
+    if tag != TAG_RELAY and tag != TAG_EXIT:
+        raise CipherError(f"unknown onion layer tag {tag!r}")
+    try:
+        hint = plaintext[_HEADER.size:inner_at - _LEN.size].decode() if hint_len else ""
+    except UnicodeDecodeError as exc:
         raise CipherError(f"malformed onion layer: {exc}") from exc
-    if tag == TAG_RELAY:
-        return PeeledLayer(False, next_id, bytes(hint_bytes).decode(), bytes(inner))
-    if tag == TAG_EXIT:
-        return PeeledLayer(True, next_id, bytes(hint_bytes).decode(), bytes(inner))
-    raise CipherError(f"unknown onion layer tag {bytes(tag)!r}")
+    return PeeledLayer(
+        tag == TAG_EXIT, int.from_bytes(id_bytes, "big"), hint, plaintext[inner_at:]
+    )
 
 
 def build_onion(layers: list[OnionLayer], destination_id: int, payload: bytes) -> bytes:

@@ -256,7 +256,7 @@ class SpanTracer:
         return SpanContext(*parent)
 
     def current(self) -> Span | None:
-        """Innermost span opened via the :meth:`span` context manager."""
+        """Innermost span opened via :meth:`enter` / the :meth:`span` context manager."""
         return self._stack[-1] if self._stack else None
 
     # -- span lifecycle -------------------------------------------------
@@ -289,17 +289,27 @@ class SpanTracer:
         self.completed += 1
         return span
 
-    @contextmanager
-    def span(self, name: str, parent=None, **attrs) -> Iterator[Span]:
-        """Open/close a span around a block, maintaining the stack so
-        nested substrates attach to the right parent implicitly."""
+    def enter(self, name: str, parent=None, **attrs) -> Span:
+        """:meth:`start_span`, and the span is :meth:`current` — the
+        implicit parent of whatever nested substrates open — until the
+        matching :meth:`exit`."""
         s = self.start_span(name, parent=parent, **attrs)
         self._stack.append(s)
+        return s
+
+    def exit(self, span: Span, **attrs) -> Span:
+        """Leave the innermost entered span and :meth:`finish` it."""
+        self._stack.pop()
+        return self.finish(span, **attrs)
+
+    @contextmanager
+    def span(self, name: str, parent=None, **attrs) -> Iterator[Span]:
+        """:meth:`enter`/:meth:`exit` around a block."""
+        s = self.enter(name, parent=parent, **attrs)
         try:
             yield s
         finally:
-            self._stack.pop()
-            self.finish(s)
+            self.exit(s)
 
     def add_span(
         self,
@@ -474,6 +484,9 @@ class NullTracer:
 
     def finish(self, span, **attrs) -> _NullSpan:
         return NULL_SPAN
+
+    enter = start_span
+    exit = finish
 
     @contextmanager
     def span(self, name: str, parent=None, **attrs) -> Iterator[_NullSpan]:

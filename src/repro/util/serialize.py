@@ -19,25 +19,34 @@ class SerializationError(ValueError):
 
 def pack_bytes(data: bytes) -> bytes:
     """Length-prefix a single byte string."""
-    if not isinstance(data, (bytes, bytearray)):
-        raise TypeError(f"expected bytes, got {type(data).__name__}")
-    if len(data) > _MAX_FIELD:
-        raise SerializationError(f"field of {len(data)} bytes exceeds 4-byte length prefix")
-    return len(data).to_bytes(_LEN_BYTES, "big") + bytes(data)
+    return pack_fields(data)
 
 
 def pack_fields(*fields: bytes) -> bytes:
-    """Concatenate several length-prefixed byte strings."""
-    return b"".join(pack_bytes(f) for f in fields)
+    """Concatenate several length-prefixed byte strings.
+
+    One join over interleaved prefixes and fields: each field is copied
+    once, into the result.
+    """
+    parts = []
+    for data in fields:
+        if not isinstance(data, (bytes, bytearray)):
+            raise TypeError(f"expected bytes, got {type(data).__name__}")
+        if len(data) > _MAX_FIELD:
+            raise SerializationError(f"field of {len(data)} bytes exceeds 4-byte length prefix")
+        parts.append(len(data).to_bytes(_LEN_BYTES, "big"))
+        parts.append(data)
+    return b"".join(parts)
 
 
+# No caller left in ``src/`` (onion layers have a fixed-layout codec); kept
+# exported because ``perfbench/ledger.py`` ``TARGETS`` resolves it by name.
 def unpack_fields_view(buffer, count: int | None = None) -> list[memoryview]:
     """Decode consecutive length-prefixed fields without copying.
 
     Returns :class:`memoryview` slices into ``buffer`` (bytes,
-    bytearray, or another memoryview) — the hot-path variant used by
-    the onion peel, where copying every field at every layer would be
-    quadratic in tunnel depth.  The views keep ``buffer`` alive; call
+    bytearray, or another memoryview) — for large buffers of which
+    only some fields are kept.  The views keep ``buffer`` alive; call
     :func:`unpack_fields` instead when the fields must outlive it as
     independent byte strings.
 

@@ -370,6 +370,36 @@ class TestReplyTraversal:
         assert not trace.success
 
 
+class TestMalformedReplyOnion:
+    def test_exit_tagged_layer_ends_the_reply_walk(self, system, alice):
+        """``build_reply_onion`` only ever emits RELAY layers (§4: the
+        tail must not recognise itself), so an EXIT tag on the reply
+        direction is malformed: the walk fails closed at that hop — it
+        used to read the tag as one more relay, route on to the ``bid``
+        and deliver."""
+        from repro.crypto.onion import build_onion
+
+        reply_tunnel = system.form_reply_tunnel(alice, length=3)
+        # a *forward* onion over the reply hops: RELAY, RELAY, EXIT(bid)
+        blob = build_onion(reply_tunnel.onion_layers(), reply_tunnel.bid, b"fake")
+        got = []
+        alice.register_pending(PendingReply(
+            bid=reply_tunnel.bid,
+            temp_keypair=RsaKeyPair.generate(random.Random(2), 512),
+            reply_hops=reply_tunnel.hop_ids,
+            callback=got.append,
+        ))
+        trace = system.forwarder.send_reply(
+            _destination(system), reply_tunnel.hops[0].hop_id, blob, b"answer"
+        )
+        assert not trace.success
+        assert "EXIT-tagged layer" in trace.failure_reason
+        assert got == [] and trace.delivered_payload is None
+        assert not alice.pending_replies[reply_tunnel.bid].completed
+        # it ended at the tail: no fourth identifier was ever located
+        assert [r.hop_id for r in trace.records] == reply_tunnel.hop_ids
+
+
 class TestPeelWithDecodedAnchorCache:
     """``_peel_at`` reads the replica first and decodes by content, so
     the anchor cache never outlives what the hop node actually holds."""

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.forwarding import HopRecord
 from repro.core.system import TapSystem
+from tests.core.walk_scenarios import SCENARIOS, VERDICTS, World, observe, pinned
 
 # Module-scoped systems: hypothesis replays many examples, so the
 # overlay is built once and tunnels draw from a large anchor pool.
@@ -99,3 +101,53 @@ def test_intermediate_hops_never_see_plaintext(system, alice, payload):
             assert payload not in peeled.inner
     finally:
         system.retire_tunnel(alice, tunnel)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_traces_match_the_two_loop_engine(name):
+    """Every ``ForwardTrace``/``HopRecord`` field of both directions,
+    ``exit_path``, ``failure_reason`` text and ``underlying_hops``, as
+    recorded before the two traversal loops became one walk."""
+    got, want = observe(name), pinned()[name]
+    assert got["forward"] == want["forward"]
+    assert got["reply"] == want["reply"]
+    assert got["received"] == want["received"]
+
+
+def test_pinned_failures_are_the_ones_named():
+    pins = pinned()
+    for verdict, text in zip(VERDICTS, ("dropped on leg 1", "corrupted on leg 1",
+                                        "partitioned link", "byzantine hop")):
+        assert text in pins[f"{verdict}_forward"]["forward"]["failure_reason"]
+        assert pins[f"{verdict}_forward"]["reply"] is None
+        assert text in pins[f"{verdict}_reply"]["reply"]["failure_reason"]
+        assert pins[f"{verdict}_reply"]["received"] == []
+    for name in ("promoted", "hint_timeout"):
+        assert [r["promoted"] for r in pins[name]["forward"]["records"]] == [False, True, False]
+    assert [r["promoted"] for r in pins["promoted"]["reply"]["records"]] == [
+        False, True, False, False]
+    for kind in ("forward", "reply"):
+        for name in (f"budget_{kind}_first_hop", f"anchor_lost_{kind}"):
+            assert not pins[name][kind]["success"]
+    assert "6 links > 5" in pins["budget_forward_exit_leg"]["forward"]["failure_reason"]
+    assert pins["budget_forward_exit_leg"]["forward"]["exit_path"]
+    # a reply hop is attributed to a node only once its leg is paid for
+    assert pins["budget_reply_bid_leg"]["reply"]["records"][-1]["hop_node"] is None
+
+
+def test_untraced_walk_builds_no_span(monkeypatch):
+    """With no tracer and no injector the walk does no span work at
+    all, and a hop record is a fixed-layout object."""
+    from repro.obs import spans
+
+    world = World(hints=True, observed=False)
+
+    def no_span(*args, **kwargs):
+        raise AssertionError("a Span was built on an untraced walk")
+
+    monkeypatch.setattr(spans.Span, "__init__", no_span)
+    result = world.round_trip()
+    assert result["traces"]["forward"].success and result["traces"]["reply"].success
+    assert result["received"] == [b"pong:ping"]
+    record = result["traces"]["forward"].records[0]
+    assert isinstance(record, HopRecord) and not hasattr(record, "__dict__")

@@ -18,6 +18,7 @@ from repro.obs import SpanTracer
 from repro.obs.critical_path import build_trees, records_from_tracer
 from repro.obs.spans import INITIATOR_KEYS, RESPONDER_KEYS
 from repro.simnet.topology import Topology
+from tests.core.walk_scenarios import SCENARIOS, observe, pinned
 
 
 @pytest.fixture()
@@ -234,3 +235,42 @@ class TestEmulationSpans:
         # legs partition the transport time; peels are zero-duration,
         # so children can never exceed the end-to-end latency
         assert sum(c.dur for c in root.children) <= root.dur + 1e-9
+
+
+class TestSpanTreeMatchesTheTwoLoopEngine:
+    """Forward and reply traversal were two near-copies of one loop
+    before they became ``TunnelForwarder._walk``; what a tracer, the
+    event trace and the instruments saw of every scenario is pinned
+    from that engine (``walk_scenarios.py`` says how)."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_spans_events_instruments(self, name):
+        got, want = observe(name), pinned()[name]
+        assert got["spans"] == want["spans"]
+        assert got["events"] == want["events"]
+        assert got["metrics"] == want["metrics"]
+
+    def test_scenarios_take_the_branches_they_name(self):
+        pins = pinned()
+
+        def probes(name):
+            return [attrs["outcome"] for span, _, attrs in pins[name]["spans"]
+                    if span == "hint.probe"]
+
+        assert probes("hint_hit") == ["hit"] * 5  # no hint for a first reply hop
+        assert probes("hint_stale").count("stale") == 2
+        assert probes("hint_timeout").count("timeout") == 2
+        assert [s for s, _, a in pins["anchor_lost_reply"]["spans"]
+                if a.get("outcome") == "anchor_lost"] == ["onion.peel"]
+        # the forward walk notices an exhausted budget after the peel,
+        # the reply walk before it
+        first_hop = {
+            kind: [s for s, _, _ in pins[f"budget_{kind}_first_hop"]["spans"]][-2:]
+            for kind in ("forward", "reply")
+        }
+        assert first_hop["forward"] == ["dht.route", "onion.peel"]
+        assert first_hop["reply"] == ["tap.hop", "dht.route"]
+        # a reply nests under the exit hop that delivered the request
+        spans = pins["basic"]["spans"]
+        reply = next(i for i, (s, _, _) in enumerate(spans) if s == "tap.reply")
+        assert spans[spans[reply][1]][2].get("is_exit") is True

@@ -7,13 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.onion import (
+    TAG_EXIT,
+    TAG_RELAY,
     OnionLayer,
+    PeeledLayer,
+    _decode_layer,
+    _encode_layer,
     build_onion,
     build_reply_onion,
     make_fake_onion,
     peel_layer,
 )
 from repro.crypto.symmetric import CipherError, SymmetricKey
+from repro.util.serialize import (
+    SerializationError,
+    pack_fields,
+    pack_int,
+    unpack_fields_view,
+    unpack_int,
+)
 
 
 def _layers(n: int, with_hints: bool = False) -> list[OnionLayer]:
@@ -154,3 +166,113 @@ class TestMalformedLayers:
         bogus = key.seal(pack_fields(b"X", pack_int(1), b"", b"inner"))
         with pytest.raises(CipherError):
             peel_layer(key, bogus)
+
+
+# ---------------------------------------------------------------------
+# the fixed-layout codec against the definition it replaced
+# ---------------------------------------------------------------------
+def _oracle_encode(tag: bytes, next_id: int, ip_hint: str, inner: bytes) -> bytes:
+    """A layer *is* four length-prefixed fields — the generic framing
+    the codec used to go through, kept as the specification."""
+    return pack_fields(tag, pack_int(next_id), ip_hint.encode(), inner)
+
+
+def _oracle_decode(plaintext: bytes) -> PeeledLayer:
+    try:
+        tag, id_bytes, hint_bytes, inner = unpack_fields_view(plaintext, count=4)
+        next_id = unpack_int(id_bytes)
+    except SerializationError as exc:
+        raise CipherError(f"malformed onion layer: {exc}") from exc
+    if tag == TAG_RELAY:
+        return PeeledLayer(False, next_id, bytes(hint_bytes).decode(), bytes(inner))
+    if tag == TAG_EXIT:
+        return PeeledLayer(True, next_id, bytes(hint_bytes).decode(), bytes(inner))
+    raise CipherError(f"unknown onion layer tag {bytes(tag)!r}")
+
+
+def _verdict(decode, plaintext: bytes):
+    """What ``decode`` makes of ``plaintext``: the layer, or ``None``
+    for any refusal (the oracle also refuses by ``UnicodeDecodeError``)."""
+    try:
+        return decode(plaintext)
+    except (CipherError, UnicodeDecodeError):
+        return None
+
+
+HINTS = ("", "10.0.0.7", "255.255.255.255", "h" * 300, "nœud-α.例", "\x00")
+INNER_SIZES = (0, 1, 31, 32, 33, 4096)
+tags_st = st.sampled_from([TAG_RELAY, TAG_EXIT])
+ids_st = st.integers(min_value=0, max_value=(1 << 128) - 1)
+hints_st = st.one_of(st.sampled_from(HINTS), st.text(max_size=40))
+inners_st = st.sampled_from(INNER_SIZES).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)
+)
+
+
+def _mutations(layer: bytes, hint_len: int):
+    """Damaged variants of one encoded layer, each with a label."""
+    for cut in range(len(layer)):
+        yield f"truncated to {cut}", layer[:cut]
+    framing = 29 + hint_len + 4  # everything but the inner blob
+    for at in range(framing):
+        for mask in (0x01, 0x80, 0xFF):
+            damaged = bytearray(layer)
+            damaged[at] ^= mask
+            yield f"byte {at} ^ {mask:#x}", bytes(damaged)
+    for extra in (b"\x00", b"\x00\x00\x00\x00", layer):
+        yield f"{len(extra)} trailing bytes", layer + extra
+    for name, at in (("tag", 0), ("id", 5), ("hint", 25), ("inner", 29 + hint_len)):
+        length = int.from_bytes(layer[at:at + 4], "big")
+        for delta in (-1, 1):
+            if length + delta >= 0:
+                yield f"{name} length {delta:+d}", (
+                    layer[:at] + (length + delta).to_bytes(4, "big") + layer[at + 4:]
+                )
+
+
+class TestCodecAgainstOracle:
+    @given(tag=tags_st, next_id=ids_st, hint=hints_st, inner=inners_st)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_bytes_same_layer(self, tag, next_id, hint, inner):
+        encoded = _encode_layer(tag, next_id, hint, inner)
+        assert encoded == _oracle_encode(tag, next_id, hint, inner)
+        layer = _decode_layer(encoded)
+        assert layer == _oracle_decode(encoded)
+        assert layer == PeeledLayer(tag == TAG_EXIT, next_id, hint, inner)
+
+    @pytest.mark.parametrize("next_id", [-1, 1 << 128])
+    def test_unencodable_id_is_a_serialization_error(self, next_id):
+        for encode in (_encode_layer, _oracle_encode):
+            with pytest.raises(SerializationError):
+                encode(TAG_RELAY, next_id, "", b"x")
+
+    @pytest.mark.parametrize("hint", ["", "10.0.0.7", "nœud-α.例"])
+    @pytest.mark.parametrize("inner_size", [0, 1, 33])
+    def test_damaged_layers_same_verdict(self, hint, inner_size):
+        key = SymmetricKey(b"k" * 16)
+        inner = bytes(range(inner_size))
+        layer = _encode_layer(TAG_RELAY, (1 << 127) + 5, hint, inner)
+        cases = list(_mutations(layer, len(hint.encode())))
+        fields = (pack_int((1 << 127) + 5), hint.encode(), inner)
+        cases += [
+            ("tag length 0", pack_fields(b"", *fields)),
+            ("tag length 2", pack_fields(b"RR", *fields)),
+            ("unknown tag", pack_fields(b"X", *fields)),
+            ("id length 15", pack_fields(TAG_RELAY, fields[0][1:], *fields[1:])),
+            ("id length 17", pack_fields(TAG_RELAY, b"\x00" + fields[0], *fields[1:])),
+            ("three fields", pack_fields(TAG_RELAY, *fields[:2])),
+            ("five fields", pack_fields(TAG_RELAY, *fields, b"")),
+        ]
+        accepted = 0
+        for label, damaged in cases:
+            want = _verdict(_oracle_decode, damaged)
+            assert _verdict(_decode_layer, damaged) == want, label
+            accepted += want is not None
+            # whatever the hop was sent, only CipherError leaves peel_layer
+            if want is None:
+                with pytest.raises(CipherError):
+                    peel_layer(key, key.seal(damaged))
+            else:
+                assert peel_layer(key, key.seal(damaged)) == want, label
+        # damage to the id or the hint text can still be a well-formed layer
+        assert 0 < accepted < len(cases)
