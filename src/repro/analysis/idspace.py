@@ -20,8 +20,9 @@ Two families of kernels live here:
   ring is statistically indistinguishable from the 128-bit one;
 * exact 128-bit *two-word* kernels (:func:`pack_ids`,
   :func:`searchsorted_words`, :func:`ring_distance_words`,
-  :func:`replica_table_words`) operating on aligned ``(hi, lo)``
-  uint64 array pairs.  These share the ring semantics bit-for-bit
+  :func:`replica_table_words`, :func:`closest_index_words`) operating
+  on aligned ``(hi, lo)`` uint64 array pairs.  These share the ring
+  semantics bit-for-bit
   with :mod:`repro.util.ids` and are the substrate of the compact
   overlay engine (:mod:`repro.perf.compact`), which must agree with
   the object engine on *real* 128-bit ids, not a scaled model.
@@ -493,6 +494,42 @@ def merge_insert_positions(at, n: int) -> tuple[np.ndarray, np.ndarray]:
     keep = np.ones(n + k, dtype=bool)
     keep[target] = False
     return target, keep
+
+
+def closest_index_words(
+    sorted_hi: np.ndarray,
+    sorted_lo: np.ndarray,
+    key_hi,
+    key_lo,
+) -> np.ndarray:
+    """Index of the id closest to each key, ties toward the smaller id.
+
+    Column 0 of :func:`replica_table_words` without ranking a window:
+    the ``(ring distance, id)`` minimum over the ring — and over any
+    subset holding both of the key's ring neighbours — is the first id
+    at or after the key or the last one before it (wrapping at either
+    end of the array).  With two or more ids those two gaps sum to
+    less than 2**128, so the smaller *directed* gap is also the smaller
+    ring distance and no folding is needed.  A single id is closest to
+    every key; an empty ring has no answer and raises.
+    """
+    n = len(sorted_hi)
+    if n == 0:
+        raise ValueError("no ids: the closest id is undefined")
+    key_hi = np.atleast_1d(np.asarray(key_hi, dtype=np.uint64))
+    key_lo = np.atleast_1d(np.asarray(key_lo, dtype=np.uint64))
+    pos = searchsorted_words(sorted_hi, sorted_lo, key_hi, key_lo)
+    after = np.where(pos < n, pos, 0)
+    before = np.where(pos > 0, pos, n) - 1
+    up_hi, up_lo = _sub_words(sorted_hi[after], sorted_lo[after], key_hi, key_lo)
+    down_hi, down_lo = _sub_words(key_hi, key_lo,
+                                  sorted_hi[before], sorted_lo[before])
+    # a tie goes to the smaller id, i.e. the smaller index: `before`
+    # unless the pair straddles the wrap
+    take_before = less_words(down_hi, down_lo, up_hi, up_lo) | (
+        (down_hi == up_hi) & (down_lo == up_lo) & (before < after)
+    )
+    return np.where(take_before, before, after)
 
 
 def replica_table_words(

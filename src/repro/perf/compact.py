@@ -644,7 +644,7 @@ class CompactOverlay:
         return route_many(self, self.positions_of(src_ids), key_hi, key_lo)
 
     def route_tunnels(self, src_pos, hop_key_hi, hop_key_lo,
-                      dest_key_hi, dest_key_lo, keep_legs: bool = False, *,
+                      dest_key_hi, dest_key_lo, *,
                       chunk_size: int | None = None,
                       run_scan_cap: int | None = None):
         """Batched TAP tunnel construction + exit-leg routing; see
@@ -653,7 +653,7 @@ class CompactOverlay:
 
         return route_tunnels(
             self, src_pos, hop_key_hi, hop_key_lo,
-            dest_key_hi, dest_key_lo, keep_legs=keep_legs,
+            dest_key_hi, dest_key_lo,
             chunk_size=chunk_size, run_scan_cap=run_scan_cap,
         )
 

@@ -9,9 +9,11 @@ materialisation bridge (``tests/perf/test_packet.py``).
 Per iteration, the active front splits into three vectorised branches
 that mirror the scalar rule exactly:
 
-* **leaf-covered** — ``searchsorted_words`` span test against the far
-  leaf-window edges, then a lexicographic min over the ±reach window
-  (ring distance first, smaller id on ties);
+* **leaf-covered** — a span test against the far leaf-window edges;
+  the window minimum by (ring distance, id) is then the alive id
+  closest to the key (:func:`repro.analysis.idspace.closest_index_words`,
+  resolved once per packet), and a packet that moves on such a
+  decision is settled on arrival;
 * **prefix bucket** — the routing cell for (row, key digit) is the
   first alive id at or past the bucket lower bound
   (:func:`repro.pastry.bulk.bucket_bounds` semantics via
@@ -24,7 +26,8 @@ that mirror the scalar rule exactly:
   its alive predecessor does not reach one digit deeper
   (``smallest_id_buckets`` semantics), a leaf member iff its ring
   *position* is within ±reach, and the segment winner is the
-  lexicographic (distance, id) min among strictly-closer candidates.
+  (distance, id) minimum among strictly-closer candidates, taken with
+  segmented ``np.minimum.reduceat`` passes.
 
 Dead sources fail immediately (the scalar ``route`` raises instead —
 batches must keep their row alignment); all other packets terminate
@@ -57,6 +60,7 @@ from repro.analysis.idspace import (
     _sub_words,
     add_pow2_words,
     clear_low_words,
+    closest_index_words,
     less_words,
     ring_distance_words,
     searchsorted_words,
@@ -81,6 +85,11 @@ _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: trade-off (e.g. clustered 10^6 rings); the forwarding decision is
 #: identical either way, so any value routes the same.
 RUN_SCAN_CAP = 4096
+
+#: the branches a forwarding decision can take; with metrics attached a
+#: front reports how many it made of each as
+#: ``compact.route.decisions_<branch>``
+_DECISIONS = ("covered", "prefix_cell", "run_scan", "cap_rescue")
 
 
 class BatchRouteResult:
@@ -163,17 +172,29 @@ class TunnelBatchResult:
     position (the key root when successful).
     """
 
-    __slots__ = ("leg_hops", "hops", "success", "dest_pos", "legs")
+    __slots__ = ("leg_hops", "hops", "success", "dest_pos")
 
-    def __init__(self, leg_hops, hops, success, dest_pos, legs):
+    def __init__(self, leg_hops, hops, success, dest_pos):
         self.leg_hops = leg_hops
         self.hops = hops
         self.success = success
         self.dest_pos = dest_pos
-        self.legs = legs
 
     def __len__(self) -> int:
         return len(self.hops)
+
+
+def _check_positions(overlay, src_pos) -> None:
+    """Positions arrive from outside: a negative one would wrap
+    NumPy-style and route from some other node while reporting the
+    caller's value back."""
+    bad = np.flatnonzero((src_pos < 0) | (src_pos >= overlay.size))
+    if len(bad):
+        row = int(bad[0])
+        raise ValueError(
+            f"src_pos[{row}] = {int(src_pos[row])} is not a position of "
+            f"this {overlay.size}-node overlay"
+        )
 
 
 def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
@@ -186,7 +207,8 @@ def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
     source is alive; dead sources come back with ``success=False``,
     zero hops and ``dest_pos == src_pos`` (scalar ``route`` raises —
     a batch keeps row alignment instead, so sweeps over churned
-    overlays need no pre-filtering).
+    overlays need no pre-filtering).  Positions outside the overlay
+    raise ``ValueError``.
 
     ``chunk_size`` bounds peak memory: the batch streams through
     windows of at most that many in-flight packets, reusing the
@@ -203,9 +225,25 @@ def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
     src_pos = np.asarray(src_pos, dtype=np.intp)
     key_hi = np.atleast_1d(np.asarray(key_hi, dtype=np.uint64))
     key_lo = np.atleast_1d(np.asarray(key_lo, dtype=np.uint64))
-    num = len(src_pos)
-    if not (len(key_hi) == len(key_lo) == num):
+    if not (len(key_hi) == len(key_lo) == len(src_pos)):
         raise ValueError("src_pos and key words must have equal length")
+    _check_positions(overlay, src_pos)
+    trail: list[tuple[int, list[np.ndarray]]] = []
+    dest_pos, hops, success = _route_front(
+        overlay, src_pos, key_hi, key_lo, chunk_size, run_scan_cap, trail
+    )
+    return BatchRouteResult(
+        overlay, key_hi, key_lo, src_pos, dest_pos, hops, success, trail
+    )
+
+
+def _route_front(overlay, src_pos, key_hi, key_lo, chunk_size, run_scan_cap,
+                 trail):
+    """Route validated packets chunk by chunk; returns ``(dest_pos,
+    hops, success)``.  ``trail`` collects one ``(chunk start,
+    per-iteration positions)`` segment per chunk, or is None when no
+    one will ask for paths."""
+    num = len(src_pos)
     if run_scan_cap is None:
         run_scan_cap = RUN_SCAN_CAP
     if chunk_size is None or chunk_size >= num or num == 0:
@@ -220,101 +258,115 @@ def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
 
     ahi, alo, idx = overlay._alive_arrays()
     reach = leaf_reach(len(ahi), overlay.leaf_set_size) if len(ahi) else 0
-    offsets = np.arange(-reach, reach + 1)
 
     dest_pos = src_pos.copy()
     hops = np.zeros(num, dtype=np.int64)
     success = np.zeros(num, dtype=bool)
-    trail: list[tuple[int, list[np.ndarray]]] = []
+    tally = dict.fromkeys(_DECISIONS, 0)
     for start, end in bounds:
         segment = _route_chunk(
-            overlay, ahi, alo, idx, offsets, reach,
+            overlay, ahi, alo, idx, reach,
             src_pos[start:end], key_hi[start:end], key_lo[start:end],
             dest_pos[start:end], hops[start:end], success[start:end],
-            run_scan_cap,
+            run_scan_cap, tally, trail is not None,
         )
-        trail.append((start, segment))
+        if trail is not None:
+            trail.append((start, segment))
 
-    return BatchRouteResult(
-        overlay, key_hi, key_lo, src_pos, dest_pos, hops, success, trail
-    )
+    metrics = overlay._metrics
+    if metrics is not None:
+        metrics.counter("compact.route.packets").inc(num)
+        for branch, decisions in tally.items():
+            metrics.counter(f"compact.route.decisions_{branch}").inc(decisions)
+    return dest_pos, hops, success
 
 
-def _route_chunk(overlay, ahi, alo, idx, offsets, reach,
-                 src, kh, kl, dest, hops, success, run_scan_cap):
+def _route_chunk(overlay, ahi, alo, idx, reach, src, kh, kl,
+                 dest, hops, success, run_scan_cap, tally, keep_trail):
     """Advance one packet window to termination, writing into the
     caller's ``dest``/``hops``/``success`` views; returns the chunk's
-    per-iteration trail.  Work arrays come from the overlay scratch
-    pool, so back-to-back chunks reuse one allocation."""
-    n = len(ahi)
+    per-iteration trail (None unless ``keep_trail``).  Work arrays come
+    from the overlay scratch pool, so back-to-back chunks reuse one
+    allocation."""
     num = len(src)
-    alive_src = overlay.alive[src] if num else np.zeros(0, dtype=bool)
+    trail = [src.copy()] if keep_trail else None
+    alive_src = overlay.alive[src]
+    if not alive_src.any():
+        # also the empty chunk and the ring with nobody alive
+        return trail
     done = overlay._scratch_buf("packet.done", num, bool)
     np.logical_not(alive_src, out=done)
     # alive positions, valid where the source is alive
     cur = overlay._scratch_buf("packet.cur", num, np.intp)
     cur[:] = 0
-    if n and num:
-        cur[alive_src] = np.searchsorted(idx, src[alive_src])
-    trail = [src.copy()]
+    cur[alive_src] = np.searchsorted(idx, src[alive_src])
+    # where every leaf-covered decision of a packet points: the alive
+    # id closest to its key, fixed for the packet's lifetime
+    root = closest_index_words(ahi, alo, kh, kl)
 
-    for _ in range(overlay.MAX_HOPS):
+    last = overlay.MAX_HOPS - 1
+    for iteration in range(overlay.MAX_HOPS):
         act = np.flatnonzero(~done)
         if len(act) == 0:
             break
-        nxt = _next_hops(
-            overlay, ahi, alo, cur[act], kh[act], kl[act],
-            offsets, reach, run_scan_cap,
+        at = cur[act]
+        nxt, covered = _next_hops(
+            overlay, ahi, alo, at, kh[act], kl[act], root[act],
+            reach, run_scan_cap, tally,
         )
-        arrived = nxt == cur[act]
-        moved = act[~arrived]
-        cur[moved] = nxt[~arrived]
-        dest[moved] = idx[nxt[~arrived]]
+        stay = nxt == at
+        go = ~stay
+        moved = act[go]
+        cur[moved] = nxt[go]
+        dest[moved] = idx[nxt[go]]
         hops[moved] += 1
-        done[act[arrived]] = True
-        success[act[arrived]] = True
-        trail.append(dest.copy())
+        # A covered decision lands on the key's closest alive id, whose
+        # own window covers the key and elects itself: the packet is
+        # settled on arrival.  The scalar loop needs one more iteration
+        # to see that, so on its last one a mover is a hop-limit
+        # casualty there and must be one here.
+        settled = act[(stay | covered) if iteration < last else stay]
+        done[settled] = True
+        success[settled] = True
+        if keep_trail:
+            trail.append(dest.copy())
 
     # anything still active hit the hop limit: done, success stays False
     return trail
 
 
-def _next_hops(overlay, ahi, alo, cpos, kh, kl, offsets, reach,
-               run_scan_cap=RUN_SCAN_CAP):
-    """One forwarding decision per active packet (alive positions)."""
+def _next_hops(overlay, ahi, alo, cpos, kh, kl, root, reach, run_scan_cap,
+               tally):
+    """One forwarding decision per active packet (alive positions):
+    ``(next position, decision was leaf-covered)``."""
     n = len(ahi)
     num = len(cpos)
-    nid_hi = ahi[cpos]
-    nid_lo = alo[cpos]
-    nxt = np.empty(num, dtype=np.intp)
-
     if n <= overlay.leaf_set_size:
-        covered = np.ones(num, dtype=bool)
-    else:
-        half = overlay.leaf_set_size // 2
-        cw = (cpos + half) % n
-        ccw = (cpos - half) % n
-        span_hi, span_lo = _sub_words(ahi[cw], alo[cw], ahi[ccw], alo[ccw])
-        rel_hi, rel_lo = _sub_words(kh, kl, ahi[ccw], alo[ccw])
-        covered = ~less_words(span_hi, span_lo, rel_hi, rel_lo)
+        # the window is the whole ring
+        tally["covered"] += num
+        return root, np.ones(num, dtype=bool)
 
-    cov = np.flatnonzero(covered)
-    if len(cov):
-        # min over the ±reach window plus self by (distance, id)
-        cand = (cpos[cov, None] + offsets[None, :]) % n
-        ch = ahi[cand]
-        cl = alo[cand]
-        dh, dl = ring_distance_words(ch, cl, kh[cov, None], kl[cov, None])
-        order = np.lexsort((cl, ch, dl, dh), axis=-1)
-        best = order[:, 0]
-        nxt[cov] = cand[np.arange(len(cov)), best]
+    half = overlay.leaf_set_size // 2
+    cw = (cpos + half) % n
+    ccw = (cpos - half) % n
+    span_hi, span_lo = _sub_words(ahi[cw], alo[cw], ahi[ccw], alo[ccw])
+    rel_hi, rel_lo = _sub_words(kh, kl, ahi[ccw], alo[ccw])
+    covered = ~less_words(span_hi, span_lo, rel_hi, rel_lo)
+    # Covered: the scalar rule takes the (distance, id) minimum over
+    # the window.  The key lies on the arc between the window's far
+    # edges and every alive id on that arc is a member, so the key's
+    # two ring neighbours are members (or the key *is* the far
+    # counter-clockwise edge, which then wins at distance zero) — and
+    # the minimum over any set holding both is one of the two: `root`.
+    nxt = root.copy()
 
     unc = np.flatnonzero(~covered)
+    tally["covered"] += num - len(unc)
     if len(unc):
         # uncovered implies key != nid, so the shared prefix is < 128
         # bits and the target row's shift is non-negative
-        bits = shared_prefix_bits_words(nid_hi[unc], nid_lo[unc],
-                                        kh[unc], kl[unc])
+        at = cpos[unc]
+        bits = shared_prefix_bits_words(ahi[at], alo[at], kh[unc], kl[unc])
         row = bits // overlay.b_bits
         shift = ID_BITS - overlay.b_bits * (row + 1)
         # cell entry = first alive id at/past the bucket lower bound,
@@ -326,18 +378,19 @@ def _next_hops(overlay, ahi, alo, cpos, kh, kl, offsets, reach,
         found = (pos < n) & (p_hi == lo_hi) & (p_lo == lo_lo)
         nxt[unc[found]] = pos[found]
         miss = np.flatnonzero(~found)
+        tally["prefix_cell"] += len(unc) - len(miss)
         if len(miss):
             fb = unc[miss]
             nxt[fb] = _fallback_hops(
                 overlay, ahi, alo, cpos[fb], kh[fb], kl[fb], row[miss],
-                reach, run_scan_cap,
+                reach, run_scan_cap, tally,
             )
-    return nxt
+    return nxt, covered
 
 
 def _fallback_hops(overlay, ahi, alo, cpos, kh, kl, row, reach,
-                   run_scan_cap=RUN_SCAN_CAP):
-    """Vectorised twin of the scalar rare-case rule.
+                   run_scan_cap, tally):
+    """Vectorised twin of the scalar empty-cell rule.
 
     Every scalar candidate — a leaf member or populated routing cell
     sharing at least ``row`` digits with the key — lies inside the
@@ -365,6 +418,8 @@ def _fallback_hops(overlay, ahi, alo, cpos, kh, kl, row, reach,
         nxt_id = overlay._next_hop(apos, (int(kh[j]) << 64) | int(kl[j]))
         out[j] = overlay._alive_pos_of(nxt_id)
     small = np.flatnonzero(~big)
+    tally["cap_rescue"] += num - len(small)
+    tally["run_scan"] += len(small)
     if len(small) == 0:
         return out
 
@@ -373,7 +428,8 @@ def _fallback_hops(overlay, ahi, alo, cpos, kh, kl, row, reach,
     total = int(s_len.sum())
     seg = np.repeat(np.arange(len(small)), s_len)
     seg_base = np.concatenate(([0], np.cumsum(s_len)[:-1]))
-    p = (np.arange(total) - seg_base[seg] + s_start[seg]).astype(np.intp)
+    slot = np.arange(total)
+    p = (slot - seg_base[seg] + s_start[seg]).astype(np.intp)
 
     m_hi = ahi[p]
     m_lo = alo[p]
@@ -400,66 +456,114 @@ def _fallback_hops(overlay, ahi, alo, cpos, kh, kl, row, reach,
     entry = (p == 0) | (prev_row <= row_m)
 
     qual = closer & (leaf | entry)
-    # segmented lexicographic min of (distance, id); sentinel keys for
-    # non-qualifiers (real distances never exceed 2^127)
-    dh = np.where(qual, dh, _U64_MAX)
-    dl = np.where(qual, dl, _U64_MAX)
-    sm_hi = np.where(qual, m_hi, _U64_MAX)
-    sm_lo = np.where(qual, m_lo, _U64_MAX)
-    order = np.lexsort((sm_lo, sm_hi, dl, dh, seg))
-    first = np.unique(seg[order], return_index=True)[1]
-    win = order[first]
+    # Segmented (distance, id) minimum among the qualifiers.  reduceat
+    # needs every segment non-empty, and none is: a run holds at least
+    # the current node, which shares the key's first `row` digits by
+    # the definition of `row`.  Non-qualifiers carry a sentinel (real
+    # distances never exceed 2^127); a run is in ascending id order, so
+    # the first qualifier at the minimum distance has the smallest id.
+    near_hi = np.minimum.reduceat(np.where(qual, dh, _U64_MAX), seg_base)
+    qual &= dh == near_hi[seg]
+    near_lo = np.minimum.reduceat(np.where(qual, dl, _U64_MAX), seg_base)
+    qual &= dl == near_lo[seg]
+    win = np.minimum.reduceat(np.where(qual, slot, total), seg_base)
     # no qualifying candidate: stay put (the scalar rule terminates)
-    out[small] = np.where(qual[win], p[win], cpos[small])
+    out[small] = np.where(
+        win < total, p[np.minimum(win, total - 1)], cpos[small]
+    )
     return out
 
 
 def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
-                  dest_key_hi, dest_key_lo, keep_legs: bool = False, *,
+                  dest_key_hi, dest_key_lo, *,
                   chunk_size: int | None = None,
                   run_scan_cap: int | None = None,
                   ) -> TunnelBatchResult:
     """Build one TAP tunnel per packet and route the exit leg, batched.
 
     ``hop_key_hi``/``hop_key_lo`` are (T, L) word arrays — one random
-    relay key per tunnel hop; each leg routes the whole batch from the
-    previous junction to the next hop key's root, then the final leg
-    routes to the destination key.  Stitching drops the duplicated
-    junction node, so total underlying hops are the per-leg sums.
+    relay key per tunnel hop; leg ``j`` of a tunnel routes from the
+    previous junction to hop key ``j``'s root, and the final leg routes
+    to the destination key.  Stitching drops the duplicated junction
+    node, so total underlying hops are the per-leg sums.
 
     A tunnel fails as soon as any leg fails; later legs for that
     packet keep routing from the last good junction (deterministic,
     cheap, and masked out of every statistic by ``success``).
 
-    ``chunk_size``/``run_scan_cap`` pass straight through to each
-    leg's :func:`route_many`; leg stitching is per packet, so tunnel
-    results are chunk-size invariant too.
+    The legs do not wait for each other: a hop's node is by definition
+    the alive id closest to its hop key, so every junction is known up
+    front and all ``T * (L + 1)`` legs route as one front.  Each leg's
+    true end is then checked against the junction the next leg was
+    started from, and only mis-started legs — behind a dead source or
+    a hop-limit casualty — are routed again.  A leg is a pure function
+    of (source, key), so this equals routing the legs one after the
+    other on every row.
+
+    ``chunk_size``/``run_scan_cap`` pass straight through to the
+    front; leg stitching is per packet, so tunnel results are
+    chunk-size invariant too.
     """
     src_pos = np.asarray(src_pos, dtype=np.intp)
     hop_key_hi = np.asarray(hop_key_hi, dtype=np.uint64)
     hop_key_lo = np.asarray(hop_key_lo, dtype=np.uint64)
+    dest_key_hi = np.atleast_1d(np.asarray(dest_key_hi, dtype=np.uint64))
+    dest_key_lo = np.atleast_1d(np.asarray(dest_key_lo, dtype=np.uint64))
+    if hop_key_hi.ndim != 2 or hop_key_hi.shape != hop_key_lo.shape:
+        raise ValueError(
+            "hop key words must be two equal-shape (T, L) arrays, got "
+            f"{hop_key_hi.shape} and {hop_key_lo.shape}"
+        )
     num, tunnel_len = hop_key_hi.shape
-    leg_hops = np.zeros((num, tunnel_len + 1), dtype=np.int64)
-    success = np.ones(num, dtype=bool)
-    current = src_pos.copy()
-    legs: list[BatchRouteResult] = []
-    for j in range(tunnel_len):
-        res = route_many(overlay, current, hop_key_hi[:, j], hop_key_lo[:, j],
-                         chunk_size=chunk_size, run_scan_cap=run_scan_cap)
-        success &= res.success
-        leg_hops[:, j] = res.hops
-        current = np.where(res.success, res.dest_pos, current)
-        if keep_legs:
-            legs.append(res)
-    res = route_many(overlay, current, dest_key_hi, dest_key_lo,
-                     chunk_size=chunk_size, run_scan_cap=run_scan_cap)
-    success &= res.success
-    leg_hops[:, tunnel_len] = res.hops
-    current = np.where(res.success, res.dest_pos, current)
-    if keep_legs:
-        legs.append(res)
+    if not (len(src_pos) == len(dest_key_hi) == len(dest_key_lo) == num):
+        raise ValueError(
+            f"src_pos and destination key words must have one entry for "
+            f"each of the {num} tunnels, got {len(src_pos)}, "
+            f"{len(dest_key_hi)} and {len(dest_key_lo)}"
+        )
+    _check_positions(overlay, src_pos)
+
+    # leg-major front: leg j of every tunnel is the block [j*T, (j+1)*T)
+    inner = tunnel_len * num
+    key_hi = np.concatenate((hop_key_hi.T.ravel(), dest_key_hi))
+    key_lo = np.concatenate((hop_key_lo.T.ravel(), dest_key_lo))
+    ahi, alo, idx = overlay._alive_arrays()
+    start = np.empty(inner + num, dtype=np.intp)
+    start[:num] = src_pos
+    if len(ahi):
+        start[num:] = idx[
+            closest_index_words(ahi, alo, key_hi[:inner], key_lo[:inner])
+        ]
+    else:
+        # nobody is alive: every leg fails where its tunnel stands
+        start[num:] = np.tile(src_pos, tunnel_len)
+    dest, hops, success = _route_front(
+        overlay, start, key_hi, key_lo, chunk_size, run_scan_cap, None
+    )
+    # a failed leg leaves its tunnel at the leg's own source
+    end = np.where(success, dest, start)
+    rerouted = 0
+    # leg 0 starts right, so round r makes leg r's start (and end) final
+    for _ in range(tunnel_len):
+        wrong = num + np.flatnonzero(end[:inner] != start[num:])
+        if len(wrong) == 0:
+            break
+        rerouted += len(wrong)
+        start[wrong] = end[wrong - num]
+        dest, hops[wrong], success[wrong] = _route_front(
+            overlay, start[wrong], key_hi[wrong], key_lo[wrong],
+            chunk_size, run_scan_cap, None,
+        )
+        end[wrong] = np.where(success[wrong], dest, start[wrong])
+    if overlay._metrics is not None:
+        overlay._metrics.counter("compact.route.legs_rerouted").inc(rerouted)
+
+    leg_hops = np.ascontiguousarray(hops.reshape(tunnel_len + 1, num).T)
     return TunnelBatchResult(
-        leg_hops, leg_hops.sum(axis=1), success, current, legs
+        leg_hops,
+        leg_hops.sum(axis=1),
+        success.reshape(tunnel_len + 1, num).all(axis=0),
+        end[inner:],
     )
 
 

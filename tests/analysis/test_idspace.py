@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import repro.analysis.idspace as idspace
 from repro.analysis.idspace import (
     IdSpaceModel,
+    closest_index_words,
     merge_insert_positions,
     pack_ids,
     replica_table,
@@ -433,6 +434,45 @@ class TestWordKernels:
             replica_table_words(hi, lo, khi, klo, 0)
         with pytest.raises(ValueError):
             replica_table_words(hi, lo, khi, klo, 3)
+
+    @given(
+        pool=st.sets(ids128, min_size=1, max_size=30),
+        keys=st.lists(ids128, min_size=1, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_closest_index_words_is_replica_column_zero(self, pool, keys):
+        ids = sorted(pool)
+        shi, slo = pack_ids(ids)
+        # the ids themselves, exact midpoints (ties go to the smaller
+        # id, across the wrap too) and both ends of the id space
+        keys = keys + ids[:4] + [0, RING128 - 1] + [
+            (a + (b - a) % RING128 // 2) % RING128
+            for a, b in zip(ids, ids[1:] + ids[:1])
+        ][-4:]
+        khi, klo = pack_ids(keys)
+        got = closest_index_words(shi, slo, khi, klo)
+        assert [ids[i] for i in got] == [
+            closest_ids(ids, key, 1)[0] for key in keys
+        ]
+        assert (got == replica_table_words(shi, slo, khi, klo, 1)[:, 0]).all()
+
+    def test_closest_index_words_shared_high_word_and_edges(self):
+        # one high word for the whole ring: searchsorted_words resolves
+        # every key in its advance loop
+        ids = [(7 << 64) | low for low in (2, 6, 10, 50)]
+        shi, slo = pack_ids(ids)
+        keys = [(7 << 64) | 4, (7 << 64) | 8, (7 << 64) | 7, 0, RING128 - 1,
+                (7 << 64) | 50]
+        khi, klo = pack_ids(keys)
+        got = closest_index_words(shi, slo, khi, klo)
+        # 4 and 8 are exact ties: the smaller id wins
+        assert list(got) == [0, 1, 1, 0, 0, 3]
+        # a single id is closest to everything; no ids, no answer
+        one_hi, one_lo = pack_ids([123])
+        assert list(closest_index_words(one_hi, one_lo, khi, klo)) == [0] * 6
+        none_hi, none_lo = pack_ids([])
+        with pytest.raises(ValueError):
+            closest_index_words(none_hi, none_lo, khi, klo)
 
     @given(
         existing=st.sets(st.integers(0, 999), min_size=0, max_size=40),

@@ -8,6 +8,11 @@ the materialisation bridge.  Pinned here across churned overlays,
 clustered id populations that force the run-scan fallback, packets
 whose source fails mid-batch, tiny rings, and the RUN_SCAN_CAP scalar
 rescue; plus the batched tunnel stitching and latency-fold kernels.
+
+:class:`OracleWindowPlane` keeps the covered rule and the tunnel stitch
+the plane used to run — re-rank the whole leaf window per covered hop,
+route a tunnel's legs one after the other — as the specification the
+two-neighbour rule and the one-front stitch are held to.
 """
 
 from __future__ import annotations
@@ -17,14 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.perf.packet as packet
-from repro.analysis.idspace import pack_ids
+from repro import MetricsRegistry
+from repro.analysis.idspace import pack_ids, ring_distance_words
+from repro.pastry.bulk import leaf_reach
 from repro.perf.compact import CompactOverlay
 from repro.perf.packet import latency_sums, route_many, route_tunnels
-from repro.util.ids import ID_SPACE
+from repro.util.ids import ID_SPACE, id_digit, shared_prefix_digits
 from repro.util.rng import SeedSequenceFactory
 
 SEED = 7
+CHUNKS = (1, 7, 60, None)  # 60 == the batch size of the chunking tests
 
 
 def _uniform_overlay(n: int, seed: int, churn: bool = True) -> CompactOverlay:
@@ -79,6 +86,106 @@ def _assert_matches_scalar(overlay, batch, src, key_hi, key_lo):
         assert batch.dest_ids()[i] == ref.destination
 
 
+def _id_at(overlay, pos) -> int:
+    return (int(overlay.hi[pos]) << 64) | int(overlay.lo[pos])
+
+
+def _route_counters(metrics) -> dict[str, int]:
+    prefix = "compact.route."
+    return {
+        name[len(prefix):]: entry["value"]
+        for name, entry in metrics.snapshot().items()
+        if name.startswith(prefix)
+    }
+
+
+class OracleWindowPlane:
+    """The definitions the packet plane replaced, kept as the
+    specification: a covered hop is the 4-key ``lexsort`` minimum over
+    the node's whole ±reach window and is looked at again next
+    iteration to learn that it arrived; a tunnel's legs route one after
+    the other, each from where the last one truly ended."""
+
+    @staticmethod
+    def covered_winner(overlay, apos, key_hi, key_lo) -> int:
+        ahi, alo, _ = overlay._alive_arrays()
+        n = len(ahi)
+        reach = leaf_reach(n, overlay.leaf_set_size)
+        cand = (apos + np.arange(-reach, reach + 1)) % n
+        ch, cl = ahi[cand], alo[cand]
+        dh, dl = ring_distance_words(ch, cl, key_hi, key_lo)
+        return int(cand[np.lexsort((cl, ch, dl, dh))[0]])
+
+    @classmethod
+    def route(cls, overlay, src_pos, key_hi, key_lo):
+        """(global positions visited, success) of one packet."""
+        src_pos = int(src_pos)
+        if not overlay.alive[src_pos]:
+            return [src_pos], False
+        idx = overlay.alive_positions()
+        apos = int(np.searchsorted(idx, src_pos))
+        key = (int(key_hi) << 64) | int(key_lo)
+        path = [src_pos]
+        for _ in range(overlay.MAX_HOPS):
+            if overlay._leaf_covers(apos, key):
+                nxt = cls.covered_winner(overlay, apos, key_hi, key_lo)
+            else:
+                nxt = overlay._alive_pos_of(overlay._next_hop(apos, key))
+            if nxt == apos:
+                return path, True
+            path.append(int(idx[nxt]))
+            apos = nxt
+        return path, False
+
+    @classmethod
+    def tunnels(cls, overlay, src, hop_hi, hop_lo, key_hi, key_lo):
+        """(leg_hops, hops, success, dest_pos), tunnel by tunnel."""
+        num, length = hop_hi.shape
+        leg_hops = np.zeros((num, length + 1), dtype=np.int64)
+        success = np.ones(num, dtype=bool)
+        dest = np.array(src, dtype=np.intp)
+        for t in range(num):
+            for j in range(length + 1):
+                kh, kl = (
+                    (hop_hi[t, j], hop_lo[t, j]) if j < length
+                    else (key_hi[t], key_lo[t])
+                )
+                path, ok = cls.route(overlay, dest[t], kh, kl)
+                leg_hops[t, j] = len(path) - 1
+                success[t] &= ok
+                if ok:
+                    dest[t] = path[-1]
+        return leg_hops, leg_hops.sum(axis=1), success, dest
+
+
+def _assert_matches_scalar_and_oracle(overlay, batch, src, key_hi, key_lo):
+    dest_ids = batch.dest_ids()
+    for i in range(len(batch)):
+        path, ok = OracleWindowPlane.route(overlay, src[i], key_hi[i], key_lo[i])
+        want = [_id_at(overlay, pos) for pos in path]
+        assert batch.path(i) == want, f"packet {i} leaves the oracle's path"
+        assert bool(batch.success[i]) == ok
+        assert int(batch.hops[i]) == len(path) - 1
+        assert int(batch.dest_pos[i]) == path[-1]
+        if not overlay.alive[src[i]]:
+            continue  # the scalar route raises on a dead source
+        key = (int(key_hi[i]) << 64) | int(key_lo[i])
+        ref = overlay.route(_id_at(overlay, src[i]), key)
+        assert (want, ok, dest_ids[i]) == (ref.path, ref.success, ref.destination)
+
+
+def _assert_tunnels_match_oracle(overlay, result, src, hop_hi, hop_lo,
+                                 key_hi, key_lo):
+    leg_hops, hops, success, dest = OracleWindowPlane.tunnels(
+        overlay, src, hop_hi, hop_lo, key_hi, key_lo
+    )
+    assert result.leg_hops.shape == leg_hops.shape
+    assert (result.leg_hops == leg_hops).all()
+    assert (result.hops == hops).all()
+    assert (result.success == success).all()
+    assert (result.dest_pos == dest).all()
+
+
 class TestRouteManyEquivalence:
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_hop_for_hop_vs_scalar_on_churned_overlay(self, seed):
@@ -102,18 +209,9 @@ class TestRouteManyEquivalence:
             assert batch.path(i) == bridged.path
             assert batch.dest_ids()[i] == bridged.destination
 
-    def test_clustered_ids_exercise_fallback_and_agree(self, monkeypatch):
+    def test_clustered_ids_exercise_fallback_and_agree(self):
         overlay = _clustered_overlay(SEED)
         rng = np.random.default_rng(SEED + 1)
-        fallback_packets = []
-        original = packet._fallback_hops
-
-        def probe(ov, ahi, alo, cpos, kh, kl, row, reach, run_scan_cap):
-            fallback_packets.append(len(cpos))
-            return original(ov, ahi, alo, cpos, kh, kl, row, reach,
-                            run_scan_cap)
-
-        monkeypatch.setattr(packet, "_fallback_hops", probe)
         alive = np.flatnonzero(overlay.alive)
         src = rng.choice(alive, size=60)
         # aim half the keys into the crowded prefix so empty buckets
@@ -121,8 +219,12 @@ class TestRouteManyEquivalence:
         key_hi = rng.integers(0, 2**64, size=60, dtype=np.uint64)
         key_hi[::2] |= np.uint64(0xABCDEF00 << 32)
         key_lo = rng.integers(0, 2**64, size=60, dtype=np.uint64)
+        metrics = MetricsRegistry()
+        overlay.instrument(metrics)
         batch = route_many(overlay, src, key_hi, key_lo)
-        assert sum(fallback_packets) > 0, "fallback branch never exercised"
+        assert _route_counters(metrics)["decisions_run_scan"] > 0, (
+            "fallback branch never exercised"
+        )
         _assert_matches_scalar(overlay, batch, src, key_hi, key_lo)
 
     def test_run_scan_cap_rescue_is_identical(self):
@@ -213,12 +315,218 @@ class TestRouteManyEquivalence:
         _assert_matches_scalar(overlay, batch, src_pos, key_hi, key_lo)
 
 
+ALIVE_SIZES = (1, 2, 3, 16, 17, 18, 19, 300)  # around leaf_set_size + 1
+LAYOUTS = ("uniform", "clustered", "shared_hi")
+
+
+def _even_ring(alive: int, layout: str, seed: int) -> CompactOverlay:
+    """``alive`` alive ids plus a few failed ones, so alive and global
+    positions differ.  Every id is even: the midpoint of any two is an
+    exact tie.  ``shared_hi`` puts the whole ring under two high words,
+    which drives ``searchsorted_words``' advance loop."""
+    rng = np.random.default_rng(seed)
+    count = alive + max(1, alive // 8)
+    ids: set[int] = set()
+    while len(ids) < count:
+        hi, lo = (int(x) for x in rng.integers(0, 2**64, size=2, dtype=np.uint64))
+        if layout == "clustered" and len(ids) % 2:
+            hi = (0xABCDEF00 << 32) | (hi & 0xFF)
+        elif layout == "shared_hi":
+            hi = 0x1234 + (hi & 1)
+        ids.add(((hi << 64) | lo) & ~1)
+    overlay = CompactOverlay.from_ids(ids)
+    overlay.fail_positions(rng.choice(count, size=count - alive, replace=False))
+    return overlay
+
+
+def _edge_keys(overlay, rng) -> list[int]:
+    """Keys where a two-neighbour rule could slip: alive ids, exact
+    midpoints of ring neighbours (the wrap pair too), both sides of
+    the wrap, a failed id, and a few uniform ones."""
+    ids = overlay.alive_ids()
+    n = len(ids)
+    picks = [int(i) for i in rng.integers(0, n, size=3)]
+    keys = [ids[i] for i in picks]
+    keys += [
+        (ids[i] + (ids[(i + 1) % n] - ids[i]) % ID_SPACE // 2) % ID_SPACE
+        for i in (*picks, n - 1)
+    ]
+    keys += [0, ids[0] // 2, (ids[0] - 2) % ID_SPACE,
+             ID_SPACE - 1, (ids[-1] + 2) % ID_SPACE,
+             ids[-1] + (ID_SPACE - ids[-1]) // 2]
+    keys.append(_id_at(overlay, np.flatnonzero(~overlay.alive)[0]))
+    keys += [
+        (int(hi) << 64) | int(lo)
+        for hi, lo in rng.integers(0, 2**64, size=(4, 2), dtype=np.uint64)
+    ]
+    return keys
+
+
+class TestCoveredRuleOracle:
+    """One ``searchsorted`` and a two-candidate compare must elect what
+    the window ``lexsort`` elected, and settling a packet on arrival
+    must report what re-evaluating it reported."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("alive", ALIVE_SIZES)
+    @given(seed=st.integers(0, 2**16), chunk_size=st.sampled_from(CHUNKS))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_ring_neighbour_rule_equals_window_minimum(self, alive, layout,
+                                                       seed, chunk_size):
+        overlay = _even_ring(alive, layout, seed)
+        rng = np.random.default_rng(seed + 1)
+        key_hi, key_lo = pack_ids(_edge_keys(overlay, rng))
+        # any position, dead ones included
+        src = rng.integers(0, overlay.size, size=len(key_hi))
+        batch = route_many(overlay, src, key_hi, key_lo, chunk_size=chunk_size)
+        _assert_matches_scalar_and_oracle(overlay, batch, src, key_hi, key_lo)
+
+    def test_max_hops_boundary_takes_the_scalar_verdict(self):
+        overlay = _uniform_overlay(300, SEED)
+        rng = np.random.default_rng(SEED + 60)
+        src, key_hi, key_lo = _sample_packets(overlay, rng, 40)
+        needed = route_many(overlay, src, key_hi, key_lo).hops
+        assert needed.max() >= 2
+        for limit in range(1, int(needed.max()) + 2):
+            # shadows the class constant for this overlay only
+            overlay.MAX_HOPS = limit
+            batch = route_many(overlay, src, key_hi, key_lo)
+            # a packet needing h hops: hop-limit at h, success at h + 1
+            assert (batch.success == (needed < limit)).all()
+            assert (batch.hops == np.minimum(needed, limit)).all()
+            _assert_matches_scalar_and_oracle(overlay, batch, src, key_hi, key_lo)
+
+
+class TestInputValidation:
+    """Positions and shapes come from outside: fail closed, name the row."""
+
+    def _overlay(self):
+        return CompactOverlay.random(500, seed=1)
+
+    @pytest.mark.parametrize("bad", (-1, 500))
+    def test_route_many_rejects_positions_outside_the_overlay(self, bad):
+        overlay = self._overlay()
+        zeros = np.zeros(3, dtype=np.uint64)
+        with pytest.raises(ValueError, match=rf"src_pos\[1\] = {bad} "):
+            route_many(overlay, [0, bad, -7], zeros, zeros)
+
+    @pytest.mark.parametrize("bad", (-1, 500))
+    def test_route_tunnels_rejects_positions_outside_the_overlay(self, bad):
+        overlay = self._overlay()
+        hops = np.zeros((2, 3), dtype=np.uint64)
+        zeros = np.zeros(2, dtype=np.uint64)
+        with pytest.raises(ValueError, match=rf"src_pos\[1\] = {bad} "):
+            route_tunnels(overlay, [499, bad], hops, hops, zeros, zeros)
+
+    @pytest.mark.parametrize("hi_shape, lo_shape", (
+        ((4, 3), (4, 2)),  # used to die with an IndexError inside leg 2
+        ((4, 3), (3, 3)),
+        ((4,), (4,)),
+    ))
+    def test_route_tunnels_rejects_mismatched_hop_key_shapes(self, hi_shape,
+                                                             lo_shape):
+        overlay = self._overlay()
+        zeros = np.zeros(4, dtype=np.uint64)
+        with pytest.raises(ValueError, match="hop key words"):
+            route_tunnels(
+                overlay, np.zeros(4, dtype=np.intp),
+                np.zeros(hi_shape, dtype=np.uint64),
+                np.zeros(lo_shape, dtype=np.uint64), zeros, zeros,
+            )
+
+    @pytest.mark.parametrize("srcs, dest_hi, dest_lo", (
+        (4, 3, 4), (4, 4, 5), (3, 4, 4),
+    ))
+    def test_route_tunnels_rejects_rows_that_do_not_align(self, srcs, dest_hi,
+                                                          dest_lo):
+        overlay = self._overlay()
+        hops = np.zeros((4, 3), dtype=np.uint64)
+        with pytest.raises(ValueError, match="each of the 4 tunnels"):
+            route_tunnels(
+                overlay, np.zeros(srcs, dtype=np.intp), hops, hops,
+                np.zeros(dest_hi, dtype=np.uint64),
+                np.zeros(dest_lo, dtype=np.uint64),
+            )
+
+
+def _scalar_decisions(overlay, src_id, key) -> dict[str, int]:
+    """Branch of every decision the plane takes for one packet, read
+    off the scalar rule: one per node visited, except that a covered
+    decision is the packet's last (it stays, or settles on arrival)."""
+    made = dict.fromkeys(("covered", "prefix_cell", "empty_cell"), 0)
+    apos = overlay._alive_pos_of(src_id)
+    while True:
+        nid = overlay._alive_id_at(apos)
+        if overlay._leaf_covers(apos, key):
+            made["covered"] += 1
+            return made
+        row = shared_prefix_digits(nid, key, overlay.b_bits)
+        col = id_digit(key, row, overlay.b_bits)
+        if overlay._cell_entry(nid, row, col) is not None:
+            made["prefix_cell"] += 1
+        else:
+            made["empty_cell"] += 1
+        nxt = overlay._next_hop(apos, key)
+        if nxt == nid:
+            return made
+        apos = overlay._alive_pos_of(nxt)
+
+
+class TestDecisionCounters:
+    def _batch(self):
+        overlay = _clustered_overlay(SEED)
+        rng = np.random.default_rng(SEED + 1)
+        src, key_hi, key_lo = _sample_packets(overlay, rng, 24)
+        key_hi[::2] |= np.uint64(0xABCDEF00 << 32)
+        # a dead source is a packet but makes no decision
+        overlay.fail_positions(src[:1])
+        return overlay, src, key_hi, key_lo
+
+    def test_counters_sum_to_the_decisions_made(self):
+        overlay, src, key_hi, key_lo = self._batch()
+        want = dict.fromkeys(("covered", "prefix_cell", "empty_cell"), 0)
+        for i in np.flatnonzero(overlay.alive[src]):
+            key = (int(key_hi[i]) << 64) | int(key_lo[i])
+            made = _scalar_decisions(overlay, _id_at(overlay, src[i]), key)
+            for branch, count in made.items():
+                want[branch] += count
+        assert want["empty_cell"] > 0
+
+        metrics = MetricsRegistry()
+        overlay.instrument(metrics)
+        # chunked: the counts add up across chunks, once per call
+        batch = route_many(overlay, src, key_hi, key_lo, chunk_size=7)
+        assert _route_counters(metrics) == {
+            "packets": 24,
+            "decisions_covered": want["covered"],
+            "decisions_prefix_cell": want["prefix_cell"],
+            "decisions_run_scan": want["empty_cell"],
+            "decisions_cap_rescue": 0,
+        }
+        # every packet that arrived took exactly one covered decision
+        assert want["covered"] == int(batch.success.sum())
+
+        # a cap of zero hands every empty cell to the scalar rescue
+        metrics = MetricsRegistry()
+        overlay.instrument(metrics)
+        route_many(overlay, src, key_hi, key_lo, run_scan_cap=0)
+        counts = _route_counters(metrics)
+        assert counts["decisions_run_scan"] == 0
+        assert counts["decisions_cap_rescue"] == want["empty_cell"]
+
+    def test_detached_overlay_reports_nothing(self):
+        overlay, src, key_hi, key_lo = self._batch()
+        metrics = MetricsRegistry()
+        overlay.instrument(metrics)
+        overlay.instrument(None)
+        route_many(overlay, src, key_hi, key_lo)
+        assert _route_counters(metrics) == {}
+
+
 class TestChunkedRouting:
     """Chunked execution must be bitwise-identical to one flat batch
     for any chunk size — the 10^6 memory-bounding mode may not change
     a single row digest (DESIGN.md §6g)."""
-
-    CHUNKS = (1, 7, 60, None)  # 60 == batch size below
 
     def _batch(self, seed=SEED, count=60):
         overlay = _uniform_overlay(300, seed)
@@ -309,10 +617,8 @@ class TestTunnelBatch:
         src, key_hi, key_lo = _sample_packets(overlay, rng, tunnels)
         hop_hi = rng.integers(0, 2**64, size=(tunnels, length), dtype=np.uint64)
         hop_lo = rng.integers(0, 2**64, size=(tunnels, length), dtype=np.uint64)
-        result = route_tunnels(
-            overlay, src, hop_hi, hop_lo, key_hi, key_lo, keep_legs=True
-        )
-        assert len(result.legs) == length + 1
+        result = route_tunnels(overlay, src, hop_hi, hop_lo, key_hi, key_lo)
+        assert result.leg_hops.shape == (tunnels, length + 1)
         for t in range(tunnels):
             cur = (int(overlay.hi[src[t]]) << 64) | int(overlay.lo[src[t]])
             total = 0
@@ -343,6 +649,85 @@ class TestTunnelBatch:
         result = route_tunnels(overlay, src, hop_hi, hop_lo, key_hi, key_lo)
         assert not result.success[:2].any()
         assert result.success[2:].all()
+
+    def _tunnels(self, overlay, num, length, seed=SEED):
+        rng = np.random.default_rng(seed)
+        src, key_hi, key_lo = _sample_packets(overlay, rng, num)
+        hop_hi = rng.integers(0, 2**64, size=(num, length), dtype=np.uint64)
+        hop_lo = rng.integers(0, 2**64, size=(num, length), dtype=np.uint64)
+        return src, hop_hi, hop_lo, key_hi, key_lo
+
+    @pytest.mark.parametrize("chunk_size", CHUNKS)
+    def test_clean_batch_is_one_front_and_equals_the_sequential_stitch(
+            self, chunk_size):
+        overlay = _uniform_overlay(300, SEED)
+        args = self._tunnels(overlay, 25, 3)
+        metrics = MetricsRegistry()
+        overlay.instrument(metrics)
+        result = route_tunnels(overlay, *args, chunk_size=chunk_size)
+        counts = _route_counters(metrics)
+        # every junction was where its hop key said it would be
+        assert counts["legs_rerouted"] == 0
+        assert counts["packets"] == 25 * 4
+        assert result.success.all()
+        _assert_tunnels_match_oracle(overlay, result, *args)
+
+    @pytest.mark.parametrize("chunk_size", CHUNKS)
+    def test_dead_sources_equal_the_sequential_stitch_on_every_row(
+            self, chunk_size):
+        overlay = _uniform_overlay(300, SEED)
+        args = self._tunnels(overlay, 12, 3)
+        overlay.fail_positions(np.unique(args[0][:3]))
+        dead = ~overlay.alive[args[0]]
+        metrics = MetricsRegistry()
+        overlay.instrument(metrics)
+        result = route_tunnels(overlay, *args, chunk_size=chunk_size)
+        assert not result.success[dead].any() and result.success[~dead].all()
+        assert (result.dest_pos[dead] == args[0][dead]).all()
+        assert (result.hops[dead] == 0).all()
+        # each leg behind a dead source was started from a guess
+        assert _route_counters(metrics)["legs_rerouted"] == 3 * int(dead.sum())
+        _assert_tunnels_match_oracle(overlay, result, *args)
+
+    @pytest.mark.parametrize("chunk_size", CHUNKS)
+    def test_hop_limit_in_a_middle_leg_equals_the_sequential_stitch(
+            self, chunk_size):
+        overlay = _uniform_overlay(300, SEED)
+        overlay.MAX_HOPS = 3  # this overlay only: legs needing 3+ hops fail
+        args = self._tunnels(overlay, 30, 3)
+        metrics = MetricsRegistry()
+        overlay.instrument(metrics)
+        result = route_tunnels(overlay, *args, chunk_size=chunk_size)
+        casualty = result.leg_hops == overlay.MAX_HOPS
+        assert (casualty[:, 1:-1].any(axis=1) & ~casualty[:, 0]).any(), (
+            "no tunnel lost a middle leg after a good first one"
+        )
+        assert result.success.any() and not result.success.all()
+        assert _route_counters(metrics)["legs_rerouted"] > 0
+        _assert_tunnels_match_oracle(overlay, result, *args)
+
+    @pytest.mark.parametrize("num, length", ((6, 0), (0, 3), (0, 0)))
+    def test_zero_length_tunnels_and_empty_batches(self, num, length):
+        overlay = _uniform_overlay(300, SEED)
+        args = self._tunnels(overlay, num, length)
+        result = route_tunnels(overlay, *args)
+        assert len(result) == num
+        assert result.leg_hops.shape == (num, length + 1)
+        _assert_tunnels_match_oracle(overlay, result, *args)
+        if num and not length:
+            # the exit leg alone is a plain route
+            direct = route_many(overlay, args[0], args[3], args[4])
+            assert (result.dest_pos == direct.dest_pos).all()
+            assert (result.hops == direct.hops).all()
+
+    def test_ring_with_nobody_alive_fails_every_tunnel_in_place(self):
+        overlay = CompactOverlay.bootstrap(5, seed=SEED)
+        args = self._tunnels(overlay, 4, 2)
+        overlay.fail_positions(np.arange(5))
+        result = route_tunnels(overlay, *args)
+        assert not result.success.any()
+        assert (result.hops == 0).all()
+        assert (result.dest_pos == args[0]).all()
 
 
 class TestLatencySums:

@@ -72,6 +72,26 @@ class TestObservabilityFlags:
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("metric,type,")
 
+    def test_scale_latency_metrics_say_which_branch_packets_took(
+            self, tmp_path, capsys):
+        import json
+
+        target = tmp_path / "metrics.json"
+        assert main(["scale-latency", "--fast",
+                     "--metrics-out", str(target)]) == 0
+        snapshot = json.loads(target.read_text())
+        taken = {
+            branch: snapshot[f"compact.route.decisions_{branch}"]["value"]
+            for branch in ("covered", "prefix_cell", "run_scan", "cap_rescue")
+        }
+        packets = snapshot["compact.route.packets"]["value"]
+        # sources are alive and every route completes: one covered
+        # decision ends each packet, after at least one hop for most
+        assert taken["covered"] == packets > 0
+        assert taken["prefix_cell"] > 0
+        assert sum(taken.values()) > packets
+        assert snapshot["compact.route.legs_rerouted"]["value"] == 0
+
     def test_audit_flag_accepted(self, capsys):
         assert main(["fig6", "--fast", "--audit"]) == 0
         out = capsys.readouterr().out

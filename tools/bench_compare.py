@@ -569,6 +569,11 @@ ROUTE_UNITS = {
 #: this many times faster per route than the scalar hop loop
 BATCH_PAIRS = {
     "compact.route_many_100k": ("compact.route_100k", 20.0),
+    # 128 tunnels x 4 legs: the same 512 routes per call, held to the
+    # same floor — it is cleared only while the legs route as one
+    # front (one after the other, 128-packet legs are dispatch-bound
+    # and sit near x17)
+    "compact.tunnel_batch_100k": ("compact.route_100k", 20.0),
     "route.throughput_1m": ("compact.route_1m", 15.0),
 }
 
