@@ -27,8 +27,6 @@ class PendingReply:
     """What the initiator remembers while a reply is outstanding."""
 
     bid: int
-    temp_keypair: RsaKeyPair
-    reply_hops: list[int]
     callback: Callable[[Any], None] | None = None
     completed: bool = False
 

@@ -104,9 +104,8 @@ class AnonymousRetrieval:
     @staticmethod
     def _decode_request(payload: bytes) -> tuple[int, RsaPublicKey, int, bytes]:
         fid_b, key_b, hop_b, blob = unpack_fields(payload, count=4)
-        n = int.from_bytes(key_b[:-4], "big")
-        e = int.from_bytes(key_b[-4:], "big")
-        return unpack_int(fid_b), RsaPublicKey(n, e), unpack_int(hop_b), blob
+        return (unpack_int(fid_b), RsaPublicKey.from_bytes(key_b),
+                unpack_int(hop_b), blob)
 
     # ------------------------------------------------------------------
     # the responder's work
@@ -229,13 +228,9 @@ class AnonymousRetrieval:
         )
 
         received: list[bytes] = []
-        pending = PendingReply(
-            bid=reply_tunnel.bid,
-            temp_keypair=temp_keys,
-            reply_hops=reply_tunnel.hop_ids,
-            callback=received.append,
+        initiator.register_pending(
+            PendingReply(bid=reply_tunnel.bid, callback=received.append)
         )
-        initiator.register_pending(pending)
 
         request = self._encode_request(fid, temp_keys.public, first_reply_hop, reply_blob)
 
@@ -246,9 +241,15 @@ class AnonymousRetrieval:
             if reply is not None:
                 reply_traces.append(reply)
 
-        forward = self.forwarder.send(
-            initiator, forward_tunnel, destination_id=fid, payload=request, deliver=deliver
-        )
+        # The reply walk runs inside ``send`` (through ``deliver``), so
+        # the registration is dead weight once it returns — or raises —
+        # and a late or replayed walk to this bid must find nothing.
+        try:
+            forward = self.forwarder.send(
+                initiator, forward_tunnel, destination_id=fid, payload=request, deliver=deliver
+            )
+        finally:
+            initiator.pending_replies.pop(reply_tunnel.bid, None)
         reply = reply_traces[0] if reply_traces else None
 
         if not forward.success:
@@ -269,6 +270,4 @@ class AnonymousRetrieval:
         except (SerializationError, RsaError, CipherError) as exc:
             return RetrievalResult(False, None, forward, reply, fid,
                                    failure_reason=f"decryption: {exc}")
-        finally:
-            initiator.pending_replies.pop(reply_tunnel.bid, None)
         return RetrievalResult(True, content, forward, reply, fid)

@@ -8,8 +8,10 @@ face of node failures."
 A :class:`TapSession` is a bidirectional request/response channel from
 an initiator to a server node:
 
-* requests travel through the session's forward tunnel and carry a
-  per-request sequence number plus the reply tunnel blob (§4 style);
+* requests travel through the session's forward tunnel as
+  ``seq ‖ body``; the reply tunnel blob never rides in the payload —
+  it reaches the server side through the delivery closure, which
+  answers down it;
 * responses return over the session's reply tunnel to the initiator's
   ``bid``;
 * the session *maintains itself*: failed round trips trigger a health
@@ -36,7 +38,6 @@ from repro.core.resilience import (
     anchors_reachable,
 )
 from repro.core.tunnel import ReplyTunnel, Tunnel
-from repro.crypto.asymmetric import RsaKeyPair
 from repro.crypto.onion import build_reply_onion, make_fake_onion
 from repro.util.serialize import (
     SerializationError,
@@ -144,12 +145,6 @@ class TapSession:
             initiator, tunnel_length, use_hints=use_hints
         )
         self._fake_rng = system.seeds.pyrandom("session-fake", initiator.node_id)
-        # A lightweight long-lived keypair identifies the session's
-        # pending replies (never used for session payload encryption —
-        # the tunnels' layered crypto covers that).
-        self._pending_keys = RsaKeyPair.generate(
-            system.seeds.pyrandom("session-keys", initiator.node_id), 512
-        )
         self._backoff_rng = system.seeds.pyrandom(
             "session-backoff", initiator.node_id
         )
@@ -203,13 +198,9 @@ class TapSession:
             self.reply.onion_layers(), self.reply.bid, fake
         )
         received: list[bytes] = []
-        pending = PendingReply(
-            bid=self.reply.bid,
-            temp_keypair=self._pending_keys,
-            reply_hops=self.reply.hop_ids,
-            callback=received.append,
+        self.initiator.register_pending(
+            PendingReply(bid=self.reply.bid, callback=received.append)
         )
-        self.initiator.register_pending(pending)
 
         request = pack_fields(pack_int(seq, width=8), body)
 
@@ -228,16 +219,18 @@ class TapSession:
             )
             reply_broken = not reply_trace.success
 
-        trace = self.system.forwarder.send(
-            self.initiator,
-            self.forward,
-            destination_id=self.server.node_id,
-            payload=request,
-            deliver=deliver,
-            max_links=max_links,
-        )
+        try:
+            trace = self.system.forwarder.send(
+                self.initiator,
+                self.forward,
+                destination_id=self.server.node_id,
+                payload=request,
+                deliver=deliver,
+                max_links=max_links,
+            )
+        finally:
+            self.initiator.pending_replies.pop(self.reply.bid, None)
         forward_broken = not trace.success
-        self.initiator.pending_replies.pop(self.reply.bid, None)
 
         if forward_broken:
             return None, "forward"

@@ -221,7 +221,6 @@ class TapSystem:
         self,
         owner: TapNode,
         count: int,
-        relay_path_len: int | None = None,
         max_attempts: int = 5,
     ):
         """Generate and anonymously deploy ``count`` fresh anchors.
@@ -235,9 +234,7 @@ class TapSystem:
             self.tap_node(nid)
             for nid in self._relay_candidate_ids(owner, count * 4)
         ]
-        report = self.deployer.deploy(owner, thas, candidates, max_attempts)
-        del relay_path_len  # path length == batch size in this deployer
-        return report
+        return self.deployer.deploy(owner, thas, candidates, max_attempts)
 
     def _relay_candidate_ids(self, owner: TapNode, want: int) -> list[int]:
         rng = self.seeds.pyrandom("relay-candidates", owner.node_id, len(owner.owned_thas))

@@ -124,6 +124,17 @@ class RsaPublicKey:
         width = self.modulus_bytes
         return self.n.to_bytes(width, "big") + self.e.to_bytes(4, "big")
 
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "RsaPublicKey":
+        """Decode :meth:`to_bytes` output received from a peer.
+
+        Fails closed: input too short to hold a modulus ahead of the
+        4-byte exponent decodes to ``n = 0``, which — like ``n <= 3``
+        or ``e <= 1`` generally — raises :class:`RsaError`.
+        """
+        return cls(int.from_bytes(data[:-4], "big"),
+                   int.from_bytes(data[-4:], "big"))
+
     def _encrypt_int(self, m: int) -> int:
         if not 0 <= m < self.n:
             raise RsaError("plaintext integer out of range")

@@ -112,12 +112,7 @@ class AnonymousMail:
 
         # Long-lived registration: replies may arrive after churn.
         sender.register_pending(
-            PendingReply(
-                bid=reply_tunnel.bid,
-                temp_keypair=temp_keys,
-                reply_hops=reply_tunnel.hop_ids,
-                callback=on_response,
-            )
+            PendingReply(bid=reply_tunnel.bid, callback=on_response)
         )
 
         payload = pack_fields(
@@ -133,14 +128,12 @@ class AnonymousMail:
                 return
             try:
                 eid_b, body_, hop_b, blob_, key_b = unpack_fields(data, count=5)
-                n = int.from_bytes(key_b[:-4], "big")
-                e = int.from_bytes(key_b[-4:], "big")
                 envelope = Envelope(
                     envelope_id=unpack_int(eid_b, width=8),
                     body=body_,
                     reply_first_hop=unpack_int(hop_b),
                     reply_blob=blob_,
-                    response_key=RsaPublicKey(n, e),
+                    response_key=RsaPublicKey.from_bytes(key_b),
                 )
             except (SerializationError, RsaError, ValueError):
                 return

@@ -74,9 +74,8 @@ class ServiceRecord:
     def decode(cls, blob: bytes) -> "ServiceRecord":
         try:
             hop_b, tunnel_blob, key_b = unpack_fields(blob, count=3)
-            n = int.from_bytes(key_b[:-4], "big")
-            e = int.from_bytes(key_b[-4:], "big")
-            return cls(unpack_int(hop_b), tunnel_blob, RsaPublicKey(n, e))
+            return cls(unpack_int(hop_b), tunnel_blob,
+                       RsaPublicKey.from_bytes(key_b))
         except (SerializationError, RsaError, ValueError) as exc:
             raise ServiceError(f"malformed service record: {exc}") from exc
 
@@ -133,12 +132,7 @@ class MutualAnonymity:
             self._serve(service, payload)
 
         provider.register_pending(
-            PendingReply(
-                bid=inbound.bid,
-                temp_keypair=keypair,
-                reply_hops=inbound.hop_ids,
-                callback=on_request,
-            )
+            PendingReply(bid=inbound.bid, callback=on_request)
         )
 
         record = ServiceRecord(entry_hop, blob, keypair.public)
@@ -152,9 +146,7 @@ class MutualAnonymity:
             plain = service.keypair.decrypt(payload)
             body, r_first_b, r_blob, r_key_b = unpack_fields(plain, count=4)
             r_first = unpack_int(r_first_b)
-            n = int.from_bytes(r_key_b[:-4], "big")
-            e = int.from_bytes(r_key_b[-4:], "big")
-            response_key = RsaPublicKey(n, e)
+            response_key = RsaPublicKey.from_bytes(r_key_b)
         except (RsaError, SerializationError, ValueError):
             return  # undecipherable request: drop silently
         service.served += 1
@@ -199,12 +191,7 @@ class MutualAnonymity:
 
         received: list[bytes] = []
         requester.register_pending(
-            PendingReply(
-                bid=reply_tunnel.bid,
-                temp_keypair=temp_keys,
-                reply_hops=reply_tunnel.hop_ids,
-                callback=received.append,
-            )
+            PendingReply(bid=reply_tunnel.bid, callback=received.append)
         )
 
         request_plain = pack_fields(
@@ -219,13 +206,15 @@ class MutualAnonymity:
                 entry_node, record.entry_hop_id, record.tunnel_blob, payload
             )
 
-        trace = self.system.forwarder.send(
-            requester, forward_tunnel,
-            destination_id=record.entry_hop_id,
-            payload=request,
-            deliver=deliver,
-        )
-        requester.pending_replies.pop(reply_tunnel.bid, None)
+        try:
+            trace = self.system.forwarder.send(
+                requester, forward_tunnel,
+                destination_id=record.entry_hop_id,
+                payload=request,
+                deliver=deliver,
+            )
+        finally:
+            requester.pending_replies.pop(reply_tunnel.bid, None)
 
         if not received:
             return None, trace

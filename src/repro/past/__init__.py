@@ -1,4 +1,4 @@
-"""PAST storage substrate: replicated and erasure-coded backends.
+"""PAST storage substrate: one placement core, two durability policies.
 
 Reproduces the storage semantics TAP relies on (Rowstron & Druschel,
 SOSP 2001, and FreePastry's replication manager): an object inserted
@@ -8,10 +8,14 @@ numerically closest to ``key``; the closest is the *root* (TAP's
 maintained across joins, leaves and failures, so the object remains
 reachable unless all ``k`` holders fail before repair runs.
 
-Two backends satisfy the :class:`ObjectStore` protocol:
+Who holds what — the holder index, the intended-holder sets, the
+hand-off on membership events, the §3.4 delete walk — is written once,
+in :class:`~repro.past.placement.PlacementCore`.  The two backends
+subclass it, satisfy the :class:`ObjectStore` protocol, and differ
+only in durability policy:
 
-* :class:`ReplicatedStore` — plain k-copy replication (the paper's
-  baseline);
+* :class:`ReplicatedStore` — k full copies, a lost one re-copied from
+  the closest survivor (the paper's baseline);
 * :class:`ErasureStore` — k-of-n coded shares with hash-tree
   integrity, leases, and a background :class:`RepairCrawler`.
 """

@@ -108,14 +108,14 @@ class RepairCrawler:
     def _scan_key(self, key: int, report: CrawlReport) -> int:
         """Verify, renew and repair one object; returns bytes moved."""
         store = self.store
-        placements = store._placements.get(key)
-        if placements is None:
+        holders = store.holders(key)
+        if not holders:
             return 0
         report.keys_scanned += 1
         needs_repair = False
-        live = sorted(h for h in placements if store.network.is_alive(h))
+        live = sorted(h for h in holders if store.network.is_alive(h))
         for holder in live:
-            share = store._stored_share(holder, key)
+            share = store.stored_share(holder, key)
             if share is None:
                 needs_repair = True
                 continue
@@ -131,14 +131,13 @@ class RepairCrawler:
         if len(live) < store.n or needs_repair or set(live) != set(
             store.replica_set(key)
         ):
-            before = key in store._placements
             moved, nbytes = store.repair_key(key)
             if moved:
                 report.objects_repaired += 1
                 report.shares_rebuilt += moved
                 report.bytes_moved += nbytes
                 store._charge_repair(moved, nbytes)
-            if before and key not in store._placements:
+            if not store.holders(key):
                 report.objects_lost += 1
             return nbytes
         return 0

@@ -35,18 +35,13 @@ per-epoch bandwidth budget).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 from repro.past.coding import decode, encode
 from repro.past.hashtree import HashTree, PathElement, verify_share
-from repro.past.interface import repair_latency_s
-from repro.past.replication import ReplicationError
-from repro.past.storage import Storage, StorageError, StoredObject
+from repro.past.placement import PlacementCore, ReplicationError
+from repro.past.storage import StorageError, StoredObject
 from repro.pastry.network import PastryNetwork
-from repro.util.ids import ID_SPACE, ring_distance
 
 
 @dataclass(frozen=True)
@@ -77,13 +72,13 @@ class CodedShare:
         return len(self.data)
 
 
-class ErasureStore:
+class ErasureStore(PlacementCore):
     """k-of-n coded storage over a :class:`PastryNetwork`.
 
-    Mirrors :class:`repro.past.replication.ReplicatedStore`'s surface
-    (it satisfies the same :class:`~repro.past.interface.ObjectStore`
-    protocol) while holding shares instead of copies.  Shares live in
-    real per-node :class:`Storage` instances, so a malicious holder
+    The same placement core and :class:`~repro.past.interface
+    .ObjectStore` surface as :class:`repro.past.replication
+    .ReplicatedStore`, holding shares instead of copies.  Shares live
+    in real per-node :class:`Storage` instances, so a malicious holder
     sees exactly one share — strictly *less* plaintext than a
     replication holder sees, a free anonymity bonus the durability
     experiment does not even claim credit for.
@@ -106,86 +101,20 @@ class ErasureStore:
             raise ValueError("total_shares must be >= data_shares")
         if lease_term < 1:
             raise ValueError("lease_term must be >= 1")
-        self.network = network
+        super().__init__(network, total_shares, "erasure", "share",
+                         metrics, tracer, backend="erasure")
         self.k = data_shares
         self.n = total_shares
         self.lease_term = lease_term
         self.eager_repair = eager_repair
-        self.metrics = metrics
-        self.tracer = tracer
         #: the store's logical lease clock (advanced by the epoch loop)
         self.epoch = 0
-        self.storages: dict[int, Storage] = {}
-        #: key -> node id -> share index currently attributed there
-        self._placements: dict[int, dict[int, int]] = {}
-        self._sorted_keys: list[int] = []
         #: per-node lease-clock skew in epochs (fault-injected)
         self._clock_skew: dict[int, int] = {}
-        #: observers notified as (key, node_id) on share placement
-        self.on_replica_placed: list[Callable[[int, int], None]] = []
-        # replica-candidate memo, valid for one membership epoch
-        self._cache_epoch = -1
-        self._candidates_cache: dict[int, tuple[list[int], frozenset[int]]] = {}
-        self._root_cache: dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None and amount:
-            self.metrics.counter(name).inc(amount)
-
-    def _charge_repair(self, objects: int, nbytes: int) -> None:
-        """Account one repair action in the shared indicator scheme."""
-        if self.metrics is None or not objects:
-            return
-        self.metrics.counter("erasure.repair.objects_moved").inc(objects)
-        self.metrics.counter("erasure.repair.bytes_moved").inc(nbytes)
-        self.metrics.histogram("erasure.repair.latency_s").observe(
-            repair_latency_s(nbytes)
-        )
-
-    def storage_of(self, node_id: int) -> Storage:
-        store = self.storages.get(node_id)
-        if store is None:
-            store = self.storages[node_id] = Storage(node_id)
-        return store
-
-    def _fresh_caches(self) -> None:
-        epoch = self.network.membership_epoch
-        if epoch != self._cache_epoch:
-            self._candidates_cache.clear()
-            self._root_cache.clear()
-            self._cache_epoch = epoch
-
-    def _candidate_entry(self, key: int) -> tuple[list[int], frozenset[int]]:
-        self._fresh_caches()
-        entry = self._candidates_cache.get(key)
-        if entry is None:
-            members = self.network.replica_candidates(key, self.n)
-            entry = self._candidates_cache[key] = (members, frozenset(members))
-        return entry
-
-    def replica_set(self, key: int) -> list[int]:
-        """The intended share-holder set: the n closest alive nodes."""
-        return list(self._candidate_entry(key)[0])
-
-    def replica_membership(self, key: int) -> frozenset[int]:
-        return self._candidate_entry(key)[1]
-
-    def holders(self, key: int) -> set[int]:
-        return set(self._placements.get(key, ()))
 
     def share_index_of(self, key: int, node_id: int) -> int | None:
         """Which share index ``node_id`` is attributed (None = none)."""
-        return self._placements.get(key, {}).get(node_id)
-
-    def root(self, key: int) -> int:
-        self._fresh_caches()
-        root = self._root_cache.get(key)
-        if root is None:
-            root = self._root_cache[key] = self.network.closest_alive(key)
-        return root
+        return self._index.get(key, {}).get(node_id)
 
     def node_epoch(self, node_id: int) -> int:
         """The lease clock as ``node_id`` sees it (epoch + skew)."""
@@ -201,35 +130,17 @@ class ErasureStore:
     # ------------------------------------------------------------------
     # placement plumbing
     # ------------------------------------------------------------------
-    def _place(self, node_id: int, share: CodedShare) -> None:
-        self.storage_of(node_id).insert(
+    def _place_share(self, node_id: int, share: CodedShare) -> None:
+        self._place(
+            node_id,
             StoredObject(share.key, share, share.delete_proof_hash,
                          share.meta),
-            overwrite=True,
+            share.index,
         )
-        placements = self._placements.setdefault(share.key, {})
-        if not placements:
-            insort(self._sorted_keys, share.key)
-        placements[node_id] = share.index
-        self._count("erasure.share.placements")
-        for callback in self.on_replica_placed:
-            callback(share.key, node_id)
 
-    def _unplace(self, node_id: int, key: int) -> None:
-        self.storage_of(node_id).drop(key)
-        placements = self._placements.get(key)
-        if placements is not None:
-            placements.pop(node_id, None)
-            if not placements:
-                self._forget_key(key)
-
-    def _forget_key(self, key: int) -> None:
-        self._placements.pop(key, None)
-        pos = bisect_left(self._sorted_keys, key)
-        if pos < len(self._sorted_keys) and self._sorted_keys[pos] == key:
-            del self._sorted_keys[pos]
-
-    def _stored_share(self, node_id: int, key: int) -> CodedShare | None:
+    def stored_share(self, node_id: int, key: int) -> CodedShare | None:
+        """The share ``node_id`` holds locally under ``key`` (None if
+        none), read without creating a storage for the node."""
         storage = self.storages.get(node_id)
         if storage is None or not storage.contains(key):
             return None
@@ -240,21 +151,15 @@ class ErasureStore:
         """index -> share, one per live holder (optionally verified).
 
         Preference between two live holders of the same index goes to
-        the one closer to the key (ties by id) — the deterministic
-        choice every backend path makes.
+        the one closer to the key (:meth:`_live_holders` order).
         """
         out: dict[int, CodedShare] = {}
-        holders = sorted(
-            (h for h in self._placements.get(key, ())
-             if self.network.is_alive(h)),
-            key=lambda h: (ring_distance(h, key), h),
-        )
-        for holder in holders:
-            share = self._stored_share(holder, key)
+        for holder in self._live_holders(key):
+            share = self.stored_share(holder, key)
             if share is None or share.index in out:
                 continue
             if verified and not share.verify():
-                self._count("erasure.share.corrupt_skipped")
+                self._count("share.corrupt_skipped")
                 continue
             out[share.index] = share
         return out
@@ -290,7 +195,7 @@ class ErasureStore:
         meta: dict | None = None,
     ) -> StoredObject:
         """Code ``value`` into n shares on the n closest alive nodes."""
-        if key in self._placements:
+        if key in self._index:
             raise ReplicationError(f"key {key:#x} already inserted")
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError("erasure coding stores byte strings")
@@ -300,8 +205,8 @@ class ErasureStore:
         )
         targets = self.replica_set(key)
         for share, node_id in zip(shares, targets):
-            self._place(node_id, share)
-        self._count("erasure.objects.inserted")
+            self._place_share(node_id, share)
+        self._count("objects.inserted")
         return StoredObject(key, bytes(value), delete_proof_hash, meta or {})
 
     def fetch(
@@ -320,17 +225,16 @@ class ErasureStore:
         beyond the first k so one slow/corrupt share does not force a
         second round trip.
         """
-        placements = self._placements.get(key)
+        placements = self._index.get(key)
         if not placements:
             raise StorageError(f"key {key:#x} not stored anywhere")
         if requester_id is not None and requester_id not in self.replica_membership(key):
             raise ReplicationError(
                 f"node {requester_id:#x} is outside the replica set of {key:#x}"
             )
-        live = [h for h in placements if self.network.is_alive(h)]
+        live = self._live_holders(key)
         if not live:
             raise StorageError(f"all shares of {key:#x} are dead")
-        live.sort(key=lambda h: (ring_distance(h, key), h))
         if health is not None:
             live = health.order(live)
         hedge = getattr(policy, "hedge", 0) if policy is not None else 0
@@ -342,12 +246,12 @@ class ErasureStore:
             if len(gathered) >= self.k and probed >= self.k + hedge:
                 break
             probed += 1
-            share = self._stored_share(holder, key)
+            share = self.stored_share(holder, key)
             ok = share is not None and share.verify()
             if health is not None:
                 health.record(holder, ok)
             if not ok:
-                self._count("erasure.share.corrupt_skipped",
+                self._count("share.corrupt_skipped",
                             0 if share is None else 1)
                 continue
             exemplar = exemplar or share
@@ -358,8 +262,8 @@ class ErasureStore:
                 f"need {self.k}"
             )
         if probed > len(gathered) or len(live) < len(placements):
-            self._count("erasure.fetch.degraded")
-        self._count("erasure.fetch.ok")
+            self._count("fetch.degraded")
+        self._count("fetch.ok")
         value = decode(
             {i: s.data for i, s in gathered.items()},
             self.k, self.n, exemplar.length,
@@ -369,34 +273,24 @@ class ErasureStore:
         )
 
     def delete(self, key: int, proof: bytes) -> bool:
-        """Delete from every holder whose share accepts the PW (§3.4)."""
-        placements = self._placements.get(key)
-        if not placements:
-            return False
-        deleted_any = False
-        for node_id in list(placements):
-            if self.storage_of(node_id).delete(key, proof):
-                self._unplace(node_id, key)
-                deleted_any = True
+        """The core's §3.4 delete walk, counted per object."""
+        deleted_any = super().delete(key, proof)
         if deleted_any:
-            self._count("erasure.objects.deleted")
+            self._count("objects.deleted")
         return deleted_any
 
     def exists(self, key: int) -> bool:
         """Decodable right now: at least k shares on live holders."""
-        live = [h for h in self._placements.get(key, ())
+        live = [h for h in self._index.get(key, ())
                 if self.network.is_alive(h)]
         return len(live) >= self.k
-
-    def all_keys(self) -> list[int]:
-        return list(self._sorted_keys)
 
     # ------------------------------------------------------------------
     # fault hooks
     # ------------------------------------------------------------------
     def corrupt_replica(self, node_id: int, key: int) -> bool:
         """Flip one bit of the share held by ``node_id`` (bit-rot)."""
-        share = self._stored_share(node_id, key)
+        share = self.stored_share(node_id, key)
         if share is None or not share.data:
             return False
         rotten = replace(
@@ -406,7 +300,7 @@ class ErasureStore:
             StoredObject(key, rotten, rotten.delete_proof_hash, rotten.meta),
             overwrite=True,
         )
-        self._count("erasure.faults.bitrot")
+        self._count("faults.bitrot")
         return True
 
     # ------------------------------------------------------------------
@@ -417,21 +311,21 @@ class ErasureStore:
         self.epoch += 1
         expired = 0
         for key in list(self._sorted_keys):
-            for node_id in list(self._placements.get(key, ())):
+            for node_id in list(self._index.get(key, ())):
                 if not self.network.is_alive(node_id):
                     continue
-                share = self._stored_share(node_id, key)
+                share = self.stored_share(node_id, key)
                 if share is None:
                     continue
                 if self.node_epoch(node_id) > share.lease_expiry:
                     self._unplace(node_id, key)
                     expired += 1
-        self._count("erasure.lease.expired_drops", expired)
+        self._count("lease.expired_drops", expired)
         return self.epoch
 
     def renew_lease(self, node_id: int, key: int) -> bool:
         """Extend the lease of one held share to ``epoch + lease_term``."""
-        share = self._stored_share(node_id, key)
+        share = self.stored_share(node_id, key)
         if share is None:
             return False
         renewed = replace(share, lease_expiry=self.epoch + self.lease_term)
@@ -452,7 +346,7 @@ class ErasureStore:
         k shares read to decode and every share written.  Objects with
         fewer than k healthy shares are lost (dropped from the index).
         """
-        placements = self._placements.get(key)
+        placements = self._index.get(key)
         if placements is None:
             return (0, 0)
         healthy = self._live_shares(key, verified=True)
@@ -470,13 +364,13 @@ class ErasureStore:
             if not self.network.is_alive(node_id):
                 placements.pop(node_id, None)
                 continue
-            share = self._stored_share(node_id, key)
+            share = self.stored_share(node_id, key)
             if node_id not in intended_set:
                 self._unplace(node_id, key)
             elif share is None or not share.verify():
                 self._unplace(node_id, key)
 
-        placements = self._placements.get(key, {})
+        placements = self._index.get(key, {})
         held_indices = set(placements.values())
         missing_indices = [i for i in range(self.n) if i not in held_indices]
         vacant = [nid for nid in intended if nid not in placements]
@@ -496,27 +390,20 @@ class ErasureStore:
         moved = 0
         nbytes = sum(s.nbytes() for s in list(healthy.values())[: self.k])
         for node_id, index in zip(vacant, missing_indices):
-            self._place(node_id, shares[index])
+            self._place_share(node_id, shares[index])
             moved += 1
             nbytes += shares[index].nbytes()
         return (moved, nbytes)
 
     def _drop_object(self, key: int) -> None:
-        for node_id in list(self._placements.get(key, ())):
+        for node_id in list(self._index.get(key, ())):
             self._unplace(node_id, key)
         self._forget_key(key)
-        self._count("erasure.objects.lost")
+        self._count("objects.lost")
 
     # ------------------------------------------------------------------
     # membership hooks
     # ------------------------------------------------------------------
-    def _repair_span(self, event: str, node_id: int):
-        tr = self.tracer
-        if tr is None:
-            return nullcontext()
-        return tr.span("failover.repair", observer="hop", event=event,
-                       hop_node=node_id, backend="erasure")
-
     def on_fail(self, node_id: int) -> None:
         """React to a holder crash (call after ``network.fail``).
 
@@ -527,17 +414,16 @@ class ErasureStore:
         storage = self.storages.get(node_id)
         if storage is None:
             return
-        self._count("erasure.repair.on_fail")
         with self._repair_span("fail", node_id):
             for key in storage.keys():
-                placements = self._placements.get(key)
+                placements = self._index.get(key)
                 if placements is None:
                     continue
                 placements.pop(node_id, None)
                 live = [h for h in placements if self.network.is_alive(h)]
                 if not live:
                     self._forget_key(key)
-                    self._count("erasure.objects.lost")
+                    self._count("objects.lost")
                     continue
                 if self.eager_repair:
                     moved, nbytes = self.repair_key(key)
@@ -545,64 +431,16 @@ class ErasureStore:
         # the dead node keeps its unreachable local shares; revive
         # reconciliation purges whatever the index no longer attributes
 
-    def on_join(self, node_id: int) -> None:
-        """Hand the newcomer the shares it is now responsible for."""
-        self._count("erasure.repair.on_join")
-        with self._repair_span("join", node_id):
-            self._reconcile_storage(node_id)
-            if self.eager_repair:
-                self._adopt(node_id)
-
-    def on_revive(self, node_id: int) -> None:
-        """Reconcile a returning holder: purge stale shares, re-adopt."""
-        self._count("erasure.repair.on_revive")
-        with self._repair_span("revive", node_id):
-            self._reconcile_storage(node_id)
-            if self.eager_repair:
-                self._adopt(node_id)
-
-    def _reconcile_storage(self, node_id: int) -> int:
-        storage = self.storages.get(node_id)
-        if storage is None:
-            return 0
-        purged = 0
-        for key in storage.keys():
-            if node_id not in self._placements.get(key, ()):
-                storage.drop(key)
-                purged += 1
-        self._count("erasure.share.stale_purged", purged)
-        return purged
-
     def _adopt(self, node_id: int) -> None:
-        """Pull every nearby key back to its intended holder set."""
+        """Pull every nearby key back to its intended holder set (eager
+        mode; a lazy store leaves it to the crawler)."""
+        if not self.eager_repair:
+            return
         for key in self._keys_near(node_id):
             if node_id not in self.replica_membership(key):
                 continue
             moved, nbytes = self.repair_key(key)
             self._charge_repair(moved, nbytes)
-
-    def _keys_near(self, node_id: int) -> list[int]:
-        """Keys whose intended n-closest set could include ``node_id``
-        (same arc argument as ``ReplicatedStore._keys_near``)."""
-        if not self._sorted_keys:
-            return []
-        ids = self.network.alive_ids
-        count = len(ids)
-        if count <= self.n + 1:
-            return list(self._sorted_keys)
-        pos = bisect_left(ids, node_id)
-        if pos >= count or ids[pos] != node_id:
-            raise ReplicationError(f"node {node_id:#x} is not alive")
-        pred_k = ids[(pos - self.n) % count]
-        succ_k = ids[(pos + self.n) % count]
-        cw_limit = (succ_k - node_id) % ID_SPACE
-        ccw_limit = (node_id - pred_k) % ID_SPACE
-        return [
-            key
-            for key in self._sorted_keys
-            if (key - node_id) % ID_SPACE <= cw_limit
-            or (node_id - key) % ID_SPACE <= ccw_limit
-        ]
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -611,7 +449,7 @@ class ErasureStore:
         """Keys currently below a verified share per intended holder."""
         out = []
         for key in self._sorted_keys:
-            placements = self._placements.get(key, {})
+            placements = self._index.get(key, {})
             live = {h: i for h, i in placements.items()
                     if self.network.is_alive(h)}
             if len(live) < self.n or set(live) != set(self.replica_set(key)):
@@ -627,7 +465,7 @@ class ErasureStore:
         """
         problems: list[str] = []
         for key in self._sorted_keys:
-            placements = self._placements.get(key, {})
+            placements = self._index.get(key, {})
             live = {h: i for h, i in placements.items()
                     if self.network.is_alive(h)}
             intended = set(self.replica_set(key))
@@ -639,7 +477,7 @@ class ErasureStore:
             if len(set(live.values())) != len(live):
                 problems.append(f"key {key:#x}: duplicate share indices")
             for holder in live:
-                share = self._stored_share(holder, key)
+                share = self.stored_share(holder, key)
                 if share is None:
                     problems.append(
                         f"key {key:#x}: holder {holder:#x} has no share"

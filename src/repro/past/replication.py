@@ -14,27 +14,21 @@ lost: exactly the failure mode TAP's Figure 2 quantifies.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from contextlib import nullcontext
-from typing import Any, Callable, Iterable
+from typing import Any
 
-from repro.past.interface import repair_latency_s, value_nbytes
-from repro.past.storage import Storage, StorageError, StoredObject
+from repro.past.interface import value_nbytes
+from repro.past.placement import PlacementCore, ReplicationError
+from repro.past.storage import StorageError, StoredObject
 from repro.pastry.network import PastryNetwork
-from repro.util.ids import ID_SPACE, ring_distance
 
 
-class ReplicationError(RuntimeError):
-    """Raised when an operation cannot satisfy replication invariants."""
-
-
-class ReplicatedStore:
+class ReplicatedStore(PlacementCore):
     """k-closest replicated storage over a :class:`PastryNetwork`.
 
-    A single store manages all objects in the overlay; per-node
-    :class:`Storage` instances hold the actual replicas, so reads go
-    through real node-local state (a malicious holder *does* see the
-    plaintext object — the property TAP's collusion analysis needs).
+    The durability policy is the plain one: every holder keeps a full
+    copy, so a malicious holder *does* see the plaintext object — the
+    property TAP's collusion analysis needs — and a lost copy is
+    restored by copying from the closest surviving holder.
     """
 
     def __init__(
@@ -46,124 +40,14 @@ class ReplicatedStore:
     ):
         if replication_factor < 1:
             raise ValueError("replication factor must be >= 1")
-        self.network = network
+        super().__init__(network, replication_factor, "past", "replica",
+                         metrics, tracer)
         self.k = replication_factor
-        #: optional :class:`repro.obs.MetricsRegistry`
-        self.metrics = metrics
-        #: optional :class:`repro.obs.SpanTracer`; membership repairs
-        #: become ``failover.repair`` spans
-        self.tracer = tracer
-        #: per-node replica storage, created lazily by
-        #: :meth:`storage_of` — forked systems (repro.perf.snapshot)
-        #: only ever pay for the nodes that actually hold objects
-        self.storages: dict[int, Storage] = {}
-        #: global index key -> set of node ids currently holding it
-        self._holders: dict[int, set[int]] = {}
-        self._sorted_keys: list[int] = []
-        #: observers notified as (event, key, node_id) when a replica is
-        #: placed; the collusion adversary subscribes here.
-        self.on_replica_placed: list[Callable[[int, int], None]] = []
-        # replica_set/root memoisation, valid for one membership epoch:
-        # the repair loops recompute the same k-closest sets for the
-        # same keys many times between membership changes.
-        self._cache_epoch = -1
-        self._replica_set_cache: dict[int, tuple[list[int], frozenset[int]]] = {}
-        self._root_cache: dict[int, int] = {}
 
-    def _fresh_caches(self) -> None:
-        epoch = self.network.membership_epoch
-        if epoch != self._cache_epoch:
-            self._replica_set_cache.clear()
-            self._root_cache.clear()
-            self._cache_epoch = epoch
-
-    def _replica_set_entry(self, key: int) -> tuple[list[int], frozenset[int]]:
-        self._fresh_caches()
-        entry = self._replica_set_cache.get(key)
-        if entry is None:
-            members = self.network.replica_candidates(key, self.k)
-            entry = self._replica_set_cache[key] = (members, frozenset(members))
-            if self.metrics is not None:
-                self.metrics.counter("past.replica_set.misses").inc()
-        elif self.metrics is not None:
-            self.metrics.counter("past.replica_set.hits").inc()
-        return entry
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _charge_repair(self, objects: int, nbytes: int) -> None:
-        """Account one repair action: replicas moved, bytes shipped,
-        and the virtual transfer latency at the nominal link bandwidth
-        (:data:`repro.past.interface.REPAIR_BANDWIDTH_BPS`) — the same
-        indicator scheme the erasure backend reports, so the two
-        repair-bandwidth profiles compare directly."""
-        if self.metrics is None or not objects:
-            return
-        self.metrics.counter("past.repair.objects_moved").inc(objects)
-        self.metrics.counter("past.repair.bytes_moved").inc(nbytes)
-        self.metrics.histogram("past.repair.latency_s").observe(
-            repair_latency_s(nbytes)
-        )
-
-    def storage_of(self, node_id: int) -> Storage:
-        store = self.storages.get(node_id)
-        if store is None:
-            store = self.storages[node_id] = Storage(node_id)
-        return store
-
-    def replica_set(self, key: int) -> list[int]:
-        """The *intended* replica set right now (k closest alive).
-
-        Memoised per membership epoch — callers get a fresh copy, so
-        mutating the return value never corrupts the cache.
-        """
-        return list(self._replica_set_entry(key)[0])
-
-    def replica_membership(self, key: int) -> frozenset[int]:
-        """The intended replica set as a frozenset, for membership
-        tests (same epoch-scoped cache as :meth:`replica_set`)."""
-        return self._replica_set_entry(key)[1]
-
-    def holders(self, key: int) -> set[int]:
-        """Nodes currently holding a replica (may lag the intended set)."""
-        return set(self._holders.get(key, ()))
-
-    def root(self, key: int) -> int:
-        """The replica root — TAP's tunnel hop node for this key.
-
-        Memoised per membership epoch alongside :meth:`replica_set`.
-        """
-        self._fresh_caches()
-        root = self._root_cache.get(key)
-        if root is None:
-            root = self._root_cache[key] = self.network.closest_alive(key)
-        return root
-
-    def _place(self, node_id: int, obj: StoredObject) -> None:
-        self.storage_of(node_id).insert(obj, overwrite=True)
-        holders = self._holders.setdefault(obj.key, set())
-        if not holders:
-            insort(self._sorted_keys, obj.key)
-        holders.add(node_id)
-        if self.metrics is not None:
-            self.metrics.counter("past.replica.placements").inc()
-        for callback in self.on_replica_placed:
-            callback(obj.key, node_id)
-
-    def _unplace(self, node_id: int, key: int) -> None:
-        self.storage_of(node_id).drop(key)
-        holders = self._holders.get(key)
-        if holders is not None:
-            holders.discard(node_id)
-            if not holders:
-                self._forget_key(key)
-
-    def _forget_key(self, key: int) -> None:
-        self._holders.pop(key, None)
-        pos = bisect_left(self._sorted_keys, key)
-        if pos < len(self._sorted_keys) and self._sorted_keys[pos] == key:
-            del self._sorted_keys[pos]
+    # perfbench/tracer.py patches its targets through vars(owner), so
+    # these two must be bound in this class body, not merely inherited.
+    storage_of = PlacementCore.storage_of
+    on_revive = PlacementCore.on_revive
 
     # ------------------------------------------------------------------
     # client operations
@@ -176,7 +60,7 @@ class ReplicatedStore:
         meta: dict | None = None,
     ) -> StoredObject:
         """Insert an object onto the k closest alive nodes."""
-        if key in self._holders:
+        if key in self._index:
             raise ReplicationError(f"key {key:#x} already inserted")
         obj = StoredObject(key, value, delete_proof_hash, meta or {})
         for node_id in self.replica_set(key):
@@ -191,39 +75,22 @@ class ReplicatedStore:
         through the overlay.  (Owners read nothing — they already know
         their THAs; they only ever *delete*, presenting PW.)
         """
-        holders = self._holders.get(key)
-        if not holders:
+        if key not in self._index:
             raise StorageError(f"key {key:#x} not stored anywhere")
-        live = [h for h in holders if self.network.is_alive(h)]
+        live = self._live_holders(key)
         if not live:
             raise StorageError(f"all replicas of {key:#x} are dead")
         if requester_id is not None and requester_id not in self.replica_membership(key):
             raise ReplicationError(
                 f"node {requester_id:#x} is outside the replica set of {key:#x}"
             )
-        best = min(live, key=lambda h: (ring_distance(h, key), h))
-        return self.storage_of(best).lookup(key)
-
-    def delete(self, key: int, proof: bytes) -> bool:
-        """Delete from every live holder given the owner's PW (§3.4)."""
-        holders = list(self._holders.get(key, ()))
-        if not holders:
-            return False
-        deleted_any = False
-        for node_id in holders:
-            if self.storage_of(node_id).delete(key, proof):
-                self._unplace(node_id, key)
-                deleted_any = True
-        return deleted_any
+        return self.storage_of(live[0]).lookup(key)
 
     def exists(self, key: int) -> bool:
         """Reachable: at least one *live* holder has the object."""
         return any(
-            self.network.is_alive(h) for h in self._holders.get(key, ())
+            self.network.is_alive(h) for h in self._index.get(key, ())
         )
-
-    def all_keys(self) -> list[int]:
-        return list(self._sorted_keys)
 
     # ------------------------------------------------------------------
     # membership events
@@ -237,30 +104,18 @@ class ReplicatedStore:
         storage = self.storages.get(node_id)
         if storage is None:
             return
-        if self.metrics is not None:
-            self.metrics.counter("past.repair.on_fail").inc()
-        tr = self.tracer
-        cm = tr.span("failover.repair", observer="hop", event="fail",
-                     hop_node=node_id) if tr else nullcontext()
-        with cm as span:
+        with self._repair_span("fail", node_id) as span:
             copied = lost = 0
             for key in storage.keys():
-                holders = self._holders.get(key, set())
-                holders.discard(node_id)
-                live = [h for h in holders if self.network.is_alive(h)]
+                holders = self._index.get(key, {})
+                holders.pop(node_id, None)
+                live = self._live_holders(key)
                 if not live:
                     self._forget_key(key)
                     lost += 1
-                    if self.metrics is not None:
-                        self.metrics.counter("past.objects.lost").inc()
+                    self._count("objects.lost")
                     continue
-                # Copy from the live holder numerically closest to the key
-                # (ties by id): the same deterministic choice fetch/on_join
-                # make, so re-replication traces are seed-stable regardless
-                # of set-iteration order.
-                source = self.storage_of(
-                    min(live, key=lambda h: (ring_distance(h, key), h))
-                ).lookup(key)
+                source = self.storage_of(live[0]).lookup(key)
                 moved = 0
                 for target in self.replica_set(key):
                     if target not in holders:
@@ -273,117 +128,22 @@ class ReplicatedStore:
         # The dead node keeps its (now unreachable) local copies; if it
         # ever rejoins, on_join/on_revive will reconcile.
 
-    def on_join(self, node_id: int) -> None:
-        """Hand the newcomer the replicas it is now responsible for.
-
-        Call *after* ``network.join(node_id)``.  Also trims holders
-        that dropped out of the intended k-closest set, and purges any
-        stale local copies left over if the id previously lived (and
-        died) in the overlay.
-        """
-        if self.metrics is not None:
-            self.metrics.counter("past.repair.on_join").inc()
-        tr = self.tracer
-        cm = tr.span("failover.repair", observer="hop", event="join",
-                     hop_node=node_id) if tr else nullcontext()
-        with cm as span:
-            purged = self._reconcile_storage(node_id)
-            self._adopt(node_id)
-            if span is not None:
-                span.set(stale_purged=purged)
-
-    def on_revive(self, node_id: int) -> None:
-        """Reconcile a node returning from the dead with stale storage.
-
-        Call *after* ``network.revive(node_id)``.  Two things happened
-        while the node was away that its local storage cannot know:
-
-        * objects were *deleted* (the owner presented PW to the live
-          holders; §3.4) — keeping the local copy would resurrect a
-          deleted object the moment the node is locally readable again;
-        * replicas were handed off to other nodes — the returning copy
-          is no longer attributed to this node by the index, and a §5
-          hint probe would wrongly treat the node as a current holder.
-
-        Both cases are "objects the holder index does not attribute to
-        this node": drop them, then adopt whatever the node is *now*
-        responsible for (same logic as a fresh join).
-        """
-        if self.metrics is not None:
-            self.metrics.counter("past.repair.on_revive").inc()
-        tr = self.tracer
-        cm = tr.span("failover.repair", observer="hop", event="revive",
-                     hop_node=node_id) if tr else nullcontext()
-        with cm as span:
-            purged = self._reconcile_storage(node_id)
-            self._adopt(node_id)
-            if span is not None:
-                span.set(stale_purged=purged)
-
-    def _reconcile_storage(self, node_id: int) -> int:
-        """Drop local objects the holder index does not attribute to
-        ``node_id``; returns how many were purged."""
-        storage = self.storages.get(node_id)
-        if storage is None:
-            return 0
-        purged = 0
-        for key in storage.keys():
-            if node_id not in self._holders.get(key, ()):
-                storage.drop(key)
-                purged += 1
-        if purged and self.metrics is not None:
-            self.metrics.counter("past.replica.stale_purged").inc(purged)
-        return purged
-
     def _adopt(self, node_id: int) -> None:
         """Hand ``node_id`` the replicas it is now responsible for and
         trim holders that dropped out of the intended k-closest set."""
-        affected = self._keys_near(node_id)
-        for key in affected:
-            holders = self.holders(key)
-            live = [h for h in holders if self.network.is_alive(h)]
-            if not live:
+        for key in self._keys_near(node_id):
+            if not self.exists(key):
                 continue
             intended = self.replica_membership(key)
             if node_id not in intended:
                 continue
-            source = self.storage_of(
-                min(live, key=lambda h: (ring_distance(h, key), h))
-            ).lookup(key)
+            live = self._live_holders(key)
+            source = self.storage_of(live[0]).lookup(key)
             self._place(node_id, source)
             self._charge_repair(1, value_nbytes(source.value))
-            for stale in holders - intended:
-                if self.network.is_alive(stale):
+            for stale in live:
+                if stale not in intended:
                     self._unplace(stale, key)
-
-    def _keys_near(self, node_id: int) -> list[int]:
-        """Keys whose replica set could include ``node_id``.
-
-        If both the clockwise and counterclockwise arcs from the key to
-        ``node_id`` contain at least k other alive nodes, then k nodes
-        are strictly closer to the key than ``node_id`` is, so the key
-        cannot adopt it.  Candidates therefore lie in the arc between
-        the k-th alive predecessor and the k-th alive successor.
-        """
-        if not self._sorted_keys:
-            return []
-        ids = self.network.alive_ids
-        n = len(ids)
-        if n <= self.k + 1:
-            return list(self._sorted_keys)
-        pos = bisect_left(ids, node_id)
-        if pos >= n or ids[pos] != node_id:
-            raise ReplicationError(f"node {node_id:#x} is not alive")
-        pred_k = ids[(pos - self.k) % n]
-        succ_k = ids[(pos + self.k) % n]
-        cw_limit = (succ_k - node_id) % ID_SPACE
-        ccw_limit = (node_id - pred_k) % ID_SPACE
-        return [
-            key
-            for key in self._sorted_keys
-            if (key - node_id) % ID_SPACE <= cw_limit
-            or (node_id - key) % ID_SPACE <= ccw_limit
-        ]
 
     # ------------------------------------------------------------------
     # fault hooks / diagnostics
@@ -408,16 +168,15 @@ class ReplicatedStore:
             StoredObject(key, rotten, obj.delete_proof_hash, obj.meta),
             overwrite=True,
         )
-        if self.metrics is not None:
-            self.metrics.counter("past.faults.bitrot").inc()
+        self._count("faults.bitrot")
         return True
 
     def verify_invariants(self) -> list[str]:
         """Return human-readable invariant violations (empty == healthy)."""
         problems: list[str] = []
-        for key, holders in self._holders.items():
+        for key, holders in self._index.items():
             live = {h for h in holders if self.network.is_alive(h)}
-            intended = set(self.replica_membership(key))
+            intended = self.replica_membership(key)
             if live != intended:
                 problems.append(
                     f"key {key:#x}: holders {sorted(live)} != intended {sorted(intended)}"

@@ -214,8 +214,8 @@ class StoreSnapshot:
             objects=objects,
             storage_keys=storage_keys,
             holders={
-                key: tuple(sorted(holders))
-                for key, holders in store._holders.items()
+                key: tuple(sorted(slots))
+                for key, slots in store._index.items()
             },
         )
 
@@ -232,8 +232,8 @@ class StoreSnapshot:
             storage = store.storage_of(nid)
             for key in keys:
                 storage.insert(copies[key], overwrite=True)
-        store._holders = {key: set(h) for key, h in self.holders.items()}
-        store._sorted_keys = sorted(store._holders)
+        store._index = {key: dict.fromkeys(h, 0) for key, h in self.holders.items()}
+        store._sorted_keys = sorted(store._index)
         return store
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.crypto.onion import build_reply_onion, make_fake_onion
 from repro.core.node import PendingReply
-from repro.crypto.asymmetric import RsaKeyPair
 
 
 @pytest.fixture()
@@ -216,8 +215,6 @@ def _reply_setup(system, alice, length=3):
     )
     alice.register_pending(PendingReply(
         bid=reply_tunnel.bid,
-        temp_keypair=RsaKeyPair.generate(random.Random(2), 512),
-        reply_hops=reply_tunnel.hop_ids,
     ))
     return reply_tunnel, first_hop, blob
 
@@ -331,8 +328,6 @@ class TestReplyTraversal:
         got = []
         alice.register_pending(PendingReply(
             bid=reply_tunnel.bid,
-            temp_keypair=RsaKeyPair.generate(random.Random(2), 512),
-            reply_hops=reply_tunnel.hop_ids,
             callback=got.append,
         ))
         responder = _destination(system)
@@ -349,8 +344,6 @@ class TestReplyTraversal:
         )
         alice.register_pending(PendingReply(
             bid=reply_tunnel.bid,
-            temp_keypair=RsaKeyPair.generate(random.Random(2), 512),
-            reply_hops=reply_tunnel.hop_ids,
         ))
         system.fail_node(system.network.closest_alive(reply_tunnel.hops[1].hop_id))
         responder = _destination(system)
@@ -385,8 +378,6 @@ class TestMalformedReplyOnion:
         got = []
         alice.register_pending(PendingReply(
             bid=reply_tunnel.bid,
-            temp_keypair=RsaKeyPair.generate(random.Random(2), 512),
-            reply_hops=reply_tunnel.hop_ids,
             callback=got.append,
         ))
         trace = system.forwarder.send_reply(

@@ -12,7 +12,6 @@ import pytest
 from repro.core.emulation import TapEmulation
 from repro.core.node import PendingReply
 from repro.core.session import SessionServer, TapSession
-from repro.crypto.asymmetric import RsaKeyPair
 from repro.crypto.onion import build_reply_onion, make_fake_onion
 from repro.obs import SpanTracer
 from repro.obs.critical_path import build_trees, records_from_tracer
@@ -56,8 +55,6 @@ def _reply_setup(system, alice, length=3):
     )
     alice.register_pending(PendingReply(
         bid=reply_tunnel.bid,
-        temp_keypair=RsaKeyPair.generate(random.Random(2), 512),
-        reply_hops=reply_tunnel.hop_ids,
     ))
     return reply_tunnel, first_hop, blob
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.util.serialize import pack_fields
+
 
 @pytest.fixture()
 def system(tap_system):
@@ -114,6 +116,66 @@ class TestFailureModes:
         result = system.retrieve(alice, fid, fwd, rpl)
         assert result.success, result.failure_reason
         assert result.content == content
+
+
+class TestPendingReplyOwnership:
+    """Every exit of a retrieval — and an exception — leaves no reply
+    callback registered under the tunnel's bid, so a late or replayed
+    reply walk cannot report success for a request already answered."""
+
+    def _tunnels(self, system, alice):
+        return (system.form_tunnel(alice, length=3),
+                system.form_reply_tunnel(alice, length=3))
+
+    def test_after_success(self, system, alice, published):
+        fwd, rpl = self._tunnels(system, alice)
+        assert system.retrieve(alice, published[0], fwd, rpl).success
+        assert alice.pending_replies == {}
+
+    def test_after_forward_failure(self, system, alice, published):
+        fwd, rpl = self._tunnels(system, alice)
+        system.fail_nodes(list(system.store.holders(fwd.hops[0].hop_id)),
+                          repair_after=False)
+        result = system.retrieve(alice, published[0], fwd, rpl)
+        assert result.failure_reason.startswith("forward")
+        assert alice.pending_replies == {}
+
+    def test_after_responder_could_not_serve(self, system, alice):
+        fwd, rpl = self._tunnels(system, alice)
+        result = system.retrieve(alice, 777777, fwd, rpl)
+        assert "responder" in result.failure_reason
+        assert alice.pending_replies == {}
+
+    def test_after_reply_failure(self, system, alice, published):
+        fwd, rpl = self._tunnels(system, alice)
+        system.fail_nodes(list(system.store.holders(rpl.hops[1].hop_id)),
+                          repair_after=False)
+        result = system.retrieve(alice, published[0], fwd, rpl)
+        assert result.failure_reason.startswith("reply")
+        assert alice.pending_replies == {}
+
+    def test_after_decryption_failure(self, system, alice, published, monkeypatch):
+        fwd, rpl = self._tunnels(system, alice)
+        send_reply = system.forwarder.send_reply
+        monkeypatch.setattr(
+            system.forwarder, "send_reply",
+            lambda src, hop, blob, payload: send_reply(
+                src, hop, blob, pack_fields(b"not sealed", b"not wrapped")),
+        )
+        result = system.retrieve(alice, published[0], fwd, rpl)
+        assert result.failure_reason.startswith("decryption")
+        assert alice.pending_replies == {}
+
+    def test_after_exception_inside_deliver(self, system, alice, published, monkeypatch):
+        fwd, rpl = self._tunnels(system, alice)
+
+        def boom(responder_id, payload):
+            raise RuntimeError("responder crashed")
+
+        monkeypatch.setattr(system.retrieval, "_responder_serve", boom)
+        with pytest.raises(RuntimeError, match="responder crashed"):
+            system.retrieve(alice, published[0], fwd, rpl)
+        assert alice.pending_replies == {}
 
 
 class TestAccounting:

@@ -54,6 +54,22 @@ class TestRoundTrips:
             assert not system.store.exists(hid)
 
 
+class TestPendingReplyOwnership:
+    def test_request_leaves_no_pending_reply(self, session, alice):
+        assert session.request(b"ls") == b"echo:ls"
+        assert alice.pending_replies == {}
+
+    def test_handler_exception_leaves_no_pending_reply(self, system, alice):
+        def crash(request: bytes) -> bytes:
+            raise RuntimeError("handler crashed")
+
+        server = SessionServer(system.random_node_id("server"), handler=crash)
+        session = TapSession(system, alice, server, tunnel_length=3)
+        with pytest.raises(RuntimeError, match="handler crashed"):
+            session.request(b"ls")
+        assert alice.pending_replies == {}
+
+
 class TestSelfHealing:
     def test_survives_hop_node_failures(self, system, session):
         """The headline: hop nodes die mid-session, requests keep

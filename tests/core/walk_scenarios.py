@@ -30,7 +30,6 @@ from pathlib import Path
 
 from repro.core.node import PendingReply
 from repro.core.system import TapSystem
-from repro.crypto.asymmetric import RsaKeyPair
 from repro.crypto.onion import build_reply_onion, make_fake_onion
 from repro.faults.injectors import MessageFaultSpec, SyncFaultInjector
 from repro.obs import EventTrace, MetricsRegistry, SpanTracer
@@ -39,11 +38,6 @@ from repro.util.rng import SeedSequenceFactory
 PINS = Path(__file__).with_name("walk_pins.json")
 DESTINATION = 0x5EED << 96
 VERDICTS = ("drop", "corrupt", "partition", "byzantine")
-
-
-@lru_cache(maxsize=None)
-def _keypair() -> RsaKeyPair:
-    return RsaKeyPair.generate(random.Random(2), 512)
 
 
 class World:
@@ -107,8 +101,7 @@ class World:
         )
         received: list[bytes] = []
         self.alice.register_pending(PendingReply(
-            bid=reply.bid, temp_keypair=_keypair(), reply_hops=reply.hop_ids,
-            callback=received.append,
+            bid=reply.bid, callback=received.append,
         ))
         traces = {"forward": None, "reply": None}
         roots = (

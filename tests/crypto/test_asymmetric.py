@@ -333,6 +333,33 @@ class TestPublicKeyEncoding:
         e = int.from_bytes(blob[-4:], "big")
         assert RsaPublicKey(n, e) == keypair.public
 
+    def test_from_bytes_inverts_to_bytes(self, sized_pair):
+        public = sized_pair.public
+        assert RsaPublicKey.from_bytes(public.to_bytes()) == public
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\x01", b"\x00\x01\x00\x01",       # no room for a modulus
+        b"\x03" + b"\x00\x01\x00\x01",           # n <= 3
+        b"\xff" * 64 + b"\x00\x00\x00\x01",       # e <= 1
+        b"\x00" * 68,                             # all zero
+    ])
+    def test_from_bytes_rejects_degenerate_keys(self, data):
+        with pytest.raises(RsaError):
+            RsaPublicKey.from_bytes(data)
+
+    @given(blob=st.binary(max_size=72), cut=st.integers(min_value=0, max_value=68))
+    def test_from_bytes_fails_closed(self, keypair, blob, cut):
+        """Arbitrary and truncated input either raises ``RsaError`` or
+        yields a usable key that round-trips — nothing else escapes."""
+        encoded = keypair.public.to_bytes()
+        for data in (blob, encoded[:cut], encoded[cut:]):
+            try:
+                key = RsaPublicKey.from_bytes(data)
+            except RsaError:
+                continue
+            assert key.n > 3 and key.e > 1
+            assert RsaPublicKey.from_bytes(key.to_bytes()) == key
+
     def test_invalid_params_rejected(self):
         with pytest.raises(RsaError):
             RsaPublicKey(0)

@@ -107,6 +107,25 @@ class TestCalls:
         mutual.call(requester, b"spy-check", b"just-the-body", fwd, rpl)
         assert seen == [b"just-the-body"]
 
+    def test_call_leaves_no_pending_reply(self, system, mutual, service, requester):
+        fwd = system.form_tunnel(requester, length=2)
+        rpl = system.form_reply_tunnel(requester, length=2)
+        response, _ = mutual.call(requester, b"hidden-wiki", b"x", fwd, rpl)
+        assert response == b"served:x"
+        assert requester.pending_replies == {}
+
+    def test_handler_exception_leaves_no_pending_reply(self, system, mutual,
+                                                       provider, requester):
+        def crash(request: bytes) -> bytes:
+            raise RuntimeError("handler crashed")
+
+        mutual.publish_service(provider, b"crashy", handler=crash)
+        fwd = system.form_tunnel(requester, length=2)
+        rpl = system.form_reply_tunnel(requester, length=2)
+        with pytest.raises(RuntimeError, match="handler crashed"):
+            mutual.call(requester, b"crashy", b"x", fwd, rpl)
+        assert requester.pending_replies == {}
+
     def test_unknown_service(self, system, mutual, requester):
         from repro.past.storage import StorageError
 

@@ -31,7 +31,7 @@ def _populated(num_objects=5, object_bytes=40, seed=21, **kwargs):
 def _snapshot(store):
     """Every (key, holder, stored share) triple, deterministically."""
     return [
-        (key, holder, store._stored_share(holder, key))
+        (key, holder, store.stored_share(holder, key))
         for key in store.all_keys()
         for holder in sorted(store.holders(key))
     ]

@@ -256,16 +256,16 @@ class TestEagerRepair:
         key = 0xDEADBEEF
         store.insert(key, bytes(range(64)))
         originals = {
-            store.share_index_of(key, h): store._stored_share(h, key).data
+            store.share_index_of(key, h): store.stored_share(h, key).data
             for h in store.holders(key)
         }
         root_before = next(
-            store._stored_share(h, key).root for h in store.holders(key)
+            store.stored_share(h, key).root for h in store.holders(key)
         )
         victim = max(store.holders(key))
         net.fail(victim)
         store.on_fail(victim)
         for holder in store.holders(key):
-            share = store._stored_share(holder, key)
+            share = store.stored_share(holder, key)
             assert share.data == originals[share.index]
             assert share.root == root_before

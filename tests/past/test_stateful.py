@@ -1,11 +1,14 @@
-"""Hypothesis stateful testing of the overlay + replication invariants.
+"""Hypothesis stateful testing of the overlay + placement invariants.
 
-A random interleaving of joins, failures, inserts and deletes must
-never violate:
+One machine, run over each storage backend on the shared placement
+core (3-copy replication, 1-of-3 and 2-of-4 eager erasure coding): a
+random interleaving of joins, failures, inserts and deletes must never
+violate:
 
 * the alive-id list matches per-node liveness flags;
-* every stored object's live holders are exactly the k closest alive
-  nodes (after the corresponding repair hook ran);
+* every stored object's live holders are exactly the closest alive
+  nodes (after the corresponding repair hook ran), and every coded
+  share verifies;
 * routing from any alive node reaches the numerically closest node;
 * objects with at least one surviving holder remain fetchable with
   their original value; deletion requires the right password.
@@ -27,6 +30,7 @@ from hypothesis.stateful import (
 )
 
 from repro.crypto.hashing import hash_password
+from repro.past.erasure import ErasureStore
 from repro.past.replication import ReplicatedStore
 from repro.pastry.network import PastryNetwork
 from repro.util.ids import random_id
@@ -35,6 +39,10 @@ MIN_ALIVE = 12  # keep the overlay routable (> leaf-set half + margin)
 
 
 class ReplicationMachine(RuleBasedStateMachine):
+    @staticmethod
+    def make_store(network):
+        return ReplicatedStore(network, replication_factor=3)
+
     def __init__(self):
         super().__init__()
         self.rng = random.Random(0xC0FFEE)
@@ -45,7 +53,7 @@ class ReplicationMachine(RuleBasedStateMachine):
     def setup(self):
         ids = {random_id(self.rng) for _ in range(30)}
         self.network = PastryNetwork.build(ids)
-        self.store = ReplicatedStore(self.network, replication_factor=3)
+        self.store = self.make_store(self.network)
 
     # ------------------------------------------------------------------
     # operations
@@ -134,7 +142,23 @@ class ReplicationMachine(RuleBasedStateMachine):
         assert result.destination == self.network.closest_alive(key)
 
 
-ReplicationMachine.TestCase.settings = settings(
-    max_examples=12, stateful_step_count=25, deadline=None
-)
+class Erasure1of3Machine(ReplicationMachine):
+    @staticmethod
+    def make_store(network):
+        return ErasureStore(network, 1, 3)
+
+
+class Erasure2of4Machine(ReplicationMachine):
+    @staticmethod
+    def make_store(network):
+        return ErasureStore(network, 2, 4)
+
+
+for _machine in (ReplicationMachine, Erasure1of3Machine, Erasure2of4Machine):
+    _machine.TestCase.settings = settings(
+        max_examples=12, stateful_step_count=25, deadline=None,
+        derandomize=True,
+    )
 TestReplicationStateful = ReplicationMachine.TestCase
+TestErasure1of3Stateful = Erasure1of3Machine.TestCase
+TestErasure2of4Stateful = Erasure2of4Machine.TestCase

@@ -287,6 +287,46 @@ def bench_pastry_route_churn_1000():
     return churn_and_route
 
 
+def _bench_repair_cycle(make_store):
+    """One op = ``fail`` + ``on_fail`` + ``revive`` + ``on_revive`` of
+    one fixed holder (the fullest) on a 300-node overlay storing 200
+    objects: the membership-repair path of a storage backend, through
+    its public surface only."""
+    from repro.pastry.network import PastryNetwork
+    from repro.util.ids import random_id
+    from repro.util.rng import make_pyrandom
+
+    rng = make_pyrandom(2004, "bench-repair-cycle")
+    ids: set[int] = set()
+    while len(ids) < 300:
+        ids.add(random_id(rng))
+    net = PastryNetwork.build(ids)
+    store = make_store(net)
+    for _ in range(200):
+        store.insert(random_id(rng), rng.randbytes(64))
+    victim = max(sorted(store.storages), key=lambda n: len(store.storages[n]))
+
+    def repair_cycle():
+        net.fail(victim)
+        store.on_fail(victim)
+        net.revive(victim)
+        store.on_revive(victim)
+
+    return repair_cycle
+
+
+def bench_past_repair_cycle_300():
+    from repro.past.replication import ReplicatedStore
+
+    return _bench_repair_cycle(lambda net: ReplicatedStore(net, 3))
+
+
+def bench_erasure_repair_cycle_300():
+    from repro.past.erasure import ErasureStore
+
+    return _bench_repair_cycle(lambda net: ErasureStore(net, 2, 4))
+
+
 def bench_pastry_row_entries():
     from repro.pastry.network import PastryNetwork
 
@@ -321,6 +361,8 @@ MACRO = {
     "fig6.leg": bench_fig6_leg,
     "pastry.join_200": bench_pastry_join_200,
     "pastry.route_churn_1000": bench_pastry_route_churn_1000,
+    "past.repair_cycle_300": bench_past_repair_cycle_300,
+    "erasure.repair_cycle_300": bench_erasure_repair_cycle_300,
     "fig2.rep": bench_fig2_rep,
 }
 
