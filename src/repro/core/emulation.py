@@ -10,7 +10,10 @@ messages over :class:`repro.simnet.SimNetwork`:
   after which the waiting node repairs its routing state and re-sends
   — the deployed-system behaviour Figure 6's latency model abstracts;
 * §5 IP hints become real direct sends, with the timeout-then-DHT
-  fallback of the paper.
+  fallback of the paper;
+* a message the fabric duplicates (fault injection) travels on as two
+  independent copies — each peels its own onion and keeps its own
+  path — and the first copy to reach a verdict finishes the trace.
 
 The emulation is cross-validated against the analytic path model in
 the tests: on a failure-free overlay, the emulated end-to-end latency
@@ -19,7 +22,7 @@ of a transfer equals ``path_transfer_time`` over the recorded path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.core.node import TapNode
@@ -49,7 +52,9 @@ class EmuTrace:
     failed_reason: str | None = None
     destination: int | None = None
     payload: bytes | None = None
-    #: physical node sequence the message actually travelled
+    #: physical node sequence the message actually travelled; with
+    #: ``timeouts`` and ``hint_failures`` the history of the copy that
+    #: finished the trace (while in flight: of the message as sent)
     path: list[int] = field(default_factory=list)
     timeouts: int = 0
     hint_failures: int = 0
@@ -76,6 +81,15 @@ class EmuTrace:
 
 
 @dataclass
+class _History:
+    """What one copy of a message has accumulated on its way."""
+
+    path: list[int]
+    timeouts: int
+    hint_failures: int
+
+
+@dataclass
 class _Envelope:
     """In-flight protocol message (the SimNetwork payload)."""
 
@@ -83,11 +97,24 @@ class _Envelope:
     key: int  # DHT key currently being routed toward
     blob: bytes  # remaining onion (tunnel) / application payload (exit)
     size_bits: float
+    #: the transmission's one verdict, shared by every copy in flight
     trace: EmuTrace
+    #: where this copy records its way: the trace itself for the message
+    #: as sent, a private :class:`_History` for a duplicate the network made
+    history: EmuTrace | _History
     via_hint: bool = False  # current leg is a direct hinted send
     #: sim time / source of the physical leg currently in flight
     leg_start: float = 0.0
     leg_from: int = 0
+
+    def __copy__(self) -> "_Envelope":
+        """The duplicate a faulty network makes (``SimNetwork.send``):
+        the same onion state now, its own progress from here on."""
+        mine = self.history
+        return replace(
+            self,
+            history=_History(list(mine.path), mine.timeouts, mine.hint_failures),
+        )
 
 
 class TapEmulation:
@@ -178,6 +205,17 @@ class TapEmulation:
     def clear_faults(self) -> None:
         self.net.faults = None
 
+    def _conclude(
+        self, env: _Envelope, now: float, delivered: bool, reason: str | None = None
+    ) -> None:
+        """Finish ``env``'s trace, which adopts the history of this copy."""
+        trace, history = env.trace, env.history
+        if history is not trace and trace.finished_at is None:
+            trace.path = history.path
+            trace.timeouts = history.timeouts
+            trace.hint_failures = history.hint_failures
+        self._finish_trace(trace, now, delivered, reason)
+
     def _finish_trace(
         self, trace: EmuTrace, now: float, delivered: bool, reason: str | None = None
     ) -> None:
@@ -249,6 +287,7 @@ class TapEmulation:
             blob=blob,
             size_bits=bits + CONTROL_BITS,
             trace=trace,
+            history=trace,
         )
         first_hint = tunnel.hint_ips[0]
         if deadline_s is not None:
@@ -287,7 +326,8 @@ class TapEmulation:
             src, dst = rng.sample(alive, 2)
             trace = EmuTrace(started_at=self.simulator.now)
             env = _Envelope(
-                kind="cover", key=dst, blob=b"", size_bits=size_bits, trace=trace
+                kind="cover", key=dst, blob=b"", size_bits=size_bits,
+                trace=trace, history=trace,
             )
             delay = rng.random() * over_seconds
             self.simulator.schedule(delay, self.net.send, src, dst, env, size_bits)
@@ -309,12 +349,12 @@ class TapEmulation:
                 env.leg_from = from_node
                 self.net.send(from_node, hinted, env, env.size_bits)
                 return
-            env.trace.hint_failures += 1
+            env.history.hint_failures += 1
         env.via_hint = False
         node = self.network.nodes[from_node]
         nxt = node.next_hop(env.key)
         if nxt is None:
-            self._finish_trace(env.trace, self.simulator.now, False, "routing dead end")
+            self._conclude(env, self.simulator.now, False, "routing dead end")
             return
         if nxt == from_node:
             self._deliver_local(from_node, env)
@@ -333,9 +373,9 @@ class TapEmulation:
             # Dummy traffic: absorbed at the first recipient (it cannot
             # be distinguished from real traffic by outsiders, but it
             # carries no onion to process).
-            self._finish_trace(env.trace, self.simulator.now, True)
+            self._conclude(env, self.simulator.now, True)
             return
-        env.trace.path.append(dst)
+        env.history.path.append(dst)
         if env.trace.span is not None and self.tracer:
             # one leg span per physical delivery, on the simulated clock
             self.tracer.add_span(
@@ -351,7 +391,7 @@ class TapEmulation:
             if env.kind == "tunnel" and self.store.storage_of(dst).contains(env.key):
                 self._deliver_local(dst, env)
             else:
-                env.trace.hint_failures += 1
+                env.history.hint_failures += 1
                 self._dispatch(dst, env)
             return
         node = self.network.nodes[dst]
@@ -372,11 +412,11 @@ class TapEmulation:
         env: _Envelope = record.payload
         if env.trace.finished_at is not None:
             return  # trace already concluded (deadline exceeded)
-        env.trace.timeouts += 1
+        env.history.timeouts += 1
         sender, dead = record.src, record.dst
         if env.via_hint:
             env.via_hint = False
-            env.trace.hint_failures += 1
+            env.history.hint_failures += 1
         self.network.discover_failure(sender, dead)
         delay = 2.0 * self.topology.latency(sender, dead)
         if env.trace.span is not None and self.tracer:
@@ -396,7 +436,7 @@ class TapEmulation:
         if env.kind == "exit":
             env.trace.destination = node_id
             env.trace.payload = env.blob
-            self._finish_trace(env.trace, now, True)
+            self._conclude(env, now, True)
             return
 
         # kind == "tunnel": this node must hold the hop's anchor.
@@ -404,8 +444,8 @@ class TapEmulation:
         try:
             stored = storage.lookup(env.key)
         except StorageError:
-            self._finish_trace(
-                env.trace, now, False,
+            self._conclude(
+                env, now, False,
                 f"node {node_id:#x} closest to hop {env.key:#x} holds no replica",
             )
             return
@@ -413,7 +453,7 @@ class TapEmulation:
         try:
             peeled = peel_layer(anchor.key, env.blob)
         except (CipherError, SerializationError):
-            self._finish_trace(env.trace, now, False, f"decryption failed at {node_id:#x}")
+            self._conclude(env, now, False, f"decryption failed at {node_id:#x}")
             return
         if env.trace.span is not None and self.tracer:
             # instantaneous on the simulated clock (crypto is not part

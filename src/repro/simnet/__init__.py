@@ -13,7 +13,8 @@ This package provides the equivalent:
 * :mod:`repro.simnet.transport` — message/file transfer-time models
   (store-and-forward and pipelined/chunked);
 * :mod:`repro.simnet.network` — a message-passing façade that delivers
-  payloads to node handlers through the event kernel.
+  payloads to node handlers through the event kernel (and remembers
+  the latency of the links its traffic reuses).
 """
 
 from repro.simnet.events import Simulator, Event, SimulationError

@@ -5,21 +5,38 @@ propagation + serialization delay.  Sends to a dead or unknown address
 are silently dropped (like UDP into the void) unless the caller
 registers a drop callback — TAP's fault-tolerance logic is exercised by
 exactly these drops.
+
+The fabric keeps a *link table*: the propagation latency of every
+``(src, dst)`` it has sent over, filled from ``Topology.latency`` on
+first use.  A latency is a pure function of (topology seed, pair), so
+an entry is never stale; the only policy is the size valve
+:data:`LINK_TABLE_LIMIT`, past which the table is cleared wholesale.
+The table sits here and not in the latency model because only traffic
+repeats itself — an overlay node sends to its leaf-set and
+routing-table entries and to nobody else — whereas the model is also
+asked for pairs that never recur (a proximity-aware overlay build
+probes ~16 candidates per routing-table cell) and would only thrash a
+memo of its own: ``topology``'s "compute over tabulate" stays true of
+the model, and the fabric tabulates the few thousand links it reuses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.simnet.events import Simulator
 from repro.simnet.topology import Topology
-from repro.simnet.transport import transfer_time
 
 Handler = Callable[["SimNetwork", int, int, Any], None]
 
+#: Most links the fabric remembers the latency of (~180 B each); the
+#: table is cleared wholesale when a new link would exceed it.
+LINK_TABLE_LIMIT = 1 << 16
 
-@dataclass
+
+@dataclass(slots=True)
 class SimMessage:
     """Bookkeeping record for an in-flight or delivered message."""
 
@@ -30,7 +47,16 @@ class SimMessage:
     sent_at: float
     delivered_at: float | None = None
     dropped: bool = False
-    meta: dict = field(default_factory=dict)
+    _meta: dict | None = None
+
+    @property
+    def meta(self) -> dict:
+        """Free-form annotations (fault injectors write ``meta["fault"]``);
+        created on first use, since most messages carry none."""
+        meta = self._meta
+        if meta is None:
+            meta = self._meta = {}
+        return meta
 
 
 class SimNetwork:
@@ -41,6 +67,8 @@ class SimNetwork:
         self.topology = topology
         self._handlers: dict[int, Handler] = {}
         self._alive: dict[int, bool] = {}
+        #: propagation latency of every link sent over (module docstring)
+        self._link_latency: dict[tuple[int, int], float] = {}
         self.delivered_count = 0
         self.dropped_count = 0
         self.bits_sent = 0.0
@@ -85,13 +113,24 @@ class SimNetwork:
         a message is in flight causes a drop — the situation TAP's
         replica fail-over must handle.
         """
-        record = SimMessage(src, dst, payload, size_bits, self.simulator.now)
-        self.bits_sent += size_bits
+        # The delay is transfer_time(size_bits, latency, bandwidth), term
+        # for term and check for check — before anything is counted.
+        if not size_bits >= 0:  # also NaN
+            raise ValueError("size must be non-negative")
         if src == dst:
             delay = 0.0
         else:
-            link = self.topology.link(src, dst)
-            delay = transfer_time(size_bits, link.latency_s, link.bandwidth_bps)
+            link = (src, dst)
+            latency = self._link_latency.get(link)
+            if latency is None:
+                latency = self._learn_link(link)
+            bandwidth = self.topology.bandwidth_bps
+            if bandwidth <= 0:
+                raise ValueError("bandwidth must be positive")
+            delay = latency + size_bits / bandwidth
+        simulator = self.simulator
+        record = SimMessage(src, dst, payload, size_bits, simulator.now)
+        self.bits_sent += size_bits
         if self.faults is not None:
             verdict = self.faults.on_message(record, delay)
             if verdict is not None:
@@ -101,29 +140,44 @@ class SimNetwork:
                     # (the dead-neighbour discovery path) — transient
                     # loss must not poison routing tables.
                     record.meta["fault"] = "drop"
-                    self.simulator.schedule(delay, self._drop_injected, record)
+                    simulator.schedule(delay, self._drop_injected, record)
                     return record
                 delay += verdict.extra_delay_s
-                if verdict.corrupt:
-                    self.faults.corrupt_payload(record)
                 if verdict.duplicate:
+                    # A copy in its own right (taken before any damage
+                    # below): a mutable payload must not let one copy's
+                    # progress or corruption show through the other.
                     dup = SimMessage(
-                        src, dst, record.payload, size_bits,
-                        self.simulator.now, meta={"fault": "duplicate"},
+                        src, dst, copy.copy(record.payload), size_bits, simulator.now
                     )
-                    self.simulator.schedule(
+                    dup.meta["fault"] = "duplicate"
+                    simulator.schedule(
                         delay + verdict.duplicate_gap_s, self._deliver, dup
                     )
-        self.simulator.schedule(delay, self._deliver, record)
+                if verdict.corrupt:
+                    self.faults.corrupt_payload(record)
+        simulator.schedule(delay, self._deliver, record)
         return record
+
+    def _learn_link(self, link: tuple[int, int]) -> float:
+        """Enter ``link``'s latency into the link table; returns it."""
+        latency = self.topology.latency(*link)
+        if latency < 0:
+            raise ValueError("latency must be non-negative")
+        table = self._link_latency
+        if len(table) >= LINK_TABLE_LIMIT:
+            table.clear()
+        table[link] = latency
+        return latency
 
     def _drop_injected(self, record: SimMessage) -> None:
         record.dropped = True
         self.dropped_count += 1
 
     def _deliver(self, record: SimMessage) -> None:
-        handler = self._handlers.get(record.dst)
-        if handler is None or not self._alive.get(record.dst, False):
+        dst = record.dst
+        handler = self._handlers.get(dst)
+        if handler is None or not self._alive.get(dst, False):
             record.dropped = True
             self.dropped_count += 1
             if self.on_drop is not None:
@@ -131,4 +185,4 @@ class SimNetwork:
             return
         record.delivered_at = self.simulator.now
         self.delivered_count += 1
-        handler(self, record.src, record.dst, record.payload)
+        handler(self, record.src, dst, record.payload)

@@ -1,39 +1,32 @@
-"""Deterministic discrete-event kernel.
+"""Reference event kernel for the differential tests — test-only.
 
-A minimal but complete simulation core: events run in ``(time, seq)``
-order (FIFO among simultaneous events, so runs are reproducible),
-events may be cancelled, and the clock only moves forward.
-
-The heap holds ``(time, seq, event)`` tuples, so every sift of
-``heappush``/``heappop`` compares in C.  ``seq`` is unique per
-simulator, which decides every comparison at the second element at the
-latest: the :class:`Event` in the third slot is never compared and
-needs no ordering of its own — it is the handle a caller keeps to
-cancel.  Cancellation is lazy: a cancelled entry stays in the heap and
-is discarded when it reaches the head.
+This is the kernel ``repro.simnet.events`` shipped before its heap
+entries became ``(time, seq, event)`` tuples: a ``@dataclass(order=True)``
+``Event`` compared through generated Python ``__lt__``, and a ``run``
+that visits every event twice (``peek_time`` then ``step``).  It is kept
+verbatim as the oracle ``test_kernel_differential`` drives side by side
+with the shipped kernel; nothing outside ``tests/simnet`` may import it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
-
-class SimulationError(RuntimeError):
-    """Raised on scheduler misuse (negative delays, running twice, …)."""
+from repro.simnet.events import SimulationError
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(order=True)
 class Event:
-    """Handle of a scheduled callback: due at ``time``, ``seq``-th scheduled."""
+    """A scheduled callback.  Ordering: time, then insertion sequence."""
 
     time: float
     seq: int
-    callback: Callable[..., Any]
-    args: tuple = ()
-    cancelled: bool = False
+    callback: Callable[..., Any] = field(compare=False)
+    args: tuple = field(compare=False, default=())
+    cancelled: bool = field(compare=False, default=False)
 
     def cancel(self) -> None:
         """Mark the event dead; the kernel skips it when popped."""
@@ -44,7 +37,7 @@ class Simulator:
     """Heap-based event loop with a simulated clock (seconds)."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[Event] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -57,37 +50,31 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at ``now + delay``; returns a handle."""
-        if not delay >= 0:  # also NaN, which would silently break heap order
-            raise SimulationError(f"negative or NaN delay {delay!r}")
-        time = self._now + delay
-        seq = next(self._seq)
-        event = Event(time, seq, callback, args)
-        heapq.heappush(self._heap, (time, seq, event))
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
+        event = Event(self._now + delay, next(self._seq), callback, args)
+        heapq.heappush(self._heap, event)
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule at an absolute simulated time (must not be in the past)."""
-        if not time >= self._now:
-            raise SimulationError(
-                f"cannot schedule at {time!r}: before now {self._now!r}, or NaN"
-            )
+        if time < self._now:
+            raise SimulationError(f"cannot schedule at {time} < now {self._now}")
         return self.schedule(time - self._now, callback, *args)
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        while self._heap and self._heap[0].cancelled:
+            heapq.heappop(self._heap)
+        return self._heap[0].time if self._heap else None
 
     def step(self) -> bool:
         """Run one event.  Returns False when the queue is exhausted."""
-        heap = self._heap
-        while heap:
-            time, _, event = heapq.heappop(heap)
+        while self._heap:
+            event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self._now = time
+            self._now = event.time
             self.processed_events += 1
             event.callback(*event.args)
             return True
@@ -103,24 +90,18 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
-        heap = self._heap
-        heappop = heapq.heappop
         executed = 0
         try:
-            while heap:
+            while True:
                 if max_events is not None and executed >= max_events:
                     break
-                time, _, event = heap[0]
-                if event.cancelled:
-                    heappop(heap)
-                    continue
-                if until is not None and time > until:
+                next_time = self.peek_time()
+                if next_time is None:
                     break
-                heappop(heap)
-                self._now = time
-                self.processed_events += 1
+                if until is not None and next_time > until:
+                    break
+                self.step()
                 executed += 1
-                event.callback(*event.args)
         finally:
             self._running = False
         if until is not None and self._now < until:
@@ -128,7 +109,7 @@ class Simulator:
         return self._now
 
     def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
+        return sum(1 for e in self._heap if not e.cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self._now:.6f}, pending={len(self)})"

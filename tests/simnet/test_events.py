@@ -37,6 +37,29 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("delay", [float("nan"), -0.0001, float("-inf")])
+    def test_unordered_delay_rejected(self, delay):
+        """NaN compares false with everything: as a heap key it would
+        break the order of every event around it, silently."""
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: None)
+        assert len(sim) == 0
+
+    def test_schedule_at_nan_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert len(sim) == 0
+
+    def test_negative_zero_and_infinite_delays_are_delays(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(float("inf"), log.append, "never")
+        sim.schedule(-0.0, log.append, "now")
+        sim.run(until=1e9)
+        assert log == ["now"] and len(sim) == 1
+
     def test_schedule_at_past_rejected(self):
         sim = Simulator()
         sim.schedule(5.0, lambda: None)
@@ -58,6 +81,16 @@ class TestScheduling:
 
 
 class TestCancellation:
+    def test_handle_describes_the_event(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        handle = sim.schedule(0.5, print, "a", 2)
+        assert (handle.time, handle.seq, handle.callback, handle.args) == (1.5, 1, print, ("a", 2))
+        assert handle.cancelled is False
+        with pytest.raises(AttributeError):
+            handle.note = "slotted: no per-event dict"
+
     def test_cancelled_event_skipped(self):
         sim = Simulator()
         log = []

@@ -1,10 +1,18 @@
 """Tests for the message-passing façade."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.faults.injectors import MessageFaultSpec, SimNetFaultInjector
+from repro.simnet import network as network_module
 from repro.simnet.events import Simulator
-from repro.simnet.network import SimNetwork
-from repro.simnet.topology import Topology
+from repro.simnet.network import SimMessage, SimNetwork
+from repro.simnet.topology import Topology, UniformLatencyModel
+from repro.simnet.transport import transfer_time
+from repro.util.rng import SeedSequenceFactory
 
 
 @pytest.fixture()
@@ -120,3 +128,200 @@ class TestAddresses:
         network.attach(2, lambda *a: None)
         network.fail(2)
         assert network.addresses == [1]
+
+
+class TestInputChecks:
+    """A size is validated before anything is counted or scheduled, on
+    every send — also the zero-delay send to oneself."""
+
+    @pytest.mark.parametrize("size_bits", [-1, -0.5, float("nan"), float("-inf")])
+    @pytest.mark.parametrize("dst", [1, 2], ids=["to self", "to a peer"])
+    def test_bad_size_rejected_and_not_counted(self, net, dst, size_bits):
+        sim, network = net
+        network.attach(1, lambda *a: None)
+        network.attach(2, lambda *a: None)
+        network.send(1, 2, "fine", size_bits=8)
+        with pytest.raises(ValueError):
+            network.send(1, dst, "x", size_bits=size_bits)
+        assert network.bits_sent == 8
+        assert len(sim) == 1
+        sim.run()
+        assert network.delivered_count == 1
+
+    def test_zero_size_is_a_size(self, net):
+        sim, network = net
+        network.attach(2, lambda *a: None)
+        network.send(1, 2, "empty", size_bits=0)
+        assert sim.run() == 0.05  # propagation only
+
+    def test_model_that_yields_a_negative_latency_rejected(self, net):
+        sim, network = net
+        network.topology.latency = lambda a, b: -0.01
+        with pytest.raises(ValueError):
+            network.send(1, 2, "x")
+        assert len(sim) == 0
+
+
+class _CountingTopology(Topology):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.latency_calls = 0
+
+    def latency(self, a, b):
+        self.latency_calls += 1
+        return super().latency(a, b)
+
+
+class TestLinkTable:
+    """The fabric's memo of link latencies: invisible in the delays,
+    bounded, and owned by the fabric — not by the latency model."""
+
+    @given(
+        sends=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 11),
+                      st.sampled_from([0, 1, 8 * 1024, 2_000_000, 1e9, 0.5])),
+            min_size=1, max_size=60,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_delay_is_transfer_time_across_wraps_of_the_bound(self, sends, seed):
+        topo = Topology(seed=seed)
+        sim = Simulator()
+        network = SimNetwork(sim, topo)
+        arrivals = []
+        for address in range(12):
+            network.attach(address, lambda n, s, d, p: arrivals.append((p, sim.now)))
+        expected = []
+        with mock.patch.object(network_module, "LINK_TABLE_LIMIT", 4):
+            for n, (src, dst, size_bits) in enumerate(sends):
+                # both directions of the link, all sent at t=0: the
+                # arrival time is the scheduled delay, bit for bit
+                for a, b in ((src, dst), (dst, src)):
+                    network.send(a, b, (n, a, b), size_bits=size_bits)
+                    delay = 0.0 if a == b else transfer_time(
+                        size_bits, topo.latency(a, b), topo.bandwidth_bps
+                    )
+                    expected.append(((n, a, b), delay))
+                    assert len(network._link_latency) <= 4
+        sim.run()
+        assert sorted(arrivals) == sorted(expected)
+
+    def test_a_reused_link_is_hashed_once(self):
+        topo = _CountingTopology(seed=3)
+        sim = Simulator()
+        network = SimNetwork(sim, topo)
+        for _ in range(50):
+            network.send(1, 2, "x")
+            network.send(2, 1, "y")
+            network.send(1, 1, "self")
+        assert topo.latency_calls == 2  # one per direction sent over
+        assert set(network._link_latency) == {(1, 2), (2, 1)}
+
+    def test_bound_clears_wholesale_and_refills(self):
+        topo = _CountingTopology(seed=3)
+        network = SimNetwork(Simulator(), topo)
+        with mock.patch.object(network_module, "LINK_TABLE_LIMIT", 4):
+            for dst in range(1, 5):
+                network.send(0, dst, "x")
+            assert len(network._link_latency) == 4
+            network.send(0, 5, "x")  # the fifth link wraps the table
+            assert set(network._link_latency) == {(0, 5)}
+            network.send(0, 1, "x")  # forgotten, so asked again
+        assert topo.latency_calls == 6
+
+    def test_default_bound(self):
+        assert network_module.LINK_TABLE_LIMIT == 1 << 16
+
+    def test_latency_model_keeps_no_per_pair_state(self):
+        """Compute over tabulate stays true of the model: a PNS build
+        probes pairs that never repeat and would only thrash a memo."""
+        model = UniformLatencyModel(seed=1)
+        before = dict(vars(model))
+        for b in range(1, 200):
+            model.latency(0, b)
+        assert vars(model) == before
+        assert set(before) == {"seed", "min_latency_s", "max_latency_s"}
+
+
+class _Parcel:
+    """A mutable payload, like the emulation's envelope."""
+
+    def __init__(self, blob):
+        self.blob = blob
+        self.seen_by = []
+
+
+class TestMessageRecord:
+    def test_meta_reads_empty_until_written(self):
+        record = SimMessage(1, 2, b"x", 8.0, 0.0)
+        assert record.meta == {}
+        assert record.meta is record.meta
+        record.meta["note"] = 1
+        assert record.meta == {"note": 1}
+
+    def test_record_is_slotted(self):
+        record = SimMessage(1, 2, b"x", 8.0, 0.0)
+        assert not hasattr(record, "__dict__")
+        assert (record.delivered_at, record.dropped) == (None, False)
+
+    def test_injector_writes_meta_on_a_real_record(self):
+        record = SimMessage(1, 2, b"\x00abc", 8.0, 0.0)
+        SimNetFaultInjector.corrupt_payload(record)
+        assert record.payload == b"\xffabc"
+        assert record.meta == {"fault": "corrupt"}
+
+    def _faulty(self, net, **spec):
+        sim, network = net
+        network.faults = SimNetFaultInjector(
+            MessageFaultSpec(**spec), seeds=SeedSequenceFactory(1).spawn("s")
+        )
+        return sim, network
+
+    def test_injected_drop_is_marked_and_counted(self, net):
+        sim, network = self._faulty(net, drop=1.0)
+        network.attach(2, lambda *a: None)
+        record = network.send(1, 2, "x")
+        assert record.meta == {"fault": "drop"} and not record.dropped
+        sim.run()
+        assert record.dropped and network.dropped_count == 1
+        assert network.delivered_count == 0
+
+    def test_clean_delivery_leaves_meta_untouched(self, net):
+        sim, network = net
+        network.attach(2, lambda *a: None)
+        record = network.send(1, 2, "x")
+        sim.run()
+        assert record._meta is None and record.delivered_at == sim.now
+
+    def test_duplicate_is_a_copy_of_a_mutable_payload(self, net):
+        """What the first arrival does to its payload must not show in
+        the second: two copies on a wire do not share memory."""
+        sim, network = self._faulty(net, duplicate=1.0, reorder_s=0.5)
+        arrivals = []
+
+        def handler(n, src, dst, parcel):
+            arrivals.append((sim.now, parcel, list(parcel.seen_by), parcel.blob))
+            parcel.seen_by.append(dst)  # a *shallow* copy shares this list
+            parcel.blob = b"peeled"
+
+        network.attach(2, handler)
+        sent = _Parcel(b"onion")
+        network.send(1, 2, sent, size_bits=100)
+        sim.run()
+        (t1, first, _, blob1), (t2, second, _, blob2) = arrivals
+        assert t2 - t1 == pytest.approx(0.5)
+        assert first is sent and second is not sent
+        assert blob1 == blob2 == b"onion"
+        assert second.seen_by is first.seen_by  # shallow: the payload's own __copy__ decides
+
+    def test_duplicate_and_corrupt_damage_one_copy(self, net):
+        sim, network = self._faulty(net, duplicate=1.0, corrupt=1.0)
+        blobs, raw = [], []
+        network.attach(2, lambda n, s, d, p: blobs.append(p.blob))
+        network.attach(3, lambda n, s, d, p: raw.append(p))
+        network.send(1, 2, _Parcel(b"\x00abc"), size_bits=100)
+        network.send(1, 3, b"\x00abc", size_bits=100)
+        sim.run()
+        assert sorted(blobs) == [b"\x00abc", b"\xffabc"]
+        assert sorted(raw) == [b"\x00abc", b"\xffabc"]

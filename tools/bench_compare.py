@@ -327,6 +327,66 @@ def bench_erasure_repair_cycle_300():
     return _bench_repair_cycle(lambda net: ErasureStore(net, 2, 4))
 
 
+def bench_simnet_send_deliver_10k():
+    """One op = 10,000 sends, in batches of 64 with a ``run()`` after
+    each, over 2,000 fixed links of a 3,000-address fabric with no-op
+    handlers: what one message costs the event plane alone (record,
+    link delay, heap push and pop, dispatch) when links are reused the
+    way overlay traffic reuses them."""
+    from repro.simnet import Simulator, SimNetwork, Topology
+    from repro.util.rng import make_pyrandom
+
+    rng = make_pyrandom(2004, "bench-simnet")
+    simulator = Simulator()
+    net = SimNetwork(simulator, Topology(seed=2004))
+    for address in range(3_000):
+        net.attach(address, lambda net, src, dst, payload: None)
+    links = [tuple(rng.sample(range(3_000), 2)) for _ in range(2_000)]
+    sends = [links[rng.randrange(2_000)] for _ in range(10_000)]
+    batches = [sends[i:i + 64] for i in range(0, len(sends), 64)]
+
+    def send_and_deliver():
+        for batch in batches:
+            for src, dst in batch:
+                net.send(src, dst, b"", 2_000_000.0)
+            simulator.run()
+
+    return send_and_deliver
+
+
+def bench_emu_transfer_64():
+    """One op = 64 L=3 transmissions of a modelled 2 Mb message, sent
+    together and run to completion, through a prebuilt 1,000-node
+    :class:`TapEmulation` (the build is excluded): Figure 6's method
+    with the event plane, routing, storage and the cipher in their
+    real proportions — ``fig6.leg`` is dominated by its system build."""
+    from repro.core.emulation import TapEmulation
+    from repro.core.system import TapSystem
+    from repro.simnet import Topology
+    from repro.util.rng import make_pyrandom
+
+    rng = make_pyrandom(2004, "bench-emu")
+    system = TapSystem.bootstrap(1_000, seed=2004)
+    ids = system.network.alive_ids
+    routes = []
+    for node_id in rng.sample(ids, 8):
+        node = system.tap_node(node_id)
+        system.deploy_thas(node, count=6)
+        routes.append((node, system.form_tunnel(node, 3)))
+    jobs = [routes[i % 8] + (rng.choice(ids),) for i in range(64)]
+    emu = TapEmulation.from_system(system, Topology(seed=2004))
+
+    def transfer_64():
+        traces = [
+            emu.send_through_tunnel(node, tunnel, dest, b"x" * 64, 2_000_000.0)
+            for node, tunnel, dest in jobs
+        ]
+        emu.simulator.run()
+        assert all(trace.delivered for trace in traces)
+
+    return transfer_64
+
+
 def bench_pastry_row_entries():
     from repro.pastry.network import PastryNetwork
 
@@ -359,6 +419,8 @@ SNAPSHOT = {
 
 MACRO = {
     "fig6.leg": bench_fig6_leg,
+    "simnet.send_deliver_10k": bench_simnet_send_deliver_10k,
+    "emu.transfer_64": bench_emu_transfer_64,
     "pastry.join_200": bench_pastry_join_200,
     "pastry.route_churn_1000": bench_pastry_route_churn_1000,
     "past.repair_cycle_300": bench_past_repair_cycle_300,
