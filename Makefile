@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test audit bench bench-quick perfbench-smoke digests bench-pytest bench-paper figures extensions examples all clean telemetry-gate report gate
+.PHONY: install lint test audit bench bench-quick perfbench-smoke digests reach bench-pytest bench-paper figures extensions examples all clean telemetry-gate report gate
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -54,6 +54,14 @@ perfbench-smoke:
 # it on the parent and on the change; the outputs must be identical.
 digests:
 	@$(PYTHON) tools/digest_sheet.py
+
+# Which src/repro functions the product surface executes, which only
+# benchmarks/ or tests/ reach, which nothing reaches: every CLI path,
+# the examples, the perfbench smoke pass, then benchmarks/ and tier-1
+# under a stdlib call tracer (~5 min, not a CI job).  Rewrites
+# results/REACHABILITY.txt; a deletion PR starts from that sheet.
+reach:
+	$(PYTHON) tools/reach_sheet.py
 
 # Relative overhead gate: the instrumented 100k churn round vs its
 # bare twin, interleaved same-run timing (<=5%, exit 1 on breach).

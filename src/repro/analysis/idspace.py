@@ -303,12 +303,6 @@ def unpack_words(hi: np.ndarray, lo: np.ndarray) -> list[int]:
     return [(int(h) << _WORD_BITS) | int(l) for h, l in zip(hi.tolist(), lo.tolist())]
 
 
-def sort_words(hi: np.ndarray, lo: np.ndarray):
-    """Numeric (lexicographic on the pair) sort; returns (hi, lo, order)."""
-    order = np.lexsort((lo, hi))
-    return hi[order], lo[order], order
-
-
 def searchsorted_words(
     hi: np.ndarray, lo: np.ndarray, key_hi, key_lo
 ) -> np.ndarray:
@@ -388,33 +382,6 @@ def shared_prefix_bits_words(ahi, alo, bhi, blo) -> np.ndarray:
     return np.where(xhi != 0, clz64(xhi), 64 + clz64(xlo))
 
 
-def shift_right_words(hi, lo, shift) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise logical right shift of 128-bit (hi, lo) pairs.
-
-    ``shift`` may be a scalar or a per-element array in [0, 128];
-    shifts of >= 128 yield zero.  Per-element shift amounts of exactly
-    0 or 64 are handled explicitly (numpy's word shifts are undefined
-    at the word width).
-    """
-    hi = np.asarray(hi, dtype=np.uint64)
-    lo = np.asarray(lo, dtype=np.uint64)
-    s = np.asarray(shift, dtype=np.int64)
-    hi, lo, s = np.broadcast_arrays(hi, lo, s)
-    big = s >= 64
-    s1 = np.where(big, s - 64, s)
-    s1 = np.clip(s1, 0, 64)
-    su = np.where(s1 >= 64, 0, s1).astype(np.uint64)
-    shifted_hi = np.where(s1 >= 64, 0, hi >> su)
-    # carry the low bits of hi into lo: hi << (64 - s1), guarded for
-    # s1 == 0 (shift by 64 is undefined on uint64 words)
-    carry_amt = np.where(s1 == 0, 1, 64 - s1).astype(np.uint64)
-    carry = np.where(s1 == 0, 0, hi << carry_amt)
-    small_lo = (lo >> su) | carry
-    out_hi = np.where(big, 0, shifted_hi).astype(np.uint64)
-    out_lo = np.where(big, shifted_hi, small_lo).astype(np.uint64)
-    return out_hi, out_lo
-
-
 def clear_low_words(hi, lo, nbits) -> tuple[np.ndarray, np.ndarray]:
     """Zero the low ``nbits`` bits of 128-bit (hi, lo) pairs.
 
@@ -429,19 +396,6 @@ def clear_low_words(hi, lo, nbits) -> tuple[np.ndarray, np.ndarray]:
     lo_bits = np.clip(n, 0, 64)
     hi_bits = np.clip(n - 64, 0, 64)
     return hi & ~_LOW_MASKS[hi_bits], lo & ~_LOW_MASKS[lo_bits]
-
-
-def digit_words(hi, lo, row, b_bits: int) -> np.ndarray:
-    """Elementwise ``row``-th base-``2**b_bits`` digit of 128-bit ids.
-
-    Row 0 is the most significant digit — the vectorised twin of
-    :func:`repro.util.ids.id_digit`.  ``row`` may be scalar or a
-    per-element array.
-    """
-    row = np.asarray(row, dtype=np.int64)
-    shift = 128 - b_bits * (row + 1)
-    _, low = shift_right_words(hi, lo, shift)
-    return (low & np.uint64((1 << b_bits) - 1)).astype(np.int64)
 
 
 def add_pow2_words(hi, lo, nbits) -> tuple[np.ndarray, np.ndarray]:

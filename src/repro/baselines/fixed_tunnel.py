@@ -30,10 +30,6 @@ class FixedNodeTunnel:
         if self.keys and len(self.keys) != len(self.relay_ids):
             raise ValueError("keys must parallel relays")
 
-    @property
-    def length(self) -> int:
-        return len(self.relay_ids)
-
     def functions(self, is_alive) -> bool:
         """Alive-predicate check: every relay must be up."""
         return all(is_alive(nid) for nid in self.relay_ids)

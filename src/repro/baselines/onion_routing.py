@@ -42,10 +42,6 @@ class OnionCircuit:
         if not self.relays:
             raise OnionRoutingError("a circuit needs at least one relay")
 
-    @property
-    def length(self) -> int:
-        return len(self.relays)
-
     def wrap(self, destination_id: int, payload: bytes, rng: random.Random) -> bytes:
         """Layered RSA encryption, innermost layer for the last relay."""
         blob = pack_fields(pack_int(_EXIT_SENTINEL), pack_int(destination_id), payload)

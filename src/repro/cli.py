@@ -246,8 +246,9 @@ def _trace_main(argv: list[str]) -> int:
 def _chaos_main(argv: list[str]) -> int:
     """The ``tap-repro chaos`` subcommand: seeded fault injection.
 
-    Exit codes: 0 ok, 2 availability below ``--assert-availability``,
-    3 determinism violation under ``--assert-deterministic``.
+    Exit codes: 0 ok, 2 availability below ``--assert-availability``
+    or a plan this runner cannot apply (storage faults: ``durability``
+    runs those), 3 determinism violation under ``--assert-deterministic``.
     """
     parser = argparse.ArgumentParser(
         prog="tap-repro chaos",
@@ -304,7 +305,8 @@ def _chaos_main(argv: list[str]) -> int:
     if args.list_plans:
         for name in sorted(NAMED_PLANS):
             plan = NAMED_PLANS[name]
-            print(f"{name:12s} {plan.description}")
+            runner = "durability" if plan.storage_events else "chaos"
+            print(f"{name:12s} [{runner}] {plan.description}")
         return 0
     try:
         plan = named_plan(args.plan)
@@ -336,7 +338,11 @@ def _chaos_main(argv: list[str]) -> int:
         jobs.append((plan, config, False))
     if args.assert_deterministic:
         jobs.append((plan, config, True))
-    results = run_chaos_jobs(jobs, workers=args.workers)
+    try:
+        results = run_chaos_jobs(jobs, workers=args.workers)
+    except ValueError as exc:  # a plan whose faults chaos cannot apply
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = results[0]
     baseline = results[1] if not args.no_baseline else None
     replay = results[-1] if args.assert_deterministic else None

@@ -8,10 +8,15 @@ The package implements the paper's contribution end to end:
   Onion-Routing bootstrap path, deletion with PW proof (§3.3–§3.4);
 * :mod:`repro.core.tunnel` — tunnel formation with prefix-scattered
   anchor selection (§3.5) and reply tunnels with ``bid``/fakeonion (§4);
-* :mod:`repro.core.node` — per-node TAP state (key pair, hop handling);
-* :mod:`repro.core.forwarding` — the tunneling engine: layered
-  decryption hop by hop, replica fail-over on node failure, and the §5
-  IP-hint optimisation with DHT fallback;
+* :mod:`repro.core.node` — per-node TAP state (key pair, pending replies);
+* :mod:`repro.core.hop` — what a hop node does with an arriving
+  message: match a pending ``bid``, or look the THA up locally and peel
+  one layer (§3.5, §4) — written once, driven by both engines below;
+* :mod:`repro.core.forwarding` — the synchronous tunneling engine:
+  layered decryption hop by hop, replica fail-over on node failure, and
+  the §5 IP-hint optimisation with DHT fallback;
+* :mod:`repro.core.emulation` — the same hop step driven from timed
+  messages over :mod:`repro.simnet`, forward and reply;
 * :mod:`repro.core.retrieval` — §4's anonymous file retrieval
   application over forward + reply tunnels;
 * :mod:`repro.core.refresh` — periodic tunnel refresh (§7.2, Fig. 5);

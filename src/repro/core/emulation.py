@@ -1,8 +1,11 @@
 """Event-driven TAP execution over the discrete-event network.
 
 The synchronous engine (:mod:`repro.core.forwarding`) walks tunnels as
-a pure computation; this module runs the *same protocol* as timed
-messages over :class:`repro.simnet.SimNetwork`:
+a pure computation; this module runs the *same protocol* — literally:
+the same :func:`repro.core.hop.match_reply` and
+:func:`repro.core.hop.serve_hop` calls, in both directions — as timed
+messages over :class:`repro.simnet.SimNetwork`.  What is its own is how
+a message reaches the next node:
 
 * every overlay routing step is one physical message with the link's
   propagation + serialization delay;
@@ -15,9 +18,10 @@ messages over :class:`repro.simnet.SimNetwork`:
   independent copies — each peels its own onion and keeps its own
   path — and the first copy to reach a verdict finishes the trace.
 
-The emulation is cross-validated against the analytic path model in
-the tests: on a failure-free overlay, the emulated end-to-end latency
-of a transfer equals ``path_transfer_time`` over the recorded path.
+The emulation is cross-validated in the tests against the analytic
+path model — on a failure-free overlay, the emulated end-to-end latency
+of a transfer, forward or reply, equals ``path_transfer_time`` over the
+recorded path — and against the synchronous walk, scenario by scenario.
 """
 
 from __future__ import annotations
@@ -25,18 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+from repro.core.hop import HopFailed, match_reply, serve_hop
 from repro.core.node import TapNode
-from repro.core.tha import tha_value_decode
 from repro.core.tunnel import Tunnel
-from repro.crypto.onion import build_onion, peel_layer
-from repro.crypto.symmetric import CipherError
+from repro.crypto.onion import build_onion
 from repro.past.replication import ReplicatedStore
-from repro.past.storage import StorageError
 from repro.pastry.network import PastryNetwork
 from repro.simnet.events import Simulator
 from repro.simnet.network import SimMessage, SimNetwork
 from repro.simnet.topology import Topology
-from repro.util.serialize import SerializationError
 
 #: control-plane message size (headers, hop ids, key material)
 CONTROL_BITS = 8 * 1024
@@ -93,15 +94,17 @@ class _History:
 class _Envelope:
     """In-flight protocol message (the SimNetwork payload)."""
 
-    kind: str  # "tunnel" (onion toward hop key) | "exit" (payload toward dest)
+    kind: str  # "tunnel" / "reply" (onion toward hop key) | "exit" (payload toward dest)
     key: int  # DHT key currently being routed toward
-    blob: bytes  # remaining onion (tunnel) / application payload (exit)
+    blob: bytes  # remaining onion (tunnel, reply) / application payload (exit)
     size_bits: float
     #: the transmission's one verdict, shared by every copy in flight
     trace: EmuTrace
     #: where this copy records its way: the trace itself for the message
     #: as sent, a private :class:`_History` for a duplicate the network made
     history: EmuTrace | _History
+    #: a reply's plain payload, riding beside its onion (§4)
+    payload: bytes | None = None
     via_hint: bool = False  # current leg is a direct hinted send
     #: sim time / source of the physical leg currently in flight
     leg_start: float = 0.0
@@ -273,28 +276,64 @@ class TapEmulation:
         :meth:`install_faults`).
         """
         blob = build_onion(tunnel.onion_layers(), destination_id, payload)
-        bits = size_bits if size_bits is not None else 8.0 * len(payload)
-        trace = EmuTrace(started_at=self.simulator.now, on_done=on_done)
-        if self.tracer:
-            trace.span = self.tracer.start_trace(
-                "emu.request", observer="initiator",
-                initiator=initiator.node_id, **tunnel.span_attrs(),
-            )
-        trace.path.append(initiator.node_id)
-        env = _Envelope(
-            kind="tunnel",
-            key=tunnel.hops[0].hop_id,
-            blob=blob,
-            size_bits=bits + CONTROL_BITS,
-            trace=trace,
-            history=trace,
+        span = self.tracer.start_trace(
+            "emu.request", observer="initiator",
+            initiator=initiator.node_id, **tunnel.span_attrs(),
+        ) if self.tracer else None
+        return self._inject(
+            "tunnel", span, initiator.node_id, tunnel.hops[0].hop_id, blob,
+            tunnel.hint_ips[0] or "", payload, size_bits, on_done, deadline_s,
         )
-        first_hint = tunnel.hint_ips[0]
+
+    def send_reply_through_tunnel(
+        self,
+        responder_id: int,
+        first_hop_id: int,
+        reply_blob: bytes,
+        payload: bytes,
+        size_bits: float | None = None,
+        on_done: Callable[[EmuTrace], None] | None = None,
+        deadline_s: float | None = None,
+    ) -> EmuTrace:
+        """Inject a reply along a reply tunnel (§4); returns its trace.
+
+        The responder knows only ``first_hop_id`` and the opaque
+        ``reply_blob`` (:meth:`TunnelForwarder.send_reply`'s contract).
+        The transmission ends at the node that is closest to the current
+        identifier *and* waiting on it as a ``bid``: its
+        :class:`~repro.core.node.PendingReply` is completed and its
+        callback invoked with ``payload``, once.  ``size_bits``,
+        ``on_done`` and ``deadline_s`` are as in
+        :meth:`send_through_tunnel`.
+        """
+        span = self.tracer.start_trace(
+            "emu.reply", observer="exit", responder=responder_id,
+        ) if self.tracer else None
+        return self._inject(
+            "reply", span, responder_id, first_hop_id, reply_blob, "",
+            payload, size_bits, on_done, deadline_s,
+        )
+
+    def _inject(
+        self, kind: str, span, src: int, key: int, blob: bytes, hint_ip: str,
+        payload: bytes, size_bits: float | None, on_done, deadline_s: float | None,
+    ) -> EmuTrace:
+        """Start a ``kind`` transmission at ``src``: a fresh trace under
+        root ``span``, its one envelope, the deadline, the first
+        physical step."""
+        bits = size_bits if size_bits is not None else 8.0 * len(payload)
+        trace = EmuTrace(started_at=self.simulator.now, on_done=on_done, span=span)
+        trace.path.append(src)
+        env = _Envelope(
+            kind, key, blob, bits + CONTROL_BITS, trace, trace,
+            # a request's payload is sealed inside its onion
+            payload if kind == "reply" else None,
+        )
         if deadline_s is not None:
             self.simulator.schedule(
                 deadline_s, self._deadline_expired, trace
             )
-        self._dispatch(initiator.node_id, env, hint_ip=first_hint or "")
+        self._dispatch(src, env, hint_ip=hint_ip)
         return trace
 
     def _deadline_expired(self, trace: EmuTrace) -> None:
@@ -351,11 +390,7 @@ class TapEmulation:
                 return
             env.history.hint_failures += 1
         env.via_hint = False
-        node = self.network.nodes[from_node]
-        nxt = node.next_hop(env.key)
-        if nxt is None:
-            self._conclude(env, self.simulator.now, False, "routing dead end")
-            return
+        nxt = self.network.nodes[from_node].next_hop(env.key)
         if nxt == from_node:
             self._deliver_local(from_node, env)
             return
@@ -388,20 +423,11 @@ class TapEmulation:
             env.via_hint = False
             # Hinted leg arrived: serve locally if we hold the anchor,
             # else fall back to DHT routing from here (§5).
-            if env.kind == "tunnel" and self.store.storage_of(dst).contains(env.key):
+            if self.store.storage_of(dst).contains(env.key):
                 self._deliver_local(dst, env)
-            else:
-                env.history.hint_failures += 1
-                self._dispatch(dst, env)
-            return
-        node = self.network.nodes[dst]
-        nxt = node.next_hop(env.key)
-        if nxt == dst or nxt is None:
-            self._deliver_local(dst, env)
-        else:
-            env.leg_start = self.simulator.now
-            env.leg_from = dst
-            self.net.send(dst, nxt, env, env.size_bits)
+                return
+            env.history.hint_failures += 1
+        self._dispatch(dst, env)
 
     def _on_drop(self, record: SimMessage) -> None:
         """A message hit a dead node: its sender times out and retries.
@@ -432,6 +458,10 @@ class TapEmulation:
     # TAP protocol logic at the responsible node
     # ------------------------------------------------------------------
     def _deliver_local(self, node_id: int, env: _Envelope) -> None:
+        """``node_id`` is closest to ``env.key``: the destination takes
+        an exit payload; an onion meets :mod:`repro.core.hop` — the
+        initiator's pending ``bid`` first if it is a reply's, else one
+        layer is served and the rest travels on."""
         now = self.simulator.now
         if env.kind == "exit":
             env.trace.destination = node_id
@@ -439,21 +469,22 @@ class TapEmulation:
             self._conclude(env, now, True)
             return
 
-        # kind == "tunnel": this node must hold the hop's anchor.
-        storage = self.store.storage_of(node_id)
-        try:
-            stored = storage.lookup(env.key)
-        except StorageError:
-            self._conclude(
-                env, now, False,
-                f"node {node_id:#x} closest to hop {env.key:#x} holds no replica",
-            )
+        reply = env.kind == "reply"
+        pending = match_reply(self.tap_registry, node_id, env.key) if reply else None
+        if pending is not None:
+            pending.completed = True
+            env.trace.destination = node_id
+            env.trace.payload = env.payload
+            self._conclude(env, now, True)
+            if pending.callback is not None:
+                pending.callback(env.payload)
             return
-        anchor = tha_value_decode(env.key, stored.value)
         try:
-            peeled = peel_layer(anchor.key, env.blob)
-        except (CipherError, SerializationError):
-            self._conclude(env, now, False, f"decryption failed at {node_id:#x}")
+            peeled = serve_hop(self.store, node_id, env.key, env.blob, reply)
+        except HopFailed as exc:
+            if exc.counter is not None and self.metrics is not None:
+                self.metrics.counter(exc.counter).inc()
+            self._conclude(env, now, False, str(exc))
             return
         if env.trace.span is not None and self.tracer:
             # instantaneous on the simulated clock (crypto is not part
@@ -464,14 +495,12 @@ class TapEmulation:
                 observer="hop", hop_node=node_id,
             )
 
+        env.key = peeled.next_id
+        env.blob = peeled.inner
         if peeled.is_exit:
             for tap in self.content_taps:
                 tap(now, node_id, peeled.next_id, env.size_bits)
             env.kind = "exit"
-            env.key = peeled.next_id
-            env.blob = peeled.inner
             self._dispatch(node_id, env)
         else:
-            env.key = peeled.next_id
-            env.blob = peeled.inner
             self._dispatch(node_id, env, hint_ip=peeled.ip_hint)

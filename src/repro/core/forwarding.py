@@ -8,7 +8,9 @@ system would:
   closest to the hopid;
 * that node looks up the THA **in its own local storage** (it holds a
   replica iff the replication manager placed one there) and peels one
-  layer of encryption with the real symmetric key;
+  layer of encryption with the real symmetric key — the hop step of
+  :mod:`repro.core.hop`, which this walk drives in a loop and
+  :mod:`repro.core.emulation` drives from delivery events;
 * if the original tunnel hop node failed, routing lands on the
   promoted replica candidate, which succeeds iff re-replication kept a
   live copy — TAP's fault-tolerance claim, exercised literally;
@@ -17,8 +19,9 @@ system would:
 
 Reply traversal (§4) is the same walk — :meth:`TunnelForwarder._walk`
 runs both — except termination: the last identifier is a ``bid``
-recognised by the *initiator's* pending-reply table, not by an exit
-tag — intermediate hops cannot tell the difference.
+recognised by the *initiator's* pending-reply table
+(:func:`repro.core.hop.match_reply`), not by an exit tag —
+intermediate hops cannot tell the difference.
 """
 
 from __future__ import annotations
@@ -26,15 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core.hop import HopFailed, match_reply, serve_hop
 from repro.core.node import TapNode
-from repro.core.tha import tha_value_decode
 from repro.core.tunnel import Tunnel
-from repro.crypto.onion import build_onion, peel_layer
-from repro.crypto.symmetric import CipherError
+from repro.crypto.onion import build_onion
+from repro.crypto.onion import peel_layer  # noqa: F401 - peeled in repro.core.hop; perfbench's self-test reads this alias
 from repro.past.replication import ReplicatedStore
-from repro.past.storage import StorageError
 from repro.pastry.network import PastryNetwork, RoutingError
-from repro.util.serialize import SerializationError
 
 
 class TunnelBroken(RuntimeError):
@@ -251,39 +252,25 @@ class TunnelForwarder:
             record.underlying_path.extend(route.path)
         return route.destination
 
-    def _peel_at(self, node_id: int, hop_id: int, blob: bytes):
-        """The hop node's work: local THA lookup + one decryption."""
+    def _peel_at(self, node_id: int, hop_id: int, blob: bytes, reply: bool = False):
+        """The hop node's work (:func:`repro.core.hop.serve_hop`) under
+        its ``onion.peel`` span, a failure counted and re-raised as
+        :class:`TunnelBroken`."""
         tr = self.tracer
         span = tr.start_span("onion.peel", observer="hop",
                              hop_node=node_id) if tr else None
         try:
-            storage = self.store.storage_of(node_id)
-            try:
-                stored = storage.lookup(hop_id)
-            except StorageError as exc:
-                raise self._peel_failed(
-                    span, "anchor_lost", "tap.peel.anchor_lost",
-                    f"node {node_id:#x} is closest to hop {hop_id:#x} "
-                    f"but holds no THA replica (anchor lost)",
-                ) from exc
-            anchor = tha_value_decode(hop_id, stored.value)
-            try:
-                return peel_layer(anchor.key, blob)
-            except (CipherError, SerializationError) as exc:
-                raise self._peel_failed(
-                    span, "decrypt_failed", "tap.peel.decrypt_failures",
-                    f"layer decryption failed at {node_id:#x}",
-                ) from exc
+            return serve_hop(self.store, node_id, hop_id, blob, reply)
+        except HopFailed as exc:
+            if exc.counter is not None:  # a malformed layer did peel: span stays plain
+                if span is not None:
+                    span.set(outcome=exc.outcome)
+                if self.metrics is not None:
+                    self.metrics.counter(exc.counter).inc()
+            raise TunnelBroken(str(exc)) from exc
         finally:
             if span is not None:
                 tr.finish(span)
-
-    def _peel_failed(self, span, outcome: str, counter: str, why: str) -> TunnelBroken:
-        if span is not None:
-            span.set(outcome=outcome)
-        if self.metrics is not None:
-            self.metrics.counter(counter).inc()
-        return TunnelBroken(why)
 
     # ------------------------------------------------------------------
     # fault injection (repro.faults)
@@ -480,8 +467,7 @@ class TunnelForwarder:
                 if reply:
                     if hop_span is not None:
                         _settled(hop_span, record)
-                    tap = self.tap_registry.get(hop_node)
-                    pending = tap.match_reply(hop_id) if tap is not None else None
+                    pending = match_reply(self.tap_registry, hop_node, hop_id)
                     if pending is not None:
                         pending.completed = True
                         trace.success = True
@@ -494,14 +480,8 @@ class TunnelForwarder:
                         if pending.callback is not None:
                             pending.callback(payload)
                         return
-                peeled = self._peel_at(hop_node, hop_id, blob)
-                if reply:
-                    if peeled.is_exit:
-                        # build_reply_onion never emits one: fail closed
-                        raise TunnelBroken(
-                            "EXIT-tagged layer inside a reply onion (malformed)"
-                        )
-                else:
+                peeled = self._peel_at(hop_node, hop_id, blob, reply)
+                if not reply:
                     if max_links is not None:
                         self._check_budget(trace, max_links)
                     if hop_span is not None:

@@ -119,9 +119,5 @@ class TapNode:
     def register_pending(self, pending: PendingReply) -> None:
         self.pending_replies[pending.bid] = pending
 
-    def match_reply(self, bid: int) -> PendingReply | None:
-        """Recognise an incoming last-leg reply by its bid."""
-        return self.pending_replies.get(bid)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TapNode({self.node_id:#034x})"

@@ -84,8 +84,8 @@ class TapSystem:
         ``overlay_seed`` draws the node ids from a *different* root
         seed than the system's behavioural streams: ``bootstrap(n,
         seed=rep, overlay_seed=base)`` is the fresh-build reference
-        that :meth:`fork` of a ``seed=base`` system must match byte
-        for byte (the fork-equivalence contract).
+        that ``snapshot().fork(rep)`` of a ``seed=base`` system must
+        match byte for byte (the fork-equivalence contract).
         """
         seeds = SeedSequenceFactory(seed)
         id_seeds = seeds if overlay_seed is None else SeedSequenceFactory(overlay_seed)
@@ -111,15 +111,6 @@ class TapSystem:
         from repro.perf.snapshot import SystemSnapshot
 
         return SystemSnapshot.capture(self)
-
-    def fork(
-        self, seed: int, metrics=None, event_trace=None, tracer=None
-    ) -> "TapSystem":
-        """An independent system on a copy-on-write fork of this one's
-        substrates, with fresh seed streams rooted at ``seed``."""
-        return self.snapshot().fork(
-            seed, metrics=metrics, event_trace=event_trace, tracer=tracer
-        )
 
     # ------------------------------------------------------------------
     # observability (repro.obs)
@@ -167,10 +158,6 @@ class TapSystem:
             )
         self.forwarder.faults = injector
         return injector
-
-    def clear_faults(self) -> None:
-        """Disarm fault injection (subsequent sends run clean)."""
-        self.forwarder.faults = None
 
     def enable_auditing(self, strict: bool = True):
         """Run an :class:`repro.obs.InvariantAuditor` after every

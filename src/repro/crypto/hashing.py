@@ -15,7 +15,7 @@ import hashlib
 import hmac
 import random
 
-from repro.util.ids import ID_BITS, ID_SPACE
+from repro.util.ids import ID_BITS
 
 _SEP = b"\x1f"  # unambiguous field separator for hash inputs
 
@@ -87,8 +87,3 @@ def random_key(rng: random.Random, nbytes: int = 16) -> bytes:
 def random_password(rng: random.Random, nbytes: int = 16) -> bytes:
     """Random THA password ``PW`` from an explicit generator."""
     return rng.getrandbits(8 * nbytes).to_bytes(nbytes, "big")
-
-
-def random_id_from(rng: random.Random) -> int:
-    """Uniform 128-bit id (convenience mirror of :func:`repro.util.random_id`)."""
-    return rng.getrandbits(ID_BITS) % ID_SPACE

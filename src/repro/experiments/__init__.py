@@ -50,8 +50,6 @@ from repro.experiments.scale_latency import ScaleLatencyConfig, run_scale_latenc
 from repro.experiments.config import DurabilityConfig
 from repro.experiments.durability import run_durability
 from repro.experiments.runner import (
-    metrics_rows,
-    render_metrics,
     render_table,
     rows_to_csv,
     series,
@@ -92,8 +90,6 @@ __all__ = [
     "run_scale_latency",
     "DurabilityConfig",
     "run_durability",
-    "metrics_rows",
-    "render_metrics",
     "render_table",
     "rows_to_csv",
     "series",

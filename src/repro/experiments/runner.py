@@ -8,7 +8,7 @@ plus CSV for external plotting.
 from __future__ import annotations
 
 import io
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def series(rows: list[dict], x: str, y: str, scheme_key: str = "scheme") -> dict[str, list[tuple]]:
@@ -77,24 +77,3 @@ def pivot(rows: list[dict], index: str, column: str, value: str) -> list[dict]:
         entry = table.setdefault(row[index], {index: row[index]})
         entry[str(row[column])] = row[value]
     return [table[k] for k in sorted(table)]
-
-
-def summarize(rows: Iterable[dict], label: str = "") -> str:
-    """One-line digest used in benchmark logs."""
-    rows = list(rows)
-    return f"{label}: {len(rows)} rows" if label else f"{len(rows)} rows"
-
-
-def metrics_rows(registry) -> list[dict]:
-    """Tidy per-instrument rows from a :class:`repro.obs.MetricsRegistry`.
-
-    One row per counter/gauge/histogram with uniform columns, ready
-    for :func:`render_table` / :func:`rows_to_csv` — how the CLI's
-    ``--metrics-out`` surfaces per-hop latency histograms as CSV.
-    """
-    return registry.rows()
-
-
-def render_metrics(registry, title: str = "metrics") -> str:
-    """Fixed-width table of every instrument in the registry."""
-    return render_table(metrics_rows(registry), title=title)

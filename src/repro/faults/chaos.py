@@ -107,7 +107,16 @@ def run_chaos(
     system byte-identical to a fresh bootstrap, so report digests are
     unchanged while repeated runs (the policy/baseline pair, replay
     verification, job fan-out) skip the N-node construction.
+
+    Raises ``ValueError`` for a plan with ``storage_events``: nothing
+    here applies at-rest faults, and a run that skipped its faults
+    would read as a pass.
     """
+    if plan.storage_events:
+        raise ValueError(
+            f"fault plan {plan.name!r} schedules at-rest storage faults, which "
+            f"only run_durability applies (DurabilityConfig(plan={plan.name!r}))"
+        )
     event_trace = EventTrace()
     from repro.perf import base_snapshot
 

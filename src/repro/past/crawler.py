@@ -52,9 +52,6 @@ class CrawlReport:
     #: keys left un-scanned when the budget ran out
     keys_deferred: int = 0
 
-    def as_dict(self) -> dict:
-        return dict(vars(self))
-
 
 class RepairCrawler:
     """Cursor-resumable verify/repair walker over one ErasureStore."""

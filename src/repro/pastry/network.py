@@ -218,14 +218,6 @@ class PastryNetwork:
 
         return NetworkSnapshot.capture(self)
 
-    def fork(self, metrics=None, tracer=None) -> "PastryNetwork":
-        """An independent copy-on-write copy of this overlay.
-
-        Node state is materialised lazily on first access, so forking
-        is O(1) in the network size; mutations never touch the parent.
-        """
-        return self.snapshot().restore(metrics=metrics, tracer=tracer)
-
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
@@ -240,9 +232,6 @@ class PastryNetwork:
 
     def __iter__(self) -> Iterator[PastryNode]:
         return iter(self.nodes.values())
-
-    def node(self, node_id: int) -> PastryNode:
-        return self.nodes[node_id]
 
     def is_alive(self, node_id: int) -> bool:
         node = self.nodes.get(node_id)
@@ -312,10 +301,6 @@ class PastryNetwork:
             self.metrics.counter("pastry.joins").inc()
             self.metrics.gauge("pastry.population").set(self.size)
         return newcomer
-
-    def leave(self, node_id: int) -> None:
-        """Graceful departure (same observable effect as failure)."""
-        self.fail(node_id)
 
     def fail(self, node_id: int) -> None:
         """Crash a node; optionally repair neighbours' leaf sets."""
@@ -595,8 +580,6 @@ class PastryNetwork:
             excluded: set[int] = set()
             while True:
                 nxt = current.next_hop(key, exclude=excluded)
-                if nxt is None:
-                    return RouteResult(key, path, False, failures)
                 if nxt == current.node_id:
                     if cacheable and failures == 0:
                         if len(cache) >= self.ROUTE_CACHE_LIMIT:

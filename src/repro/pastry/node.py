@@ -58,7 +58,7 @@ class PastryNode:
         return self.leaf_set.members | self.routing_table.entries
 
     # -- the Pastry routing decision --------------------------------------
-    def next_hop(self, key: int, exclude: set[int] | None = None) -> int | None:
+    def next_hop(self, key: int, exclude: set[int] | None = None) -> int:
         """Pastry's per-hop forwarding rule (Rowstron–Druschel §2.3).
 
         1. If the key is covered by the leaf set, deliver to the

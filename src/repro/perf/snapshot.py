@@ -18,8 +18,8 @@ Semantics
   every materialisation is a fresh copy — mutations in one fork are
   invisible to the snapshot, the base system and every other fork.
 * A fork is **equivalent** to a fresh build: ``TapSystem.bootstrap(n,
-  seed=rep, overlay_seed=base).rows_digest == TapSystem.fork`` of the
-  base snapshot with ``seed=rep`` — the property the fork-equivalence
+  seed=rep, overlay_seed=base).rows_digest == SystemSnapshot.fork`` of
+  the base snapshot with ``seed=rep`` — the property the fork-equivalence
   tests pin byte-for-byte, including after fail/revive cycles.
 
 Epoch bookkeeping carries over verbatim: the restored network resumes

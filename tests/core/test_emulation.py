@@ -132,7 +132,7 @@ class TestFailureTimeouts:
         trace = emu.send_through_tunnel(alice, tunnel, 42, b"x")
         emu.simulator.run()
         assert not trace.delivered
-        assert "no replica" in trace.failed_reason
+        assert "holds no THA replica (anchor lost)" in trace.failed_reason
 
 
 class TestHints:
@@ -188,4 +188,4 @@ class TestDecodedAnchorCache:
         bad = emu.send_through_tunnel(alice, tunnel, 42, b"hello")
         emu.simulator.run()
         assert not bad.delivered
-        assert bad.failed_reason == f"decryption failed at {node_id:#x}"
+        assert bad.failed_reason == f"layer decryption failed at {node_id:#x}"

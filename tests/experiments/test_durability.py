@@ -90,6 +90,22 @@ class TestDurability:
         snapshot = metrics.snapshot()
         assert any(name.startswith("erasure.repair") for name in snapshot)
 
+    def test_lease_skew_plan_skews_leases(self):
+        """The one route to ``StorageFaultInjector.inject_lease_skew``:
+        the erasure arm's holders get fast clocks, the replicated arm
+        (no lease clock) counts the event as unsupported."""
+        import dataclasses
+
+        metrics = MetricsRegistry()
+        rows = run_durability(
+            dataclasses.replace(DurabilityConfig.fast(), plan="lease-skew"),
+            metrics=metrics,
+        )
+        assert {r["backend"] for r in rows} == set(BACKENDS)
+        snapshot = metrics.snapshot()
+        assert snapshot["faults.storage.lease_skew"]["value"] > 0
+        assert snapshot["faults.storage.skew_unsupported"]["value"] > 0
+
     def test_fast_config_is_smaller(self):
         fast = DurabilityConfig.fast()
         assert fast.num_nodes < DurabilityConfig().num_nodes

@@ -107,3 +107,11 @@ class TestOtherPlans:
         faults = report["summary"]["faults_injected"]
         assert faults.get("partition.split") == 1
         assert faults.get("partition.heal") == 1
+
+    @pytest.mark.parametrize("name", ["lease-skew", "bitrot"])
+    def test_storage_plans_are_refused_not_silently_passed(self, name):
+        """Nothing in a chaos run applies at-rest storage faults: a
+        plan carrying them used to report availability 1.0 with "faults
+        injected: none" (lease-skew) or drop its rot (bitrot)."""
+        with pytest.raises(ValueError, match="run_durability"):
+            run_chaos(named_plan(name), FAST)

@@ -203,6 +203,14 @@ class TestChaosSubcommand:
         assert main(["chaos", "--plan", "nope"]) == 1
         assert "unknown fault plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("plan", ["lease-skew", "bitrot"])
+    def test_storage_plan_exits_2_naming_durability(self, plan, capsys):
+        assert main(["chaos", "--plan", plan, "--fast"]) == 2
+        captured = capsys.readouterr()
+        assert "durability" in captured.err and "digest" not in captured.out
+        assert main(["chaos", "--list-plans"]) == 0
+        assert f"{plan:12s} [durability]" in capsys.readouterr().out
+
     def test_run_prints_report(self, capsys):
         assert main(self.CHAOS) == 0
         out = capsys.readouterr().out

@@ -271,7 +271,7 @@ def bench_pastry_route_churn_1000():
     from repro.util.rng import make_pyrandom
 
     ids = sorted(_bench_ids_1000())
-    net = PastryNetwork.build(ids).fork()
+    net = PastryNetwork.build(ids).snapshot().restore()
     rng = make_pyrandom(2004, "bench-route-churn")
     pairs = [(rng.choice(ids), rng.getrandbits(128)) for _ in range(128)]
     sources = {src for src, _ in pairs}
