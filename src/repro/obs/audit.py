@@ -12,6 +12,9 @@ and adds the Pastry-level checks the store cannot see:
   immediate ring predecessor and successor, and they contain it back
   (the minimal property that makes closest-key routing terminate at
   the true root);
+* ``leaf-window`` — under eager repair every alive node's leaf set *is*
+  its window of the ring order: the |L|/2 alive ids on each side, no
+  more and no fewer (:func:`repro.pastry.bulk.leaf_window`);
 * ``storage-index`` — every object physically present on an *alive*
   node is attributed to that node by the store's holder index, and
   vice versa (dead nodes legitimately keep unreachable stale copies
@@ -26,7 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.pastry.bulk import leaf_reach, leaf_window
 from repro.pastry.network import PastryNetwork
+
+
+def _hex_list(ids) -> str:
+    return "[" + ", ".join(f"{i:#x}" for i in sorted(ids)) + "]"
 
 
 class InvariantViolationError(AssertionError):
@@ -127,17 +135,24 @@ class InvariantAuditor:
             )
 
     def _check_leaf_sets(self, report: AuditReport) -> None:
-        """Immediate-neighbour coverage and symmetry."""
+        """Immediate-neighbour coverage and symmetry; under eager
+        repair (``check_liveness``) the whole ring window."""
         ids = self.network.alive_ids
         n = len(ids)
-        if n < 2:
-            return
+        reach = leaf_reach(n, self.network.leaf_set_size)
         for pos, nid in enumerate(ids):
             node = self.network.nodes[nid]
+            if self.check_liveness:
+                window = set(leaf_window(ids, pos, reach))
+                members = node.leaf_set.members
+                if members != window:
+                    report.violations.append(
+                        f"leaf-window: {nid:#x} "
+                        f"missing {_hex_list(window - members)} "
+                        f"extra {_hex_list(members - window)}"
+                    )
             for neighbour in (ids[(pos + 1) % n], ids[(pos - 1) % n]):
-                if neighbour == nid:
-                    continue
-                if neighbour not in node.leaf_set:
+                if neighbour != nid and neighbour not in node.leaf_set:
                     report.violations.append(
                         f"leaf-symmetry: {nid:#x} missing immediate "
                         f"neighbour {neighbour:#x}"

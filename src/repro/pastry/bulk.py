@@ -18,7 +18,7 @@ here, once:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.util.ids import ID_BITS, id_digit, shared_prefix_digits
 
@@ -28,14 +28,23 @@ def leaf_reach(n: int, leaf_set_size: int) -> int:
     return min(leaf_set_size // 2, n - 1)
 
 
-def leaf_window(ids: Sequence[int], idx: int, reach: int) -> Iterator[int]:
-    """The canonical leaf-set members of ``ids[idx]``.
+def leaf_window(ids: list[int], idx: int, reach: int) -> list[int]:
+    """The canonical leaf-set members of ``ids[idx]``, ascending.
 
-    ``ids`` must be ascending and duplicate-free; the window is the
-    ``reach`` index neighbours on each side, wrapping around the ring.
+    ``ids`` must be an ascending, duplicate-free list; the window is the
+    ``reach`` index neighbours on each side, wrapping around the ring —
+    two slices of ``ids`` when it does not wrap, and everyone else when
+    the two sides meet (``2 * reach >= len(ids) - 1``).
     """
     n = len(ids)
-    return (ids[(idx + off) % n] for off in range(-reach, reach + 1) if off)
+    lo, hi = idx - reach, idx + reach + 1
+    if hi - lo >= n:
+        return ids[:idx] + ids[idx + 1:]
+    if lo < 0:
+        return ids[:idx] + ids[idx + 1:hi] + ids[lo:]
+    if hi > n:
+        return ids[:hi - n] + ids[lo:idx] + ids[idx + 1:]
+    return ids[lo:idx] + ids[idx + 1:hi]
 
 
 def node_prefix(node_id: int, row: int, b_bits: int) -> int:

@@ -79,24 +79,42 @@ class LeafSet:
                 self.on_add(self.owner_id, node_id)
 
     def bulk_load(self, node_ids) -> None:
-        """Trusted direct load used by the bulk ring constructor and the
-        snapshot-restore path: the caller guarantees the ids are exactly
-        a valid (trimmed) leaf set for the owner, so they are ordered
-        once and :meth:`_trim` is skipped."""
+        """Trusted direct load used by the snapshot-restore path: the
+        caller guarantees the ids are exactly a valid (trimmed) leaf set
+        for the owner, so they are ordered once and :meth:`_trim` is
+        skipped."""
         ids = sorted(set(node_ids) - {self.owner_id})
         if ids != self._ids:
             self._ids = ids
             self.version += 1
 
+    def reload(self, window: list[int]) -> set[int]:
+        """Become the owner's slice of the ring order as read by
+        :func:`repro.pastry.bulk.leaf_window` (ascending, owner-free,
+        adopted as is) — how the bulk constructor and eager repair set
+        a leaf set.  Returns the ids gained, for the referrer index;
+        ``on_add`` is not fired and ``version`` moves only if the ids
+        did."""
+        if window == self._ids:
+            return set()
+        gained = set(window).difference(self._ids)
+        self._ids = window
+        self.version += 1
+        return gained
+
     def remove(self, node_id: int) -> None:
-        if node_id in self:
-            self._ids.remove(node_id)
+        ids = self._ids
+        pos = bisect_left(ids, node_id)
+        if pos < len(ids) and ids[pos] == node_id:
+            del ids[pos]
             self.version += 1
 
     def _trim(self) -> None:
         """Keep only ids that belong to either bounded half, i.e. drop
         the middle of the clockwise order.  (A half with a vacancy is
-        thereby filled from the other side of the ring.)"""
+        thereby filled from the other side of the ring.  Eager repair
+        never leaves one — it re-reads the whole window, :meth:`reload`
+        — but join and lazy discovery can meet a non-full set.)"""
         ids = self._ids
         while len(ids) > self.capacity:
             del ids[(bisect_left(ids, self.owner_id) + self.half) % len(ids)]

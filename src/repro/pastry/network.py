@@ -154,13 +154,11 @@ class PastryNetwork:
 
         # Leaf sets in one pass: the half closest ids in each ring
         # direction are exactly the index neighbours in sorted order,
-        # so the trimmed leaf set can be assigned directly instead of
-        # re-ranking after every insertion.  The window/bucket builders
-        # live in repro.pastry.bulk, shared with the compact engine.
-        n = len(ids)
-        reach = leaf_reach(n, leaf_set_size)
-        for idx, nid in enumerate(ids):
-            net.nodes[nid].leaf_set.bulk_load(leaf_window(ids, idx, reach))
+        # so every leaf set is read as a window of ``ids`` — the same
+        # read eager repair makes after a fail or a revive.  The
+        # window/bucket builders live in repro.pastry.bulk, shared with
+        # the compact engine.
+        net._reload_leaf_sets(0, len(ids))
 
         # Routing tables from prefix buckets: bucket (row, prefix, digit)
         # keeps the smallest qualifying id for determinism.  Nodes that
@@ -258,7 +256,8 @@ class PastryNetwork:
         nodes along the join route, and announces itself to every node
         it learned about.
         """
-        if node_id in self.nodes and self.nodes[node_id].alive:
+        previous = self.nodes.get(node_id)
+        if previous is not None and previous.alive:
             raise ValueError(f"node {node_id:#x} already in the overlay")
         newcomer = PastryNode(node_id, self.b_bits, self.leaf_set_size)
         self.nodes[node_id] = newcomer
@@ -270,10 +269,18 @@ class PastryNetwork:
 
         if bootstrap_id is None:
             bootstrap_id = self._sorted_alive[0]
-        result = self.route(bootstrap_id, node_id)
-        if not result.success:
-            del self.nodes[node_id]
-            raise RoutingError("join route failed; overlay too damaged")
+        try:
+            result = self.route(bootstrap_id, node_id)
+            if not result.success:
+                raise RoutingError("join route failed; overlay too damaged")
+        except BaseException:
+            # A failed join leaves the registry as it found it: the
+            # dead node a re-join would have replaced keeps its record.
+            if previous is None:
+                del self.nodes[node_id]
+            else:
+                self.nodes[node_id] = previous
+            raise
 
         # Row i of the routing table comes from the i-th node on the
         # join route (it shares at least i digits with the newcomer).
@@ -322,10 +329,12 @@ class PastryNetwork:
         was away still populate its leaf set and routing table, and no
         live node remembers it.  Under eager repair (the maintenance
         protocol stand-in) both sides are reconciled: the stale
-        references are dropped and repaired, the revived node's leaf
-        set is refilled, and its ring neighbours re-adopt it.  Without
-        eager repair the node returns stale, and routing discovers the
-        inconsistencies lazily (tests churn logic).
+        references are dropped and repaired, the node and its ring
+        neighbours enter each other's routing tables where a cell is
+        free, and its leaf set and theirs are re-read from the sorted
+        alive ids.  Without eager repair the node returns stale, and
+        routing discovers the inconsistencies lazily (tests churn
+        logic).
         """
         node = self.nodes.get(node_id)
         if node is None or node.alive:
@@ -341,21 +350,26 @@ class PastryNetwork:
     def _repair_after_revival(self, node_id: int) -> None:
         """Reconcile a revived node's stale state with the overlay."""
         node = self.nodes[node_id]
+        refilled = 0
         for stale in [m for m in node.known_nodes() if not self.is_alive(m)]:
-            self._forget_and_refill(node, stale)
+            refilled += self._forget_and_refill(node, stale)
         ids = self._sorted_alive
         n = len(ids)
-        if n < 2:
-            return
         pos = bisect_left(ids, node_id)
-        half = self.leaf_set_size // 2
-        for off in range(1, min(half, n - 1) + 1):
+        reach = leaf_reach(n, self.leaf_set_size)
+        # The node and each ring neighbour offer themselves for each
+        # other's routing table: same row both ways, incumbents stay.
+        b = self.b_bits
+        for off in range(1, reach + 1):
             for neighbour_id in (ids[(pos + off) % n], ids[(pos - off) % n]):
-                if neighbour_id == node_id:
-                    continue
-                node.leaf_set.add(neighbour_id)
-                node.routing_table.add(neighbour_id)
-                self.nodes[neighbour_id].learn([node_id])
+                row = shared_prefix_digits(node_id, neighbour_id, b)
+                self._fill_if_vacant(node, row, id_digit(neighbour_id, row, b), neighbour_id)
+                self._fill_if_vacant(
+                    self.nodes[neighbour_id], row, id_digit(node_id, row, b), node_id
+                )
+        # The revived node's own window and the windows it re-entered.
+        reloaded = self._reload_leaf_sets(pos - reach, pos + reach + 1)
+        self._count_repair(reloaded, refilled)
 
     # ------------------------------------------------------------------
     # the referrer index (who references whom)
@@ -392,44 +406,93 @@ class PastryNetwork:
         the furthest leaf on the depleted side for its leaf set;
         routing-table repair asks row neighbours for a replacement
         entry.  We refill from the global sorted list — the state those
-        protocols provably converge to.
+        protocols provably converge to: every referrer forgets the dead
+        id and refills the cell it vacated, then the |L|/2 alive nodes
+        on each side of the vacated ring position — the holders of a
+        canonical overlay — re-read their leaf sets as windows of it.
 
         Referrers come from the lazily-built reverse index rather than
-        a full-ring scan, so one departure costs O(referrers · |L|),
+        a full-ring scan, so one departure costs O(referrers + |L|²),
         not O(N) — the index is a superset, pruned here by the same
-        membership checks the scan performed.
+        membership checks the scan performed, and it also reaches
+        holders outside the window (routing tables; leaf sets left
+        non-canonical by a lazily repaired phase).
         """
-        if not self._sorted_alive:
+        ids = self._sorted_alive
+        if not ids:
             return
         refs = self._referrers
         if refs is None:
             refs = self._build_referrer_index()
-        owners = refs.pop(dead_id, None)
-        if not owners:
-            return
-        want = min(self.leaf_set_size + 2, len(self._sorted_alive))
-        for nid in sorted(owners):
+        refilled = 0
+        for nid in refs.pop(dead_id, ()):
             node = self.nodes.get(nid)
-            if node is None or not node.alive:
+            if node is None:
                 continue
-            if dead_id not in node.leaf_set and dead_id not in node.routing_table:
-                continue
-            had_leaf = dead_id in node.leaf_set
-            self._forget_and_refill(node, dead_id)
-            if had_leaf:
-                node.leaf_set.add_all(closest_in_sorted(self._sorted_alive, nid, want))
+            if not node.alive:
+                # A dead holder keeps its stale reference and comes back
+                # with it if both are revived: it stays indexed.
+                self._note_reference(nid, dead_id)
+            elif dead_id in node.routing_table or dead_id in node.leaf_set:
+                refilled += self._forget_and_refill(node, dead_id)
+        pos = bisect_left(ids, dead_id)
+        half = self.leaf_set_size // 2
+        reloaded = self._reload_leaf_sets(pos - half, pos + half)
+        self._count_repair(reloaded, refilled)
 
-    def _forget_and_refill(self, node: PastryNode, dead_id: int) -> None:
+    def _reload_leaf_sets(self, lo: int, hi: int) -> int:
+        """Re-read, from the sorted alive ids, the leaf sets of the nodes
+        at ring positions ``lo`` .. ``hi - 1`` (indices wrap; each node
+        once) and tell the referrer index what each window gained.
+        Returns how many leaf sets were re-read."""
+        ids = self._sorted_alive
+        n = len(ids)
+        reach = leaf_reach(n, self.leaf_set_size)
+        refs = self._referrers
+        first = max(lo, hi - n)
+        for idx in range(first, hi):
+            idx %= n
+            owner_id = ids[idx]
+            gained = self.nodes[owner_id].leaf_set.reload(leaf_window(ids, idx, reach))
+            if refs is not None:
+                for target in gained:
+                    refs.setdefault(target, set()).add(owner_id)
+        return hi - first
+
+    def _count_repair(self, reloaded: int, refilled: int) -> None:
+        m = self.metrics
+        if m is not None:
+            m.counter("pastry.repair.leaf_sets_reloaded").inc(reloaded)
+            m.counter("pastry.repair.cells_refilled").inc(refilled)
+
+    def _forget_and_refill(self, node: PastryNode, dead_id: int) -> bool:
         """Drop a dead node from local state and repair the vacated
-        routing cell with another alive node of the same prefix class."""
-        cell = node.routing_table.cell_for(dead_id)
-        node.forget(dead_id)
+        routing cell with another alive node of the same prefix class;
+        True if a replacement was installed."""
+        table = node.routing_table
+        cell = node.forget(dead_id)
         if cell is None:
-            return
-        row, col = cell
-        replacement = self._find_node_for_cell(node.node_id, row, col)
-        if replacement is not None:
-            node.routing_table.add(replacement)
+            # Held in the leaf set alone (or not at all): the cell the
+            # dead id would have occupied is still filled if vacant.
+            cell = table.cell_for(dead_id)
+            if cell is None or table.lookup(*cell) is not None:
+                return False
+        replacement = self._find_node_for_cell(node.node_id, *cell)
+        if replacement is None:
+            return False
+        table.install_cell(*cell, replacement)
+        self._note_reference(node.node_id, replacement)
+        return True
+
+    def _fill_if_vacant(self, node: PastryNode, row: int, col: int, entry: int) -> bool:
+        """Install ``entry``, whose cell in ``node``'s table is
+        ``(row, col)``, unless the cell has an incumbent."""
+        table = node.routing_table
+        if table.lookup(row, col) is not None:
+            return False
+        table.install_cell(row, col, entry)
+        self._note_reference(node.node_id, entry)
+        return True
 
     def _find_node_for_cell(self, owner_id: int, row: int, col: int) -> int | None:
         """Any alive node sharing ``row`` digits with the owner and

@@ -49,10 +49,11 @@ class PastryNode:
             self.leaf_set.add(nid)
             self.routing_table.add(nid)
 
-    def forget(self, node_id: int) -> None:
-        """Drop a node believed failed from all local state."""
+    def forget(self, node_id: int) -> tuple[int, int] | None:
+        """Drop a node believed failed from all local state; returns the
+        routing-table cell it vacated, if it held one."""
         self.leaf_set.remove(node_id)
-        self.routing_table.remove(node_id)
+        return self.routing_table.remove(node_id)
 
     def known_nodes(self) -> set[int]:
         return self.leaf_set.members | self.routing_table.entries

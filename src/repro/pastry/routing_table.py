@@ -82,9 +82,10 @@ class RoutingTable:
         self._version += 1
 
     def install_cell(self, row: int, col: int, node_id: int) -> None:
-        """Trusted direct install used by the bulk ring constructor:
-        the caller guarantees ``(row, col) == cell_for(node_id)`` and
-        that the cell is vacant — skips the prefix computation."""
+        """Trusted direct install used by the bulk ring constructor and
+        by repair, which refills a vacated cell in place: the caller
+        guarantees ``(row, col) == cell_for(node_id)`` and that the cell
+        is vacant — skips the prefix computation."""
         self._install((row, col), node_id)
 
     def load_cells(self, cells: dict[tuple[int, int], int]) -> None:
@@ -100,10 +101,11 @@ class RoutingTable:
         self._reverse = reverse
         self._version += 1
 
-    def remove(self, node_id: int) -> bool:
+    def remove(self, node_id: int) -> tuple[int, int] | None:
+        """Drop an entry; returns the (row, col) it vacated, else None."""
         cell = self._reverse.pop(node_id, None)
         if cell is None:
-            return False
+            return None
         del self._cells[cell]
         row = self._rows_index.get(cell[0])
         if row is not None and row.get(cell[1]) == node_id:
@@ -111,7 +113,7 @@ class RoutingTable:
             if not row:
                 del self._rows_index[cell[0]]
         self._version += 1
-        return True
+        return cell
 
     def lookup(self, row: int, col: int) -> int | None:
         return self._cells.get((row, col))

@@ -75,6 +75,24 @@ class TestInjectedViolations:
         report = InvariantAuditor(network).run("broken leaf set")
         assert any("leaf-symmetry" in v for v in report.violations)
 
+    def test_skewed_leaf_set_detected(self, network):
+        """7 clockwise + 9 counterclockwise: full, all members alive,
+        both immediate neighbours present — only the window check sees
+        that it is not the node's slice of the ring."""
+        ids = network.alive_ids
+        pos = 20
+        node = network.nodes[ids[pos]]
+        node.leaf_set.remove(ids[pos + 8])
+        node.leaf_set.add(ids[pos - 9])
+        assert len(node.leaf_set.cw_members()) == 8  # the far ccw id ranks 8th cw
+        report = InvariantAuditor(network).run("skewed leaf set")
+        assert report.violations == [
+            f"leaf-window: {ids[pos]:#x} missing [{ids[pos + 8]:#x}] "
+            f"extra [{ids[pos - 9]:#x}]"
+        ]
+        lazy = InvariantAuditor(network, check_liveness=False).run("lazy")
+        assert lazy.clean  # not an invariant of a lazily repairing overlay
+
     def test_dead_reference_detected(self, network):
         victim = network.alive_ids[5]
         holder = network.nodes[network.alive_ids[6]]

@@ -1,9 +1,15 @@
-"""The ``join_node`` churn route loop (perfbench/README "Known source bug").
+"""Join churn keeps routing: the ``join_node`` route loop, closed.
 
-Pinned with its root cause, not fixed: the fix (refill a depleted leaf
-set from the ±reach index window of :func:`repro.pastry.bulk.leaf_window`,
-i.e. true halves) changes routes and every digest, so it is its own
-change.  DESIGN.md §5c has the diagnosis.
+Alternating ``fail_node``/``join_node`` used to end in
+``RoutingError("join route failed")`` (seed 7 at event 136, seed 2004 at
+event 1,061): departure repair refilled a depleted leaf set with the
+|L|+2 *ring-distance*-closest ids, leaving 7 + 9 splits whose arc ran
+the long way round the ring, and a later join announcement took the
+slot.  Repair now re-reads the ±reach index window of
+:func:`repro.pastry.bulk.leaf_window` — true halves — so that state is
+no longer produced.  DESIGN.md §5c has the diagnosis; ``TestMechanism``
+keeps :class:`LeafSet`'s incremental semantics pinned, which did not
+change.
 """
 
 import random
@@ -12,7 +18,7 @@ import pytest
 
 from repro import TapSystem
 from repro.pastry.leafset import LeafSet
-from repro.pastry.network import RoutingError
+from repro.pastry.network import PastryNetwork, RoutingError
 from repro.util.ids import ID_SPACE, random_id
 
 OWNER = 1 << 100
@@ -23,23 +29,69 @@ def _near(cw: int, ccw: int) -> list[int]:
     return [OWNER + d for d in range(1, cw + 1)] + [OWNER - d for d in range(1, ccw + 1)]
 
 
-@pytest.mark.xfail(raises=RoutingError, strict=True,
-                   reason="skewed leaf-set refill + far leaf => route loop")
-def test_fail_join_churn_keeps_routing():
-    """Alternating fail/join at N=1,000, seed 7: the 136th join's
-    bootstrap route bounces between two nodes until ``MAX_HOPS``."""
-    system = TapSystem.bootstrap(1000, seed=7)
-    rng = random.Random(7)
-    for _ in range(136):
+def _fail_join_churn(seed: int, events: int) -> TapSystem:
+    system = TapSystem.bootstrap(1000, seed=seed)
+    rng = random.Random(seed)
+    for _ in range(events):
         alive = system.network.alive_ids
         system.fail_node(alive[rng.randrange(len(alive))], repair=True)
         system.join_node(random_id(rng))
+    return system
+
+
+def test_fail_join_churn_keeps_routing():
+    """Alternating fail/join at N=1,000, seed 7: the 136th join's
+    bootstrap route used to bounce between two nodes until ``MAX_HOPS``."""
+    _fail_join_churn(seed=7, events=136)
+
+
+def test_long_fail_join_churn_routes_to_the_root():
+    """Seed 2004 raised at event 1,061; after 1,100 every route still
+    succeeds and ends at the key's numerically closest alive node."""
+    network = _fail_join_churn(seed=2004, events=1100).network
+    rng = random.Random(2004)
+    for _ in range(500):
+        src, key = rng.choice(network.alive_ids), random_id(rng)
+        result = network.route(src, key)
+        assert result.success
+        assert result.destination == network.closest_alive(key)
+
+
+class TestFailedJoinLeavesTheRegistryAlone:
+    def test_dead_bootstrap(self):
+        """The route raises before the newcomer is indexed: it must not
+        stay registered (alive but absent from ``alive_ids``)."""
+        network = PastryNetwork.build(_near(cw=6, ccw=6))
+        bootstrap = network.alive_ids[3]
+        network.fail(bootstrap)
+        before = dict(network.nodes)
+        with pytest.raises(RoutingError, match="is not alive"):
+            network.join(OWNER, bootstrap_id=bootstrap)
+        assert not network.is_alive(OWNER) and OWNER not in network.alive_ids
+        assert dict(network.nodes) == before
+
+    def test_rejoin_of_a_dead_id_whose_route_does_not_converge(self, monkeypatch):
+        """The dead node's record survives, so it can still be revived."""
+        network = PastryNetwork.build(_near(cw=6, ccw=6) + [OWNER])
+        network.fail(OWNER)
+        dead = network.nodes[OWNER]
+        monkeypatch.setattr(PastryNetwork, "MAX_HOPS", 0)
+        with pytest.raises(RoutingError, match="join route failed"):
+            network.join(OWNER)
+        monkeypatch.undo()
+        assert network.nodes[OWNER] is dead and not network.is_alive(OWNER)
+        network.revive(OWNER)
+        assert network.is_alive(OWNER) and OWNER in network.alive_ids
+        assert network.route(network.alive_ids[0], OWNER).destination == OWNER
 
 
 class TestMechanism:
     """Neither half is bounded to its own side of the ring: the halves
     are the two ends of *one* clockwise order, so a half with a vacancy
-    is filled with whatever ranks next — ids from the other side."""
+    is filled with whatever ranks next — ids from the other side.
+    Eager repair no longer leaves such a vacancy behind, but
+    message-level join and lazy discovery can still offer a non-full
+    set a far id."""
 
     def test_fifteen_member_leaf_set_retains_a_far_id(self):
         ls = LeafSet(OWNER, capacity=16)
@@ -54,12 +106,13 @@ class TestMechanism:
         assert not ls.covers((OWNER + ID_SPACE // 4) % ID_SPACE)
 
     def test_skewed_refill_hands_a_slot_to_any_newcomer(self):
-        """What ``_repair_after_departure`` leaves on a skewed
-        neighbourhood (the |L|+2 *ring-distance*-closest ids): 7
-        clockwise + 9 counterclockwise.  The 8th "clockwise" slot is
-        then held by the furthest counterclockwise id, ranked by a
-        clockwise offset of almost 2**128 — every later join
-        announcement has a smaller one and takes the slot."""
+        """What ``_repair_after_departure`` used to leave on a skewed
+        neighbourhood (the |L|+2 *ring-distance*-closest ids, a refill
+        that is gone): 7 clockwise + 9 counterclockwise.  The 8th
+        "clockwise" slot of such a set is held by the furthest
+        counterclockwise id, ranked by a clockwise offset of almost
+        2**128 — every later join announcement has a smaller one and
+        takes the slot."""
         ls = LeafSet(OWNER, capacity=16)
         ls.add_all(_near(cw=7, ccw=9))
         assert ls.cw_members()[-1] == OWNER - 9
