@@ -303,6 +303,22 @@ def unpack_words(hi: np.ndarray, lo: np.ndarray) -> list[int]:
     return [(int(h) << _WORD_BITS) | int(l) for h, l in zip(hi.tolist(), lo.tolist())]
 
 
+def _key_words(key_hi, key_lo) -> tuple[np.ndarray, np.ndarray]:
+    """Key words as aligned 1-D uint64 arrays.
+
+    They must pair one to one: a lone low word would otherwise
+    broadcast across every key and answer for ids nobody asked about.
+    """
+    key_hi = np.atleast_1d(np.asarray(key_hi, dtype=np.uint64))
+    key_lo = np.atleast_1d(np.asarray(key_lo, dtype=np.uint64))
+    if key_hi.ndim != 1 or key_hi.shape != key_lo.shape:
+        raise ValueError(
+            "key words must be two equal-length 1-D arrays, got shapes "
+            f"{key_hi.shape} and {key_lo.shape}"
+        )
+    return key_hi, key_lo
+
+
 def searchsorted_words(
     hi: np.ndarray, lo: np.ndarray, key_hi, key_lo
 ) -> np.ndarray:
@@ -313,11 +329,31 @@ def searchsorted_words(
     entries whose high word ties but whose low word is still smaller.
     The advance loop runs at most max-run-of-equal-hi times, which for
     uniform ids is O(1).
+
+    The high words are searched in ascending needle order and the
+    answers scattered back: NumPy's binary search keeps its lower bound
+    while needles do not decrease, so an ordered pass walks the
+    haystack once instead of restarting from both ends per needle
+    (about half the cost per needle for thousands of needles on a
+    10^5-id ring, order and scatter included; break-even near a
+    hundred).  Each answer depends on its needle's value alone, so
+    the result does not depend on the order asked in, nor on what the
+    sort does with ties.  Key words that do not pair one to one raise
+    ``ValueError`` — here for every kernel and overlay query built on
+    this search.
     """
-    key_hi = np.atleast_1d(np.asarray(key_hi, dtype=np.uint64))
-    key_lo = np.atleast_1d(np.asarray(key_lo, dtype=np.uint64))
+    key_hi, key_lo = _key_words(key_hi, key_lo)
     n = len(hi)
-    pos = np.searchsorted(hi, key_hi, side="left")
+    if len(key_hi) > 1:
+        order = np.argsort(key_hi)
+        pos = np.empty(len(key_hi), dtype=np.intp)
+        pos[order] = np.searchsorted(hi, key_hi[order], side="left")
+    else:
+        # one needle — the scalar engine's probes — is already in order
+        pos = np.searchsorted(hi, key_hi, side="left")
+    if n == 0:
+        # nothing to probe: every key inserts at 0
+        return pos
     while True:
         inside = pos < n
         probe = np.where(inside, pos, 0)
@@ -470,8 +506,7 @@ def closest_index_words(
     n = len(sorted_hi)
     if n == 0:
         raise ValueError("no ids: the closest id is undefined")
-    key_hi = np.atleast_1d(np.asarray(key_hi, dtype=np.uint64))
-    key_lo = np.atleast_1d(np.asarray(key_lo, dtype=np.uint64))
+    key_hi, key_lo = _key_words(key_hi, key_lo)
     pos = searchsorted_words(sorted_hi, sorted_lo, key_hi, key_lo)
     after = np.where(pos < n, pos, 0)
     before = np.where(pos > 0, pos, n) - 1
@@ -505,8 +540,8 @@ def replica_table_words(
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds population {n}")
-    key_hi = np.atleast_1d(np.asarray(key_hi, dtype=np.uint64))
-    key_lo = np.atleast_1d(np.asarray(key_lo, dtype=np.uint64))
+    # checked here too: a ring small enough to rank whole never searches
+    key_hi, key_lo = _key_words(key_hi, key_lo)
 
     if 2 * k >= n:
         cand = np.broadcast_to(np.arange(n), (len(key_hi), n))

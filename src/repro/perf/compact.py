@@ -347,9 +347,36 @@ class CompactOverlay:
             self._alive_count += delta
             self._count_epoch = self.membership_epoch + 1
 
+    def _checked_positions(self, positions, name: str) -> np.ndarray:
+        """Global positions arriving from outside, as an intp array.
+
+        The one gate of the membership side (``fail_positions``,
+        ``revive_positions``) and the packet plane (``src_pos``): a
+        negative position would wrap NumPy-style and address some other
+        node, a fractional one would truncate onto a neighbour — both
+        raise ``ValueError`` naming the first offending row, before
+        anything is written.
+        """
+        raw = np.asarray(positions)
+        # an empty list arrives as float64; there is no row to reject
+        if raw.size and not np.issubdtype(raw.dtype, np.integer):
+            raise ValueError(
+                f"{name}[0] = {raw.flat[0]!r}: positions must be integers, "
+                f"got dtype {raw.dtype}"
+            )
+        checked = raw.astype(np.intp, copy=False)
+        bad = np.flatnonzero((checked < 0) | (checked >= self.size))
+        if len(bad):
+            row = int(bad[0])
+            raise ValueError(
+                f"{name}[{row}] = {int(checked.flat[row])} is not a position "
+                f"of this {self.size}-node overlay"
+            )
+        return checked
+
     def fail_positions(self, positions) -> None:
         """Crash nodes by global array position (the scale-trial path)."""
-        positions = np.asarray(positions, dtype=np.intp)
+        positions = self._checked_positions(positions, "positions")
         if self.alive[positions].any():
             self._shift_alive_count(
                 -int(self.alive[np.unique(positions)].sum())
@@ -360,7 +387,7 @@ class CompactOverlay:
                 self._note_membership("compact.fail_events", len(positions))
 
     def revive_positions(self, positions) -> None:
-        positions = np.asarray(positions, dtype=np.intp)
+        positions = self._checked_positions(positions, "positions")
         if not self.alive[positions].all():
             self._shift_alive_count(
                 int((~self.alive[np.unique(positions)]).sum())

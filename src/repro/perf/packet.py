@@ -184,17 +184,24 @@ class TunnelBatchResult:
         return len(self.hops)
 
 
-def _check_positions(overlay, src_pos) -> None:
-    """Positions arrive from outside: a negative one would wrap
-    NumPy-style and route from some other node while reporting the
-    caller's value back."""
-    bad = np.flatnonzero((src_pos < 0) | (src_pos >= overlay.size))
-    if len(bad):
-        row = int(bad[0])
-        raise ValueError(
-            f"src_pos[{row}] = {int(src_pos[row])} is not a position of "
-            f"this {overlay.size}-node overlay"
-        )
+def _alive_ranks(overlay, positions) -> np.ndarray:
+    """Alive rank (index into the alive view) of each global position,
+    -1 where the node is dead."""
+    rank = np.searchsorted(overlay._alive_arrays()[2], positions)
+    rank[~overlay.alive[positions]] = -1
+    return rank
+
+
+def _roots(overlay, key_hi, key_lo) -> np.ndarray:
+    """Alive rank of the id closest to each key — where every
+    leaf-covered decision of a packet points, fixed for the packet's
+    lifetime, and by the paper's definition the node of a tunnel hop.
+    With nobody alive there is no such id (-1): every source is dead
+    too, so the front never reads it."""
+    ahi, alo, _ = overlay._alive_arrays()
+    if len(ahi) == 0:
+        return np.full(len(key_hi), -1, dtype=np.intp)
+    return closest_index_words(ahi, alo, key_hi, key_lo)
 
 
 def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
@@ -222,27 +229,33 @@ def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
     rule instead of the segmented scan (default
     :data:`RUN_SCAN_CAP`; the decision itself is cap-independent).
     """
-    src_pos = np.asarray(src_pos, dtype=np.intp)
+    src_pos = overlay._checked_positions(src_pos, "src_pos")
     key_hi = np.atleast_1d(np.asarray(key_hi, dtype=np.uint64))
     key_lo = np.atleast_1d(np.asarray(key_lo, dtype=np.uint64))
     if not (len(key_hi) == len(key_lo) == len(src_pos)):
         raise ValueError("src_pos and key words must have equal length")
-    _check_positions(overlay, src_pos)
     trail: list[tuple[int, list[np.ndarray]]] = []
     dest_pos, hops, success = _route_front(
-        overlay, src_pos, key_hi, key_lo, chunk_size, run_scan_cap, trail
+        overlay, src_pos, _alive_ranks(overlay, src_pos),
+        _roots(overlay, key_hi, key_lo), key_hi, key_lo,
+        chunk_size, run_scan_cap, trail,
     )
     return BatchRouteResult(
         overlay, key_hi, key_lo, src_pos, dest_pos, hops, success, trail
     )
 
 
-def _route_front(overlay, src_pos, key_hi, key_lo, chunk_size, run_scan_cap,
-                 trail):
+def _route_front(overlay, src_pos, rank, root, key_hi, key_lo, chunk_size,
+                 run_scan_cap, trail):
     """Route validated packets chunk by chunk; returns ``(dest_pos,
-    hops, success)``.  ``trail`` collects one ``(chunk start,
-    per-iteration positions)`` segment per chunk, or is None when no
-    one will ask for paths."""
+    hops, success)``.
+
+    The caller has resolved the front once, for every chunk: ``rank``
+    is each source's alive rank (:func:`_alive_ranks`, -1 = dead, the
+    packet fails where it stands) and ``root`` the alive rank of the
+    id closest to each key (:func:`_roots`).  ``trail`` collects one
+    ``(chunk start, per-iteration positions)`` segment per chunk, or
+    is None when no one will ask for paths."""
     num = len(src_pos)
     if run_scan_cap is None:
         run_scan_cap = RUN_SCAN_CAP
@@ -266,7 +279,8 @@ def _route_front(overlay, src_pos, key_hi, key_lo, chunk_size, run_scan_cap,
     for start, end in bounds:
         segment = _route_chunk(
             overlay, ahi, alo, idx, reach,
-            src_pos[start:end], key_hi[start:end], key_lo[start:end],
+            rank[start:end], root[start:end],
+            key_hi[start:end], key_lo[start:end],
             dest_pos[start:end], hops[start:end], success[start:end],
             run_scan_cap, tally, trail is not None,
         )
@@ -281,28 +295,26 @@ def _route_front(overlay, src_pos, key_hi, key_lo, chunk_size, run_scan_cap,
     return dest_pos, hops, success
 
 
-def _route_chunk(overlay, ahi, alo, idx, reach, src, kh, kl,
+def _route_chunk(overlay, ahi, alo, idx, reach, rank, root, kh, kl,
                  dest, hops, success, run_scan_cap, tally, keep_trail):
     """Advance one packet window to termination, writing into the
-    caller's ``dest``/``hops``/``success`` views; returns the chunk's
-    per-iteration trail (None unless ``keep_trail``).  Work arrays come
-    from the overlay scratch pool, so back-to-back chunks reuse one
-    allocation."""
-    num = len(src)
-    trail = [src.copy()] if keep_trail else None
-    alive_src = overlay.alive[src]
+    caller's ``dest``/``hops``/``success`` views (``dest`` arrives
+    holding the sources); returns the chunk's per-iteration trail
+    (None unless ``keep_trail``).  ``rank``/``root`` are the chunk's
+    slices of the front's resolution — nothing is looked up again
+    here.  Work arrays come from the overlay scratch pool, so
+    back-to-back chunks reuse one allocation."""
+    num = len(rank)
+    trail = [dest.copy()] if keep_trail else None
+    alive_src = rank >= 0
     if not alive_src.any():
         # also the empty chunk and the ring with nobody alive
         return trail
     done = overlay._scratch_buf("packet.done", num, bool)
     np.logical_not(alive_src, out=done)
-    # alive positions, valid where the source is alive
+    # alive ranks, read only where the packet is still in flight
     cur = overlay._scratch_buf("packet.cur", num, np.intp)
-    cur[:] = 0
-    cur[alive_src] = np.searchsorted(idx, src[alive_src])
-    # where every leaf-covered decision of a packet points: the alive
-    # id closest to its key, fixed for the packet's lifetime
-    root = closest_index_words(ahi, alo, kh, kl)
+    cur[:] = rank
 
     last = overlay.MAX_HOPS - 1
     for iteration in range(overlay.MAX_HOPS):
@@ -492,19 +504,22 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
     cheap, and masked out of every statistic by ``success``).
 
     The legs do not wait for each other: a hop's node is by definition
-    the alive id closest to its hop key, so every junction is known up
-    front and all ``T * (L + 1)`` legs route as one front.  Each leg's
-    true end is then checked against the junction the next leg was
-    started from, and only mis-started legs — behind a dead source or
-    a hop-limit casualty — are routed again.  A leg is a pure function
-    of (source, key), so this equals routing the legs one after the
-    other on every row.
+    the alive id closest to its hop key, so one resolution of all
+    ``T * (L + 1)`` keys (a single ``closest_index_words`` call) gives
+    both every leg's ``root`` and, one block earlier, the junction the
+    next leg starts from — handed to the front as an alive rank, not
+    looked up a second time — and all legs route as one front.  Each
+    leg's true end is then checked against the junction the next leg
+    was started from, and only mis-started legs — behind a dead source
+    or a hop-limit casualty — get a fresh rank and are routed again.
+    A leg is a pure function of (source, key), so this equals routing
+    the legs one after the other on every row.
 
     ``chunk_size``/``run_scan_cap`` pass straight through to the
     front; leg stitching is per packet, so tunnel results are
     chunk-size invariant too.
     """
-    src_pos = np.asarray(src_pos, dtype=np.intp)
+    src_pos = overlay._checked_positions(src_pos, "src_pos")
     hop_key_hi = np.asarray(hop_key_hi, dtype=np.uint64)
     hop_key_lo = np.asarray(hop_key_lo, dtype=np.uint64)
     dest_key_hi = np.atleast_1d(np.asarray(dest_key_hi, dtype=np.uint64))
@@ -521,24 +536,23 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
             f"each of the {num} tunnels, got {len(src_pos)}, "
             f"{len(dest_key_hi)} and {len(dest_key_lo)}"
         )
-    _check_positions(overlay, src_pos)
 
     # leg-major front: leg j of every tunnel is the block [j*T, (j+1)*T)
     inner = tunnel_len * num
     key_hi = np.concatenate((hop_key_hi.T.ravel(), dest_key_hi))
     key_lo = np.concatenate((hop_key_lo.T.ravel(), dest_key_lo))
-    ahi, alo, idx = overlay._alive_arrays()
-    start = np.empty(inner + num, dtype=np.intp)
-    start[:num] = src_pos
-    if len(ahi):
-        start[num:] = idx[
-            closest_index_words(ahi, alo, key_hi[:inner], key_lo[:inner])
-        ]
-    else:
-        # nobody is alive: every leg fails where its tunnel stands
-        start[num:] = np.tile(src_pos, tunnel_len)
+    idx = overlay._alive_arrays()[2]
+    root = _roots(overlay, key_hi, key_lo)
+    # leg j >= 1 starts at the root of hop key j-1: the block before it
+    rank = np.concatenate((_alive_ranks(overlay, src_pos), root[:inner]))
+    start = np.concatenate((
+        src_pos,
+        # nobody alive: every leg fails where its tunnel stands
+        idx[root[:inner]] if len(idx) else np.tile(src_pos, tunnel_len),
+    ))
     dest, hops, success = _route_front(
-        overlay, start, key_hi, key_lo, chunk_size, run_scan_cap, None
+        overlay, start, rank, root, key_hi, key_lo,
+        chunk_size, run_scan_cap, None,
     )
     # a failed leg leaves its tunnel at the leg's own source
     end = np.where(success, dest, start)
@@ -549,12 +563,14 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
         if len(wrong) == 0:
             break
         rerouted += len(wrong)
-        start[wrong] = end[wrong - num]
+        again = end[wrong - num]
+        start[wrong] = again
         dest, hops[wrong], success[wrong] = _route_front(
-            overlay, start[wrong], key_hi[wrong], key_lo[wrong],
+            overlay, again, _alive_ranks(overlay, again),
+            root[wrong], key_hi[wrong], key_lo[wrong],
             chunk_size, run_scan_cap, None,
         )
-        end[wrong] = np.where(success[wrong], dest, start[wrong])
+        end[wrong] = np.where(success[wrong], dest, again)
     if overlay._metrics is not None:
         overlay._metrics.counter("compact.route.legs_rerouted").inc(rerouted)
 

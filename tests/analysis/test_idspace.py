@@ -1,6 +1,8 @@
 """Tests for the vectorised id-space model — including the critical
 cross-validation against the object-level substrates."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -493,3 +495,147 @@ class TestWordKernels:
         companion[keep] = True
         companion[target] = False
         assert companion.sum() == len(arr)
+
+
+def _bisect_words(ids, keys) -> list[int]:
+    """What ``searchsorted_words`` means: ``bisect_left`` on the 128-bit
+    Python ints, one key at a time."""
+    return [bisect.bisect_left(ids, key) for key in keys]
+
+
+def _search(ids, keys) -> list[int]:
+    hi, lo = pack_ids(ids)
+    khi, klo = pack_ids(keys)
+    return searchsorted_words(hi, lo, khi, klo).tolist()
+
+
+def _uniform_ring(seed: int, size: int = 200) -> list[int]:
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2**64, size=(size, 2), dtype=np.uint64)
+    return sorted({(int(h) << 64) | int(l) for h, l in words.tolist()})
+
+
+def _one_high_word_ring(seed: int, size: int = 40) -> list[int]:
+    """Every id under one high word: the high-word search answers 0 or
+    ``size`` for every key and the low-word advance loop does the rest."""
+    rng = np.random.default_rng(seed)
+    lows = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+    return sorted({(9 << 64) | int(low) for low in lows.tolist()})
+
+
+#: needle arrangements the ordered search must not care about; each
+#: takes (ring ids, rng) and returns the keys to ask for, in order
+_NEEDLES = {
+    "random": lambda ids, rng: [
+        int.from_bytes(rng.bytes(16), "big") for _ in range(64)
+    ],
+    "ascending": lambda ids, rng: sorted(
+        int.from_bytes(rng.bytes(16), "big") for _ in range(64)
+    ),
+    "descending": lambda ids, rng: sorted(
+        (int.from_bytes(rng.bytes(16), "big") for _ in range(64)), reverse=True
+    ),
+    "all-equal": lambda ids, rng: [ids[len(ids) // 2] + 1] * 17,
+    "duplicates": lambda ids, rng: [
+        ids[i] + d for i in rng.integers(0, len(ids), size=8).tolist()
+        for d in (1, 0, 1)
+    ],
+    "on-haystack-entries": lambda ids, rng: [
+        ids[i] for i in rng.permutation(len(ids))[:32].tolist()
+    ],
+    # same high word as a ring member, low word either side of it
+    "low-word-neighbours": lambda ids, rng: [
+        (ids[i] & ~((1 << 64) - 1)) | low
+        for i in rng.permutation(len(ids))[:16].tolist()
+        for low in (0, (ids[i] & ((1 << 64) - 1)) ^ 1, (1 << 64) - 1)
+    ],
+    "below-the-minimum": lambda ids, rng: [ids[0] - 1, 0, ids[0] // 2, 0],
+    "above-the-maximum": lambda ids, rng: [
+        RING128 - 1, ids[-1] + 1, RING128 - 1, (ids[-1] + RING128) // 2
+    ],
+    "mixed-ends": lambda ids, rng: [RING128 - 1, ids[3], 0, ids[-1], ids[0]],
+    "zero-needles": lambda ids, rng: [],
+    "one-needle": lambda ids, rng: [ids[5] + 1],
+    "two-needles-descending": lambda ids, rng: [ids[7], ids[2] - 1],
+}
+
+
+class TestOrderedSearch:
+    """``searchsorted_words`` asks the ring in ascending needle order
+    and scatters the answers back.  The specification is the definition
+    — ``bisect_left`` on the 128-bit ints — not an earlier version of
+    the kernel, and the one property the reordering could break: the
+    answer for a key may not depend on where in the batch it stands."""
+
+    @pytest.mark.parametrize("ring", (_uniform_ring, _one_high_word_ring),
+                             ids=("uniform", "one-high-word"))
+    @pytest.mark.parametrize("arrangement", sorted(_NEEDLES))
+    @pytest.mark.parametrize("seed", (2004, 31337))
+    def test_equals_bisect_left_whatever_the_needle_order(self, ring,
+                                                          arrangement, seed):
+        ids = ring(seed)
+        keys = _NEEDLES[arrangement](ids, np.random.default_rng(seed + 1))
+        assert all(0 <= key < RING128 for key in keys)
+        assert _search(ids, keys) == _bisect_words(ids, keys)
+
+    @given(
+        pool=st.sets(ids128, min_size=0, max_size=30),
+        keys=st.lists(ids128, min_size=0, max_size=24),
+        shared_high=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_definition_and_order_invariance(self, pool, keys, shared_high,
+                                             seed):
+        if shared_high:
+            # fold ring and keys under one high word: every answer is
+            # settled by the advance loop, on un-permuted low words
+            pool = {(5 << 64) | (v & (RING - 1)) for v in pool}
+            keys = [(5 << 64) | (v & (RING - 1)) for v in keys]
+        ids = sorted(pool)
+        # ring members, their neighbours and repeats among the needles
+        keys = keys + ids[:3] + [(v + 1) % RING128 for v in ids[:3]] + keys[:2]
+        want = _bisect_words(ids, keys)
+        assert _search(ids, keys) == want
+        perm = np.random.default_rng(seed).permutation(len(keys)).tolist()
+        assert _search(ids, [keys[i] for i in perm]) == [want[i] for i in perm]
+
+    def test_answers_have_index_dtype_and_one_per_needle(self):
+        ids = _uniform_ring(3)
+        hi, lo = pack_ids(ids)
+        for count in (0, 1, 2, 50):
+            khi, klo = pack_ids(ids[:count])
+            got = searchsorted_words(hi, lo, khi, klo)
+            assert got.shape == (count,) and got.dtype == np.intp
+        # scalars are one needle
+        assert searchsorted_words(hi, lo, np.uint64(0), np.uint64(0)).tolist() == [0]
+
+
+class TestKeyWordsMustPair:
+    """A lone low word used to broadcast across every key."""
+
+    RING_IDS = _uniform_ring(11, size=60)
+
+    @pytest.mark.parametrize("count_hi, count_lo", ((5, 1), (1, 5), (4, 3), (0, 1)))
+    def test_searchsorted_words(self, count_hi, count_lo):
+        hi, lo = pack_ids(self.RING_IDS)
+        with pytest.raises(ValueError, match="key words"):
+            searchsorted_words(hi, lo, hi[:count_hi], lo[:count_lo])
+
+    def test_searchsorted_words_rejects_two_dimensional_keys(self):
+        hi, lo = pack_ids(self.RING_IDS)
+        with pytest.raises(ValueError, match="key words"):
+            searchsorted_words(hi, lo, hi[:6].reshape(2, 3), lo[:6].reshape(2, 3))
+
+    def test_closest_index_words(self):
+        hi, lo = pack_ids(self.RING_IDS)
+        with pytest.raises(ValueError, match="key words"):
+            closest_index_words(hi, lo, hi[:5], lo[:1])
+
+    @pytest.mark.parametrize("ring_size", (60, 4))
+    def test_replica_table_words(self, ring_size):
+        # 4 ids with k=3 is ranked whole and never reaches the search
+        hi, lo = pack_ids(self.RING_IDS[:ring_size])
+        khi, klo = pack_ids(self.RING_IDS[:5])
+        with pytest.raises(ValueError, match="key words"):
+            replica_table_words(hi, lo, khi, klo[:1], 3)

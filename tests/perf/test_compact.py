@@ -282,6 +282,79 @@ class TestObservableEquality:
         assert mask.ravel().tolist() == expected
 
 
+class TestMembershipPositionsFailClosed:
+    """``fail_positions``/``revive_positions`` take positions from
+    outside (scale trials, fault plans): a negative one used to wrap
+    NumPy-style onto the *last* node, a fractional one to truncate onto
+    its neighbour.  Both raise before anything is written."""
+
+    @staticmethod
+    def _state(overlay):
+        return (overlay.alive.copy(), overlay.membership_epoch,
+                overlay.num_alive)
+
+    def _assert_rejected(self, overlay, call, positions, match):
+        alive, epoch, count = self._state(overlay)
+        with pytest.raises(ValueError, match=match):
+            call(positions)
+        assert (overlay.alive == alive).all()
+        assert overlay.membership_epoch == epoch
+        assert overlay.num_alive == count
+
+    @pytest.mark.parametrize("bad", (-1, N, -N - 1))
+    def test_fail_positions_rejects_positions_outside_the_overlay(self, bad):
+        overlay = CompactOverlay.bootstrap(N, seed=SEED)
+        self._assert_rejected(overlay, overlay.fail_positions, [3, bad, -7],
+                              rf"positions\[1\] = {bad} .*{N}-node")
+
+    @pytest.mark.parametrize("bad", (-1, N, -N - 1))
+    def test_revive_positions_rejects_positions_outside_the_overlay(self, bad):
+        overlay = CompactOverlay.bootstrap(N, seed=SEED)
+        overlay.fail_positions([3, N - 1])
+        self._assert_rejected(overlay, overlay.revive_positions, [3, bad],
+                              rf"positions\[1\] = {bad} .*{N}-node")
+
+    @pytest.mark.parametrize("bad", (
+        np.array([1.5]),  # used to kill position 1
+        np.array([2.0]),
+        np.zeros(N, dtype=bool),  # a mask is not a list of positions
+    ))
+    def test_positions_must_be_integers(self, bad):
+        overlay = CompactOverlay.bootstrap(N, seed=SEED)
+        overlay.fail_positions([2])
+        for call in (overlay.fail_positions, overlay.revive_positions):
+            self._assert_rejected(overlay, call, bad, "must be integers")
+
+    def test_valid_positions_still_pass_in_any_integer_spelling(self):
+        overlay = CompactOverlay.bootstrap(N, seed=SEED)
+        overlay.fail_positions([0, N - 1])
+        overlay.fail_positions(np.array([5], dtype=np.uint8))
+        overlay.fail_positions([])  # an empty list arrives as float64
+        assert overlay.num_alive == N - 3
+        overlay.revive_positions(np.array([0, 5, N - 1], dtype=np.int32))
+        assert overlay.num_alive == N and overlay.alive.all()
+
+
+class TestKeyWordsMustPair:
+    """A lone low word used to broadcast across every key."""
+
+    def test_replica_positions(self):
+        overlay = CompactOverlay.bootstrap(N, seed=SEED)
+        hi = np.arange(5, dtype=np.uint64)
+        with pytest.raises(ValueError, match="key words"):
+            overlay.replica_positions(hi, hi[:1], 3)
+        # a ring small enough to be ranked whole never reaches the search
+        tiny = CompactOverlay.bootstrap(4, seed=SEED)
+        with pytest.raises(ValueError, match="key words"):
+            tiny.replica_positions(hi, hi[:1], 3)
+
+    def test_alive_mask(self):
+        overlay = CompactOverlay.bootstrap(N, seed=SEED)
+        hi = overlay.hi[:5]
+        with pytest.raises(ValueError, match="key words"):
+            overlay.alive_mask(hi, overlay.lo[:1])
+
+
 class TestTieBreaking:
     """Deterministic tie-breaking at exact ring-distance ties and
     id-space wrap, mirroring the PR 6 ``replica_table`` wrap tests —

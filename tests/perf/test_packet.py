@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro import MetricsRegistry
 from repro.analysis.idspace import pack_ids, ring_distance_words
 from repro.pastry.bulk import leaf_reach
+from repro.perf import packet
 from repro.perf.compact import CompactOverlay
 from repro.perf.packet import latency_sums, route_many, route_tunnels
 from repro.util.ids import ID_SPACE, id_digit, shared_prefix_digits
@@ -418,6 +419,19 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=rf"src_pos\[1\] = {bad} "):
             route_tunnels(overlay, [499, bad], hops, hops, zeros, zeros)
 
+    @pytest.mark.parametrize("bad", (
+        np.array([0.0, 1.5, 2.0]),  # used to truncate onto position 1
+        np.array([False, True, False]),
+    ))
+    def test_positions_must_be_integers(self, bad):
+        overlay = self._overlay()
+        zeros = np.zeros(3, dtype=np.uint64)
+        hops = np.zeros((3, 2), dtype=np.uint64)
+        with pytest.raises(ValueError, match="src_pos.*must be integers"):
+            route_many(overlay, bad, zeros, zeros)
+        with pytest.raises(ValueError, match="src_pos.*must be integers"):
+            route_tunnels(overlay, bad, hops, hops, zeros, zeros)
+
     @pytest.mark.parametrize("hi_shape, lo_shape", (
         ((4, 3), (4, 2)),  # used to die with an IndexError inside leg 2
         ((4, 3), (3, 3)),
@@ -670,6 +684,30 @@ class TestTunnelBatch:
         assert counts["legs_rerouted"] == 0
         assert counts["packets"] == 25 * 4
         assert result.success.all()
+        _assert_tunnels_match_oracle(overlay, result, *args)
+
+    def test_clean_batch_resolves_every_key_once_and_ranks_only_the_sources(
+            self, monkeypatch):
+        """One ``closest_index_words`` call over all T x (L+1) keys gives
+        each leg's root *and* the next leg's junction rank; only the T
+        real sources go through the position -> alive-rank search."""
+        overlay = _uniform_overlay(300, SEED)
+        args = self._tunnels(overlay, 25, 3)
+        needles = {"closest_index_words": [], "_alive_ranks": []}
+
+        def counted(name, arg):
+            real = getattr(packet, name)
+
+            def wrapper(*call):
+                needles[name].append(len(call[arg]))
+                return real(*call)
+
+            monkeypatch.setattr(packet, name, wrapper)
+
+        counted("closest_index_words", 2)
+        counted("_alive_ranks", 1)
+        result = route_tunnels(overlay, *args)
+        assert needles == {"closest_index_words": [25 * 4], "_alive_ranks": [25]}
         _assert_tunnels_match_oracle(overlay, result, *args)
 
     @pytest.mark.parametrize("chunk_size", CHUNKS)
