@@ -56,6 +56,11 @@ def main() -> None:
     print("reply travelled", trace.overlay_hops, "tunnel hops over the",
           "promoted replica holders of the departed hop nodes.")
 
+    sent.release()  # the conversation is over: stop awaiting the bid
+    late = mail.reply(bob_id, envelope, b"one more thing. -B")
+    assert not late.success and not alice.pending_replies
+    print("after alice releases the mail, a further reply finds no one waiting.")
+
 
 if __name__ == "__main__":
     main()

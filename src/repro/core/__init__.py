@@ -13,8 +13,9 @@ The package implements the paper's contribution end to end:
   message: match a pending ``bid``, or look the THA up locally and peel
   one layer (§3.5, §4) — written once, driven by both engines below;
 * :mod:`repro.core.forwarding` — the synchronous tunneling engine:
-  layered decryption hop by hop, replica fail-over on node failure, and
-  the §5 IP-hint optimisation with DHT fallback;
+  layered decryption hop by hop, replica fail-over on node failure, the
+  §5 IP-hint optimisation with DHT fallback, and the §4 request/reply
+  exchange (``round_trip``) every application runs;
 * :mod:`repro.core.emulation` — the same hop step driven from timed
   messages over :mod:`repro.simnet`, forward and reply;
 * :mod:`repro.core.retrieval` — §4's anonymous file retrieval

@@ -22,16 +22,18 @@ runs both — except termination: the last identifier is a ``bid``
 recognised by the *initiator's* pending-reply table
 (:func:`repro.core.hop.match_reply`), not by an exit tag —
 intermediate hops cannot tell the difference.
+:meth:`TunnelForwarder.round_trip` is the two composed: the §4
+request/reply exchange every application runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.core.hop import HopFailed, match_reply, serve_hop
-from repro.core.node import TapNode
-from repro.core.tunnel import Tunnel
+from repro.core.node import PendingReply, TapNode
+from repro.core.tunnel import ReplyTunnel, Tunnel
 from repro.crypto.onion import build_onion
 from repro.crypto.onion import peel_layer  # noqa: F401 - peeled in repro.core.hop; perfbench's self-test reads this alias
 from repro.past.replication import ReplicatedStore
@@ -120,6 +122,19 @@ class ForwardTrace:
             seg = seg[1:]
         path.extend(seg)
         return path
+
+
+class Exchange(NamedTuple):
+    """Everything observable about one :meth:`TunnelForwarder.round_trip`."""
+
+    forward: ForwardTrace
+    #: ``None`` when the responder sent nothing from the exit node
+    reply: ForwardTrace | None
+    #: what arrived at the ``bid``, if anything did
+    received: bytes | None
+    #: the tunnel the failure implicates: ``"forward"``, ``"reply"``, or
+    #: ``None`` — success, or a responder with no answer (neither's fault)
+    broken: str | None
 
 
 class TunnelForwarder:
@@ -379,6 +394,60 @@ class TunnelForwarder:
             span, "reply", responder_id, first_hop_id, "", reply_blob,
             max_hops, expected_roots, max_links, payload, None,
         )
+
+    def round_trip(
+        self,
+        initiator: TapNode,
+        forward_tunnel: Tunnel,
+        reply_tunnel: ReplyTunnel,
+        capsule: tuple[int, bytes],
+        destination_id: int,
+        request: bytes,
+        respond: Callable[[int, bytes], bytes | None],
+        max_links: int | None = None,
+    ) -> Exchange:
+        """The §4 exchange: :meth:`send` ``request`` to
+        ``destination_id``, :meth:`send_reply` the answer back.
+
+        ``respond(node_id, payload)`` is the responder's work at the
+        node the request surfaced at; the bytes it returns are walked
+        down ``capsule`` (:meth:`ReplyTunnel.capsule` of
+        ``reply_tunnel``) from there, ``None`` sends nothing.  The
+        initiator awaits the ``bid`` exactly as long as the forward send
+        runs — the reply walk happens inside it — so a late or replayed
+        walk finds nothing, however the send ends; a ``bid`` someone is
+        already awaiting is refused before anything is sent.
+        ``max_links`` is the link budget of each direction.
+        """
+        budget = {} if max_links is None else {"max_links": max_links}
+        received: list[bytes] = []
+        replies: list[ForwardTrace] = []
+
+        def deliver(node_id: int, payload: bytes) -> None:
+            answer = respond(node_id, payload)
+            if answer is not None:
+                replies.append(
+                    self.send_reply(node_id, *capsule, answer, **budget)
+                )
+
+        initiator.register_pending(
+            PendingReply(bid=reply_tunnel.bid, callback=received.append)
+        )
+        try:
+            forward = self.send(
+                initiator, forward_tunnel, destination_id, request, deliver,
+                **budget,
+            )
+        finally:
+            initiator.release_pending(reply_tunnel.bid)
+        reply = replies[0] if replies else None
+        if not forward.success:
+            broken = "forward"
+        elif reply is not None and not (reply.success and received):
+            broken = "reply"
+        else:
+            broken = None
+        return Exchange(forward, reply, received[0] if received else None, broken)
 
     def _traverse(self, span, kind: str, *walk_args) -> ForwardTrace:
         """Run :meth:`_walk` under the traversal's root ``span`` (if

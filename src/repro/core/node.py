@@ -117,7 +117,16 @@ class TapNode:
         return (lo + self._rng.randrange(span + 1)) % ID_SPACE
 
     def register_pending(self, pending: PendingReply) -> None:
+        """Await a reply at ``pending.bid``.  One owner per ``bid``: a
+        second registration is refused (``ValueError``), not allowed to
+        replace the callback the first owner is still waiting on."""
+        if pending.bid in self.pending_replies:
+            raise ValueError(f"bid {pending.bid:#x} is already awaited")
         self.pending_replies[pending.bid] = pending
+
+    def release_pending(self, bid: int) -> None:
+        """Stop awaiting ``bid``: a later reply walk to it fails closed."""
+        self.pending_replies.pop(bid, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TapNode({self.node_id:#034x})"

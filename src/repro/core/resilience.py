@@ -6,11 +6,11 @@ PAST replica.  A deployed initiator still needs *policy* on top of
 that structure — lossy links, partitions and Byzantine hops produce
 failures that replica fail-over alone cannot mask.  This module is
 that policy layer, shared by :class:`repro.core.session.TapSession`
-and :class:`repro.core.retrieval.AnonymousRetrieval`:
+and :meth:`repro.core.system.TapSystem.retrieve_resilient`:
 
-* **bounded retries** with exponential backoff and *deterministic*
-  jitter (drawn from a :mod:`repro.util.rng` stream, so a chaos run
-  replays bit-identically);
+* **bounded retries** (:func:`run_attempts`, the one attempt loop)
+  with exponential backoff and *deterministic* jitter (drawn from a
+  :mod:`repro.util.rng` stream, so a chaos run replays bit-identically);
 * **per-attempt budgets** — the synchronous engine has no clock, so a
   timeout is modelled as a cap on underlying links per attempt
   (``attempt_link_budget``, threaded into
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,18 @@ class ResiliencePolicy:
             raise ValueError("breaker_threshold must be >= 1")
         if self.attempt_link_budget is not None and self.attempt_link_budget < 1:
             raise ValueError("attempt_link_budget must be >= 1 (or None)")
+
+    @classmethod
+    def reactive(cls, max_retries: int) -> "ResiliencePolicy":
+        """Reform whichever tunnel an attempt broke on and retry — no
+        backoff, no probes, no proactive reform, no fallback.  The
+        paper's structural fail-over plus the least an initiator can
+        do: the session default, and with zero retries the chaos
+        baseline."""
+        return cls(
+            max_retries=max_retries, base_backoff_s=0.0, jitter=0.0,
+            proactive_reform=False, hedged_probes=False, degraded_ok=False,
+        )
 
     def backoff_delay(self, attempt: int, rng: random.Random) -> float:
         """Backoff before retry ``attempt`` (1-based), with jitter.
@@ -137,7 +150,7 @@ class CircuitBreaker:
 
 @dataclass
 class ResilientReply:
-    """Outcome of one policy-managed session request."""
+    """Outcome of one policy-managed request."""
 
     value: bytes | None
     #: the value is a last-known-good fallback, not a fresh round trip
@@ -154,6 +167,44 @@ class ResilientReply:
     def ok(self) -> bool:
         """A genuine, non-degraded response was obtained."""
         return self.value is not None and not self.degraded
+
+
+def run_attempts(
+    policy: ResiliencePolicy,
+    rng: random.Random,
+    attempt: Callable[[], tuple[bytes | None, str | None]],
+    repair: Callable[[str | None], Iterable[str]],
+    last_known_good: bytes | None = None,
+) -> ResilientReply:
+    """The one attempt loop: try, repair what broke, back off, retry.
+
+    ``attempt() -> (value, broken)`` is one round trip: its value, or
+    ``None`` and the tunnel the failure implicates (``"forward"`` /
+    ``"reply"`` / ``None``).  ``repair(broken)`` runs after *every*
+    failed attempt, the last included — the next request starts on
+    repaired tunnels — and returns the tunnels it reformed.  Backoff
+    jitter is drawn from ``rng`` before each retry.  When every attempt
+    fails and ``policy.degraded_ok``, ``last_known_good`` (if any) is
+    served, flagged ``degraded``.
+    """
+    reformed: list[str] = []
+    waited = 0.0
+    attempts = 1 + policy.max_retries
+    for n in range(attempts):
+        if n:
+            waited += policy.backoff_delay(n, rng)
+        value, broken = attempt()
+        if value is not None:
+            return ResilientReply(
+                value, recovered=n > 0, attempts=n + 1, waited_s=waited,
+                reformed=tuple(reformed),
+            )
+        reformed.extend(repair(broken))
+    degraded = policy.degraded_ok and last_known_good is not None
+    return ResilientReply(
+        last_known_good if degraded else None, degraded=degraded,
+        attempts=attempts, waited_s=waited, reformed=tuple(reformed),
+    )
 
 
 @dataclass(frozen=True)

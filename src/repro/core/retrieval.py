@@ -21,12 +21,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.forwarding import ForwardTrace, TunnelForwarder
-from repro.core.node import PendingReply, TapNode
-from repro.core.resilience import ResiliencePolicy
+from repro.core.node import TapNode
 from repro.core.tunnel import ReplyTunnel, Tunnel
 from repro.crypto.asymmetric import RsaError, RsaKeyPair, RsaPublicKey
 from repro.crypto.hashing import random_key, sha1_id
-from repro.crypto.onion import build_reply_onion, make_fake_onion
 from repro.crypto.symmetric import CipherError, SymmetricKey
 from repro.past.replication import ReplicatedStore
 from repro.past.storage import StorageError
@@ -39,6 +37,27 @@ from repro.util.serialize import (
 )
 
 
+class EnvelopeError(ValueError):
+    """An answer envelope that does not open under the temporary key."""
+
+
+def seal_answer(body: bytes, response_key: RsaPublicKey, rng: random.Random) -> bytes:
+    """Step 4, the responder's side: ``{body}K_f ‖ {K_f}K_I``."""
+    k_f = SymmetricKey(random_key(rng))
+    sealed = k_f.seal(body)
+    return pack_fields(sealed, response_key.encrypt(k_f.key_bytes, rng))
+
+
+def open_answer(payload: bytes, temp_keys: RsaKeyPair) -> bytes:
+    """Step 5, the initiator's side; malformed, wrapped for another key
+    or tampered with all raise :class:`EnvelopeError`."""
+    try:
+        sealed, wrapped = unpack_fields(payload, count=2)
+        return SymmetricKey(temp_keys.decrypt(wrapped)).open(sealed)
+    except (SerializationError, RsaError, CipherError) as exc:
+        raise EnvelopeError(str(exc)) from exc
+
+
 @dataclass
 class RetrievalResult:
     """Everything observable about one anonymous retrieval."""
@@ -49,6 +68,10 @@ class RetrievalResult:
     reply_trace: ForwardTrace | None
     fid: int
     failure_reason: str | None = None
+    #: the tunnel the failure implicates: ``"forward"``, ``"reply"``, or
+    #: ``None`` (a responder that could not serve, an answer that would
+    #: not open — neither tunnel is broken)
+    broken: str | None = None
     #: the content is a last-known-good fallback, not a fresh retrieval
     #: (success=True but every attempt actually failed)
     degraded: bool = False
@@ -76,9 +99,6 @@ class AnonymousRetrieval:
         self.store = store
         self.rng = rng
         self.temp_key_bits = temp_key_bits
-        #: fid -> last successfully retrieved content (the graceful-
-        #: degradation cache behind :meth:`retrieve_resilient`)
-        self._last_known_good: dict[int, bytes] = {}
 
     # ------------------------------------------------------------------
     # publishing (plain PAST)
@@ -110,15 +130,16 @@ class AnonymousRetrieval:
     # ------------------------------------------------------------------
     # the responder's work
     # ------------------------------------------------------------------
-    def _responder_serve(self, responder_id: int, payload: bytes) -> ForwardTrace | None:
-        """R: look up the file, encrypt, send down the reply tunnel."""
+    def _responder_serve(self, responder_id: int, payload: bytes) -> bytes | None:
+        """R: look up the file and seal it for ``K_I``; the exchange
+        walks the answer down the reply capsule the request carried."""
         tr = self.forwarder.tracer
         cm = tr.span(
             "tap.respond", observer="exit", responder=responder_id
         ) if tr else nullcontext()
         with cm as span:
             try:
-                fid, temp_public, first_hop, reply_blob = self._decode_request(payload)
+                fid, temp_public, _, _ = self._decode_request(payload)
             except (SerializationError, RsaError, ValueError):
                 if span is not None:
                     span.set(error="malformed request")
@@ -131,14 +152,7 @@ class AnonymousRetrieval:
                 if span is not None:
                     span.set(error="file not held locally")
                 return None
-            content: bytes = stored.value
-            k_f = SymmetricKey(random_key(self.rng))
-            sealed_file = k_f.seal(content)
-            wrapped_key = temp_public.encrypt(k_f.key_bytes, self.rng)
-            reply_payload = pack_fields(sealed_file, wrapped_key)
-            return self.forwarder.send_reply(
-                responder_id, first_hop, reply_blob, reply_payload
-            )
+            return seal_answer(stored.value, temp_public, self.rng)
 
     # ------------------------------------------------------------------
     # the initiator's retrieval
@@ -156,118 +170,31 @@ class AnonymousRetrieval:
             initiator=initiator.node_id, fid=fid,
         ) if tr else nullcontext()
         with cm as span:
-            result = self._retrieve_impl(
-                initiator, fid, forward_tunnel, reply_tunnel
+            temp_keys = RsaKeyPair.generate(self.rng, self.temp_key_bits)
+            capsule = reply_tunnel.capsule(self.rng)
+            ex = self.forwarder.round_trip(
+                initiator, forward_tunnel, reply_tunnel, capsule, fid,
+                self._encode_request(fid, temp_keys.public, *capsule),
+                self._responder_serve,
             )
+            content = reason = None
+            if ex.broken == "forward":
+                reason = f"forward: {ex.forward.failure_reason}"
+            elif ex.reply is None:
+                reason = "responder could not serve the request"
+            elif ex.broken == "reply":
+                reason = "reply: " + (ex.reply.failure_reason
+                                      or "reply never reached initiator")
+            else:
+                try:
+                    content = open_answer(ex.received, temp_keys)
+                except EnvelopeError as exc:
+                    reason = f"decryption: {exc}"
             if span is not None:
-                span.set(success=result.success)
-                if result.failure_reason:
-                    span.set(error=result.failure_reason)
-        return result
-
-    def retrieve_resilient(
-        self,
-        initiator: TapNode,
-        fid: int,
-        forward_tunnel: Tunnel,
-        reply_tunnel: ReplyTunnel,
-        policy: ResiliencePolicy | None = None,
-        reform=None,
-    ) -> RetrievalResult:
-        """Retrieve under a resilience policy: bounded retries with
-        deterministic backoff and a last-known-good fallback.
-
-        ``reform(failure_reason) -> (forward_tunnel, reply_tunnel)``,
-        when given, is invoked between failed attempts so the caller
-        can swap in fresh tunnels (the initiator owns tunnel formation,
-        not this engine).  On exhaustion with ``policy.degraded_ok``,
-        a previously retrieved copy of ``fid`` is served with
-        ``degraded=True`` instead of a hard failure.
-
-        The result's ``meta`` carries the resilience accounting:
-        ``attempts``, ``recovered`` and (virtual) ``waited_s``.
-        """
-        policy = policy or ResiliencePolicy()
-        waited = 0.0
-        result: RetrievalResult | None = None
-        for attempt in range(1 + policy.max_retries):
-            if attempt:
-                waited += policy.backoff_delay(attempt, self.rng)
-            result = self.retrieve(initiator, fid, forward_tunnel, reply_tunnel)
-            if result.success:
-                self._last_known_good[fid] = result.content
-                result.meta.update(
-                    attempts=attempt + 1, recovered=attempt > 0,
-                    waited_s=waited,
-                )
-                return result
-            if reform is not None and attempt < policy.max_retries:
-                forward_tunnel, reply_tunnel = reform(result.failure_reason)
-        fallback = self._last_known_good.get(fid)
-        if policy.degraded_ok and fallback is not None:
-            result = RetrievalResult(
-                True, fallback, result.forward_trace, result.reply_trace,
-                fid, failure_reason=result.failure_reason, degraded=True,
-            )
-        result.meta.update(
-            attempts=1 + policy.max_retries, recovered=False, waited_s=waited,
+                span.set(success=reason is None)
+                if reason:
+                    span.set(error=reason)
+        return RetrievalResult(
+            reason is None, content, ex.forward, ex.reply, fid,
+            failure_reason=reason, broken=ex.broken,
         )
-        return result
-
-    def _retrieve_impl(
-        self,
-        initiator: TapNode,
-        fid: int,
-        forward_tunnel: Tunnel,
-        reply_tunnel: ReplyTunnel,
-    ) -> RetrievalResult:
-        temp_keys = RsaKeyPair.generate(self.rng, self.temp_key_bits)
-        fake = make_fake_onion(self.rng)
-        first_reply_hop, reply_blob = build_reply_onion(
-            reply_tunnel.onion_layers(), reply_tunnel.bid, fake
-        )
-
-        received: list[bytes] = []
-        initiator.register_pending(
-            PendingReply(bid=reply_tunnel.bid, callback=received.append)
-        )
-
-        request = self._encode_request(fid, temp_keys.public, first_reply_hop, reply_blob)
-
-        reply_traces: list[ForwardTrace] = []
-
-        def deliver(responder_id: int, payload: bytes) -> None:
-            reply = self._responder_serve(responder_id, payload)
-            if reply is not None:
-                reply_traces.append(reply)
-
-        # The reply walk runs inside ``send`` (through ``deliver``), so
-        # the registration is dead weight once it returns — or raises —
-        # and a late or replayed walk to this bid must find nothing.
-        try:
-            forward = self.forwarder.send(
-                initiator, forward_tunnel, destination_id=fid, payload=request, deliver=deliver
-            )
-        finally:
-            initiator.pending_replies.pop(reply_tunnel.bid, None)
-        reply = reply_traces[0] if reply_traces else None
-
-        if not forward.success:
-            return RetrievalResult(False, None, forward, reply, fid,
-                                   failure_reason=f"forward: {forward.failure_reason}")
-        if reply is None:
-            return RetrievalResult(False, None, forward, None, fid,
-                                   failure_reason="responder could not serve the request")
-        if not reply.success or not received:
-            reason = reply.failure_reason or "reply never reached initiator"
-            return RetrievalResult(False, None, forward, reply, fid,
-                                   failure_reason=f"reply: {reason}")
-
-        try:
-            sealed_file, wrapped_key = unpack_fields(received[0], count=2)
-            k_f = SymmetricKey(temp_keys.decrypt(wrapped_key))
-            content = k_f.open(sealed_file)
-        except (SerializationError, RsaError, CipherError) as exc:
-            return RetrievalResult(False, None, forward, reply, fid,
-                                   failure_reason=f"decryption: {exc}")
-        return RetrievalResult(True, content, forward, reply, fid)

@@ -27,18 +27,18 @@ bound to an overlay node that turns request payloads into responses.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.node import PendingReply, TapNode
+from repro.core.node import TapNode
 from repro.core.resilience import (
     CircuitBreaker,
     ResiliencePolicy,
     ResilientReply,
     anchors_reachable,
+    run_attempts,
 )
 from repro.core.tunnel import ReplyTunnel, Tunnel
-from repro.crypto.onion import build_reply_onion, make_fake_onion
 from repro.util.serialize import (
     SerializationError,
     pack_fields,
@@ -118,20 +118,13 @@ class TapSession:
         server: SessionServer,
         tunnel_length: int = 3,
         use_hints: bool = False,
-        max_retries: int = 2,
-        policy: ResiliencePolicy | None = None,
+        policy: ResiliencePolicy = ResiliencePolicy.reactive(2),
     ):
         self.system = system
         self.initiator = initiator
         self.server = server
-        self.tunnel_length = tunnel_length
-        self.use_hints = use_hints
-        self.max_retries = max_retries
-        #: optional :class:`repro.core.resilience.ResiliencePolicy`;
-        #: when set, :meth:`request` routes through
-        #: :meth:`request_resilient` (backoff, breakers, hedged
-        #: probes, graceful degradation) instead of the legacy
-        #: reform-and-retry loop
+        #: how a failed round trip is retried and repaired; the default
+        #: reforms whichever tunnel broke and retries, nothing more
         self.policy = policy
         self.stats = SessionStats()
         #: shares the system's :class:`repro.obs.SpanTracer` (if any),
@@ -148,10 +141,9 @@ class TapSession:
         self._backoff_rng = system.seeds.pyrandom(
             "session-backoff", initiator.node_id
         )
-        threshold = policy.breaker_threshold if policy else 3
         self._breakers = {
-            "forward": CircuitBreaker(threshold),
-            "reply": CircuitBreaker(threshold),
+            "forward": CircuitBreaker(policy.breaker_threshold),
+            "reply": CircuitBreaker(policy.breaker_threshold),
         }
         #: last successful response (the graceful-degradation fallback)
         self._last_known_good: bytes | None = None
@@ -169,84 +161,47 @@ class TapSession:
         ) if tr else nullcontext()
         with cm:
             self.stats.tunnel_reforms += 1
-            self.system.deploy_thas(self.initiator, count=self.tunnel_length)
             if which == "forward":
-                self.system.retire_tunnel(self.initiator, self.forward)
-                self.forward = self.system.form_tunnel(
-                    self.initiator, self.tunnel_length, use_hints=self.use_hints
-                )
+                self.forward = self.system.reform_tunnel(self.initiator, self.forward)
             else:
-                self.system.retire_tunnel(self.initiator, self.reply)
-                self.reply = self.system.form_reply_tunnel(
-                    self.initiator, self.tunnel_length, use_hints=self.use_hints
-                )
+                self.reply = self.system.reform_tunnel(self.initiator, self.reply)
 
     def _round_trip(
-        self, body: bytes, seq: int, max_links: int | None = None
+        self, body: bytes, seq: int
     ) -> tuple[bytes | None, str | None]:
         """One attempt: request out, response back.
 
         Returns ``(response, broken)``: on failure the response is
         ``None`` and ``broken`` names the tunnel the failure implicates
         (``"forward"``/``"reply"``, or ``None`` for a stale/malformed
-        response that implicates neither).  The caller owns the repair
-        decision — the legacy path reforms immediately, the policy
-        path diagnoses via hedged probes first.
+        response that implicates neither).  :meth:`_handle_failure`
+        owns the repair decision.
         """
-        fake = make_fake_onion(self._fake_rng)
-        first_reply_hop, reply_blob = build_reply_onion(
-            self.reply.onion_layers(), self.reply.bid, fake
+        server = self.server
+
+        def respond(node_id: int, payload: bytes) -> bytes | None:
+            if node_id != server.node_id:
+                return None  # request surfaced at the wrong node: dropped
+            return server.serve(payload)
+
+        ex = self.system.forwarder.round_trip(
+            self.initiator, self.forward, self.reply,
+            self.reply.capsule(self._fake_rng), server.node_id,
+            pack_fields(pack_int(seq, width=8), body), respond,
+            self.policy.attempt_link_budget,
         )
-        received: list[bytes] = []
-        self.initiator.register_pending(
-            PendingReply(bid=self.reply.bid, callback=received.append)
-        )
-
-        request = pack_fields(pack_int(seq, width=8), body)
-
-        forward_broken = reply_broken = False
-
-        def deliver(node_id: int, payload: bytes) -> None:
-            nonlocal reply_broken
-            if node_id != self.server.node_id:
-                return  # request surfaced at the wrong node: dropped
-            response = self.server.serve(payload)
-            if response is None:
-                return
-            reply_trace = self.system.forwarder.send_reply(
-                self.server.node_id, first_reply_hop, reply_blob, response,
-                max_links=max_links,
-            )
-            reply_broken = not reply_trace.success
-
+        if ex.received is None:
+            # An initiator that hears nothing over an intact forward
+            # tunnel cannot tell an absent server from a lost reply.
+            return None, ex.broken or "reply"
         try:
-            trace = self.system.forwarder.send(
-                self.initiator,
-                self.forward,
-                destination_id=self.server.node_id,
-                payload=request,
-                deliver=deliver,
-                max_links=max_links,
-            )
-        finally:
-            self.initiator.pending_replies.pop(self.reply.bid, None)
-        forward_broken = not trace.success
-
-        if forward_broken:
-            return None, "forward"
-        if reply_broken or not received:
-            return None, "reply"
-        try:
-            seq_b, response_body = unpack_fields(received[0], count=2)
+            seq_b, response_body = unpack_fields(ex.received, count=2)
             if unpack_int(seq_b, width=8) != seq:
                 return None, None  # stale/replayed response
         except SerializationError:
             return None, None
         return response_body, None
 
-    # ------------------------------------------------------------------
-    # resilience plumbing (policy mode)
-    # ------------------------------------------------------------------
     def _probe_health(self) -> dict[str, bool]:
         """Hedged health probes: check both tunnels together.
 
@@ -275,143 +230,86 @@ class TapSession:
                 span.set(forward=forward_ok, reply=reply_ok)
         return {"forward": forward_ok, "reply": reply_ok}
 
-    def _handle_failure(
-        self, broken: str | None, policy: ResiliencePolicy,
-        reformed: list[str],
-    ) -> None:
-        """Diagnose one failed attempt and repair what it implicates.
+    def _handle_failure(self, broken: str | None) -> list[str]:
+        """Diagnose one failed attempt and repair what it implicates;
+        returns the tunnels reformed.
 
-        Probed-unhealthy tunnels are reformed immediately (reactive
-        repair, the legacy behaviour).  Ambiguous failures — probes
-        say healthy, so likely transient loss — only feed the
-        breakers: retrying without churning tunnels is the right move,
-        until consecutive mysteries trip a breaker and force a
-        proactive route-around reform.
+        A suspect tunnel — probed unhealthy, or without hedged probes
+        the one the attempt broke on — is reformed immediately
+        (reactive repair).  Ambiguous failures — probes say healthy, so
+        likely transient loss — only feed the breakers: retrying without
+        churning tunnels is the right move, until consecutive mysteries
+        trip a breaker and force a proactive route-around reform.  A
+        policy without ``proactive_reform`` has nothing for a trip to
+        drive, so its breakers are not fed.
         """
+        policy = self.policy
         if policy.hedged_probes:
             health = self._probe_health()
             suspects = tuple(w for w, ok in health.items() if not ok)
         else:
             suspects = (broken,) if broken else ()
+        reformed: list[str] = []
         for which in ("forward", "reply"):
-            breaker = self._breakers[which]
             if suspects and which not in suspects:
                 continue
-            if breaker.record_failure():
+            breaker = self._breakers[which]
+            if policy.proactive_reform and breaker.record_failure():
                 self.stats.breaker_trips += 1
-            if which in suspects:
+            proactive = which not in suspects and breaker.state == "open"
+            if which in suspects or proactive:
                 self._reform(which)
+                self.stats.proactive_reforms += proactive
                 reformed.append(which)
                 breaker.on_reform()
-            elif breaker.state == "open" and policy.proactive_reform:
-                self._reform(which)
-                reformed.append(which)
-                self.stats.proactive_reforms += 1
-                breaker.on_reform()
-
-    def request_resilient(self, body: bytes) -> ResilientReply:
-        """Send one request under the session's resilience policy.
-
-        Bounded retries with deterministic backoff, hedged health
-        probes, per-tunnel circuit breaking with proactive reform, and
-        (when ``policy.degraded_ok``) a last-known-good fallback with
-        an explicit ``degraded`` flag instead of a hard failure.
-        """
-        policy = self.policy or ResiliencePolicy(max_retries=self.max_retries)
-        self._seq += 1
-        seq = self._seq
-        self.stats.requests += 1
-        tr = self.tracer
-        cm = tr.span(
-            "session.request", observer="initiator",
-            initiator=self.initiator.node_id, seq=seq, policy=True,
-        ) if tr else nullcontext()
-        reformed: list[str] = []
-        waited = 0.0
-        with cm as span:
-            for attempt in range(1 + policy.max_retries):
-                if attempt:
-                    self.stats.retries += 1
-                    delay = policy.backoff_delay(attempt, self._backoff_rng)
-                    waited += delay
-                    self.stats.backoff_wait_s += delay
-                response, broken = self._round_trip(
-                    body, seq, max_links=policy.attempt_link_budget
-                )
-                if response is not None:
-                    self.stats.responses += 1
-                    if attempt:
-                        self.stats.recovered_responses += 1
-                    for breaker in self._breakers.values():
-                        breaker.record_success()
-                    self._last_known_good = response
-                    if span is not None:
-                        span.set(success=True, attempts=attempt + 1,
-                                 recovered=attempt > 0)
-                    return ResilientReply(
-                        response, recovered=attempt > 0,
-                        attempts=attempt + 1, waited_s=waited,
-                        reformed=tuple(reformed),
-                    )
-                self._handle_failure(broken, policy, reformed)
-            self.stats.failures += 1
-            attempts = 1 + policy.max_retries
-            if policy.degraded_ok and self._last_known_good is not None:
-                self.stats.degraded_responses += 1
-                if span is not None:
-                    span.set(success=False, degraded=True, attempts=attempts)
-                return ResilientReply(
-                    self._last_known_good, degraded=True,
-                    attempts=attempts, waited_s=waited,
-                    reformed=tuple(reformed),
-                )
-            if span is not None:
-                span.set(success=False, attempts=attempts)
-            return ResilientReply(
-                None, attempts=attempts, waited_s=waited,
-                reformed=tuple(reformed),
-            )
+        return reformed
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def request(self, body: bytes) -> bytes | None:
-        """Send one request; retries (with tunnel repair) on failure.
+    def request_resilient(self, body: bytes) -> ResilientReply:
+        """Send one request under the session's resilience policy.
 
-        With a :class:`ResiliencePolicy` attached this delegates to
-        :meth:`request_resilient` (note a degraded fallback surfaces
-        here as stale-but-served bytes); without one it is the legacy
-        reform-on-failure loop, byte-compatible with the pre-policy
-        behaviour.
+        Bounded retries (:func:`repro.core.resilience.run_attempts`),
+        each failure diagnosed and repaired by :meth:`_handle_failure`,
+        and (when ``policy.degraded_ok``) a last-known-good fallback
+        with an explicit ``degraded`` flag instead of a hard failure.
         """
-        if self.policy is not None:
-            return self.request_resilient(body).value
         self._seq += 1
         seq = self._seq
-        self.stats.requests += 1
+        stats = self.stats
+        stats.requests += 1
         tr = self.tracer
         cm = tr.span(
             "session.request", observer="initiator",
             initiator=self.initiator.node_id, seq=seq,
         ) if tr else nullcontext()
         with cm as span:
-            for attempt in range(1 + self.max_retries):
-                if attempt:
-                    self.stats.retries += 1
-                response, broken = self._round_trip(body, seq)
-                if response is not None:
-                    self.stats.responses += 1
-                    if attempt:
-                        self.stats.recovered_responses += 1
-                    if span is not None:
-                        span.set(success=True, attempts=attempt + 1)
-                    return response
-                if broken is not None:
-                    self._reform(broken)
-            self.stats.failures += 1
+            reply = run_attempts(
+                self.policy, self._backoff_rng,
+                lambda: self._round_trip(body, seq),
+                self._handle_failure, self._last_known_good,
+            )
+            stats.retries += reply.attempts - 1
+            stats.backoff_wait_s += reply.waited_s
+            if reply.ok:
+                stats.responses += 1
+                stats.recovered_responses += reply.recovered
+                for breaker in self._breakers.values():
+                    breaker.record_success()
+                self._last_known_good = reply.value
+            else:
+                stats.failures += 1
+                stats.degraded_responses += reply.degraded
             if span is not None:
-                span.set(success=False, attempts=1 + self.max_retries)
-            return None
+                span.set(success=reply.ok, attempts=reply.attempts,
+                         recovered=reply.recovered, degraded=reply.degraded)
+        return reply
+
+    def request(self, body: bytes) -> bytes | None:
+        """:meth:`request_resilient`, keeping only the bytes (note a
+        degraded fallback surfaces here as stale-but-served bytes)."""
+        return self.request_resilient(body).value
 
     def close(self, delete_anchors: bool = True) -> None:
         """Tear the session down, retiring (and deleting) its anchors."""

@@ -9,9 +9,12 @@ drive the fault-tolerance experiments.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.deploy import ThaDeployer
 from repro.core.forwarding import ForwardTrace, TunnelForwarder
 from repro.core.node import TapNode
+from repro.core.resilience import ResiliencePolicy, run_attempts
 from repro.core.retrieval import AnonymousRetrieval, RetrievalResult
 from repro.core.tunnel import ReplyTunnel, Tunnel, TunnelFormationError, select_scattered
 from repro.past.replication import ReplicatedStore
@@ -53,6 +56,9 @@ class TapSystem:
             self.forwarder, store, seeds.pyrandom("retrieval")
         )
         self._form_rng = seeds.pyrandom("tunnel-form")
+        #: fid -> content last retrieved under a policy (the graceful-
+        #: degradation fallback of :meth:`retrieve_resilient`)
+        self._retrieved: dict[int, bytes] = {}
         self.metrics = None
         self.event_trace = None
         self.tracer = None
@@ -241,18 +247,7 @@ class TapSystem:
         now: float = 0.0,
     ) -> Tunnel:
         """Form a forward tunnel from the owner's deployed anchors (§3.5)."""
-        tr = self.tracer
-        span = tr.start_span(
-            "tunnel.form", observer="initiator",
-            initiator=owner.node_id, length=length, hints=use_hints,
-        ) if tr else None
-        hops = self._claim_hops(owner, length)
-        hints: list[str | None] = [None] * length
-        if use_hints:
-            hints = [self._resolve_hint(owner, h.hop_id) for h in hops]
-        if span is not None:
-            tr.finish(span)
-        return Tunnel(hops=hops, hint_ips=hints, formed_at=now)
+        return self._form(owner, length, use_hints, now, reply=False)
 
     def form_reply_tunnel(
         self,
@@ -262,20 +257,36 @@ class TapSystem:
         now: float = 0.0,
     ) -> ReplyTunnel:
         """Form a reply tunnel ending at a ``bid`` owned by the initiator."""
+        return self._form(owner, length, use_hints, now, reply=True)
+
+    def _form(self, owner: TapNode, length: int, use_hints: bool, now: float, reply: bool):
         tr = self.tracer
+        kind = {"reply": True} if reply else {}
         span = tr.start_span(
             "tunnel.form", observer="initiator",
-            initiator=owner.node_id, length=length, hints=use_hints,
-            reply=True,
+            initiator=owner.node_id, length=length, hints=use_hints, **kind,
         ) if tr else None
         hops = self._claim_hops(owner, length)
         hints: list[str | None] = [None] * length
         if use_hints:
             hints = [self._resolve_hint(owner, h.hop_id) for h in hops]
-        bid = owner.make_bid(self.network.alive_ids)
+        bid = owner.make_bid(self.network.alive_ids) if reply else None
         if span is not None:
             tr.finish(span)
-        return ReplyTunnel(hops=hops, hint_ips=hints, formed_at=now, bid=bid)
+        if reply:
+            return ReplyTunnel(hops=hops, hint_ips=hints, formed_at=now, bid=bid)
+        return Tunnel(hops=hops, hint_ips=hints, formed_at=now)
+
+    def reform_tunnel(self, owner: TapNode, tunnel: Tunnel) -> Tunnel:
+        """Replace a broken tunnel with one of the same kind, length
+        and hinting over freshly deployed anchors; the old tunnel's
+        anchors are released."""
+        self.deploy_thas(owner, count=tunnel.length)
+        self.retire_tunnel(owner, tunnel)
+        return self._form(
+            owner, tunnel.length, any(tunnel.hint_ips), 0.0,
+            reply=isinstance(tunnel, ReplyTunnel),
+        )
 
     def _claim_hops(self, owner: TapNode, length: int):
         """Select scattered anchors and mark them as belonging to a
@@ -334,35 +345,50 @@ class TapSystem:
         fid: int,
         forward_tunnel: Tunnel,
         reply_tunnel: ReplyTunnel,
-        policy=None,
+        policy: ResiliencePolicy = ResiliencePolicy(),
     ) -> RetrievalResult:
-        """Policy-managed retrieval that reforms the implicated tunnel
-        between attempts (fresh anchors via :meth:`deploy_thas`).
+        """:meth:`retrieve` under a resilience policy
+        (:func:`repro.core.resilience.run_attempts`): the tunnel a failed
+        attempt broke on is replaced (:meth:`reform_tunnel`) — a missing
+        file breaks neither, and reforms nothing — and when every
+        attempt fails with ``policy.degraded_ok``, an earlier copy of
+        ``fid`` is served with ``degraded=True``.
 
-        The final result's ``meta["tunnels"]`` holds the tunnels in use
-        after any reforms, so callers can keep them for later requests.
+        The result's ``meta`` holds ``attempts``, ``recovered``,
+        (virtual) ``waited_s`` and ``tunnels``: the pair in use after
+        any reforms, for the caller's later requests.
         """
         tunnels = {"forward": forward_tunnel, "reply": reply_tunnel}
+        results: list[RetrievalResult] = []
 
-        def reform(reason: str | None):
-            which = "forward" if (reason or "").startswith("forward") else "reply"
-            self.deploy_thas(initiator, count=len(tunnels[which].hops))
-            self.retire_tunnel(initiator, tunnels[which])
-            if which == "forward":
-                tunnels["forward"] = self.form_tunnel(
-                    initiator, len(forward_tunnel.hops)
-                )
-            else:
-                tunnels["reply"] = self.form_reply_tunnel(
-                    initiator, len(reply_tunnel.hops)
-                )
-            return tunnels["forward"], tunnels["reply"]
+        def attempt() -> tuple[bytes | None, str | None]:
+            results.append(self.retrieve(
+                initiator, fid, tunnels["forward"], tunnels["reply"]
+            ))
+            return results[-1].content, results[-1].broken
 
-        result = self.retrieval.retrieve_resilient(
-            initiator, fid, forward_tunnel, reply_tunnel,
-            policy=policy, reform=reform,
+        def repair(broken: str | None) -> tuple[str, ...]:
+            if broken is None:
+                return ()
+            tunnels[broken] = self.reform_tunnel(initiator, tunnels[broken])
+            return (broken,)
+
+        reply = run_attempts(
+            policy, self.retrieval.rng, attempt, repair,
+            self._retrieved.get(fid),
         )
-        result.meta["tunnels"] = (tunnels["forward"], tunnels["reply"])
+        result = results[-1]
+        if reply.ok:
+            self._retrieved[fid] = reply.value
+        elif reply.degraded:
+            result = replace(
+                result, success=True, content=reply.value, degraded=True
+            )
+        result.meta.update(
+            attempts=reply.attempts, recovered=reply.recovered,
+            waited_s=reply.waited_s,
+            tunnels=(tunnels["forward"], tunnels["reply"]),
+        )
         return result
 
     # ------------------------------------------------------------------

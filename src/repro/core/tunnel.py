@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.core.tha import OwnedTha
-from repro.crypto.onion import OnionLayer
+from repro.crypto.onion import OnionLayer, build_reply_onion, make_fake_onion
 from repro.util.ids import id_digit
 
 
@@ -95,6 +95,15 @@ class ReplyTunnel(Tunnel):
         super().__post_init__()
         if self.bid == 0:
             raise ValueError("ReplyTunnel requires a bid")
+
+    def capsule(self, rng: random.Random) -> tuple[int, bytes]:
+        """What a responder is handed to answer with (§4): ``(first hop
+        id, blob)`` — the entry hop in the clear, and the onion whose
+        innermost layer reveals ``bid`` plus a fresh fakeonion drawn
+        from ``rng``, so the tail cannot tell it is last."""
+        return build_reply_onion(
+            self.onion_layers(), self.bid, make_fake_onion(rng)
+        )
 
 
 def select_scattered(

@@ -29,11 +29,9 @@ from dataclasses import dataclass, field
 from repro.baselines.fixed_tunnel import FixedNodeTunnel, form_fixed_tunnel
 from repro.core.forwarding import ForwardTrace
 from repro.core.node import PendingReply, TapNode
+from repro.core.retrieval import EnvelopeError, open_answer, seal_answer
 from repro.core.tunnel import ReplyTunnel, Tunnel
 from repro.crypto.asymmetric import RsaError, RsaKeyPair, RsaPublicKey
-from repro.crypto.hashing import random_key
-from repro.crypto.onion import build_reply_onion, make_fake_onion
-from repro.crypto.symmetric import CipherError, SymmetricKey
 from repro.util.serialize import (
     SerializationError,
     pack_fields,
@@ -57,14 +55,22 @@ class Envelope:
 
 @dataclass
 class SentMail:
-    """The sender's handle: matches the eventual reply."""
+    """The sender's handle: matches the eventual reply, and owns the
+    sender's registration under the reply tunnel's ``bid``."""
 
     envelope_id: int
+    sender: TapNode
     reply_tunnel: ReplyTunnel
     temp_keys: RsaKeyPair
     responses: list[bytes] = field(default_factory=list)
     delivered: bool = False
     trace: ForwardTrace | None = None
+
+    def release(self) -> None:
+        """Stop awaiting replies to this mail: a reply walk that
+        arrives afterwards fails closed, and the reply tunnel's ``bid``
+        is free for another exchange."""
+        self.sender.release_pending(self.reply_tunnel.bid)
 
 
 class AnonymousMail:
@@ -92,22 +98,18 @@ class AnonymousMail:
 
         The envelope carries the reply tunnel's entry hop and blob plus
         a temporary response key; the sender keeps a pending-reply
-        registration alive so the answer can arrive any time later.
+        registration alive so the answer can arrive any time later —
+        until :meth:`SentMail.release`.
         """
         envelope_id = next(self._ids)
         temp_keys = RsaKeyPair.generate(self._rng, 512)
-        fake = make_fake_onion(self._rng)
-        first_hop, blob = build_reply_onion(
-            reply_tunnel.onion_layers(), reply_tunnel.bid, fake
-        )
-        mail = SentMail(envelope_id, reply_tunnel, temp_keys)
+        first_hop, blob = reply_tunnel.capsule(self._rng)
+        mail = SentMail(envelope_id, sender, reply_tunnel, temp_keys)
 
         def on_response(payload: bytes) -> None:
             try:
-                sealed, wrapped = unpack_fields(payload, count=2)
-                k_f = SymmetricKey(temp_keys.decrypt(wrapped))
-                mail.responses.append(k_f.open(sealed))
-            except (SerializationError, RsaError, CipherError):
+                mail.responses.append(open_answer(payload, temp_keys))
+            except EnvelopeError:
                 pass  # corrupted response: ignored
 
         # Long-lived registration: replies may arrive after churn.
@@ -151,14 +153,11 @@ class AnonymousMail:
     # ------------------------------------------------------------------
     def reply(self, recipient_id: int, envelope: Envelope, body: bytes) -> ForwardTrace:
         """Answer an envelope down its embedded TAP reply tunnel."""
-        k_f = SymmetricKey(random_key(self._rng))
-        sealed = k_f.seal(body)
-        wrapped = envelope.response_key.encrypt(k_f.key_bytes, self._rng)
         trace = self.system.forwarder.send_reply(
             recipient_id,
             envelope.reply_first_hop,
             envelope.reply_blob,
-            pack_fields(sealed, wrapped),
+            seal_answer(body, envelope.response_key, self._rng),
         )
         envelope.replied = trace.success
         return trace

@@ -32,11 +32,10 @@ from typing import Callable
 
 from repro.core.forwarding import ForwardTrace
 from repro.core.node import PendingReply, TapNode
+from repro.core.retrieval import EnvelopeError, open_answer, seal_answer
 from repro.core.tunnel import ReplyTunnel, Tunnel
 from repro.crypto.asymmetric import RsaError, RsaKeyPair, RsaPublicKey
-from repro.crypto.hashing import random_key, sha1_id
-from repro.crypto.onion import build_reply_onion, make_fake_onion
-from repro.crypto.symmetric import CipherError, SymmetricKey
+from repro.crypto.hashing import sha1_id
 from repro.util.serialize import (
     SerializationError,
     pack_fields,
@@ -117,10 +116,7 @@ class MutualAnonymity:
         keypair = RsaKeyPair.generate(
             self.system.seeds.pyrandom("service-key", provider.node_id, name), 512
         )
-        fake = make_fake_onion(self._rng)
-        entry_hop, blob = build_reply_onion(
-            inbound.onion_layers(), inbound.bid, fake
-        )
+        entry_hop, blob = inbound.capsule(self._rng)
         service = HiddenService(
             name=name, provider=provider, inbound=inbound,
             keypair=keypair, handler=handler,
@@ -150,13 +146,9 @@ class MutualAnonymity:
         except (RsaError, SerializationError, ValueError):
             return  # undecipherable request: drop silently
         service.served += 1
-        response_body = service.handler(body)
-        k_f = SymmetricKey(random_key(self._rng))
-        sealed = k_f.seal(response_body)
-        wrapped = response_key.encrypt(k_f.key_bytes, self._rng)
         self.system.forwarder.send_reply(
             service.provider.node_id, r_first, r_blob,
-            pack_fields(sealed, wrapped),
+            seal_answer(service.handler(body), response_key, self._rng),
         )
 
     # ------------------------------------------------------------------
@@ -184,43 +176,28 @@ class MutualAnonymity:
         """
         record = self.lookup(name)
         temp_keys = RsaKeyPair.generate(self._rng, 512)
-        fake = make_fake_onion(self._rng)
-        r_first, r_blob = build_reply_onion(
-            reply_tunnel.onion_layers(), reply_tunnel.bid, fake
-        )
-
-        received: list[bytes] = []
-        requester.register_pending(
-            PendingReply(bid=reply_tunnel.bid, callback=received.append)
-        )
-
+        r_first, r_blob = capsule = reply_tunnel.capsule(self._rng)
         request_plain = pack_fields(
             body, pack_int(r_first), r_blob, temp_keys.public.to_bytes()
         )
-        request = record.public_key.encrypt(request_plain, self._rng)
 
-        def deliver(entry_node: int, payload: bytes) -> None:
+        def hand_over(entry_node: int, payload: bytes) -> None:
             # The requester's exit hands the request to the service
-            # tunnel's entry hop, which walks it inward to the provider.
+            # tunnel's entry hop, which walks it inward to the provider;
+            # the provider answers down the capsule it decrypts, so
+            # nothing is sent from here.
             self.system.forwarder.send_reply(
                 entry_node, record.entry_hop_id, record.tunnel_blob, payload
             )
 
+        ex = self.system.forwarder.round_trip(
+            requester, forward_tunnel, reply_tunnel, capsule,
+            record.entry_hop_id,
+            record.public_key.encrypt(request_plain, self._rng), hand_over,
+        )
+        if ex.received is None:
+            return None, ex.forward
         try:
-            trace = self.system.forwarder.send(
-                requester, forward_tunnel,
-                destination_id=record.entry_hop_id,
-                payload=request,
-                deliver=deliver,
-            )
-        finally:
-            requester.pending_replies.pop(reply_tunnel.bid, None)
-
-        if not received:
-            return None, trace
-        try:
-            sealed, wrapped = unpack_fields(received[0], count=2)
-            k_f = SymmetricKey(temp_keys.decrypt(wrapped))
-            return k_f.open(sealed), trace
-        except (SerializationError, RsaError, CipherError):
-            return None, trace
+            return open_answer(ex.received, temp_keys), ex.forward
+        except EnvelopeError:
+            return None, ex.forward

@@ -33,6 +33,11 @@ from repro.perf.parallel import shared_payload
 from repro.util.rng import SeedSequenceFactory
 
 
+#: the no-resilience arm: zero retries, a broken tunnel reformed for
+#: the next round, and only the structural replica fail-over of the paper
+BASELINE = ResiliencePolicy.reactive(0)
+
+
 def _chaos_base_token(config: ChaosConfig) -> tuple:
     return ("chaos-base", config.seed, config.num_nodes)
 
@@ -93,14 +98,14 @@ def _outages(outcomes: list[bool]) -> list[int]:
 def run_chaos(
     plan: FaultPlan,
     config: ChaosConfig = ChaosConfig(),
-    policy: ResiliencePolicy | None = ResiliencePolicy(),
+    policy: ResiliencePolicy = ResiliencePolicy(),
     metrics=None,
     tracer=None,
 ) -> dict:
     """Execute one chaos run; returns the (deterministic) report dict.
 
-    ``policy=None`` is the no-resilience baseline: sessions get zero
-    retries and only the structural replica fail-over of the paper.
+    ``policy=BASELINE`` is the no-resilience arm the CLI compares
+    against; the report labels every other policy ``resilient``.
 
     The system is a fork of the base snapshot for ``config.seed`` —
     forking with the same seed the base was bootstrapped with yields a
@@ -142,9 +147,7 @@ def run_chaos(
         sessions.append(
             TapSession(
                 system, initiator, server,
-                tunnel_length=config.tunnel_length,
-                max_retries=0 if policy is None else policy.max_retries,
-                policy=policy,
+                tunnel_length=config.tunnel_length, policy=policy,
             )
         )
         servers.append(server)
@@ -190,14 +193,10 @@ def run_chaos(
         for i, session in enumerate(sessions):
             body = f"r{rnd}".encode()
             expected = b"ok:" + body
-            if policy is not None:
-                reply = session.request_resilient(body)
-                ok = reply.ok and reply.value == expected
-                if reply.degraded:
-                    degraded_served[i] += 1
-            else:
-                ok = session.request(body) == expected
-            outcomes[i].append(ok)
+            reply = session.request_resilient(body)
+            if reply.degraded:
+                degraded_served[i] += 1
+            outcomes[i].append(reply.ok and reply.value == expected)
         event_trace.record(
             "chaos.round", round=rnd,
             ok=[int(o[-1]) for o in outcomes],
@@ -258,7 +257,7 @@ def run_chaos(
         "plan": plan.name,
         "plan_description": plan.description,
         "seed": config.seed,
-        "policy": "resilient" if policy is not None else "baseline",
+        "policy": "baseline" if policy == BASELINE else "resilient",
         "config": {
             "num_nodes": config.num_nodes,
             "sessions": config.sessions,
@@ -283,7 +282,7 @@ def chaos_job(plan: FaultPlan, config: ChaosConfig, with_policy: bool) -> dict:
     the no-resilience baseline — the two arms the CLI compares.
     """
     return run_chaos(
-        plan, config, policy=ResiliencePolicy() if with_policy else None
+        plan, config, policy=ResiliencePolicy() if with_policy else BASELINE
     )
 
 

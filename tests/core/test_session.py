@@ -1,10 +1,14 @@
 """Tests for long-standing anonymous sessions (§1's motivating case)."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 
-from repro.core.session import SessionServer, TapSession
+from repro.core.resilience import ResiliencePolicy
+from repro.core.session import SessionServer, SessionStats, TapSession
+from repro.faults.injectors import MessageFault, SyncFaultInjector
+from repro.util.serialize import pack_fields, pack_int, unpack_fields, unpack_int
 
 
 @pytest.fixture()
@@ -106,8 +110,9 @@ class TestSelfHealing:
 
     def test_gives_up_after_retries(self, system, alice, server):
         """If reforms cannot help (e.g. the server is dead), the
-        request fails after max_retries and is counted."""
-        session = TapSession(system, alice, server, tunnel_length=2, max_retries=1)
+        request fails after the policy's retries and is counted."""
+        session = TapSession(system, alice, server, tunnel_length=2,
+                             policy=ResiliencePolicy.reactive(1))
         system.fail_node(server.node_id)
         assert session.request(b"y") is None
         assert session.stats.failures == 1
@@ -132,3 +137,92 @@ class TestSelfHealing:
                 ok += 1
         assert ok == 10
         assert session.stats.availability == 1.0
+
+
+# ----------------------------------------------------------------------
+# the reactive policy, stated: reform what an attempt broke on, retry
+# ----------------------------------------------------------------------
+class ScriptedFaults(SyncFaultInjector):
+    """Per-attempt verdicts: an attempt scripted ``forward`` / ``reply``
+    has that traversal dropped on its first leg."""
+
+    def __init__(self, script):
+        super().__init__()
+        self.script = script
+        self.attempt = -1
+
+    @property
+    def outcome(self) -> str:
+        return self.script[self.attempt]
+
+    def draw_message(self, kind, legs):
+        if kind == "forward":  # each attempt starts with its forward send
+            self.attempt += 1
+        return MessageFault(drop_at=0) if kind == self.outcome else None
+
+
+class ScriptedServer(SessionServer):
+    """Answers an attempt scripted ``stale`` under the previous ``seq``."""
+
+    def __init__(self, node_id, faults):
+        super().__init__(node_id, handler=lambda req: b"echo:" + req)
+        self.faults = faults
+
+    def serve(self, payload):
+        seq_b, body = unpack_fields(payload, count=2)
+        if self.faults.outcome == "stale":
+            seq_b = pack_int(unpack_int(seq_b, width=8) - 1, width=8)
+        return super().serve(pack_fields(seq_b, body))
+
+
+SCRIPTS = [
+    ("ok",),
+    ("forward", "ok"),
+    ("reply", "ok"),
+    ("stale", "ok"),
+    ("forward", "reply", "ok"),
+    ("reply", "stale", "forward"),
+    ("forward", "forward", "forward"),
+    # three mysteries in a row reach the breaker threshold: a breaker
+    # whose trip drives nothing is not fed, so none is counted
+    ("stale", "stale", "stale"),
+]
+
+
+@pytest.mark.parametrize("retries", [0, 1, 2])
+@pytest.mark.parametrize("script", SCRIPTS, ids="-".join)
+def test_reactive_policy_reforms_what_broke_and_retries(
+    system, alice, retries, script
+):
+    faults = ScriptedFaults(script)
+    server = ScriptedServer(system.random_node_id("server"), faults)
+    session = TapSession(system, alice, server, tunnel_length=3,
+                         policy=ResiliencePolicy.reactive(retries))
+    system.forwarder.faults = faults
+    first = {"forward": session.forward, "reply": session.reply}
+
+    reply = session.request_resilient(b"x")
+
+    ran = script[:1 + retries]
+    if "ok" in ran:
+        ran = ran[:ran.index("ok") + 1]
+    answered = ran[-1] == "ok"
+    # every failed attempt, the last included, reforms the tunnel it
+    # broke on; a stale answer implicates neither
+    reforms = tuple(o for o in ran if o in ("forward", "reply"))
+    assert reply.value == (b"echo:x" if answered else None)
+    assert (reply.ok, reply.degraded) == (answered, False)
+    assert reply.attempts == len(ran)
+    assert reply.recovered == (answered and len(ran) > 1)
+    assert reply.reformed == reforms
+    for which, tunnel in first.items():
+        assert (getattr(session, which) is tunnel) == (which not in reforms)
+    assert asdict(session.stats) == asdict(SessionStats(
+        requests=1,
+        responses=int(answered),
+        failures=int(not answered),
+        retries=len(ran) - 1,
+        tunnel_reforms=len(reforms),
+        recovered_responses=int(answered and len(ran) > 1),
+    ))
+    assert alice.pending_replies == {}

@@ -119,3 +119,48 @@ class TestReplies:
             mail.reply(bob_id, envelope, b"re:" + envelope.body)
         assert sent_a.responses == [b"re:from alice"]
         assert sent_c.responses == [b"re:from carol"]
+
+
+class TestReplyRegistrationOwnership:
+    """The mail's registration under its reply tunnel's ``bid`` lives
+    from ``send`` until the sender releases it: nothing else may take
+    the ``bid`` over in between, and nothing is left behind after."""
+
+    def test_awaited_bid_is_refused_not_overwritten(
+        self, system, mail, alice, bob_id, monkeypatch
+    ):
+        sent = _send(system, mail, alice, bob_id)
+        bid = sent.reply_tunnel.bid
+        awaited = alice.pending_replies[bid]
+        fid = system.publish(b"a file")
+        fwd = system.form_tunnel(alice, length=3)
+        sends = []
+        monkeypatch.setattr(system.forwarder, "send",
+                            lambda *a, **kw: sends.append(a))
+
+        with pytest.raises(ValueError, match="already awaited"):
+            system.retrieve(alice, fid, fwd, sent.reply_tunnel)
+
+        assert sends == []  # refused before anything was sent
+        assert alice.pending_replies == {bid: awaited}
+        envelope = mail.inbox(bob_id)[0]
+        assert mail.reply(bob_id, envelope, b"still me").success
+        assert sent.responses == [b"still me"]
+
+    def test_release_ends_the_registration(self, system, mail, alice, bob_id):
+        sent = _send(system, mail, alice, bob_id)
+        envelope = mail.inbox(bob_id)[0]
+        assert mail.reply(bob_id, envelope, b"first").success
+
+        sent.release()
+
+        assert alice.pending_replies == {}
+        late = mail.reply(bob_id, envelope, b"late")
+        assert not late.success and late.delivered_payload is None
+        assert sent.responses == [b"first"]
+        # the bid is free again: the reply tunnel can carry an exchange
+        fid = system.publish(b"a file")
+        result = system.retrieve(
+            alice, fid, system.form_tunnel(alice, length=3), sent.reply_tunnel
+        )
+        assert result.success, result.failure_reason

@@ -23,7 +23,8 @@ def lossy_policy_report():
 
 @pytest.fixture(scope="module")
 def lossy_baseline_report():
-    return run_chaos(named_plan("lossy"), FAST, policy=None)
+    return run_chaos(named_plan("lossy"), FAST,
+                     policy=ResiliencePolicy.reactive(0))
 
 
 class TestAcceptance:

@@ -10,7 +10,9 @@ digest:
 * the 17 ``rows digest`` lines of ``tap-repro all --fast`` and
   ``tap-repro extensions --fast``;
 * sha256 of the chaos smoke report and event trace
-  (``chaos --plan smoke --seed 7 --fast``);
+  (``chaos --plan smoke --seed 7 --fast``), which are the policy arm's,
+  and the report digest of the same run's no-policy baseline arm (from
+  the run manifest) — the arm on ``ResiliencePolicy.reactive``;
 * sha256 of the ``durability --fast`` CSV.
 
 Usage::
@@ -28,6 +30,7 @@ directory.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -66,10 +69,14 @@ def sheet() -> list[str]:
         _cli("chaos", "--plan", "smoke", "--seed", "7", "--fast",
              "--report-out", str(out / "report.json"),
              "--events-out", str(out / "events.jsonl"))
+        # read before ``durability`` writes its own manifest.json here
+        manifest = json.loads((out / "manifest.json").read_text())
         _cli("durability", "--fast", "--csv", str(out / "durability.csv"))
         lines += [
             f"chaos smoke report sha256: {_sha256(out / 'report.json')}",
             f"chaos smoke events sha256: {_sha256(out / 'events.jsonl')}",
+            "chaos smoke baseline digest: "
+            + manifest["results"]["chaos-baseline"]["digest"],
             f"durability csv sha256: {_sha256(out / 'durability.csv')}",
         ]
     return lines
