@@ -413,9 +413,17 @@ def shared_prefix_bits_words(ahi, alo, bhi, blo) -> np.ndarray:
     :func:`repro.util.ids.shared_prefix_digits`, used by the batched
     packet plane to pick routing rows for whole packet fronts at once.
     """
-    xhi = np.asarray(ahi, dtype=np.uint64) ^ np.asarray(bhi, dtype=np.uint64)
-    xlo = np.asarray(alo, dtype=np.uint64) ^ np.asarray(blo, dtype=np.uint64)
-    return np.where(xhi != 0, clz64(xhi), 64 + clz64(xlo))
+    xhi, xlo = np.broadcast_arrays(
+        np.asarray(ahi, dtype=np.uint64) ^ np.asarray(bhi, dtype=np.uint64),
+        np.asarray(alo, dtype=np.uint64) ^ np.asarray(blo, dtype=np.uint64),
+    )
+    bits = np.asarray(clz64(xhi))
+    # the low word counts only where the high words tie, which a routing
+    # front almost never asks about
+    tie = xhi == 0
+    if tie.any():
+        bits[tie] += clz64(xlo[tie])
+    return bits
 
 
 def clear_low_words(hi, lo, nbits) -> tuple[np.ndarray, np.ndarray]:
@@ -432,28 +440,6 @@ def clear_low_words(hi, lo, nbits) -> tuple[np.ndarray, np.ndarray]:
     lo_bits = np.clip(n, 0, 64)
     hi_bits = np.clip(n - 64, 0, 64)
     return hi & ~_LOW_MASKS[hi_bits], lo & ~_LOW_MASKS[lo_bits]
-
-
-def add_pow2_words(hi, lo, nbits) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise (value + 2**nbits) mod 2**128 on (hi, lo) pairs.
-
-    The exclusive upper bound of a prefix bucket/run: lower bound plus
-    the bucket width.  ``nbits`` in [0, 128]; 128 adds a full wrap
-    (identity).
-    """
-    hi = np.asarray(hi, dtype=np.uint64)
-    lo = np.asarray(lo, dtype=np.uint64)
-    n = np.asarray(nbits, dtype=np.int64)
-    hi, lo, n = np.broadcast_arrays(hi, lo, n)
-    lo_add = np.where(n < 64, np.uint64(1) << n.clip(0, 63).astype(np.uint64), 0)
-    hi_add = np.where(
-        (n >= 64) & (n < 128),
-        np.uint64(1) << (n - 64).clip(0, 63).astype(np.uint64),
-        0,
-    )
-    new_lo = lo + lo_add
-    carry = (new_lo < lo).astype(np.uint64)
-    return (hi + hi_add + carry).astype(np.uint64), new_lo.astype(np.uint64)
 
 
 def less_words(ahi, alo, bhi, blo) -> np.ndarray:

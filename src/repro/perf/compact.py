@@ -647,8 +647,7 @@ class CompactOverlay:
     # batched packet plane (repro.perf.packet)
     # ------------------------------------------------------------------
     def route_many(self, src_pos, key_hi, key_lo, *,
-                   chunk_size: int | None = None,
-                   run_scan_cap: int | None = None):
+                   chunk_size: int | None = None):
         """Vectorised lockstep routing of a whole packet batch.
 
         ``src_pos`` are *global* positions; keys are (hi, lo) word
@@ -656,12 +655,11 @@ class CompactOverlay:
         (dead sources fail in-row instead of raising); see
         :mod:`repro.perf.packet`.  ``chunk_size`` streams the batch
         through bounded scratch windows (results are digest-identical
-        for any value); ``run_scan_cap`` bounds the fallback run scan.
+        for any value).
         """
         from repro.perf.packet import route_many
 
-        return route_many(self, src_pos, key_hi, key_lo,
-                          chunk_size=chunk_size, run_scan_cap=run_scan_cap)
+        return route_many(self, src_pos, key_hi, key_lo, chunk_size=chunk_size)
 
     def route_many_ids(self, src_ids, keys):
         """ID-level convenience wrapper over :meth:`route_many`."""
@@ -672,8 +670,7 @@ class CompactOverlay:
 
     def route_tunnels(self, src_pos, hop_key_hi, hop_key_lo,
                       dest_key_hi, dest_key_lo, *,
-                      chunk_size: int | None = None,
-                      run_scan_cap: int | None = None):
+                      chunk_size: int | None = None):
         """Batched TAP tunnel construction + exit-leg routing; see
         :func:`repro.perf.packet.route_tunnels`."""
         from repro.perf.packet import route_tunnels
@@ -681,7 +678,7 @@ class CompactOverlay:
         return route_tunnels(
             self, src_pos, hop_key_hi, hop_key_lo,
             dest_key_hi, dest_key_lo,
-            chunk_size=chunk_size, run_scan_cap=run_scan_cap,
+            chunk_size=chunk_size,
         )
 
     # ------------------------------------------------------------------

@@ -18,16 +18,17 @@ that mirror the scalar rule exactly:
   first alive id at or past the bucket lower bound
   (:func:`repro.pastry.bulk.bucket_bounds` semantics via
   ``clear_low_words`` + ``searchsorted_words``);
-* **run-scan fallback** — when the bucket is empty, every qualifying
-  "known" candidate (leaf member or populated cell sharing no shorter
-  prefix with the key) provably lies inside the contiguous run of
-  alive ids sharing the key's first ``row`` digits, so the batch scans
-  those runs as flattened segments: a run member is a cell entry iff
-  its alive predecessor does not reach one digit deeper
-  (``smallest_id_buckets`` semantics), a leaf member iff its ring
-  *position* is within ±reach, and the segment winner is the
-  (distance, id) minimum among strictly-closer candidates, taken with
-  segmented ``np.minimum.reduceat`` passes.
+* **empty-cell fallback** — when the bucket is empty, the scalar
+  rule's candidates (leaf members and populated cells sharing at least
+  ``row`` digits with the key, strictly closer than the node) reduce to
+  three ids per packet, read off the sorted ring in O(1) searches:
+  ``up``, the first alive id at or after the key (a cell entry, since
+  the key's empty bucket separates it from its predecessor); the
+  first alive id of the node's bucket holding ``q``, the last alive id
+  before the key (the largest entry at or below ``q``); and ``q`` if
+  it is a leaf, else the leaf window's clockwise edge (the nearest
+  leaf below the key).  The winner is their (distance, id) minimum
+  among those that qualify.
 
 Dead sources fail immediately (the scalar ``route`` raises instead —
 batches must keep their row alignment); all other packets terminate
@@ -51,6 +52,7 @@ Generator so experiment rows stay digest-identical across workers.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import TYPE_CHECKING
 
@@ -58,7 +60,6 @@ import numpy as np
 
 from repro.analysis.idspace import (
     _sub_words,
-    add_pow2_words,
     clear_low_words,
     closest_index_words,
     less_words,
@@ -75,21 +76,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: default for the ``run_scan_cap`` parameter of :func:`route_many`:
-#: fallback runs wider than this go through the scalar ``_next_hop``
-#: instead of the segmented scan.  A run of width w only arises when w
-#: alive ids share the key's whole current prefix, so uniform rings
-#: never approach the cap past row 0 — and row 0 runs (the whole ring)
-#: only reach the fallback on tiny or pathologically clustered
-#: populations.  Pass a different cap to tune the scan/scalar
-#: trade-off (e.g. clustered 10^6 rings); the forwarding decision is
-#: identical either way, so any value routes the same.
-RUN_SCAN_CAP = 4096
-
 #: the branches a forwarding decision can take; with metrics attached a
 #: front reports how many it made of each as
 #: ``compact.route.decisions_<branch>``
-_DECISIONS = ("covered", "prefix_cell", "run_scan", "cap_rescue")
+_DECISIONS = ("covered", "prefix_cell", "empty_cell")
 
 
 class BatchRouteResult:
@@ -205,9 +195,7 @@ def _roots(overlay, key_hi, key_lo) -> np.ndarray:
 
 
 def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
-               chunk_size: int | None = None,
-               run_scan_cap: int | None = None,
-               ) -> BatchRouteResult:
+               chunk_size: int | None = None) -> BatchRouteResult:
     """Route one key per packet from global positions ``src_pos``.
 
     Hop-for-hop identical to ``overlay.route`` for every packet whose
@@ -223,11 +211,6 @@ def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
     of batch-sized per-iteration copies.  Routing decisions are per
     packet, so results are bitwise identical for any chunk size
     (``None`` routes the whole batch at once).
-
-    ``run_scan_cap`` replaces the old module-constant monkeypatch
-    target: fallback runs wider than the cap are rescued by the scalar
-    rule instead of the segmented scan (default
-    :data:`RUN_SCAN_CAP`; the decision itself is cap-independent).
     """
     src_pos = overlay._checked_positions(src_pos, "src_pos")
     key_hi = np.atleast_1d(np.asarray(key_hi, dtype=np.uint64))
@@ -238,15 +221,28 @@ def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
     dest_pos, hops, success = _route_front(
         overlay, src_pos, _alive_ranks(overlay, src_pos),
         _roots(overlay, key_hi, key_lo), key_hi, key_lo,
-        chunk_size, run_scan_cap, trail,
+        chunk_size, trail,
     )
     return BatchRouteResult(
         overlay, key_hi, key_lo, src_pos, dest_pos, hops, success, trail
     )
 
 
+def _chunk_bounds(num: int, chunk_size: int | None) -> list[tuple[int, int]]:
+    """``(start, end)`` windows of at most ``chunk_size`` rows covering
+    ``num`` rows; ``None`` (or a size covering them all) is one window."""
+    if chunk_size is None or chunk_size >= num or num == 0:
+        return [(0, num)]
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    return [
+        (start, min(start + chunk_size, num))
+        for start in range(0, num, chunk_size)
+    ]
+
+
 def _route_front(overlay, src_pos, rank, root, key_hi, key_lo, chunk_size,
-                 run_scan_cap, trail):
+                 trail):
     """Route validated packets chunk by chunk; returns ``(dest_pos,
     hops, success)``.
 
@@ -257,17 +253,7 @@ def _route_front(overlay, src_pos, rank, root, key_hi, key_lo, chunk_size,
     ``(chunk start, per-iteration positions)`` segment per chunk, or
     is None when no one will ask for paths."""
     num = len(src_pos)
-    if run_scan_cap is None:
-        run_scan_cap = RUN_SCAN_CAP
-    if chunk_size is None or chunk_size >= num or num == 0:
-        bounds = [(0, num)]
-    elif chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    else:
-        bounds = [
-            (start, min(start + chunk_size, num))
-            for start in range(0, num, chunk_size)
-        ]
+    bounds = _chunk_bounds(num, chunk_size)
 
     ahi, alo, idx = overlay._alive_arrays()
     reach = leaf_reach(len(ahi), overlay.leaf_set_size) if len(ahi) else 0
@@ -282,7 +268,7 @@ def _route_front(overlay, src_pos, rank, root, key_hi, key_lo, chunk_size,
             rank[start:end], root[start:end],
             key_hi[start:end], key_lo[start:end],
             dest_pos[start:end], hops[start:end], success[start:end],
-            run_scan_cap, tally, trail is not None,
+            tally, trail is not None,
         )
         if trail is not None:
             trail.append((start, segment))
@@ -296,7 +282,7 @@ def _route_front(overlay, src_pos, rank, root, key_hi, key_lo, chunk_size,
 
 
 def _route_chunk(overlay, ahi, alo, idx, reach, rank, root, kh, kl,
-                 dest, hops, success, run_scan_cap, tally, keep_trail):
+                 dest, hops, success, tally, keep_trail):
     """Advance one packet window to termination, writing into the
     caller's ``dest``/``hops``/``success`` views (``dest`` arrives
     holding the sources); returns the chunk's per-iteration trail
@@ -324,7 +310,7 @@ def _route_chunk(overlay, ahi, alo, idx, reach, rank, root, kh, kl,
         at = cur[act]
         nxt, covered = _next_hops(
             overlay, ahi, alo, at, kh[act], kl[act], root[act],
-            reach, run_scan_cap, tally,
+            reach, tally,
         )
         stay = nxt == at
         go = ~stay
@@ -347,8 +333,7 @@ def _route_chunk(overlay, ahi, alo, idx, reach, rank, root, kh, kl,
     return trail
 
 
-def _next_hops(overlay, ahi, alo, cpos, kh, kl, root, reach, run_scan_cap,
-               tally):
+def _next_hops(overlay, ahi, alo, cpos, kh, kl, root, reach, tally):
     """One forwarding decision per active packet (alive positions):
     ``(next position, decision was leaf-covered)``."""
     n = len(ahi)
@@ -393,104 +378,86 @@ def _next_hops(overlay, ahi, alo, cpos, kh, kl, root, reach, run_scan_cap,
         tally["prefix_cell"] += len(unc) - len(miss)
         if len(miss):
             fb = unc[miss]
+            tally["empty_cell"] += len(miss)
             nxt[fb] = _fallback_hops(
-                overlay, ahi, alo, cpos[fb], kh[fb], kl[fb], row[miss],
-                reach, run_scan_cap, tally,
+                ahi, alo, cpos[fb], kh[fb], kl[fb], row[miss], pos[miss],
+                overlay.b_bits, reach,
             )
     return nxt, covered
 
 
-def _fallback_hops(overlay, ahi, alo, cpos, kh, kl, row, reach,
-                   run_scan_cap, tally):
+def _fallback_hops(ahi, alo, cpos, kh, kl, row, pos, b_bits, reach):
     """Vectorised twin of the scalar empty-cell rule.
 
-    Every scalar candidate — a leaf member or populated routing cell
-    sharing at least ``row`` digits with the key — lies inside the
-    contiguous run of alive ids sharing the key's first ``row``
-    digits, so each packet scans its run as one flattened segment.
+    The scalar rule takes the (distance, id) minimum over the known
+    ids — leaf window and populated cells — that share at least ``row``
+    digits with the key and are strictly closer than the node.  The
+    nearest of them lies first clockwise or first counter-clockwise
+    from the key among them, and the key's ``(row+1)``-digit bucket
+    being empty pins both down.  ``pos`` is where that bucket's lower
+    bound inserts into the ring; nobody alive sits between the bound
+    and the key, so it is also the key's own insertion point.
+
+    * ``up``, the first alive id at or after the key, is a cell entry
+      (the smallest alive id of its bucket under the node): were it to
+      share one digit more with its predecessor than with the node, the
+      key between the two would share it too and land in ``up``'s
+      bucket, which is empty.  Past ``up`` clockwise there is no need
+      to look: an id farther that way is farther than ``up`` (or than
+      the node, if ``up`` is the node) in that direction.
+    * ``q``, the last alive id before the key, lies in the node's
+      bucket ``(shared_digits(q, nid), q's next digit)``.  That bucket
+      is contiguous, excludes the node and holds every alive id from
+      its first one up to ``q``, so its first alive id is the nearest
+      cell entry at or below ``q``.
+    * The nearest leaf at or below ``q`` is ``q`` itself if it lies in
+      the ±reach window, else the window's clockwise edge.
+
+    Which of the three share ``row`` digits with the key is checked per
+    packet; the node itself never qualifies.  With ``q`` the node its
+    bucket degenerates to the node (the mask clears nothing) and the
+    branch drops out.  A packet with no qualifier stays put — the scalar
+    rule terminates there.
     """
     n = len(ahi)
-    num = len(cpos)
-    b = overlay.b_bits
-    run_bits = ID_BITS - b * row
-    lo_hi, lo_lo = clear_low_words(kh, kl, run_bits)
-    up_hi, up_lo = add_pow2_words(lo_hi, lo_lo, run_bits)
-    start = searchsorted_words(ahi, alo, lo_hi, lo_lo)
-    end = searchsorted_words(ahi, alo, up_hi, up_lo)
-    # an upper bound of exactly 2^128 wraps to zero: the run reaches
-    # the top of the ring (incl. row 0, where the run is the whole ring)
-    end = np.where((up_hi == 0) & (up_lo == 0), n, end)
-    lens = end - start
+    nid_hi = ahi[cpos]
+    nid_lo = alo[cpos]
+    q = (pos - 1) % n
+    q_hi = ahi[q]
+    q_lo = alo[q]
+    q_row = shared_prefix_bits_words(q_hi, q_lo, nid_hi, nid_lo) // b_bits
+    b_hi, b_lo = clear_low_words(q_hi, q_lo, ID_BITS - b_bits * (q_row + 1))
+    dq = (q - cpos) % n
+    leaf = np.where(np.minimum(dq, n - dq) <= reach, q, (cpos + reach) % n)
+    cand = np.stack((pos % n, searchsorted_words(ahi, alo, b_hi, b_lo), leaf))
 
-    out = np.empty(num, dtype=np.intp)
-    big = lens > run_scan_cap
-    for j in np.flatnonzero(big):
-        # degenerate clustering: defer to the scalar rule wholesale
-        apos = int(cpos[j])
-        nxt_id = overlay._next_hop(apos, (int(kh[j]) << 64) | int(kl[j]))
-        out[j] = overlay._alive_pos_of(nxt_id)
-    small = np.flatnonzero(~big)
-    tally["cap_rescue"] += num - len(small)
-    tally["run_scan"] += len(small)
-    if len(small) == 0:
-        return out
-
-    s_start = start[small]
-    s_len = lens[small]
-    total = int(s_len.sum())
-    seg = np.repeat(np.arange(len(small)), s_len)
-    seg_base = np.concatenate(([0], np.cumsum(s_len)[:-1]))
-    slot = np.arange(total)
-    p = (slot - seg_base[seg] + s_start[seg]).astype(np.intp)
-
-    m_hi = ahi[p]
-    m_lo = alo[p]
-    kh_s = kh[small][seg]
-    kl_s = kl[small][seg]
-    apos_s = cpos[small][seg]
-    nid_hi_s = ahi[apos_s]
-    nid_lo_s = alo[apos_s]
-
-    own_dh, own_dl = ring_distance_words(nid_hi_s, nid_lo_s, kh_s, kl_s)
-    dh, dl = ring_distance_words(m_hi, m_lo, kh_s, kl_s)
-    closer = less_words(dh, dl, own_dh, own_dl)
-
-    # leaf membership is positional: within ±reach of the node's slot
-    dpos = (p - apos_s) % n
-    leaf = np.minimum(dpos, n - dpos) <= reach
-
-    # cell membership: the smallest alive id of its deepest bucket
-    # under nid — true iff the alive predecessor does not also share
-    # one digit more than (m, nid) do, or m is the very first alive id
-    row_m = shared_prefix_bits_words(m_hi, m_lo, nid_hi_s, nid_lo_s) // b
-    prev = np.maximum(p - 1, 0)
-    prev_row = shared_prefix_bits_words(ahi[prev], alo[prev], m_hi, m_lo) // b
-    entry = (p == 0) | (prev_row <= row_m)
-
-    qual = closer & (leaf | entry)
-    # Segmented (distance, id) minimum among the qualifiers.  reduceat
-    # needs every segment non-empty, and none is: a run holds at least
-    # the current node, which shares the key's first `row` digits by
-    # the definition of `row`.  Non-qualifiers carry a sentinel (real
-    # distances never exceed 2^127); a run is in ascending id order, so
-    # the first qualifier at the minimum distance has the smallest id.
-    near_hi = np.minimum.reduceat(np.where(qual, dh, _U64_MAX), seg_base)
-    qual &= dh == near_hi[seg]
-    near_lo = np.minimum.reduceat(np.where(qual, dl, _U64_MAX), seg_base)
-    qual &= dl == near_lo[seg]
-    win = np.minimum.reduceat(np.where(qual, slot, total), seg_base)
-    # no qualifying candidate: stay put (the scalar rule terminates)
-    out[small] = np.where(
-        win < total, p[np.minimum(win, total - 1)], cpos[small]
+    c_hi = ahi[cand]
+    c_lo = alo[cand]
+    dh, dl = ring_distance_words(c_hi, c_lo, kh, kl)
+    own_dh, own_dl = ring_distance_words(nid_hi, nid_lo, kh, kl)
+    qual = (
+        (cand != cpos)
+        & (shared_prefix_bits_words(c_hi, c_lo, kh, kl) >= b_bits * row)
+        & less_words(dh, dl, own_dh, own_dl)
     )
-    return out
+    # (distance, id) minimum over the qualifiers, ids ascending with
+    # ring position; the node starts at a sentinel distance (real ones
+    # never exceed 2^127), so any qualifier displaces it
+    best = cpos
+    best_dh = best_dl = np.full(len(cpos), _U64_MAX)
+    for c, ok, c_dh, c_dl in zip(cand, qual, dh, dl):
+        better = ok & ((c_dh < best_dh) | (c_dh == best_dh) & (
+            (c_dl < best_dl) | (c_dl == best_dl) & (c < best)
+        ))
+        best = np.where(better, c, best)
+        best_dh = np.where(better, c_dh, best_dh)
+        best_dl = np.where(better, c_dl, best_dl)
+    return best
 
 
 def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
                   dest_key_hi, dest_key_lo, *,
-                  chunk_size: int | None = None,
-                  run_scan_cap: int | None = None,
-                  ) -> TunnelBatchResult:
+                  chunk_size: int | None = None) -> TunnelBatchResult:
     """Build one TAP tunnel per packet and route the exit leg, batched.
 
     ``hop_key_hi``/``hop_key_lo`` are (T, L) word arrays — one random
@@ -515,9 +482,8 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
     A leg is a pure function of (source, key), so this equals routing
     the legs one after the other on every row.
 
-    ``chunk_size``/``run_scan_cap`` pass straight through to the
-    front; leg stitching is per packet, so tunnel results are
-    chunk-size invariant too.
+    ``chunk_size`` passes straight through to the front; leg stitching
+    is per packet, so tunnel results are chunk-size invariant too.
     """
     src_pos = overlay._checked_positions(src_pos, "src_pos")
     hop_key_hi = np.asarray(hop_key_hi, dtype=np.uint64)
@@ -552,7 +518,7 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
     ))
     dest, hops, success = _route_front(
         overlay, start, rank, root, key_hi, key_lo,
-        chunk_size, run_scan_cap, None,
+        chunk_size, None,
     )
     # a failed leg leaves its tunnel at the leg's own source
     end = np.where(success, dest, start)
@@ -568,7 +534,7 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
         dest, hops[wrong], success[wrong] = _route_front(
             overlay, again, _alive_ranks(overlay, again),
             root[wrong], key_hi[wrong], key_lo[wrong],
-            chunk_size, run_scan_cap, None,
+            chunk_size, None,
         )
         end[wrong] = np.where(success[wrong], dest, again)
     if overlay._metrics is not None:
@@ -596,21 +562,27 @@ def latency_sums(rng: np.random.Generator, hops, min_latency_s: float,
     time.  A Generator's uniform stream is sequential, so chunked
     draws concatenate bitwise-identically to one flat draw — chunked
     output equals unchunked output exactly, not just statistically.
+
+    Bounds must be finite with ``0 <= min_latency_s <= max_latency_s``
+    and hop counts integral and non-negative; anything else raises
+    ``ValueError`` before a single draw, leaving ``rng`` where it was.
     """
-    hops = np.asarray(hops, dtype=np.int64)
+    if not (math.isfinite(min_latency_s) and math.isfinite(max_latency_s)
+            and 0.0 <= min_latency_s <= max_latency_s):
+        raise ValueError(
+            "latency bounds must be finite with 0 <= min_latency_s <= "
+            f"max_latency_s, got {min_latency_s!r} and {max_latency_s!r}"
+        )
+    raw = np.asarray(hops)
+    if (raw.dtype.kind not in "iuf" or not np.isfinite(raw).all()
+            or (raw != np.trunc(raw)).any()):
+        raise ValueError("hop counts must be integers")
+    hops = raw.astype(np.int64)
     if (hops < 0).any():
         raise ValueError("negative hop counts")
     num = len(hops)
     out = np.zeros(num, dtype=np.float64)
-    if chunk_size is None or chunk_size >= num or num == 0:
-        bounds = [(0, num)]
-    elif chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    else:
-        bounds = [
-            (start, min(start + chunk_size, num))
-            for start in range(0, num, chunk_size)
-        ]
+    bounds = _chunk_bounds(num, chunk_size)
     for start, end in bounds:
         h = hops[start:end]
         total = int(h.sum())

@@ -16,11 +16,13 @@ from repro.analysis.idspace import (
     pack_ids,
     replica_table,
     replica_table_words,
+    clz64,
     ring_distance_words,
     searchsorted_words,
+    shared_prefix_bits_words,
     unpack_words,
 )
-from repro.util.ids import closest_ids, ring_distance
+from repro.util.ids import closest_ids, ring_distance, shared_prefix_digits
 
 RING = 1 << 64
 RING128 = 1 << 128
@@ -495,6 +497,75 @@ class TestWordKernels:
         companion[keep] = True
         companion[target] = False
         assert companion.sum() == len(arr)
+
+
+#: 64-bit words the prefix kernels must count exactly: empty, only the
+#: top or bottom bit, all ones, and a word on either side of 2^53
+_EDGE_WORDS = (0, 1, 1 << 63, (1 << 64) - 1, (1 << 63) | 1, (1 << 53) + 1,
+               (1 << 53) - 1)
+words64 = st.one_of(st.sampled_from(_EDGE_WORDS), ids64)
+
+
+class TestPrefixKernels:
+    """``clz64`` and ``shared_prefix_bits_words`` pick every routing row
+    of the packet plane; each is held to its Python-int definition."""
+
+    @given(values=st.lists(words64, min_size=0, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_clz64_is_64_minus_bit_length(self, values):
+        got = clz64(np.array(values, dtype=np.uint64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [64 - v.bit_length() for v in values]
+
+    @given(
+        pairs=st.lists(
+            st.tuples(words64, words64, words64, words64).map(
+                # the high words tie whenever the first is a multiple of
+                # 8 (most edge words are); every eighth pair is one id twice
+                lambda w: w if w[0] % 8 else (w[0], w[1], w[0], w[3])
+            ),
+            min_size=1, max_size=20,
+        ),
+        b_bits=st.sampled_from((1, 2, 4, 8)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shared_prefix_bits_words_matches_the_scalar_digits(self, pairs,
+                                                                b_bits):
+        a = [(ah << 64) | al for ah, al, _, _ in pairs]
+        b = [(bh << 64) | bl for _, _, bh, bl in pairs]
+        b[::8] = a[::8]
+        ahi, alo = pack_ids(a)
+        bhi, blo = pack_ids(b)
+        bits = shared_prefix_bits_words(ahi, alo, bhi, blo)
+        assert bits.tolist() == [128 - (x ^ y).bit_length() for x, y in zip(a, b)]
+        assert (bits // b_bits).tolist() == [
+            shared_prefix_digits(x, y, b_bits) for x, y in zip(a, b)
+        ]
+
+    def test_shared_prefix_bits_words_edges_and_broadcasting(self):
+        top, bottom = 1 << 63, 1
+        cases = [
+            ((5 << 64) | 9, (5 << 64) | 9, 128),  # identical ids
+            ((5 << 64) | bottom, 5 << 64, 127),  # high words tie
+            ((5 << 64) | top, 5 << 64, 64),
+            (top << 64, 0, 0),
+            (bottom << 64, 0, 63),
+            (0, (1 << 128) - 1, 0),
+        ]
+        ahi, alo = pack_ids([a for a, _, _ in cases])
+        bhi, blo = pack_ids([b for _, b, _ in cases])
+        want = [bits for _, _, bits in cases]
+        assert shared_prefix_bits_words(ahi, alo, bhi, blo).tolist() == want
+        # a (3, n) candidate block against one key per column
+        block = shared_prefix_bits_words(
+            np.stack([ahi] * 3), np.stack([alo] * 3), bhi, blo
+        )
+        assert block.shape == (3, len(cases))
+        assert (block == want).all()
+        # scalars in, a 0-d count out
+        one = shared_prefix_bits_words(np.uint64(5), np.uint64(9),
+                                       np.uint64(5), np.uint64(8))
+        assert int(one) == 127
 
 
 def _bisect_words(ids, keys) -> list[int]:

@@ -5,9 +5,10 @@ must make *the same forwarding decision* as the scalar
 ``CompactOverlay.route`` for every packet at every hop — and therefore,
 through the PR 6 contract, the same decisions as the object engine via
 the materialisation bridge.  Pinned here across churned overlays,
-clustered id populations that force the run-scan fallback, packets
-whose source fails mid-batch, tiny rings, and the RUN_SCAN_CAP scalar
-rescue; plus the batched tunnel stitching and latency-fold kernels.
+clustered id populations that force the empty-cell fallback (rows past
+0, row 0, and one prefix run of thousands of ids), packets whose
+source fails mid-batch, and tiny rings; plus the batched tunnel
+stitching and latency-fold kernels.
 
 :class:`OracleWindowPlane` keeps the covered rule and the tunnel stitch
 the plane used to run — re-rank the whole leaf window per covered hop,
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from repro import MetricsRegistry
 from repro.analysis.idspace import pack_ids, ring_distance_words
 from repro.pastry.bulk import leaf_reach
+from repro.pastry.constants import DEFAULT_LEAF_SET_SIZE
 from repro.perf import packet
 from repro.perf.compact import CompactOverlay
 from repro.perf.packet import latency_sums, route_many, route_tunnels
@@ -55,7 +57,7 @@ def _uniform_overlay(n: int, seed: int, churn: bool = True) -> CompactOverlay:
 
 def _clustered_overlay(seed: int) -> CompactOverlay:
     """Half the ring crammed into one deep prefix: missing routing
-    cells are common, so most packets hit the run-scan fallback."""
+    cells are common, so most packets hit the empty-cell fallback."""
     rng = np.random.default_rng(seed)
     base = 0xABCDEF00 << 96
     ids = sorted(
@@ -77,6 +79,7 @@ def _sample_packets(overlay: CompactOverlay, rng, count: int):
 
 
 def _assert_matches_scalar(overlay, batch, src, key_hi, key_lo):
+    dest_ids = batch.dest_ids()
     for i in range(len(batch)):
         src_id = (int(overlay.hi[src[i]]) << 64) | int(overlay.lo[src[i]])
         key = (int(key_hi[i]) << 64) | int(key_lo[i])
@@ -84,7 +87,7 @@ def _assert_matches_scalar(overlay, batch, src, key_hi, key_lo):
         assert batch.path(i) == ref.path, f"packet {i} path diverges"
         assert bool(batch.success[i]) == ref.success
         assert int(batch.hops[i]) == ref.hops
-        assert batch.dest_ids()[i] == ref.destination
+        assert dest_ids[i] == ref.destination
 
 
 def _id_at(overlay, pos) -> int:
@@ -223,24 +226,43 @@ class TestRouteManyEquivalence:
         metrics = MetricsRegistry()
         overlay.instrument(metrics)
         batch = route_many(overlay, src, key_hi, key_lo)
-        assert _route_counters(metrics)["decisions_run_scan"] > 0, (
+        assert _route_counters(metrics)["decisions_empty_cell"] > 0, (
             "fallback branch never exercised"
         )
         _assert_matches_scalar(overlay, batch, src, key_hi, key_lo)
 
-    def test_run_scan_cap_rescue_is_identical(self):
-        overlay = _clustered_overlay(SEED + 2)
-        rng = np.random.default_rng(SEED + 3)
+    def test_one_prefix_run_of_thousands_agrees(self):
+        """5,000 alive ids under one 8-digit prefix whose ninth digit is
+        always 0, keys there with a ninth digit of 8 or more: every
+        empty cell's run is the whole cluster, wider than any scan would
+        want to walk (a run-scan once handed such runs to the scalar
+        rule), and the decision still reads three ids."""
+        rng = np.random.default_rng(SEED + 2)
+        base = 0xABCDEF00 << 96
+        low = rng.integers(0, 2**64, size=(5_200, 2), dtype=np.uint64)
+        cluster = {
+            base | ((int(h) >> 37) << 64) | int(l) for h, l in low.tolist()
+        }
+        spread = {int(x) << 64 for x in rng.integers(0, 2**64, size=300,
+                                                     dtype=np.uint64)}
+        overlay = CompactOverlay.from_ids(sorted(cluster | spread))
         alive = np.flatnonzero(overlay.alive)
-        src = rng.choice(alive, size=40)
-        key_hi = rng.integers(0, 2**64, size=40, dtype=np.uint64)
-        key_hi[::2] |= np.uint64(0xABCDEF00 << 32)
-        key_lo = rng.integers(0, 2**64, size=40, dtype=np.uint64)
-        vectorised = route_many(overlay, src, key_hi, key_lo)
-        # run_scan_cap is a parameter now — no monkeypatching needed
-        rescued = route_many(overlay, src, key_hi, key_lo, run_scan_cap=2)
-        for i in range(40):
-            assert rescued.path(i) == vectorised.path(i)
+        overlay.fail_positions(rng.choice(alive, size=100, replace=False))
+        ahi, _, _ = overlay._alive_arrays()
+        in_run = int(((ahi >> np.uint64(32)) == np.uint64(0xABCDEF00)).sum())
+        assert in_run > 4_096
+        alive = np.flatnonzero(overlay.alive)
+        src = rng.choice(alive, size=24)
+        key_hi = rng.integers(0, 2**64, size=24, dtype=np.uint64)
+        key_hi[::2] = np.uint64(0xABCDEF00 << 32) | np.uint64(1 << 31) | (
+            key_hi[::2] >> np.uint64(33)
+        )
+        key_lo = rng.integers(0, 2**64, size=24, dtype=np.uint64)
+        metrics = MetricsRegistry()
+        overlay.instrument(metrics)
+        batch = route_many(overlay, src, key_hi, key_lo)
+        assert _route_counters(metrics)["decisions_empty_cell"] >= 12
+        _assert_matches_scalar(overlay, batch, src, key_hi, key_lo)
 
     def test_dead_sources_fail_in_row_without_poisoning_batch(self):
         overlay = _uniform_overlay(250, SEED, churn=False)
@@ -398,6 +420,78 @@ class TestCoveredRuleOracle:
             _assert_matches_scalar_and_oracle(overlay, batch, src, key_hi, key_lo)
 
 
+def _fallback_ring(ids) -> CompactOverlay:
+    """``ids`` plus a failed id beside every fifth one, so alive ranks
+    and global positions differ."""
+    extra = {(ids[i] + 1) % ID_SPACE for i in range(0, len(ids), 5)} - set(ids)
+    overlay = CompactOverlay.from_ids(sorted(set(ids) | extra))
+    overlay.fail_positions(overlay.positions_of(sorted(extra)))
+    return overlay
+
+
+def _route_from(overlay, sources, keys):
+    """Route every key from every source against the scalar rule;
+    return the counters."""
+    src = np.repeat(sources, len(keys))
+    key_hi, key_lo = pack_ids(list(keys) * len(sources))
+    metrics = MetricsRegistry()
+    overlay.instrument(metrics)
+    batch = route_many(overlay, src, key_hi, key_lo)
+    _assert_matches_scalar(overlay, batch, src, key_hi, key_lo)
+    return _route_counters(metrics)
+
+
+class TestEmptyCellRule:
+    """The fallback's three candidates — first alive id at/after the
+    key, first id of the node's bucket holding the last one before it,
+    nearest leaf below it — must elect what the scalar scan over every
+    known id elects, wherever the key and the empty bucket sit."""
+
+    @given(
+        extra=st.integers(1, 3),
+        digits=st.sets(st.integers(0, 15), min_size=1, max_size=8),
+        lows=st.lists(st.integers(0, (1 << 124) - 1), min_size=40,
+                      max_size=40, unique=True),
+        key_lows=st.lists(st.integers(0, (1 << 124) - 1), min_size=1,
+                          max_size=3),
+        key_digit=st.integers(0, 15),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_row_zero_fallback_on_rings_just_past_the_leaf_set(
+            self, extra, digits, lows, key_digit, key_lows):
+        """leaf_set_size + 1..3 alive ids whose first digits avoid the
+        key's: a node the key is not leaf-covered by shares no digit with
+        it and finds the key's row-0 cell empty, so the fallback runs over
+        the whole ring, cyclically."""
+        digits = sorted(digits)
+        free = [d for d in range(16) if d not in digits]
+        size = DEFAULT_LEAF_SET_SIZE + extra
+        ids = [(digits[i % len(digits)] << 124) | low
+               for i, low in enumerate(lows[:size])]
+        key_digit = free[key_digit % len(free)]
+        keys = [(key_digit << 124) | low for low in key_lows]
+        overlay = _fallback_ring(ids)
+        counts = _route_from(overlay, np.flatnonzero(overlay.alive), keys)
+        assert counts["decisions_empty_cell"] > 0
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_keys_on_ids_bounds_and_ring_ends(self, seed):
+        overlay = _clustered_overlay(seed)
+        ids = overlay.alive_ids()
+        rng = np.random.default_rng(seed + 3)
+        keys = [ids[int(i)] for i in rng.integers(0, len(ids), size=3)]
+        # lower bounds of buckets, populated or not, under a few ids
+        for i in rng.integers(0, len(ids), size=3).tolist():
+            for row in (0, 1, 8, 9, 10):
+                shift = 128 - 4 * (row + 1)
+                col = int(rng.integers(0, 16))
+                keys.append(((ids[i] >> (shift + 4) << 4) | col) << shift)
+        keys += [0, ids[0] - 1, ids[0] // 2, ids[-1] + 1, ID_SPACE - 1]
+        sources = rng.choice(np.flatnonzero(overlay.alive), size=8)
+        counts = _route_from(overlay, sources, keys)
+        assert counts["decisions_empty_cell"] > 0
+
+
 class TestInputValidation:
     """Positions and shapes come from outside: fail closed, name the row."""
 
@@ -514,19 +608,10 @@ class TestDecisionCounters:
             "packets": 24,
             "decisions_covered": want["covered"],
             "decisions_prefix_cell": want["prefix_cell"],
-            "decisions_run_scan": want["empty_cell"],
-            "decisions_cap_rescue": 0,
+            "decisions_empty_cell": want["empty_cell"],
         }
         # every packet that arrived took exactly one covered decision
         assert want["covered"] == int(batch.success.sum())
-
-        # a cap of zero hands every empty cell to the scalar rescue
-        metrics = MetricsRegistry()
-        overlay.instrument(metrics)
-        route_many(overlay, src, key_hi, key_lo, run_scan_cap=0)
-        counts = _route_counters(metrics)
-        assert counts["decisions_run_scan"] == 0
-        assert counts["decisions_cap_rescue"] == want["empty_cell"]
 
     def test_detached_overlay_reports_nothing(self):
         overlay, src, key_hi, key_lo = self._batch()
@@ -793,6 +878,29 @@ class TestLatencySums:
     def test_negative_hops_rejected(self):
         with pytest.raises(ValueError):
             latency_sums(np.random.default_rng(3), np.array([1, -2]), 0.0, 1.0)
+
+    @pytest.mark.parametrize("hops, low, high, match", (
+        ([1, 2], -1.0, -0.5, "latency bounds"),  # negative latencies
+        ([1, 2], -0.1, 0.5, "latency bounds"),
+        ([1, 2], 0.3, 0.2, "latency bounds"),  # min > max
+        ([1, 2], float("nan"), 0.2, "latency bounds"),
+        ([1, 2], 0.0, float("inf"), "latency bounds"),
+        ([1.7, 2.2], 0.0, 1.0, "must be integers"),  # used to truncate
+        ([1.0, float("nan")], 0.0, 1.0, "must be integers"),
+        ([1.0, float("inf")], 0.0, 1.0, "must be integers"),
+        (["1", "2"], 0.0, 1.0, "must be integers"),
+        ([1, -2], 0.0, 1.0, "negative hop counts"),
+    ))
+    def test_fails_closed_before_any_draw(self, hops, low, high, match):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match=match):
+            latency_sums(rng, hops, low, high)
+        # the caller's stream was not advanced
+        assert rng.random() == np.random.default_rng(4).random()
+
+    def test_integral_floats_and_equal_bounds_are_accepted(self):
+        lat = latency_sums(np.random.default_rng(6), [2.0, 0.0], 0.05, 0.05)
+        assert lat.tolist() == pytest.approx([0.1, 0.0])
 
     def test_same_stream_is_deterministic(self):
         hops = np.array([2, 4, 8])

@@ -82,7 +82,7 @@ class TestObservabilityFlags:
         snapshot = json.loads(target.read_text())
         taken = {
             branch: snapshot[f"compact.route.decisions_{branch}"]["value"]
-            for branch in ("covered", "prefix_cell", "run_scan", "cap_rescue")
+            for branch in ("covered", "prefix_cell", "empty_cell")
         }
         packets = snapshot["compact.route.packets"]["value"]
         # sources are alive and every route completes: one covered
