@@ -9,28 +9,27 @@ failed (or malicious); each tunnel has ``l`` hops with independent
 uniformly-placed hopids, each replicated on ``k`` nodes.  Because the
 k-closest sets of independent uniform keys are (asymptotically)
 independent uniform k-subsets, hop events are hypergeometric.
+
+The exact (``n_nodes=``) forms count with integer binomials and divide
+once, so each hypergeometric ratio is the correctly rounded float of
+the exact fraction; "at least one" is one minus such a ratio.
 """
 
 from __future__ import annotations
 
-from scipy.special import comb
+import math
+from numbers import Integral
 
 
 def _hyper_all_in_subset(n_total: int, n_subset: int, k: int) -> float:
     """P(all k draws land in the marked subset), without replacement."""
-    if k > n_subset:
-        return 0.0
-    return float(comb(n_subset, k, exact=False) / comb(n_total, k, exact=False))
+    return math.comb(n_subset, k) / math.comb(n_total, k)
 
 
 def _hyper_any_in_subset(n_total: int, n_subset: int, k: int) -> float:
-    """P(at least one of k draws is in the marked subset)."""
-    if n_subset <= 0:
-        return 0.0
-    if k > n_total - n_subset:
-        return 1.0
-    none = comb(n_total - n_subset, k, exact=False) / comb(n_total, k, exact=False)
-    return float(1.0 - none)
+    """P(at least one of k draws is in the marked subset): one minus
+    the chance that all k land in its complement."""
+    return 1.0 - _hyper_all_in_subset(n_total, n_total - n_subset, k)
 
 
 def tunnel_failure_prob_current(p: float, length: int, n_nodes: int | None = None) -> float:
@@ -42,9 +41,8 @@ def tunnel_failure_prob_current(p: float, length: int, n_nodes: int | None = Non
     _check(p, length)
     if n_nodes is None:
         return 1.0 - (1.0 - p) ** length
-    failed = round(p * n_nodes)
-    survive = comb(n_nodes - failed, length) / comb(n_nodes, length)
-    return float(1.0 - survive)
+    n = _population(n_nodes, length=length)
+    return _hyper_any_in_subset(n, round(p * n), length)
 
 
 def tunnel_failure_prob_tap(
@@ -57,8 +55,8 @@ def tunnel_failure_prob_tap(
     if n_nodes is None:
         hop_fail = p**k
     else:
-        failed = round(p * n_nodes)
-        hop_fail = _hyper_all_in_subset(n_nodes, failed, k)
+        n = _population(n_nodes, length=length, k=k)
+        hop_fail = _hyper_all_in_subset(n, round(p * n), k)
     return 1.0 - (1.0 - hop_fail) ** length
 
 
@@ -69,14 +67,17 @@ def tha_disclosure_prob(p: float, k: int, n_nodes: int | None = None) -> float:
         raise ValueError("k must be >= 1")
     if n_nodes is None:
         return 1.0 - (1.0 - p) ** k
-    malicious = round(p * n_nodes)
-    return _hyper_any_in_subset(n_nodes, malicious, k)
+    n = _population(n_nodes, k=k)
+    return _hyper_any_in_subset(n, round(p * n), k)
 
 
 def tunnel_corruption_prob(
     p: float, length: int, k: int, n_nodes: int | None = None
 ) -> float:
     """Case-1 corruption (§6): adversary knows *all* hops' THAs."""
+    _check(p, length)
+    if n_nodes is not None:
+        _population(n_nodes, length=length)
     return tha_disclosure_prob(p, k, n_nodes) ** length
 
 
@@ -84,15 +85,17 @@ def first_and_tail_prob(p: float, k: int, n_nodes: int | None = None) -> float:
     """Case-2 compromise (§6): adversary controls the first *and* tail
     tunnel hop node (timing analysis); approximated as the two roots
     being malicious independently."""
-    root_malicious = p if n_nodes is None else round(p * n_nodes) / n_nodes
+    if n_nodes is None:
+        root_malicious = p
+    else:
+        n = _population(n_nodes, k=k)
+        root_malicious = round(p * n) / n
     del k  # the root is one specific node; k does not enter case 2
     return root_malicious**2
 
 
 def expected_route_hops(n_nodes: int, b_bits: int = 4) -> float:
     """Pastry's ``log_{2^b} N`` expected overlay route length."""
-    import math
-
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     if n_nodes == 1:
@@ -105,3 +108,15 @@ def _check(p: float, length: int) -> None:
         raise ValueError(f"fraction p={p} outside [0, 1]")
     if length < 1:
         raise ValueError("tunnel length must be >= 1")
+
+
+def _population(n_nodes, length: int = 1, k: int = 1) -> int:
+    """``n_nodes`` as an int, once it can hold a tunnel of ``length``
+    distinct relays and a replica set of ``k`` distinct holders."""
+    if not isinstance(n_nodes, Integral) or n_nodes < 1:
+        raise ValueError(f"n_nodes={n_nodes!r} must be an integer >= 1")
+    if length > n_nodes:
+        raise ValueError(f"tunnel length {length} exceeds n_nodes={n_nodes}")
+    if k > n_nodes:
+        raise ValueError(f"k={k} exceeds n_nodes={n_nodes}")
+    return int(n_nodes)

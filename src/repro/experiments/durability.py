@@ -240,7 +240,22 @@ def run_durability(
     ``workers``.  Rows are identical for any worker count; the
     per-trial accounting registries merge into ``metrics`` in trial
     order, so the merged telemetry is too.
+
+    Raises ``ValueError`` for a plan with message faults, partitions or
+    a Byzantine spec: only node and at-rest storage events are applied
+    here, and a run that skipped its faults would read as a pass.
     """
+    plan = named_plan(config.plan)
+    skipped = [what for what, scheduled in (
+        ("message faults", plan.messages.any()),
+        ("partitions", plan.partitions),
+        ("Byzantine hops", plan.byzantine is not None),
+    ) if scheduled]
+    if skipped:
+        raise ValueError(
+            f"fault plan {plan.name!r} schedules {', '.join(skipped)}, which "
+            f"only run_chaos applies (tap-repro chaos --plan {plan.name})"
+        )
     want_metrics = metrics is not None
     want_events = event_trace is not None
     results = run_trials(

@@ -2,11 +2,16 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.theory import (
+    _hyper_all_in_subset,
+    _hyper_any_in_subset,
     expected_route_hops,
     first_and_tail_prob,
     tha_disclosure_prob,
@@ -14,6 +19,67 @@ from repro.analysis.theory import (
     tunnel_failure_prob_current,
     tunnel_failure_prob_tap,
 )
+
+
+def _draws_all_in(n: int, m: int, k: int) -> Fraction:
+    """P(k draws without replacement from n all land among m), one
+    draw at a time."""
+    prob = Fraction(1)
+    for i in range(k):
+        prob *= Fraction(max(m - i, 0), n - i)
+    return prob
+
+
+class TestExactHypergeometric:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 2_000), data=st.data())
+    def test_ratios_are_the_rounded_exact_fraction(self, n, data):
+        """Each ratio is the correctly rounded float of the exact
+        probability; "any" is one minus the "none" ratio, in float."""
+        k = data.draw(st.integers(1, min(20, n)), label="k")
+        m = data.draw(st.integers(0, n), label="subset")
+        assert _hyper_all_in_subset(n, m, k) == float(_draws_all_in(n, m, k))
+        assert _hyper_any_in_subset(n, m, k) == 1.0 - float(
+            _draws_all_in(n, n - m, k)
+        )
+
+
+#: every exact form, called as (n_nodes, length, k) -> probability
+_EXACT_FORMS = {
+    "current": lambda n, l, k: tunnel_failure_prob_current(0.1, l, n_nodes=n),
+    "tap": lambda n, l, k: tunnel_failure_prob_tap(0.1, l, k, n_nodes=n),
+    "disclosure": lambda n, l, k: tha_disclosure_prob(0.1, k, n_nodes=n),
+    "corruption": lambda n, l, k: tunnel_corruption_prob(0.1, l, k, n_nodes=n),
+    "first_and_tail": lambda n, l, k: first_and_tail_prob(0.1, k, n_nodes=n),
+}
+
+
+class TestPopulationFailsClosed:
+    @pytest.mark.parametrize("form", sorted(_EXACT_FORMS))
+    @pytest.mark.parametrize("n_nodes", [0, -3, 2.5, 10.0, "10"])
+    def test_n_nodes_must_be_a_positive_integer(self, form, n_nodes):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            _EXACT_FORMS[form](n_nodes, 1, 1)
+
+    @pytest.mark.parametrize("form", ["current", "tap", "corruption"])
+    def test_tunnel_longer_than_population(self, form):
+        with pytest.raises(ValueError, match="tunnel length 5 exceeds"):
+            _EXACT_FORMS[form](3, 5, 1)
+
+    @pytest.mark.parametrize("form", ["tap", "disclosure", "corruption",
+                                      "first_and_tail"])
+    def test_more_replicas_than_population(self, form):
+        with pytest.raises(ValueError, match="k=4 exceeds"):
+            _EXACT_FORMS[form](3, 1, 4)
+
+    @pytest.mark.parametrize("form", sorted(_EXACT_FORMS))
+    def test_whole_population_is_allowed(self, form):
+        assert 0.0 <= _EXACT_FORMS[form](3, 3, 3) <= 1.0
+
+    def test_numpy_integer_population(self):
+        assert tunnel_failure_prob_current(0.2, 2, n_nodes=np.int64(8)) == (
+            tunnel_failure_prob_current(0.2, 2, n_nodes=8)
+        )
 
 
 class TestCurrentTunnelFailure:

@@ -106,6 +106,30 @@ class TestDurability:
         assert snapshot["faults.storage.lease_skew"]["value"] > 0
         assert snapshot["faults.storage.skew_unsupported"]["value"] > 0
 
+    @pytest.mark.parametrize(
+        "name", ["lossy", "flaky", "partition", "byzantine", "smoke"]
+    )
+    def test_plans_it_cannot_apply_are_refused(self, name, monkeypatch):
+        """Message faults, partitions and Byzantine hops used to be
+        dropped silently, so the run read as a pass."""
+        import dataclasses
+
+        import repro.experiments.durability as durability
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the plan was refused")
+
+        monkeypatch.setattr(durability, "run_trials", no_trials)
+        with pytest.raises(ValueError, match=f"{name!r}.*run_chaos"):
+            run_durability(dataclasses.replace(TINY, plan=name))
+
+    @pytest.mark.parametrize("name", ["churn", "bitrot", "lease-skew"])
+    def test_node_and_storage_plans_run(self, name):
+        import dataclasses
+
+        rows = run_durability(dataclasses.replace(TINY, plan=name, rounds=2))
+        assert {r["backend"] for r in rows} == set(BACKENDS)
+
     def test_fast_config_is_smaller(self):
         fast = DurabilityConfig.fast()
         assert fast.num_nodes < DurabilityConfig().num_nodes
