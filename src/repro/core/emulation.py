@@ -157,9 +157,8 @@ class TapEmulation:
         #: the destination (§6: a malicious node "can read messages
         #: addressed to nodes under its control").
         self.content_taps: list[Callable[[float, int, int, float], None]] = []
-        for nid in network.nodes:
-            if network.nodes[nid].alive:
-                self.net.attach(nid, self._handle)
+        for nid in network.alive_ids:
+            self.net.attach(nid, self._handle)
 
     @classmethod
     def from_system(cls, system, topology: Topology | None = None) -> "TapEmulation":
@@ -390,7 +389,7 @@ class TapEmulation:
                 return
             env.history.hint_failures += 1
         env.via_hint = False
-        nxt = self.network.nodes[from_node].next_hop(env.key)
+        nxt = self.network.next_hop(from_node, env.key)
         if nxt == from_node:
             self._deliver_local(from_node, env)
             return

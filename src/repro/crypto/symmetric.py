@@ -3,9 +3,10 @@
 Construction: a SHAKE-256 stream cipher —
 ``keystream(enc_key, nonce, n) = SHAKE-256(enc_key || nonce).digest(n)``
 — combined with an encrypt-then-MAC HMAC-SHA256 tag.  HMAC is
-implemented per RFC 2104 directly over :func:`hashlib.sha256` (no
-:mod:`hmac` import) — the reproduction builds its substrates from
-primitives.
+implemented per RFC 2104 directly over :func:`hashlib.sha256` — the
+reproduction builds its substrates from primitives; only the tag check
+is :func:`hmac.compare_digest`, whose time does not depend on how many
+leading bytes of a forged tag are right.
 
 Each TAP tunnel hop performs exactly one ``seal`` or ``open`` per
 message, matching the paper's "single symmetric key operation per
@@ -31,6 +32,7 @@ whatever the message size —
 from __future__ import annotations
 
 import hashlib
+import hmac
 
 import numpy as np
 
@@ -154,7 +156,7 @@ class SymmetricKey:
         body.update(view[:-_TAG_BYTES])
         outer = self._mac_outer.copy()
         outer.update(body.digest())
-        if not _constant_time_eq(tag, outer.digest()):
+        if not hmac.compare_digest(tag, outer.digest()):
             raise CipherError("authentication tag mismatch")
         return self._stream_xor(nonce, ciphertext)
 
@@ -180,15 +182,3 @@ class SymmetricKey:
 
     def __repr__(self) -> str:
         return f"SymmetricKey({self.key_bytes[:4].hex()}…)"
-
-
-def _constant_time_eq(a, b) -> bool:
-    """Timing-safe comparison (length leak acceptable: tags are fixed-size).
-
-    The whole-buffer big-int XOR examines every byte before the zero
-    test, replacing the per-byte accumulator loop on the ``open`` hot
-    path.
-    """
-    if len(a) != len(b):
-        return False
-    return not int.from_bytes(a, "big") ^ int.from_bytes(b, "big")

@@ -549,6 +549,12 @@ class PastryNetwork:
             raise RoutingError("no alive nodes")
         return closest_in_sorted(self._sorted_alive, key, min(k, len(self._sorted_alive)))
 
+    def next_hop(self, node_id: int, key: int) -> int:
+        """One per-hop decision of node ``node_id`` for ``key``
+        (:meth:`PastryNode.next_hop`); ``node_id`` itself means local
+        delivery."""
+        return self.nodes[node_id].next_hop(key)
+
     def route(self, src_id: int, key: int) -> RouteResult:
         """Route ``key`` from ``src_id`` using only local node state.
 

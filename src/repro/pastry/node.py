@@ -9,6 +9,10 @@ from repro.pastry.leafset import LeafSet
 from repro.pastry.routing_table import RoutingTable
 from repro.util.ids import ID_SPACE, id_to_hex, ring_distance, shared_prefix_digits
 
+#: Cap on the per-node ``next_hop`` memo; cleared wholesale when
+#: exceeded (keys routed between mutations are usually few and hot).
+_HOP_MEMO_LIMIT = 4096
+
 
 def ip_for_id(node_id: int) -> str:
     """Deterministic simulated IPv4 address for a node id.
@@ -39,6 +43,14 @@ class PastryNode:
         self.leaf_set = LeafSet(node_id, leaf_set_size)
         self.routing_table = RoutingTable(node_id, b_bits)
         self.alive = True
+        #: ``key -> next_hop(key)``, valid for the ``(leaf-set version,
+        #: routing-table version)`` pair in ``_hop_stamp``
+        self._hop_memo: dict[int, int] = {}
+        self._hop_stamp = None
+
+    def __getstate__(self) -> dict:
+        # a pickled or deep-copied node starts with an empty memo
+        return {**self.__dict__, "_hop_memo": {}, "_hop_stamp": None}
 
     # -- state maintenance ----------------------------------------------
     def learn(self, node_ids: Iterable[int]) -> None:
@@ -72,9 +84,27 @@ class PastryNode:
 
         ``exclude`` removes nodes known to have failed; returning
         ``self.node_id`` means this node is responsible for the key.
-        """
-        exclude = exclude or ()
 
+        The rule reads nothing but the leaf-set ids and the table cells,
+        so without ``exclude`` the answer is memoised until either
+        structure's version moves (the stamps the route memo trusts).
+        """
+        if exclude:
+            return self._decide(key, exclude)
+        stamp = (self.leaf_set.version, self.routing_table._version)
+        memo = self._hop_memo
+        if self._hop_stamp != stamp:
+            memo.clear()
+            self._hop_stamp = stamp
+        nxt = memo.get(key)
+        if nxt is None:
+            if len(memo) >= _HOP_MEMO_LIMIT:
+                memo.clear()
+            nxt = memo[key] = self._decide(key, ())
+        return nxt
+
+    def _decide(self, key: int, exclude) -> int:
+        """The rule itself, uncached (``exclude`` possibly empty)."""
         if self.leaf_set.covers(key):
             try:
                 return self.leaf_set.closest(key, exclude=exclude)

@@ -16,12 +16,6 @@ from __future__ import annotations
 from repro.pastry.constants import DEFAULT_B_BITS
 from repro.util.ids import ID_BITS, id_digit, shared_prefix_digits
 
-_MISS = object()
-
-#: Cap on the per-table ``entry_for_key`` memo; cleared wholesale when
-#: exceeded (keys routed between mutations are usually few and hot).
-_KEY_MEMO_LIMIT = 4096
-
 
 class RoutingTable:
     """Sparse (row, column) -> nodeid map with reverse and row indexes."""
@@ -38,10 +32,9 @@ class RoutingTable:
         #: row -> {col -> nodeid}, kept in lock-step with ``_cells`` so
         #: :meth:`row_entries` is O(row occupancy), not O(table).
         self._rows_index: dict[int, dict[int, int]] = {}
-        #: bumped on every mutation; invalidates the key-lookup memo
+        #: bumped on every mutation; stamps the owner's ``next_hop``
+        #: memo and the network's memoised routes
         self._version = 0
-        self._key_memo: dict[int, int | None] = {}
-        self._memo_version = -1
         #: optional ``(owner_id, added_id)`` callback observed by the
         #: network's leaf/table referrer index (see
         #: :meth:`repro.pastry.network.PastryNetwork._note_reference`)
@@ -120,29 +113,11 @@ class RoutingTable:
 
     def entry_for_key(self, key: int) -> int | None:
         """The routing-table next hop for ``key``: the cell matching the
-        key's first divergent digit, if populated.
-
-        Memoised per key until the next table mutation (the per-hop
-        routing decision re-resolves the same keys many times between
-        membership events).
-        """
-        memo = self._key_memo
-        if self._memo_version != self._version:
-            memo.clear()
-            self._memo_version = self._version
-        hit = memo.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
+        key's first divergent digit, if populated."""
         row = shared_prefix_digits(self.owner_id, key, self.b_bits)
         if row >= self.rows:
-            entry = None  # key == owner id
-        else:
-            col = id_digit(key, row, self.b_bits)
-            entry = self._cells.get((row, col))
-        if len(memo) >= _KEY_MEMO_LIMIT:
-            memo.clear()
-        memo[key] = entry
-        return entry
+            return None  # key == owner id
+        return self._cells.get((row, id_digit(key, row, self.b_bits)))
 
     def row_entries(self, row: int) -> dict[int, int]:
         """col -> nodeid mapping of one row (copy); O(row occupancy)."""

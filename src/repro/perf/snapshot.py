@@ -24,8 +24,9 @@ Semantics
 
 Epoch bookkeeping carries over verbatim: the restored network resumes
 at the captured ``membership_epoch``, so downstream epoch-keyed caches
-(route cache, ``entry_for_key`` memo, replica-set memo) behave exactly
-as they would on the base system.
+(route cache, replica-set memo) behave exactly as they would on the
+base system; a materialised node starts with an empty ``next_hop``
+memo, which only ever holds what its own state decides.
 """
 
 from __future__ import annotations

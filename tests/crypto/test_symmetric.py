@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.symmetric import CipherError, SymmetricKey, _hmac_sha256
+from repro.crypto.symmetric import _TAG_BYTES, CipherError, SymmetricKey, _hmac_sha256
 
 
 class TestHmac:
@@ -54,6 +54,15 @@ class TestSealOpen:
         key = SymmetricKey(b"0123456789abcdef")
         sealed = bytearray(key.seal(b"payload"))
         sealed[-1] ^= 0x01
+        with pytest.raises(CipherError):
+            key.open(bytes(sealed))
+
+    def test_tag_with_only_its_first_byte_flipped_rejected(self):
+        """The other end of the tag from ``test_tampered_tag_rejected``:
+        31 of 32 bytes right is still a mismatch."""
+        key = SymmetricKey(b"0123456789abcdef")
+        sealed = bytearray(key.seal(b"payload"))
+        sealed[-_TAG_BYTES] ^= 0x80
         with pytest.raises(CipherError):
             key.open(bytes(sealed))
 

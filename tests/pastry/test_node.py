@@ -1,6 +1,10 @@
 """Tests for the per-node Pastry forwarding rule."""
 
+import copy
+import pickle
 import random
+
+import pytest
 
 from repro.pastry.node import PastryNode, ip_for_id
 from repro.util.ids import ID_BITS, ID_SPACE, random_id, ring_distance, shared_prefix_digits
@@ -108,9 +112,42 @@ def reference_next_hop(node: PastryNode, key: int, exclude: set[int]) -> int:
     return min(better)[1] if better else node.node_id
 
 
+def _install_vacant(node: PastryNode, got: int, near: int) -> None:
+    table = node.routing_table
+    cell = table.cell_for(near)
+    if cell is not None and table.lookup(*cell) is None:
+        table.install_cell(*cell, near)
+
+
+def _load_with(node: PastryNode, got: int, near: int) -> None:
+    table = node.routing_table
+    cell = table.cell_for(near)
+    if cell is not None:
+        table.load_cells({**table._cells, cell: near})
+
+
+#: Every way a node's state changes, each aimed at the decision just
+#: made: drop its answer ``got``, or offer ``near``, an id beside the key.
+MUTATORS = {
+    "learn": lambda node, got, near: node.learn([near]),
+    "forget": lambda node, got, near: node.forget(got),
+    "LeafSet.add": lambda node, got, near: node.leaf_set.add(near),
+    "LeafSet.remove": lambda node, got, near: node.leaf_set.remove(got),
+    "LeafSet.reload": lambda node, got, near: node.leaf_set.reload(
+        sorted(node.leaf_set.members - {got})),
+    "LeafSet.bulk_load": lambda node, got, near: node.leaf_set.bulk_load(
+        node.leaf_set.members - {got}),
+    "RoutingTable.add": lambda node, got, near: node.routing_table.add(near, replace=True),
+    "RoutingTable.remove": lambda node, got, near: node.routing_table.remove(got),
+    "RoutingTable.install_cell": _install_vacant,
+    "RoutingTable.load_cells": _load_with,
+}
+
+
 class TestNextHopUnchanged:
     """Same decision as before the leaf set was ordered, on overlays
-    whose leaf sets have been through repair, refill and staleness."""
+    whose leaf sets have been through repair, refill and staleness —
+    and, memoised, the same decision after any change of state."""
 
     def _churned(self, eager_repair: bool):
         net = build_network(200, seed=5, eager_repair=eager_repair)
@@ -124,6 +161,11 @@ class TestNextHopUnchanged:
                 net.fail(down[-1])
         return net, rng
 
+    @staticmethod
+    def _keys(nid: int, known: list[int], rng: random.Random) -> list[int]:
+        keys = [random_id(rng) for _ in range(4)]
+        return keys + [(nid + rng.randrange(-50, 50)) % ID_SPACE, rng.choice(known)]
+
     def _check(self, eager_repair: bool) -> set[str]:
         net, rng = self._churned(eager_repair)
         branches = set()
@@ -131,8 +173,7 @@ class TestNextHopUnchanged:
             node = net.nodes[nid]
             known = sorted(node.known_nodes())
             leaves = node.leaf_set.members | {nid}
-            keys = [random_id(rng) for _ in range(4)]
-            keys += [(nid + rng.randrange(-50, 50)) % ID_SPACE, rng.choice(known)]
+            keys = self._keys(nid, known, rng)
             excludes = [set(), set(rng.sample(known, 4)), leaves,
                         leaves | set(node.routing_table.entries) - {rng.choice(known)}]
             for key in keys:
@@ -152,6 +193,67 @@ class TestNextHopUnchanged:
 
     def test_with_stale_dead_references(self):
         assert self._check(eager_repair=False) == {"leaf", "table", "scan", "self"}
+
+    @pytest.mark.parametrize("mutate", MUTATORS.values(), ids=MUTATORS.keys())
+    def test_memoised_decision_follows_each_mutator(self, mutate):
+        """Every decision asked twice, the state changed in between: the
+        second answer is the one the changed state decides, and the
+        change moved at least one answer (so the memo was put to it)."""
+        net, rng = self._churned(eager_repair=False)
+        moved = 0
+        for nid in list(net.alive_ids):
+            node = net.nodes[nid]
+            for key in self._keys(nid, sorted(node.known_nodes()), rng):
+                got = node.next_hop(key)
+                assert got == reference_next_hop(node, key, set())
+                mutate(node, got, key ^ 1)
+                again = node.next_hop(key)
+                assert again == reference_next_hop(node, key, set())
+                moved += again != got
+        assert moved
+
+    def test_repeated_add_keeps_the_memo(self):
+        net, rng = self._churned(eager_repair=True)
+        node = net.nodes[net.alive_ids[0]]
+        keys = [random_id(rng) for _ in range(8)]
+        memo = {key: node.next_hop(key) for key in keys}
+        for leaf in node.leaf_set.members:
+            node.leaf_set.add(leaf)
+        for entry in node.routing_table.entries:
+            node.routing_table.add(entry)
+        assert node.next_hop(keys[0]) == memo[keys[0]]
+        assert node._hop_memo == memo
+
+    def test_a_call_with_exclude_neither_reads_nor_writes_the_memo(self):
+        net, rng = self._churned(eager_repair=True)
+        node = net.nodes[net.alive_ids[0]]
+        key, fresh = random_id(rng), random_id(rng)
+        node.next_hop(key)
+        node._hop_memo[key] = -1  # an answer no decision gives
+        exclude = {rng.choice(sorted(node.known_nodes()))}
+        for k in (key, fresh):
+            assert node.next_hop(k, exclude=exclude) == reference_next_hop(node, k, exclude)
+        assert node._hop_memo == {key: -1}
+        assert node.next_hop(key) == -1  # the memo does serve plain calls
+
+    def test_every_new_node_object_starts_with_an_empty_memo(self):
+        net = build_network(50, seed=6)
+        for node in net:
+            for key in net.alive_ids[::5]:
+                node.next_hop(key)
+        node = net.nodes[net.alive_ids[0]]
+        memo = dict(node._hop_memo)
+        assert memo
+        copies = [
+            pickle.loads(pickle.dumps(node)),
+            copy.deepcopy(node),
+            net.snapshot().restore().nodes[node.node_id],
+        ]
+        assert [c._hop_memo for c in copies] == [{}] * 3
+        for twin in copies:  # same state, so the same decisions once asked
+            assert {key: twin.next_hop(key) for key in memo} == memo
+        net.fail(node.node_id)
+        assert net.join(node.node_id)._hop_memo == {}
 
 
 class TestLearnForget:

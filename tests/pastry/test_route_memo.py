@@ -3,9 +3,9 @@ path alone, and a memoised answer is always what an uncached walk
 would return.
 
 The specification is the walk itself: a twin network whose
-``_route_cache`` is emptied before every route must agree with the
-shipped one after every step of any fail / revive / join / route
-sequence.
+``_route_cache`` and per-node ``next_hop`` memos are emptied before
+every route must agree with the shipped one after every step of any
+fail / revive / join / route sequence.
 """
 
 import random
@@ -27,11 +27,16 @@ KEYS = [_ID_RNG.getrandbits(128) for _ in range(8)] + IDS[5::50]
 
 
 def always_walks(network: PastryNetwork) -> PastryNetwork:
-    """Empty the memo before every route (``join`` routes too)."""
+    """Empty the route memo and every node's ``next_hop`` memo before
+    every route (``join`` routes too), so each hop is decided afresh.
+    ``dict.values`` reads a fork's materialised nodes only: the others
+    have not decided anything yet."""
     walk = network._route_impl
 
     def uncached(src_id, key):
         network._route_cache.clear()
+        for node in dict.values(network.nodes):
+            node._hop_memo.clear()
         return walk(src_id, key)
 
     network._route_impl = uncached
