@@ -13,8 +13,8 @@ The package rebuilds the paper's full stack in Python:
   deployment, fault-tolerant tunnels, reply tunnels, the §5 IP-hint
   optimisation, and anonymous file retrieval;
 * :mod:`repro.baselines` — "current tunneling" (fixed-node paths) and
-  Onion Routing, the paper's comparison points;
-* :mod:`repro.adversary` — failure, collusion, and churn models;
+  Crowds, the paper's comparison points;
+* :mod:`repro.adversary` — tunnel failure, collusion, and timing models;
 * :mod:`repro.analysis` — vectorised Monte-Carlo id-space model,
   anonymity metrics, and closed-form cross-checks;
 * :mod:`repro.experiments` — one module per figure of the paper;

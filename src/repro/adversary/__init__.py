@@ -1,19 +1,19 @@
 """Adversary and failure models (paper §6–§7).
 
-* :mod:`repro.adversary.failures` — simultaneous node failures (Fig 2);
+* :mod:`repro.adversary.failures` — ``tunnel_functions``, the
+  object-level "does this tunnel still work" predicate for Figure 2's
+  simultaneous failures;
 * :mod:`repro.adversary.collusion` — colluding malicious nodes that
   pool every THA replicated onto any of them (Figs 3–5);
-* :mod:`repro.adversary.churn` — the benign leave/join process under
-  which the adversary accumulates THAs over time (Fig 5).
+* :mod:`repro.adversary.timing` — §6 case-2 end-to-end timing analysis
+  on the emulation.
 
-These are the object-level models operating on a live
-:class:`~repro.core.system.TapSystem`; the paper-scale vectorised
-equivalents live in :mod:`repro.experiments` on top of
-:mod:`repro.analysis.idspace` and are cross-validated against these.
+The paper-scale figures (2–5, churn included) run on the vectorised
+id-space model, :mod:`repro.analysis.idspace`, from
+:mod:`repro.experiments`; the models here operate on a live
+:class:`~repro.core.system.TapSystem`.
 """
 
-from repro.adversary.failures import FailureModel
 from repro.adversary.collusion import ColludingAdversary
-from repro.adversary.churn import ChurnProcess
 
-__all__ = ["FailureModel", "ColludingAdversary", "ChurnProcess"]
+__all__ = ["ColludingAdversary"]

@@ -1,74 +1,16 @@
-"""Simultaneous node failure model (Figure 2's scenario).
+"""Does a tunnel survive simultaneous node failure (Figure 2's scenario)?
 
 "We consider a 10^4 node network that forms 5,000 tunnels, and
 randomly choose a fraction p of nodes that fail/leave.  After node
 failures/leaves, we measure the fraction of tunnels that could not
 function."  The failures are *simultaneous*: no repair runs in
 between, so an object is lost iff its entire replica set is inside
-the failed set.
+the failed set.  :func:`tunnel_functions` answers that for one tunnel
+of a live :class:`~repro.core.system.TapSystem`; the paper-scale
+Figure 2 runs on :mod:`repro.analysis.idspace`.
 """
 
 from __future__ import annotations
-
-import random
-import warnings
-from dataclasses import dataclass
-
-
-@dataclass
-class FailureModel:
-    """Samples and applies uniform simultaneous failures.
-
-    ``strict=True`` turns the silent zero-victim edge case (a positive
-    fraction that rounds to zero victims) into a :class:`ValueError`
-    instead of a :class:`RuntimeWarning`.
-    """
-
-    fraction: float
-    strict: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(f"failure fraction {self.fraction} outside [0, 1]")
-
-    def sample(self, node_ids: list[int], rng: random.Random) -> list[int]:
-        """Choose ``round(p*N)`` distinct victims.
-
-        A positive ``fraction`` that rounds to zero victims would make
-        the experiment silently measure the zero-failure regime while
-        reporting ``p > 0`` — that is flagged loudly (warn, or raise
-        when ``strict``) rather than swallowed.
-        """
-        count = round(self.fraction * len(node_ids))
-        if count == 0:
-            if self.fraction > 0.0 and node_ids:
-                msg = (
-                    f"failure fraction {self.fraction} rounds to 0 victims "
-                    f"for a population of {len(node_ids)} — the measurement "
-                    f"would silently be the zero-failure regime"
-                )
-                if self.strict:
-                    raise ValueError(msg)
-                warnings.warn(msg, RuntimeWarning, stacklevel=2)
-            return []
-        return rng.sample(node_ids, count)
-
-    def apply(self, system, rng: random.Random, repair_after: bool = False) -> list[int]:
-        """Fail a sampled fraction of a :class:`TapSystem`'s nodes.
-
-        ``repair_after=False`` is the Figure-2 regime: the measurement
-        happens before the replication manager can re-replicate, so
-        fault tolerance comes purely from surviving replicas.
-
-        Returns the nodes this call actually failed: victims that were
-        already dead when the failure fires (possible when the caller
-        samples from a stale population) are skipped, so the returned
-        list is trustworthy for accounting in both repair regimes.
-        """
-        victims = self.sample(list(system.network.alive_ids), rng)
-        failed = [v for v in victims if system.network.is_alive(v)]
-        system.fail_nodes(failed, repair_after=repair_after)
-        return failed
 
 
 def tunnel_functions(system, tunnel) -> bool:

@@ -3,17 +3,16 @@
 * :mod:`repro.baselines.fixed_tunnel` — "current tunneling": a mix
   path bound to l concrete nodes (Crowds/Tarzan/MorphMix style), which
   fails as soon as any relay fails (Figure 2's baseline);
-* :mod:`repro.baselines.onion_routing` — classic Onion Routing over
-  per-node public keys; also the bootstrap vehicle for THA deployment
-  (§3.3).
+* :mod:`repro.baselines.crowds` — Crowds with the predecessor attack,
+  for the §8 anonymity comparison.
+
+The §3.3 onion-routing bootstrap is not a baseline: it is TAP's own
+deployment path, :class:`repro.core.deploy.ThaDeployer`.
 """
 
 from repro.baselines.fixed_tunnel import FixedNodeTunnel, form_fixed_tunnel
-from repro.baselines.onion_routing import OnionCircuit, OnionRoutingError
 
 __all__ = [
     "FixedNodeTunnel",
     "form_fixed_tunnel",
-    "OnionCircuit",
-    "OnionRoutingError",
 ]

@@ -5,7 +5,9 @@ The package implements the paper's contribution end to end:
 * :mod:`repro.core.tha` — tunnel hop anchors ``<hopid, K, H(PW)>``,
   node-specific collision-free generation (§3.1–§3.2);
 * :mod:`repro.core.deploy` — anonymous THA deployment over an
-  Onion-Routing bootstrap path, deletion with PW proof (§3.3–§3.4);
+  Onion-Routing bootstrap path, one RSA layer and one store instruction
+  per relay, aborted and retried on a dead relay or a malformed layer;
+  deletion with PW proof (§3.3–§3.4);
 * :mod:`repro.core.tunnel` — tunnel formation with prefix-scattered
   anchor selection (§3.5) and reply tunnels with ``bid``/fakeonion (§4);
 * :mod:`repro.core.node` — per-node TAP state (key pair, pending replies);
@@ -20,9 +22,10 @@ The package implements the paper's contribution end to end:
   messages over :mod:`repro.simnet`, forward and reply;
 * :mod:`repro.core.retrieval` — §4's anonymous file retrieval
   application over forward + reply tunnels;
-* :mod:`repro.core.refresh` — periodic tunnel refresh (§7.2, Fig. 5);
 * :mod:`repro.core.system` — :class:`~repro.core.system.TapSystem`,
   the façade tying the overlay, storage, and TAP logic together.
+  Refreshing a tunnel (§7.2) is three of its calls: ``deploy_thas``,
+  ``form_tunnel``, ``retire_tunnel(..., delete=True)``.
 
 Quickstart::
 
@@ -40,7 +43,6 @@ from repro.core.node import TapNode
 from repro.core.deploy import ThaDeployer, DeploymentError
 from repro.core.forwarding import TunnelForwarder, ForwardTrace, HopRecord, TunnelBroken
 from repro.core.retrieval import AnonymousRetrieval, RetrievalResult
-from repro.core.refresh import RefreshPolicy
 from repro.core.system import TapSystem
 from repro.core.session import TapSession, SessionServer, SessionStats
 from repro.core.puzzles import PuzzlePolicy, solve_puzzle, verify_puzzle
@@ -65,7 +67,6 @@ __all__ = [
     "TunnelBroken",
     "AnonymousRetrieval",
     "RetrievalResult",
-    "RefreshPolicy",
     "TapSystem",
     "TapSession",
     "SessionServer",

@@ -5,9 +5,10 @@ Before forming its first tunnel a node must place THAs into the DHT
 a prefix-diverse set of peers (Tarzan-style selection by IP prefix),
 wraps one store-instruction per relay in that relay's public key, and
 each relay performs the PAST insert for "its" THA.  If any relay on
-the bootstrap path is dead the whole deployment aborts and is retried
-over a fresh path — the paper argues this is acceptable because
-deployment is not performance-critical.
+the bootstrap path is dead, or a layer does not open and parse at its
+relay, the whole deployment aborts and is retried over a fresh path —
+the paper argues this is acceptable because deployment is not
+performance-critical.
 
 Deletion presents the password ``PW``; replica holders hash it and
 compare with the stored ``H(PW)`` (§3.4).
@@ -121,18 +122,26 @@ class ThaDeployer:
 
         The relay performs the DHT insert on the owner's behalf; the
         delete guard travels inside the value (``H(PW)``), so the store
-        can enforce §3.4 without knowing the owner.
+        can enforce §3.4 without knowing the owner.  A layer that does
+        not open or parse — tampered, truncated, wrapped for another
+        relay, mis-framed — fails closed as a :class:`DeploymentError`,
+        which aborts the path like a dead relay does.
         """
-        plain = relay.keypair.decrypt(blob)
-        hop_id_bytes, value, nonce_bytes, rest = unpack_fields(plain, count=4)
-        hop_id = unpack_int(hop_id_bytes)
-        nonce = unpack_int(nonce_bytes, width=8)
+        try:
+            plain = relay.keypair.decrypt(blob)
+            hop_id_bytes, value, nonce_bytes, rest = unpack_fields(plain, count=4)
+            hop_id = unpack_int(hop_id_bytes)
+            nonce = unpack_int(nonce_bytes, width=8)
+            anchor = tha_value_decode(hop_id, value)
+        except ValueError as exc:  # RsaError, SerializationError, a bad anchor
+            raise DeploymentError(
+                f"malformed bootstrap layer at relay {relay.node_id:#x}: {exc}"
+            ) from exc
         if not self.puzzle_policy.admit(hop_id, nonce):
             raise DeploymentError(
                 f"puzzle proof rejected for hop {hop_id:#x} "
                 f"(difficulty {self.puzzle_policy.difficulty})"
             )
-        anchor = tha_value_decode(hop_id, value)
         try:
             self.store.insert(hop_id, value, delete_proof_hash=anchor.pw_hash)
         except ReplicationError:

@@ -5,8 +5,8 @@ hopids survive hop-node failure because routing lands on a promoted
 PAST replica.  A deployed initiator still needs *policy* on top of
 that structure — lossy links, partitions and Byzantine hops produce
 failures that replica fail-over alone cannot mask.  This module is
-that policy layer, shared by :class:`repro.core.session.TapSession`
-and :meth:`repro.core.system.TapSystem.retrieve_resilient`:
+that policy layer, driven by
+:meth:`repro.core.session.TapSession.request_resilient`:
 
 * **bounded retries** (:func:`run_attempts`, the one attempt loop)
   with exponential backoff and *deterministic* jitter (drawn from a

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.forwarding import ForwardTrace, TunnelForwarder
 from repro.core.node import TapNode
@@ -72,10 +72,6 @@ class RetrievalResult:
     #: ``None`` (a responder that could not serve, an answer that would
     #: not open — neither tunnel is broken)
     broken: str | None = None
-    #: the content is a last-known-good fallback, not a fresh retrieval
-    #: (success=True but every attempt actually failed)
-    degraded: bool = False
-    meta: dict = field(default_factory=dict)
 
     @property
     def total_underlying_hops(self) -> int:

@@ -9,14 +9,11 @@ drive the fault-tolerance experiments.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.core.deploy import ThaDeployer
 from repro.core.forwarding import ForwardTrace, TunnelForwarder
 from repro.core.node import TapNode
-from repro.core.resilience import ResiliencePolicy, run_attempts
 from repro.core.retrieval import AnonymousRetrieval, RetrievalResult
-from repro.core.tunnel import ReplyTunnel, Tunnel, TunnelFormationError, select_scattered
+from repro.core.tunnel import ReplyTunnel, Tunnel, select_scattered
 from repro.past.replication import ReplicatedStore
 from repro.pastry.network import PastryNetwork
 from repro.pastry.node import ip_for_id
@@ -56,9 +53,6 @@ class TapSystem:
             self.forwarder, store, seeds.pyrandom("retrieval")
         )
         self._form_rng = seeds.pyrandom("tunnel-form")
-        #: fid -> content last retrieved under a policy (the graceful-
-        #: degradation fallback of :meth:`retrieve_resilient`)
-        self._retrieved: dict[int, bytes] = {}
         self.metrics = None
         self.event_trace = None
         self.tracer = None
@@ -338,58 +332,6 @@ class TapSystem:
         reply_tunnel: ReplyTunnel,
     ) -> RetrievalResult:
         return self.retrieval.retrieve(initiator, fid, forward_tunnel, reply_tunnel)
-
-    def retrieve_resilient(
-        self,
-        initiator: TapNode,
-        fid: int,
-        forward_tunnel: Tunnel,
-        reply_tunnel: ReplyTunnel,
-        policy: ResiliencePolicy = ResiliencePolicy(),
-    ) -> RetrievalResult:
-        """:meth:`retrieve` under a resilience policy
-        (:func:`repro.core.resilience.run_attempts`): the tunnel a failed
-        attempt broke on is replaced (:meth:`reform_tunnel`) — a missing
-        file breaks neither, and reforms nothing — and when every
-        attempt fails with ``policy.degraded_ok``, an earlier copy of
-        ``fid`` is served with ``degraded=True``.
-
-        The result's ``meta`` holds ``attempts``, ``recovered``,
-        (virtual) ``waited_s`` and ``tunnels``: the pair in use after
-        any reforms, for the caller's later requests.
-        """
-        tunnels = {"forward": forward_tunnel, "reply": reply_tunnel}
-        results: list[RetrievalResult] = []
-
-        def attempt() -> tuple[bytes | None, str | None]:
-            results.append(self.retrieve(
-                initiator, fid, tunnels["forward"], tunnels["reply"]
-            ))
-            return results[-1].content, results[-1].broken
-
-        def repair(broken: str | None) -> tuple[str, ...]:
-            if broken is None:
-                return ()
-            tunnels[broken] = self.reform_tunnel(initiator, tunnels[broken])
-            return (broken,)
-
-        reply = run_attempts(
-            policy, self.retrieval.rng, attempt, repair,
-            self._retrieved.get(fid),
-        )
-        result = results[-1]
-        if reply.ok:
-            self._retrieved[fid] = reply.value
-        elif reply.degraded:
-            result = replace(
-                result, success=True, content=reply.value, degraded=True
-            )
-        result.meta.update(
-            attempts=reply.attempts, recovered=reply.recovered,
-            waited_s=reply.waited_s,
-            tunnels=(tunnels["forward"], tunnels["reply"]),
-        )
-        return result
 
     # ------------------------------------------------------------------
     # membership events (keep overlay + storage in lock-step)

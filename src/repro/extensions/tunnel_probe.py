@@ -15,8 +15,10 @@ only the owner knows, so the prober detects:
 
 Passive collusion (§6's THA pooling) is *not* detectable by probing —
 colluders forward faithfully — which is exactly why the paper's
-remedy is periodic refresh (:mod:`repro.core.refresh`); the prober
-complements refresh by catching hard failures immediately.
+remedy is periodic refresh (fresh anchors, a new tunnel, the old
+anchors retired and deleted — :meth:`repro.core.system.TapSystem
+.retire_tunnel`); the prober complements refresh by catching hard
+failures immediately.
 """
 
 from __future__ import annotations

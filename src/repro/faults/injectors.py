@@ -285,8 +285,8 @@ class SimNetFaultInjector(_FaultCounters):
 class StorageFaultInjector(_FaultCounters):
     """At-rest fault oracle for :class:`StorageFaultEvent` schedules.
 
-    Operates on any :class:`repro.past.interface.ObjectStore`; the
-    victims — (key, holder) pairs for bit-rot, holder nodes for lease
+    Operates on either PAST backend; the victims — (key, holder)
+    pairs for bit-rot, holder nodes for lease
     skew — are sampled from the store's *current* placement state on a
     dedicated seeded stream, so a run replays bit-identically while
     still rotting whatever the churn schedule left in place.  Lease

@@ -11,8 +11,7 @@ reachable unless all ``k`` holders fail before repair runs.
 Who holds what — the holder index, the intended-holder sets, the
 hand-off on membership events, the §3.4 delete walk — is written once,
 in :class:`~repro.past.placement.PlacementCore`.  The two backends
-subclass it, satisfy the :class:`ObjectStore` protocol, and differ
-only in durability policy:
+subclass it and differ only in durability policy:
 
 * :class:`ReplicatedStore` — k full copies, a lost one re-copied from
   the closest survivor (the paper's baseline);
@@ -23,10 +22,7 @@ only in durability policy:
 from repro.past.storage import Storage, StoredObject, StorageError
 from repro.past.replication import ReplicatedStore, ReplicationError
 from repro.past.interface import (
-    ObjectStore,
     REPAIR_BANDWIDTH_BPS,
-    iter_store_state,
-    live_holders,
     repair_latency_s,
     value_nbytes,
 )
@@ -41,10 +37,7 @@ __all__ = [
     "StorageError",
     "ReplicatedStore",
     "ReplicationError",
-    "ObjectStore",
     "REPAIR_BANDWIDTH_BPS",
-    "iter_store_state",
-    "live_holders",
     "repair_latency_s",
     "value_nbytes",
     "CodingError",

@@ -1,7 +1,7 @@
 """k-of-n erasure-coded object storage with leases.
 
-The second storage backend behind :class:`repro.past.interface
-.ObjectStore`: instead of ``k`` full copies, an object is split into
+The second storage backend on :class:`repro.past.placement
+.PlacementCore`: instead of ``k`` full copies, an object is split into
 ``n`` coded shares (:mod:`repro.past.coding`), any ``k`` of which
 reconstruct it, placed on the ``n`` alive nodes closest to the key.
 Each stored share carries
@@ -75,9 +75,9 @@ class CodedShare:
 class ErasureStore(PlacementCore):
     """k-of-n coded storage over a :class:`PastryNetwork`.
 
-    The same placement core and :class:`~repro.past.interface
-    .ObjectStore` surface as :class:`repro.past.replication
-    .ReplicatedStore`, holding shares instead of copies.  Shares live
+    The same placement core and public surface as
+    :class:`repro.past.replication.ReplicatedStore`, holding shares
+    instead of copies.  Shares live
     in real per-node :class:`Storage` instances, so a malicious holder
     sees exactly one share — strictly *less* plaintext than a
     replication holder sees, a free anonymity bonus the durability

@@ -1,17 +1,9 @@
-"""The storage-backend contract both PAST backends satisfy.
+"""Repair accounting shared by both PAST backends.
 
 :class:`repro.past.replication.ReplicatedStore` (plain k-copy) and
-:class:`repro.past.erasure.ErasureStore` (k-of-n coded shares) expose
-the same surface: client operations keyed by 128-bit ids, membership
-hooks driven after the matching :class:`PastryNetwork` event, and an
-invariant self-check.  :class:`ObjectStore` pins that surface as a
-:class:`typing.Protocol` so the resilience layer, the fault injectors
-and the experiment runners can hold either backend without caring
-which durability strategy is underneath.
-
-Repair accounting shared by both backends lives here too: every
-replica/share movement is charged in bytes (:func:`value_nbytes`) and
-converted into a *virtual* repair latency at the nominal link
+:class:`repro.past.erasure.ErasureStore` (k-of-n coded shares) charge
+every replica/share movement in bytes (:func:`value_nbytes`) and
+convert it into a *virtual* repair latency at the nominal link
 bandwidth the paper's Figure 6 simulates (:data:`REPAIR_BANDWIDTH_BPS`)
 — virtual rather than wall-clock so merged metrics registries stay
 byte-identical for any ``--workers`` value.
@@ -19,7 +11,7 @@ byte-identical for any ``--workers`` value.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Protocol, runtime_checkable
+from typing import Any
 
 #: Nominal link bandwidth used to convert repair bytes into a virtual
 #: repair latency (the paper's 1.5 Mb/s transfer model, §4.3).  Both
@@ -47,60 +39,3 @@ def value_nbytes(value: Any) -> int:
 def repair_latency_s(nbytes: int) -> float:
     """Virtual seconds to move ``nbytes`` at the nominal bandwidth."""
     return (8.0 * nbytes) / REPAIR_BANDWIDTH_BPS
-
-
-@runtime_checkable
-class ObjectStore(Protocol):
-    """What every PAST storage backend must provide.
-
-    The protocol is structural: ``ReplicatedStore`` predates it and
-    satisfies it implicitly; ``ErasureStore`` was written against it.
-    ``insert`` accepts backend-specific keyword knobs, so only the
-    positional core is pinned here.
-    """
-
-    # -- client operations ---------------------------------------------
-    def insert(self, key: int, value: Any, delete_proof_hash: bytes | None = None,
-               meta: dict | None = None) -> Any: ...
-
-    def fetch(self, key: int, requester_id: int | None = None) -> Any: ...
-
-    def delete(self, key: int, proof: bytes) -> bool: ...
-
-    def exists(self, key: int) -> bool: ...
-
-    def all_keys(self) -> list[int]: ...
-
-    # -- placement introspection ---------------------------------------
-    def holders(self, key: int) -> set[int]: ...
-
-    def replica_set(self, key: int) -> list[int]: ...
-
-    def root(self, key: int) -> int: ...
-
-    def storage_of(self, node_id: int): ...
-
-    # -- membership hooks (call after the network event) ---------------
-    def on_fail(self, node_id: int) -> None: ...
-
-    def on_join(self, node_id: int) -> None: ...
-
-    def on_revive(self, node_id: int) -> None: ...
-
-    # -- fault hooks / diagnostics -------------------------------------
-    def corrupt_replica(self, node_id: int, key: int) -> bool: ...
-
-    def verify_invariants(self) -> list[str]: ...
-
-
-def live_holders(store: ObjectStore, key: int) -> list[int]:
-    """The holders of ``key`` that are currently alive, sorted."""
-    return sorted(h for h in store.holders(key) if store.network.is_alive(h))
-
-
-def iter_store_state(store: ObjectStore) -> Iterable[tuple]:
-    """Deterministic (key, sorted live holders) pairs — the externally
-    observable placement state shared by both backends, used by the
-    equivalence-contract tests."""
-    for key in store.all_keys():
-        yield key, live_holders(store, key)

@@ -1,78 +1,8 @@
-"""Tests for the simultaneous-failure model."""
+"""Tests for the object-level tunnel-functionality predicate."""
 
 import random
 
-import pytest
-
-from repro.adversary.failures import FailureModel, tunnel_functions
-
-
-class TestSampling:
-    def test_exact_count(self):
-        model = FailureModel(0.25)
-        victims = model.sample(list(range(100)), random.Random(1))
-        assert len(victims) == 25
-        assert len(set(victims)) == 25
-
-    def test_zero_fraction(self):
-        assert FailureModel(0.0).sample(list(range(10)), random.Random(1)) == []
-
-    def test_full_fraction(self):
-        victims = FailureModel(1.0).sample(list(range(10)), random.Random(1))
-        assert sorted(victims) == list(range(10))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FailureModel(1.5)
-        with pytest.raises(ValueError):
-            FailureModel(-0.1)
-
-    def test_positive_fraction_rounding_to_zero_warns(self):
-        # p=0.01 over 10 nodes rounds to 0 victims: the experiment
-        # would silently measure the zero-failure regime
-        model = FailureModel(0.01)
-        with pytest.warns(RuntimeWarning, match="rounds to 0 victims"):
-            assert model.sample(list(range(10)), random.Random(1)) == []
-
-    def test_positive_fraction_rounding_to_zero_strict_raises(self):
-        model = FailureModel(0.01, strict=True)
-        with pytest.raises(ValueError, match="rounds to 0 victims"):
-            model.sample(list(range(10)), random.Random(1))
-
-    def test_zero_fraction_never_warns(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert FailureModel(0.0).sample(
-                list(range(10)), random.Random(1)
-            ) == []
-
-    def test_empty_population_never_warns(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert FailureModel(0.5).sample([], random.Random(1)) == []
-
-
-class TestApply:
-    def test_fails_sampled_nodes(self, tap_system):
-        model = FailureModel(0.2)
-        before = tap_system.network.size
-        victims = model.apply(tap_system, random.Random(2))
-        assert tap_system.network.size == before - len(victims)
-        assert all(not tap_system.network.is_alive(v) for v in victims)
-
-    def test_returns_actual_victims_with_repair(self, tap_system):
-        """``apply`` must report the nodes it really failed in the
-        repair regime too, so accounting can trust the return value."""
-        model = FailureModel(0.1)
-        before = tap_system.network.size
-        victims = model.apply(tap_system, random.Random(4), repair_after=True)
-        assert victims, "expected a non-empty victim set"
-        assert tap_system.network.size == before - len(victims)
-        assert all(not tap_system.network.is_alive(v) for v in victims)
+from repro.adversary.failures import tunnel_functions
 
 
 class TestTunnelFunctions:
@@ -105,8 +35,9 @@ class TestTunnelFunctions:
         alice = tap_system.tap_node(tap_system.random_node_id("a"))
         tap_system.deploy_thas(alice, count=8)
         tunnel = tap_system.form_tunnel(alice, length=3)
-        model = FailureModel(0.3)
-        model.apply(tap_system, random.Random(3), repair_after=False)
+        alive = list(tap_system.network.alive_ids)
+        victims = random.Random(3).sample(alive, round(0.3 * len(alive)))
+        tap_system.fail_nodes(victims, repair_after=False)
         predicted = tunnel_functions(tap_system, tunnel)
         if tap_system.network.is_alive(alice.node_id):
             trace = tap_system.send(alice, tunnel, 42, b"x")

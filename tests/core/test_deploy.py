@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.deploy import DeploymentError, select_prefix_diverse
 from repro.core.tha import tha_value_decode
-from repro.past.storage import StorageError
+from repro.util.serialize import pack_fields
 
 
 @pytest.fixture()
@@ -98,6 +98,76 @@ class TestDeployment:
     def test_empty_batch_rejected(self, system, owner):
         with pytest.raises(ValueError):
             system.deployer.deploy(owner, [], [], max_attempts=1)
+
+
+def _flip_last_byte(blob: bytes) -> bytes:
+    return blob[:-1] + bytes([blob[-1] ^ 1])
+
+
+class TestMalformedLayer:
+    """§3.3's bootstrap onion fails closed: a layer that does not open
+    or parse at its relay aborts the path, it does not escape deploy."""
+
+    @pytest.fixture()
+    def relays(self, system, owner):
+        return [
+            system.tap_node(nid)
+            for nid in system.network.alive_ids[:3]
+            if nid != owner.node_id
+        ][:2]
+
+    @pytest.mark.parametrize("kind, reason", [
+        ("flipped", "payload authentication failed"),
+        ("truncated", "ciphertext shorter than RSA block"),
+        ("other-relay", "payload authentication failed"),
+        ("mis-framed", "expected 4 fields"),
+    ])
+    def test_relay_process_raises_deployment_error(
+        self, system, owner, relays, kind, reason
+    ):
+        deployer = system.deployer
+        relay, other = relays
+        tha = owner.new_tha()
+        blob = {
+            "flipped": lambda: _flip_last_byte(
+                deployer._build_bootstrap_onion([relay], [tha])
+            ),
+            "truncated": lambda: bytes(10),
+            "other-relay": lambda: deployer._build_bootstrap_onion([other], [tha]),
+            "mis-framed": lambda: relay.keypair.public.encrypt(
+                pack_fields(b"junk"), deployer.rng
+            ),
+        }[kind]()
+        with pytest.raises(DeploymentError, match=reason) as info:
+            deployer._relay_process(relay, blob)
+        assert f"{relay.node_id:#x}" in str(info.value)
+        assert not system.store.exists(tha.hop_id)
+
+    def test_tampered_onion_aborts_then_retries(self, system, owner):
+        thas = [owner.new_tha() for _ in range(2)]
+        candidates = [
+            system.tap_node(nid)
+            for nid in system.network.alive_ids[:20]
+            if nid != owner.node_id
+        ]
+        deployer = system.deployer
+        original = deployer._build_bootstrap_onion
+        built = []
+
+        def tamper_first(relays, batch):
+            blob = original(relays, batch)
+            built.append(blob)
+            return _flip_last_byte(blob) if len(built) == 1 else blob
+
+        deployer._build_bootstrap_onion = tamper_first
+        try:
+            report = deployer.deploy(owner, thas, candidates, max_attempts=5)
+        finally:
+            deployer._build_bootstrap_onion = original
+        assert report.aborted_paths == 1
+        assert report.attempts == 2
+        assert report.deployed == thas
+        assert all(t.deployed and system.store.exists(t.hop_id) for t in thas)
 
 
 class TestDeletion:

@@ -2,8 +2,8 @@
 
 Covers the policy/breaker primitives, the policy-managed session path
 (including the reply-tunnel fail-over acceptance scenario: dropped
-reply hop -> health probe -> reform -> retry exactly once), graceful
-degradation, and resilient retrieval.
+reply hop -> health probe -> reform -> retry exactly once) and graceful
+degradation.
 """
 
 import random
@@ -225,64 +225,3 @@ class TestGracefulDegradation:
         assert session.request(b"hi") == b"echo:hi"
         assert session.stats.responses == 1
 
-
-class TestResilientRetrieval:
-    def test_degraded_retrieval_serves_cached_copy(self, traced_system, alice):
-        fid = traced_system.publish(b"the-file", name=b"paper.pdf")
-        forward = traced_system.form_tunnel(alice, 3)
-        reply = traced_system.form_reply_tunnel(alice, 3)
-        first = traced_system.retrieve_resilient(alice, fid, forward, reply)
-        assert first.success and first.content == b"the-file"
-        assert not first.degraded
-        assert first.meta["attempts"] == 1
-
-        forward, reply = first.meta["tunnels"]
-        for holder in list(traced_system.store.holders(fid)):
-            traced_system.fail_node(holder, repair=False)
-        policy = ResiliencePolicy(max_retries=1, degraded_ok=True)
-        second = traced_system.retrieve_resilient(
-            alice, fid, forward, reply, policy=policy
-        )
-        assert second.success and second.degraded
-        assert second.content == b"the-file"
-        assert second.meta["attempts"] == 2
-
-    def test_missing_file_reforms_nothing(self, traced_system, alice):
-        """Nobody holds the file: neither tunnel is broken, so a retrying
-        policy retries on the same pair and spends no fresh anchors (the
-        old loop re-formed the reply tunnel before every retry)."""
-        forward = traced_system.form_tunnel(alice, 3)
-        reply = traced_system.form_reply_tunnel(alice, 3)
-        owned = list(alice.owned_thas)
-        policy = ResiliencePolicy(max_retries=2, degraded_ok=False)
-        result = traced_system.retrieve_resilient(
-            alice, 777777, forward, reply, policy=policy
-        )
-        assert not result.success and result.broken is None
-        assert "responder" in result.failure_reason
-        assert result.meta["attempts"] == 3
-        assert result.meta["tunnels"][0] is forward
-        assert result.meta["tunnels"][1] is reply
-        assert alice.owned_thas == owned
-        assert all(tha.in_use for tha in forward.hops + reply.hops)
-
-    def test_broken_forward_tunnel_is_reformed_and_retried(
-        self, traced_system, alice
-    ):
-        fid = traced_system.publish(b"the-file", name=b"paper.pdf")
-        forward = traced_system.form_tunnel(alice, 3)
-        reply = traced_system.form_reply_tunnel(alice, 3)
-        traced_system.fail_nodes(
-            list(traced_system.store.holders(forward.hops[0].hop_id)),
-            repair_after=False,
-        )
-        result = traced_system.retrieve_resilient(
-            alice, fid, forward, reply, policy=ResiliencePolicy.reactive(3)
-        )
-        assert result.success and result.content == b"the-file"
-        # (a reform releases the old anchors, the lost one included, so
-        # it can take more than one to form a tunnel that avoids it)
-        assert result.meta["attempts"] >= 2 and result.meta["recovered"]
-        reformed, kept = result.meta["tunnels"]
-        assert reformed is not forward and kept is reply
-        assert not any(tha.in_use for tha in forward.hops)

@@ -82,6 +82,7 @@ class TestFailureModes:
         )
         assert not result.success
         assert "responder" in result.failure_reason
+        assert result.broken is None  # neither tunnel is to blame
 
     def test_forward_tunnel_hop_lost(self, system, alice, published):
         fid, _ = published
@@ -93,6 +94,7 @@ class TestFailureModes:
         )
         assert not result.success
         assert result.failure_reason.startswith("forward")
+        assert result.broken == "forward"
 
     def test_reply_tunnel_hop_lost(self, system, alice, published):
         fid, _ = published
@@ -104,6 +106,7 @@ class TestFailureModes:
         )
         assert not result.success
         assert result.failure_reason.startswith("reply")
+        assert result.broken == "reply"
 
     def test_retrieval_survives_hop_node_failures(self, system, alice, published):
         """The paper's motivating scenario: individual tunnel hop

@@ -1,11 +1,6 @@
-"""Tests for the TapSystem façade, TapNode, and the refresh policy."""
+"""Tests for the TapSystem façade, TapNode, and tunnel refresh."""
 
-import pytest
-
-from repro.core.refresh import RefreshPolicy
 from repro.core.system import TapSystem
-from repro.core.tunnel import Tunnel
-from repro.util.ids import ring_distance
 
 
 class TestBootstrap:
@@ -94,26 +89,16 @@ class TestHintResolution:
 
 
 class TestRefreshPolicy:
-    def test_due_logic(self):
-        policy = RefreshPolicy(interval=5.0)
-        tunnel = Tunnel.__new__(Tunnel)
-        tunnel.formed_at = 10.0
-        assert not policy.due(tunnel, 12.0)
-        assert policy.due(tunnel, 15.0)
-
-    def test_never_refresh(self):
-        policy = RefreshPolicy(interval=0)
-        tunnel = Tunnel.__new__(Tunnel)
-        tunnel.formed_at = 0.0
-        assert not policy.due(tunnel, 1e9)
-
     def test_refresh_replaces_anchors(self, tap_system):
+        """§7.2's refresh: fresh anchors, a new tunnel over them, the
+        old tunnel retired with its anchors deleted."""
         alice = tap_system.tap_node(tap_system.random_node_id("alice"))
         tap_system.deploy_thas(alice, count=6)
         old = tap_system.form_tunnel(alice, length=3, now=0.0)
         old_hopids = set(old.hop_ids)
-        policy = RefreshPolicy(interval=1.0)
-        new = policy.refresh(tap_system, alice, old, now=2.0)
+        tap_system.deploy_thas(alice, count=old.length)
+        new = tap_system.form_tunnel(alice, length=old.length, now=2.0)
+        tap_system.retire_tunnel(alice, old, delete=True)
         assert new.length == old.length
         assert new.formed_at == 2.0
         # old anchors removed from the DHT (deleted with PW)

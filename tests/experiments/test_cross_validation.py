@@ -49,11 +49,11 @@ class TestFig2PipelineAgreement:
         try:
             for key, expected in zip(keys64, vector_ok):
                 key128 = int(key) << 64
-                live_holders = [
+                alive_holders = [
                     h for h in store.holders(key128) if network.is_alive(h)
                 ]
-                object_ok = bool(live_holders) and (
-                    network.closest_alive(key128) in live_holders
+                object_ok = bool(alive_holders) and (
+                    network.closest_alive(key128) in alive_holders
                 )
                 assert object_ok == bool(expected), hex(key128)
         finally:

@@ -106,9 +106,7 @@ class TestAudit:
         summary = prober.audit(alice, [tunnel])
         assert summary["needs_refresh"]
 
-        from repro.core.refresh import RefreshPolicy
-
-        replacement = RefreshPolicy(interval=1.0).refresh(
-            system, alice, tunnel, now=1.0
-        )
+        system.deploy_thas(alice, count=tunnel.length)
+        replacement = system.form_tunnel(alice, length=tunnel.length, now=1.0)
+        system.retire_tunnel(alice, tunnel, delete=True)
         assert prober.probe(alice, replacement).healthy

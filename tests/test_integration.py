@@ -7,10 +7,7 @@ the way a deployment would actually run.
 
 import random
 
-import pytest
-
 from repro.adversary.collusion import ColludingAdversary
-from repro.core.refresh import RefreshPolicy
 from repro.core.session import SessionServer, TapSession
 from repro.core.system import TapSystem
 from repro.extensions.anonmail import AnonymousMail
@@ -21,7 +18,7 @@ from repro.extensions.tunnel_probe import TunnelProber
 class TestLifecycleScenario:
     def test_publish_retrieve_churn_refresh_retrieve(self):
         """A reader keeps retrieving a document across churn epochs,
-        refreshing tunnels per policy, while an adversary watches."""
+        refreshing tunnels every two epochs, while an adversary watches."""
         system = TapSystem.bootstrap(num_nodes=250, seed=7001)
         adversary = ColludingAdversary(set(system.network.alive_ids[::8]))
         adversary.attach(system.store)
@@ -33,7 +30,7 @@ class TestLifecycleScenario:
         system.deploy_thas(reader, count=14)
         fwd = system.form_tunnel(reader, length=3)
         rpl = system.form_reply_tunnel(reader, length=3)
-        policy = RefreshPolicy(interval=2.0)
+        interval = 2.0
         rng = random.Random(7002)
         protected = {reader.node_id, system.store.root(fid)}
 
@@ -52,14 +49,20 @@ class TestLifecycleScenario:
                     new_id = rng.getrandbits(128)
                 system.join_node(new_id)
 
+            def refresh_forward(old):
+                system.deploy_thas(reader, count=old.length)
+                new = system.form_tunnel(reader, length=old.length, now=now)
+                system.retire_tunnel(reader, old, delete=True)
+                return new
+
             def reform_reply(old):
                 system.retire_tunnel(reader, old, delete=True)
                 system.deploy_thas(reader, count=3)  # replace spent anchors
                 return system.form_reply_tunnel(reader, length=3, now=now)
 
-            if policy.due(fwd, now):
-                fwd = policy.refresh(system, reader, fwd, now)
-            if policy.due(rpl, now):
+            if now - fwd.formed_at >= interval:
+                fwd = refresh_forward(fwd)
+            if now - rpl.formed_at >= interval:
                 rpl = reform_reply(rpl)
 
             result = system.retrieve(reader, fid, fwd, rpl)
@@ -67,7 +70,7 @@ class TestLifecycleScenario:
                 assert result.content == document
                 successes += 1
             else:
-                fwd = policy.refresh(system, reader, fwd, now)
+                fwd = refresh_forward(fwd)
                 rpl = reform_reply(rpl)
 
         assert successes >= 5
@@ -141,9 +144,9 @@ class TestLifecycleScenario:
         assert audit["healthy"] == 2
         assert audit["needs_refresh"] == [victim]
 
-        policy = RefreshPolicy(interval=1.0)
-        replacement = policy.refresh(system, owner, victim, now=1.0)
-        tunnels[1] = replacement
+        system.deploy_thas(owner, count=victim.length)
+        tunnels[1] = system.form_tunnel(owner, length=victim.length, now=1.0)
+        system.retire_tunnel(owner, victim, delete=True)
 
         audit2 = prober.audit(owner, tunnels)
         assert audit2["healthy"] == 3
