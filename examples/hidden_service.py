@@ -65,6 +65,15 @@ def main() -> None:
     print(f"\nservice handled {service.served} requests; "
           "neither endpoint ever learned the other.")
 
+    # --- withdrawal ------------------------------------------------------
+    mutual.withdraw_service(service)
+    fwd = system.form_tunnel(requester, length=3)
+    rpl = system.form_reply_tunnel(requester, length=3)
+    response, _ = mutual.call(requester, b"hidden-wiki", b"/", fwd, rpl)
+    print(f"after withdrawal: GET / -> {response} "
+          f"(provider awaits {len(provider.pending_replies)} bids)")
+    assert response is None and not provider.pending_replies
+
 
 if __name__ == "__main__":
     main()

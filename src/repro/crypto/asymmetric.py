@@ -5,7 +5,7 @@ assuming each node has a pair of private and public keys" (§3.3), used
 for the Onion-Routing bootstrap, and a temporary public key ``K_I``
 that the responder uses to wrap the file key (§4).
 
-This is textbook RSA over Python big ints with Miller–Rabin key
+This is textbook RSA over Python big ints with provable-prime key
 generation and a hash-based hybrid mode for arbitrary-length messages
 (RSA carries a fresh symmetric key; the payload rides under that key).
 Default modulus is 512 bits: simulation-scale security, real key
@@ -13,13 +13,14 @@ generation, real algebra.
 
 Key material is prepared once per key pair:
 
-* **Sieve first.**  A prime search tries ~89 odd candidates per
-  256-bit prime, and a Miller–Rabin round is one modexp.  One
-  ``math.gcd`` against the product of every prime below
-  ``_SIEVE_BOUND`` (a few µs) rejects ~85 % of the candidates before
-  any modexp or base draw; whatever passes still faces all
-  ``_MR_ROUNDS`` random-base rounds, so no returned prime is held to
-  less than before.
+* **Proved primes.**  Every prime carries a proof, not an error bound.
+  Below ``_SIEVE_BOUND²`` (22 bits) one ``math.gcd`` against the
+  product of every prime under ``_SIEVE_BOUND`` decides primality.
+  Above it a candidate is ``n = 2tf + 1`` over a recursively proved
+  prime ``f`` with ``f + 1 > √n``, and Pocklington's criterion decides
+  it (the Shawe–Taylor structure, FIPS 186-4 App. C.6).  The gcd
+  rejects ~85 % of candidates first and each survivor costs one
+  modexp: ~26 modulo 256-bit numbers per 512-bit pair, ~22 smaller.
 * **CRT private operations.**  The pair keeps ``p``, ``q``,
   ``d mod (p-1)``, ``d mod (q-1)`` and ``q⁻¹ mod p``; ``decrypt`` and
   ``sign`` are two half-size modexps recombined by Garner's formula
@@ -38,7 +39,6 @@ import random
 from repro.crypto.symmetric import CipherError, SymmetricKey
 
 _E = 65537
-_MR_ROUNDS = 24
 #: candidates are trial-divided (by one gcd) by every prime below this;
 #: measured sweet spot for 256-bit candidates — the gcd costs ~4.5 µs
 #: and lets 14.5 % through, against 27 % for the primes up to 47
@@ -63,45 +63,42 @@ _SMALL_PRIMES = frozenset(_primes_below(_SIEVE_BOUND))
 _SIEVE_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
-def _is_probable_prime(n: int, rng: random.Random) -> bool:
-    """Miller–Rabin with ``_MR_ROUNDS`` random bases behind a sieve.
-
-    ``n`` below ``_SIEVE_BOUND`` is answered from the prime table; any
-    other ``n`` sharing a factor with ``_SIEVE_PRODUCT`` is composite.
-    Both answers draw nothing from ``rng``.
-    """
+def _sieve_prime(n: int) -> bool:
+    """Primality of ``n < _SIEVE_BOUND²``, from the prime table or one
+    gcd: such an ``n`` with no prime factor below the bound is prime.
+    Above that bound ``False`` still proves ``n`` composite."""
     if n < _SIEVE_BOUND:
         return n in _SMALL_PRIMES
-    if math.gcd(n, _SIEVE_PRODUCT) != 1:
-        return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(_MR_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return math.gcd(n, _SIEVE_PRODUCT) == 1
 
 
-def _random_prime(bits: int, rng: random.Random) -> int:
-    """A random prime with the top two bits set (guarantees modulus size)."""
+def _pocklington(n: int, f: int) -> bool:
+    """Pocklington's criterion, base 2, for ``n = 2tf + 1``.
+
+    With ``f`` prime and ``(f + 1)² > n``, ``True`` proves ``n`` prime:
+    ``2^(n-1) ≡ 1`` and ``gcd(2^(2t) - 1, n) = 1`` put every prime
+    factor of ``n`` at ``1 mod f``, so above ``√n``.
+    """
+    z = pow(2, (n - 1) // f, n)
+    return pow(z, f, n) == 1 and math.gcd(z - 1, n) == 1
+
+
+def _proved_prime(bits: int, rng: random.Random) -> int:
+    """A proved prime of exactly ``bits`` bits, the top two set
+    (guarantees modulus size), with ``e`` invertible modulo ``p - 1``."""
+    top = 3 << (bits - 2)
+    if 1 << bits <= _SIEVE_BOUND ** 2:
+        while True:
+            n = rng.getrandbits(bits) | top | 1
+            if n % _E != 1 and _sieve_prime(n):
+                return n
+    # f has top two bits set, so f² > 2^bits > n
+    f = _proved_prime((bits + 1) // 2 + 1, rng)
+    step = 2 * f
     while True:
-        candidate = rng.getrandbits(bits)
-        candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
-        if candidate % _E == 1:
-            continue  # e must be invertible mod p-1
-        if _is_probable_prime(candidate, rng):
-            return candidate
+        n = step * rng.randrange(-(-top // step), -(-(1 << bits) // step)) + 1
+        if n % _E != 1 and _sieve_prime(n) and _pocklington(n, f):
+            return n
 
 
 class RsaPublicKey:
@@ -110,8 +107,9 @@ class RsaPublicKey:
     __slots__ = ("n", "e")
 
     def __init__(self, n: int, e: int = _E):
-        if n <= 3 or e <= 1:
-            raise RsaError("invalid public key parameters")
+        # the floor generate enforces; below 160 bits encrypt has no room
+        if n < 1 << 255 or e <= 1:
+            raise RsaError("public key below 256 bits or with e <= 1")
         self.n = n
         self.e = e
 
@@ -129,8 +127,8 @@ class RsaPublicKey:
         """Decode :meth:`to_bytes` output received from a peer.
 
         Fails closed: input too short to hold a modulus ahead of the
-        4-byte exponent decodes to ``n = 0``, which — like ``n <= 3``
-        or ``e <= 1`` generally — raises :class:`RsaError`.
+        4-byte exponent decodes to ``n = 0``, which — like any modulus
+        below 256 bits or ``e <= 1`` — raises :class:`RsaError`.
         """
         return cls(int.from_bytes(data[:-4], "big"),
                    int.from_bytes(data[-4:], "big"))
@@ -206,8 +204,8 @@ class RsaKeyPair:
             raise RsaError("modulus below 256 bits cannot wrap a session key")
         half = bits // 2
         while True:
-            p = _random_prime(half, rng)
-            q = _random_prime(bits - half, rng)
+            p = _proved_prime(half, rng)
+            q = _proved_prime(bits - half, rng)
             if p == q:
                 continue
             try:

@@ -137,6 +137,13 @@ class MutualAnonymity:
         service.record_key = key
         return service
 
+    def withdraw_service(self, service: HiddenService) -> None:
+        """Stop serving: release the provider's listener on the inbound
+        ``bid`` and retire the inbound tunnel.  A call that still finds
+        the record walks to a ``bid`` nobody awaits and fails closed."""
+        service.provider.release_pending(service.inbound.bid)
+        self.system.retire_tunnel(service.provider, service.inbound)
+
     def _serve(self, service: HiddenService, payload: bytes) -> None:
         try:
             plain = service.keypair.decrypt(payload)

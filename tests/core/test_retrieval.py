@@ -1,5 +1,7 @@
 """Tests for the §4 anonymous file retrieval application."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.util.serialize import pack_fields
@@ -119,6 +121,24 @@ class TestFailureModes:
         result = system.retrieve(alice, fid, fwd, rpl)
         assert result.success, result.failure_reason
         assert result.content == content
+
+    def test_undersized_response_key_dropped(self, system, alice, published,
+                                             monkeypatch):
+        """A 65-bit ``K_I`` fails at the responder's decoding: the
+        request is dropped as malformed and nothing raises (before the
+        256-bit floor, ``encrypt`` raised a bare ``ValueError`` out of
+        ``retrieve``)."""
+        fid, _ = published
+        tiny = ((1 << 64) | 1).to_bytes(9, "big") + (65537).to_bytes(4, "big")
+        key = SimpleNamespace(to_bytes=lambda: tiny)
+        encode = system.retrieval._encode_request
+        monkeypatch.setattr(system.retrieval, "_encode_request",
+                            lambda f, _key, hop, blob: encode(f, key, hop, blob))
+        result = system.retrieve(alice, fid, system.form_tunnel(alice, length=3),
+                                 system.form_reply_tunnel(alice, length=3))
+        assert not result.success and result.broken is None
+        assert result.failure_reason == "responder could not serve the request"
+        assert alice.pending_replies == {}
 
 
 class TestPendingReplyOwnership:

@@ -10,7 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import asymmetric
-from repro.crypto.asymmetric import RsaError, RsaKeyPair, RsaPublicKey, _is_probable_prime
+from repro.crypto.asymmetric import (
+    RsaError,
+    RsaKeyPair,
+    RsaPublicKey,
+    _pocklington,
+    _proved_prime,
+    _sieve_prime,
+)
 from repro.crypto.symmetric import CipherError, SymmetricKey
 
 KEY_BITS = (256, 384, 512, 513)
@@ -54,14 +61,39 @@ def _is_witness(a: int, n: int) -> bool:
     return True
 
 
-class _CountingRandom(random.Random):
-    """Counts Miller–Rabin base draws."""
+def _prime_factors(n: int) -> set[int]:
+    """Trial division; quick on the smooth ``c - 1`` tested here."""
+    factors, f = set(), 2
+    while f * f <= n:
+        while n % f == 0:
+            factors.add(f)
+            n //= f
+        f += 1
+    return factors | ({n} if n > 1 else set())
 
-    draws = 0
 
-    def randrange(self, *args):
-        self.draws += 1
-        return super().randrange(*args)
+def _provable(n: int) -> bool:
+    """Could a step of ``_proved_prime`` return ``n``?  Below
+    ``_SIEVE_BOUND²`` the sieve decides; above it ``n`` must pass the
+    sieve and then Pocklington over some prime ``f`` of ``n - 1`` with
+    ``(f + 1)² > n`` — if ``n - 1`` has no such factor, no draw of
+    ``n = 2tf + 1`` can ever produce ``n``."""
+    if n < asymmetric._SIEVE_BOUND ** 2:
+        return _sieve_prime(n)
+    return _sieve_prime(n) and any(
+        _pocklington(n, f) for f in _prime_factors(n - 1)
+        if f > 2 and (f + 1) ** 2 > n
+    )
+
+
+def _prime_flags(bound: int) -> bytearray:
+    """An independent sieve of Eratosthenes, as the oracle for a range."""
+    flags = bytearray([1]) * bound
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, bound, i)))
+    return flags
 
 
 #: the first two primes above the sieve bound
@@ -70,24 +102,24 @@ _ABOVE = [n for n in range(asymmetric._SIEVE_BOUND, asymmetric._SIEVE_BOUND + 10
 
 
 class TestPrimality:
+    """The sieve base case, and the composites a probabilistic test
+    has to be careful with, against the proof that replaced it."""
+
     def test_small_primes(self):
-        rng = random.Random(0)
         for p in (2, 3, 5, 7, 101, 7919):
-            assert _is_probable_prime(p, rng)
+            assert _sieve_prime(p)
 
     def test_small_composites(self):
-        rng = random.Random(0)
         for c in (0, 1, 4, 9, 100, 7917, 561, 1105):  # incl. Carmichael
-            assert not _is_probable_prime(c, rng)
+            assert not _sieve_prime(c)
 
     def test_matches_trial_division_below_20000(self):
         """Every ``n`` below, at and above the sieve bound — including
         the primes that divide ``_SIEVE_PRODUCT``, which a sieve that
         answers "has a small factor => composite" gets wrong."""
         assert asymmetric._SIEVE_BOUND < 20_000
-        rng = random.Random(0)
         wrong = [n for n in range(-3, 20_000)
-                 if _is_probable_prime(n, rng) != _trial_division_prime(n)]
+                 if _sieve_prime(n) != _trial_division_prime(n)]
         assert wrong == []
 
     def test_sieve_product_is_every_prime_below_the_bound(self):
@@ -97,14 +129,19 @@ class TestPrimality:
         assert asymmetric._SIEVE_PRODUCT == math.prod(primes)
 
     def test_pseudoprimes_rejected(self):
-        rng = random.Random(0)
+        """Each fools the base-2 Fermat half of the proof, and none can
+        be proved: all have a prime factor below the bound."""
         carmichael = (561, 1729, 41041, 825265, 321197185, 5394826801)
         strong_base_2 = (2047, 3215031751)
         for c in carmichael + strong_base_2:
-            assert not _is_probable_prime(c, rng), c
+            assert pow(2, c - 1, c) == 1, c
+            assert not _sieve_prime(c), c
+            assert not _provable(c), c
 
     def test_pseudoprimes_without_small_factors_rejected(self):
-        """Composites the sieve cannot see: Miller–Rabin must do it."""
+        """Composites the sieve cannot see: the shape of the proof must
+        do it.  The smooth ones have no ``f`` to stand on, and the
+        semiprime, which has one, fails Pocklington."""
         bound = asymmetric._SIEVE_BOUND
         # Chernick: (6k+1)(12k+1)(18k+1) is Carmichael when all three
         # factors are prime
@@ -115,47 +152,96 @@ class TestPrimality:
         spsp9 = 149491 * 747451 * 34233211
         assert spsp9 == 3825123056546413051
         semiprime = _ABOVE[0] * _ABOVE[1]
+        for c in (chernick, spsp9, semiprime, _ABOVE[0] ** 2):
+            assert c > bound ** 2 and _sieve_prime(c), c
+            assert not _provable(c), c
+        assert _prime_factors(semiprime - 1) == {2, 67, 31607}
+        assert not _pocklington(semiprime, 31607)
+
+    def test_sieved_candidate_draws_nothing(self, monkeypatch):
+        """A candidate with a factor below the bound costs no modexp:
+        whatever reaches the Pocklington step is coprime to
+        ``_SIEVE_PRODUCT``."""
+        seen = []
+        step = asymmetric._pocklington
+        monkeypatch.setattr(asymmetric, "_pocklington",
+                            lambda n, f: seen.append(n) or step(n, f))
+        RsaKeyPair.generate(random.Random(3), bits=512)
+        assert seen
+        assert all(math.gcd(n, asymmetric._SIEVE_PRODUCT) == 1 for n in seen)
+
+
+class TestProof:
+    """``_proved_prime``: a Pocklington chain over a sieve base case."""
+
+    def test_pocklington_step_is_exhaustively_sound(self):
+        """Every ``n = 2tf + 1 < (f + 1)²`` over an odd prime
+        ``f < 3000``: no composite is accepted.  The gcd half carries
+        it — 66 composites pass the Fermat half alone."""
+        bound = 3000
+        is_prime = _prime_flags(bound ** 2 + 1)
+        cases = fermat_fooled = 0
+        for f in range(3, bound, 2):
+            if not is_prime[f]:
+                continue
+            n = 2 * f + 1
+            while n < (f + 1) ** 2:
+                cases += 1
+                if not is_prime[n]:
+                    assert not _pocklington(n, f), (n, f)
+                    fermat_fooled += pow(2, n - 1, n) == 1
+                n += 2 * f
+        assert (cases, fermat_fooled) == (297_125, 66)
+        assert 11_305 == 2 * 36 * 157 + 1 and pow(2, 11_304, 11_305) == 1
+        assert not _pocklington(11_305, 157)
+
+    @pytest.mark.parametrize("bits", range(23, 35))
+    def test_small_proved_primes_are_prime(self, bits):
         for seed in range(5):
-            rng = random.Random(seed)
-            for c in (chernick, spsp9, semiprime, _ABOVE[0] ** 2):
-                assert not _is_probable_prime(c, rng), c
+            p = _proved_prime(bits, random.Random(seed))
+            assert _trial_division_prime(p), (bits, seed, p)
+            assert p.bit_length() == bits and p >> (bits - 2) == 0b11
+            assert p % asymmetric._E != 1
 
-    def test_sieved_candidate_draws_nothing(self):
-        """A factor below the bound costs no base draw (and so no
-        modexp): the rng is left exactly where it was."""
-        big_prime = asymmetric._random_prime(200, random.Random(3))
-        rng = _CountingRandom(11)
-        before = rng.getstate()
-        for small in (3, 47, 53, max(asymmetric._SMALL_PRIMES)):
-            assert not _is_probable_prime(small * big_prime, rng)
-        assert not _is_probable_prime(asymmetric._SIEVE_BOUND - 1, rng)
-        assert _is_probable_prime(max(asymmetric._SMALL_PRIMES), rng)
-        assert rng.draws == 0
-        assert rng.getstate() == before
+    @pytest.fixture()
+    def steps(self, monkeypatch):
+        """Every Pocklington step run, as ``(n, f, accepted)``."""
+        steps = []
+        step = asymmetric._pocklington
 
-    def test_prime_draws_every_round(self):
-        assert asymmetric._MR_ROUNDS == 24
-        prime = asymmetric._random_prime(256, random.Random(4))
-        rng = _CountingRandom(12)
-        assert _is_probable_prime(prime, rng)
-        assert rng.draws == asymmetric._MR_ROUNDS
-        rng = _CountingRandom(13)
-        assert _is_probable_prime(_ABOVE[0], rng)
-        assert rng.draws == asymmetric._MR_ROUNDS
+        def spy(n, f):
+            steps.append((n, f, step(n, f)))
+            return steps[-1][2]
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_sieve_passing_composite_draws_one_base_per_round(self, seed):
-        """Rounds run until the first witness, one draw each — replayed
-        here with an identical rng against the textbook witness test."""
-        composite = _ABOVE[0] * _ABOVE[1]
-        rng = _CountingRandom(seed)
-        replay = random.Random(seed)
-        assert not _is_probable_prime(composite, rng)
-        expected = 1
-        while not _is_witness(replay.randrange(2, composite - 1), composite):
-            expected += 1
-        assert rng.draws == expected <= asymmetric._MR_ROUNDS
-        assert rng.getstate() == replay.getstate()
+        monkeypatch.setattr(asymmetric, "_pocklington", spy)
+        return steps
+
+    @staticmethod
+    def _assert_certified(steps, primes):
+        """Each step stands on a factor that was itself proved — by the
+        sieve below ``_SIEVE_BOUND²`` or by an earlier accepted step —
+        and large enough that ``(f + 1)² > n``; each prime returned was
+        accepted by a step."""
+        proved = set()
+        for n, f, accepted in steps:
+            assert (n - 1) % (2 * f) == 0 and (f + 1) ** 2 > n, (n, f)
+            assert f in proved or (
+                f < asymmetric._SIEVE_BOUND ** 2 and _sieve_prime(f)), f
+            if accepted:
+                proved.add(n)
+        assert set(primes) <= proved
+
+    @pytest.mark.parametrize("bits", KEY_BITS)
+    def test_every_step_is_certified(self, bits, steps):
+        pair = RsaKeyPair.generate(random.Random(bits), bits=bits)
+        self._assert_certified(steps, (pair._p, pair._q))
+
+    def test_every_chain_through_the_base_case_is_certified(self, steps):
+        """Every size from the first step up to three levels: the
+        factor sizes cover 13 to 36 bits, so the 22/23-bit edge of the
+        base case is crossed."""
+        primes = [_proved_prime(bits, random.Random(bits)) for bits in range(23, 70)]
+        self._assert_certified(steps, primes)
 
 
 class TestKeyGeneration:
@@ -173,10 +259,12 @@ class TestKeyGeneration:
             assert pair._q.bit_length() == bits - bits // 2
 
     def test_primes_pass_a_fresh_full_test(self, sized_pair):
-        rng = _CountingRandom(99)
-        assert _is_probable_prime(sized_pair._p, rng)
-        assert _is_probable_prime(sized_pair._q, rng)
-        assert rng.draws == 2 * asymmetric._MR_ROUNDS
+        """An independent check of the proof: 24 random-base
+        Miller–Rabin rounds, from the definition."""
+        rng = random.Random(99)
+        for p in (sized_pair._p, sized_pair._q):
+            assert not any(_is_witness(rng.randrange(2, p - 1), p)
+                           for _ in range(24)), p
 
     def test_bad_prime_pairs_rejected(self, keypair):
         p, q = keypair._p, keypair._q
@@ -357,8 +445,19 @@ class TestPublicKeyEncoding:
                 key = RsaPublicKey.from_bytes(data)
             except RsaError:
                 continue
-            assert key.n > 3 and key.e > 1
+            assert key.n.bit_length() >= 256 and key.e > 1
             assert RsaPublicKey.from_bytes(key.to_bytes()) == key
+
+    @pytest.mark.parametrize("bits", [65, 159, 160, 255])
+    def test_from_bytes_rejects_a_modulus_below_256_bits(self, bits):
+        """The floor ``generate`` enforces, so a peer's undersized
+        ``K_I`` fails at decoding: below 160 bits ``encrypt`` has no
+        room for its padding and would raise a bare ``ValueError``."""
+        n = (1 << (bits - 1)) | 1
+        data = n.to_bytes((bits + 7) // 8, "big") + (65537).to_bytes(4, "big")
+        with pytest.raises(RsaError, match="below 256 bits"):
+            RsaPublicKey.from_bytes(data)
+        assert RsaPublicKey(1 << 255).n.bit_length() == 256
 
     def test_invalid_params_rejected(self):
         with pytest.raises(RsaError):

@@ -108,31 +108,32 @@ class TestRsaDeterminism:
     def test_keygen_vector(self):
         """The modulus and both primes drawn from one seed, exactly.
 
-        This is the pin on keygen's RNG draw order: candidate
-        (``getrandbits``), then one ``randrange`` base per Miller–Rabin
-        round run on it.  PR 14 changed that order, intentionally: a
-        candidate with a prime factor below 2,048 is now rejected by a
-        gcd before any base is drawn, where the old 15-prime sieve let
-        it through to draw (at least) one.  So the same seed yields
-        different, equally valid keys.  That is safe because nothing
+        This is the pin on keygen's RNG draw order.  Each prime is built
+        bottom-up: the sieve-proved base of a Pocklington chain is drawn
+        first (``getrandbits``, one per candidate), then at each level
+        up one ``randrange`` draws ``t`` per candidate ``2tf + 1``; the
+        proofs themselves draw nothing.  ``p``'s chain runs to the end
+        before ``q``'s begins.  Two changes moved this pin on purpose,
+        and the same seed yields different, equally valid keys: the wide
+        sieve (a candidate with a prime factor below 2,048 stopped
+        drawing a Miller–Rabin base) and the proved primes (no
+        Miller–Rabin bases at all).  That is safe because nothing
         committed depends on key *values*: every ``rows digest`` of
         ``tap-repro all/extensions --fast``, the chaos smoke report and
         events, the durability CSV (``results/DIGESTS.txt``) and every
         perfbench ``work_digest`` were byte-identical before and after.
         """
-        from repro.crypto.asymmetric import RsaKeyPair, _is_probable_prime
+        from repro.crypto.asymmetric import RsaKeyPair
 
         pair = RsaKeyPair.generate(random.Random(2024), bits=384)
-        p = 0xEC7A15BED7F35CEBF0EDEB0C1915EC2810C1525AAFC3434B
-        q = 0xEB76EDE33ACF7175AF32FADF1AB1B2E89D817C4925108831
+        p = 0xFA8B919A8491485A8564553A80D71ED36F119DEA42D3284B
+        q = 0xD0153575D78BC4F7E2DCF5218F0E70E756EA5ED5EB996E99
         assert pair.public.e == 65537
         assert pair.public.n == int(
-            "d981edfb22ea2f12a036c28512eb09b87d85a9006e824946"
-            "f1efb5720c709b84405ccf2cbab0562ec4e4aa0c6bcfb95b", 16)
+            "cba62812b745759b70968416a9e6269ba30bc10b712b6de8"
+            "a33767653f3950b1d40fd663a69f6c4088c5e04f99564ed3", 16)
         assert pair.public.n == p * q
         assert (pair._p, pair._q) == (p, q)
-        rng = random.Random(0)
-        assert _is_probable_prime(p, rng) and _is_probable_prime(q, rng)
         assert pair.decrypt(
             pair.public.encrypt(b"pin", random.Random(1))
         ) == b"pin"

@@ -1,9 +1,11 @@
 """Tests for anonymous mail with durable reply paths (§1 email case)."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from repro.extensions import anonmail
 from repro.extensions.anonmail import AnonymousMail, FixedReturnPath
 
 
@@ -60,6 +62,20 @@ class TestDelivery:
         system.fail_node(bob_id)
         sent = _send(system, mail, alice, bob_id)
         assert not sent.delivered
+        assert mail.inbox(bob_id) == []
+
+    def test_undersized_response_key_not_delivered(self, system, mail, alice,
+                                                   bob_id, monkeypatch):
+        """A 65-bit response key fails at the recipient's decoding, so
+        the envelope is dropped as malformed instead of landing in the
+        inbox, where a later ``reply`` would raise a bare
+        ``ValueError`` from ``encrypt``."""
+        tiny = ((1 << 64) | 1).to_bytes(9, "big") + (65537).to_bytes(4, "big")
+        stub = SimpleNamespace(public=SimpleNamespace(to_bytes=lambda: tiny))
+        monkeypatch.setattr(anonmail, "RsaKeyPair",
+                            SimpleNamespace(generate=lambda rng, bits: stub))
+        sent = _send(system, mail, alice, bob_id)
+        assert sent.trace.success and not sent.delivered
         assert mail.inbox(bob_id) == []
 
 

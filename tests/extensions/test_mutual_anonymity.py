@@ -1,7 +1,11 @@
 """Tests for hidden services (mutual anonymity extension)."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.node import PendingReply
+from repro.extensions import mutual_anonymity
 from repro.extensions.mutual_anonymity import (
     MutualAnonymity,
     ServiceError,
@@ -131,6 +135,42 @@ class TestCalls:
 
         with pytest.raises(StorageError):
             mutual.lookup(b"no-such-service")
+
+
+class TestWithdrawal:
+    def test_withdrawn_service_stops_answering(self, system, mutual, service,
+                                               provider, requester):
+        bid = service.inbound.bid
+        mutual.withdraw_service(service)
+
+        assert provider.pending_replies == {}
+        assert not any(tha.in_use for tha in service.inbound.hops)
+        fwd = system.form_tunnel(requester, length=2)
+        rpl = system.form_reply_tunnel(requester, length=2)
+        response, _ = mutual.call(requester, b"hidden-wiki", b"x", fwd, rpl)
+        assert response is None and service.served == 0
+        assert provider.pending_replies == requester.pending_replies == {}
+        # the bid is free again
+        provider.register_pending(PendingReply(bid=bid, callback=lambda p: None))
+
+
+class TestUndersizedResponseKey:
+    def test_request_dropped_without_raising(self, system, mutual, service,
+                                             requester, monkeypatch):
+        """A 65-bit ``K_I`` fails at the provider's decoding and the
+        request is dropped as malformed; nothing raises out of ``call``
+        (before the 256-bit floor, ``encrypt`` raised a bare
+        ``ValueError`` on it)."""
+        tiny = ((1 << 64) | 1).to_bytes(9, "big") + (65537).to_bytes(4, "big")
+        stub = SimpleNamespace(public=SimpleNamespace(to_bytes=lambda: tiny))
+        monkeypatch.setattr(mutual_anonymity, "RsaKeyPair",
+                            SimpleNamespace(generate=lambda rng, bits: stub))
+        fwd = system.form_tunnel(requester, length=2)
+        rpl = system.form_reply_tunnel(requester, length=2)
+        response, trace = mutual.call(requester, b"hidden-wiki", b"x", fwd, rpl)
+        assert trace.success and response is None
+        assert service.served == 0
+        assert requester.pending_replies == {}
 
 
 class TestFaultTolerance:
