@@ -31,10 +31,10 @@ class HopFailed(RuntimeError):
     """The hop node could not serve the message; ``str()`` says why.
 
     ``outcome`` is ``"anchor_lost"`` (the closest node holds no
-    replica), ``"decrypt_failed"`` (the layer does not open under the
-    stored key) or ``"malformed"`` (it opens to what the direction
-    forbids); ``counter`` names what a driver with a registry counts it
-    under (``malformed``: nothing).
+    replica, or one that does not decode), ``"decrypt_failed"`` (the
+    layer does not open under the stored key) or ``"malformed"`` (it
+    opens to what the direction forbids); ``counter`` names what a
+    driver with a registry counts it under (``malformed``: nothing).
     """
 
     COUNTERS = {
@@ -77,7 +77,14 @@ def serve_hop(store, node_id: int, hop_id: int, blob: bytes, reply: bool) -> Pee
             f"node {node_id:#x} is closest to hop {hop_id:#x} "
             f"but holds no THA replica (anchor lost)",
         ) from exc
-    anchor = tha_value_decode(hop_id, stored.value)
+    try:
+        anchor = tha_value_decode(hop_id, stored.value)
+    except SerializationError as exc:
+        raise HopFailed(
+            "anchor_lost",
+            f"node {node_id:#x} holds a THA replica for hop {hop_id:#x} "
+            f"that does not decode (anchor lost)",
+        ) from exc
     try:
         peeled = peel_layer(anchor.key, blob)
     except (CipherError, SerializationError) as exc:

@@ -25,7 +25,7 @@ from repro.core.node import TapNode
 from repro.core.tunnel import ReplyTunnel, Tunnel
 from repro.crypto.asymmetric import RsaError, RsaKeyPair, RsaPublicKey
 from repro.crypto.hashing import random_key, sha1_id
-from repro.crypto.symmetric import CipherError, SymmetricKey
+from repro.crypto.symmetric import SymmetricKey
 from repro.past.replication import ReplicatedStore
 from repro.past.storage import StorageError
 from repro.util.serialize import (
@@ -50,11 +50,12 @@ def seal_answer(body: bytes, response_key: RsaPublicKey, rng: random.Random) -> 
 
 def open_answer(payload: bytes, temp_keys: RsaKeyPair) -> bytes:
     """Step 5, the initiator's side; malformed, wrapped for another key
-    or tampered with all raise :class:`EnvelopeError`."""
+    or tampered with all raise :class:`EnvelopeError`, and so does a
+    ``K_f`` too short to be a key."""
     try:
         sealed, wrapped = unpack_fields(payload, count=2)
         return SymmetricKey(temp_keys.decrypt(wrapped)).open(sealed)
-    except (SerializationError, RsaError, CipherError) as exc:
+    except ValueError as exc:  # Serialization/Rsa/CipherError, a short K_f
         raise EnvelopeError(str(exc)) from exc
 
 

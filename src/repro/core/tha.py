@@ -31,7 +31,7 @@ from repro.crypto.hashing import (
     random_password,
 )
 from repro.crypto.symmetric import SymmetricKey
-from repro.util.serialize import pack_fields, unpack_fields
+from repro.util.serialize import SerializationError, pack_fields, unpack_fields
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,10 @@ _ANCHOR_CACHE_SIZE = 1024
 @lru_cache(maxsize=_ANCHOR_CACHE_SIZE)
 def _decode_anchor(hop_id: int, blob: bytes) -> TunnelHopAnchor:
     key_bytes, pw_hash = unpack_fields(blob, count=2)
-    return TunnelHopAnchor(hop_id, SymmetricKey(key_bytes), pw_hash)
+    try:
+        return TunnelHopAnchor(hop_id, SymmetricKey(key_bytes), pw_hash)
+    except ValueError as exc:  # a key under 8 bytes, an H(PW) not 32
+        raise SerializationError(f"malformed THA value: {exc}") from exc
 
 
 def tha_value_decode(hop_id: int, blob) -> TunnelHopAnchor:

@@ -17,6 +17,7 @@ from repro.crypto.symmetric import SymmetricKey
 from repro.past.storage import StoredObject
 from repro.pastry.network import PastryNetwork
 from repro.util.rng import SeedSequenceFactory
+from repro.util.serialize import pack_fields
 
 #: ``make audit`` sets TAP_AUDIT=1: every TapSystem built through the
 #: fixtures then runs the repro.obs invariant auditor after each
@@ -90,8 +91,10 @@ def key_inits(monkeypatch) -> list[bytes]:
 
 def rot_tha_key(system: TapSystem, node_id: int, hop_id: int) -> StoredObject:
     """Flip one bit of ``K`` in ``node_id``'s replica of anchor
-    ``hop_id`` (the value stays well-formed; ``corrupt_replica`` hits
-    the length prefix instead).  Returns the healthy object."""
+    ``hop_id``.  The value still decodes, to a wrong key, so the hop
+    fails at decryption; ``corrupt_replica`` flips the length prefix
+    instead, and that value does not decode at all (the hop reports
+    the anchor lost).  Returns the healthy object."""
     storage = system.store.storage_of(node_id)
     stored = storage.lookup(hop_id)
     value = stored.value
@@ -101,3 +104,10 @@ def rot_tha_key(system: TapSystem, node_id: int, hop_id: int) -> StoredObject:
         overwrite=True,
     )
     return stored
+
+
+def seal_short_key_answer(body: bytes, response_key, rng: random.Random) -> bytes:
+    """A responder's ``seal_answer`` that wraps a 4-byte ``K_f`` — any
+    bytes may travel under the ``K_I`` it is handed, and four are no
+    key."""
+    return pack_fields(b"not sealed", response_key.encrypt(b"k_f!", rng))

@@ -189,3 +189,18 @@ class TestDecodedAnchorCache:
         emu.simulator.run()
         assert not bad.delivered
         assert bad.failed_reason == f"layer decryption failed at {node_id:#x}"
+
+    def test_undecodable_replica_fails_the_delivery(self, setup):
+        """``corrupt_replica`` flips the value's length prefix: the hop
+        reports the anchor lost and the event loop runs on."""
+        system, alice, topo, emu = setup
+        tunnel = system.form_tunnel(alice, length=3)
+        hop_id = tunnel.hops[1].hop_id
+        node_id = system.network.closest_alive(hop_id)
+        assert system.store.corrupt_replica(node_id, hop_id)
+        trace = emu.send_through_tunnel(alice, tunnel, 42, b"hello")
+        emu.simulator.run()
+        assert not trace.delivered
+        assert trace.failed_reason == (
+            f"node {node_id:#x} holds a THA replica for hop {hop_id:#x} "
+            f"that does not decode (anchor lost)")

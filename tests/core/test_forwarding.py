@@ -427,6 +427,20 @@ class TestPeelWithDecodedAnchorCache:
         system.store.storage_of(node_id).insert(healthy, overwrite=True)
         assert system.forwarder._peel_at(node_id, hop.hop_id, blob) is not None
 
+    def test_undecodable_replica_fails_the_walk(self, system, alice):
+        """``corrupt_replica`` flips the value's length prefix, so the
+        serving replica no longer decodes: the walk ends in a failed
+        trace with the anchor lost, and nothing raises out of ``send``."""
+        tunnel = system.form_tunnel(alice, length=3)
+        hop_id = tunnel.hops[1].hop_id
+        node_id = system.network.closest_alive(hop_id)
+        assert system.store.corrupt_replica(node_id, hop_id)
+        trace = system.forwarder.send(alice, tunnel, 42, b"payload")
+        assert not trace.success and trace.delivered_payload is None
+        assert trace.failure_reason == (
+            f"node {node_id:#x} holds a THA replica for hop {hop_id:#x} "
+            f"that does not decode (anchor lost)")
+
     def test_deleted_anchor_is_lost_despite_the_cache(self, system, alice):
         from repro.core.forwarding import TunnelBroken
 

@@ -140,6 +140,21 @@ class TestFailureModes:
         assert result.failure_reason == "responder could not serve the request"
         assert alice.pending_replies == {}
 
+    def test_short_file_key_is_a_decryption_failure(self, system, alice, published,
+                                                    monkeypatch):
+        """An answer wrapping a 4-byte ``K_f`` fails as a decryption,
+        not as a bare ``ValueError`` out of ``retrieve``."""
+        from repro.core import retrieval
+        from tests.conftest import seal_short_key_answer
+
+        monkeypatch.setattr(retrieval, "seal_answer", seal_short_key_answer)
+        fid, _ = published
+        result = system.retrieve(alice, fid, system.form_tunnel(alice, length=3),
+                                 system.form_reply_tunnel(alice, length=3))
+        assert not result.success and result.broken is None
+        assert result.failure_reason.startswith("decryption:")
+        assert alice.pending_replies == {}
+
 
 class TestPendingReplyOwnership:
     """Every exit of a retrieval — and an exception — leaves no reply

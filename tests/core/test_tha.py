@@ -135,6 +135,19 @@ class TestDecodeCache:
                 tha_value_decode(7, truncated)
         assert _decode_anchor.cache_info().currsize == before
 
+    @pytest.mark.parametrize("key, pw_hash", [
+        (b"k" * 7, hash_password(b"x")),      # key under 8 bytes
+        (b"k" * 16, hash_password(b"x")[:31]),  # H(PW) not 32 bytes
+        (b"k" * 16, hash_password(b"x") + b"\x00"),
+    ], ids=["short-key", "short-pw-hash", "long-pw-hash"])
+    def test_malformed_field_is_a_serialization_error(self, key, pw_hash):
+        """A value that frames but holds no valid anchor fails the way
+        a value that does not frame does, not as a bare ``ValueError``."""
+        from repro.util.serialize import SerializationError, pack_fields
+
+        with pytest.raises(SerializationError, match="malformed THA value"):
+            tha_value_decode(7, pack_fields(key, pw_hash))
+
     def test_cache_is_bounded(self):
         from repro.core.tha import _ANCHOR_CACHE_SIZE, _decode_anchor
 

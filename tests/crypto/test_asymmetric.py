@@ -101,6 +101,45 @@ _ABOVE = [n for n in range(asymmetric._SIEVE_BOUND, asymmetric._SIEVE_BOUND + 10
           if _trial_division_prime(n)][:2]
 
 
+@pytest.fixture()
+def steps(monkeypatch):
+    """Every Pocklington step run, as ``(n, f, accepted)``."""
+    steps = []
+    step = asymmetric._pocklington
+
+    def spy(n, f):
+        steps.append((n, f, step(n, f)))
+        return steps[-1][2]
+
+    monkeypatch.setattr(asymmetric, "_pocklington", spy)
+    return steps
+
+
+@pytest.fixture()
+def candidates(monkeypatch):
+    """Every candidate the search trial-divides, in order."""
+    seen = []
+    sieve = asymmetric._sieve_prime
+    monkeypatch.setattr(asymmetric, "_sieve_prime",
+                        lambda n: seen.append(n) or sieve(n))
+    return seen
+
+
+class _RecordingRandom(random.Random):
+    """Records every ``randrange`` range; with ``last`` the first call
+    hands out its range's last value instead of a random one."""
+
+    def __init__(self, seed, last=False):
+        super().__init__(seed)
+        self.ranges, self._last = [], last
+
+    def randrange(self, start, stop=None, step=1):
+        self.ranges.append((start, stop))
+        if self._last and len(self.ranges) == 1:
+            return stop - 1
+        return super().randrange(start, stop, step)
+
+
 class TestPrimality:
     """The sieve base case, and the composites a probabilistic test
     has to be careful with, against the proof that replaced it."""
@@ -155,8 +194,8 @@ class TestPrimality:
         for c in (chernick, spsp9, semiprime, _ABOVE[0] ** 2):
             assert c > bound ** 2 and _sieve_prime(c), c
             assert not _provable(c), c
-        assert _prime_factors(semiprime - 1) == {2, 67, 31607}
-        assert not _pocklington(semiprime, 31607)
+        assert _prime_factors(semiprime - 1) == {2, 3, 7, 11, 6079}
+        assert not _pocklington(semiprime, 6079)
 
     def test_sieved_candidate_draws_nothing(self, monkeypatch):
         """A candidate with a factor below the bound costs no modexp:
@@ -203,19 +242,6 @@ class TestProof:
             assert p.bit_length() == bits and p >> (bits - 2) == 0b11
             assert p % asymmetric._E != 1
 
-    @pytest.fixture()
-    def steps(self, monkeypatch):
-        """Every Pocklington step run, as ``(n, f, accepted)``."""
-        steps = []
-        step = asymmetric._pocklington
-
-        def spy(n, f):
-            steps.append((n, f, step(n, f)))
-            return steps[-1][2]
-
-        monkeypatch.setattr(asymmetric, "_pocklington", spy)
-        return steps
-
     @staticmethod
     def _assert_certified(steps, primes):
         """Each step stands on a factor that was itself proved — by the
@@ -238,10 +264,68 @@ class TestProof:
 
     def test_every_chain_through_the_base_case_is_certified(self, steps):
         """Every size from the first step up to three levels: the
-        factor sizes cover 13 to 36 bits, so the 22/23-bit edge of the
+        factor sizes cover 14 to 36 bits, so the 24/25-bit edge of the
         base case is crossed."""
-        primes = [_proved_prime(bits, random.Random(bits)) for bits in range(23, 70)]
+        first_step = (asymmetric._SIEVE_BOUND ** 2).bit_length()
+        primes = [_proved_prime(bits, random.Random(bits))
+                  for bits in range(first_step, 70)]
         self._assert_certified(steps, primes)
+
+
+#: every prime below the sieve bound, from the independent sieve
+_BELOW = [n for n, flag in enumerate(_prime_flags(asymmetric._SIEVE_BOUND)) if flag]
+
+
+class TestSearch:
+    """How candidates are made and screened: one draw of ``t`` per
+    level, stepped by one, and trial division in two stages."""
+
+    @staticmethod
+    def _assert_sieve_is_one_gcd(n):
+        assert _sieve_prime(n) == (math.gcd(n, math.prod(_BELOW)) == 1), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(min_value=asymmetric._SIEVE_BOUND, max_value=1 << 300))
+    def test_two_stages_decide_as_one_gcd(self, n):
+        self._assert_sieve_is_one_gcd(n)
+
+    def test_two_stages_at_the_stage_boundary(self):
+        """Products of two primes from either side of the first stage
+        (the odd primes up to 53; 2 is left to the second) and either
+        side of the bound: the first stage decides some, the second the
+        rest, the answer is always the one full gcd's."""
+        small = (2, 3, 47, 53, 59, 61, *_BELOW[-2:])
+        large = (*_BELOW[-2:], *_ABOVE)
+        products = [p * q for p in small for q in large]
+        assert min(products) >= asymmetric._SIEVE_BOUND
+        for n in products:
+            self._assert_sieve_is_one_gcd(n)
+        assert _sieve_prime(_ABOVE[0] * _ABOVE[1])
+        assert not _sieve_prime(2 * _ABOVE[0])  # past the first stage
+
+    def test_each_level_draws_t_once(self, steps, candidates):
+        rng = _RecordingRandom(7)
+        _proved_prime(256, rng)
+        levels = sorted({n.bit_length() for n, _, _ in steps}, reverse=True)
+        assert levels == [256, 129, 66, 34]
+        assert len(rng.ranges) == len(levels)
+        assert sum(n.bit_length() == 256 for n in candidates) > 1
+
+    def test_last_t_wraps_to_the_first(self, steps, candidates):
+        """A level handed its last ``t`` goes on at the range's first:
+        the next ``t`` would leave ``bits`` bits."""
+        bits = 40  # one level over a base-case f
+        top = 3 << (bits - 2)
+        p = _proved_prime(bits, _RecordingRandom(0, last=True))
+        f = steps[-1][1]
+        step = 2 * f
+        first, stop = -(-top // step), -(-(1 << bits) // step)
+        at_level = [n for n in candidates if n.bit_length() == bits]
+        assert at_level[:2] == [step * (stop - 1) + 1, step * first + 1]
+        assert (at_level[0] + step) >> bits == 1
+        assert p == at_level[-1] == steps[-1][0] and steps[-1][2]
+        assert _trial_division_prime(p)
+        assert p.bit_length() == bits and p >> (bits - 2) == 0b11
 
 
 class TestKeyGeneration:

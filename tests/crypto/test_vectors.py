@@ -111,27 +111,30 @@ class TestRsaDeterminism:
         This is the pin on keygen's RNG draw order.  Each prime is built
         bottom-up: the sieve-proved base of a Pocklington chain is drawn
         first (``getrandbits``, one per candidate), then at each level
-        up one ``randrange`` draws ``t`` per candidate ``2tf + 1``; the
-        proofs themselves draw nothing.  ``p``'s chain runs to the end
-        before ``q``'s begins.  Two changes moved this pin on purpose,
-        and the same seed yields different, equally valid keys: the wide
-        sieve (a candidate with a prime factor below 2,048 stopped
-        drawing a Miller–Rabin base) and the proved primes (no
-        Miller–Rabin bases at all).  That is safe because nothing
-        committed depends on key *values*: every ``rows digest`` of
-        ``tap-repro all/extensions --fast``, the chaos smoke report and
-        events, the durability CSV (``results/DIGESTS.txt``) and every
-        perfbench ``work_digest`` were byte-identical before and after.
+        up one ``randrange`` draws a starting ``t`` and the candidates
+        ``2tf + 1`` step ``t`` by one from it; the sieve and the proofs
+        draw nothing.  ``p``'s chain runs to the end before ``q``'s
+        begins.  Three changes moved this pin on purpose, and the same
+        seed yields different, equally valid keys: the wide sieve (a
+        candidate with a prime factor below 2,048 stopped drawing a
+        Miller–Rabin base), the proved primes (no Miller–Rabin bases at
+        all) and the stepped ``t`` (one draw per level, not one per
+        candidate).  That is safe because nothing committed depends on
+        key *values*: every
+        ``rows digest`` of ``tap-repro all/extensions --fast``, the chaos
+        smoke report and events, the durability CSV
+        (``results/DIGESTS.txt``) and every perfbench ``work_digest``
+        were byte-identical before and after each change.
         """
         from repro.crypto.asymmetric import RsaKeyPair
 
         pair = RsaKeyPair.generate(random.Random(2024), bits=384)
-        p = 0xFA8B919A8491485A8564553A80D71ED36F119DEA42D3284B
-        q = 0xD0153575D78BC4F7E2DCF5218F0E70E756EA5ED5EB996E99
+        p = 0xEDA4C23998F14EF227E619291D0B9EAAEB6C987E0208EAAD
+        q = 0xD7299AF6E22181A03680DDEFE32AEC7AF437CD137ED638F9
         assert pair.public.e == 65537
         assert pair.public.n == int(
-            "cba62812b745759b70968416a9e6269ba30bc10b712b6de8"
-            "a33767653f3950b1d40fd663a69f6c4088c5e04f99564ed3", 16)
+            "c7bbfe5bc5bfff55c78cb5eba3b0534fe6697007f9d167ef"
+            "75d791fac9fb76085a3ab606f1eb7298d612edce40a01a45", 16)
         assert pair.public.n == p * q
         assert (pair._p, pair._q) == (p, q)
         assert pair.decrypt(

@@ -123,6 +123,19 @@ class TestReplies:
         assert not trace.success
         assert sent.responses == []
 
+    def test_reply_with_short_file_key_is_ignored(self, system, mail, alice,
+                                                  bob_id, monkeypatch):
+        """A reply wrapping a 4-byte ``K_f`` is dropped like any other
+        corrupted response; nothing raises out of ``reply``."""
+        from tests.conftest import seal_short_key_answer
+
+        sent = _send(system, mail, alice, bob_id)
+        envelope = mail.inbox(bob_id)[0]
+        monkeypatch.setattr(anonmail, "seal_answer", seal_short_key_answer)
+        trace = mail.reply(bob_id, envelope, b"hi")
+        assert trace.success
+        assert sent.responses == []
+
     def test_multiple_conversations_isolated(self, system, mail, alice, bob_id):
         carol = system.tap_node(system.random_node_id("carol"))
         system.deploy_thas(carol, count=8)

@@ -173,6 +173,22 @@ class TestUndersizedResponseKey:
         assert requester.pending_replies == {}
 
 
+class TestShortFileKey:
+    def test_answer_dropped_without_raising(self, system, mutual, service,
+                                            requester, monkeypatch):
+        """A provider answering with a 4-byte ``K_f`` under ``K_I``:
+        the call returns no response instead of raising."""
+        from tests.conftest import seal_short_key_answer
+
+        monkeypatch.setattr(mutual_anonymity, "seal_answer", seal_short_key_answer)
+        fwd = system.form_tunnel(requester, length=2)
+        rpl = system.form_reply_tunnel(requester, length=2)
+        response, trace = mutual.call(requester, b"hidden-wiki", b"x", fwd, rpl)
+        assert trace.success and response is None
+        assert service.served == 1
+        assert requester.pending_replies == {}
+
+
 class TestFaultTolerance:
     def test_service_survives_inbound_hop_failure(self, system, mutual, service,
                                                   requester):
