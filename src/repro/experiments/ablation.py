@@ -22,15 +22,7 @@ import numpy as np
 from repro.analysis.idspace import IdSpaceModel, replica_table
 from repro.analysis.theory import tunnel_corruption_prob, tunnel_failure_prob_tap
 from repro.experiments.config import ExperimentConfig
-from repro.perf import (
-    base_snapshot,
-    capture_obs,
-    effective_workers,
-    local_obs,
-    merge_obs,
-    run_trials,
-)
-from repro.perf.parallel import shared_payload
+from repro.perf import Sinks, base_snapshot, effective_workers, run_trials
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -131,20 +123,16 @@ def _hints_base_build(config: HintStalenessConfig):
 def _hint_staleness_level(
     config: HintStalenessConfig,
     churn: int,
-    metrics,
     audit: bool,
-    tracer,
-    event_trace,
+    sinks: Sinks,
 ) -> dict:
     """One churn level: forked system, hinted tunnels, churn, probe."""
-    token = _hints_base_token(config)
-    payload = shared_payload()
-    snap = payload.get(token) if payload else None
-    if snap is None:
-        snap = base_snapshot(token, lambda: _hints_base_build(config))
+    snap = base_snapshot(
+        _hints_base_token(config), lambda: _hints_base_build(config)
+    )
     system = snap.fork(
-        config.seed + churn,
-        metrics=metrics, event_trace=event_trace, tracer=tracer,
+        config.seed + churn, metrics=sinks.metrics,
+        event_trace=sinks.event_trace, tracer=sinks.tracer,
     )
     if audit:
         system.enable_auditing(strict=True)
@@ -190,19 +178,6 @@ def _hint_staleness_level(
     }
 
 
-def _hint_staleness_trial(
-    config: HintStalenessConfig,
-    churn: int,
-    want_metrics: bool,
-    audit: bool,
-    want_tracer: bool,
-    want_events: bool,
-):
-    metrics, tracer, event_trace = local_obs(want_metrics, want_tracer, want_events)
-    row = _hint_staleness_level(config, churn, metrics, audit, tracer, event_trace)
-    return row, capture_obs(metrics, tracer, event_trace)
-
-
 def run_hint_staleness(
     config: HintStalenessConfig = HintStalenessConfig(),
     metrics=None,
@@ -225,21 +200,13 @@ def run_hint_staleness(
     """
     token = _hints_base_token(config)
     bases = {token: base_snapshot(token, lambda: _hints_base_build(config))}
-    results = run_trials(
-        _hint_staleness_trial,
-        [
-            (config, churn, metrics is not None, audit,
-             tracer is not None, event_trace is not None)
-            for churn in config.churn_steps
-        ],
+    return run_trials(
+        _hint_staleness_level,
+        [(config, churn, audit) for churn in config.churn_steps],
         effective_workers(workers, config),
         shared=bases,
+        sinks=Sinks(metrics, tracer, event_trace),
     )
-    merge_obs(
-        [payload for _, payload in results],
-        metrics=metrics, tracer=tracer, event_trace=event_trace,
-    )
-    return [row for row, _ in results]
 
 
 @dataclass(frozen=True)

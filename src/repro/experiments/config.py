@@ -168,9 +168,6 @@ class ScaleChurnConfig(ExperimentConfig):
     #: packet-plane window size (None = whole batch at once); any
     #: value yields identical rows, larger only costs memory
     chunk_size: int | None = None
-    #: ship the base snapshot to workers as a shared-memory segment
-    #: (metadata-only pickle) instead of a full array pickle
-    use_shared_memory: bool = False
     seed: int = 2004
     num_seeds: int = 2
 
@@ -184,10 +181,10 @@ class ScaleChurnConfig(ExperimentConfig):
     def million(cls) -> "ScaleChurnConfig":
         """The N=10^6 operating point: bridge spot checks off (they
         materialise the ring as objects), sampled scalar verification
-        on, routing chunked, base shipped via shared memory."""
+        on, routing chunked."""
         return cls(num_nodes=1_000_000, num_anchors=2_000, churn_rounds=3,
                    spot_check_routes=0, scalar_verify_routes=8,
-                   chunk_size=1_024, use_shared_memory=True)
+                   chunk_size=1_024)
 
 
 @dataclass(frozen=True)
@@ -222,8 +219,6 @@ class ScaleLatencyConfig(ExperimentConfig):
     #: packet-plane window size (None = whole batch at once); any
     #: value yields identical rows, larger only costs memory
     chunk_size: int | None = None
-    #: ship the base snapshot to workers as a shared-memory segment
-    use_shared_memory: bool = False
     seed: int = 2004
     num_seeds: int = 2
 
@@ -234,10 +229,9 @@ class ScaleLatencyConfig(ExperimentConfig):
 
     @classmethod
     def million(cls) -> "ScaleLatencyConfig":
-        """The N=10^6 operating point (chunked, shared-memory base)."""
+        """The N=10^6 operating point (chunked routing)."""
         return cls(num_nodes=1_000_000, num_transfers=2_000,
-                   churn_rounds=1, verify_routes=4,
-                   chunk_size=1_024, use_shared_memory=True)
+                   churn_rounds=1, verify_routes=4, chunk_size=1_024)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from repro.past.erasure import ErasureStore
 from repro.past.replication import ReplicatedStore
 from repro.past.storage import StorageError
 from repro.pastry.network import PastryNetwork
-from repro.perf import capture_obs, effective_workers, local_obs, merge_obs, run_trials
+from repro.perf import Sinks, effective_workers, run_trials
 from repro.obs.metrics import MetricsRegistry
 from repro.util.rng import SeedSequenceFactory, derive_seed
 
@@ -109,9 +109,8 @@ def _durability_trial(
     config: DurabilityConfig,
     rep: int,
     backend: str,
-    want_metrics: bool = False,
-    want_events: bool = False,
-):
+    sinks: Sinks,
+) -> list[dict]:
     plan = named_plan(config.plan)
     rounds = _rounds(config, plan)
     # No backend label in any stream below: both arms replay the same
@@ -123,8 +122,8 @@ def _durability_trial(
 
     # The accounting registry always exists — rows are computed from
     # it, so they cannot depend on whether telemetry was requested.
-    acct = MetricsRegistry()
-    _, _, event_trace = local_obs(False, False, want_events)
+    acct = sinks.metrics if sinks.metrics is not None else MetricsRegistry()
+    event_trace = sinks.event_trace
 
     store, crawler, health = _make_store(config, backend, network, acct)
     injector = StorageFaultInjector(seeds=seeds.spawn("storage"),
@@ -226,8 +225,7 @@ def _durability_trial(
                   // config.data_shares) * config.total_shares
         ),
     })
-    shipped = acct if want_metrics else None
-    return rows, capture_obs(shipped, None, event_trace)
+    return rows
 
 
 def run_durability(
@@ -256,23 +254,17 @@ def run_durability(
             f"fault plan {plan.name!r} schedules {', '.join(skipped)}, which "
             f"only run_chaos applies (tap-repro chaos --plan {plan.name})"
         )
-    want_metrics = metrics is not None
-    want_events = event_trace is not None
     results = run_trials(
         _durability_trial,
         [
-            (config, rep, backend, want_metrics, want_events)
+            (config, rep, backend)
             for rep in range(config.num_seeds)
             for backend in BACKENDS
         ],
         effective_workers(workers, config),
+        sinks=Sinks(metrics, None, event_trace),
     )
-    merge_obs(
-        [payload for _, payload in results],
-        metrics=metrics,
-        event_trace=event_trace,
-    )
-    return [row for rows, _ in results for row in rows]
+    return [row for rows in results for row in rows]
 
 
 def summarize_rows(rows: list[dict]) -> dict:

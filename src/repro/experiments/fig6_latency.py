@@ -27,15 +27,7 @@ import numpy as np
 from repro.analysis.theory import expected_route_hops
 from repro.experiments.config import Fig6Config
 from repro.pastry.network import PastryNetwork
-from repro.perf import (
-    base_snapshot,
-    capture_obs,
-    effective_workers,
-    local_obs,
-    merge_obs,
-    run_trials,
-)
-from repro.perf.parallel import shared_payload
+from repro.perf import Sinks, base_snapshot, effective_workers, run_trials
 from repro.simnet.topology import Topology
 from repro.simnet.transport import TransferModel, path_transfer_time
 from repro.util.ids import random_id
@@ -136,33 +128,27 @@ def _fig6_leg(
     config: Fig6Config,
     rep: int,
     n_nodes: int,
-    metrics,
     audit: bool,
-    tracer,
-    event_trace,
+    sinks: Sinks,
 ) -> list[tuple[tuple[int, str], float]]:
     """All transfers of one (repetition, network size) cell.
 
     The rng streams are labelled by ``(rep, n_nodes)``, so each cell
     is a self-contained trial — the unit the parallel executor fans
-    out.  Observability objects are whatever the caller hands in (the
-    parent's in a serial run, worker-local ones under fan-out).
-
-    The overlay is a fork of the per-size base snapshot: taken from
-    the ``run_trials(shared=...)`` payload when fanned out, else from
-    the process-local :func:`base_snapshot` cache — both hold the same
-    deterministic build, so rows are identical either way.
+    out, handing it trial-local ``sinks``.  The overlay is a fork of
+    the per-size base snapshot, the same deterministic build whether
+    it comes from the fan-out's payload or this process's cache.
     """
+    metrics, tracer, event_trace = sinks.metrics, sinks.tracer, sinks.event_trace
     seeds = SeedSequenceFactory(config.seed)
     acc: list[tuple[tuple[int, str], float]] = []
 
     rng = seeds.pyrandom("fig6", rep, n_nodes)
     topology = _fig6_topology(config, n_nodes)
-    token = _fig6_base_token(config, n_nodes)
-    payload = shared_payload()
-    snap = payload.get(token) if payload else None
-    if snap is None:
-        snap = base_snapshot(token, lambda: _fig6_base_build(config, n_nodes))
+    snap = base_snapshot(
+        _fig6_base_token(config, n_nodes),
+        lambda: _fig6_base_build(config, n_nodes),
+    )
     network = snap.restore(metrics=metrics)
     if audit:
         from repro.obs.audit import InvariantAuditor
@@ -242,21 +228,6 @@ def _fig6_leg(
     return acc
 
 
-def _fig6_trial(
-    config: Fig6Config,
-    rep: int,
-    n_nodes: int,
-    want_metrics: bool,
-    audit: bool,
-    want_tracer: bool,
-    want_events: bool,
-):
-    """Worker entry point: run one cell against local obs, ship both back."""
-    metrics, tracer, event_trace = local_obs(want_metrics, want_tracer, want_events)
-    acc = _fig6_leg(config, rep, n_nodes, metrics, audit, tracer, event_trace)
-    return acc, capture_obs(metrics, tracer, event_trace)
-
-
 def run_fig6(
     config: Fig6Config = Fig6Config(),
     metrics=None,
@@ -282,11 +253,10 @@ def run_fig6(
 
     ``workers`` fans the (repetition, network size) cells out over
     processes; rows, metrics, spans, and events are identical for any
-    worker count (worker-local obs are merged back in cell order).
+    worker count (cell-local sinks are folded back in cell order).
     """
-    # One base overlay per network size, built in the parent and
-    # shipped to workers as the shared payload (pickled once per
-    # worker); every cell forks it instead of re-building.
+    # One base overlay per network size, built here and shipped to
+    # workers as the shared payload; every cell forks it.
     bases = {
         _fig6_base_token(config, n_nodes): base_snapshot(
             _fig6_base_token(config, n_nodes),
@@ -294,25 +264,16 @@ def run_fig6(
         )
         for n_nodes in config.network_sizes
     }
-    # Every cell instruments against cell-local obs which are merged
-    # back in cell order — for workers == 1 too, so even float
-    # accumulation grouping (histogram totals) is bit-identical across
-    # worker counts, not just the exported rows.
-    results = run_trials(
-        _fig6_trial,
+    partials = run_trials(
+        _fig6_leg,
         [
-            (config, rep, n_nodes, metrics is not None, audit,
-             tracer is not None, event_trace is not None)
+            (config, rep, n_nodes, audit)
             for rep in range(config.num_seeds)
             for n_nodes in config.network_sizes
         ],
         effective_workers(workers, config),
         shared=bases,
-    )
-    partials = [items for items, _ in results]
-    merge_obs(
-        [payload for _, payload in results],
-        metrics=metrics, tracer=tracer, event_trace=event_trace,
+        sinks=Sinks(metrics, tracer, event_trace),
     )
 
     acc: dict[tuple[int, str], list[float]] = {}

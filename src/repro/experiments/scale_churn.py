@@ -12,7 +12,7 @@ Per trial (one per ``rep``):
 
 1. restore a private overlay from the shared base
    :class:`~repro.perf.compact.CompactSnapshot` (shipped to workers
-   once via the ``run_trials(shared=...)`` pool initializer);
+   once per worker by :func:`~repro.perf.run_trials`);
 2. sample ``num_anchors`` keys and record their original replica sets
    *by id content* (robust across joins, which shift array positions);
 3. per churn round: fail ``fail_fraction`` of the alive set, admit
@@ -47,17 +47,7 @@ import time
 import numpy as np
 
 from repro.experiments.config import ScaleChurnConfig
-from repro.perf import (
-    base_snapshot,
-    capture_obs,
-    collect_volatile,
-    effective_workers,
-    local_obs,
-    merge_obs,
-    run_trials,
-    share_base,
-    shared_payload,
-)
+from repro.perf import Sinks, base_snapshot, effective_workers, run_trials
 from repro.perf.compact import CompactOverlay
 from repro.util.rng import SeedSequenceFactory
 
@@ -106,31 +96,26 @@ def _observe_samples(histogram, values: np.ndarray, rng, budget: int) -> None:
 def _churn_trial(
     config: ScaleChurnConfig,
     rep: int,
-    want_metrics: bool = False,
-    want_events: bool = False,
-):
-    token = _base_token(config)
-    payload = shared_payload()
-    snap = payload.get(token) if payload else None
-    if snap is None:
-        snap = base_snapshot(token, lambda: _base_build(config))
+    sinks: Sinks,
+) -> list[dict]:
+    snap = base_snapshot(_base_token(config), lambda: _base_build(config))
     # Wall-clock facts about how the base reached this trial — shipped
     # back through the volatile channel, never into rows.
     start = time.perf_counter()
     overlay = snap.restore()
-    volatile = {
+    sinks.volatile.update({
         "rep": rep,
         "restore_seconds": round(time.perf_counter() - start, 6),
         # the lazy shared-segment map cost in this worker (None when
         # the base arrived as a plain array pickle)
         "attach_seconds": getattr(snap, "attach_seconds", None),
-    }
+    })
     rng = SeedSequenceFactory(config.seed).numpy("scale-churn", rep)
     k = config.replication_factor
 
-    # Trial-local obs; the telemetry stream is derived under its own
+    # Trial-local sinks; the telemetry stream is derived under its own
     # label so enabling it cannot perturb the trial's randomness.
-    metrics, _, event_trace = local_obs(want_metrics, False, want_events)
+    metrics, event_trace = sinks.metrics, sinks.event_trace
     tel_rng = None
     if metrics is not None or event_trace is not None:
         tel_rng = SeedSequenceFactory(config.seed).numpy("scale-telemetry", rep)
@@ -286,7 +271,7 @@ def _churn_trial(
             "agree": agree,
             "mean_hops": hops / config.spot_check_routes,
         })
-    return rows, capture_obs(metrics, None, event_trace, volatile=volatile)
+    return rows
 
 
 def run_scale_churn(
@@ -299,49 +284,30 @@ def run_scale_churn(
     """The scale-churn runner; trials fan out over ``workers``.
 
     The base overlay is built once, snapshotted, and shipped to every
-    worker through the pool initializer — workers restore from arrays
-    (milliseconds at 100k) instead of re-bootstrapping.  With
-    ``config.use_shared_memory`` the snapshot travels as a named
-    shared-memory segment instead (metadata-only pickle, pages mapped
-    on first touch) — at 10^6 nodes that turns a 17 MB per-worker copy
-    into a shared mapping.  Pass a ``metrics`` registry /
-    ``event_trace`` to collect the sampled telemetry described in the
-    module docstring; worker-local copies are merged back in trial
-    order, so the merged state is identical for any ``workers`` value.
-    ``volatile_out`` (a dict) receives machine-dependent timings —
-    per-trial restore and shared-segment attach cost — for the run
-    manifest's volatile section.
+    worker — workers restore from arrays (milliseconds at 100k) instead
+    of re-bootstrapping, and under a process pool the arrays travel as
+    one named shared-memory segment (metadata-only pickle, pages mapped
+    on first touch), so at 10^6 nodes a 17 MB per-worker copy becomes
+    a shared mapping.  Pass a ``metrics`` registry / ``event_trace`` to
+    collect the sampled telemetry described in the module docstring;
+    trial-local copies are folded back in trial order, so the merged
+    state is identical for any ``workers`` value.  ``volatile_out`` (a
+    dict) receives machine-dependent timings — per-trial restore and
+    shared-segment attach cost — for the run manifest's volatile
+    section.
     """
-    want_metrics = metrics is not None
-    want_events = event_trace is not None
     token = _base_token(config)
-    bases = {token: base_snapshot(token, lambda: _base_build(config))}
-    published = []
-    if config.use_shared_memory:
-        bases, published = share_base(bases)
-    try:
-        results = run_trials(
-            _churn_trial,
-            [
-                (config, rep, want_metrics, want_events)
-                for rep in range(config.num_seeds)
-            ],
-            effective_workers(workers, config),
-            shared=bases,
-        )
-    finally:
-        for segment in published:
-            segment.unlink()
-    payloads = [payload for _, payload in results]
-    merge_obs(payloads, metrics=metrics, event_trace=event_trace)
+    sinks = Sinks(metrics, None, event_trace)
+    results = run_trials(
+        _churn_trial,
+        [(config, rep) for rep in range(config.num_seeds)],
+        effective_workers(workers, config),
+        shared={token: base_snapshot(token, lambda: _base_build(config))},
+        sinks=sinks,
+    )
     if volatile_out is not None:
-        volatile_out["trials"] = collect_volatile(payloads)
-        if published:
-            volatile_out["shared_memory"] = {
-                "segments": len(published),
-                "segment_nbytes": sum(s.nbytes for s in published),
-            }
-    return [row for rows, _ in results for row in rows]
+        volatile_out.update(sinks.volatile)
+    return [row for rows in results for row in rows]
 
 
 def summarize_rows(rows: list[dict], config=None) -> dict:

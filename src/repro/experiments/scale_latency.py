@@ -45,17 +45,7 @@ import numpy as np
 
 from repro.experiments.config import ScaleLatencyConfig
 from repro.experiments.scale_churn import _fresh_ids, _observe_samples
-from repro.perf import (
-    base_snapshot,
-    capture_obs,
-    collect_volatile,
-    effective_workers,
-    local_obs,
-    merge_obs,
-    run_trials,
-    share_base,
-    shared_payload,
-)
+from repro.perf import Sinks, base_snapshot, effective_workers, run_trials
 from repro.perf.compact import CompactOverlay
 from repro.perf.packet import latency_sums
 from repro.util.rng import SeedSequenceFactory
@@ -86,24 +76,19 @@ def _quantiles(values: np.ndarray) -> dict:
 def _latency_trial(
     config: ScaleLatencyConfig,
     rep: int,
-    want_metrics: bool = False,
-    want_events: bool = False,
-):
-    token = _base_token(config)
-    payload = shared_payload()
-    snap = payload.get(token) if payload else None
-    if snap is None:
-        snap = base_snapshot(token, lambda: _base_build(config))
+    sinks: Sinks,
+) -> list[dict]:
+    snap = base_snapshot(_base_token(config), lambda: _base_build(config))
     start = time.perf_counter()
     overlay = snap.restore()
-    volatile = {
+    sinks.volatile.update({
         "rep": rep,
         "restore_seconds": round(time.perf_counter() - start, 6),
         "attach_seconds": getattr(snap, "attach_seconds", None),
-    }
+    })
     rng = SeedSequenceFactory(config.seed).numpy("scale-latency", rep)
 
-    metrics, _, event_trace = local_obs(want_metrics, False, want_events)
+    metrics, event_trace = sinks.metrics, sinks.event_trace
     tel_rng = None
     if metrics is not None or event_trace is not None:
         tel_rng = SeedSequenceFactory(config.seed).numpy("scale-telemetry", rep)
@@ -217,7 +202,7 @@ def _latency_trial(
                     mean_hops=round(row["mean_hops"], 6),
                     p50_s=round(row["p50_s"], 6),
                 )
-    return rows, capture_obs(metrics, None, event_trace, volatile=volatile)
+    return rows
 
 
 def run_scale_latency(
@@ -230,42 +215,25 @@ def run_scale_latency(
     """The scale-latency runner; trials fan out over ``workers``.
 
     Same sharding contract as every runner: the base overlay snapshot
-    ships to workers once via the pool initializer (as a shared-memory
-    segment when ``config.use_shared_memory``), per-rep seed streams
-    make rows identical for any ``workers`` value, and telemetry
-    merges in trial order.  ``volatile_out`` receives per-trial
-    restore/attach timings for the manifest's volatile section.
+    ships to workers once (as a shared-memory segment under a process
+    pool), per-rep seed streams make rows identical for any
+    ``workers`` value, and telemetry folds back in trial order.
+    ``volatile_out`` receives per-trial restore/attach timings (and the
+    segment count when one was published) for the manifest's volatile
+    section.
     """
-    want_metrics = metrics is not None
-    want_events = event_trace is not None
     token = _base_token(config)
-    bases = {token: base_snapshot(token, lambda: _base_build(config))}
-    published = []
-    if config.use_shared_memory:
-        bases, published = share_base(bases)
-    try:
-        results = run_trials(
-            _latency_trial,
-            [
-                (config, rep, want_metrics, want_events)
-                for rep in range(config.num_seeds)
-            ],
-            effective_workers(workers, config),
-            shared=bases,
-        )
-    finally:
-        for segment in published:
-            segment.unlink()
-    payloads = [payload for _, payload in results]
-    merge_obs(payloads, metrics=metrics, event_trace=event_trace)
+    sinks = Sinks(metrics, None, event_trace)
+    results = run_trials(
+        _latency_trial,
+        [(config, rep) for rep in range(config.num_seeds)],
+        effective_workers(workers, config),
+        shared={token: base_snapshot(token, lambda: _base_build(config))},
+        sinks=sinks,
+    )
     if volatile_out is not None:
-        volatile_out["trials"] = collect_volatile(payloads)
-        if published:
-            volatile_out["shared_memory"] = {
-                "segments": len(published),
-                "segment_nbytes": sum(s.nbytes for s in published),
-            }
-    return [row for rows, _ in results for row in rows]
+        volatile_out.update(sinks.volatile)
+    return [row for rows in results for row in rows]
 
 
 def summarize_rows(rows: list[dict], config=None) -> dict:

@@ -24,15 +24,7 @@ from repro.baselines.fixed_tunnel import form_fixed_tunnel
 from repro.core.session import SessionServer, TapSession
 from repro.core.system import TapSystem
 from repro.experiments.config import ExperimentConfig
-from repro.perf import (
-    base_snapshot,
-    capture_obs,
-    effective_workers,
-    local_obs,
-    merge_obs,
-    run_trials,
-)
-from repro.perf.parallel import shared_payload
+from repro.perf import Sinks, base_snapshot, effective_workers, run_trials
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -96,22 +88,16 @@ class _FixedSession:
 def _survival_level(
     config: SessionSurvivalConfig,
     churn: int,
-    metrics,
     audit: bool,
-    tracer,
-    event_trace,
+    sinks: Sinks,
 ) -> dict:
     """One churn level on a fork of the shared base overlay, with its
     own labelled rng streams (seed ``config.seed + churn``)."""
     seeds = SeedSequenceFactory(config.seed)
-    token = _base_token(config)
-    payload = shared_payload()
-    snap = payload.get(token) if payload else None
-    if snap is None:
-        snap = base_snapshot(token, lambda: _base_build(config))
+    snap = base_snapshot(_base_token(config), lambda: _base_build(config))
     system = snap.fork(
-        config.seed + churn,
-        metrics=metrics, event_trace=event_trace, tracer=tracer,
+        config.seed + churn, metrics=sinks.metrics,
+        event_trace=sinks.event_trace, tracer=sinks.tracer,
     )
     if audit:
         system.enable_auditing(strict=True)
@@ -175,19 +161,6 @@ def _survival_level(
     }
 
 
-def _survival_trial(
-    config: SessionSurvivalConfig,
-    churn: int,
-    want_metrics: bool,
-    audit: bool,
-    want_tracer: bool,
-    want_events: bool,
-):
-    metrics, tracer, event_trace = local_obs(want_metrics, want_tracer, want_events)
-    row = _survival_level(config, churn, metrics, audit, tracer, event_trace)
-    return row, capture_obs(metrics, tracer, event_trace)
-
-
 def run_session_survival(
     config: SessionSurvivalConfig = SessionSurvivalConfig(),
     metrics=None,
@@ -205,18 +178,10 @@ def run_session_survival(
     levels out over processes with identical rows and obs."""
     token = _base_token(config)
     bases = {token: base_snapshot(token, lambda: _base_build(config))}
-    results = run_trials(
-        _survival_trial,
-        [
-            (config, churn, metrics is not None, audit,
-             tracer is not None, event_trace is not None)
-            for churn in config.failures_per_request
-        ],
+    return run_trials(
+        _survival_level,
+        [(config, churn, audit) for churn in config.failures_per_request],
         effective_workers(workers, config),
         shared=bases,
+        sinks=Sinks(metrics, tracer, event_trace),
     )
-    merge_obs(
-        [payload for _, payload in results],
-        metrics=metrics, tracer=tracer, event_trace=event_trace,
-    )
-    return [row for row, _ in results]

@@ -29,7 +29,6 @@ from repro.core.system import TapSystem
 from repro.experiments.config import ExperimentConfig
 from repro.faults.plan import FaultPlan
 from repro.obs import EventTrace
-from repro.perf.parallel import shared_payload
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -125,11 +124,9 @@ def run_chaos(
     event_trace = EventTrace()
     from repro.perf import base_snapshot
 
-    token = _chaos_base_token(config)
-    payload = shared_payload()
-    snap = payload.get(token) if payload else None
-    if snap is None:
-        snap = base_snapshot(token, lambda: _chaos_base_build(config))
+    snap = base_snapshot(
+        _chaos_base_token(config), lambda: _chaos_base_build(config)
+    )
     system = snap.fork(
         config.seed,
         metrics=metrics, event_trace=event_trace, tracer=tracer,

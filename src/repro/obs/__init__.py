@@ -58,9 +58,7 @@ from repro.obs.critical_path import (
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.spans import (
-    NULL_TRACER,
     PHASES,
-    NullTracer,
     Span,
     SpanContext,
     SpanTracer,
@@ -79,8 +77,6 @@ __all__ = [
     "InvariantViolationError",
     "METRICS_FORMATS",
     "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
     "PHASES",
     "Span",
     "SpanContext",

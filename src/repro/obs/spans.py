@@ -30,8 +30,8 @@ forwarder hop span) attach to the right parent without threading a
 context through every signature.
 
 Disabled tracing is free: substrates hold ``tracer = None`` by default
-and guard with a truthiness check; :data:`NULL_TRACER` is falsy, so
-passing it instead of ``None`` also short-circuits the guards.
+and guard with one ``None``/truthiness check; ``None`` is the only way
+to say "tracing off".
 
 Export is Chrome trace-event JSON (``{"traceEvents": [...]}``) —
 loadable in Perfetto or ``chrome://tracing`` — with each trace on its
@@ -124,28 +124,6 @@ class Span:
                 f"id={self.span_id}, parent={self.parent_id})")
 
 
-class _NullSpan:
-    """Absorbing stand-in: every mutation is a no-op."""
-
-    __slots__ = ()
-    trace_id = span_id = -1
-    parent_id = None
-    name = ""
-    attrs: dict = {}
-
-    def context(self) -> SpanContext:
-        return SpanContext(-1, -1)
-
-    def set(self, **attrs) -> "_NullSpan":
-        return self
-
-    def set_sim(self, start: float, end: float) -> "_NullSpan":
-        return self
-
-
-NULL_SPAN = _NullSpan()
-
-
 # ----------------------------------------------------------------------
 # redaction (anonymity-aware export)
 # ----------------------------------------------------------------------
@@ -221,8 +199,6 @@ class SpanTracer:
     protocol).
     """
 
-    enabled = True
-
     def __init__(self, capacity: int = 1 << 20, clock=time.perf_counter):
         if capacity < 1:
             raise ValueError("span capacity must be >= 1")
@@ -251,8 +227,6 @@ class SpanTracer:
             return None
         if isinstance(parent, Span):
             return parent.context()
-        if isinstance(parent, _NullSpan):
-            return None
         return SpanContext(*parent)
 
     def current(self) -> Span | None:
@@ -331,7 +305,7 @@ class SpanTracer:
     def __bool__(self) -> bool:
         # Always truthy — without this, ``__len__`` would make an
         # *empty* tracer falsy and every ``if tracer:`` guard would
-        # silently skip the first spans.  (NullTracer is the falsy one.)
+        # silently skip the first spans.
         return True
 
     def __len__(self) -> int:
@@ -455,74 +429,3 @@ class SpanTracer:
             fh.write(self.to_json(redact=redact))
             fh.write("\n")
         return len(self.finished)
-
-
-class NullTracer:
-    """Zero-cost tracer for the disabled state.
-
-    Falsy, so ``if tracer:`` guards skip instrumentation entirely; for
-    callers that invoke it anyway, every method is an absorbing no-op.
-    """
-
-    enabled = False
-    capacity = 0
-    completed = 0
-    dropped = 0
-    finished: tuple = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def current(self) -> None:
-        return None
-
-    def start_trace(self, name: str, **attrs) -> _NullSpan:
-        return NULL_SPAN
-
-    def start_span(self, name: str, parent=None, **attrs) -> _NullSpan:
-        return NULL_SPAN
-
-    def finish(self, span, **attrs) -> _NullSpan:
-        return NULL_SPAN
-
-    enter = start_span
-    exit = finish
-
-    @contextmanager
-    def span(self, name: str, parent=None, **attrs) -> Iterator[_NullSpan]:
-        yield NULL_SPAN
-
-    def add_span(self, name: str, parent=None, sim_start=None, sim_end=None,
-                 **attrs) -> _NullSpan:
-        return NULL_SPAN
-
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self) -> Iterator[Span]:
-        return iter(())
-
-    def traces(self) -> dict:
-        return {}
-
-    def clear(self) -> None:
-        pass
-
-    def chrome_events(self, redact: bool = False) -> list[dict]:
-        return []
-
-    def export_chrome(self, redact: bool = False) -> dict:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def to_json(self, redact: bool = False, indent: int | None = None) -> str:
-        return json.dumps(self.export_chrome(redact=redact), indent=indent)
-
-    def dump(self, path, redact: bool = False) -> int:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json(redact=redact))
-            fh.write("\n")
-        return 0
-
-
-#: shared no-op instance — pass where a tracer is required but tracing is off
-NULL_TRACER = NullTracer()

@@ -5,14 +5,16 @@
 * :func:`run_trials` fans independent trials (Monte-Carlo repetitions,
   sweep points, chaos jobs) out over a ``ProcessPoolExecutor`` and
   returns their results **in submission order**, so any fold over them
-  is order-deterministic;
+  is order-deterministic.  It owns everything a fan-out shares: base
+  snapshots reach trials through :func:`base_snapshot` (as
+  shared-memory segments under a pool), and the caller's
+  :class:`Sinks` (metrics registry, span tracer, event trace, volatile
+  timings) reach each trial fresh and fold back in trial order, for
+  any worker count;
 * :func:`derive_trial_seed` derives the per-trial seed stream
   (:func:`repro.util.rng.derive_seed` under a fixed ``"trial"``
   label), so trial *i* draws the same randomness whether it runs
   serially, in any worker, or alone;
-* :class:`TrialObs` + :func:`merge_obs` carry worker-side
-  :mod:`repro.obs` state (metrics registries, span buffers, event
-  traces) back to the parent process and fold it in trial order;
 * :func:`canonical_json` / :func:`rows_digest` give every runner a
   stable result fingerprint — the parallelism safety gate is that the
   digest is identical for ``--workers 1`` and ``--workers N``.
@@ -23,21 +25,15 @@ semantic one: experiment rows are a pure function of the config.
 
 from repro.perf.compact import CompactOverlay, CompactSnapshot
 from repro.perf.digest import canonical_json, rows_digest
-from repro.perf.merge import (
-    TrialObs,
-    capture_obs,
-    collect_volatile,
-    local_obs,
-    merge_obs,
-)
 from repro.perf.parallel import (
+    Sinks,
     derive_trial_seed,
     effective_workers,
     resolve_workers,
     run_trials,
     shared_payload,
 )
-from repro.perf.shm import SharedCompactSnapshot, share_base, shm_available
+from repro.perf.shm import SharedCompactSnapshot, shm_available
 from repro.perf.snapshot import (
     NetworkSnapshot,
     StoreSnapshot,
@@ -50,14 +46,9 @@ __all__ = [
     "CompactSnapshot",
     "canonical_json",
     "rows_digest",
-    "TrialObs",
-    "capture_obs",
-    "collect_volatile",
-    "local_obs",
-    "merge_obs",
     "SharedCompactSnapshot",
-    "share_base",
     "shm_available",
+    "Sinks",
     "derive_trial_seed",
     "effective_workers",
     "resolve_workers",

@@ -5,21 +5,24 @@ every trial derives its own seed streams from ``(base_seed, labels)``
 via :func:`repro.util.rng.derive_seed`, so no trial reads generator
 state another trial advanced.  That makes fan-out safe — the only
 remaining source of nondeterminism would be merge order, which
-:func:`run_trials` eliminates by returning results in submission
-order regardless of completion order.
+:func:`run_trials` eliminates by returning results (and folding
+telemetry) in submission order regardless of completion order.
 
 Workers are OS processes (``ProcessPoolExecutor``), so trial functions
 and their arguments must be picklable **top-level** callables.  A
 worker raising propagates to the caller — a failed trial fails the
-experiment rather than silently dropping a repetition.
+experiment rather than silently dropping a repetition; a worker that
+dies outright surfaces as ``BrokenProcessPool``.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.perf.shm import share_base
 from repro.util.rng import derive_seed
 
 
@@ -55,6 +58,47 @@ def effective_workers(workers: int | None, config) -> int | None:
     return getattr(config, "workers", 1)
 
 
+@dataclass
+class Sinks:
+    """The :mod:`repro.obs` sinks a fanned-out runner writes to.
+
+    A runner hands its caller's sinks (``None`` for each kind that was
+    not asked for) to :func:`run_trials`; every trial receives *fresh*
+    sinks of the same kinds as its last argument and instruments
+    against them exactly as a standalone run would.  ``volatile``
+    carries machine-dependent facts (restore / shared-segment attach
+    timings) to the manifest's volatile section, never into rows.
+    """
+
+    metrics: object | None = None
+    tracer: object | None = None
+    event_trace: object | None = None
+    volatile: dict = field(default_factory=dict)
+
+    def fresh(self) -> "Sinks":
+        """Empty sinks of the same kinds, for one trial."""
+        from repro.obs import EventTrace, MetricsRegistry, SpanTracer
+
+        return Sinks(
+            MetricsRegistry() if self.metrics is not None else None,
+            SpanTracer() if self.tracer is not None else None,
+            EventTrace() if self.event_trace is not None else None,
+        )
+
+    def fold(self, trial: "Sinks") -> None:
+        """Merge one trial's sinks into these: counters and histograms
+        accumulate, gauges last-write-win, span and event ids continue
+        this tracer's / trace's numbering, volatile dicts append."""
+        if self.metrics is not None:
+            self.metrics.merge_from(trial.metrics)
+        if self.tracer is not None:
+            self.tracer.absorb(trial.tracer.finished)
+        if self.event_trace is not None:
+            self.event_trace.absorb(trial.event_trace)
+        if trial.volatile:
+            self.volatile.setdefault("trials", []).append(trial.volatile)
+
+
 #: Trial-visible shared payload installed by :func:`run_trials`; read
 #: it with :func:`shared_payload`.  In workers it is set once by the
 #: pool initializer; in the serial path it is set around the loop.
@@ -68,21 +112,26 @@ def _set_shared(payload) -> None:
 
 def shared_payload():
     """The ``shared=`` payload of the enclosing :func:`run_trials`
-    call, or ``None`` when the trial runs standalone.
-
-    Runners use this to ship one pickled base-overlay snapshot
-    (:mod:`repro.perf.snapshot`) to every worker instead of each trial
-    re-bootstrapping the overlay; trial functions must treat ``None``
-    as "build fresh" so they stay callable outside :func:`run_trials`.
-    """
+    call, or ``None`` when the trial runs standalone.  Trials read it
+    through :func:`repro.perf.snapshot.base_snapshot`, which answers
+    from it first and builds (and caches) only on a miss."""
     return _SHARED
+
+
+def _call(trial: Callable, args: tuple, sinks: Sinks | None):
+    """One trial; with sinks, they ride along as its last argument and
+    come back with the result (from a worker: pickled)."""
+    if sinks is None:
+        return trial(*args), None
+    return trial(*args, sinks), sinks
 
 
 def run_trials(
     trial: Callable,
     arglists: Sequence[tuple],
     workers: int | None = 1,
-    shared=None,
+    shared: dict | None = None,
+    sinks: Sinks | None = None,
 ) -> list:
     """Run ``trial(*args)`` for every ``args`` tuple, possibly in parallel.
 
@@ -91,25 +140,49 @@ def run_trials(
     parallel digest gate checks.  With an effective worker count of 1
     the trials run inline (no executor, no pickling).
 
-    ``shared`` is an optional read-only payload made visible to every
-    trial via :func:`shared_payload`: pickled once per worker process
-    (pool initializer) rather than once per trial, and restored around
-    the serial loop so both paths observe identical state.
+    ``shared`` maps base tokens to snapshots every trial may fork (via
+    :func:`repro.perf.snapshot.base_snapshot`): pickled once per worker
+    process (pool initializer) rather than once per trial, and
+    installed around the serial loop so both paths observe identical
+    state.  When a pool actually starts, every
+    :class:`~repro.perf.compact.CompactSnapshot` in it travels as a
+    shared-memory segment instead (:func:`repro.perf.shm.share_base`),
+    unlinked here however the fan-out ends; serial runs never publish.
+
+    With ``sinks``, each trial is called as ``trial(*args, fresh)``
+    with :meth:`Sinks.fresh` sinks, which are folded back into
+    ``sinks`` in submission order — for ``workers == 1`` too, so even
+    float accumulation grouping (histogram totals) is bit-identical
+    across worker counts.
     """
-    n = len(arglists)
-    w = resolve_workers(workers, n)
-    if w <= 1:
-        if shared is None:
-            return [trial(*args) for args in arglists]
-        prev = _SHARED
-        _set_shared(shared)
-        try:
-            return [trial(*args) for args in arglists]
-        finally:
-            _set_shared(prev)
-    pool_kwargs = {}
-    if shared is not None:
-        pool_kwargs = {"initializer": _set_shared, "initargs": (shared,)}
-    with ProcessPoolExecutor(max_workers=w, **pool_kwargs) as pool:
-        futures = [pool.submit(trial, *args) for args in arglists]
-        return [f.result() for f in futures]
+    jobs = [(trial, args, None if sinks is None else sinks.fresh())
+            for args in arglists]
+    w = resolve_workers(workers, len(jobs))
+    prev = _SHARED
+    published = []
+    try:
+        if w <= 1:
+            if shared is not None:
+                _set_shared(shared)
+            outcomes = [_call(*job) for job in jobs]
+        else:
+            if shared is not None:
+                shared, published = share_base(shared)
+            with ProcessPoolExecutor(
+                max_workers=w, initializer=_set_shared, initargs=(shared,)
+            ) as pool:
+                futures = [pool.submit(_call, *job) for job in jobs]
+                outcomes = [f.result() for f in futures]
+    finally:
+        _set_shared(prev)
+        for segment in published:
+            segment.unlink()
+    if sinks is not None:
+        for _, trial_sinks in outcomes:
+            sinks.fold(trial_sinks)
+        if published:
+            sinks.volatile["shared_memory"] = {
+                "segments": len(published),
+                "segment_nbytes": sum(s.nbytes for s in published),
+            }
+    return [result for result, _ in outcomes]

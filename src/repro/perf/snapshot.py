@@ -37,6 +37,7 @@ from repro.past.replication import ReplicatedStore
 from repro.past.storage import StoredObject
 from repro.pastry.network import PastryNetwork
 from repro.pastry.node import PastryNode
+from repro.perf.parallel import shared_payload
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -281,12 +282,18 @@ _SNAPSHOT_CACHE_LIMIT = 16
 
 
 def base_snapshot(token, build: Callable[[], "SystemSnapshot"]):
-    """Build-once cache for base snapshots, keyed by ``token``.
+    """The base snapshot for ``token``: from the enclosing
+    :func:`~repro.perf.parallel.run_trials` payload when it carries
+    one, else built once per process and cached.
 
     Runners key the token by everything that determines the base
-    system (seed, size, topology knobs); serial reps and same-process
-    workers then share one bootstrap per distinct base.
+    system (seed, size, topology knobs); serial reps, same-process
+    workers and every trial of a fan-out then share one bootstrap per
+    distinct base, and trials stay callable outside ``run_trials``.
     """
+    payload = shared_payload()
+    if payload and token in payload:
+        return payload[token]
     snap = _SNAPSHOT_CACHE.get(token)
     if snap is None:
         if len(_SNAPSHOT_CACHE) >= _SNAPSHOT_CACHE_LIMIT:

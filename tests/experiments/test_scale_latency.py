@@ -115,14 +115,6 @@ class TestTelemetry:
         assert len(arms) == TINY.num_seeds * (1 + len(TINY.tunnel_lengths))
         assert all(e.fields["completion"] == 1.0 for e in arms)
 
-    def test_telemetry_worker_independent(self, telemetry):
-        _, metrics, events = telemetry
-        m2 = MetricsRegistry()
-        e2 = EventTrace()
-        run_scale_latency(TINY, workers=2, metrics=m2, event_trace=e2)
-        assert m2.to_json() == metrics.to_json()
-        assert e2.to_jsonl() == events.to_jsonl()
-
 
 class TestSummarizeRows:
     def test_summary_keys(self):
@@ -152,21 +144,21 @@ class TestMillionKnobs:
     def test_million_config_shape(self):
         cfg = ScaleLatencyConfig.million()
         assert cfg.num_nodes == 1_000_000
-        assert cfg.use_shared_memory
         assert cfg.chunk_size is not None
         assert cfg.verify_routes > 0
 
     def test_rows_invariant_to_chunk_and_shm(self):
         flat = rows_digest(run_scale_latency(TINY))
-        knobs = dataclasses.replace(
-            TINY, chunk_size=13, use_shared_memory=True
-        )
-        assert rows_digest(run_scale_latency(knobs, workers=2)) == flat
+        # two workers: the base crosses as a shared-memory segment
+        volatile = {}
+        knobs = dataclasses.replace(TINY, chunk_size=13)
+        rows = run_scale_latency(knobs, workers=2, volatile_out=volatile)
+        assert volatile["shared_memory"]["segments"] == 1
+        assert rows_digest(rows) == flat
 
     def test_volatile_out_reports_restore_and_segments(self):
-        cfg = dataclasses.replace(TINY, use_shared_memory=True)
         volatile = {}
-        run_scale_latency(cfg, volatile_out=volatile)
+        run_scale_latency(TINY, workers=2, volatile_out=volatile)
         assert len(volatile["trials"]) == TINY.num_seeds
         segments = volatile["shared_memory"]
         assert segments["segments"] == 1

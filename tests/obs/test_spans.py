@@ -5,8 +5,6 @@ import json
 import pytest
 
 from repro.obs import (
-    NULL_TRACER,
-    NullTracer,
     PHASES,
     SpanContext,
     SpanTracer,
@@ -40,7 +38,6 @@ class TestIds:
         tr = SpanTracer()
         assert len(tr) == 0
         assert bool(tr)
-        assert not bool(NULL_TRACER)
 
 
 class TestContextPropagation:
@@ -243,23 +240,3 @@ class TestPhases:
 
     def test_all_phases_enumerated(self):
         assert set(PHASES) == {"crypto", "routing", "hint-probe", "repair", "other"}
-
-
-class TestNullTracer:
-    def test_falsy_and_absorbing(self):
-        nt = NullTracer()
-        assert not nt
-        span = nt.start_trace("x", a=1)
-        assert span.set(b=2) is span
-        assert nt.finish(span) is span
-        with nt.span("y") as s:
-            assert s.set_sim(0, 1) is s
-        assert len(nt) == 0
-        assert list(nt) == []
-        assert nt.traces() == {}
-        assert nt.chrome_events() == []
-
-    def test_dump_writes_empty_document(self, tmp_path):
-        path = tmp_path / "null.json"
-        assert NULL_TRACER.dump(path) == 0
-        assert json.loads(path.read_text())["traceEvents"] == []

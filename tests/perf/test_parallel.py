@@ -1,30 +1,49 @@
-"""Tests for repro.perf: the parallel executor, obs merge, and digests.
+"""Tests for repro.perf: the parallel executor, sink folding, and digests.
 
 The load-bearing property is the digest gate: a runner fanned over N
-worker processes must produce byte-identical canonical-JSON rows to a
-serial run.  These tests pin it for fig2 (the acceptance example) and
-the chaos harness across three worker counts, and unit-test the merge
-primitives the gate relies on.
+worker processes must produce byte-identical canonical-JSON rows — and
+identical metrics, spans and events — to a serial run.  These tests
+pin rows for fig2 (the acceptance example) and the chaos harness
+across three worker counts, telemetry for every runner that takes
+sinks, and unit-test the merge primitives the gate relies on.
 """
 
 from __future__ import annotations
 
+import inspect
+import os
+import signal
+import threading
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import shared_memory
+
 import pytest
 
-from repro.experiments.config import Fig2Config
+from repro.experiments.ablation import HintStalenessConfig, run_hint_staleness
+from repro.experiments.config import Fig2Config, Fig6Config
+from repro.experiments.durability import run_durability
 from repro.experiments.fig2_failures import run_fig2
+from repro.experiments.fig6_latency import run_fig6
+from repro.experiments.scale_churn import run_scale_churn
+from repro.experiments.scale_latency import run_scale_latency
+from repro.experiments.session_survival import (
+    SessionSurvivalConfig,
+    run_session_survival,
+)
 from repro.obs import EventTrace, MetricsRegistry, SpanTracer
 from repro.perf import (
+    CompactOverlay,
+    Sinks,
+    base_snapshot,
     canonical_json,
     derive_trial_seed,
     effective_workers,
-    merge_obs,
     resolve_workers,
     rows_digest,
     run_trials,
 )
-from repro.perf.merge import TrialObs
 from repro.util.rng import derive_seed
+from tests.experiments import test_durability, test_scale_churn, test_scale_latency
 
 WORKER_COUNTS = (1, 2, 3)
 
@@ -49,6 +68,13 @@ def _square(x):  # must be top-level: workers pickle it
 
 def _explode(x):
     raise ZeroDivisionError(x)
+
+
+def _count_into_sinks(rep, sinks):
+    assert sinks.tracer is None and sinks.event_trace is None
+    sinks.metrics.counter("trials").inc()
+    if rep % 2:
+        sinks.volatile["rep"] = rep
 
 
 class TestRunTrials:
@@ -169,15 +195,14 @@ class TestObsMerge:
         assert [e.kind for e in parent] == ["first", "second", "third"]
         assert list(parent.events("second"))[0].fields == {"x": 1}
 
-    def test_merge_obs_skips_none_payloads(self):
-        registry = MetricsRegistry()
-        worker = MetricsRegistry()
-        worker.counter("c").inc()
-        merge_obs(
-            [None, TrialObs(metrics=worker)],
-            metrics=registry,
-        )
-        assert registry.counter("c").value == 1
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_trial_sinks_mirror_the_kinds_asked_for(self, workers):
+        sinks = Sinks(metrics=MetricsRegistry())
+        run_trials(_count_into_sinks, [(i,) for i in range(4)], workers,
+                   sinks=sinks)
+        assert sinks.metrics.counter("trials").value == 4
+        # only odd trials reported volatile facts; the fold keeps order
+        assert sinks.volatile == {"trials": [{"rep": 1}, {"rep": 3}]}
 
 
 # ----------------------------------------------------------------------
@@ -217,21 +242,86 @@ class TestDigestGate:
         assert with_policy["policy"] == "resilient"
         assert baseline["policy"] == "baseline"
 
-    def test_fig6_obs_identical_across_worker_counts(self):
-        from repro.experiments.config import Fig6Config
-        from repro.experiments.fig6_latency import run_fig6
 
-        cfg = Fig6Config(network_sizes=(100,), transfers_per_size=3, num_seeds=2)
+# ----------------------------------------------------------------------
+# telemetry parity: every runner that takes sinks, serial vs 2 workers
+# ----------------------------------------------------------------------
+#: every runner that takes sinks, each on its test module's tiny config
+PARITY_CASES = {
+    "fig6": (run_fig6, Fig6Config(
+        network_sizes=(100,), transfers_per_size=3, num_seeds=2)),
+    "sessions": (run_session_survival, SessionSurvivalConfig.fast()),
+    "hints": (run_hint_staleness, HintStalenessConfig.fast()),
+    "durability": (run_durability, test_durability.TINY),
+    "scale-churn": (run_scale_churn, test_scale_churn.TINY),
+    "scale-latency": (run_scale_latency, test_scale_latency.TINY),
+}
 
-        def run(workers):
-            m, t, e = MetricsRegistry(), SpanTracer(), EventTrace()
-            rows = run_fig6(cfg, metrics=m, tracer=t, event_trace=e, workers=workers)
-            spans = [
-                (s.trace_id, s.span_id, s.parent_id, s.name, s.sim_start, s.sim_end)
-                for s in t.finished
-            ]
-            events = [(ev.seq, ev.kind, sorted(ev.fields.items())) for ev in e]
-            return rows_digest(rows), spans, events
 
-        runs = [run(w) for w in WORKER_COUNTS]
-        assert runs[0] == runs[1] == runs[2]
+def _observed_run(runner, config, workers):
+    metrics, events = MetricsRegistry(), EventTrace()
+    kwargs = {"metrics": metrics, "event_trace": events, "workers": workers}
+    tracer = None
+    if "tracer" in inspect.signature(runner).parameters:
+        tracer = kwargs["tracer"] = SpanTracer()
+    rows = runner(config, **kwargs)
+    spans = [
+        (s.trace_id, s.span_id, s.parent_id, s.name, s.sim_start, s.sim_end)
+        for s in (tracer.finished if tracer is not None else ())
+    ]
+    return {
+        "rows": rows_digest(rows),
+        "metrics": metrics.snapshot(),
+        "spans": spans,
+        "events": [(e.seq, e.kind, sorted(e.fields.items())) for e in events],
+    }
+
+
+class TestObsParity:
+    @pytest.mark.parametrize("name", PARITY_CASES)
+    def test_serial_equals_parallel(self, name):
+        runner, config = PARITY_CASES[name]
+        serial = _observed_run(runner, config, 1)
+        assert serial["metrics"] and serial["events"]
+        if "tracer" in inspect.signature(runner).parameters:
+            assert serial["spans"]
+        parallel = _observed_run(runner, config, 2)
+        for part in ("rows", "metrics", "spans", "events"):
+            assert parallel[part] == serial[part], part
+
+
+# ----------------------------------------------------------------------
+# worker death: prompt error, no leaked segment
+# ----------------------------------------------------------------------
+_DEATH_TOKEN = ("worker-death", 5, 64)
+
+
+def _die_holding_segment(marker):
+    snap = base_snapshot(_DEATH_TOKEN, lambda: None)
+    with open(marker, "w") as fh:
+        fh.write(snap.name)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestWorkerDeath:
+    def test_sigkilled_worker_raises_and_unlinks_its_segment(self, tmp_path):
+        snap = CompactOverlay.random(64, seed=5).snapshot()
+        marker = tmp_path / "segment"
+        outcome = []
+
+        def fan_out():
+            try:
+                run_trials(_die_holding_segment, [(str(marker),)] * 2, 2,
+                           shared={_DEATH_TOKEN: snap})
+            except Exception as exc:  # inspected below, off this thread
+                outcome.append(exc)
+
+        thread = threading.Thread(target=fan_out, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "run_trials hung on a dead worker"
+        assert len(outcome) == 1 and isinstance(outcome[0], BrokenProcessPool)
+        name = marker.read_text()
+        assert name
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
