@@ -17,6 +17,7 @@ import time
 
 from repro.experiments import Fig6Config, render_table, rows_to_csv, run_fig6
 from repro.obs import MetricsRegistry
+from repro.perf import Sinks
 
 from conftest import paper_scale
 
@@ -49,9 +50,9 @@ def test_bench_obs_overhead(benchmark, emit):
     registry = MetricsRegistry()
 
     bare = _best_of(lambda: run_fig6(config))
-    instrumented = _best_of(lambda: run_fig6(config, metrics=registry))
+    instrumented = _best_of(lambda: run_fig6(config, sinks=Sinks(registry)))
     benchmark.pedantic(
-        run_fig6, args=(config,), kwargs={"metrics": MetricsRegistry()},
+        run_fig6, args=(config,), kwargs={"sinks": Sinks(MetricsRegistry())},
         rounds=1, iterations=1,
     )
 

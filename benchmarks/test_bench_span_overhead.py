@@ -1,6 +1,6 @@
 """Span-tracing overhead bench: the bare vs the traced figure path.
 
-Tracing off is ``tracer=None`` — the bare run itself — so the one
+Tracing off is ``sinks=None`` — the bare run itself — so the one
 acceptance bar for :mod:`repro.obs.spans` is the cost of tracing *on*:
 Fig. 6 is the hot routing path the spans instrument, and a live
 :class:`~repro.obs.SpanTracer` recording every span there must cost
@@ -19,6 +19,7 @@ import time
 
 from repro.experiments import Fig6Config, render_table, rows_to_csv, run_fig6
 from repro.obs import SpanTracer
+from repro.perf import Sinks
 
 from conftest import paper_scale
 
@@ -63,11 +64,11 @@ def test_bench_span_overhead(benchmark, emit):
         # measurement noise, and the gate widens by it
         "bare_a": lambda: run_fig6(config),
         "bare_b": lambda: run_fig6(config),
-        "enabled": lambda: run_fig6(config, tracer=live),
+        "enabled": lambda: run_fig6(config, sinks=Sinks(tracer=live)),
     }
     best = _interleaved_best(variants)
     benchmark.pedantic(
-        run_fig6, args=(config,), kwargs={"tracer": SpanTracer()},
+        run_fig6, args=(config,), kwargs={"sinks": Sinks(tracer=SpanTracer())},
         rounds=1, iterations=1,
     )
 

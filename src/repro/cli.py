@@ -14,18 +14,24 @@ Usage::
 ``--fast`` runs the scaled-down configs (same shapes, ~100x quicker);
 without it the paper-scale parameters are used.
 
+Every runner takes its config plus whichever of ``workers``, ``sinks``
+(a :class:`repro.perf.Sinks`) and ``audit`` it uses.  A flag the one
+named runner has no argument for (``--metrics-out`` / ``--trace-out``
+need ``sinks``, ``--audit`` needs ``audit``, ``--workers`` above 1
+needs ``workers``) is a usage error; ``all`` / ``extensions`` apply
+each flag to the runners that take it.
+
 ``--metrics-out`` threads a :class:`repro.obs.MetricsRegistry` through
-every runner that supports it and writes the final snapshot (counters,
-gauges, per-hop latency histograms with p50/p95/p99) as JSON — plus a
-sibling ``.csv`` of tidy per-instrument rows.  ``--metrics-format``
-selects ``json`` (default), ``jsonl`` (one instrument per line, for
-log shippers), or ``openmetrics`` (Prometheus exposition text).
-``--audit`` enables
-:class:`repro.obs.InvariantAuditor` checks inside supporting runners
-(the run aborts on the first invariant violation).
+the runners' sinks and writes the final snapshot (counters, gauges,
+per-hop latency histograms with p50/p95/p99) as JSON — plus a sibling
+``.csv`` of tidy per-instrument rows.  ``--metrics-format`` selects
+``json`` (default), ``jsonl`` (one instrument per line, for log
+shippers), or ``openmetrics`` (Prometheus exposition text).
+``--audit`` enables :class:`repro.obs.InvariantAuditor` checks inside
+the runners (the run aborts on the first invariant violation).
 
 ``--trace-out`` threads a :class:`repro.obs.SpanTracer` (and an
-:class:`repro.obs.EventTrace`) through supporting runners and writes a
+:class:`repro.obs.EventTrace`) through the runners' sinks and writes a
 Chrome trace-event JSON — open it in Perfetto or ``chrome://tracing``
 — plus a sibling ``.events.jsonl`` of the structured event trace.
 ``--trace-redact`` applies the anonymity-aware redaction to the
@@ -57,6 +63,8 @@ import argparse
 import inspect
 import pathlib
 import sys
+import time
+from dataclasses import asdict, replace
 
 from repro.experiments import (
     ComparisonConfig,
@@ -132,18 +140,21 @@ _EXTENSIONS = {
 _ALL_RUNNERS = {**_FIGURES, **_EXTENSIONS}
 
 
+def _contract(runner) -> set[str]:
+    """The run-contract arguments a runner takes: a subset of
+    ``workers``, ``sinks`` and ``audit``."""
+    return set(inspect.signature(runner).parameters) - {"config"}
+
+
 def _run_one(
     name: str,
     fast: bool,
     seed: int | None,
-    metrics=None,
-    audit: bool = False,
-    tracer=None,
-    event_trace=None,
-    workers: int | None = None,
     million: bool = False,
-    volatile_out: dict | None = None,
+    **contract,
 ) -> tuple[list[dict], object]:
+    """Run one named runner, handing it whichever of the ``contract``
+    arguments (``workers`` / ``sinks`` / ``audit``) it takes."""
     config_cls, runner, _ = _ALL_RUNNERS[name]
     if million:
         if not hasattr(config_cls, "million"):
@@ -155,24 +166,65 @@ def _run_one(
     else:
         config = config_cls.fast() if fast else config_cls()
     if seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=seed)
-    kwargs = {}
-    params = inspect.signature(runner).parameters
-    if metrics is not None and "metrics" in params:
-        kwargs["metrics"] = metrics
-    if audit and "audit" in params:
-        kwargs["audit"] = True
-    if tracer is not None and "tracer" in params:
-        kwargs["tracer"] = tracer
-    if event_trace is not None and "event_trace" in params:
-        kwargs["event_trace"] = event_trace
-    if workers is not None and "workers" in params:
-        kwargs["workers"] = workers
-    if volatile_out is not None and "volatile_out" in params:
-        kwargs["volatile_out"] = volatile_out
+    takes = _contract(runner)
+    kwargs = {key: value for key, value in contract.items() if key in takes}
     return runner(config, **kwargs), config
+
+
+def _refused_flags(name: str, args) -> list[str]:
+    """The flags of ``args`` that runner ``name`` has no argument for."""
+    takes = _contract(_ALL_RUNNERS[name][1])
+    asked = {
+        "--metrics-out": (args.metrics_out is not None, "sinks"),
+        "--trace-out": (args.trace_out is not None, "sinks"),
+        "--audit": (args.audit, "audit"),
+        "--workers": (args.workers not in (None, 0, 1), "workers"),
+    }
+    return [flag for flag, (wanted, param) in asked.items()
+            if wanted and param not in takes]
+
+
+def _write_run_manifest(
+    command: str,
+    manifest_out: pathlib.Path | None,
+    written: list[tuple[pathlib.Path, str, bool]],
+    *,
+    started: float,
+    workers: int | None,
+    argv: list[str],
+    volatile: dict | None = None,
+    **core,
+) -> None:
+    """Write the run ledger for ``written`` (``(path, kind, volatile)``
+    artifacts): to ``manifest_out``, else beside the first artifact —
+    no artifacts, no manifest.  ``core`` goes to
+    :func:`repro.obs.manifest.build_manifest`; ``volatile`` joins the
+    wall time, timestamp, worker count and argv outside the digest."""
+    path = manifest_out
+    if path is None and written:
+        path = written[0][0].parent / "manifest.json"
+    if path is None:
+        return
+    from repro.obs.manifest import artifact_entry, build_manifest, write_manifest
+
+    manifest = build_manifest(
+        command,
+        artifacts=[
+            artifact_entry(artifact, kind, volatile=changes, base=path.parent)
+            for artifact, kind, changes in written
+        ],
+        volatile={
+            "wall_time_s": round(time.perf_counter() - started, 6),
+            "timestamp": time.time(),
+            "workers": workers,
+            "argv": list(argv),
+            **(volatile or {}),
+        },
+        **core,
+    )
+    manifest = write_manifest(manifest, path)
+    print(f"wrote {path} (digest {manifest['digest'][:16]}...)")
 
 
 def _row_summary(name: str, rows: list[dict], config=None) -> dict:
@@ -291,8 +343,6 @@ def _chaos_main(argv: list[str]) -> int:
                              "identical for any value")
     args = parser.parse_args(argv)
 
-    from dataclasses import replace
-
     from repro.faults import (
         NAMED_PLANS,
         ChaosConfig,
@@ -327,8 +377,6 @@ def _chaos_main(argv: list[str]) -> int:
     if overrides:
         config = replace(config, **overrides)
 
-    import time
-
     t0 = time.perf_counter()
     # The policy run, the no-policy baseline, and the determinism
     # replay are independent deterministic runs — one job list, fanned
@@ -351,58 +399,36 @@ def _chaos_main(argv: list[str]) -> int:
     print(render_table(rows, title=f"chaos '{plan.name}': per-session health"))
     print(availability_report(report, baseline=baseline))
 
-    written: list[tuple[pathlib.Path, str]] = []
+    written: list[tuple[pathlib.Path, str, bool]] = []
     if args.report_out is not None:
         args.report_out.parent.mkdir(parents=True, exist_ok=True)
         args.report_out.write_text(canonical_json(report))
         print(f"wrote {args.report_out}")
-        written.append((args.report_out, "chaos-report"))
+        written.append((args.report_out, "chaos-report", False))
     if args.events_out is not None:
         args.events_out.parent.mkdir(parents=True, exist_ok=True)
         args.events_out.write_text(report["events_jsonl"])
         print(f"wrote {args.events_out}")
-        written.append((args.events_out, "events"))
+        written.append((args.events_out, "events", False))
 
-    manifest_path = args.manifest_out
-    if manifest_path is None and written:
-        manifest_path = written[0][0].parent / "manifest.json"
-    if manifest_path is not None:
-        from repro.obs.manifest import (
-            artifact_entry,
-            build_manifest,
-            config_dict,
-            write_manifest,
-        )
+    def _arm(rep):
+        return {
+            "rows": len(rep["rows"]),
+            "digest": rep["digest"],
+            "summary": dict(rep["summary"]),
+        }
 
-        def _arm(rep):
-            return {
-                "rows": len(rep["rows"]),
-                "digest": rep["digest"],
-                "summary": dict(rep["summary"]),
-            }
-
-        results = {"chaos": _arm(report)}
-        if baseline is not None:
-            results["chaos-baseline"] = _arm(baseline)
-        manifest = build_manifest(
-            f"chaos {plan.name}",
-            configs={"chaos": config_dict(config)},
-            results=results,
-            seed=config.seed,
-            artifacts=[
-                artifact_entry(path, kind, base=manifest_path.parent)
-                for path, kind in written
-            ],
-            extra={"plan": plan.name, "baseline": not args.no_baseline},
-            volatile={
-                "wall_time_s": round(time.perf_counter() - t0, 6),
-                "timestamp": time.time(),
-                "workers": args.workers,
-                "argv": list(argv),
-            },
-        )
-        manifest = write_manifest(manifest, manifest_path)
-        print(f"wrote {manifest_path} (digest {manifest['digest'][:16]}...)")
+    arms = {"chaos": _arm(report)}
+    if baseline is not None:
+        arms["chaos-baseline"] = _arm(baseline)
+    _write_run_manifest(
+        f"chaos {plan.name}", args.manifest_out, written,
+        started=t0, workers=args.workers, argv=argv,
+        configs={"chaos": asdict(config)},
+        results=arms,
+        seed=config.seed,
+        extra={"plan": plan.name, "baseline": not args.no_baseline},
+    )
 
     if args.assert_deterministic:
         if replay["digest"] != report["digest"]:
@@ -548,9 +574,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the experiment seed")
     parser.add_argument("--csv", type=pathlib.Path, default=None,
-                        help="also write rows as CSV to this path")
+                        help="also write one runner's rows as CSV to this "
+                             "path (groups: use --outdir)")
     parser.add_argument("--outdir", type=pathlib.Path, default=None,
-                        help="with 'all': write one CSV per figure here")
+                        help="write one CSV per runner here")
     parser.add_argument("--metrics-out", type=pathlib.Path, default=None,
                         help="write a repro.obs metrics snapshot (default "
                              "JSON plus a sibling .csv of per-instrument "
@@ -566,7 +593,7 @@ def main(argv: list[str] | None = None) -> int:
                              "manifest.json next to the first artifact "
                              "written; no artifacts, no manifest)")
     parser.add_argument("--audit", action="store_true",
-                        help="run invariant audits inside supporting runners "
+                        help="run invariant audits inside the runners "
                              "(abort on the first violation)")
     parser.add_argument("--trace-out", type=pathlib.Path, default=None,
                         help="write a repro.obs span trace (Chrome trace-event "
@@ -586,28 +613,25 @@ def main(argv: list[str] | None = None) -> int:
                              "determinism contract")
     args = parser.parse_args(argv)
 
-    metrics = None
-    if args.metrics_out is not None:
-        from repro.obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
-    tracer = event_trace = None
-    if args.trace_out is not None:
-        from repro.obs import EventTrace, SpanTracer
-
-        tracer = SpanTracer()
-        event_trace = EventTrace()
-
     if args.figure == "all":
         names = list(_FIGURES)
     elif args.figure == "extensions":
         names = list(_EXTENSIONS)
     else:
         names = [args.figure]
-    import time
+        refused = _refused_flags(args.figure, args)
+        if refused:
+            parser.error(f"{args.figure} takes no {', '.join(refused)}")
+    if args.csv is not None and len(names) > 1:
+        parser.error(f"--csv writes one runner's rows; use --outdir with "
+                     f"{args.figure!r} (one CSV per runner)")
 
-    from repro.perf import rows_digest
+    from repro.obs import EventTrace, MetricsRegistry, SpanTracer
+    from repro.perf import Sinks, rows_digest
 
+    metrics = MetricsRegistry() if args.metrics_out is not None else None
+    tracer = SpanTracer() if args.trace_out is not None else None
+    event_trace = EventTrace() if args.trace_out is not None else None
     t0 = time.perf_counter()
     written: list[tuple[pathlib.Path, str, bool]] = []  # (path, kind, volatile)
     configs: dict = {}
@@ -615,14 +639,14 @@ def main(argv: list[str] | None = None) -> int:
     runner_volatile: dict = {}
     run_seed = args.seed
     for name in names:
-        one_volatile: dict = {}
-        rows, config = _run_one(name, args.fast, args.seed,
-                                metrics=metrics, audit=args.audit,
-                                tracer=tracer, event_trace=event_trace,
-                                workers=args.workers, million=args.million,
-                                volatile_out=one_volatile)
-        if one_volatile:
-            runner_volatile[name] = one_volatile
+        # one Sinks per runner: shared registry / tracer / event trace,
+        # the runner's own volatile timings
+        sinks = Sinks(metrics, tracer, event_trace)
+        rows, config = _run_one(name, args.fast, args.seed, args.million,
+                                workers=args.workers, sinks=sinks,
+                                audit=args.audit)
+        if sinks.volatile:
+            runner_volatile[name] = sinks.volatile
         _, _, description = _ALL_RUNNERS[name]
         print(render_table(rows, title=f"{name}: {description}"))
         print(f"{name} rows digest: {rows_digest(rows)}")
@@ -630,8 +654,7 @@ def main(argv: list[str] | None = None) -> int:
             # The replay runs without telemetry on purpose: rows must
             # be identical with instrumentation on or off.
             replay_rows, _ = _run_one(name, args.fast, args.seed,
-                                      workers=args.workers,
-                                      million=args.million)
+                                      args.million, workers=args.workers)
             if rows_digest(replay_rows) != rows_digest(rows):
                 print(
                     f"DETERMINISM VIOLATION: {name} replay digest "
@@ -640,9 +663,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 return 3
             print(f"{name} deterministic replay ok")
-        from repro.obs.manifest import config_dict
-
-        configs[name] = config_dict(config)
+        configs[name] = asdict(config)
         results[name] = {
             "rows": len(rows),
             "digest": rows_digest(rows),
@@ -650,7 +671,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         if run_seed is None:
             run_seed = getattr(config, "seed", None)
-        if args.csv is not None and len(names) == 1:
+        if args.csv is not None:
             args.csv.parent.mkdir(parents=True, exist_ok=True)
             args.csv.write_text(rows_to_csv(rows))
             print(f"wrote {args.csv}")
@@ -681,41 +702,18 @@ def main(argv: list[str] | None = None) -> int:
         written.append((args.trace_out, "trace", True))
         written.append((events_path, "events", False))
 
-    manifest_path = args.manifest_out
-    if manifest_path is None and written:
-        manifest_path = written[0][0].parent / "manifest.json"
-    if manifest_path is not None:
-        from repro.obs.manifest import (
-            artifact_entry,
-            build_manifest,
-            write_manifest,
-        )
-
-        manifest = build_manifest(
-            f"run {args.figure}",
-            configs=configs,
-            results=results,
-            seed=run_seed,
-            artifacts=[
-                artifact_entry(path, kind, volatile=volatile,
-                               base=manifest_path.parent)
-                for path, kind, volatile in written
-            ],
-            extra={"fast": bool(args.fast), "audit": bool(args.audit),
-                   "million": bool(args.million)},
-            volatile={
-                "wall_time_s": round(time.perf_counter() - t0, 6),
-                "timestamp": time.time(),
-                "workers": args.workers,
-                "argv": list(argv),
-                # per-runner machine timings (e.g. per-worker snapshot
-                # restore / shared-segment attach); volatile is outside
-                # the manifest's core digest by construction
-                **({"runners": runner_volatile} if runner_volatile else {}),
-            },
-        )
-        manifest = write_manifest(manifest, manifest_path)
-        print(f"wrote {manifest_path} (digest {manifest['digest'][:16]}...)")
+    _write_run_manifest(
+        f"run {args.figure}", args.manifest_out, written,
+        started=t0, workers=args.workers, argv=argv,
+        # per-runner machine timings (e.g. per-worker snapshot restore /
+        # shared-segment attach); volatile is outside the core digest
+        volatile={"runners": runner_volatile} if runner_volatile else None,
+        configs=configs,
+        results=results,
+        seed=run_seed,
+        extra={"fast": bool(args.fast), "audit": bool(args.audit),
+               "million": bool(args.million)},
+    )
     return 0
 
 

@@ -5,10 +5,16 @@ rows (one dict per plotted point, including the matching closed-form
 expectation where one exists) plus a module-level default config at
 paper scale and a ``fast()`` config for CI-sized runs.  The rows are
 rendered into the paper's series by :mod:`repro.experiments.runner`.
+
+Runners share one contract: ``run_x(config, workers=None, sinks=None)``
+plus ``audit`` where the runner audits, each argument only where the
+runner uses it.  ``workers`` fans trials out (rows are identical for
+any value) and ``sinks`` is a :class:`repro.perf.Sinks` carrying the
+caller's metrics registry, span tracer, event trace and volatile
+timings.  Configs hold science parameters only.
 """
 
 from repro.experiments.config import (
-    ExperimentConfig,
     Fig2Config,
     Fig3Config,
     Fig4Config,
@@ -56,7 +62,6 @@ from repro.experiments.runner import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "Fig2Config",
     "Fig3Config",
     "Fig4Config",

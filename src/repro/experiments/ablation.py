@@ -21,13 +21,12 @@ import numpy as np
 
 from repro.analysis.idspace import IdSpaceModel, replica_table
 from repro.analysis.theory import tunnel_corruption_prob, tunnel_failure_prob_tap
-from repro.experiments.config import ExperimentConfig
-from repro.perf import Sinks, base_snapshot, effective_workers, run_trials
+from repro.perf import Sinks, base_snapshot, run_trials
 from repro.util.rng import SeedSequenceFactory
 
 
 @dataclass(frozen=True)
-class TradeoffConfig(ExperimentConfig):
+class TradeoffConfig:
     num_nodes: int = 10_000
     num_tunnels: int = 2_000
     failure_fraction: float = 0.3
@@ -92,13 +91,13 @@ def run_tradeoff(
     columns = run_trials(
         _tradeoff_trial,
         [(config, length) for length in config.tunnel_lengths],
-        effective_workers(workers, config),
+        workers,
     )
     return [row for column in columns for row in column]
 
 
 @dataclass(frozen=True)
-class HintStalenessConfig(ExperimentConfig):
+class HintStalenessConfig:
     num_nodes: int = 300
     tunnels: int = 12
     tunnel_length: int = 3
@@ -180,11 +179,9 @@ def _hint_staleness_level(
 
 def run_hint_staleness(
     config: HintStalenessConfig = HintStalenessConfig(),
-    metrics=None,
-    audit: bool = False,
-    tracer=None,
-    event_trace=None,
     workers: int | None = None,
+    sinks: Sinks | None = None,
+    audit: bool = False,
 ) -> list[dict]:
     """Object-level: form hinted tunnels, churn, measure hint failures.
 
@@ -192,25 +189,24 @@ def run_hint_staleness(
     are formed, the overlay churns (fail+join with repair), and every
     tunnel is exercised.  Reported per level: fraction of hops whose
     hint failed, and mean underlying hops (the latency driver).
-    ``metrics``/``audit``/``tracer``/``event_trace`` thread a
-    :mod:`repro.obs` registry, post-event invariant audits, and span /
-    event tracing through every system built.  ``workers`` fans the
-    (independent) churn levels out over processes; rows and obs are
-    identical for any worker count.
+    ``sinks`` and ``audit`` thread a :mod:`repro.obs` registry, span /
+    event tracing and post-event invariant audits through every system
+    built.  ``workers`` fans the (independent) churn levels out over
+    processes; rows and obs are identical for any worker count.
     """
     token = _hints_base_token(config)
     bases = {token: base_snapshot(token, lambda: _hints_base_build(config))}
     return run_trials(
         _hint_staleness_level,
         [(config, churn, audit) for churn in config.churn_steps],
-        effective_workers(workers, config),
+        workers,
         shared=bases,
-        sinks=Sinks(metrics, tracer, event_trace),
+        sinks=Sinks() if sinks is None else sinks,
     )
 
 
 @dataclass(frozen=True)
-class ScatterConfig(ExperimentConfig):
+class ScatterConfig:
     num_nodes: int = 500
     num_tunnels: int = 3_000
     tunnel_length: int = 5

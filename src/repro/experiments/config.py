@@ -7,7 +7,7 @@ shape (who wins, monotonicity, knees) at ~100× less work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 def _frange(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -20,21 +20,7 @@ def _frange(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Execution knobs shared by every experiment config.
-
-    ``workers`` is the process count for independent trials (Monte-
-    Carlo repetitions, sweep points): 1 runs serially, N fans out over
-    N processes, negative means "all cores".  Results are *identical*
-    for any value — see :mod:`repro.perf` — so it is an execution
-    detail, kept keyword-only to stay out of the science parameters.
-    """
-
-    workers: int = field(default=1, kw_only=True)
-
-
-@dataclass(frozen=True)
-class Fig2Config(ExperimentConfig):
+class Fig2Config:
     """Tunnel failure rate vs simultaneous node failure fraction."""
 
     num_nodes: int = 10_000
@@ -52,7 +38,7 @@ class Fig2Config(ExperimentConfig):
 
 
 @dataclass(frozen=True)
-class Fig3Config(ExperimentConfig):
+class Fig3Config:
     """Corrupted tunnel rate vs malicious node fraction (k = 3)."""
 
     num_nodes: int = 10_000
@@ -70,7 +56,7 @@ class Fig3Config(ExperimentConfig):
 
 
 @dataclass(frozen=True)
-class Fig4Config(ExperimentConfig):
+class Fig4Config:
     """Corruption vs replication factor (a) and tunnel length (b), p = 0.1."""
 
     num_nodes: int = 10_000
@@ -90,7 +76,7 @@ class Fig4Config(ExperimentConfig):
 
 
 @dataclass(frozen=True)
-class Fig5Config(ExperimentConfig):
+class Fig5Config:
     """Corruption over time under benign churn, refreshed vs not (k = 3)."""
 
     num_nodes: int = 10_000
@@ -110,7 +96,7 @@ class Fig5Config(ExperimentConfig):
 
 
 @dataclass(frozen=True)
-class Fig6Config(ExperimentConfig):
+class Fig6Config:
     """Transfer latency vs network size: overt vs TAP basic/optimised."""
 
     network_sizes: tuple[int, ...] = (100, 500, 1_000, 2_000, 5_000, 10_000)
@@ -134,7 +120,7 @@ class Fig6Config(ExperimentConfig):
 
 
 @dataclass(frozen=True)
-class ScaleChurnConfig(ExperimentConfig):
+class ScaleChurnConfig:
     """Replica-set survival under churn at 10^5 nodes (compact engine).
 
     Runs on :class:`repro.perf.compact.CompactOverlay` — the whole
@@ -188,7 +174,7 @@ class ScaleChurnConfig(ExperimentConfig):
 
 
 @dataclass(frozen=True)
-class ScaleLatencyConfig(ExperimentConfig):
+class ScaleLatencyConfig:
     """Fig6-class direct-vs-tunnel latency at 10^5 nodes (batched plane).
 
     Runs entirely on the vectorised packet plane
@@ -235,7 +221,7 @@ class ScaleLatencyConfig(ExperimentConfig):
 
 
 @dataclass(frozen=True)
-class DurabilityConfig(ExperimentConfig):
+class DurabilityConfig:
     """k-replication vs (k,n) erasure coding under a chaos plan.
 
     Both arms replay the *same* membership and at-rest fault schedule

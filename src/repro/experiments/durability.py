@@ -48,7 +48,7 @@ from repro.past.erasure import ErasureStore
 from repro.past.replication import ReplicatedStore
 from repro.past.storage import StorageError
 from repro.pastry.network import PastryNetwork
-from repro.perf import Sinks, effective_workers, run_trials
+from repro.perf import Sinks, run_trials
 from repro.obs.metrics import MetricsRegistry
 from repro.util.rng import SeedSequenceFactory, derive_seed
 
@@ -231,13 +231,12 @@ def _durability_trial(
 def run_durability(
     config: DurabilityConfig = DurabilityConfig(),
     workers: int | None = None,
-    metrics=None,
-    event_trace=None,
+    sinks: Sinks | None = None,
 ) -> list[dict]:
     """The durability runner; (rep, backend) trials fan out over
     ``workers``.  Rows are identical for any worker count; the
-    per-trial accounting registries merge into ``metrics`` in trial
-    order, so the merged telemetry is too.
+    per-trial accounting registries merge into ``sinks.metrics`` in
+    trial order, so the merged telemetry is too.
 
     Raises ``ValueError`` for a plan with message faults, partitions or
     a Byzantine spec: only node and at-rest storage events are applied
@@ -261,8 +260,8 @@ def run_durability(
             for rep in range(config.num_seeds)
             for backend in BACKENDS
         ],
-        effective_workers(workers, config),
-        sinks=Sinks(metrics, None, event_trace),
+        workers,
+        sinks=Sinks() if sinks is None else sinks,
     )
     return [row for rows in results for row in rows]
 

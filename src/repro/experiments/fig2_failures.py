@@ -21,7 +21,7 @@ from repro.analysis.theory import (
     tunnel_failure_prob_tap,
 )
 from repro.experiments.config import Fig2Config
-from repro.perf import effective_workers, run_trials
+from repro.perf import run_trials
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -83,7 +83,7 @@ def run_fig2(
     partials = run_trials(
         _fig2_trial,
         [(config, rep) for rep in range(config.num_seeds)],
-        effective_workers(workers, config),
+        workers,
     )
     acc: dict[tuple[float, str], list[float]] = {}
     for partial in partials:

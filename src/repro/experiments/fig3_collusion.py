@@ -13,7 +13,7 @@ import numpy as np
 from repro.analysis.idspace import IdSpaceModel
 from repro.analysis.theory import tunnel_corruption_prob
 from repro.experiments.config import Fig3Config
-from repro.perf import effective_workers, run_trials
+from repro.perf import run_trials
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -70,7 +70,7 @@ def run_fig3(
     partials = run_trials(
         _fig3_trial,
         [(config, rep) for rep in range(config.num_seeds)],
-        effective_workers(workers, config),
+        workers,
     )
     acc: dict[float, list[float]] = {}
     for partial in partials:

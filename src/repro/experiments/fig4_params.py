@@ -17,7 +17,7 @@ from repro.analysis.idspace import IdSpaceModel
 from repro.analysis.theory import tunnel_corruption_prob
 from repro.experiments.config import Fig4Config
 from repro.experiments.fig3_collusion import corruption_fraction
-from repro.perf import effective_workers, run_trials
+from repro.perf import run_trials
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -68,7 +68,7 @@ def _gather(trial, config: Fig4Config, workers: int | None) -> dict[int, list[fl
     partials = run_trials(
         trial,
         [(config, rep) for rep in range(config.num_seeds)],
-        effective_workers(workers, config),
+        workers,
     )
     acc: dict[int, list[float]] = {}
     for partial in partials:

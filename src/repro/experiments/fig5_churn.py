@@ -27,7 +27,7 @@ import numpy as np
 from repro.analysis.idspace import IdSpaceModel
 from repro.analysis.theory import tunnel_corruption_prob
 from repro.experiments.config import Fig5Config
-from repro.perf import effective_workers, run_trials
+from repro.perf import run_trials
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -89,7 +89,7 @@ def run_fig5(
     partials = run_trials(
         _fig5_trial,
         [(config, rep) for rep in range(config.num_seeds)],
-        effective_workers(workers, config),
+        workers,
     )
     per_time: dict[tuple[int, str], list[float]] = {}
     for partial in partials:

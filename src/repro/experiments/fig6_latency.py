@@ -27,7 +27,7 @@ import numpy as np
 from repro.analysis.theory import expected_route_hops
 from repro.experiments.config import Fig6Config
 from repro.pastry.network import PastryNetwork
-from repro.perf import Sinks, base_snapshot, effective_workers, run_trials
+from repro.perf import Sinks, base_snapshot, run_trials
 from repro.simnet.topology import Topology
 from repro.simnet.transport import TransferModel, path_transfer_time
 from repro.util.ids import random_id
@@ -230,26 +230,24 @@ def _fig6_leg(
 
 def run_fig6(
     config: Fig6Config = Fig6Config(),
-    metrics=None,
-    audit: bool = False,
-    tracer=None,
-    event_trace=None,
     workers: int | None = None,
+    sinks: Sinks | None = None,
+    audit: bool = False,
 ) -> list[dict]:
     """Generate the Figure-6 rows.
 
-    ``metrics`` (a :class:`repro.obs.MetricsRegistry`) additionally
-    accumulates per-link latency and per-transfer time histograms —
-    the paper's latency data as a first-class artifact.  ``audit``
-    runs the :class:`repro.obs.InvariantAuditor` on every overlay
-    built, raising on violations.
+    ``sinks.metrics`` (a :class:`repro.obs.MetricsRegistry`)
+    additionally accumulates per-link latency and per-transfer time
+    histograms — the paper's latency data as a first-class artifact.
+    ``audit`` runs the :class:`repro.obs.InvariantAuditor` on every
+    overlay built, raising on violations.
 
-    ``tracer`` (a :class:`repro.obs.SpanTracer`) records one trace per
-    transfer per scheme on the *simulated* clock: a ``tap.request``
-    root whose child legs carry their store-and-forward transfer time
-    and sum exactly to the root's end-to-end duration.  ``event_trace``
-    (an :class:`repro.obs.EventTrace`) records one ``fig6.transfer``
-    event per trace.
+    ``sinks.tracer`` (a :class:`repro.obs.SpanTracer`) records one
+    trace per transfer per scheme on the *simulated* clock: a
+    ``tap.request`` root whose child legs carry their store-and-forward
+    transfer time and sum exactly to the root's end-to-end duration.
+    ``sinks.event_trace`` (an :class:`repro.obs.EventTrace`) records
+    one ``fig6.transfer`` event per trace.
 
     ``workers`` fans the (repetition, network size) cells out over
     processes; rows, metrics, spans, and events are identical for any
@@ -271,9 +269,9 @@ def run_fig6(
             for rep in range(config.num_seeds)
             for n_nodes in config.network_sizes
         ],
-        effective_workers(workers, config),
+        workers,
         shared=bases,
-        sinks=Sinks(metrics, tracer, event_trace),
+        sinks=Sinks() if sinks is None else sinks,
     )
 
     acc: dict[tuple[int, str], list[float]] = {}

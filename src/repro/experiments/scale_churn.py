@@ -47,7 +47,7 @@ import time
 import numpy as np
 
 from repro.experiments.config import ScaleChurnConfig
-from repro.perf import Sinks, base_snapshot, effective_workers, run_trials
+from repro.perf import Sinks, base_snapshot, run_trials
 from repro.perf.compact import CompactOverlay
 from repro.util.rng import SeedSequenceFactory
 
@@ -277,9 +277,7 @@ def _churn_trial(
 def run_scale_churn(
     config: ScaleChurnConfig = ScaleChurnConfig(),
     workers: int | None = None,
-    metrics=None,
-    event_trace=None,
-    volatile_out: dict | None = None,
+    sinks: Sinks | None = None,
 ) -> list[dict]:
     """The scale-churn runner; trials fan out over ``workers``.
 
@@ -288,25 +286,22 @@ def run_scale_churn(
     of re-bootstrapping, and under a process pool the arrays travel as
     one named shared-memory segment (metadata-only pickle, pages mapped
     on first touch), so at 10^6 nodes a 17 MB per-worker copy becomes
-    a shared mapping.  Pass a ``metrics`` registry / ``event_trace`` to
-    collect the sampled telemetry described in the module docstring;
-    trial-local copies are folded back in trial order, so the merged
-    state is identical for any ``workers`` value.  ``volatile_out`` (a
-    dict) receives machine-dependent timings — per-trial restore and
-    shared-segment attach cost — for the run manifest's volatile
-    section.
+    a shared mapping.  Pass ``sinks`` with a ``metrics`` registry /
+    ``event_trace`` to collect the sampled telemetry described in the
+    module docstring; trial-local copies are folded back in trial
+    order, so the merged state is identical for any ``workers`` value.
+    ``sinks.volatile`` receives machine-dependent timings — per-trial
+    restore and shared-segment attach cost — for the run manifest's
+    volatile section.
     """
     token = _base_token(config)
-    sinks = Sinks(metrics, None, event_trace)
     results = run_trials(
         _churn_trial,
         [(config, rep) for rep in range(config.num_seeds)],
-        effective_workers(workers, config),
+        workers,
         shared={token: base_snapshot(token, lambda: _base_build(config))},
-        sinks=sinks,
+        sinks=Sinks() if sinks is None else sinks,
     )
-    if volatile_out is not None:
-        volatile_out.update(sinks.volatile)
     return [row for rows in results for row in rows]
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.experiments.config import ScaleLatencyConfig
 from repro.experiments.scale_churn import _fresh_ids, _observe_samples
-from repro.perf import Sinks, base_snapshot, effective_workers, run_trials
+from repro.perf import Sinks, base_snapshot, run_trials
 from repro.perf.compact import CompactOverlay
 from repro.perf.packet import latency_sums
 from repro.util.rng import SeedSequenceFactory
@@ -208,9 +208,7 @@ def _latency_trial(
 def run_scale_latency(
     config: ScaleLatencyConfig = ScaleLatencyConfig(),
     workers: int | None = None,
-    metrics=None,
-    event_trace=None,
-    volatile_out: dict | None = None,
+    sinks: Sinks | None = None,
 ) -> list[dict]:
     """The scale-latency runner; trials fan out over ``workers``.
 
@@ -218,21 +216,18 @@ def run_scale_latency(
     ships to workers once (as a shared-memory segment under a process
     pool), per-rep seed streams make rows identical for any
     ``workers`` value, and telemetry folds back in trial order.
-    ``volatile_out`` receives per-trial restore/attach timings (and the
-    segment count when one was published) for the manifest's volatile
-    section.
+    ``sinks.volatile`` receives per-trial restore/attach timings (and
+    the segment count when one was published) for the manifest's
+    volatile section.
     """
     token = _base_token(config)
-    sinks = Sinks(metrics, None, event_trace)
     results = run_trials(
         _latency_trial,
         [(config, rep) for rep in range(config.num_seeds)],
-        effective_workers(workers, config),
+        workers,
         shared={token: base_snapshot(token, lambda: _base_build(config))},
-        sinks=sinks,
+        sinks=Sinks() if sinks is None else sinks,
     )
-    if volatile_out is not None:
-        volatile_out.update(sinks.volatile)
     return [row for rows in results for row in rows]
 
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from repro.baselines.fixed_tunnel import form_fixed_tunnel
 from repro.core.session import SessionServer, TapSession
 from repro.core.system import TapSystem
-from repro.experiments.config import ExperimentConfig
-from repro.perf import Sinks, base_snapshot, effective_workers, run_trials
+from repro.perf import Sinks, base_snapshot, run_trials
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -37,7 +36,7 @@ def _base_build(config: SessionSurvivalConfig):
 
 
 @dataclass(frozen=True)
-class SessionSurvivalConfig(ExperimentConfig):
+class SessionSurvivalConfig:
     num_nodes: int = 300
     sessions: int = 6
     requests_per_session: int = 12
@@ -163,25 +162,23 @@ def _survival_level(
 
 def run_session_survival(
     config: SessionSurvivalConfig = SessionSurvivalConfig(),
-    metrics=None,
-    audit: bool = False,
-    tracer=None,
-    event_trace=None,
     workers: int | None = None,
+    sinks: Sinks | None = None,
+    audit: bool = False,
 ) -> list[dict]:
-    """The churn runner.  ``metrics``/``audit``/``tracer``/
-    ``event_trace`` thread :mod:`repro.obs` instrumentation through
-    every system built — with a tracer, each session request becomes a
-    ``session.request`` span tree covering its tunnel traversals and
-    any ``session.reform`` repairs.  Each churn level is independent
-    (its own overlay and labelled rng streams), so ``workers`` fans the
-    levels out over processes with identical rows and obs."""
+    """The churn runner.  ``sinks`` and ``audit`` thread
+    :mod:`repro.obs` instrumentation through every system built — with
+    a tracer, each session request becomes a ``session.request`` span
+    tree covering its tunnel traversals and any ``session.reform``
+    repairs.  Each churn level is independent (its own overlay and
+    labelled rng streams), so ``workers`` fans the levels out over
+    processes with identical rows and obs."""
     token = _base_token(config)
     bases = {token: base_snapshot(token, lambda: _base_build(config))}
     return run_trials(
         _survival_level,
         [(config, churn, audit) for churn in config.failures_per_request],
-        effective_workers(workers, config),
+        workers,
         shared=bases,
-        sinks=Sinks(metrics, tracer, event_trace),
+        sinks=Sinks() if sinks is None else sinks,
     )

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from repro.core.resilience import ResiliencePolicy
 from repro.core.session import SessionServer, TapSession
 from repro.core.system import TapSystem
-from repro.experiments.config import ExperimentConfig
 from repro.faults.plan import FaultPlan
 from repro.obs import EventTrace
 from repro.util.rng import SeedSequenceFactory
@@ -46,7 +45,7 @@ def _chaos_base_build(config: ChaosConfig):
 
 
 @dataclass(frozen=True)
-class ChaosConfig(ExperimentConfig):
+class ChaosConfig:
     """Shape of one chaos run (the fault content lives in the plan)."""
 
     num_nodes: int = 150

@@ -84,19 +84,6 @@ def artifact_entry(path, kind: str, volatile: bool = False,
     }
 
 
-def config_dict(config) -> dict:
-    """A config dataclass as a plain dict, minus execution knobs.
-
-    ``workers`` is an execution detail (results are identical for any
-    value), so it is stripped here and recorded under ``volatile``.
-    """
-    import dataclasses
-
-    out = dataclasses.asdict(config)
-    out.pop("workers", None)
-    return out
-
-
 def build_manifest(
     command: str,
     *,
@@ -109,8 +96,9 @@ def build_manifest(
 ) -> dict:
     """Assemble a manifest dict (digest filled in by :func:`write_manifest`).
 
-    ``configs`` maps run name -> :func:`config_dict`; ``results`` maps
-    run name -> ``{"rows": n, "digest": rows_digest, "summary": {...}}``;
+    ``configs`` maps run name -> ``dataclasses.asdict(config)``;
+    ``results`` maps run name ->
+    ``{"rows": n, "digest": rows_digest, "summary": {...}}``;
     ``artifacts`` is a list of :func:`artifact_entry` dicts.
     """
     return {

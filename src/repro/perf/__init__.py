@@ -11,24 +11,21 @@
   :class:`Sinks` (metrics registry, span tracer, event trace, volatile
   timings) reach each trial fresh and fold back in trial order, for
   any worker count;
-* :func:`derive_trial_seed` derives the per-trial seed stream
-  (:func:`repro.util.rng.derive_seed` under a fixed ``"trial"``
-  label), so trial *i* draws the same randomness whether it runs
-  serially, in any worker, or alone;
 * :func:`canonical_json` / :func:`rows_digest` give every runner a
   stable result fingerprint — the parallelism safety gate is that the
   digest is identical for ``--workers 1`` and ``--workers N``.
 
 The combination makes "parallel" an execution detail rather than a
-semantic one: experiment rows are a pure function of the config.
+semantic one: experiment rows are a pure function of the config.  Every
+runner therefore says "how to run" the same way,
+``run_x(config, workers=None, sinks=None)`` (plus ``audit`` where it
+audits), and hands both straight to :func:`run_trials`.
 """
 
 from repro.perf.compact import CompactOverlay, CompactSnapshot
 from repro.perf.digest import canonical_json, rows_digest
 from repro.perf.parallel import (
     Sinks,
-    derive_trial_seed,
-    effective_workers,
     resolve_workers,
     run_trials,
     shared_payload,
@@ -49,8 +46,6 @@ __all__ = [
     "SharedCompactSnapshot",
     "shm_available",
     "Sinks",
-    "derive_trial_seed",
-    "effective_workers",
     "resolve_workers",
     "run_trials",
     "shared_payload",

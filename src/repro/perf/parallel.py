@@ -23,17 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.perf.shm import share_base
-from repro.util.rng import derive_seed
-
-
-def derive_trial_seed(base_seed: int, rep: int) -> int:
-    """The per-repetition seed: ``derive_seed(base_seed, "trial", rep)``.
-
-    Hash-derived (not ``base_seed + rep``), so trial streams never
-    collide with each other or with any other labelled stream of the
-    same base seed.
-    """
-    return derive_seed(base_seed, "trial", rep)
 
 
 def resolve_workers(workers: int | None, n_items: int) -> int:
@@ -48,14 +37,6 @@ def resolve_workers(workers: int | None, n_items: int) -> int:
     if workers < 0:
         workers = os.cpu_count() or 1
     return max(1, min(workers, n_items))
-
-
-def effective_workers(workers: int | None, config) -> int | None:
-    """The worker count a runner should use: an explicit ``workers``
-    argument wins, else the config's ``workers`` field (default 1)."""
-    if workers is not None:
-        return workers
-    return getattr(config, "workers", 1)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from repro.experiments.durability import (
     summarize_rows,
 )
 from repro.obs import MetricsRegistry
-from repro.perf import rows_digest
+from repro.perf import Sinks, rows_digest
 
 TINY = DurabilityConfig(
     num_nodes=90,
@@ -78,14 +78,12 @@ class TestDurability:
         assert "durability.repair_bytes_ratio" in summary
 
     def test_rows_identical_across_worker_counts(self, rows):
-        import dataclasses
-
-        parallel = dataclasses.replace(TINY, workers=2)
-        assert rows_digest(run_durability(parallel)) == rows_digest(rows)
+        assert rows_digest(run_durability(TINY, workers=2)) == \
+            rows_digest(rows)
 
     def test_rows_identical_with_telemetry(self, rows):
         metrics = MetricsRegistry()
-        assert rows_digest(run_durability(TINY, metrics=metrics)) == \
+        assert rows_digest(run_durability(TINY, sinks=Sinks(metrics))) == \
             rows_digest(rows)
         snapshot = metrics.snapshot()
         assert any(name.startswith("erasure.repair") for name in snapshot)
@@ -99,7 +97,7 @@ class TestDurability:
         metrics = MetricsRegistry()
         rows = run_durability(
             dataclasses.replace(DurabilityConfig.fast(), plan="lease-skew"),
-            metrics=metrics,
+            sinks=Sinks(metrics),
         )
         assert {r["backend"] for r in rows} == set(BACKENDS)
         snapshot = metrics.snapshot()

@@ -12,7 +12,7 @@ from repro.experiments.scale_latency import (
     summarize_rows,
 )
 from repro.obs import EventTrace, MetricsRegistry
-from repro.perf import rows_digest
+from repro.perf import Sinks, rows_digest
 
 TINY = ScaleLatencyConfig(
     num_nodes=500,
@@ -90,7 +90,9 @@ class TestTelemetry:
     def telemetry(self):
         metrics = MetricsRegistry()
         events = EventTrace()
-        rows = run_scale_latency(TINY, metrics=metrics, event_trace=events)
+        rows = run_scale_latency(
+            TINY, sinks=Sinks(metrics, event_trace=events)
+        )
         return rows, metrics, events
 
     def test_rows_identical_with_telemetry_off(self, telemetry):
@@ -150,15 +152,16 @@ class TestMillionKnobs:
     def test_rows_invariant_to_chunk_and_shm(self):
         flat = rows_digest(run_scale_latency(TINY))
         # two workers: the base crosses as a shared-memory segment
-        volatile = {}
+        sinks = Sinks()
         knobs = dataclasses.replace(TINY, chunk_size=13)
-        rows = run_scale_latency(knobs, workers=2, volatile_out=volatile)
-        assert volatile["shared_memory"]["segments"] == 1
+        rows = run_scale_latency(knobs, workers=2, sinks=sinks)
+        assert sinks.volatile["shared_memory"]["segments"] == 1
         assert rows_digest(rows) == flat
 
     def test_volatile_out_reports_restore_and_segments(self):
-        volatile = {}
-        run_scale_latency(TINY, workers=2, volatile_out=volatile)
+        sinks = Sinks()
+        run_scale_latency(TINY, workers=2, sinks=sinks)
+        volatile = sinks.volatile
         assert len(volatile["trials"]) == TINY.num_seeds
         segments = volatile["shared_memory"]
         assert segments["segments"] == 1

@@ -4,13 +4,11 @@ import json
 
 import pytest
 
-from repro.experiments.config import ScaleChurnConfig
 from repro.obs.manifest import (
     SCHEMA,
     artifact_entry,
     build_manifest,
     canonical_manifest,
-    config_dict,
     file_sha256,
     git_sha,
     is_manifest,
@@ -52,11 +50,6 @@ class TestBuild:
     def test_git_sha_present(self, tmp_path):
         sha = _manifest(tmp_path)["git_sha"]
         assert sha == "unknown" or len(sha) == 40
-
-    def test_config_dict_strips_workers(self):
-        d = config_dict(ScaleChurnConfig(num_nodes=500, workers=8))
-        assert "workers" not in d
-        assert d["num_nodes"] == 500
 
     def test_artifact_relative_path_and_hash(self, tmp_path):
         m = _manifest(tmp_path)

@@ -10,7 +10,6 @@ sinks, and unit-test the merge primitives the gate relies on.
 
 from __future__ import annotations
 
-import inspect
 import os
 import signal
 import threading
@@ -36,13 +35,10 @@ from repro.perf import (
     Sinks,
     base_snapshot,
     canonical_json,
-    derive_trial_seed,
-    effective_workers,
     resolve_workers,
     rows_digest,
     run_trials,
 )
-from repro.util.rng import derive_seed
 from tests.experiments import test_durability, test_scale_churn, test_scale_latency
 
 WORKER_COUNTS = (1, 2, 3)
@@ -101,17 +97,6 @@ class TestRunTrials:
         assert resolve_workers(4, 2) == 2  # clamped to the work
         assert resolve_workers(4, 10) == 4
         assert resolve_workers(-1, 100) >= 1  # all cores
-
-    def test_effective_workers_prefers_explicit(self):
-        cfg = Fig2Config(workers=4)
-        assert effective_workers(None, cfg) == 4
-        assert effective_workers(2, cfg) == 2
-        assert effective_workers(None, object()) == 1
-
-    def test_trial_seeds_are_labelled_streams(self):
-        assert derive_trial_seed(7, 0) == derive_seed(7, "trial", 0)
-        seeds = {derive_trial_seed(7, rep) for rep in range(64)}
-        assert len(seeds) == 64
 
 
 # ----------------------------------------------------------------------
@@ -215,13 +200,6 @@ class TestDigestGate:
         }
         assert len(digests) == 1
 
-    def test_fig2_config_workers_field_equivalent_to_argument(self):
-        from dataclasses import replace
-
-        by_arg = run_fig2(TINY_FIG2, workers=2)
-        by_cfg = run_fig2(replace(TINY_FIG2, workers=2))
-        assert rows_digest(by_arg) == rows_digest(by_cfg)
-
     def test_chaos_digest_identical_across_worker_counts(self):
         from repro.faults import run_chaos_jobs
 
@@ -246,45 +224,42 @@ class TestDigestGate:
 # ----------------------------------------------------------------------
 # telemetry parity: every runner that takes sinks, serial vs 2 workers
 # ----------------------------------------------------------------------
-#: every runner that takes sinks, each on its test module's tiny config
+#: every runner that takes sinks, each on its test module's tiny config,
+#: and whether it records spans (the rest record metrics and events only)
 PARITY_CASES = {
     "fig6": (run_fig6, Fig6Config(
-        network_sizes=(100,), transfers_per_size=3, num_seeds=2)),
-    "sessions": (run_session_survival, SessionSurvivalConfig.fast()),
-    "hints": (run_hint_staleness, HintStalenessConfig.fast()),
-    "durability": (run_durability, test_durability.TINY),
-    "scale-churn": (run_scale_churn, test_scale_churn.TINY),
-    "scale-latency": (run_scale_latency, test_scale_latency.TINY),
+        network_sizes=(100,), transfers_per_size=3, num_seeds=2), True),
+    "sessions": (run_session_survival, SessionSurvivalConfig.fast(), True),
+    "hints": (run_hint_staleness, HintStalenessConfig.fast(), True),
+    "durability": (run_durability, test_durability.TINY, False),
+    "scale-churn": (run_scale_churn, test_scale_churn.TINY, False),
+    "scale-latency": (run_scale_latency, test_scale_latency.TINY, False),
 }
 
 
 def _observed_run(runner, config, workers):
-    metrics, events = MetricsRegistry(), EventTrace()
-    kwargs = {"metrics": metrics, "event_trace": events, "workers": workers}
-    tracer = None
-    if "tracer" in inspect.signature(runner).parameters:
-        tracer = kwargs["tracer"] = SpanTracer()
-    rows = runner(config, **kwargs)
-    spans = [
-        (s.trace_id, s.span_id, s.parent_id, s.name, s.sim_start, s.sim_end)
-        for s in (tracer.finished if tracer is not None else ())
-    ]
+    sinks = Sinks(MetricsRegistry(), SpanTracer(), EventTrace())
+    rows = runner(config, workers=workers, sinks=sinks)
     return {
         "rows": rows_digest(rows),
-        "metrics": metrics.snapshot(),
-        "spans": spans,
-        "events": [(e.seq, e.kind, sorted(e.fields.items())) for e in events],
+        "metrics": sinks.metrics.snapshot(),
+        "spans": [
+            (s.trace_id, s.span_id, s.parent_id, s.name, s.sim_start,
+             s.sim_end)
+            for s in sinks.tracer.finished
+        ],
+        "events": [(e.seq, e.kind, sorted(e.fields.items()))
+                   for e in sinks.event_trace],
     }
 
 
 class TestObsParity:
     @pytest.mark.parametrize("name", PARITY_CASES)
     def test_serial_equals_parallel(self, name):
-        runner, config = PARITY_CASES[name]
+        runner, config, records_spans = PARITY_CASES[name]
         serial = _observed_run(runner, config, 1)
         assert serial["metrics"] and serial["events"]
-        if "tracer" in inspect.signature(runner).parameters:
-            assert serial["spans"]
+        assert bool(serial["spans"]) == records_spans
         parallel = _observed_run(runner, config, 2)
         for part in ("rows", "metrics", "spans", "events"):
             assert parallel[part] == serial[part], part

@@ -1,10 +1,39 @@
 """Tests for the tap-repro command-line interface."""
 
+import inspect
 import json
 
 import pytest
 
 from repro.cli import _ALL_RUNNERS, _EXTENSIONS, _FIGURES, main
+
+#: the run-contract arguments each runner takes besides its config
+CONTRACT = {
+    **dict.fromkeys(("fig2", "fig3", "fig4a", "fig4b", "fig5", "tradeoff"),
+                    {"workers"}),
+    **dict.fromkeys(("fig6", "hints", "sessions"),
+                    {"workers", "sinks", "audit"}),
+    **dict.fromkeys(("scale-churn", "scale-latency", "durability"),
+                    {"workers", "sinks"}),
+    **dict.fromkeys(("scatter", "timing", "secure-routing", "comparison",
+                     "reply-durability"), set()),
+}
+
+#: each flag a runner can refuse, the argument it needs, and its argv
+#: (paths relative to the test's tmp dir)
+FLAGS = {
+    "--metrics-out": ("sinks", ["--metrics-out", "m/metrics.json"]),
+    "--trace-out": ("sinks", ["--trace-out", "t/trace.json"]),
+    "--audit": ("audit", ["--audit"]),
+    "--workers": ("workers", ["--workers", "2"]),
+}
+
+REFUSED = [
+    (name, flag)
+    for name in CONTRACT
+    for flag, (param, _) in FLAGS.items()
+    if param not in CONTRACT[name]
+]
 
 
 class TestRegistry:
@@ -20,6 +49,13 @@ class TestRegistry:
             assert callable(runner)
             assert desc
             assert hasattr(config_cls, "fast")
+
+    def test_runners_share_one_contract(self):
+        assert set(CONTRACT) == set(_ALL_RUNNERS)
+        for name, (_, runner, _) in _ALL_RUNNERS.items():
+            params = set(inspect.signature(runner).parameters)
+            assert params <= {"config", "workers", "sinks", "audit"}, name
+            assert params - {"config"} == CONTRACT[name], name
 
 
 class TestInvocation:
@@ -53,6 +89,29 @@ class TestInvocation:
         assert main(["scatter", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "scattered" in out
+
+    @pytest.mark.parametrize("name,flag", REFUSED)
+    def test_flag_a_runner_does_not_take_is_a_usage_error(
+            self, name, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, "--fast", *FLAGS[flag][1], "--outdir", "out"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert name in err and flag in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serial_workers_accepted_everywhere(self, capsys):
+        assert main(["scatter", "--fast", "--workers", "1"]) == 0
+
+    @pytest.mark.parametrize("group", ["all", "extensions"])
+    def test_csv_with_a_group_points_to_outdir(self, group, tmp_path,
+                                               capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([group, "--fast", "--csv", str(tmp_path / "rows.csv")])
+        assert exit_info.value.code == 2
+        assert "--outdir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestObservabilityFlags:
@@ -97,12 +156,17 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert "fig6" in out
 
-    def test_metrics_flag_ignored_by_nonsupporting_runner(self, tmp_path):
-        # fig3 is a pure Monte-Carlo model with no overlay to instrument;
-        # the flag must not break it, and the snapshot is just empty.
+    def test_metrics_flag_ignored_by_nonsupporting_runner(self, tmp_path,
+                                                           capsys):
+        # In a group run the flag reaches the runners that take sinks:
+        # fig2-fig5 are pure Monte-Carlo models with no overlay to
+        # instrument and run without it; fig6 fills the snapshot.
         target = tmp_path / "metrics.json"
-        assert main(["fig3", "--fast", "--metrics-out", str(target)]) == 0
-        assert target.read_text().strip() in ("{}",)
+        assert main(["all", "--fast", "--metrics-out", str(target)]) == 0
+        snapshot = json.loads(target.read_text())
+        assert snapshot["fig6.link_latency_s"]["count"] > 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["results"]) == set(_FIGURES)
 
 
 @pytest.fixture(scope="module")
@@ -180,12 +244,16 @@ class TestSpanTracing:
         assert main(["trace", str(path)]) == 1
         assert "contains no spans" in capsys.readouterr().err
 
-    def test_trace_flag_ignored_by_nonsupporting_runner(self, tmp_path):
-        # fig3 has no overlay; the tracer threads through harmlessly
-        # and the export is just empty.
-        path = tmp_path / "fig3.json"
-        assert main(["fig3", "--fast", "--trace-out", str(path)]) == 0
-        assert json.loads(path.read_text())["traceEvents"] == []
+    def test_trace_flag_ignored_by_nonsupporting_runner(self, tmp_path,
+                                                         capsys):
+        # In a group run only fig6 takes the tracer; fig2-fig5 run
+        # without it and add nothing to the export.
+        path = tmp_path / "all.json"
+        assert main(["all", "--fast", "--trace-out", str(path)]) == 0
+        events = json.loads(path.read_text())["traceEvents"]
+        assert {ev["name"] for ev in events} >= {"tap.request"}
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["results"]) == set(_FIGURES)
 
 
 class TestChaosSubcommand:

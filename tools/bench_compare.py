@@ -850,16 +850,11 @@ def wallclock_suite() -> dict[str, dict]:
     """Serial vs parallel wall-clock of one experiment (informational).
 
     Recorded as seconds (``median_ns`` is the whole-run time) so the
-    parallel-executor payoff is part of the tracked trajectory.  Skipped
-    silently on code that predates the ``workers`` parameter.
+    parallel-executor payoff is part of the tracked trajectory.
     """
-    import inspect
-
     from repro.experiments.config import Fig6Config
     from repro.experiments.fig6_latency import run_fig6
 
-    if "workers" not in inspect.signature(run_fig6).parameters:
-        return {}
     config = Fig6Config(
         network_sizes=(100, 200), tunnel_lengths=(3,),
         transfers_per_size=10, num_seeds=4,
