@@ -33,6 +33,7 @@ from repro.util.serialize import (
     pack_fields,
     pack_int,
     unpack_fields,
+    unpack_fields_view,
     unpack_int,
 )
 
@@ -51,9 +52,10 @@ def seal_answer(body: bytes, response_key: RsaPublicKey, rng: random.Random) -> 
 def open_answer(payload: bytes, temp_keys: RsaKeyPair) -> bytes:
     """Step 5, the initiator's side; malformed, wrapped for another key
     or tampered with all raise :class:`EnvelopeError`, and so does a
-    ``K_f`` too short to be a key."""
+    ``K_f`` too short to be a key.  The fields are views into
+    ``payload``, so the sealed file is never copied before it opens."""
     try:
-        sealed, wrapped = unpack_fields(payload, count=2)
+        sealed, wrapped = unpack_fields_view(payload, count=2)
         return SymmetricKey(temp_keys.decrypt(wrapped)).open(sealed)
     except ValueError as exc:  # Serialization/Rsa/CipherError, a short K_f
         raise EnvelopeError(str(exc)) from exc

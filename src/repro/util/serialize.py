@@ -39,8 +39,6 @@ def pack_fields(*fields: bytes) -> bytes:
     return b"".join(parts)
 
 
-# No caller left in ``src/`` (onion layers have a fixed-layout codec); kept
-# exported because ``perfbench/ledger.py`` ``TARGETS`` resolves it by name.
 def unpack_fields_view(buffer, count: int | None = None) -> list[memoryview]:
     """Decode consecutive length-prefixed fields without copying.
 

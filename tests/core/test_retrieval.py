@@ -1,9 +1,12 @@
 """Tests for the §4 anonymous file retrieval application."""
 
+import random
 from types import SimpleNamespace
 
 import pytest
 
+from repro.core.retrieval import EnvelopeError, open_answer, seal_answer
+from repro.crypto.asymmetric import RsaKeyPair
 from repro.util.serialize import pack_fields
 
 
@@ -239,3 +242,38 @@ class TestAccounting:
             system.form_reply_tunnel(alice, length=3),
         )
         assert hinted.forward_trace.underlying_hops <= basic.forward_trace.underlying_hops
+
+
+class TestAnswerEnvelope:
+    """``open_answer`` decodes the envelope as views into the payload
+    it is handed: any buffer type opens alike, and every malformed,
+    foreign or tampered envelope raises :class:`EnvelopeError` only."""
+
+    @pytest.fixture(scope="class")
+    def keys(self):
+        rng = random.Random(34)
+        return RsaKeyPair.generate(rng, 512), RsaKeyPair.generate(rng, 512)
+
+    @pytest.fixture(scope="class")
+    def envelope(self, keys):
+        body = bytes(range(256)) * 40
+        return body, seal_answer(body, keys[0].public, random.Random(7))
+
+    def test_bytes_and_bytearray_open_alike(self, keys, envelope):
+        body, payload = envelope
+        for buffer in (payload, bytearray(payload)):
+            opened = open_answer(buffer, keys[0])
+            assert opened == body and type(opened) is bytes
+
+    def test_truncated_tampered_and_foreign_raise_envelope_error(self, keys, envelope):
+        _, payload = envelope
+        bad = [payload[:cut] for cut in (0, 3, 4, 50, len(payload) - 1)]
+        for at in (0, 3, 4, 20, len(payload) // 2, len(payload) - 70, len(payload) - 1):
+            tampered = bytearray(payload)
+            tampered[at] ^= 0x01
+            bad.append(bytes(tampered))
+        for buffer in bad:
+            with pytest.raises(EnvelopeError):
+                open_answer(buffer, keys[0])
+        with pytest.raises(EnvelopeError):
+            open_answer(payload, keys[1])  # wrapped for another K_I

@@ -1,11 +1,13 @@
 """Regression tests for the optimised crypto hot path.
 
 The seal/open fast path (pre-primed HMAC pads, primed XOF state, one
-squeeze, one vector XOR, memoryview slicing) must stay byte-identical
-to the reference construction at every size class the SHAKE-256
-keystream distinguishes, accept every buffer type its callers hand it,
-survive the 8-byte nonce-counter boundary, and round-trip through
-pickling (workers carry keys across process boundaries).
+squeeze, an XOR of two big ints up to ``_INT_XOR_MAX`` bytes and one
+vector XOR beyond, slicing whatever buffer ``open`` is handed) must
+stay byte-identical to the reference construction at every size class
+the keystream and the XOR distinguish, on both XOR paths, accept every
+buffer type its callers hand it, survive the 8-byte nonce-counter
+boundary, and round-trip through pickling (workers carry keys across
+process boundaries).
 """
 
 import pickle
@@ -15,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.symmetric import (
+    _INT_XOR_MAX,
     _NONCE_MODULUS,
     CipherError,
     SymmetricKey,
@@ -24,9 +27,12 @@ from repro.crypto.symmetric import (
 KEY = b"k" * 32
 
 #: the size classes the construction distinguishes: empty, one byte,
-#: either side of a 32-byte SIMD lane of the vector XOR, either side of
-#: the 136-byte SHAKE-256 rate, many squeezes, and the paper's 2 Mb file
-SIZE_CLASSES = (0, 1, 31, 32, 33, 135, 136, 137, 4096, 262144)
+#: a few bytes either side of a 32-byte word multiple, either side of
+#: the 136-byte SHAKE-256 rate, either side of the int/NumPy XOR
+#: crossover, the largest session layer (429 B), many squeezes, and the
+#: paper's 2 Mb file
+SIZE_CLASSES = (0, 1, 31, 32, 33, 135, 136, 137, _INT_XOR_MAX, _INT_XOR_MAX + 1,
+                429, 4096, 262144)
 
 
 class TestSizeClasses:
@@ -63,11 +69,13 @@ class TestSizeClasses:
         other = _keystream(KEY, (6).to_bytes(8, "big"), 136)
         assert other != longest[:136]
 
-    @pytest.mark.parametrize("size", (0, 137, 4096))
+    @pytest.mark.parametrize("size", (0, 137, _INT_XOR_MAX, _INT_XOR_MAX + 1, 4096))
     def test_open_accepts_any_buffer(self, size):
         """``open`` takes ``bytes``, ``bytearray`` and a ``memoryview``
-        slice at a non-zero offset (what ``peel_layer`` hands it) and
-        returns ``bytes`` every time."""
+        slice at a non-zero offset (what ``open_answer`` hands it),
+        returns ``bytes`` every time, and rejects every one of them
+        truncated or with its nonce, first ciphertext byte or tag
+        tampered."""
         key = SymmetricKey(KEY)
         plaintext = b"\x5a" * size
         sealed = key.seal(plaintext)
@@ -76,6 +84,39 @@ class TestSizeClasses:
             opened = key.open(buffer)
             assert opened == plaintext
             assert type(opened) is bytes
+            with pytest.raises(CipherError):
+                key.open(buffer[:39])
+        for at in (0, 8, len(sealed) - 1):
+            tampered = bytearray(sealed)
+            tampered[at] ^= 0x80
+            for buffer in (bytes(tampered), tampered, memoryview(b"h" + tampered)[1:]):
+                with pytest.raises(CipherError):
+                    key.open(buffer)
+
+    @pytest.mark.parametrize("size", (1, 33, _INT_XOR_MAX, _INT_XOR_MAX + 1))
+    def test_all_zero_ciphertext_keeps_its_length(self, size):
+        """A plaintext equal to the keystream seals to all-zero bytes:
+        the int XOR's result is 0 and must still be written out at the
+        full message length."""
+        key = SymmetricKey(KEY)
+        nonce = (9).to_bytes(8, "big")
+        plaintext = _keystream(key._enc_key, nonce, size)
+        assert key.seal(plaintext, nonce=nonce)[8:-32] == bytes(size)
+
+    @pytest.mark.parametrize("size", (0, 137, _INT_XOR_MAX + 1))
+    def test_seal_returns_bytes_for_any_nonce_buffer(self, size):
+        """The output is ``bytes`` whatever buffer the nonce arrives in
+        (a ``bytearray`` nonce used to return a ``bytearray``, and a
+        ``memoryview`` one raised ``TypeError``)."""
+        nonce = (7).to_bytes(8, "big")
+        plaintext = b"\x3c" * size
+        sealed = [
+            SymmetricKey(KEY).seal(plaintext, nonce=buffer)
+            for buffer in (nonce, bytearray(nonce), memoryview(b"x" + nonce)[1:])
+        ]
+        assert [type(s) for s in sealed] == [bytes] * 3
+        assert sealed[0] == sealed[1] == sealed[2]
+        assert SymmetricKey(KEY).open(sealed[2]) == plaintext
 
     @given(plaintext=st.binary(max_size=2048))
     def test_roundtrip_fuzz(self, plaintext):

@@ -84,8 +84,9 @@ class TestSealOpen:
 
     def test_bad_nonce_length_rejected(self):
         key = SymmetricKey(b"0123456789abcdef")
-        with pytest.raises(ValueError):
-            key.seal(b"m", nonce=b"short")
+        for nonce in (b"short", b"\x00" * 9, bytearray(7), memoryview(b"\x00" * 9)):
+            with pytest.raises(ValueError):
+                key.seal(b"m", nonce=nonce)
 
     def test_overhead_constant(self):
         key = SymmetricKey(b"0123456789abcdef")
