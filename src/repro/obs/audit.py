@@ -6,15 +6,16 @@ and adds the Pastry-level checks the store cannot see:
 * ``sorted-alive`` — the network's ``_sorted_alive`` index is strictly
   ascending and agrees exactly with per-node ``alive`` flags;
 * ``leaf-liveness`` / ``table-liveness`` — no alive node references a
-  dead node in its leaf set or routing table (holds when the network
-  runs eager repair, the stand-in for Pastry's maintenance protocol);
+  dead node in its leaf set or routing table (the network repairs
+  every reference at each fail and revive, the stand-in for Pastry's
+  maintenance protocol);
 * ``leaf-symmetry`` — every alive node's leaf set contains its
   immediate ring predecessor and successor, and they contain it back
   (the minimal property that makes closest-key routing terminate at
   the true root);
-* ``leaf-window`` — under eager repair every alive node's leaf set *is*
-  its window of the ring order: the |L|/2 alive ids on each side, no
-  more and no fewer (:func:`repro.pastry.bulk.leaf_window`);
+* ``leaf-window`` — every alive node's leaf set *is* its window of the
+  ring order: the |L|/2 alive ids on each side, no more and no fewer
+  (:func:`repro.pastry.bulk.leaf_window`);
 * ``storage-index`` — every object physically present on an *alive*
   node is attributed to that node by the store's holder index, and
   vice versa (dead nodes legitimately keep unreachable stale copies
@@ -65,22 +66,10 @@ class AuditReport:
 class InvariantAuditor:
     """Run overlay + storage invariant checks over live state."""
 
-    def __init__(
-        self,
-        network: PastryNetwork,
-        store=None,
-        metrics=None,
-        check_liveness: bool | None = None,
-    ):
+    def __init__(self, network: PastryNetwork, store=None, metrics=None):
         self.network = network
         self.store = store
         self.metrics = metrics
-        #: liveness of leaf/table references is only an invariant when
-        #: the network eagerly repairs; lazily-repairing overlays hold
-        #: stale references by design until routing discovers them.
-        self.check_liveness = (
-            network.eager_repair if check_liveness is None else check_liveness
-        )
         #: reports accumulated by :meth:`run` (most recent last)
         self.history: list[AuditReport] = []
 
@@ -89,9 +78,11 @@ class InvariantAuditor:
     # ------------------------------------------------------------------
     def run(self, context: str = "") -> AuditReport:
         report = AuditReport(context=context)
-        checks = [self._check_sorted_alive, self._check_leaf_sets]
-        if self.check_liveness:
-            checks.append(self._check_reference_liveness)
+        checks = [
+            self._check_sorted_alive,
+            self._check_leaf_sets,
+            self._check_reference_liveness,
+        ]
         if self.store is not None:
             checks.append(self._check_store)
         for check in checks:
@@ -135,22 +126,20 @@ class InvariantAuditor:
             )
 
     def _check_leaf_sets(self, report: AuditReport) -> None:
-        """Immediate-neighbour coverage and symmetry; under eager
-        repair (``check_liveness``) the whole ring window."""
+        """The whole ring window, and immediate-neighbour coverage."""
         ids = self.network.alive_ids
         n = len(ids)
         reach = leaf_reach(n, self.network.leaf_set_size)
         for pos, nid in enumerate(ids):
             node = self.network.nodes[nid]
-            if self.check_liveness:
-                window = set(leaf_window(ids, pos, reach))
-                members = node.leaf_set.members
-                if members != window:
-                    report.violations.append(
-                        f"leaf-window: {nid:#x} "
-                        f"missing {_hex_list(window - members)} "
-                        f"extra {_hex_list(members - window)}"
-                    )
+            window = set(leaf_window(ids, pos, reach))
+            members = node.leaf_set.members
+            if members != window:
+                report.violations.append(
+                    f"leaf-window: {nid:#x} "
+                    f"missing {_hex_list(window - members)} "
+                    f"extra {_hex_list(members - window)}"
+                )
             for neighbour in (ids[(pos + 1) % n], ids[(pos - 1) % n]):
                 if neighbour != nid and neighbour not in node.leaf_set:
                     report.violations.append(

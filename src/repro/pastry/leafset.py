@@ -91,8 +91,8 @@ class LeafSet:
     def reload(self, window: list[int]) -> set[int]:
         """Become the owner's slice of the ring order as read by
         :func:`repro.pastry.bulk.leaf_window` (ascending, owner-free,
-        adopted as is) — how the bulk constructor and eager repair set
-        a leaf set.  Returns the ids gained, for the referrer index;
+        adopted as is) — how the bulk constructor and repair set a leaf
+        set.  Returns the ids gained, for the referrer index;
         ``on_add`` is not fired and ``version`` moves only if the ids
         did."""
         if window == self._ids:
@@ -112,9 +112,10 @@ class LeafSet:
     def _trim(self) -> None:
         """Keep only ids that belong to either bounded half, i.e. drop
         the middle of the clockwise order.  (A half with a vacancy is
-        thereby filled from the other side of the ring.  Eager repair
-        never leaves one — it re-reads the whole window, :meth:`reload`
-        — but join and lazy discovery can meet a non-full set.)"""
+        thereby filled from the other side of the ring.  Repair never
+        leaves one — it re-reads the whole window, :meth:`reload` — but
+        message-level join, and a route that forgets a dead leaf it
+        met, can meet a non-full set.)"""
         ids = self._ids
         while len(ids) > self.capacity:
             del ids[(bisect_left(ids, self.owner_id) + self.half) % len(ids)]
@@ -148,17 +149,13 @@ class LeafSet:
         cw_far = ids[(start + self.half - 1) % len(ids)]
         return (key - ccw_far) % ID_SPACE <= (cw_far - ccw_far) % ID_SPACE
 
-    def closest(self, key: int, include_owner: bool = True, exclude=()) -> int:
-        """Numerically closest id to ``key`` among leaves (and owner),
-        ties toward the smaller id, ids in ``exclude`` skipped: the
-        owner or one of the key's two ring neighbours in the list."""
-        ids = [m for m in self._ids if m not in exclude] if exclude else self._ids
+    def closest(self, key: int) -> int:
+        """Numerically closest id to ``key`` among leaves and owner,
+        ties toward the smaller id: the owner or one of the key's two
+        ring neighbours in the list."""
+        ids = self._ids
         pos = bisect_left(ids, key)
-        pool = [ids[pos - 1], ids[pos % len(ids)]] if ids else []
-        if include_owner and self.owner_id not in exclude:
-            pool.append(self.owner_id)
-        if not pool:
-            raise ValueError("empty leaf set with owner excluded")
+        pool = [ids[pos - 1], ids[pos % len(ids)], self.owner_id] if ids else [self.owner_id]
         return min(pool, key=lambda x: (min(abs(x - key), ID_SPACE - abs(x - key)), x))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

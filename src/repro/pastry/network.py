@@ -74,15 +74,11 @@ class PastryNetwork:
         self,
         b_bits: int = DEFAULT_B_BITS,
         leaf_set_size: int = DEFAULT_LEAF_SET_SIZE,
-        eager_repair: bool = True,
         metrics=None,
         tracer=None,
     ):
         self.b_bits = b_bits
         self.leaf_set_size = leaf_set_size
-        #: Repair neighbours' leaf sets immediately on leave/failure
-        #: (stands in for Pastry's leaf-set maintenance protocol).
-        self.eager_repair = eager_repair
         self.nodes: dict[int, PastryNode] = {}
         self._sorted_alive: list[int] = []
         #: bumped on every alive-set change; lets derived views (e.g.
@@ -121,7 +117,6 @@ class PastryNetwork:
         node_ids: Iterable[int],
         b_bits: int = DEFAULT_B_BITS,
         leaf_set_size: int = DEFAULT_LEAF_SET_SIZE,
-        eager_repair: bool = True,
         proximity=None,
         proximity_sample: int = 16,
         metrics=None,
@@ -141,7 +136,6 @@ class PastryNetwork:
         net = cls(
             b_bits=b_bits,
             leaf_set_size=leaf_set_size,
-            eager_repair=eager_repair,
             metrics=metrics,
             tracer=tracer,
         )
@@ -155,7 +149,7 @@ class PastryNetwork:
         # Leaf sets in one pass: the half closest ids in each ring
         # direction are exactly the index neighbours in sorted order,
         # so every leaf set is read as a window of ``ids`` — the same
-        # read eager repair makes after a fail or a revive.  The
+        # read repair makes after a fail or a revive.  The
         # window/bucket builders live in repro.pastry.bulk, shared with
         # the compact engine.
         net._reload_leaf_sets(0, len(ids))
@@ -310,7 +304,8 @@ class PastryNetwork:
         return newcomer
 
     def fail(self, node_id: int) -> None:
-        """Crash a node; optionally repair neighbours' leaf sets."""
+        """Crash a node and repair every reference to it (the stand-in
+        for Pastry's maintenance protocol)."""
         node = self.nodes.get(node_id)
         if node is None or not node.alive:
             return
@@ -319,22 +314,18 @@ class PastryNetwork:
         if self.metrics is not None:
             self.metrics.counter("pastry.fails").inc()
             self.metrics.gauge("pastry.population").set(self.size)
-        if self.eager_repair:
-            self._repair_after_departure(node_id)
+        self._repair_after_departure(node_id)
 
     def revive(self, node_id: int) -> None:
         """Bring a failed node back into the overlay.
 
         The returning node's state is stale: peers that died while it
         was away still populate its leaf set and routing table, and no
-        live node remembers it.  Under eager repair (the maintenance
-        protocol stand-in) both sides are reconciled: the stale
-        references are dropped and repaired, the node and its ring
-        neighbours enter each other's routing tables where a cell is
-        free, and its leaf set and theirs are re-read from the sorted
-        alive ids.  Without eager repair the node returns stale, and
-        routing discovers the inconsistencies lazily (tests churn
-        logic).
+        live node remembers it.  Repair (the maintenance protocol
+        stand-in) reconciles both sides: the stale references are
+        dropped and repaired, the node and its ring neighbours enter
+        each other's routing tables where a cell is free, and its leaf
+        set and theirs are re-read from the sorted alive ids.
         """
         node = self.nodes.get(node_id)
         if node is None or node.alive:
@@ -344,8 +335,7 @@ class PastryNetwork:
         if self.metrics is not None:
             self.metrics.counter("pastry.revives").inc()
             self.metrics.gauge("pastry.population").set(self.size)
-        if self.eager_repair:
-            self._repair_after_revival(node_id)
+        self._repair_after_revival(node_id)
 
     def _repair_after_revival(self, node_id: int) -> None:
         """Reconcile a revived node's stale state with the overlay."""
@@ -414,9 +404,9 @@ class PastryNetwork:
         Referrers come from the lazily-built reverse index rather than
         a full-ring scan, so one departure costs O(referrers + |L|²),
         not O(N) — the index is a superset, pruned here by the same
-        membership checks the scan performed, and it also reaches
-        holders outside the window (routing tables; leaf sets left
-        non-canonical by a lazily repaired phase).
+        membership checks the scan performed, and it also reaches the
+        holders outside the window, whose routing tables reference the
+        dead node.
         """
         ids = self._sorted_alive
         if not ids:
@@ -559,8 +549,10 @@ class PastryNetwork:
         """Route ``key`` from ``src_id`` using only local node state.
 
         Dead next-hops are discovered on contact: the current node
-        forgets them and retries with the failure excluded, mirroring
-        timeout-and-reroute in a deployment.
+        forgets them, refills the vacated cell and decides again,
+        mirroring timeout-and-reroute in a deployment.  Repair at every
+        ``fail`` and ``revive`` leaves no dead reference behind, so only
+        state edited past the network meets one.
         """
         if self.metrics is None and not self.tracer:
             return self._route_impl(src_id, key)
@@ -623,34 +615,31 @@ class PastryNetwork:
             raise RoutingError(f"source {src_id:#x} is not alive")
 
         # A clean route is a pure function of the local state of the
-        # nodes on its path, and under eager repair that state holds no
-        # dead reference (the one in-route mutation trigger), so clean
+        # nodes on its path, and repair leaves that state without dead
+        # references (the one in-route mutation trigger), so clean
         # routes are memoised per (src, key).  Within the epoch an entry
         # was last validated in, a hit is one integer compare; after an
         # epoch turn it is served only if its stamps still hold, and
         # dropped otherwise.  Routes that discovered failures are never
         # cached.
-        cacheable = self.eager_repair
-        if cacheable:
-            cache = self._route_cache
-            memo_key = (src_id, key)
-            entry = cache.get(memo_key)
-            if entry is not None and entry[2] != self.membership_epoch:
-                entry = self._revalidated(memo_key, entry)
-            if entry is not None:
-                if self.metrics is not None:
-                    self.metrics.counter("pastry.route.cache_hits").inc()
-                return RouteResult(key, list(entry[0]), True, 0)
+        cache = self._route_cache
+        memo_key = (src_id, key)
+        entry = cache.get(memo_key)
+        if entry is not None and entry[2] != self.membership_epoch:
+            entry = self._revalidated(memo_key, entry)
+        if entry is not None:
+            if self.metrics is not None:
+                self.metrics.counter("pastry.route.cache_hits").inc()
+            return RouteResult(key, list(entry[0]), True, 0)
 
         path = [src_id]
         failures = 0
         current = src
         for _ in range(self.MAX_HOPS):
-            excluded: set[int] = set()
             while True:
-                nxt = current.next_hop(key, exclude=excluded)
+                nxt = current.next_hop(key)
                 if nxt == current.node_id:
-                    if cacheable and failures == 0:
+                    if failures == 0:
                         if len(cache) >= self.ROUTE_CACHE_LIMIT:
                             cache.clear()
                         stamps = tuple(
@@ -661,10 +650,9 @@ class PastryNetwork:
                     return RouteResult(key, path, True, failures)
                 if self.is_alive(nxt):
                     break
-                # Discovered a dead neighbour: drop it, repair the
-                # vacated cell, and retry.
+                # Discovered a dead neighbour: drop it from everything
+                # next_hop reads, repair the vacated cell, and ask again.
                 failures += 1
-                excluded.add(nxt)
                 self._forget_and_refill(current, nxt)
             path.append(nxt)
             current = self.nodes[nxt]

@@ -71,7 +71,7 @@ class PastryNode:
         return self.leaf_set.members | self.routing_table.entries
 
     # -- the Pastry routing decision --------------------------------------
-    def next_hop(self, key: int, exclude: set[int] | None = None) -> int:
+    def next_hop(self, key: int) -> int:
         """Pastry's per-hop forwarding rule (Rowstron–Druschel §2.3).
 
         1. If the key is covered by the leaf set, deliver to the
@@ -82,15 +82,13 @@ class PastryNode:
            prefix at least as long and is numerically closer to the
            key — guarantees progress, hence termination.
 
-        ``exclude`` removes nodes known to have failed; returning
-        ``self.node_id`` means this node is responsible for the key.
+        Returning ``self.node_id`` means this node is responsible for
+        the key.
 
         The rule reads nothing but the leaf-set ids and the table cells,
-        so without ``exclude`` the answer is memoised until either
-        structure's version moves (the stamps the route memo trusts).
+        so the answer is memoised until either structure's version moves
+        (the stamps the route memo trusts).
         """
-        if exclude:
-            return self._decide(key, exclude)
         stamp = (self.leaf_set.version, self.routing_table._version)
         memo = self._hop_memo
         if self._hop_stamp != stamp:
@@ -100,19 +98,16 @@ class PastryNode:
         if nxt is None:
             if len(memo) >= _HOP_MEMO_LIMIT:
                 memo.clear()
-            nxt = memo[key] = self._decide(key, ())
+            nxt = memo[key] = self._decide(key)
         return nxt
 
-    def _decide(self, key: int, exclude) -> int:
-        """The rule itself, uncached (``exclude`` possibly empty)."""
+    def _decide(self, key: int) -> int:
+        """The rule itself, uncached."""
         if self.leaf_set.covers(key):
-            try:
-                return self.leaf_set.closest(key, exclude=exclude)
-            except ValueError:
-                pass  # every leaf and the owner excluded: try the table
+            return self.leaf_set.closest(key)
 
         entry = self.routing_table.entry_for_key(key)
-        if entry is not None and entry not in exclude:
+        if entry is not None:
             return entry
 
         # Rare case: scan everything we know for guaranteed progress.
@@ -120,7 +115,7 @@ class PastryNode:
         own_dist = ring_distance(self.node_id, key)
         best = None
         best_key = None
-        for nid in self.known_nodes().difference(exclude):
+        for nid in self.known_nodes():
             if shared_prefix_digits(nid, key, self.routing_table.b_bits) < own_prefix:
                 continue
             dist = min(abs(nid - key), ID_SPACE - abs(nid - key))

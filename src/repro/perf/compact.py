@@ -29,8 +29,8 @@ Equivalence contract (pinned by ``tests/perf/test_compact.py``):
    ``PastryNetwork.build`` over the current alive set — the state the
    object engine's repair protocols provably converge to.
 3. **Observable equality**: sorted alive ids, replica sets and route
-   destinations match the eagerly-repaired object engine event for
-   event under the strict auditor.
+   destinations match the object engine event for event under the
+   strict auditor.
 
 The materialisation bridge (:meth:`CompactOverlay.to_network_snapshot`)
 produces a :class:`~repro.perf.snapshot.NetworkSnapshot` whose per-node
@@ -783,7 +783,6 @@ class CompactSnapshot:
         return NetworkSnapshot(
             b_bits=self.b_bits,
             leaf_set_size=self.leaf_set_size,
-            eager_repair=True,
             membership_epoch=self.membership_epoch,
             order=tuple(ids),
             sorted_alive=sorted_alive,

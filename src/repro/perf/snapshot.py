@@ -82,17 +82,14 @@ class _ForkNodes(dict):
         return node
 
     # -- dict protocol over base ∪ extra -------------------------------
-    def _base_has(self, node_id) -> bool:
-        try:
-            return node_id in self._snap.leafs and node_id not in self._deleted
-        except TypeError:  # unhashable key — mirror dict semantics
-            return False
-
     def __contains__(self, node_id) -> bool:
-        return super().__contains__(node_id) or self._base_has(node_id)
+        return super().__contains__(node_id) or (
+            node_id in self._snap.leafs and node_id not in self._deleted
+        )
 
     def __setitem__(self, node_id, node) -> None:
-        if not super().__contains__(node_id) and not self._base_has(node_id):
+        # a base id, even a deleted one, iterates in snapshot order
+        if not super().__contains__(node_id) and node_id not in self._snap.leafs:
             self._extra.append(node_id)
         self._deleted.discard(node_id)
         super().__setitem__(node_id, node)
@@ -137,7 +134,7 @@ class NetworkSnapshot:
     """Immutable, picklable capture of a :class:`PastryNetwork`."""
 
     __slots__ = (
-        "b_bits", "leaf_set_size", "eager_repair", "membership_epoch",
+        "b_bits", "leaf_set_size", "membership_epoch",
         "order", "sorted_alive", "dead", "leafs", "cells",
     )
 
@@ -158,7 +155,6 @@ class NetworkSnapshot:
         return cls(
             b_bits=network.b_bits,
             leaf_set_size=network.leaf_set_size,
-            eager_repair=network.eager_repair,
             membership_epoch=network.membership_epoch,
             order=tuple(network.nodes),
             sorted_alive=tuple(network._sorted_alive),
@@ -177,7 +173,6 @@ class NetworkSnapshot:
         net = PastryNetwork(
             b_bits=self.b_bits,
             leaf_set_size=self.leaf_set_size,
-            eager_repair=self.eager_repair,
             metrics=metrics,
             tracer=tracer,
         )

@@ -49,6 +49,15 @@ def build_network(num_nodes: int, seed: int = 99, **kwargs) -> PastryNetwork:
     return PastryNetwork.build(ids, **kwargs)
 
 
+def restore_stale_leaves(network: PastryNetwork, dead_id: int) -> None:
+    """Offer the failed ``dead_id`` back to every alive leaf set: the
+    ones whose window it fell in keep it, as if the failure notice had
+    never reached them.  Repair never leaves such a reference, so this
+    is how a test makes routing discover a dead hop on the way."""
+    for nid in network.alive_ids:
+        network.nodes[nid].leaf_set.add(dead_id)
+
+
 @pytest.fixture(scope="module")
 def network200() -> PastryNetwork:
     """A read-only 200-node overlay (do not mutate membership!)."""

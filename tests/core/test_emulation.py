@@ -6,6 +6,7 @@ from repro.core.emulation import CONTROL_BITS, TapEmulation
 from repro.core.system import TapSystem
 from repro.simnet.topology import Topology
 from repro.simnet.transport import TransferModel, path_transfer_time
+from tests.conftest import restore_stale_leaves
 
 
 @pytest.fixture()
@@ -76,18 +77,19 @@ class TestDelivery:
 
 
 class TestFailureTimeouts:
-    def test_timeout_discovery_without_eager_repair(self):
-        """With lazy overlay repair, the dead hop node is discovered by
-        a message timeout, charged as a round-trip, then rerouted."""
+    def test_timeout_discovery_of_a_stale_leaf(self):
+        """A dead hop node still in its neighbours' leaf sets is
+        discovered by a message timeout, charged as a round-trip, then
+        rerouted."""
         system = TapSystem.bootstrap(num_nodes=200, seed=33)
-        system.network.eager_repair = False
         alice = system.tap_node(system.random_node_id("alice"))
         system.deploy_thas(alice, count=8)
         tunnel = system.form_tunnel(alice, length=3)
         emu = TapEmulation.from_system(system, topology=Topology(seed=6))
 
         victim = system.network.closest_alive(tunnel.hops[1].hop_id)
-        emu.fail_node(victim)  # store repaired; neighbours' state stale
+        emu.fail_node(victim)
+        restore_stale_leaves(system.network, victim)
 
         trace = emu.send_through_tunnel(alice, tunnel, 42, b"x")
         emu.simulator.run()
@@ -106,13 +108,13 @@ class TestFailureTimeouts:
         emu.simulator.run()
 
         system2 = TapSystem.bootstrap(num_nodes=200, seed=34)
-        system2.network.eager_repair = False
         alice2 = system2.tap_node(system2.random_node_id("alice"))
         system2.deploy_thas(alice2, count=8)
         tunnel2 = system2.form_tunnel(alice2, length=3)
         emu2 = TapEmulation.from_system(system2, topology=topo)
         victim = system2.network.closest_alive(tunnel2.hops[0].hop_id)
         emu2.fail_node(victim)
+        restore_stale_leaves(system2.network, victim)
         degraded = emu2.send_through_tunnel(alice2, tunnel2, 42, b"x", size_bits=1_000)
         emu2.simulator.run()
 

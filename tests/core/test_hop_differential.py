@@ -31,6 +31,7 @@ from repro.simnet.topology import Topology
 from repro.simnet.transport import TransferModel, path_transfer_time
 from repro.util.rng import SeedSequenceFactory
 
+from tests.conftest import restore_stale_leaves
 from tests.core.walk_scenarios import DESTINATION, SCENARIOS, World
 
 #: the scenarios that are about what a hop node does
@@ -127,17 +128,17 @@ def test_round_trip_is_the_same_in_both_engines(name):
     assert forward.hint_failures == (1 if name in ("hint_stale", "hint_timeout") else 0)
 
 
-def test_lazy_repair_differs_in_transport_only():
-    """Without eager overlay repair a dead next hop is discovered on
-    the way: the walk excludes it inside ``route``, the emulator times
+def test_stale_leaf_differs_in_transport_only():
+    """A dead next hop still in its neighbours' leaf sets is discovered
+    on the way: the walk forgets it inside ``route``, the emulator times
     out and re-sends from the sender (a round trip charged).  The
     physical paths may then legitimately differ, so this case compares
     the nodes that served the layers, the payloads and the reasons —
     not the paths."""
     def perturb(world: World) -> None:
-        world.system.network.eager_repair = False
-        world.system.fail_node(world.root(world.forward))
-        world.system.fail_node(world.root(world.reply))
+        for victim in (world.root(world.forward), world.root(world.reply)):
+            world.system.fail_node(victim)
+            restore_stale_leaves(world.system.network, victim)
 
     got, walked, emulated = assert_same_round_trip(perturb, same_paths=False)
     assert got["received"] == [REPLY]

@@ -46,13 +46,6 @@ class TestCleanAudits:
             auditor.assert_clean(f"fail {victim:#x}")
         assert len(auditor.history) == 5
 
-    def test_liveness_check_skipped_for_lazy_networks(self):
-        network = build_network(30, seed=32, eager_repair=False)
-        auditor = InvariantAuditor(network)
-        assert not auditor.check_liveness
-        report = auditor.run("lazy")
-        assert report.checks_run == 2
-
     def test_report_str_mentions_context(self, network):
         report = InvariantAuditor(network).run("my-event")
         assert "my-event" in str(report)
@@ -90,8 +83,6 @@ class TestInjectedViolations:
             f"leaf-window: {ids[pos]:#x} missing [{ids[pos + 8]:#x}] "
             f"extra [{ids[pos - 9]:#x}]"
         ]
-        lazy = InvariantAuditor(network, check_liveness=False).run("lazy")
-        assert lazy.clean  # not an invariant of a lazily repairing overlay
 
     def test_dead_reference_detected(self, network):
         victim = network.alive_ids[5]

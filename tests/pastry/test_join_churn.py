@@ -89,8 +89,8 @@ class TestMechanism:
     """Neither half is bounded to its own side of the ring: the halves
     are the two ends of *one* clockwise order, so a half with a vacancy
     is filled with whatever ranks next — ids from the other side.
-    Eager repair no longer leaves such a vacancy behind, but
-    message-level join and lazy discovery can still offer a non-full
+    Repair no longer leaves such a vacancy behind, but message-level
+    join and dead-hop discovery in ``route`` can still offer a non-full
     set a far id."""
 
     def test_fifteen_member_leaf_set_retains_a_far_id(self):

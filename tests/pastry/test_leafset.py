@@ -91,15 +91,6 @@ class TestClosest:
         ls.add_all([900, 1100])
         assert ls.closest(1001) == 1000
 
-    def test_exclude_owner(self):
-        ls = LeafSet(1000, capacity=4)
-        ls.add_all([900, 1100])
-        assert ls.closest(1001, include_owner=False) == 1100
-
-    def test_empty_without_owner_rejected(self):
-        with pytest.raises(ValueError):
-            LeafSet(1).closest(5, include_owner=False)
-
     @given(
         owner=ids_st,
         members=st.sets(ids_st, min_size=1, max_size=12),
@@ -181,18 +172,9 @@ class OracleLeafSet:
         cw_far, ccw_far = self.cw_members()[-1], self.ccw_members()[-1]
         return (key - ccw_far) % ID_SPACE <= (cw_far - ccw_far) % ID_SPACE
 
-    def closest(self, key, include_owner=True, exclude=()):
-        pool = (self.members | {self.owner_id} if include_owner else set(self.members)) - set(exclude)
-        if not pool:
-            raise ValueError("empty pool")
+    def closest(self, key):
+        pool = self.members | {self.owner_id}
         return min(pool, key=lambda x: (ring_distance(x, key), x))
-
-
-def _closest_or_none(leaf_set, *args):
-    try:
-        return leaf_set.closest(*args)
-    except ValueError:
-        return None
 
 
 #: ids within a few steps of the 0 / 2**128 wrap, so sequences collide,
@@ -213,10 +195,9 @@ class TestAgainstOracle:
         capacity=st.sampled_from([2, 4, 6, 8, 16]),
         ops=st.lists(op_st, max_size=30),
         keys=st.lists(any_id_st, min_size=1, max_size=4),
-        exclude_mask=st.integers(0, (1 << 17) - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_every_answer_after_every_step(self, owner, capacity, ops, keys, exclude_mask):
+    def test_every_answer_after_every_step(self, owner, capacity, ops, keys):
         real, oracle = LeafSet(owner, capacity), OracleLeafSet(owner, capacity)
         calls = []
         real.on_add = lambda owner_id, node_id: calls.append((owner_id, node_id))
@@ -230,12 +211,10 @@ class TestAgainstOracle:
             assert real.is_full() == oracle.is_full()
             assert calls == oracle.on_add_calls
             pool = sorted(oracle.members | {owner})
-            exclude = {m for i, m in enumerate(pool) if exclude_mask >> i & 1}
             for key in keys + pool[:3]:
                 assert (key in real) == (key in oracle.members)
                 assert real.covers(key) == oracle.covers(key)
-                for args in ((key,), (key, False), (key, True, exclude), (key, False, exclude)):
-                    assert _closest_or_none(real, *args) == _closest_or_none(oracle, *args)
+                assert real.closest(key) == oracle.closest(key)
 
 
 class TestVersion:

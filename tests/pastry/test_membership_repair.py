@@ -1,6 +1,6 @@
-"""Eager membership repair against the *definition* of the overlay.
+"""Membership repair against the *definition* of the overlay.
 
-Under eager repair a leaf set is a derived view of the sorted alive ids:
+A leaf set is a derived view of the sorted alive ids:
 the |L|/2 ring neighbours on each side.  Nothing here compares with an
 earlier implementation — after every ``fail`` / ``revive`` / ``join``
 the whole overlay is checked against brute force over ``sorted(alive)``,
@@ -210,48 +210,6 @@ def test_metrics_say_what_an_event_touched():
     assert 0 < refilled.value <= holders
     net.revive(victim)
     assert reloaded.value == 4 * HALF + 1
-
-
-class TestLazyThenEager:
-    def test_eager_fail_near_a_lazily_failed_node(self):
-        """The window re-read makes every node in it canonical again —
-        the lazily failed id goes with it — and stops at the window:
-        stale holders beyond it keep theirs until routing finds out."""
-        net = build_network(60, seed=11)
-        ids = list(net.alive_ids)
-        lazy, eager = ids[30], ids[34]
-        net.eager_repair = False
-        net.fail(lazy)
-        net.eager_repair = True
-        net.fail(eager)
-        alive = net.alive_ids
-        for node in net:
-            if node.alive:
-                assert eager not in node.known_nodes()
-        pos = alive.index(ids[35])
-        for idx in range(pos - HALF, pos + HALF):
-            members = net.nodes[alive[idx]].leaf_set.members
-            assert members == ring_neighbours(alive, idx % len(alive))
-        assert lazy in net.nodes[ids[30 - HALF]].leaf_set  # outside the window
-
-    def test_stale_holder_outside_the_window_is_cleaned(self):
-        """A lazily revived node goes unnoticed, so a holder nine alive
-        positions from the victim still lists it as its 8th neighbour:
-        only the referrer index reaches that holder."""
-        net = build_network(60, seed=12)
-        ids = list(net.alive_ids)
-        holder, between, victim = ids[20], ids[24], ids[20 + HALF + 1]
-        net.fail(between)  # eager: the holder's window now ends at the victim
-        assert victim in net.nodes[holder].leaf_set
-        net.eager_repair = False
-        net.revive(between)  # nobody learns
-        net.eager_repair = True
-        assert net.alive_ids.index(victim) - net.alive_ids.index(holder) == HALF + 1
-        net.fail(victim)
-        assert victim not in net.nodes[holder].known_nodes()
-        for node in net:
-            if node.alive and node.node_id != between:
-                assert victim not in node.known_nodes()
 
 
 def test_a_dead_holder_comes_back_indexed():

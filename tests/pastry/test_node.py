@@ -58,54 +58,38 @@ class TestNextHop:
         assert shared_prefix_digits(nxt, key) >= shared_prefix_digits(owner, key)
         assert nxt == far
 
-    def test_exclude_forces_alternative(self):
-        node = PastryNode(1000)
-        node.learn([900, 1100])
-        first = node.next_hop(1090)
-        second = node.next_hop(1090, exclude={first})
-        assert second != first
-
-    def test_exclude_all_leaves_falls_back(self):
-        node = PastryNode(1000)
-        node.learn([1100])
-        # excluding everything known (and self covered by pool check)
-        nxt = node.next_hop(1090, exclude={1100, 1000})
-        # rare-case scan: no known node closer -> deliver locally
-        assert nxt == 1000
-
     def test_rare_case_makes_progress(self):
-        """Rule 3: chosen node shares >= prefix and is strictly closer."""
+        """Rule 3: the leaf set does not cover the key and its cell is
+        empty, so the scan picks the closest known node that shares a
+        prefix at least as long (the far leaf does not)."""
         owner = _id_with_digits(0x1, 0x0)
         node = PastryNode(owner, leaf_set_size=2)
         key = _id_with_digits(0x1, 0xF)
         closer = _id_with_digits(0x1, 0xA)
-        node.leaf_set.add(owner + 1)  # useless leaf
-        node.routing_table._cells[(99, 0)] = closer  # bypass cell logic
-        node.routing_table._reverse[closer] = (99, 0)
-        nxt = node.next_hop(key, exclude={owner + 1})
-        if nxt != owner:
-            assert ring_distance(nxt, key) < ring_distance(owner, key)
+        node.learn([owner - 1, owner + 1, closer])
+        assert not node.leaf_set.covers(key)
+        assert node.routing_table.entry_for_key(key) is None
+        assert node.next_hop(key) == closer
 
 
-def reference_next_hop(node: PastryNode, key: int, exclude: set[int]) -> int:
+def reference_next_hop(node: PastryNode, key: int) -> int:
     """The forwarding rule as it stood before the ordered leaf set:
     leaf decisions by the re-sorting oracle, a ``min`` over the pool,
     checked ``ring_distance`` for every candidate of the scan."""
     leaves = OracleLeafSet(node.node_id, node.leaf_set.capacity)
     leaves.members = node.leaf_set.members
     if leaves.covers(key):
-        pool = (leaves.members | {node.node_id}) - exclude
-        if pool:
-            return min(pool, key=lambda x: (ring_distance(x, key), x))
+        pool = leaves.members | {node.node_id}
+        return min(pool, key=lambda x: (ring_distance(x, key), x))
     entry = node.routing_table.entry_for_key(key)
-    if entry is not None and entry not in exclude:
+    if entry is not None:
         return entry
     b_bits = node.routing_table.b_bits
     own_prefix = shared_prefix_digits(node.node_id, key, b_bits)
     own_dist = ring_distance(node.node_id, key)
     better = [
         (ring_distance(nid, key), nid)
-        for nid in node.known_nodes() - exclude
+        for nid in node.known_nodes()
         if shared_prefix_digits(nid, key, b_bits) >= own_prefix
         and ring_distance(nid, key) < own_dist
     ]
@@ -149,8 +133,11 @@ class TestNextHopUnchanged:
     whose leaf sets have been through repair, refill and staleness —
     and, memoised, the same decision after any change of state."""
 
-    def _churned(self, eager_repair: bool):
-        net = build_network(200, seed=5, eager_repair=eager_repair)
+    def _churned(self, stale: bool = False):
+        """200 nodes through 90 fails and revives; with ``stale`` every
+        alive node then re-learns the 30 still down — dead references
+        repair never leaves, made the way a stray message would."""
+        net = build_network(200, seed=5)
         rng = random.Random(12)
         down = []
         for step in range(90):
@@ -159,6 +146,9 @@ class TestNextHopUnchanged:
             else:
                 down.append(net.alive_ids[rng.randrange(net.size)])
                 net.fail(down[-1])
+        if stale:
+            for nid in net.alive_ids:
+                net.nodes[nid].learn(down)
         return net, rng
 
     @staticmethod
@@ -166,54 +156,52 @@ class TestNextHopUnchanged:
         keys = [random_id(rng) for _ in range(4)]
         return keys + [(nid + rng.randrange(-50, 50)) % ID_SPACE, rng.choice(known)]
 
-    def _check(self, eager_repair: bool) -> set[str]:
-        net, rng = self._churned(eager_repair)
+    def _check(self, stale: bool) -> set[str]:
+        net, rng = self._churned(stale)
         branches = set()
         for nid in list(net.alive_ids):
             node = net.nodes[nid]
-            known = sorted(node.known_nodes())
-            leaves = node.leaf_set.members | {nid}
-            keys = self._keys(nid, known, rng)
-            excludes = [set(), set(rng.sample(known, 4)), leaves,
-                        leaves | set(node.routing_table.entries) - {rng.choice(known)}]
-            for key in keys:
-                for exclude in excludes:
-                    got = node.next_hop(key, exclude=set(exclude))
-                    assert got == reference_next_hop(node, key, exclude)
-                    if got in leaves - exclude:
-                        branches.add("leaf")
-                    elif got == node.routing_table.entry_for_key(key):
-                        branches.add("table")
-                    else:
-                        branches.add("scan" if got != nid else "self")
+            for key in self._keys(nid, sorted(node.known_nodes()), rng):
+                got = node.next_hop(key)
+                assert got == reference_next_hop(node, key)
+                if got == nid:
+                    branches.add("self")
+                elif node.leaf_set.covers(key):
+                    branches.add("leaf")
+                elif got == node.routing_table.entry_for_key(key):
+                    branches.add("table")
+                else:
+                    branches.add("scan")
+                if not net.is_alive(got):
+                    branches.add("dead")
         return branches
 
     def test_after_eager_repair(self):
-        assert self._check(eager_repair=True) == {"leaf", "table", "scan", "self"}
+        assert self._check(stale=False) == {"leaf", "table", "scan", "self"}
 
     def test_with_stale_dead_references(self):
-        assert self._check(eager_repair=False) == {"leaf", "table", "scan", "self"}
+        assert self._check(stale=True) == {"leaf", "table", "scan", "self", "dead"}
 
     @pytest.mark.parametrize("mutate", MUTATORS.values(), ids=MUTATORS.keys())
     def test_memoised_decision_follows_each_mutator(self, mutate):
         """Every decision asked twice, the state changed in between: the
         second answer is the one the changed state decides, and the
         change moved at least one answer (so the memo was put to it)."""
-        net, rng = self._churned(eager_repair=False)
+        net, rng = self._churned(stale=True)
         moved = 0
         for nid in list(net.alive_ids):
             node = net.nodes[nid]
             for key in self._keys(nid, sorted(node.known_nodes()), rng):
                 got = node.next_hop(key)
-                assert got == reference_next_hop(node, key, set())
+                assert got == reference_next_hop(node, key)
                 mutate(node, got, key ^ 1)
                 again = node.next_hop(key)
-                assert again == reference_next_hop(node, key, set())
+                assert again == reference_next_hop(node, key)
                 moved += again != got
         assert moved
 
     def test_repeated_add_keeps_the_memo(self):
-        net, rng = self._churned(eager_repair=True)
+        net, rng = self._churned()
         node = net.nodes[net.alive_ids[0]]
         keys = [random_id(rng) for _ in range(8)]
         memo = {key: node.next_hop(key) for key in keys}
@@ -223,18 +211,6 @@ class TestNextHopUnchanged:
             node.routing_table.add(entry)
         assert node.next_hop(keys[0]) == memo[keys[0]]
         assert node._hop_memo == memo
-
-    def test_a_call_with_exclude_neither_reads_nor_writes_the_memo(self):
-        net, rng = self._churned(eager_repair=True)
-        node = net.nodes[net.alive_ids[0]]
-        key, fresh = random_id(rng), random_id(rng)
-        node.next_hop(key)
-        node._hop_memo[key] = -1  # an answer no decision gives
-        exclude = {rng.choice(sorted(node.known_nodes()))}
-        for k in (key, fresh):
-            assert node.next_hop(k, exclude=exclude) == reference_next_hop(node, k, exclude)
-        assert node._hop_memo == {key: -1}
-        assert node.next_hop(key) == -1  # the memo does serve plain calls
 
     def test_every_new_node_object_starts_with_an_empty_memo(self):
         net = build_network(50, seed=6)

@@ -43,12 +43,12 @@ def always_walks(network: PastryNetwork) -> PastryNetwork:
     return network
 
 
-def twins(eager_repair: bool, forked: bool = False):
-    base = PastryNetwork.build(IDS, eager_repair=eager_repair)
+def twins(forked: bool = False):
+    base = PastryNetwork.build(IDS)
     if forked:
         snap = base.snapshot()
         return snap.restore(), always_walks(snap.restore())
-    return base, always_walks(PastryNetwork.build(IDS, eager_repair=eager_repair))
+    return base, always_walks(PastryNetwork.build(IDS))
 
 
 def outcome(network: PastryNetwork, op: str, *args):
@@ -91,11 +91,10 @@ step_st = st.one_of(
 
 
 class TestAgainstUncachedTwin:
-    @pytest.mark.parametrize("eager_repair", [True, False], ids=["eager", "lazy"])
     @given(steps=st.lists(step_st, max_size=60), forked=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_same_answer_after_every_step(self, eager_repair, steps, forked):
-        shipped, reference = twins(eager_repair, forked)
+    def test_same_answer_after_every_step(self, steps, forked):
+        shipped, reference = twins(forked)
         for src in SOURCES:  # start with a warm memo
             for key in KEYS:
                 same_step(shipped, reference, "route", src, key)
@@ -103,8 +102,6 @@ class TestAgainstUncachedTwin:
             same_step(shipped, reference, op, *args)
             for key in KEYS[:4]:
                 same_step(shipped, reference, "route", SOURCES[0], key)
-        if not eager_repair:
-            assert not shipped._route_cache  # lazy repair stays uncached
 
 
 class TestStamps:
@@ -211,9 +208,8 @@ class TestBoundedLifetime:
         victim = net.route(src, key).path[1]
         # make the re-walk one that is not memoised (it meets a dead hop):
         # the stale entry must go at once, not linger until overwritten
-        net.eager_repair = False
         net.fail(victim)
-        net.eager_repair = True
+        assert net.nodes[src].routing_table.add(victim, replace=True)
         assert (src, key) in net._route_cache
         rerouted = net.route(src, key)
         assert rerouted.failures and victim not in rerouted.path

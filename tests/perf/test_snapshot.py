@@ -21,6 +21,7 @@ from repro.obs import MetricsRegistry
 from repro.pastry.node import PastryNode
 from repro.perf import base_snapshot, rows_digest, run_trials, shared_payload
 from repro.perf.snapshot import _SNAPSHOT_CACHE
+from tests.conftest import build_network
 
 BASE_SEED = 3
 N = 150
@@ -232,6 +233,19 @@ class TestForkIsolation:
         fork.fail_node(new_id)
         assert new_id not in fork.network.alive_ids
 
+    def test_reinserted_base_id_is_counted_once(self):
+        """A deleted base id put back iterates in its snapshot place,
+        not a second time among the ids added after the fork."""
+        parent = build_network(20, seed=8)
+        nodes = parent.snapshot().restore().nodes
+        nid = parent.alive_ids[3]
+        node = nodes[nid]
+        del nodes[nid]
+        assert nid not in nodes and len(nodes) == 19
+        nodes[nid] = node
+        assert len(nodes) == len(parent.nodes)
+        assert list(nodes) == list(parent.nodes)
+
 
 class TestEpochKeyedCaches:
     @staticmethod
@@ -263,7 +277,7 @@ class TestEpochKeyedCaches:
         net.fail(bystander)
         assert net.membership_epoch == epoch + 1
 
-        def no_walk(self, key, exclude=None):
+        def no_walk(self, key):
             raise AssertionError("the memoised route was walked again")
 
         monkeypatch.setattr(PastryNode, "next_hop", no_walk)
