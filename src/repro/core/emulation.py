@@ -432,7 +432,8 @@ class TapEmulation:
         """A message hit a dead node: its sender times out and retries.
 
         The timeout charge is one round-trip to the dead neighbour —
-        the sender waited for an ack that never came.
+        the sender waited for an ack that never came.  The retry decides
+        afresh, and no decision names a node the overlay knows is dead.
         """
         env: _Envelope = record.payload
         if env.trace.finished_at is not None:
@@ -442,7 +443,6 @@ class TapEmulation:
         if env.via_hint:
             env.via_hint = False
             env.history.hint_failures += 1
-        self.network.discover_failure(sender, dead)
         delay = 2.0 * self.topology.latency(sender, dead)
         if env.trace.span is not None and self.tracer:
             # the round-trip the sender wasted waiting on the dead node

@@ -5,10 +5,16 @@ and adds the Pastry-level checks the store cannot see:
 
 * ``sorted-alive`` — the network's ``_sorted_alive`` index is strictly
   ascending and agrees exactly with per-node ``alive`` flags;
-* ``leaf-liveness`` / ``table-liveness`` — no alive node references a
-  dead node in its leaf set or routing table (the network repairs
-  every reference at each fail and revive, the stand-in for Pastry's
-  maintenance protocol);
+* ``leaf-liveness`` — no alive node holds a dead node in its leaf set
+  (the network re-reads the leaf windows around each fail, revive and
+  join, the stand-in for Pastry's maintenance protocol);
+* ``memo-coherence`` — every memoised decision the network would
+  serve now (a node's ``next_hop`` memo entry whose stamps hold, a
+  route-memo entry that is current or would revalidate) equals a fresh
+  decision.  Routing cells are read from the alive ids, so a stale
+  memo is the one way a route can go wrong;
+* ``pns-cell`` — on a PNS build, every stored cell choice is a member
+  of its cell's prefix class;
 * ``leaf-symmetry`` — every alive node's leaf set contains its
   immediate ring predecessor and successor, and they contain it back
   (the minimal property that makes closest-key routing terminate at
@@ -22,7 +28,7 @@ and adds the Pastry-level checks the store cannot see:
   until revival reconciles them).
 
 The auditor is cheap enough to run after every membership event in an
-experiment (``O(N·|L| + objects)``); wire it through
+experiment (``O(N·|L| + memo entries + objects)``); wire it through
 :meth:`repro.core.system.TapSystem.enable_auditing` or run it directly.
 """
 
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.pastry.bulk import leaf_reach, leaf_window
+from repro.pastry.bulk import bucket_bounds, leaf_reach, leaf_window
 from repro.pastry.network import PastryNetwork
 
 
@@ -81,7 +87,7 @@ class InvariantAuditor:
         checks = [
             self._check_sorted_alive,
             self._check_leaf_sets,
-            self._check_reference_liveness,
+            self._check_decisions,
         ]
         if self.store is not None:
             checks.append(self._check_store)
@@ -147,18 +153,60 @@ class InvariantAuditor:
                         f"neighbour {neighbour:#x}"
                     )
 
-    def _check_reference_liveness(self, report: AuditReport) -> None:
+    def _check_decisions(self, report: AuditReport) -> None:
+        """What decisions read (leaves, PNS choices) and what they
+        memoised."""
+        self._check_leaf_liveness(report)
+        self._check_pns_cells(report)
+        self._check_memos(report)
+
+    def _check_leaf_liveness(self, report: AuditReport) -> None:
         for nid in self.network.alive_ids:
-            node = self.network.nodes[nid]
-            for dead in node.leaf_set.members:
+            for dead in self.network.nodes[nid].leaf_set.members:
                 if not self.network.is_alive(dead):
                     report.violations.append(
                         f"leaf-liveness: {nid:#x} holds dead leaf {dead:#x}"
                     )
-            for dead in node.routing_table.entries:
-                if not self.network.is_alive(dead):
+
+    def _check_memos(self, report: AuditReport) -> None:
+        network = self.network
+        # the nodes built so far: a fork's others have decided nothing
+        for node in dict.values(network.nodes):
+            if not node.alive:
+                continue
+            for key, (got, _, _) in list(node.served_memo()):
+                want = node._decide(key)[0]
+                if got != want:
                     report.violations.append(
-                        f"table-liveness: {nid:#x} holds dead entry {dead:#x}"
+                        f"memo-coherence: {node.node_id:#x} memoises "
+                        f"{got:#x} for {key:#x}, decides {want:#x}"
+                    )
+        for (src, key), (path, stamps, epoch) in network._route_cache.items():
+            if epoch != network.membership_epoch and not network._stamps_hold(stamps):
+                continue
+            if not network.is_alive(src):
+                continue  # refused before the memo is read
+            walk = [src]
+            while len(walk) <= network.MAX_HOPS:
+                nxt = network.nodes[walk[-1]]._decide(key)[0]
+                if nxt == walk[-1]:
+                    break
+                walk.append(nxt)
+            if walk != path:
+                report.violations.append(
+                    f"memo-coherence: route {src:#x} -> {key:#x} memoised "
+                    f"{' > '.join(map(hex, path))}, walks {' > '.join(map(hex, walk))}"
+                )
+
+    def _check_pns_cells(self, report: AuditReport) -> None:
+        b_bits = self.network.b_bits
+        for nid, cells in self.network.pns_cells.items():
+            for (row, col), entry in cells.items():
+                lower, upper = bucket_bounds(nid, row, col, b_bits)
+                if not lower <= entry < upper:
+                    report.violations.append(
+                        f"pns-cell: {nid:#x} cell ({row}, {col}) holds "
+                        f"{entry:#x}, outside its prefix class"
                     )
 
     # ------------------------------------------------------------------

@@ -3,19 +3,18 @@
 Implements the routing/location layer TAP is built on (Rowstron &
 Druschel, Middleware 2001): 128-bit circular id space, base-``2**b``
 digit prefix routing (default b=4, i.e. 16-way digits and
-``log_16 N``-hop routes), leaf sets of ``|L|=16``, join protocol, and
-failure handling via leaf-set/routing-table repair.
+``log_16 N``-hop routes), leaf sets of ``|L|=16``, join, failure and
+revival.
 
-Two construction paths are provided:
-
-* :meth:`PastryNetwork.build` — omniscient bootstrap that instantiates
-  correct routing state for all nodes at once (the standard way to set
-  up large simulated overlays);
-* :meth:`PastryNetwork.join` — the incremental Pastry join protocol
-  (route to the closest node, copy leaf set and per-row routing
-  entries from the nodes along the join route, announce arrival).
-
-Both yield the same invariants, which the test-suite cross-checks.
+Every node's routing state is a function of the sorted alive ids:
+leaf sets are re-read as windows of them at each membership event,
+and routing cells are read from them on demand (the smallest alive id
+of the cell's prefix class).  :meth:`PastryNetwork.build` and any
+sequence of :meth:`~PastryNetwork.join` / :meth:`~PastryNetwork.fail`
+/ :meth:`~PastryNetwork.revive` therefore reach the same state for the
+same alive set, which the test-suite cross-checks against
+:class:`repro.perf.compact.CompactOverlay`.  A PNS build
+(``proximity=``) adds a built-once per-node choice of cell entries.
 """
 
 from repro.pastry.bulk import (
@@ -23,11 +22,9 @@ from repro.pastry.bulk import (
     leaf_reach,
     leaf_window,
     node_prefix,
-    smallest_id_buckets,
 )
 from repro.pastry.constants import DEFAULT_B_BITS, DEFAULT_LEAF_SET_SIZE
 from repro.pastry.leafset import LeafSet
-from repro.pastry.routing_table import RoutingTable
 from repro.pastry.node import PastryNode
 from repro.pastry.network import PastryNetwork, RouteResult, RoutingError
 
@@ -35,7 +32,6 @@ __all__ = [
     "DEFAULT_B_BITS",
     "DEFAULT_LEAF_SET_SIZE",
     "LeafSet",
-    "RoutingTable",
     "PastryNode",
     "PastryNetwork",
     "RouteResult",
@@ -44,5 +40,4 @@ __all__ = [
     "leaf_reach",
     "leaf_window",
     "node_prefix",
-    "smallest_id_buckets",
 ]

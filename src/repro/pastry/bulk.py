@@ -1,6 +1,6 @@
-"""Bulk ring-construction builders shared by the overlay engines.
+"""Ring-layout builders shared by the overlay engines.
 
-:meth:`repro.pastry.network.PastryNetwork.build` and the compact
+:class:`repro.pastry.network.PastryNetwork` and the compact
 array-backed engine (:mod:`repro.perf.compact`) must produce *the same*
 canonical overlay for a given id population — that equivalence is a
 tested contract.  The pieces of the layout that define "canonical" live
@@ -9,11 +9,12 @@ here, once:
 * **leaf windows** — the half closest ids in each ring direction are
   exactly the index neighbours in sorted order, so a node's leaf set is
   the ±reach window around its sorted position;
+* **prefix buckets** — a routing cell's entry is the smallest alive id
+  of its prefix class, a contiguous interval of the sorted ring
+  (:func:`bucket_bounds`);
 * **prefix depths** — nodes sharing an r-digit prefix form a contiguous
   run in sorted order, so each node's deepest populated routing row is
-  bounded by the shared prefix with its sort neighbours;
-* **prefix buckets** — the deterministic routing-table fill keeps the
-  smallest qualifying id per (row, prefix, digit) bucket.
+  bounded by the shared prefix with its sort neighbours.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ def bucket_bounds(node_id: int, row: int, col: int, b_bits: int) -> tuple[int, i
     ``[lower, upper)`` — those sharing ``node_id``'s first ``row``
     digits followed by digit ``col``.  Because the bucket is a
     contiguous interval of the sorted ring, its canonical entry (the
-    smallest qualifying id, per :func:`smallest_id_buckets`) is the
-    first alive id at or past ``lower`` — the one-``searchsorted``
-    lookup both the compact engine's scalar router and the batched
-    packet plane (:mod:`repro.perf.packet`) build on.
+    smallest qualifying id) is the first alive id at or past ``lower``
+    — the one-bisect lookup :meth:`repro.pastry.node.PastryNode.cell`,
+    the compact engine's scalar router and the batched packet plane
+    (:mod:`repro.perf.packet`) build on.
     """
     shift = ID_BITS - b_bits * (row + 1)
     lower = ((node_prefix(node_id, row, b_bits) << b_bits) | col) << shift
@@ -87,26 +88,6 @@ def adjacent_prefix_depths(ids: Sequence[int], b_bits: int) -> list[int]:
         )
         for i in range(n)
     ]
-
-
-def smallest_id_buckets(
-    ids: Sequence[int], depths: Sequence[int], b_bits: int
-) -> dict[tuple[int, int, int], int]:
-    """Deterministic routing-table buckets over a sorted population.
-
-    Bucket ``(row, prefix, digit)`` keeps the smallest id whose first
-    ``row`` digits equal ``prefix`` and whose next digit is ``digit`` —
-    the canonical cell entry every engine agrees on.
-    """
-    rows = ID_BITS // b_bits
-    buckets: dict[tuple[int, int, int], int] = {}
-    for idx, nid in enumerate(ids):
-        for row in range(min(rows, depths[idx] + 1)):
-            key = (row, node_prefix(nid, row, b_bits), id_digit(nid, row, b_bits))
-            cur = buckets.get(key)
-            if cur is None or nid < cur:
-                buckets[key] = nid
-    return buckets
 
 
 def proximity_pools(

@@ -31,12 +31,9 @@ class LeafSet:
         self._ids: list[int] = []
         #: moves exactly when ``_ids`` changes (a candidate trimmed
         #: straight back out, or a repeated ``add``, leaves it alone);
-        #: the network stamps memoised routes with it
+        #: the owner's ``next_hop`` memo and the network's memoised
+        #: routes are stamped with it
         self.version = 0
-        #: optional ``(owner_id, added_id)`` callback observed by the
-        #: network's referrer index; fired per *candidate* (superset
-        #: semantics — eviction by :meth:`_trim` is not reported)
-        self.on_add = None
 
     # -- membership ----------------------------------------------------
     @property
@@ -66,41 +63,25 @@ class LeafSet:
     def add_all(self, node_ids) -> None:
         ids = self._ids
         before = ids[:]
-        added = [node_id for node_id in node_ids if node_id != self.owner_id]
-        for node_id in added:
+        for node_id in node_ids:
+            if node_id == self.owner_id:
+                continue
             pos = bisect_left(ids, node_id)
             if pos == len(ids) or ids[pos] != node_id:
                 ids.insert(pos, node_id)
         self._trim()
         if ids != before:
             self.version += 1
-        if self.on_add is not None:
-            for node_id in added:
-                self.on_add(self.owner_id, node_id)
 
-    def bulk_load(self, node_ids) -> None:
-        """Trusted direct load used by the snapshot-restore path: the
-        caller guarantees the ids are exactly a valid (trimmed) leaf set
-        for the owner, so they are ordered once and :meth:`_trim` is
-        skipped."""
-        ids = sorted(set(node_ids) - {self.owner_id})
-        if ids != self._ids:
-            self._ids = ids
-            self.version += 1
-
-    def reload(self, window: list[int]) -> set[int]:
+    def reload(self, window: list[int]) -> None:
         """Become the owner's slice of the ring order as read by
         :func:`repro.pastry.bulk.leaf_window` (ascending, owner-free,
-        adopted as is) — how the bulk constructor and repair set a leaf
-        set.  Returns the ids gained, for the referrer index;
-        ``on_add`` is not fired and ``version`` moves only if the ids
-        did."""
-        if window == self._ids:
-            return set()
-        gained = set(window).difference(self._ids)
-        self._ids = window
-        self.version += 1
-        return gained
+        adopted as is) — how the network sets every leaf set at build
+        and at each membership event; ``version`` moves only if the
+        ids did."""
+        if window != self._ids:
+            self._ids = window
+            self.version += 1
 
     def remove(self, node_id: int) -> None:
         ids = self._ids
@@ -112,10 +93,9 @@ class LeafSet:
     def _trim(self) -> None:
         """Keep only ids that belong to either bounded half, i.e. drop
         the middle of the clockwise order.  (A half with a vacancy is
-        thereby filled from the other side of the ring.  Repair never
-        leaves one — it re-reads the whole window, :meth:`reload` — but
-        message-level join, and a route that forgets a dead leaf it
-        met, can meet a non-full set.)"""
+        thereby filled from the other side of the ring.  The network
+        never leaves one — it re-reads whole windows, :meth:`reload` —
+        but the incremental :meth:`add` / :meth:`remove` can.)"""
         ids = self._ids
         while len(ids) > self.capacity:
             del ids[(bisect_left(ids, self.owner_id) + self.half) % len(ids)]

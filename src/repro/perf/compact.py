@@ -2,12 +2,12 @@
 
 The object engine (:class:`repro.pastry.PastryNetwork`) spends its
 memory and bootstrap time on per-node objects — a ``PastryNode`` with a
-``LeafSet`` and a ``RoutingTable`` each — which caps practical overlay
-sizes around 10^4.  But the whole canonical overlay is a *derived view*
-of one thing: the sorted alive id set.  Leaf sets are ±reach index
-windows in sorted order, routing cells are smallest-id prefix-bucket
-slices, and both are exactly what :meth:`PastryNetwork.build` computes
-(see :mod:`repro.pastry.bulk`).  This module therefore keeps only:
+``LeafSet`` each — which caps practical overlay sizes around 10^4.
+But the whole canonical overlay is a *derived view* of one thing: the
+sorted alive id set.  Leaf sets are ±reach index windows in sorted
+order and routing cells are smallest-id prefix-bucket slices, exactly
+what the object engine stores and reads (see
+:mod:`repro.pastry.bulk`).  This module therefore keeps only:
 
 * the id population as aligned ``(hi, lo)`` uint64 word arrays, sorted
   numerically (128-bit ids don't fit a NumPy dtype; the two-word
@@ -27,15 +27,15 @@ Equivalence contract (pinned by ``tests/perf/test_compact.py``):
 2. **Churn is canonical maintenance**: after any fail/revive/join
    sequence the compact overlay's derived state equals a *fresh*
    ``PastryNetwork.build`` over the current alive set — the state the
-   object engine's repair protocols provably converge to.
-3. **Observable equality**: sorted alive ids, replica sets and route
-   destinations match the object engine event for event under the
-   strict auditor.
+   object engine keeps too.
+3. **Observable equality**: sorted alive ids, replica sets and routes
+   match the object engine event for event under the strict auditor.
 
 The materialisation bridge (:meth:`CompactOverlay.to_network_snapshot`)
-produces a :class:`~repro.perf.snapshot.NetworkSnapshot` whose per-node
-state is computed lazily, so packet-level spot-checks on a 10^5-node
-compact overlay materialise only the nodes a route actually touches.
+produces a :class:`~repro.perf.snapshot.NetworkSnapshot` of the ids and
+alive flags; its restored network builds nodes on first access, so
+packet-level spot-checks on a 10^5-node compact overlay materialise
+only the nodes a route actually touches.
 :class:`CompactSnapshot` is the picklable capture for sharding trials
 across workers via ``run_trials(shared=...)``.
 """
@@ -524,8 +524,8 @@ class CompactOverlay:
 
     def _cell_entry(self, node_id: int, row: int, col: int) -> int | None:
         """Smallest alive id in the (row, prefix, col) bucket slice —
-        the canonical cell entry (``PastryNetwork._find_node_for_cell``
-        over the prefix run in sorted order)."""
+        the canonical cell entry (:meth:`PastryNode.cell` over the
+        prefix run in sorted order)."""
         ahi, alo, _ = self._alive_arrays()
         lower, upper = bucket_bounds(node_id, row, col, self.b_bits)
         khi, klo = _pack_scalar(lower)
@@ -627,9 +627,8 @@ class CompactOverlay:
     def route(self, src_id: int, key: int) -> RouteResult:
         """Route ``key`` from ``src_id`` hop by hop on derived state.
 
-        Identical decisions to ``PastryNetwork.route`` on the
-        materialised network: canonical state never references dead
-        nodes, so no failures are discovered en route.
+        Identical decisions to ``PastryNetwork.route`` on an object
+        overlay with the same alive ids, however each reached them.
         """
         apos = self._alive_pos_of(src_id)
         if apos is None:
@@ -689,12 +688,13 @@ class CompactOverlay:
         return CompactSnapshot.capture(self)
 
     def to_network_snapshot(self):
-        """A lazy :class:`~repro.perf.snapshot.NetworkSnapshot` view.
+        """A :class:`~repro.perf.snapshot.NetworkSnapshot` of the ids
+        and alive flags.
 
         ``restore()`` yields an object-engine :class:`PastryNetwork`
-        whose nodes materialise on first access from the compact
-        arrays — a packet-level route on a 10^5-node overlay touches
-        only the handful of nodes on the path.
+        whose nodes materialise on first access — a packet-level route
+        on a 10^5-node overlay touches only the handful of nodes on
+        the path.
         """
         return self.snapshot().to_network_snapshot()
 
@@ -761,83 +761,17 @@ class CompactSnapshot:
         overlay._count_epoch = self.membership_epoch
         return overlay
 
-    def _frozen_engine(self) -> CompactOverlay:
-        """A private overlay sharing the read-only arrays (no copy);
-        used by the lazy bridge mappings, never exposed for mutation."""
-        return CompactOverlay(
-            self.hi, self.lo, self.alive,
-            self.b_bits, self.leaf_set_size, self.membership_epoch,
-        )
-
     def to_network_snapshot(self):
         from repro.perf.snapshot import NetworkSnapshot
 
-        engine = self._frozen_engine()
-        ids = engine.ids_list()
+        ids = unpack_words(self.hi, self.lo)
         alive_flags = self.alive.tolist()
-        sorted_alive = tuple(
-            nid for nid, up in zip(ids, alive_flags) if up
-        )
-        dead = frozenset(nid for nid, up in zip(ids, alive_flags) if not up)
-        index = {nid: pos for pos, nid in enumerate(ids)}
         return NetworkSnapshot(
             b_bits=self.b_bits,
             leaf_set_size=self.leaf_set_size,
             membership_epoch=self.membership_epoch,
             order=tuple(ids),
-            sorted_alive=sorted_alive,
-            dead=dead,
-            leafs=_LazyLeafs(engine, index),
-            cells=_LazyCells(engine, index),
+            sorted_alive=tuple(nid for nid, up in zip(ids, alive_flags) if up),
+            dead=frozenset(nid for nid, up in zip(ids, alive_flags) if not up),
+            pns_cells={},
         )
-
-
-class _LazyBridgeView:
-    """Shared plumbing of the lazy ``leafs``/``cells`` mappings the
-    bridge hands to :class:`NetworkSnapshot`: membership over *all*
-    tracked ids, per-node state computed from the compact arrays on
-    first access.  Dead nodes materialise empty (they are tombstones;
-    routing never consults them)."""
-
-    def __init__(self, engine: CompactOverlay, index: dict[int, int]):
-        self._engine = engine
-        self._index = index
-
-    def __contains__(self, node_id) -> bool:
-        return node_id in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def _alive_position(self, node_id):
-        pos = self._index.get(node_id)
-        if pos is None:
-            raise KeyError(node_id)
-        if not self._engine.alive[pos]:
-            return None
-        return self._engine._alive_pos_of(node_id)
-
-    def get(self, node_id, default=None):
-        try:
-            return self[node_id]
-        except KeyError:
-            return default
-
-
-class _LazyLeafs(_LazyBridgeView):
-    def __getitem__(self, node_id) -> tuple[int, ...]:
-        apos = self._alive_position(node_id)
-        if apos is None:
-            return ()
-        return tuple(self._engine._leaf_member_ids(apos))
-
-
-class _LazyCells(_LazyBridgeView):
-    def __getitem__(self, node_id) -> dict[tuple[int, int], int]:
-        apos = self._alive_position(node_id)
-        if apos is None:
-            return {}
-        return self._engine._node_cells(apos)

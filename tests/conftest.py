@@ -49,13 +49,23 @@ def build_network(num_nodes: int, seed: int = 99, **kwargs) -> PastryNetwork:
     return PastryNetwork.build(ids, **kwargs)
 
 
-def restore_stale_leaves(network: PastryNetwork, dead_id: int) -> None:
-    """Offer the failed ``dead_id`` back to every alive leaf set: the
-    ones whose window it fell in keep it, as if the failure notice had
-    never reached them.  Repair never leaves such a reference, so this
-    is how a test makes routing discover a dead hop on the way."""
-    for nid in network.alive_ids:
-        network.nodes[nid].leaf_set.add(dead_id)
+def crash_unnoticed(emu, victim: int) -> None:
+    """Crash ``victim`` in an emulation's message fabric only: every
+    leaf set that holds it keeps it stale until a message to it times
+    out, and the timeout is what tells the overlay and the store (as a
+    maintenance protocol's probe would).  The overlay repairs at each
+    ``fail`` it hears of, so this is how a test makes a message meet a
+    dead hop on the way."""
+    emu.net.fail(victim)
+    on_drop = emu.net.on_drop
+
+    def noticed(record) -> None:
+        if emu.network.is_alive(record.dst):
+            emu.network.fail(record.dst)
+            emu.store.on_fail(record.dst)
+        on_drop(record)
+
+    emu.net.on_drop = noticed
 
 
 @pytest.fixture(scope="module")

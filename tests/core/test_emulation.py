@@ -6,7 +6,7 @@ from repro.core.emulation import CONTROL_BITS, TapEmulation
 from repro.core.system import TapSystem
 from repro.simnet.topology import Topology
 from repro.simnet.transport import TransferModel, path_transfer_time
-from tests.conftest import restore_stale_leaves
+from tests.conftest import crash_unnoticed
 
 
 @pytest.fixture()
@@ -78,9 +78,9 @@ class TestDelivery:
 
 class TestFailureTimeouts:
     def test_timeout_discovery_of_a_stale_leaf(self):
-        """A dead hop node still in its neighbours' leaf sets is
-        discovered by a message timeout, charged as a round-trip, then
-        rerouted."""
+        """A dead hop node still in its neighbours' leaf sets (its crash
+        not yet noticed) is discovered by a message timeout, charged as
+        a round-trip, then rerouted."""
         system = TapSystem.bootstrap(num_nodes=200, seed=33)
         alice = system.tap_node(system.random_node_id("alice"))
         system.deploy_thas(alice, count=8)
@@ -88,8 +88,7 @@ class TestFailureTimeouts:
         emu = TapEmulation.from_system(system, topology=Topology(seed=6))
 
         victim = system.network.closest_alive(tunnel.hops[1].hop_id)
-        emu.fail_node(victim)
-        restore_stale_leaves(system.network, victim)
+        crash_unnoticed(emu, victim)
 
         trace = emu.send_through_tunnel(alice, tunnel, 42, b"x")
         emu.simulator.run()
@@ -113,8 +112,7 @@ class TestFailureTimeouts:
         tunnel2 = system2.form_tunnel(alice2, length=3)
         emu2 = TapEmulation.from_system(system2, topology=topo)
         victim = system2.network.closest_alive(tunnel2.hops[0].hop_id)
-        emu2.fail_node(victim)
-        restore_stale_leaves(system2.network, victim)
+        crash_unnoticed(emu2, victim)
         degraded = emu2.send_through_tunnel(alice2, tunnel2, 42, b"x", size_bits=1_000)
         emu2.simulator.run()
 

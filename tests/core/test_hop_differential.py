@@ -31,7 +31,7 @@ from repro.simnet.topology import Topology
 from repro.simnet.transport import TransferModel, path_transfer_time
 from repro.util.rng import SeedSequenceFactory
 
-from tests.conftest import restore_stale_leaves
+from tests.conftest import crash_unnoticed
 from tests.core.walk_scenarios import DESTINATION, SCENARIOS, World
 
 #: the scenarios that are about what a hop node does
@@ -80,18 +80,21 @@ def _peeled_at(world: World) -> list[int]:
     return [s.attrs["hop_node"] for s in spans if s.name == "onion.peel"]
 
 
-def assert_same_round_trip(perturb, hints=False, same_paths=True):
+def assert_same_round_trip(perturb, hints=False, same_paths=True, perturb_emulator=None):
     """Run ``perturb``-ed twin worlds through both engines and compare
     everything either lets an endpoint see; returns the emulated result
-    and the two worlds."""
+    and the two worlds.  ``perturb_emulator(world, emu)``, if given,
+    replaces ``perturb`` on the emulated side."""
     walked, emulated = World(hints), World(hints)
     perturb(walked)
-    perturb(emulated)
+    if perturb_emulator is None:
+        perturb(emulated)
     topology = Topology(seed=5)
+    emu = TapEmulation.from_system(emulated.system, topology=topology)
+    if perturb_emulator is not None:
+        perturb_emulator(emulated, emu)
     want = walked.round_trip()
-    got = emulated_round_trip(
-        emulated, TapEmulation.from_system(emulated.system, topology=topology)
-    )
+    got = emulated_round_trip(emulated, emu)
 
     assert got["received"] == want["received"]  # the callback: same, at most once
     for kind, sent in (("forward", REQUEST), ("reply", REPLY)):
@@ -130,17 +133,25 @@ def test_round_trip_is_the_same_in_both_engines(name):
 
 def test_stale_leaf_differs_in_transport_only():
     """A dead next hop still in its neighbours' leaf sets is discovered
-    on the way: the walk forgets it inside ``route``, the emulator times
-    out and re-sends from the sender (a round trip charged).  The
-    physical paths may then legitimately differ, so this case compares
-    the nodes that served the layers, the payloads and the reasons —
-    not the paths."""
-    def perturb(world: World) -> None:
-        for victim in (world.root(world.forward), world.root(world.reply)):
-            world.system.fail_node(victim)
-            restore_stale_leaves(world.system.network, victim)
+    on the way: the emulator times out, the overlay hears of the crash
+    and the sender re-sends (a round trip charged), where the walk meets
+    an overlay that already knows.  The physical paths may then
+    legitimately differ, so this case compares the nodes that served
+    the layers, the payloads and the reasons — not the paths."""
+    def victims(world: World) -> tuple[int, int]:
+        return world.root(world.forward), world.root(world.reply)
 
-    got, walked, emulated = assert_same_round_trip(perturb, same_paths=False)
+    def perturb(world: World) -> None:
+        for victim in victims(world):
+            world.system.fail_node(victim)
+
+    def crash(world: World, emu: TapEmulation) -> None:
+        for victim in victims(world):
+            crash_unnoticed(emu, victim)
+
+    got, walked, emulated = assert_same_round_trip(
+        perturb, same_paths=False, perturb_emulator=crash
+    )
     assert got["received"] == [REPLY]
     assert sum(t.timeouts for t in got["traces"].values()) >= 1
     assert _peeled_at(emulated) == _peeled_at(walked)

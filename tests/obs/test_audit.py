@@ -92,6 +92,34 @@ class TestInjectedViolations:
         report = InvariantAuditor(network).run("stale leaf")
         assert any("leaf-liveness" in v for v in report.violations)
 
+    def test_wrong_hop_memo_detected(self, network):
+        """One planted ``next_hop`` memo entry that names the wrong node,
+        under stamps that still hold: served as is, so only the audit's
+        fresh decision sees it."""
+        node = network.nodes[network.alive_ids[4]]
+        key = random_id(random.Random(2))
+        right, cls, stamp = node.decision(key)
+        wrong = next(nid for nid in network.alive_ids if nid not in (right, node.node_id))
+        node._hop_memo[key] = (wrong, cls, stamp)
+        assert node.next_hop(key) == wrong
+        report = InvariantAuditor(network).run("planted hop memo")
+        assert report.violations == [
+            f"memo-coherence: {node.node_id:#x} memoises {wrong:#x} for "
+            f"{key:#x}, decides {right:#x}"
+        ]
+
+    def test_wrong_route_memo_detected(self, network):
+        src = network.alive_ids[9]
+        key = random_id(random.Random(3))
+        path = network.route(src, key).path
+        network._route_cache[(src, key)][0] = path + [path[0]]
+        report = InvariantAuditor(network).run("planted route memo")
+        assert len(report.violations) == 1
+        assert report.violations[0].startswith(f"memo-coherence: route {src:#x}")
+        # a memo entry whose stamps no longer hold is never served
+        network.fail(path[-1])
+        assert InvariantAuditor(network).run("stale memo").clean
+
     def test_index_without_copy_detected(self, network, store):
         key = random_id(random.Random(1))
         store.insert(key, b"v")

@@ -131,7 +131,6 @@ class OracleLeafSet:
     def __init__(self, owner_id, capacity):
         self.owner_id, self.half = owner_id, capacity // 2
         self.members: set[int] = set()
-        self.on_add_calls: list[tuple[int, int]] = []
 
     def cw_members(self):
         return sorted(self.members, key=lambda x: (x - self.owner_id) % ID_SPACE)[: self.half]
@@ -147,17 +146,14 @@ class OracleLeafSet:
             return False
         self.members.add(node_id)
         self._trim()
-        self.on_add_calls.append((self.owner_id, node_id))
         return node_id in self.members
 
     def add_all(self, node_ids):
-        added = [n for n in node_ids if n != self.owner_id]
-        self.members.update(added)
+        self.members.update(n for n in node_ids if n != self.owner_id)
         self._trim()
-        self.on_add_calls.extend((self.owner_id, n) for n in added)
 
-    def bulk_load(self, node_ids):
-        self.members = {m for m in node_ids if m != self.owner_id}
+    def reload(self, window):
+        self.members = set(window)
 
     def remove(self, node_id):
         self.members.discard(node_id)
@@ -185,8 +181,13 @@ op_st = st.one_of(
     st.tuples(st.just("add"), any_id_st),
     st.tuples(st.just("remove"), any_id_st),
     st.tuples(st.just("add_all"), st.lists(any_id_st, max_size=24)),
-    st.tuples(st.just("bulk_load"), st.lists(any_id_st, max_size=16)),
+    st.tuples(st.just("reload"), st.lists(any_id_st, max_size=16)),
 )
+
+
+def window(owner: int, ids: list[int], capacity: int) -> list[int]:
+    """``reload``'s contract: an ascending, owner-free leaf window."""
+    return sorted(set(ids) - {owner})[:capacity]
 
 
 class TestAgainstOracle:
@@ -199,17 +200,14 @@ class TestAgainstOracle:
     @settings(max_examples=300, deadline=None)
     def test_every_answer_after_every_step(self, owner, capacity, ops, keys):
         real, oracle = LeafSet(owner, capacity), OracleLeafSet(owner, capacity)
-        calls = []
-        real.on_add = lambda owner_id, node_id: calls.append((owner_id, node_id))
         for name, arg in ops:
-            if name == "bulk_load":
-                arg = arg[:capacity]  # its contract: already a trimmed leaf set
+            if name == "reload":
+                arg = window(owner, arg, capacity)
             assert getattr(real, name)(arg) == getattr(oracle, name)(arg)
             assert real.members == oracle.members and len(real) == len(oracle.members)
             assert real.cw_members() == oracle.cw_members()
             assert real.ccw_members() == oracle.ccw_members()
             assert real.is_full() == oracle.is_full()
-            assert calls == oracle.on_add_calls
             pool = sorted(oracle.members | {owner})
             for key in keys + pool[:3]:
                 assert (key in real) == (key in oracle.members)
@@ -230,8 +228,8 @@ class TestVersion:
     def test_moves_iff_members_changed(self, owner, capacity, ops):
         leaf_set = LeafSet(owner, capacity)
         for name, arg in ops:
-            if name == "bulk_load":
-                arg = arg[:capacity]
+            if name == "reload":
+                arg = window(owner, arg, capacity)
             members, version = leaf_set.members, leaf_set.version
             getattr(leaf_set, name)(arg)
             assert (leaf_set.version != version) == (leaf_set.members != members)
@@ -245,7 +243,7 @@ class TestVersion:
         leaf_set.add_all([1001, 1000, 998])  # members and the owner
         leaf_set.add_all([1500, 500])  # trimmed straight back out
         leaf_set.remove(12345)  # never a member
-        leaf_set.bulk_load([1002, 1001, 999, 998])  # the same set
+        leaf_set.reload([998, 999, 1001, 1002])  # the same window
         assert leaf_set.version == version
         leaf_set.add(1003)  # refused: further than both clockwise members
         assert leaf_set.version == version

@@ -7,7 +7,7 @@ import statistics
 import pytest
 
 from repro.pastry.network import PastryNetwork, RoutingError
-from repro.util.ids import closest_ids, random_id, ring_distance
+from repro.util.ids import closest_ids, id_digit, random_id, ring_distance, shared_prefix_digits
 from tests.conftest import build_network
 
 
@@ -38,9 +38,9 @@ class TestBuildInvariants:
         sample = list(network200.alive_ids)[::20]
         for nid in sample:
             node = network200.nodes[nid]
-            for entry in node.routing_table.entries:
-                row, col = node.routing_table.cell_for(entry)
-                assert node.routing_table.lookup(row, col) == entry
+            for (row, col), entry in node.cells().items():
+                assert shared_prefix_digits(nid, entry) == row
+                assert id_digit(entry, row) == col
                 assert entry in ids
 
     def test_build_completeness_row0(self, network200):
@@ -51,7 +51,7 @@ class TestBuildInvariants:
         node = network200.nodes[ids[0]]
         own_digit = ids[0] >> 124
         for digit in digits_present - {own_digit}:
-            assert node.routing_table.lookup(0, digit) is not None
+            assert node.cell(0, digit) is not None
 
     def test_empty_build(self):
         net = PastryNetwork.build([])

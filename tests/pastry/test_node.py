@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from repro.pastry.node import PastryNode, ip_for_id
-from repro.util.ids import ID_BITS, ID_SPACE, random_id, ring_distance, shared_prefix_digits
+from repro.pastry.network import PastryNetwork
+from repro.pastry.node import PastryNode, class_key, ip_for_id
+from repro.util.ids import ID_BITS, ID_SPACE, id_digit, random_id, ring_distance, shared_prefix_digits
 from tests.conftest import build_network
 from tests.pastry.test_leafset import OracleLeafSet
 
@@ -36,23 +37,23 @@ class TestIpForId:
 
 class TestNextHop:
     def test_leafset_delivery_to_self(self):
-        node = PastryNode(_id_with_digits(0x8))
+        net = PastryNetwork.build([_id_with_digits(0x8)])
+        node = net.nodes[_id_with_digits(0x8)]
         # alone: leaf set empty and not full -> covers all -> self
         assert node.next_hop(12345) == node.node_id
 
     def test_leafset_delivery_to_closest_leaf(self):
-        node = PastryNode(1000)
-        node.learn([900, 1100])
+        net = PastryNetwork.build([900, 1000, 1100])
         # non-full leaf set covers everything; 1090 closest to 1100
-        assert node.next_hop(1090) == 1100
+        assert net.nodes[1000].next_hop(1090) == 1100
 
     def test_routing_table_hop_preferred_outside_leafset(self):
         owner = _id_with_digits(0x1)
-        node = PastryNode(owner, leaf_set_size=2)
-        near = [owner + 1, owner - 1]
         far = _id_with_digits(0x9, 0x9)
-        node.learn(near + [far])
+        net = PastryNetwork.build([owner - 1, owner, owner + 1, far], leaf_set_size=2)
+        node = net.nodes[owner]
         key = _id_with_digits(0x9, 0x3)
+        assert not node.leaf_set.covers(key)
         nxt = node.next_hop(key)
         # must move toward the key (longer prefix or closer), not to a leaf
         assert shared_prefix_digits(nxt, key) >= shared_prefix_digits(owner, key)
@@ -63,92 +64,100 @@ class TestNextHop:
         empty, so the scan picks the closest known node that shares a
         prefix at least as long (the far leaf does not)."""
         owner = _id_with_digits(0x1, 0x0)
-        node = PastryNode(owner, leaf_set_size=2)
         key = _id_with_digits(0x1, 0xF)
         closer = _id_with_digits(0x1, 0xA)
-        node.learn([owner - 1, owner + 1, closer])
+        net = PastryNetwork.build([owner - 1, owner, owner + 1, closer], leaf_set_size=2)
+        node = net.nodes[owner]
         assert not node.leaf_set.covers(key)
-        assert node.routing_table.entry_for_key(key) is None
+        assert node.cell(1, 0xF) is None
         assert node.next_hop(key) == closer
 
 
-def reference_next_hop(node: PastryNode, key: int) -> int:
-    """The forwarding rule as it stood before the ordered leaf set:
-    leaf decisions by the re-sorting oracle, a ``min`` over the pool,
-    checked ``ring_distance`` for every candidate of the scan."""
+def reference_next_hop(network: PastryNetwork, node: PastryNode, key: int) -> int:
+    """The forwarding rule by definition: leaf decisions by the
+    re-sorting oracle, every cell by brute force over the alive ids, a
+    ``min`` over the pool, checked ``ring_distance`` everywhere."""
+    b = network.b_bits
     leaves = OracleLeafSet(node.node_id, node.leaf_set.capacity)
     leaves.members = node.leaf_set.members
     if leaves.covers(key):
         pool = leaves.members | {node.node_id}
         return min(pool, key=lambda x: (ring_distance(x, key), x))
-    entry = node.routing_table.entry_for_key(key)
+    cells = {}
+    for nid in network.alive_ids:
+        if nid != node.node_id:
+            row = shared_prefix_digits(node.node_id, nid, b)
+            cell = (row, id_digit(nid, row, b))
+            cells[cell] = min(cells.get(cell, nid), nid)
+    own_prefix = shared_prefix_digits(node.node_id, key, b)
+    entry = cells.get((own_prefix, id_digit(key, own_prefix, b)))
     if entry is not None:
         return entry
-    b_bits = node.routing_table.b_bits
-    own_prefix = shared_prefix_digits(node.node_id, key, b_bits)
     own_dist = ring_distance(node.node_id, key)
     better = [
         (ring_distance(nid, key), nid)
-        for nid in node.known_nodes()
-        if shared_prefix_digits(nid, key, b_bits) >= own_prefix
+        for nid in leaves.members | set(cells.values())
+        if shared_prefix_digits(nid, key, b) >= own_prefix
         and ring_distance(nid, key) < own_dist
     ]
     return min(better)[1] if better else node.node_id
 
 
-def _install_vacant(node: PastryNode, got: int, near: int) -> None:
-    table = node.routing_table
-    cell = table.cell_for(near)
-    if cell is not None and table.lookup(*cell) is None:
-        table.install_cell(*cell, near)
+def _join_beside(node: PastryNode, got: int, near: int) -> None:
+    if not node.network.is_alive(near):
+        node.network.join(near)
 
 
-def _load_with(node: PastryNode, got: int, near: int) -> None:
-    table = node.routing_table
-    cell = table.cell_for(near)
-    if cell is not None:
-        table.load_cells({**table._cells, cell: near})
+def _fail(node: PastryNode, got: int, near: int) -> None:
+    if got != node.node_id:
+        node.network.fail(got)
 
 
-#: Every way a node's state changes, each aimed at the decision just
-#: made: drop its answer ``got``, or offer ``near``, an id beside the key.
+def _fail_and_revive_smaller(node: PastryNode, got: int, near: int) -> None:
+    """Fail the decided hop, then revive the smallest dead id below it:
+    its prefix class changes twice, its leaf windows may not."""
+    net = node.network
+    _fail(node, got, near)
+    dead = sorted(nid for nid, other in net.nodes.items() if not other.alive and nid < got)
+    if dead:
+        net.revive(dead[-1])
+
+
+#: Every way a node's decision inputs change, each aimed at the
+#: decision just made: drop its answer ``got``, or offer ``near``, an
+#: id beside the key.  Leaf sets change directly or by a membership
+#: event; routing cells only by a membership event in their class.
 MUTATORS = {
-    "learn": lambda node, got, near: node.learn([near]),
-    "forget": lambda node, got, near: node.forget(got),
+    "learn": _join_beside,
+    "forget": _fail,
     "LeafSet.add": lambda node, got, near: node.leaf_set.add(near),
     "LeafSet.remove": lambda node, got, near: node.leaf_set.remove(got),
     "LeafSet.reload": lambda node, got, near: node.leaf_set.reload(
         sorted(node.leaf_set.members - {got})),
-    "LeafSet.bulk_load": lambda node, got, near: node.leaf_set.bulk_load(
-        node.leaf_set.members - {got}),
-    "RoutingTable.add": lambda node, got, near: node.routing_table.add(near, replace=True),
-    "RoutingTable.remove": lambda node, got, near: node.routing_table.remove(got),
-    "RoutingTable.install_cell": _install_vacant,
-    "RoutingTable.load_cells": _load_with,
+    "RoutingTable.entry-fails-then-a-smaller-id-revives": _fail_and_revive_smaller,
 }
 
 
 class TestNextHopUnchanged:
-    """Same decision as before the leaf set was ordered, on overlays
-    whose leaf sets have been through repair, refill and staleness —
-    and, memoised, the same decision after any change of state."""
+    """Derived decisions equal the rule's definition on overlays that
+    have been through fails, revives and joins — and, memoised, the
+    same decision after any change of what they read."""
 
-    def _churned(self, stale: bool = False):
-        """200 nodes through 90 fails and revives; with ``stale`` every
-        alive node then re-learns the 30 still down — dead references
-        repair never leaves, made the way a stray message would."""
-        net = build_network(200, seed=5)
+    def _churned(self):
+        """200 nodes through 90 fails and revives and 10 joins.  Leaf
+        sets of 4 leave keys outside every leaf arc whose cell class is
+        empty (the rare case)."""
+        net = build_network(200, seed=5, leaf_set_size=4)
         rng = random.Random(12)
         down = []
-        for step in range(90):
-            if step % 3 == 2:
+        for step in range(100):
+            if step % 10 == 9:
+                net.join(random_id(rng))
+            elif step % 3 == 2:
                 net.revive(down.pop(rng.randrange(len(down))))
             else:
                 down.append(net.alive_ids[rng.randrange(net.size)])
                 net.fail(down[-1])
-        if stale:
-            for nid in net.alive_ids:
-                net.nodes[nid].learn(down)
         return net, rng
 
     @staticmethod
@@ -156,47 +165,47 @@ class TestNextHopUnchanged:
         keys = [random_id(rng) for _ in range(4)]
         return keys + [(nid + rng.randrange(-50, 50)) % ID_SPACE, rng.choice(known)]
 
-    def _check(self, stale: bool) -> set[str]:
-        net, rng = self._churned(stale)
+    def test_after_eager_repair(self):
+        net, rng = self._churned()
         branches = set()
         for nid in list(net.alive_ids):
             node = net.nodes[nid]
             for key in self._keys(nid, sorted(node.known_nodes()), rng):
                 got = node.next_hop(key)
-                assert got == reference_next_hop(node, key)
+                assert got == reference_next_hop(net, node, key)
+                assert net.is_alive(got)
+                cls = node.decision(key)[1]
                 if got == nid:
                     branches.add("self")
-                elif node.leaf_set.covers(key):
+                elif cls is None:
                     branches.add("leaf")
-                elif got == node.routing_table.entry_for_key(key):
+                elif cls == class_key((row := shared_prefix_digits(nid, key)) + 1,
+                                      key >> 124 - 4 * row):
                     branches.add("table")
                 else:
+                    assert cls == class_key(row, key >> 128 - 4 * row, whole=True)
                     branches.add("scan")
-                if not net.is_alive(got):
-                    branches.add("dead")
-        return branches
-
-    def test_after_eager_repair(self):
-        assert self._check(stale=False) == {"leaf", "table", "scan", "self"}
-
-    def test_with_stale_dead_references(self):
-        assert self._check(stale=True) == {"leaf", "table", "scan", "self", "dead"}
+        assert branches == {"leaf", "table", "scan", "self"}
 
     @pytest.mark.parametrize("mutate", MUTATORS.values(), ids=MUTATORS.keys())
     def test_memoised_decision_follows_each_mutator(self, mutate):
         """Every decision asked twice, the state changed in between: the
         second answer is the one the changed state decides, and the
         change moved at least one answer (so the memo was put to it)."""
-        net, rng = self._churned(stale=True)
+        net, rng = self._churned()
         moved = 0
-        for nid in list(net.alive_ids):
+        for nid in list(net.alive_ids)[::10]:
             node = net.nodes[nid]
+            if not node.alive:
+                continue
             for key in self._keys(nid, sorted(node.known_nodes()), rng):
                 got = node.next_hop(key)
-                assert got == reference_next_hop(node, key)
+                assert got == reference_next_hop(net, node, key)
                 mutate(node, got, key ^ 1)
+                if not node.alive:
+                    break
                 again = node.next_hop(key)
-                assert again == reference_next_hop(node, key)
+                assert again == reference_next_hop(net, node, key)
                 moved += again != got
         assert moved
 
@@ -207,10 +216,8 @@ class TestNextHopUnchanged:
         memo = {key: node.next_hop(key) for key in keys}
         for leaf in node.leaf_set.members:
             node.leaf_set.add(leaf)
-        for entry in node.routing_table.entries:
-            node.routing_table.add(entry)
         assert node.next_hop(keys[0]) == memo[keys[0]]
-        assert node._hop_memo == memo
+        assert {key: node._hop_memo[key][0] for key in keys} == memo
 
     def test_every_new_node_object_starts_with_an_empty_memo(self):
         net = build_network(50, seed=6)
@@ -227,31 +234,36 @@ class TestNextHopUnchanged:
         ]
         assert [c._hop_memo for c in copies] == [{}] * 3
         for twin in copies:  # same state, so the same decisions once asked
-            assert {key: twin.next_hop(key) for key in memo} == memo
+            assert {key: twin.next_hop(key) for key in memo} == {
+                key: hit[0] for key, hit in memo.items()
+            }
         net.fail(node.node_id)
         assert net.join(node.node_id)._hop_memo == {}
 
 
 class TestLearnForget:
+    """A node's state follows membership: what joins is learnt, what
+    fails is forgotten, in the leaf set and the routing cells alike."""
+
     def test_learn_populates_both_structures(self):
-        node = PastryNode(1000)
-        node.learn([2000])
+        net = PastryNetwork.build([1000, 1 << 127])
+        net.join(2000)
+        node = net.nodes[1000]
         assert 2000 in node.leaf_set
-        assert 2000 in node.routing_table
+        assert 2000 in node.cells().values()
 
     def test_learn_skips_self(self):
-        node = PastryNode(1000)
-        node.learn([1000])
-        assert len(node.leaf_set) == 0
+        net = PastryNetwork.build([1000])
+        node = net.nodes[1000]
+        assert len(node.leaf_set) == 0 and node.cells() == {}
 
     def test_forget_clears_both(self):
-        node = PastryNode(1000)
-        node.learn([2000])
-        node.forget(2000)
+        net = PastryNetwork.build([1000, 2000, 1 << 127])
+        net.fail(2000)
+        node = net.nodes[1000]
         assert 2000 not in node.leaf_set
-        assert 2000 not in node.routing_table
+        assert 2000 not in node.known_nodes()
 
     def test_known_nodes_union(self):
-        node = PastryNode(1000)
-        node.learn([2000, 3000])
-        assert node.known_nodes() == {2000, 3000}
+        net = PastryNetwork.build([1000, 2000, 3000])
+        assert net.nodes[1000].known_nodes() == {2000, 3000}

@@ -68,9 +68,8 @@ def same_step(shipped, reference, op, *args):
 
 def beside(key: int, digits: int, tail: int) -> int:
     """An id sharing ``key``'s first ``digits`` hex digits: joining it
-    fills routing-table cells on the way to ``key`` (a table-only
-    change of its new neighbours' state) without touching their leaf
-    sets."""
+    may change the routing cells on the way to ``key`` (a prefix class
+    every node reads) without touching most nodes' leaf sets."""
     shift = ID_BITS - 4 * digits
     return key >> shift << shift | tail & ((1 << shift) - 1)
 
@@ -108,7 +107,7 @@ class TestStamps:
     def test_rejoined_source_is_not_mistaken_for_its_predecessor(self):
         """fail X -> join X installs a fresh node object under X whose
         versions restart at 0 and may equal the ones X's surviving
-        entries were stamped with; the stamp holds the *object*, so
+        entries were stamped with; the stamp holds the leaf-set *object*, so
         such an entry is dropped however the numbers fall."""
         metrics = MetricsRegistry()
         shipped = PastryNetwork.build(IDS, metrics=metrics)
@@ -116,47 +115,42 @@ class TestStamps:
         src, key = SOURCES[1], KEYS[0]
         same_step(shipped, reference, "route", src, key)
         _, stamps, _ = shipped._route_cache[(src, key)]
-        old, leaf_version, table_version = stamps[0]
-        assert old is shipped.nodes[src]
+        old, leaf_version, _, _ = stamps[0]
+        assert old is shipped.nodes[src].leaf_set
 
         same_step(shipped, reference, "fail", src)
         same_step(shipped, reference, "join", src)
-        new = shipped.nodes[src]
+        new = shipped.nodes[src].leaf_set
         assert new is not old
-        # the worst case: the newcomer's versions land exactly on the stamp
-        new.leaf_set.version = leaf_version
-        new.routing_table._version = table_version
+        # the worst case: the newcomer's version lands exactly on the stamp
+        new.version = leaf_version
 
         same_step(shipped, reference, "route", src, key)
         assert metrics.counter("pastry.route.cache_stale").value == 1
         assert shipped._route_cache[(src, key)][1][0][0] is new
 
     def test_a_routing_table_change_alone_is_seen(self):
-        """No node dies and no leaf set moves: one path node swaps the
-        table entry the route went through for another valid one."""
+        """No node dies and the source's leaf set does not move: an id
+        joins the prefix class of the cell the route left the source by,
+        below its entry, and so takes that cell."""
         shipped = PastryNetwork.build(IDS)
         reference = always_walks(PastryNetwork.build(IDS))
-        src, key, other = next(
-            (s, k, n)
-            for s in SOURCES for k in KEYS for n in IDS
+        src, key, hop = next(
+            (s, k, path[1])
+            for s in SOURCES for k in KEYS
             if len(path := shipped.route(s, k).path) >= 3
-            and not shipped.nodes[s].leaf_set.covers(k)
-            and n != path[1]
-            and shipped.nodes[s].routing_table.cell_for(n)
-            == shipped.nodes[s].routing_table.cell_for(path[1])
+            and shipped.nodes[s].decision(k)[1] is not None
+            and path[1] not in shipped.nodes[s].leaf_set
         )
         leaf_version = shipped.nodes[src].leaf_set.version
-        for net in (shipped, reference):
-            assert net.nodes[src].routing_table.add(other, replace=True)
+        same_step(shipped, reference, "join", hop - 1)
         assert shipped.nodes[src].leaf_set.version == leaf_version
-        shipped.membership_epoch += 1  # any unrelated event
-        reference.membership_epoch += 1
         same_step(shipped, reference, "route", src, key)
-        assert shipped.route(src, key).path[1] == other
+        assert shipped.route(src, key).path[1] == hop - 1
 
     def test_a_leaf_set_change_alone_is_seen(self):
-        """No node dies and no routing table moves: the source forgets
-        the leaf-set member it delivered to, and knows it no other way."""
+        """No node dies and no prefix class changes: the source forgets
+        the leaf-set member it delivered to."""
         shipped = PastryNetwork.build(IDS)
         reference = always_walks(PastryNetwork.build(IDS))
         src, key, root = next(
@@ -164,13 +158,12 @@ class TestStamps:
             for s in IDS for k in KEYS
             if len(path := shipped.route(s, k).path) == 2
             and path[1] in shipped.nodes[s].leaf_set
-            and path[1] not in shipped.nodes[s].routing_table.entries
         )
-        table_version = shipped.nodes[src].routing_table._version
+        classes = dict(shipped._class_epochs)
         for net in (shipped, reference):
             net.nodes[src].leaf_set.remove(root)
             net.membership_epoch += 1  # any unrelated event
-        assert shipped.nodes[src].routing_table._version == table_version
+        assert shipped._class_epochs == classes
         same_step(shipped, reference, "route", src, key)
         assert shipped.route(src, key).path != [src, root]
 
@@ -201,19 +194,20 @@ class TestBoundedLifetime:
         assert peak == limit  # the valve was reached, not sidestepped
 
     def test_failed_validation_drops_the_entry(self):
-        net = PastryNetwork.build(IDS)
+        """The stale entry goes at once: the re-walk that replaces it is
+        memoised in its place, not beside it."""
+        metrics = MetricsRegistry()
+        net = PastryNetwork.build(IDS, metrics=metrics)
         src, key = next(
             (s, k) for s in SOURCES for k in KEYS if len(net.route(s, k).path) >= 3
         )
         victim = net.route(src, key).path[1]
-        # make the re-walk one that is not memoised (it meets a dead hop):
-        # the stale entry must go at once, not linger until overwritten
         net.fail(victim)
-        assert net.nodes[src].routing_table.add(victim, replace=True)
         assert (src, key) in net._route_cache
         rerouted = net.route(src, key)
-        assert rerouted.failures and victim not in rerouted.path
-        assert (src, key) not in net._route_cache
+        assert victim not in rerouted.path
+        assert metrics.counter("pastry.route.cache_stale").value == 1
+        assert net._route_cache[(src, key)][0] == rerouted.path
 
     def test_dead_source_raises_whatever_the_memo_holds(self):
         net = PastryNetwork.build(IDS)

@@ -1,8 +1,13 @@
-"""Tests for the Pastry prefix routing table."""
+"""Routing-table cells, read from the sorted alive ids.
+
+Row ``r`` holds nodes sharing exactly ``r`` leading digits with the
+owner; column ``c`` is the value of digit ``r`` of the entry, and the
+entry is the smallest alive id of that prefix class.
+"""
 
 import pytest
 
-from repro.pastry.routing_table import RoutingTable
+from repro.pastry.network import PastryNetwork
 from repro.util.ids import ID_BITS, id_digit, shared_prefix_digits
 
 
@@ -17,127 +22,128 @@ def _id_with_digits(*digits: int, b: int = 4) -> int:
 OWNER = _id_with_digits(0xA, 0xB, 0xC)
 
 
+def owner_in(*others: int, b: int = 4):
+    """OWNER's node in an overlay of OWNER and ``others``."""
+    net = PastryNetwork.build([OWNER, *others], b_bits=b)
+    return net, net.nodes[OWNER]
+
+
 class TestCellAssignment:
     def test_self_has_no_cell(self):
-        rt = RoutingTable(OWNER)
-        assert rt.cell_for(OWNER) is None
-        assert not rt.add(OWNER)
+        net, node = owner_in(_id_with_digits(0x1), _id_with_digits(0xA, 0xB, 0xD))
+        for row in range(4):
+            assert node.cell(row, id_digit(OWNER, row)) is None
+        assert OWNER not in node.cells().values()
 
     def test_row_is_shared_prefix_length(self):
-        rt = RoutingTable(OWNER)
         other = _id_with_digits(0xA, 0xB, 0xD)  # shares 2 digits
-        row, col = rt.cell_for(other)
-        assert row == 2 and col == 0xD
+        _, node = owner_in(other)
+        assert node.cells() == {(2, 0xD): other}
 
     def test_row_zero_for_no_shared_prefix(self):
-        rt = RoutingTable(OWNER)
         other = _id_with_digits(0x1)
-        row, col = rt.cell_for(other)
-        assert row == 0 and col == 0x1
+        _, node = owner_in(other)
+        assert node.cells() == {(0, 0x1): other}
 
     def test_b_must_divide_id_bits(self):
         with pytest.raises(ValueError):
-            RoutingTable(OWNER, b_bits=5)
+            PastryNetwork(b_bits=5)
 
     def test_b2_dimensions(self):
-        rt = RoutingTable(OWNER, b_bits=2)
-        assert rt.rows == 64 and rt.cols == 4
+        others = [_id_with_digits(d, 1, b=2) for d in range(4)]
+        net, node = owner_in(*others, b=2)
+        cells = node.cells()
+        assert cells and all(row < 64 and col < 4 for row, col in cells)
+        assert {col for row, col in cells if row == 0} == {0, 1, 3}  # OWNER starts 2
 
 
 class TestAddRemove:
-    def test_add_and_lookup(self):
-        rt = RoutingTable(OWNER)
-        other = _id_with_digits(0x1)
-        assert rt.add(other)
-        assert rt.lookup(0, 0x1) == other
-        assert other in rt
+    """Cells follow membership: an id that becomes the smallest of its
+    class takes the cell, and one that leaves hands it on."""
 
-    def test_incumbent_kept_by_default(self):
-        rt = RoutingTable(OWNER)
-        first = _id_with_digits(0x1, 0x0)
-        second = _id_with_digits(0x1, 0x5)
-        rt.add(first)
-        assert not rt.add(second)  # same cell (row 0, col 1)
-        assert rt.lookup(0, 0x1) == first
+    def test_add_and_lookup(self):
+        net, node = owner_in(_id_with_digits(0xA))
+        other = _id_with_digits(0x1)
+        net.join(other)
+        assert node.cell(0, 0x1) == other
+        assert other in node.known_nodes()
 
     def test_replace_evicts(self):
-        rt = RoutingTable(OWNER)
-        first = _id_with_digits(0x1, 0x0)
-        second = _id_with_digits(0x1, 0x5)
-        rt.add(first)
-        assert rt.add(second, replace=True)
-        assert rt.lookup(0, 0x1) == second
-        assert first not in rt
-
-    def test_re_add_same_node_true(self):
-        rt = RoutingTable(OWNER)
-        other = _id_with_digits(0x1)
-        rt.add(other)
-        assert rt.add(other)
+        first = _id_with_digits(0x1, 0x5)
+        second = _id_with_digits(0x1, 0x0)  # same cell (row 0, col 1), smaller
+        net, node = owner_in(first)
+        net.join(second)
+        assert node.cell(0, 0x1) == second
+        assert first not in node.cells().values()
 
     def test_remove(self):
-        rt = RoutingTable(OWNER)
         other = _id_with_digits(0x1)
-        rt.add(other)
-        assert rt.remove(other)
-        assert rt.lookup(0, 0x1) is None
-        assert not rt.remove(other)
+        net, node = owner_in(other, _id_with_digits(0x2))
+        net.fail(other)
+        assert node.cell(0, 0x1) is None
+        assert other not in node.known_nodes()
+        net.revive(other)
+        assert node.cell(0, 0x1) == other
 
     def test_len_counts_cells(self):
-        rt = RoutingTable(OWNER)
-        rt.add(_id_with_digits(0x1))
-        rt.add(_id_with_digits(0x2))
-        assert len(rt) == 2
+        _, node = owner_in(_id_with_digits(0x1), _id_with_digits(0x2), _id_with_digits(0x2, 0x3))
+        assert len(node.cells()) == 2
 
 
 class TestEntryForKey:
     def test_matches_divergent_digit(self):
-        rt = RoutingTable(OWNER)
         candidate = _id_with_digits(0xA, 0x7)  # row 1, col 7
-        rt.add(candidate)
+        _, node = owner_in(candidate)
         key = _id_with_digits(0xA, 0x7, 0xF)
-        assert rt.entry_for_key(key) == candidate
+        assert node.cell(1, id_digit(key, 1)) == candidate
 
     def test_missing_cell_none(self):
-        rt = RoutingTable(OWNER)
-        assert rt.entry_for_key(_id_with_digits(0x3)) is None
+        _, node = owner_in(_id_with_digits(0x1))
+        assert node.cell(0, 0x3) is None
 
     def test_own_id_none(self):
-        rt = RoutingTable(OWNER)
-        assert rt.entry_for_key(OWNER) is None
+        """A key equal to the owner's id has no divergent digit: the
+        owner delivers it locally."""
+        _, node = owner_in(_id_with_digits(0x1), _id_with_digits(0xA, 0x7))
+        assert node.next_hop(OWNER) == OWNER
 
     def test_entry_shares_longer_prefix_with_key(self):
         """The Pastry progress property: a routing-table hop increases
         the shared prefix with the key."""
-        rt = RoutingTable(OWNER)
         candidate = _id_with_digits(0xA, 0x7)
-        rt.add(candidate)
+        _, node = owner_in(candidate)
         key = _id_with_digits(0xA, 0x7, 0x1)
-        entry = rt.entry_for_key(key)
+        row = shared_prefix_digits(OWNER, key)
+        entry = node.cell(row, id_digit(key, row))
         assert shared_prefix_digits(entry, key) > shared_prefix_digits(OWNER, key)
 
 
 class TestRowEntries:
     def test_row_listing(self):
-        rt = RoutingTable(OWNER)
         a = _id_with_digits(0x1)
         b = _id_with_digits(0x2)
         deep = _id_with_digits(0xA, 0x5)
-        for node in (a, b, deep):
-            rt.add(node)
-        row0 = rt.row_entries(0)
-        assert row0 == {0x1: a, 0x2: b}
-        assert rt.row_entries(1) == {0x5: deep}
+        _, node = owner_in(a, b, deep, _id_with_digits(0x1, 0x9))
+        # the smallest id of each class holds its cell
+        assert node.cells() == {(0, 0x1): a, (0, 0x2): b, (1, 0x5): deep}
+        assert node.cells(first_row=1) == {(1, 0x5): deep}
 
     def test_entries_set(self):
-        rt = RoutingTable(OWNER)
         a = _id_with_digits(0x1)
-        rt.add(a)
-        assert rt.entries == {a}
+        _, node = owner_in(a)
+        assert set(node.cells().values()) == {a}
+        assert node.known_nodes() == {a}
 
     def test_cell_digit_consistency(self):
-        rt = RoutingTable(OWNER)
-        node = _id_with_digits(0xA, 0xB, 0x1)
-        rt.add(node)
-        (row, col), = [rt.cell_for(node)]
-        assert id_digit(node, row) == col
+        net = PastryNetwork.build(
+            [OWNER] + [_id_with_digits(0xA, d, e) for d in range(0, 16, 3) for e in (1, 9)]
+        )
+        for owner in net:
+            for (row, col), entry in owner.cells().items():
+                assert shared_prefix_digits(owner.node_id, entry) == row
+                assert id_digit(entry, row) == col
+                assert entry == min(
+                    nid for nid in net.alive_ids
+                    if shared_prefix_digits(owner.node_id, nid) == row
+                    and id_digit(nid, row) == col
+                )

@@ -51,7 +51,7 @@ def network_rows(net: PastryNetwork) -> list[dict]:
             "leaf": sorted(node.leaf_set.members),
             "cells": sorted(
                 [row, col, entry]
-                for (row, col), entry in node.routing_table._cells.items()
+                for (row, col), entry in node.cells().items()
             ),
         })
     return rows

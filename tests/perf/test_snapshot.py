@@ -18,10 +18,10 @@ import pytest
 
 from repro.core.system import TapSystem
 from repro.obs import MetricsRegistry
-from repro.pastry.node import PastryNode
+from repro.pastry.bulk import bucket_bounds
+from repro.pastry.node import PastryNode, class_key
 from repro.perf import base_snapshot, rows_digest, run_trials, shared_payload
 from repro.perf.snapshot import _SNAPSHOT_CACHE
-from tests.conftest import build_network
 
 BASE_SEED = 3
 N = 150
@@ -38,20 +38,19 @@ def overlay_rows(system: TapSystem) -> list[dict]:
     """Canonical full-state rows: overlay structure plus store layout.
 
     Walking every node forces lazy fork materialisation, so equality
-    here really is byte-for-byte equality of the whole system.
+    here really is equality of everything a route or a hop can read.
+    A dead node's state is never read (``revive`` re-reads its window),
+    so it contributes its id and flag alone.
     """
     rows = []
     for nid in sorted(system.network.nodes):
         node = system.network.nodes[nid]
-        rows.append({
-            "id": nid,
-            "alive": node.alive,
-            "leaf": sorted(node.leaf_set.members),
-            "cells": sorted(
-                [row, col, entry]
-                for (row, col), entry in node.routing_table._cells.items()
-            ),
-        })
+        rows.append({"id": nid, "alive": node.alive})
+        if node.alive:
+            rows[-1].update({
+                "leaf": sorted(node.leaf_set.members),
+                "cells": sorted([row, col, entry] for (row, col), entry in node.cells().items()),
+            })
     rows.append({
         "holders": sorted(
             (key, sorted(system.store.holders(key)))
@@ -183,14 +182,17 @@ class TestForkEquivalence:
         assert rows_digest(fork_rows) == rows_digest(fresh_rows)
 
     def test_leaf_sets_round_trip_through_a_pickled_snapshot(self):
-        # capture reads the public ``members`` view (unordered ids);
-        # restore must rebuild the same ordered leaf set from it.
+        # capture keeps the ids and flags; restore must re-read the same
+        # ordered leaf set of every alive node from them (a dead node's
+        # is never read: ``revive`` re-reads its window).
         base = TapSystem.bootstrap(N, seed=BASE_SEED)
         churn_script(base)
         network = base.network
         restored = pickle.loads(pickle.dumps(network.snapshot())).restore()
         assert list(restored.nodes) == list(network.nodes)
-        for nid, node in network.nodes.items():
+        assert restored.alive_ids == network.alive_ids
+        for nid in network.alive_ids:
+            node = network.nodes[nid]
             twin = restored.nodes[nid].leaf_set
             assert twin.members == node.leaf_set.members
             assert twin.cw_members() == node.leaf_set.cw_members()
@@ -221,7 +223,7 @@ class TestForkIsolation:
             system.snapshot()
 
     def test_join_then_fail_on_fork(self):
-        # Tombstone semantics: joined-then-failed nodes on a fork behave
+        # Registry semantics: joined-then-failed nodes on a fork behave
         # like on a fresh system; no snapshot resurrection.
         snap = TapSystem.bootstrap(N, seed=BASE_SEED).snapshot()
         fork = snap.fork(seed=4)
@@ -232,19 +234,6 @@ class TestForkIsolation:
         assert new_id in fork.network.nodes
         fork.fail_node(new_id)
         assert new_id not in fork.network.alive_ids
-
-    def test_reinserted_base_id_is_counted_once(self):
-        """A deleted base id put back iterates in its snapshot place,
-        not a second time among the ids added after the fork."""
-        parent = build_network(20, seed=8)
-        nodes = parent.snapshot().restore().nodes
-        nid = parent.alive_ids[3]
-        node = nodes[nid]
-        del nodes[nid]
-        assert nid not in nodes and len(nodes) == 19
-        nodes[nid] = node
-        assert len(nodes) == len(parent.nodes)
-        assert list(nodes) == list(parent.nodes)
 
 
 class TestEpochKeyedCaches:
@@ -272,7 +261,15 @@ class TestEpochKeyedCaches:
         metrics = MetricsRegistry()
         net, src, key, path = self._memoised_route(metrics)
         known = set(path).union(*(net.nodes[p].known_nodes() for p in path))
-        bystander = next(nid for nid in net.alive_ids if nid not in known)
+        classes = {cls for _, _, cls, _ in net._route_cache[(src, key)][1] if cls is not None}
+        bystander = next(
+            nid for nid in net.alive_ids
+            if nid not in known
+            and not classes & {
+                class_key(digits, nid >> 128 - 4 * digits, whole)
+                for digits in range(33) for whole in (False, True)
+            }
+        )
         epoch = net.membership_epoch
         net.fail(bystander)
         assert net.membership_epoch == epoch + 1
@@ -280,7 +277,7 @@ class TestEpochKeyedCaches:
         def no_walk(self, key):
             raise AssertionError("the memoised route was walked again")
 
-        monkeypatch.setattr(PastryNode, "next_hop", no_walk)
+        monkeypatch.setattr(PastryNode, "decision", no_walk)
         hits, revalidated, stale = self._memo_counts(metrics)
         assert net.route(src, key).path == path
         assert self._memo_counts(metrics) == (hits + 1, revalidated + 1, stale)
@@ -299,26 +296,37 @@ class TestEpochKeyedCaches:
         assert self._memo_counts(metrics) == (hits, revalidated, stale + 1)
 
     def test_row_entries_matches_cells(self):
+        """A fork's nodes list the cells a fresh build's nodes do, row by
+        row, and each listed entry is the one :meth:`cell` reads."""
         system = TapSystem.bootstrap(N, seed=BASE_SEED)
+        fork = system.snapshot().fork(seed=BASE_SEED)
         for nid in sorted(system.network.nodes)[:10]:
-            table = system.network.nodes[nid].routing_table
+            node = fork.network.nodes[nid]
             for row in range(4):
-                expected = {
-                    col: entry
-                    for (r, col), entry in table._cells.items()
+                listed = {
+                    col: entry for (r, col), entry in node.cells(first_row=row).items()
                     if r == row
                 }
-                assert table.row_entries(row) == expected
+                assert listed == {
+                    col: entry for (r, col), entry in system.network.nodes[nid].cells().items()
+                    if r == row
+                }
+                assert all(node.cell(row, col) == entry for col, entry in listed.items())
 
     def test_row_entries_tracks_removal(self):
+        """A failed entry leaves every row on a fork, and its cell passes
+        to the next id of its prefix class."""
         system = TapSystem.bootstrap(N, seed=BASE_SEED)
+        fork = system.snapshot().fork(seed=BASE_SEED)
         nid = sorted(system.network.nodes)[0]
-        table = system.network.nodes[nid].routing_table
-        row, col = next(iter(table._cells))
-        victim = table.lookup(row, col)
-        table.remove(victim)
-        assert col not in table.row_entries(row)
-        assert victim not in table.entries
+        node = fork.network.nodes[nid]
+        (row, col), victim = next(iter(node.cells().items()))
+        fork.fail_node(victim)
+        assert victim not in node.cells().values()
+        lower, upper = bucket_bounds(nid, row, col, node.network.b_bits)
+        heirs = [a for a in fork.network.alive_ids if lower <= a < upper]
+        assert node.cell(row, col) == (heirs[0] if heirs else None)
+        assert victim in system.network.nodes[nid].cells().values()  # the base is untouched
 
 
 def _shared_probe(token):

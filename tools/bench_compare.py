@@ -387,15 +387,6 @@ def bench_emu_transfer_64():
     return transfer_64
 
 
-def bench_pastry_row_entries():
-    from repro.pastry.network import PastryNetwork
-
-    ids = _bench_ids_1000()
-    net = PastryNetwork.build(ids)
-    table = net.nodes[min(ids)].routing_table
-    return lambda: [table.row_entries(r) for r in range(4)]
-
-
 MICRO = {
     "crypto.seal_1k": bench_crypto_seal_1k,
     "crypto.open_1k": bench_crypto_open_1k,
@@ -414,7 +405,6 @@ MICRO = {
 SNAPSHOT = {
     "pastry.bootstrap_1000": bench_pastry_bootstrap_1000,
     "system.fork": bench_system_fork,
-    "pastry.row_entries": bench_pastry_row_entries,
 }
 
 MACRO = {
