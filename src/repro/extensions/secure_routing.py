@@ -81,7 +81,7 @@ class RoutingInterceptor:
         if self.forge_honest_set:
             # Present the impostor's genuine leaf set: dense, but it
             # exposes honest nodes that may be closer to the key.
-            return sorted(network.nodes[fake].leaf_set.members)
+            return network.nodes[fake].leaves()
         pool = [m for m in self._sorted if m != fake]
         return closest_ids(pool, fake, min(NEIGHBOR_SET_SIZE, len(pool)))
 
@@ -108,16 +108,13 @@ class RoutingInterceptor:
 
 def honest_neighbor_set(network: PastryNetwork, root: int) -> list[int]:
     """What an honest root presents: its actual leaf set."""
-    return sorted(network.nodes[root].leaf_set.members)
+    return network.nodes[root].leaves()
 
 
 def estimate_id_spacing(network: PastryNetwork, observer_id: int) -> float:
     """The observer's local estimate of mean inter-node id spacing,
     from its own (trusted) leaf set."""
-    node = network.nodes[observer_id]
-    return neighbor_set_spacing(
-        sorted(node.leaf_set.members | {observer_id})
-    )
+    return neighbor_set_spacing(sorted(network.nodes[observer_id].leaves() + [observer_id]))
 
 
 def neighbor_set_spacing(sorted_members: list[int]) -> float:
@@ -209,7 +206,9 @@ def secure_route(
     rng = rng or random.Random(key & 0xFFFFFFFF)
 
     starts = [src_id]
-    neighbours = [n for n in src.leaf_set.members if network.is_alive(n)]
+    # the shuffle starts from set order, which the pinned rows digests
+    # depend on
+    neighbours = list(set(src.leaves()))
     rng.shuffle(neighbours)
     starts.extend(neighbours[: max(0, redundancy - 1)])
 

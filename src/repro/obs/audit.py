@@ -5,30 +5,21 @@ and adds the Pastry-level checks the store cannot see:
 
 * ``sorted-alive`` — the network's ``_sorted_alive`` index is strictly
   ascending and agrees exactly with per-node ``alive`` flags;
-* ``leaf-liveness`` — no alive node holds a dead node in its leaf set
-  (the network re-reads the leaf windows around each fail, revive and
-  join, the stand-in for Pastry's maintenance protocol);
 * ``memo-coherence`` — every memoised decision the network would
   serve now (a node's ``next_hop`` memo entry whose stamps hold, a
   route-memo entry that is current or would revalidate) equals a fresh
-  decision.  Routing cells are read from the alive ids, so a stale
-  memo is the one way a route can go wrong;
+  decision.  Leaf windows and routing cells are read from the alive
+  ids, so a stale memo — a window or class stamp a membership event
+  missed — is the one way a route can go wrong;
 * ``pns-cell`` — on a PNS build, every stored cell choice is a member
   of its cell's prefix class;
-* ``leaf-symmetry`` — every alive node's leaf set contains its
-  immediate ring predecessor and successor, and they contain it back
-  (the minimal property that makes closest-key routing terminate at
-  the true root);
-* ``leaf-window`` — every alive node's leaf set *is* its window of the
-  ring order: the |L|/2 alive ids on each side, no more and no fewer
-  (:func:`repro.pastry.bulk.leaf_window`);
 * ``storage-index`` — every object physically present on an *alive*
   node is attributed to that node by the store's holder index, and
   vice versa (dead nodes legitimately keep unreachable stale copies
   until revival reconciles them).
 
 The auditor is cheap enough to run after every membership event in an
-experiment (``O(N·|L| + memo entries + objects)``); wire it through
+experiment (``O(N + memo entries + objects)``); wire it through
 :meth:`repro.core.system.TapSystem.enable_auditing` or run it directly.
 """
 
@@ -36,12 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.pastry.bulk import bucket_bounds, leaf_reach, leaf_window
+from repro.pastry.bulk import bucket_bounds
 from repro.pastry.network import PastryNetwork
-
-
-def _hex_list(ids) -> str:
-    return "[" + ", ".join(f"{i:#x}" for i in sorted(ids)) + "]"
 
 
 class InvariantViolationError(AssertionError):
@@ -86,7 +73,6 @@ class InvariantAuditor:
         report = AuditReport(context=context)
         checks = [
             self._check_sorted_alive,
-            self._check_leaf_sets,
             self._check_decisions,
         ]
         if self.store is not None:
@@ -131,42 +117,10 @@ class InvariantAuditor:
                 f"sorted-alive: {nid:#x} alive but missing from index"
             )
 
-    def _check_leaf_sets(self, report: AuditReport) -> None:
-        """The whole ring window, and immediate-neighbour coverage."""
-        ids = self.network.alive_ids
-        n = len(ids)
-        reach = leaf_reach(n, self.network.leaf_set_size)
-        for pos, nid in enumerate(ids):
-            node = self.network.nodes[nid]
-            window = set(leaf_window(ids, pos, reach))
-            members = node.leaf_set.members
-            if members != window:
-                report.violations.append(
-                    f"leaf-window: {nid:#x} "
-                    f"missing {_hex_list(window - members)} "
-                    f"extra {_hex_list(members - window)}"
-                )
-            for neighbour in (ids[(pos + 1) % n], ids[(pos - 1) % n]):
-                if neighbour != nid and neighbour not in node.leaf_set:
-                    report.violations.append(
-                        f"leaf-symmetry: {nid:#x} missing immediate "
-                        f"neighbour {neighbour:#x}"
-                    )
-
     def _check_decisions(self, report: AuditReport) -> None:
-        """What decisions read (leaves, PNS choices) and what they
-        memoised."""
-        self._check_leaf_liveness(report)
+        """What decisions read (PNS choices) and what they memoised."""
         self._check_pns_cells(report)
         self._check_memos(report)
-
-    def _check_leaf_liveness(self, report: AuditReport) -> None:
-        for nid in self.network.alive_ids:
-            for dead in self.network.nodes[nid].leaf_set.members:
-                if not self.network.is_alive(dead):
-                    report.violations.append(
-                        f"leaf-liveness: {nid:#x} holds dead leaf {dead:#x}"
-                    )
 
     def _check_memos(self, report: AuditReport) -> None:
         network = self.network

@@ -6,10 +6,10 @@ digit prefix routing (default b=4, i.e. 16-way digits and
 ``log_16 N``-hop routes), leaf sets of ``|L|=16``, join, failure and
 revival.
 
-Every node's routing state is a function of the sorted alive ids:
-leaf sets are re-read as windows of them at each membership event,
-and routing cells are read from them on demand (the smallest alive id
-of the cell's prefix class).  :meth:`PastryNetwork.build` and any
+A node stores its id and an alive flag; the rest of its routing state
+is read from the sorted alive ids on demand: its leaf set is its
+window of them and each routing cell the smallest alive id of the
+cell's prefix class.  :meth:`PastryNetwork.build` and any
 sequence of :meth:`~PastryNetwork.join` / :meth:`~PastryNetwork.fail`
 / :meth:`~PastryNetwork.revive` therefore reach the same state for the
 same alive set, which the test-suite cross-checks against
@@ -24,14 +24,12 @@ from repro.pastry.bulk import (
     node_prefix,
 )
 from repro.pastry.constants import DEFAULT_B_BITS, DEFAULT_LEAF_SET_SIZE
-from repro.pastry.leafset import LeafSet
 from repro.pastry.node import PastryNode
 from repro.pastry.network import PastryNetwork, RouteResult, RoutingError
 
 __all__ = [
     "DEFAULT_B_BITS",
     "DEFAULT_LEAF_SET_SIZE",
-    "LeafSet",
     "PastryNode",
     "PastryNetwork",
     "RouteResult",

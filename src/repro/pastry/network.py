@@ -3,11 +3,12 @@
 The network object plays two roles found in FreePastry's simulator:
 
 * global oracle for membership: the sorted alive ids.  Every node's
-  routing state is a function of them — leaf sets are re-read as
-  windows of the ring order at each membership event (the stand-in for
-  Pastry's maintenance protocol), and routing cells are read from them
-  on demand (:meth:`PastryNode.cell`), so no node ever references a
-  dead one;
+  routing state is read from them on demand — its leaf set is its
+  window of the ring order (:meth:`PastryNode.leaves`, the stand-in
+  for Pastry's maintenance protocol) and its routing cells the
+  smallest alive ids of their prefix classes (:meth:`PastryNode.cell`)
+  — so no node ever references a dead one, and a membership event
+  only stamps the nodes whose window it changed;
 * the per-hop *routing* itself, which walks each node's forwarding
   decision (:meth:`PastryNode.decision`) from the source to the key's
   root.
@@ -22,7 +23,6 @@ from typing import Iterable, Iterator
 from repro.pastry.bulk import (
     adjacent_prefix_depths,
     leaf_reach,
-    leaf_window,
     node_prefix,
     proximity_pools,
 )
@@ -77,6 +77,8 @@ class PastryNetwork:
     ):
         if ID_BITS % b_bits != 0:
             raise ValueError(f"b={b_bits} must divide {ID_BITS}")
+        if leaf_set_size < 2 or leaf_set_size % 2 != 0:
+            raise ValueError("leaf-set capacity must be an even number >= 2")
         self.b_bits = b_bits
         self.leaf_set_size = leaf_set_size
         self.nodes: dict[int, PastryNode] = {}
@@ -99,9 +101,9 @@ class PastryNetwork:
         #: ``(src, key) -> [path, stamps, epoch last validated]``.  A
         #: route is a pure function of the decisions of the nodes on its
         #: path, so an entry outlives any membership event that leaves
-        #: those decisions alone: ``stamps`` holds, per path node, its
-        #: ``LeafSet`` object and version and the class its decision
-        #: read with that class's stamp (see :meth:`_stamps_hold`).
+        #: those decisions alone: ``stamps`` holds, per path node, the
+        #: node and its window epoch and the class its decision read
+        #: with that class's stamp (see :meth:`_stamps_hold`).
         #: Bounded by ROUTE_CACHE_LIMIT.
         self._route_cache: dict[tuple[int, int], list] = {}
         # A pure function of the alive set: valid for one membership
@@ -130,9 +132,8 @@ class PastryNetwork:
     ) -> "PastryNetwork":
         """Omniscient bootstrap: correct state for every node at once.
 
-        Every leaf set is read as a window of the sorted ids, the same
-        read repair makes after a fail, a revive or a join; routing
-        cells need no build.
+        Nothing but the registry is built: leaf windows and routing
+        cells are read from the sorted ids.
 
         ``proximity`` enables FreePastry-style proximity neighbour
         selection (PNS): a callable ``(a, b) -> latency`` (e.g.
@@ -157,7 +158,6 @@ class PastryNetwork:
             net.pns_cells = _proximity_cells(ids, b_bits, proximity, proximity_sample)
         for nid in ids:
             net.nodes[nid] = PastryNode(nid, net)
-        net._reload_leaf_sets(0, len(ids))
         return net
 
     # ------------------------------------------------------------------
@@ -208,8 +208,8 @@ class PastryNetwork:
         The newcomer's join message routes its own id via
         ``bootstrap_id`` (default: the alive node with the lowest id);
         an overlay that cannot carry it refuses the newcomer and leaves
-        the registry as it was.  Then the newcomer is indexed alive and
-        enters the state every node reads: the leaf windows around it.
+        the registry as it was.  Then the newcomer is indexed alive,
+        which enters it into the leaf windows around it.
         """
         previous = self.nodes.get(node_id)
         if previous is not None and previous.alive:
@@ -224,31 +224,31 @@ class PastryNetwork:
         return newcomer
 
     def fail(self, node_id: int) -> None:
-        """Crash a node.  The leaf sets whose window held it re-read
-        theirs; no cell needs repair, it is read from the alive ids.
-        The failed node keeps no state (its leaf set empties, so every
-        decision it memoised is void; ``revive`` re-reads its window)."""
+        """Crash a node.  The nodes whose window held it, and the node
+        itself (its window empties, so every decision it memoised is
+        void), are stamped with the new epoch; no cell needs repair, it
+        is read from the alive ids."""
         node = self.nodes.get(node_id)
         if node is None or not node.alive:
             return
         node.alive = False
-        node.leaf_set.reload([])
         ids = self._sorted_alive
         pos = bisect_left(ids, node_id)
         del ids[pos]
         self._turn_epoch(
             node_id, ids[pos - 1] if pos else None, ids[pos] if pos < len(ids) else None
         )
+        node.window_epoch = self.membership_epoch
         if self.metrics is not None:
             self.metrics.counter("pastry.fails").inc()
             self.metrics.gauge("pastry.population").set(self.size)
         half = self.leaf_set_size // 2
-        self._count_repair(self._reload_leaf_sets(pos - half, pos + half))
+        self._count_repair(self._stamp_windows(pos - half, pos + half))
 
     def revive(self, node_id: int) -> None:
         """Bring a failed node back: it and the ring neighbours whose
-        window it re-entered re-read their leaf sets, which leaves the
-        overlay as a fresh :meth:`build` of the alive ids would be."""
+        window it re-entered are stamped, which leaves the overlay as a
+        fresh :meth:`build` of the alive ids would be."""
         node = self.nodes.get(node_id)
         if node is None or node.alive:
             return
@@ -256,8 +256,8 @@ class PastryNetwork:
         self._enter(node_id, "pastry.revives")
 
     def _enter(self, node_id: int, counter: str) -> None:
-        """Index an alive ``node_id`` and re-read the leaf sets of it and
-        its ``reach`` ring neighbours on each side."""
+        """Index an alive ``node_id`` and stamp the windows of it and its
+        ``reach`` ring neighbours on each side."""
         ids = self._sorted_alive
         pos = bisect_left(ids, node_id)
         ids.insert(pos, node_id)
@@ -268,7 +268,7 @@ class PastryNetwork:
             self.metrics.counter(counter).inc()
             self.metrics.gauge("pastry.population").set(self.size)
         reach = leaf_reach(len(ids), self.leaf_set_size)
-        self._count_repair(self._reload_leaf_sets(pos - reach, pos + reach + 1))
+        self._count_repair(self._stamp_windows(pos - reach, pos + reach + 1))
 
     def _turn_epoch(self, node_id: int, pred: int | None, succ: int | None) -> None:
         """Bump the membership epoch and stamp it on what the event can
@@ -281,8 +281,8 @@ class PastryNetwork:
         Classes more than one digit deeper than its longest prefix
         shared with ``pred`` or ``succ`` hold it alone, and no decision
         reads them: a decision reads a class that holds a live node
-        sharing all but the class's last digit (a failed node's leaf
-        set empties, voiding its memo).
+        sharing all but the class's last digit (a failed node's window
+        empties, voiding its memo).
         """
         self.membership_epoch += 1
         epoch = self.membership_epoch
@@ -296,25 +296,22 @@ class PastryNetwork:
             if digits > below:
                 epochs[head] = epoch
 
-    def _reload_leaf_sets(self, lo: int, hi: int) -> int:
-        """Re-read, from the sorted alive ids, the leaf sets of the nodes
-        at ring positions ``lo`` .. ``hi - 1`` (indices wrap; each node
-        once).  Returns how many leaf sets were re-read."""
+    def _stamp_windows(self, lo: int, hi: int) -> int:
+        """Stamp the current epoch on the nodes at ring positions ``lo``
+        .. ``hi - 1`` (indices wrap; each node once), the ones whose
+        leaf window the event changed.  Returns how many were stamped."""
         ids = self._sorted_alive
         n = len(ids)
-        if not n:
-            return 0
-        reach = leaf_reach(n, self.leaf_set_size)
         first = max(lo, hi - n)
         nodes = self.nodes
+        epoch = self.membership_epoch
         for idx in range(first, hi):
-            idx %= n
-            nodes[ids[idx]].leaf_set.reload(leaf_window(ids, idx, reach))
+            nodes[ids[idx % n]].window_epoch = epoch
         return hi - first
 
-    def _count_repair(self, reloaded: int) -> None:
+    def _count_repair(self, stamped: int) -> None:
         if self.metrics is not None:
-            self.metrics.counter("pastry.repair.leaf_sets_reloaded").inc(reloaded)
+            self.metrics.counter("pastry.repair.leaf_sets_reloaded").inc(stamped)
 
     # ------------------------------------------------------------------
     # routing
@@ -386,15 +383,16 @@ class PastryNetwork:
 
     def _stamps_hold(self, stamps) -> bool:
         """Would every node on a memoised path decide as it did?  Yes
-        while each still has the leaf-set version and class stamp its
-        decision was taken under.  A stamp holds the node's ``LeafSet``
-        *object*, whose version moves when the node fails (its leaf set
-        empties), so neither a dead node nor the fresh node ``join``
-        installs under a reused id (versions restart at 0) can pass for
-        the one the route crossed."""
+        while each still has the window epoch and class stamp its
+        decision was taken under.  A node's window epoch moves when it
+        fails, and epochs only increase, so neither a dead node nor the
+        fresh node ``join`` installs under a reused id can pass for the
+        one the route crossed."""
         epochs = self._class_epochs
-        for leaf_set, version, cls, stamp in stamps:
-            if leaf_set.version != version or (cls is not None and epochs.get(cls, 0) != stamp):
+        for node, window_epoch, cls, stamp in stamps:
+            if node.window_epoch != window_epoch or (
+                cls is not None and epochs.get(cls, 0) != stamp
+            ):
                 return False
         return True
 
@@ -437,7 +435,7 @@ class PastryNetwork:
         current = src
         for _ in range(self.MAX_HOPS):
             nxt, cls, stamp = current.decision(key)
-            stamps.append((current.leaf_set, current.leaf_set.version, cls, stamp))
+            stamps.append((current, current.window_epoch, cls, stamp))
             if nxt == current.node_id:
                 if len(cache) >= self.ROUTE_CACHE_LIMIT:
                     cache.clear()

@@ -1,23 +1,24 @@
-"""A Pastry overlay node: id, leaf set, liveness and the forwarding rule.
+"""A Pastry overlay node: id, liveness and the forwarding rule.
 
-The leaf set is stored; the network re-reads it as a window of its
-sorted alive ids at every membership event.  Routing-table cells are
-not stored: cell ``(row, col)`` is read from the same alive ids as the
-smallest alive id sharing the node's first ``row`` digits followed by
-digit ``col`` — the entry a bulk build installs and the one
-:class:`repro.perf.compact.CompactOverlay` derives — so a cell is
-always canonical and never names a dead node.  A PNS build's
-proximity choices (the network's ``pns_cells``) override it while the
-chosen id is alive.
+A node stores no other id.  Its leaf set is its window of the
+network's sorted alive ids — the |L|/2 ring neighbours on each side
+(:func:`repro.pastry.bulk.leaf_window`) — and routing-table cell
+``(row, col)`` is the smallest alive id sharing the node's first
+``row`` digits followed by digit ``col``: the state a bulk build would
+install and the one :class:`repro.perf.compact.CompactOverlay`
+derives, so it is always canonical and never names a dead node.  A
+PNS build's proximity choices (the network's ``pns_cells``) override
+a cell while the chosen id is alive.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.pastry.bulk import bucket_bounds
-from repro.pastry.leafset import LeafSet
-from repro.util.ids import ID_BITS, id_digit, id_to_hex, ring_distance, shared_prefix_digits
+from repro.pastry.bulk import bucket_bounds, leaf_reach, leaf_window
+from repro.util.ids import (
+    ID_BITS, ID_SPACE, closest_in_sorted, id_digit, id_to_hex, ring_distance, shared_prefix_digits,
+)
 
 #: Cap on the per-node ``next_hop`` memo; cleared wholesale when
 #: exceeded (keys routed between mutations are usually few and hot).
@@ -54,21 +55,33 @@ class PastryNode:
         self.node_id = node_id
         self.ip = ip_for_id(node_id)
         #: the :class:`~repro.pastry.network.PastryNetwork` whose alive
-        #: ids the routing cells are read from
+        #: ids the leaf set and routing cells are read from
         self.network = network
-        self.leaf_set = LeafSet(node_id, network.leaf_set_size)
         self.alive = True
+        #: the membership epoch of the last event that changed the
+        #: node's leaf window (the network stamps it); memoised
+        #: decisions hold while it stands
+        self.window_epoch = network.membership_epoch
         #: ``key -> (next hop, class read, its stamp)`` (see
-        #: :meth:`decision`), valid for the leaf-set version in
-        #: ``_hop_version``
+        #: :meth:`decision`), valid for the window epoch in
+        #: ``_hop_epoch``
         self._hop_memo: dict[int, tuple] = {}
-        self._hop_version = None
+        self._hop_epoch = None
 
     def __getstate__(self) -> dict:
         # a pickled or deep-copied node starts with an empty memo
-        return {**self.__dict__, "_hop_memo": {}, "_hop_version": None}
+        return {**self.__dict__, "_hop_memo": {}, "_hop_epoch": None}
 
     # -- routing state ---------------------------------------------------
+    def leaves(self) -> list[int]:
+        """The leaf set, ascending: the node's window of the alive ids
+        (``[]`` for a dead node)."""
+        if not self.alive:
+            return []
+        ids = self.network.alive_ids
+        reach = leaf_reach(len(ids), self.network.leaf_set_size)
+        return leaf_window(ids, bisect_left(ids, self.node_id), reach)
+
     def cell(self, row: int, col: int) -> int | None:
         """Routing-table cell ``(row, col)``: the node's PNS choice if it
         is alive, else the smallest alive id of the cell's prefix class;
@@ -105,10 +118,6 @@ class PastryNode:
                     out[row, col] = entry
         return out
 
-    def known_nodes(self) -> set[int]:
-        """Leaf-set members and routing-table entries."""
-        return self.leaf_set.members | set(self.cells().values())
-
     # -- the Pastry routing decision --------------------------------------
     def next_hop(self, key: int) -> int:
         """Pastry's per-hop forwarding rule (Rowstron–Druschel §2.3).
@@ -129,20 +138,19 @@ class PastryNode:
     def decision(self, key: int) -> tuple[int, int | None, int]:
         """``(next hop, class, stamp)``, memoised.
 
-        A decision reads the leaf set and, past it, what ``class``
+        A decision reads the leaf window and, past it, what ``class``
         names (a :func:`class_key`): ``None`` for rule 1; the class
         whose smallest alive id rule 2 took; the whole class a PNS
         choice was made in or rule 3 scanned.  ``stamp`` is that key's
         entry in the network's ``_class_epochs`` when the decision was
-        taken.  A memoised decision is served while the leaf-set
-        version and the class stamp both still hold (the stamps the
-        route memo trusts too).
+        taken.  A memoised decision is served while the window epoch
+        and the class stamp both still hold (the stamps the route memo
+        trusts too).
         """
         memo = self._hop_memo
-        version = self.leaf_set.version
-        if self._hop_version != version:
+        if self._hop_epoch != self.window_epoch:
             memo.clear()
-            self._hop_version = version
+            self._hop_epoch = self.window_epoch
         hit = memo.get(key)
         if hit is not None and (
             hit[1] is None or self.network._class_epochs.get(hit[1], 0) == hit[2]
@@ -156,7 +164,7 @@ class PastryNode:
     def served_memo(self):
         """The ``(key, decision)`` memo entries :meth:`decision` would
         serve now (what the invariant auditor re-decides)."""
-        if self._hop_version != self.leaf_set.version:
+        if self._hop_epoch != self.window_epoch:
             return
         epochs = self.network._class_epochs
         for key, hit in self._hop_memo.items():
@@ -164,11 +172,27 @@ class PastryNode:
                 yield key, hit
 
     def _decide(self, key: int) -> tuple[int, int | None, int]:
-        """The rule itself, uncached, with what it read."""
-        if self.leaf_set.covers(key):
-            return self.leaf_set.closest(key), None, 0
-
+        """The rule itself, uncached, with what it read.  A dead node
+        delivers locally."""
+        if not self.alive:
+            return self.node_id, None, 0
         net = self.network
+        ids = net.alive_ids
+        n = len(ids)
+        # Rule 1: a ring of at most |L| ids is one leaf window; past
+        # that, the window's far ends bound the arc the node covers,
+        # and the key's two ring neighbours (hence its closest id) lie
+        # on it.
+        if n > net.leaf_set_size:
+            pos = bisect_left(ids, self.node_id)
+            half = net.leaf_set_size // 2
+            ccw_far = ids[pos - half]
+            covered = (key - ccw_far) % ID_SPACE <= (ids[(pos + half) % n] - ccw_far) % ID_SPACE
+        else:
+            covered = True
+        if covered:
+            return closest_in_sorted(ids, key, 1)[0], None, 0
+
         b = net.b_bits
         row = shared_prefix_digits(self.node_id, key, b)
         shift = ID_BITS - b * (row + 1)
@@ -187,10 +211,7 @@ class PastryNode:
         # qualify, and every cell of rows ``row`` and deeper does: all
         # of them lie in the node's ``row``-digit prefix class.
         cls = class_key(row, prefix >> b, whole=True)
-        candidates = [
-            nid for nid in self.leaf_set.members
-            if shared_prefix_digits(nid, key, b) >= row
-        ]
+        candidates = [nid for nid in self.leaves() if shared_prefix_digits(nid, key, b) >= row]
         candidates.extend(self.cells(row).values())
         own_dist = ring_distance(self.node_id, key)
         better = [

@@ -1,12 +1,12 @@
 """Compact array-backed overlay engine for 10^5–10^6-node simulation.
 
 The object engine (:class:`repro.pastry.PastryNetwork`) spends its
-memory and bootstrap time on per-node objects — a ``PastryNode`` with a
-``LeafSet`` each — which caps practical overlay sizes around 10^4.
-But the whole canonical overlay is a *derived view* of one thing: the
-sorted alive id set.  Leaf sets are ±reach index windows in sorted
-order and routing cells are smallest-id prefix-bucket slices, exactly
-what the object engine stores and reads (see
+memory and bootstrap time on per-node objects — a ``PastryNode`` each,
+and Python lists of Python ints — which caps practical overlay sizes
+around 10^4.  But the whole canonical overlay is a *derived view* of
+one thing: the sorted alive id set.  Leaf sets are ±reach index
+windows in sorted order and routing cells are smallest-id
+prefix-bucket slices, exactly what the object engine reads (see
 :mod:`repro.pastry.bulk`).  This module therefore keeps only:
 
 * the id population as aligned ``(hi, lo)`` uint64 word arrays, sorted

@@ -37,7 +37,6 @@ from typing import Callable
 
 from repro.past.replication import ReplicatedStore
 from repro.past.storage import StoredObject
-from repro.pastry.bulk import leaf_reach, leaf_window
 from repro.pastry.network import PastryNetwork
 from repro.pastry.node import PastryNode
 from repro.perf.parallel import shared_payload
@@ -49,11 +48,9 @@ class _LazyNodes(dict):
     on first access.
 
     A node carries nothing the network cannot re-read but its alive
-    flag: an alive node's leaf set is its window of the network's
-    current sorted alive ids, its cells are derived, and a dead node's
-    state is never consulted (it materialises empty; ``revive`` re-reads
-    its window).  Iteration yields the snapshot's node order followed
-    by ids registered after the fork, so code that walks
+    flag: its leaf window and cells are read from the network's current
+    sorted alive ids.  Iteration yields the snapshot's node order
+    followed by ids registered after the fork, so code that walks
     ``network.nodes`` sees what it would on a fresh build.  Ids are
     never deleted from an overlay's registry.
     """
@@ -74,13 +71,8 @@ class _LazyNodes(dict):
     def __missing__(self, node_id: int) -> PastryNode:
         if not self._captured(node_id):
             raise KeyError(node_id)
-        net = self._network
-        node = PastryNode(node_id, net)
+        node = PastryNode(node_id, self._network)
         node.alive = node_id not in self._snap.dead
-        if node.alive:
-            ids = net.alive_ids
-            pos = bisect_left(ids, node_id)
-            node.leaf_set.reload(leaf_window(ids, pos, leaf_reach(len(ids), net.leaf_set_size)))
         super().__setitem__(node_id, node)
         return node
 

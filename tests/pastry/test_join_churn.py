@@ -5,11 +5,9 @@ Alternating ``fail_node``/``join_node`` used to end in
 event 1,061): departure repair refilled a depleted leaf set with the
 |L|+2 *ring-distance*-closest ids, leaving 7 + 9 splits whose arc ran
 the long way round the ring, and a later join announcement took the
-slot.  Repair now re-reads the ±reach index window of
-:func:`repro.pastry.bulk.leaf_window` — true halves — so that state is
-no longer produced.  DESIGN.md §5c has the diagnosis; ``TestMechanism``
-keeps :class:`LeafSet`'s incremental semantics pinned, which did not
-change.
+slot.  A leaf set is now read as the ±reach index window of
+:func:`repro.pastry.bulk.leaf_window` — true halves — so that state
+cannot arise.  DESIGN.md §5c has the diagnosis.
 """
 
 import random
@@ -17,9 +15,8 @@ import random
 import pytest
 
 from repro import TapSystem
-from repro.pastry.leafset import LeafSet
 from repro.pastry.network import PastryNetwork, RoutingError
-from repro.util.ids import ID_SPACE, random_id
+from repro.util.ids import random_id
 
 OWNER = 1 << 100
 
@@ -83,43 +80,3 @@ class TestFailedJoinLeavesTheRegistryAlone:
         network.revive(OWNER)
         assert network.is_alive(OWNER) and OWNER in network.alive_ids
         assert network.route(network.alive_ids[0], OWNER).destination == OWNER
-
-
-class TestMechanism:
-    """Neither half is bounded to its own side of the ring: the halves
-    are the two ends of *one* clockwise order, so a half with a vacancy
-    is filled with whatever ranks next — ids from the other side.
-    Repair no longer leaves such a vacancy behind, but message-level
-    join and dead-hop discovery in ``route`` can still offer a non-full
-    set a far id."""
-
-    def test_fifteen_member_leaf_set_retains_a_far_id(self):
-        ls = LeafSet(OWNER, capacity=16)
-        ls.add_all(_near(cw=8, ccw=7))
-        far = (OWNER + ID_SPACE // 3) % ID_SPACE
-        assert ls.add(far)  # a true counterclockwise half would refuse it
-        assert far in ls.ccw_members()  # ... a third of the ring *clockwise*
-        assert ls.is_full()
-        # and the arc the node now answers for reaches all the way back
-        # to it: two thirds of the ring
-        assert ls.covers((OWNER + ID_SPACE // 2) % ID_SPACE)
-        assert not ls.covers((OWNER + ID_SPACE // 4) % ID_SPACE)
-
-    def test_skewed_refill_hands_a_slot_to_any_newcomer(self):
-        """What ``_repair_after_departure`` used to leave on a skewed
-        neighbourhood (the |L|+2 *ring-distance*-closest ids, a refill
-        that is gone): 7 clockwise + 9 counterclockwise.  The 8th
-        "clockwise" slot of such a set is held by the furthest
-        counterclockwise id, ranked by a clockwise offset of almost
-        2**128 — every later join announcement has a smaller one and
-        takes the slot."""
-        ls = LeafSet(OWNER, capacity=16)
-        ls.add_all(_near(cw=7, ccw=9))
-        assert ls.cw_members()[-1] == OWNER - 9
-        assert ls.covers((OWNER + ID_SPACE // 2) % ID_SPACE)  # "the whole ring"
-        newcomer = (OWNER + ID_SPACE // 14) % ID_SPACE  # ~7 % of the ring away
-        assert ls.add(newcomer)
-        assert ls.cw_members()[-1] == newcomer and OWNER - 9 not in ls
-        assert ls.is_full()
-        assert ls.covers((OWNER + ID_SPACE // 18) % ID_SPACE)
-        assert ls.closest((OWNER + ID_SPACE // 18) % ID_SPACE) == newcomer

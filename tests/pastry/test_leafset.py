@@ -1,132 +1,27 @@
-"""Tests for the Pastry leaf set."""
+"""The leaf set, read from the sorted alive ids.
+
+A node's leaf set is its window of the alive ids
+(:meth:`PastryNode.leaves`), and rule 1 of its forwarding decision —
+deliver to the numerically closest id when the key lies on the
+window's arc — reads the same ids.  :class:`OracleLeafSet`, an
+unordered set re-ranked on every question, is the specification both
+are held to.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pastry.leafset import LeafSet
+from repro.pastry.network import PastryNetwork
 from repro.util.ids import ID_SPACE, ring_distance
 
 ids_st = st.integers(min_value=0, max_value=ID_SPACE - 1)
-
-
-class TestBasics:
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            LeafSet(0, capacity=3)  # odd
-        with pytest.raises(ValueError):
-            LeafSet(0, capacity=0)
-
-    def test_owner_never_member(self):
-        ls = LeafSet(100)
-        assert not ls.add(100)
-        assert 100 not in ls
-
-    def test_add_and_contains(self):
-        ls = LeafSet(100)
-        assert ls.add(200)
-        assert 200 in ls and len(ls) == 1
-
-    def test_remove(self):
-        ls = LeafSet(100)
-        ls.add(200)
-        ls.remove(200)
-        assert 200 not in ls
-
-    def test_remove_missing_is_noop(self):
-        LeafSet(100).remove(999)
-
-
-class TestHalves:
-    def test_cw_and_ccw_split(self):
-        ls = LeafSet(1000, capacity=4)
-        ls.add_all([1001, 1002, 999, 998])
-        assert ls.cw_members() == [1001, 1002]
-        assert ls.ccw_members() == [999, 998]
-
-    def test_halves_bounded(self):
-        ls = LeafSet(1000, capacity=4)
-        ls.add_all(range(1001, 1020))  # all clockwise
-        assert len(ls.cw_members()) == 2
-        # far clockwise nodes count as counterclockwise around the ring
-        assert len(ls) <= 4
-
-    def test_eviction_keeps_nearest(self):
-        ls = LeafSet(0, capacity=2)
-        ls.add(10)
-        ls.add(5)  # nearer clockwise: evicts 10 from the cw half
-        assert 5 in ls.cw_members()
-        assert ls.cw_members()[0] == 5
-
-    def test_wraparound_ccw(self):
-        ls = LeafSet(5, capacity=4)
-        ls.add_all([ID_SPACE - 1, ID_SPACE - 2])
-        assert ls.ccw_members() == [ID_SPACE - 1, ID_SPACE - 2]
-
-
-class TestCovers:
-    def test_non_full_covers_everything(self):
-        ls = LeafSet(0, capacity=8)
-        ls.add_all([1, 2, 3])
-        assert ls.covers(ID_SPACE // 2)
-
-    def test_full_covers_only_arc(self):
-        ls = LeafSet(1000, capacity=4)
-        ls.add_all([900, 950, 1050, 1100])
-        assert ls.is_full()
-        assert ls.covers(1000)
-        assert ls.covers(925)
-        assert ls.covers(1075)
-        assert not ls.covers(ID_SPACE // 2)
-
-    def test_covers_boundary_members(self):
-        ls = LeafSet(1000, capacity=4)
-        ls.add_all([900, 950, 1050, 1100])
-        assert ls.covers(900) and ls.covers(1100)
-
-
-class TestClosest:
-    def test_includes_owner_by_default(self):
-        ls = LeafSet(1000, capacity=4)
-        ls.add_all([900, 1100])
-        assert ls.closest(1001) == 1000
-
-    @given(
-        owner=ids_st,
-        members=st.sets(ids_st, min_size=1, max_size=12),
-        key=ids_st,
-    )
-    @settings(max_examples=100)
-    def test_closest_is_truly_closest(self, owner, members, key):
-        ls = LeafSet(owner, capacity=16)
-        ls.add_all(members)
-        pool = ls.members | {owner}
-        best = ls.closest(key)
-        assert all(
-            (ring_distance(best, key), best) <= (ring_distance(m, key), m)
-            for m in pool
-        )
-
-
-class TestTrimInvariant:
-    @given(
-        owner=ids_st,
-        members=st.sets(ids_st, min_size=0, max_size=40),
-    )
-    @settings(max_examples=100)
-    def test_members_always_in_a_half(self, owner, members):
-        """Every retained member belongs to the bounded CW or CCW half."""
-        ls = LeafSet(owner, capacity=8)
-        ls.add_all(members)
-        halves = set(ls.cw_members()) | set(ls.ccw_members())
-        assert ls.members == halves
-        assert len(ls.cw_members()) <= 4
-        assert len(ls.ccw_members()) <= 4
+FAR = 1 << 127
 
 
 class OracleLeafSet:
-    """The definition the ordered representation replaced, kept as the
-    specification: an unordered set, re-ranked on every question."""
+    """The leaf set by definition: an unordered set, re-ranked on every
+    question."""
 
     def __init__(self, owner_id, capacity):
         self.owner_id, self.half = owner_id, capacity // 2
@@ -137,26 +32,6 @@ class OracleLeafSet:
 
     def ccw_members(self):
         return sorted(self.members, key=lambda x: (self.owner_id - x) % ID_SPACE)[: self.half]
-
-    def _trim(self):
-        self.members = set(self.cw_members()) | set(self.ccw_members())
-
-    def add(self, node_id):
-        if node_id == self.owner_id:
-            return False
-        self.members.add(node_id)
-        self._trim()
-        return node_id in self.members
-
-    def add_all(self, node_ids):
-        self.members.update(n for n in node_ids if n != self.owner_id)
-        self._trim()
-
-    def reload(self, window):
-        self.members = set(window)
-
-    def remove(self, node_id):
-        self.members.discard(node_id)
 
     def is_full(self):
         cw, ccw = self.cw_members(), self.ccw_members()
@@ -173,79 +48,193 @@ class OracleLeafSet:
         return min(pool, key=lambda x: (ring_distance(x, key), x))
 
 
-#: ids within a few steps of the 0 / 2**128 wrap, so sequences collide,
-#: halves overlap and the clockwise order wraps; or anywhere on the ring
+def rule_one(node, key):
+    """Rule 1's pick for ``key``, or ``None`` when it does not fire
+    (every other branch names the prefix class it read)."""
+    hop, cls, _ = node.decision(key)
+    return hop if cls is None else None
+
+
+def leaves_of(ids, owner, capacity=4):
+    return PastryNetwork.build(ids, leaf_set_size=capacity).nodes[owner].leaves()
+
+
+class TestBasics:
+    def test_capacity_validation(self):
+        snap = PastryNetwork.build([1, 2]).snapshot()
+        for size in (0, 1, 3, 7):  # odd or below 2
+            snap.leaf_set_size = size
+            for make in (
+                lambda: PastryNetwork(leaf_set_size=size),
+                lambda: PastryNetwork.build([], leaf_set_size=size),
+                lambda: PastryNetwork.build([1, 2], leaf_set_size=size),
+                snap.restore,
+            ):
+                with pytest.raises(ValueError, match="leaf-set capacity"):
+                    make()
+
+    def test_owner_never_member(self):
+        net = PastryNetwork.build([100, 200, 300], leaf_set_size=2)
+        assert all(node.node_id not in node.leaves() for node in net)
+
+    def test_add_and_contains(self):
+        net = PastryNetwork.build([100, 300])
+        net.join(200)
+        assert net.nodes[200].leaves() == [100, 300]
+        assert 200 in net.nodes[100].leaves() and 200 in net.nodes[300].leaves()
+
+    def test_remove(self):
+        net = PastryNetwork.build([100, 200, 300])
+        net.fail(200)
+        assert [node.leaves() for node in net] == [[300], [], [100]]
+
+    def test_remove_missing_is_noop(self):
+        net = PastryNetwork.build([100, 200, 300])
+        net.fail(200)
+        state = [(node.leaves(), node.window_epoch) for node in net]
+        net.fail(999)
+        net.fail(200)
+        net.revive(100)
+        assert [(node.leaves(), node.window_epoch) for node in net] == state
+
+
+class TestHalves:
+    def test_cw_and_ccw_split(self):
+        leaves = leaves_of([998, 999, 1000, 1001, 1002, FAR], 1000)
+        assert leaves == [998, 999, 1001, 1002]
+        spec = OracleLeafSet(1000, 4)
+        spec.members = set(leaves)
+        assert spec.cw_members() == [1001, 1002] and spec.ccw_members() == [999, 998]
+
+    def test_halves_bounded(self):
+        # far clockwise nodes count as counterclockwise around the ring
+        assert leaves_of(range(1000, 1020), 1000) == [1001, 1002, 1018, 1019]
+
+    def test_eviction_keeps_nearest(self):
+        assert leaves_of([0, 5, 10, FAR], 0, capacity=2) == [5, FAR]
+
+    def test_wraparound_ccw(self):
+        leaves = leaves_of([5, 1000, 2000, FAR, ID_SPACE - 2, ID_SPACE - 1], 5)
+        assert leaves == [1000, 2000, ID_SPACE - 2, ID_SPACE - 1]
+
+
+class TestCovers:
+    def test_non_full_covers_everything(self):
+        net = PastryNetwork.build([0, 1, 2, 3], leaf_set_size=8)
+        assert rule_one(net.nodes[0], ID_SPACE // 2) == 3
+
+    def test_full_covers_only_arc(self):
+        net = PastryNetwork.build([900, 950, 1000, 1050, 1100, FAR], leaf_set_size=4)
+        node = net.nodes[1000]
+        assert [rule_one(node, key) for key in (1000, 925, 1075)] == [1000, 900, 1050]
+        assert rule_one(node, ID_SPACE // 2) is None
+
+    def test_covers_boundary_members(self):
+        net = PastryNetwork.build([900, 950, 1000, 1050, 1100, FAR], leaf_set_size=4)
+        assert [rule_one(net.nodes[1000], key) for key in (900, 1100)] == [900, 1100]
+
+
+class TestClosest:
+    def test_includes_owner_by_default(self):
+        assert PastryNetwork.build([900, 1000, 1100]).nodes[1000].next_hop(1001) == 1000
+
+    @given(members=st.sets(ids_st, min_size=1, max_size=16), key=ids_st)
+    @settings(max_examples=100)
+    def test_closest_is_truly_closest(self, members, key):
+        node = PastryNetwork.build(members).nodes[min(members)]
+        best = rule_one(node, key)
+        assert all((ring_distance(best, key), best) <= (ring_distance(m, key), m) for m in members)
+
+
+class TestTrimInvariant:
+    @given(owner=ids_st, members=st.sets(ids_st, max_size=40))
+    @settings(max_examples=100)
+    def test_members_always_in_a_half(self, owner, members):
+        """The window is the |L|/2 nearest ids in each ring direction."""
+        node = PastryNetwork.build(members | {owner}, leaf_set_size=8).nodes[owner]
+        spec = OracleLeafSet(owner, 8)
+        spec.members = members - {owner}
+        assert set(node.leaves()) == set(spec.cw_members()) | set(spec.ccw_members())
+        assert len(node.leaves()) <= 8
+
+
+#: ids within a few steps of the 0 / 2**128 wrap, so windows wrap and
+#: sequences collide; or anywhere on the ring
 near_wrap_st = st.integers(-12, 12).map(lambda d: d % ID_SPACE)
 any_id_st = st.one_of(near_wrap_st, ids_st)
-op_st = st.one_of(
-    st.tuples(st.just("add"), any_id_st),
-    st.tuples(st.just("remove"), any_id_st),
-    st.tuples(st.just("add_all"), st.lists(any_id_st, max_size=24)),
-    st.tuples(st.just("reload"), st.lists(any_id_st, max_size=16)),
-)
+op_st = st.tuples(st.sampled_from(["fail", "revive", "join"]), st.integers(0, 99), any_id_st)
+ring_st = st.sets(any_id_st, min_size=1, max_size=19)
+capacity_st = st.sampled_from([2, 4, 6, 8, 16])
 
 
-def window(owner: int, ids: list[int], capacity: int) -> list[int]:
-    """``reload``'s contract: an ascending, owner-free leaf window."""
-    return sorted(set(ids) - {owner})[:capacity]
+def apply(net: PastryNetwork, op) -> None:
+    """One membership event: fail an alive id, revive a dead one or
+    join ``new_id`` (refused if alive)."""
+    kind, pick, new_id = op
+    alive = net.alive_ids
+    dead = sorted(nid for nid, node in net.nodes.items() if not node.alive)
+    if kind == "fail" and alive:
+        net.fail(alive[pick % len(alive)])
+    elif kind == "revive" and dead:
+        net.revive(dead[pick % len(dead)])
+    else:
+        try:
+            net.join(new_id)
+        except ValueError:  # already alive
+            pass
 
 
 class TestAgainstOracle:
-    @given(
-        owner=any_id_st,
-        capacity=st.sampled_from([2, 4, 6, 8, 16]),
-        ops=st.lists(op_st, max_size=30),
-        keys=st.lists(any_id_st, min_size=1, max_size=4),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_every_answer_after_every_step(self, owner, capacity, ops, keys):
-        real, oracle = LeafSet(owner, capacity), OracleLeafSet(owner, capacity)
-        for name, arg in ops:
-            if name == "reload":
-                arg = window(owner, arg, capacity)
-            assert getattr(real, name)(arg) == getattr(oracle, name)(arg)
-            assert real.members == oracle.members and len(real) == len(oracle.members)
-            assert real.cw_members() == oracle.cw_members()
-            assert real.ccw_members() == oracle.ccw_members()
-            assert real.is_full() == oracle.is_full()
-            pool = sorted(oracle.members | {owner})
-            for key in keys + pool[:3]:
-                assert (key in real) == (key in oracle.members)
-                assert real.covers(key) == oracle.covers(key)
-                assert real.closest(key) == oracle.closest(key)
+    @given(ids=ring_st, capacity=capacity_st, ops=st.lists(op_st, max_size=12),
+           keys=st.lists(any_id_st, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_every_answer_after_every_step(self, ids, capacity, ops, keys):
+        """After every event, every alive node's window is its oracle
+        halves of the alive ids, and rule 1 fires exactly when the
+        oracle loaded with that window covers the key and then picks
+        the oracle's closest — memoised answers included."""
+        net = PastryNetwork.build(ids, leaf_set_size=capacity)
+        for op in [None, *ops]:
+            if op is not None:
+                apply(net, op)
+            alive = net.alive_ids
+            for nid in alive:
+                node = net.nodes[nid]
+                spec = OracleLeafSet(nid, capacity)
+                spec.members = set(alive) - {nid}
+                window = set(spec.cw_members()) | set(spec.ccw_members())
+                assert set(node.leaves()) == window
+                spec.members = window
+                for key in keys + alive[:3] + node.leaves()[-2:]:
+                    want = spec.closest(key) if spec.covers(key) else None
+                    assert rule_one(node, key) == want
 
 
 class TestVersion:
-    """``version`` is what the network stamps memoised routes with: it
-    must move on every change of ``members`` and on nothing else."""
+    """``window_epoch`` is what memoised decisions and routes are stamped
+    with: it must move whenever a node's window or liveness changes."""
 
-    @given(
-        owner=any_id_st,
-        capacity=st.sampled_from([2, 4, 8, 16]),
-        ops=st.lists(op_st, max_size=30),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_moves_iff_members_changed(self, owner, capacity, ops):
-        leaf_set = LeafSet(owner, capacity)
-        for name, arg in ops:
-            if name == "reload":
-                arg = window(owner, arg, capacity)
-            members, version = leaf_set.members, leaf_set.version
-            getattr(leaf_set, name)(arg)
-            assert (leaf_set.version != version) == (leaf_set.members != members)
-            assert leaf_set.version >= version
+    @given(ids=ring_st, capacity=capacity_st, ops=st.lists(op_st, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_moves_iff_members_changed(self, ids, capacity, ops):
+        net = PastryNetwork.build(ids, leaf_set_size=capacity)
+        for op in ops:
+            before = [(node, node.leaves(), node.alive, node.window_epoch) for node in net]
+            apply(net, op)
+            for node, leaves, alive, epoch in before:
+                moved = (node.leaves(), node.alive) != (leaves, alive)
+                assert (node.window_epoch != epoch) == moved
+                assert node.window_epoch >= epoch
 
     def test_no_op_calls_leave_it_alone(self):
-        leaf_set = LeafSet(1000, capacity=4)
-        leaf_set.add_all([998, 999, 1001, 1002])
-        version = leaf_set.version
-        leaf_set.add(999)  # already a member
-        leaf_set.add_all([1001, 1000, 998])  # members and the owner
-        leaf_set.add_all([1500, 500])  # trimmed straight back out
-        leaf_set.remove(12345)  # never a member
-        leaf_set.reload([998, 999, 1001, 1002])  # the same window
-        assert leaf_set.version == version
-        leaf_set.add(1003)  # refused: further than both clockwise members
-        assert leaf_set.version == version
-        leaf_set.remove(999)
-        assert leaf_set.version == version + 1
+        net = PastryNetwork.build([998, 999, 1000, 1001, 1002, FAR], leaf_set_size=4)
+        net.fail(FAR)
+        epochs = [node.window_epoch for node in net]
+        membership_epoch = net.membership_epoch
+        net.fail(FAR)  # already dead
+        net.fail(12345)  # never a member
+        net.revive(999)  # alive
+        with pytest.raises(ValueError):
+            net.join(1000)  # alive
+        assert [node.window_epoch for node in net] == epochs
+        assert net.membership_epoch == membership_epoch

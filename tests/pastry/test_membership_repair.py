@@ -102,10 +102,10 @@ class World:
         fresh = PastryNetwork.build(alive)
         for idx, nid in enumerate(alive):
             node = net.nodes[nid]
-            members = node.leaf_set.members
+            members = set(node.leaves())
             want = ring_neighbours(alive, idx)
             assert members == want, f"{nid:#x} of {len(alive)}"
-            assert members == fresh.nodes[nid].leaf_set.members
+            assert members == set(fresh.nodes[nid].leaves())
             assert members == set(self.compact.leaf_members(nid))
             if len(alive) <= 40:
                 assert want == nearest_by_distance(alive, nid)
@@ -116,20 +116,19 @@ class World:
             for key in (src ^ 0x5A5A << 100, (alive[len(alive) // 2] + 1) % ID_SPACE):
                 assert net.route(src, key).path == self.compact.route(src, key).path
         if before is not None:
-            self._check_versions(before)
+            self._check_window_epochs(before)
 
     def _leaf_states(self):
-        return [
-            (node, sorted(node.leaf_set.members), node.leaf_set.version)
-            for node in self.net.nodes.values()
-        ]
+        return [(node, node.leaves(), node.alive, node.window_epoch) for node in self.net]
 
     @staticmethod
-    def _check_versions(before) -> None:
-        for node, ids, version in before:
-            moved = sorted(node.leaf_set.members) != ids
-            assert (node.leaf_set.version != version) == moved
-            assert node.leaf_set.version >= version
+    def _check_window_epochs(before) -> None:
+        """``window_epoch`` moved iff the window (or the node's own
+        liveness, which empties or fills it) changed."""
+        for node, ids, alive, epoch in before:
+            moved = (node.leaves(), node.alive) != (ids, alive)
+            assert (node.window_epoch != epoch) == moved
+            assert node.window_epoch >= epoch
 
     def _cells_holding(self, victim: int):
         return [
@@ -211,11 +210,10 @@ def _first_fail_cost(net: PastryNetwork, metrics: MetricsRegistry, victim: int) 
     net = net.snapshot().restore(metrics=metrics)
     reloaded = metrics.counter("pastry.repair.leaf_sets_reloaded")
     before_count = reloaded.value
-    versions = {nid: net.nodes[nid].leaf_set.version for nid in net.alive_ids}
+    epochs = {nid: net.nodes[nid].window_epoch for nid in net.alive_ids}
     net.fail(victim)
     rewritten = sum(
-        net.nodes[nid].leaf_set.version != version
-        for nid, version in versions.items() if nid != victim
+        net.nodes[nid].window_epoch != epoch for nid, epoch in epochs.items() if nid != victim
     )
     return reloaded.value - before_count, rewritten
 
@@ -246,7 +244,7 @@ def test_a_dead_holder_comes_back_indexed():
         (node.node_id, entry)
         for node in net
         for entry in sorted(node.cells().values())
-        if entry not in node.leaf_set and node.node_id not in net.nodes[entry].leaf_set
+        if entry not in node.leaves() and node.node_id not in net.nodes[entry].leaves()
     )
     net.fail(holder)
     net.fail(target)
@@ -254,7 +252,7 @@ def test_a_dead_holder_comes_back_indexed():
     net.revive(holder)
     assert target in net.nodes[holder].cells().values()
     net.fail(target)
-    assert target not in net.nodes[holder].known_nodes()
+    assert target not in {*net.nodes[holder].leaves(), *net.nodes[holder].cells().values()}
 
 
 def test_routes_match_compact_under_churn():

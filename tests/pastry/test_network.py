@@ -26,10 +26,8 @@ class TestBuildInvariants:
         n = len(ids)
         for idx in (0, 57, 199):
             node = network200.nodes[ids[idx]]
-            expect_cw = [ids[(idx + off) % n] for off in range(1, 9)]
-            expect_ccw = [ids[(idx - off) % n] for off in range(1, 9)]
-            assert node.leaf_set.cw_members() == expect_cw
-            assert node.leaf_set.ccw_members() == expect_ccw
+            expect = {ids[(idx + off) % n] for off in range(-8, 9) if off}
+            assert node.leaves() == sorted(expect)
 
     def test_routing_table_cells_valid(self, network200):
         """Every entry sits in the cell its prefix dictates and no cell
@@ -162,9 +160,9 @@ class TestFailures:
         neighbour = ids[4]
         small_network.fail(victim)
         node = small_network.nodes[neighbour]
-        assert victim not in node.leaf_set
+        assert victim not in node.leaves()
         # refilled to full halves (population permitting)
-        assert len(node.leaf_set.cw_members()) == small_network.leaf_set_size // 2
+        assert len(node.leaves()) == small_network.leaf_set_size
 
     def test_fail_twice_is_noop(self, small_network):
         victim = small_network.alive_ids[0]
@@ -200,8 +198,8 @@ class TestJoinProtocol:
         ids = small_network.alive_ids
         idx = ids.index(new_id)
         n = len(ids)
-        expect_cw = [ids[(idx + off) % n] for off in range(1, 9)]
-        assert node.leaf_set.cw_members() == expect_cw
+        expect = {ids[(idx + off) % n] for off in range(-8, 9) if off}
+        assert node.leaves() == sorted(expect)
 
     def test_join_duplicate_rejected(self, small_network):
         existing = small_network.alive_ids[0]

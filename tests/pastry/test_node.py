@@ -53,7 +53,7 @@ class TestNextHop:
         net = PastryNetwork.build([owner - 1, owner, owner + 1, far], leaf_set_size=2)
         node = net.nodes[owner]
         key = _id_with_digits(0x9, 0x3)
-        assert not node.leaf_set.covers(key)
+        assert node.decision(key)[1] is not None  # not rule 1
         nxt = node.next_hop(key)
         # must move toward the key (longer prefix or closer), not to a leaf
         assert shared_prefix_digits(nxt, key) >= shared_prefix_digits(owner, key)
@@ -68,7 +68,6 @@ class TestNextHop:
         closer = _id_with_digits(0x1, 0xA)
         net = PastryNetwork.build([owner - 1, owner, owner + 1, closer], leaf_set_size=2)
         node = net.nodes[owner]
-        assert not node.leaf_set.covers(key)
         assert node.cell(1, 0xF) is None
         assert node.next_hop(key) == closer
 
@@ -78,8 +77,8 @@ def reference_next_hop(network: PastryNetwork, node: PastryNode, key: int) -> in
     re-sorting oracle, every cell by brute force over the alive ids, a
     ``min`` over the pool, checked ``ring_distance`` everywhere."""
     b = network.b_bits
-    leaves = OracleLeafSet(node.node_id, node.leaf_set.capacity)
-    leaves.members = node.leaf_set.members
+    leaves = OracleLeafSet(node.node_id, network.leaf_set_size)
+    leaves.members = set(node.leaves())
     if leaves.covers(key):
         pool = leaves.members | {node.node_id}
         return min(pool, key=lambda x: (ring_distance(x, key), x))
@@ -101,6 +100,11 @@ def reference_next_hop(network: PastryNetwork, node: PastryNode, key: int) -> in
         and ring_distance(nid, key) < own_dist
     ]
     return min(better)[1] if better else node.node_id
+
+
+def _known(node: PastryNode) -> list[int]:
+    """Leaf-window members and routing-cell entries, ascending."""
+    return sorted(set(node.leaves()) | set(node.cells().values()))
 
 
 def _join_beside(node: PastryNode, got: int, near: int) -> None:
@@ -125,15 +129,11 @@ def _fail_and_revive_smaller(node: PastryNode, got: int, near: int) -> None:
 
 #: Every way a node's decision inputs change, each aimed at the
 #: decision just made: drop its answer ``got``, or offer ``near``, an
-#: id beside the key.  Leaf sets change directly or by a membership
-#: event; routing cells only by a membership event in their class.
+#: id beside the key.  Leaf windows and routing cells change only by a
+#: membership event.
 MUTATORS = {
     "learn": _join_beside,
     "forget": _fail,
-    "LeafSet.add": lambda node, got, near: node.leaf_set.add(near),
-    "LeafSet.remove": lambda node, got, near: node.leaf_set.remove(got),
-    "LeafSet.reload": lambda node, got, near: node.leaf_set.reload(
-        sorted(node.leaf_set.members - {got})),
     "RoutingTable.entry-fails-then-a-smaller-id-revives": _fail_and_revive_smaller,
 }
 
@@ -170,7 +170,7 @@ class TestNextHopUnchanged:
         branches = set()
         for nid in list(net.alive_ids):
             node = net.nodes[nid]
-            for key in self._keys(nid, sorted(node.known_nodes()), rng):
+            for key in self._keys(nid, _known(node), rng):
                 got = node.next_hop(key)
                 assert got == reference_next_hop(net, node, key)
                 assert net.is_alive(got)
@@ -198,7 +198,7 @@ class TestNextHopUnchanged:
             node = net.nodes[nid]
             if not node.alive:
                 continue
-            for key in self._keys(nid, sorted(node.known_nodes()), rng):
+            for key in self._keys(nid, _known(node), rng):
                 got = node.next_hop(key)
                 assert got == reference_next_hop(net, node, key)
                 mutate(node, got, key ^ 1)
@@ -210,12 +210,16 @@ class TestNextHopUnchanged:
         assert moved
 
     def test_repeated_add_keeps_the_memo(self):
+        """Reviving an alive leaf or failing a dead id changes no window."""
         net, rng = self._churned()
         node = net.nodes[net.alive_ids[0]]
         keys = [random_id(rng) for _ in range(8)]
         memo = {key: node.next_hop(key) for key in keys}
-        for leaf in node.leaf_set.members:
-            node.leaf_set.add(leaf)
+        for leaf in node.leaves():
+            net.revive(leaf)
+        for nid, other in net.nodes.items():
+            if not other.alive:
+                net.fail(nid)
         assert node.next_hop(keys[0]) == memo[keys[0]]
         assert {key: node._hop_memo[key][0] for key in keys} == memo
 
@@ -243,27 +247,26 @@ class TestNextHopUnchanged:
 
 class TestLearnForget:
     """A node's state follows membership: what joins is learnt, what
-    fails is forgotten, in the leaf set and the routing cells alike."""
+    fails is forgotten, in the leaf window and the routing cells alike."""
 
     def test_learn_populates_both_structures(self):
         net = PastryNetwork.build([1000, 1 << 127])
         net.join(2000)
         node = net.nodes[1000]
-        assert 2000 in node.leaf_set
+        assert 2000 in node.leaves()
         assert 2000 in node.cells().values()
 
     def test_learn_skips_self(self):
         net = PastryNetwork.build([1000])
         node = net.nodes[1000]
-        assert len(node.leaf_set) == 0 and node.cells() == {}
+        assert node.leaves() == [] and node.cells() == {}
 
     def test_forget_clears_both(self):
         net = PastryNetwork.build([1000, 2000, 1 << 127])
         net.fail(2000)
-        node = net.nodes[1000]
-        assert 2000 not in node.leaf_set
-        assert 2000 not in node.known_nodes()
+        assert 2000 not in _known(net.nodes[1000])
+        assert net.nodes[2000].leaves() == []
 
     def test_known_nodes_union(self):
         net = PastryNetwork.build([1000, 2000, 3000])
-        assert net.nodes[1000].known_nodes() == {2000, 3000}
+        assert _known(net.nodes[1000]) == [2000, 3000]

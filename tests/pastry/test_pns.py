@@ -68,10 +68,7 @@ class TestCorrectness:
         neighbours by definition."""
         _, _, plain, pns = setup
         for nid in plain.alive_ids[::40]:
-            assert (
-                plain.nodes[nid].leaf_set.members
-                == pns.nodes[nid].leaf_set.members
-            )
+            assert plain.nodes[nid].leaves() == pns.nodes[nid].leaves()
 
 
 class TestLocality:

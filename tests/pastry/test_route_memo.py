@@ -105,32 +105,31 @@ class TestAgainstUncachedTwin:
 
 class TestStamps:
     def test_rejoined_source_is_not_mistaken_for_its_predecessor(self):
-        """fail X -> join X installs a fresh node object under X whose
-        versions restart at 0 and may equal the ones X's surviving
-        entries were stamped with; the stamp holds the leaf-set *object*, so
-        such an entry is dropped however the numbers fall."""
+        """fail X -> join X installs a fresh node object under X.  The
+        stamp holds the node the route crossed, whose window epoch moved
+        when it failed; epochs only increase, so the newcomer's is later
+        still, and X's surviving entries are dropped."""
         metrics = MetricsRegistry()
         shipped = PastryNetwork.build(IDS, metrics=metrics)
         reference = always_walks(PastryNetwork.build(IDS))
         src, key = SOURCES[1], KEYS[0]
         same_step(shipped, reference, "route", src, key)
         _, stamps, _ = shipped._route_cache[(src, key)]
-        old, leaf_version, _, _ = stamps[0]
-        assert old is shipped.nodes[src].leaf_set
+        old, window_epoch, _, _ = stamps[0]
+        assert old is shipped.nodes[src]
 
         same_step(shipped, reference, "fail", src)
         same_step(shipped, reference, "join", src)
-        new = shipped.nodes[src].leaf_set
+        new = shipped.nodes[src]
         assert new is not old
-        # the worst case: the newcomer's version lands exactly on the stamp
-        new.version = leaf_version
+        assert new.window_epoch > old.window_epoch > window_epoch
 
         same_step(shipped, reference, "route", src, key)
         assert metrics.counter("pastry.route.cache_stale").value == 1
         assert shipped._route_cache[(src, key)][1][0][0] is new
 
     def test_a_routing_table_change_alone_is_seen(self):
-        """No node dies and the source's leaf set does not move: an id
+        """No node dies and the source's leaf window does not move: an id
         joins the prefix class of the cell the route left the source by,
         below its entry, and so takes that cell."""
         shipped = PastryNetwork.build(IDS)
@@ -140,32 +139,30 @@ class TestStamps:
             for s in SOURCES for k in KEYS
             if len(path := shipped.route(s, k).path) >= 3
             and shipped.nodes[s].decision(k)[1] is not None
-            and path[1] not in shipped.nodes[s].leaf_set
+            and path[1] not in shipped.nodes[s].leaves()
         )
-        leaf_version = shipped.nodes[src].leaf_set.version
+        window_epoch = shipped.nodes[src].window_epoch
         same_step(shipped, reference, "join", hop - 1)
-        assert shipped.nodes[src].leaf_set.version == leaf_version
+        assert shipped.nodes[src].window_epoch == window_epoch
         same_step(shipped, reference, "route", src, key)
         assert shipped.route(src, key).path[1] == hop - 1
 
     def test_a_leaf_set_change_alone_is_seen(self):
-        """No node dies and no prefix class changes: the source forgets
-        the leaf-set member it delivered to."""
+        """The memoised route read leaf windows only (no hop carries a
+        class stamp); the key itself joins, inside the source's window."""
         shipped = PastryNetwork.build(IDS)
         reference = always_walks(PastryNetwork.build(IDS))
-        src, key, root = next(
-            (s, k, path[1])
+        src, key = next(
+            (s, k)
             for s in IDS for k in KEYS
-            if len(path := shipped.route(s, k).path) == 2
-            and path[1] in shipped.nodes[s].leaf_set
+            if k not in IDS and len(shipped.route(s, k).path) == 2
         )
-        classes = dict(shipped._class_epochs)
-        for net in (shipped, reference):
-            net.nodes[src].leaf_set.remove(root)
-            net.membership_epoch += 1  # any unrelated event
-        assert shipped._class_epochs == classes
+        assert [cls for *_, cls, _ in shipped._route_cache[(src, key)][1]] == [None, None]
+        window_epoch = shipped.nodes[src].window_epoch
+        same_step(shipped, reference, "join", key)
+        assert shipped.nodes[src].window_epoch > window_epoch
         same_step(shipped, reference, "route", src, key)
-        assert shipped.route(src, key).path != [src, root]
+        assert shipped.route(src, key).path == [src, key]
 
 
 class TestBoundedLifetime:

@@ -66,7 +66,7 @@ class TestAddRemove:
         other = _id_with_digits(0x1)
         net.join(other)
         assert node.cell(0, 0x1) == other
-        assert other in node.known_nodes()
+        assert other in node.leaves()
 
     def test_replace_evicts(self):
         first = _id_with_digits(0x1, 0x5)
@@ -81,7 +81,7 @@ class TestAddRemove:
         net, node = owner_in(other, _id_with_digits(0x2))
         net.fail(other)
         assert node.cell(0, 0x1) is None
-        assert other not in node.known_nodes()
+        assert other not in {*node.leaves(), *node.cells().values()}
         net.revive(other)
         assert node.cell(0, 0x1) == other
 
@@ -132,7 +132,7 @@ class TestRowEntries:
         a = _id_with_digits(0x1)
         _, node = owner_in(a)
         assert set(node.cells().values()) == {a}
-        assert node.known_nodes() == {a}
+        assert {*node.leaves(), *node.cells().values()} == {a}
 
     def test_cell_digit_consistency(self):
         net = PastryNetwork.build(

@@ -48,7 +48,7 @@ def network_rows(net: PastryNetwork) -> list[dict]:
         node = net.nodes[nid]
         rows.append({
             "id": nid,
-            "leaf": sorted(node.leaf_set.members),
+            "leaf": node.leaves(),
             "cells": sorted(
                 [row, col, entry]
                 for (row, col), entry in node.cells().items()

@@ -48,7 +48,7 @@ def overlay_rows(system: TapSystem) -> list[dict]:
         rows.append({"id": nid, "alive": node.alive})
         if node.alive:
             rows[-1].update({
-                "leaf": sorted(node.leaf_set.members),
+                "leaf": node.leaves(),
                 "cells": sorted([row, col, entry] for (row, col), entry in node.cells().items()),
             })
     rows.append({
@@ -182,9 +182,8 @@ class TestForkEquivalence:
         assert rows_digest(fork_rows) == rows_digest(fresh_rows)
 
     def test_leaf_sets_round_trip_through_a_pickled_snapshot(self):
-        # capture keeps the ids and flags; restore must re-read the same
-        # ordered leaf set of every alive node from them (a dead node's
-        # is never read: ``revive`` re-reads its window).
+        # capture keeps the ids and flags; restore must read the same
+        # leaf window of every alive node from them.
         base = TapSystem.bootstrap(N, seed=BASE_SEED)
         churn_script(base)
         network = base.network
@@ -192,11 +191,7 @@ class TestForkEquivalence:
         assert list(restored.nodes) == list(network.nodes)
         assert restored.alive_ids == network.alive_ids
         for nid in network.alive_ids:
-            node = network.nodes[nid]
-            twin = restored.nodes[nid].leaf_set
-            assert twin.members == node.leaf_set.members
-            assert twin.cw_members() == node.leaf_set.cw_members()
-            assert twin.ccw_members() == node.leaf_set.ccw_members()
+            assert restored.nodes[nid].leaves() == network.nodes[nid].leaves()
 
 
 class TestForkIsolation:
@@ -260,7 +255,9 @@ class TestEpochKeyedCaches:
     def test_unrelated_failure_is_served_from_the_route_memo(self, monkeypatch):
         metrics = MetricsRegistry()
         net, src, key, path = self._memoised_route(metrics)
-        known = set(path).union(*(net.nodes[p].known_nodes() for p in path))
+        known = set(path).union(
+            *(set(net.nodes[p].leaves()) | set(net.nodes[p].cells().values()) for p in path)
+        )
         classes = {cls for _, _, cls, _ in net._route_cache[(src, key)][1] if cls is not None}
         bystander = next(
             nid for nid in net.alive_ids
