@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 from repro.core.tha import OwnedTha, generate_tha
 from repro.crypto.asymmetric import RsaKeyPair
-from repro.pastry.node import PastryNode
+from repro.pastry.node import ip_for_id
 from repro.util.ids import ID_SPACE
 
 
@@ -34,8 +34,10 @@ class PendingReply:
 class TapNode:
     """TAP participant state.  One per overlay node that uses TAP."""
 
-    def __init__(self, pastry_node: PastryNode, rng: random.Random):
-        self.pastry = pastry_node
+    def __init__(self, node_id: int, rng: random.Random):
+        self.node_id = node_id
+        #: the node's simulated IP (:func:`~repro.pastry.node.ip_for_id`)
+        self.ip = ip_for_id(node_id)
         self._rng = rng
         self.hkey: bytes = rng.getrandbits(128).to_bytes(16, "big")
         self._tha_counter = 0
@@ -46,14 +48,6 @@ class TapNode:
         self.pending_replies: dict[int, PendingReply] = {}
         #: hopid -> (ip, node_id) believed current tunnel hop node (§5)
         self.hint_cache: dict[int, tuple[str, int]] = {}
-
-    @property
-    def node_id(self) -> int:
-        return self.pastry.node_id
-
-    @property
-    def ip(self) -> str:
-        return self.pastry.ip
 
     @property
     def keypair(self) -> RsaKeyPair:

@@ -42,10 +42,9 @@ class TapSystem:
         self.seeds = seeds
         self.tap_nodes: dict[int, TapNode] = {}
         # ip_for_id is the single source of node IPs, so the hint index
-        # is derivable from the ids alone — iterating keys (not nodes)
-        # keeps copy-on-write forks from materialising every node here.
+        # is derivable from the ids alone: the alive ids, then the down
         self.ip_index: dict[str, int] = {
-            ip_for_id(nid): nid for nid in network.nodes
+            ip_for_id(nid): nid for nid in [*network.alive_ids, *sorted(network.down_ids)]
         }
         self.forwarder = TunnelForwarder(network, store, self.tap_nodes, self.ip_index)
         self.deployer = ThaDeployer(network, store, seeds.pyrandom("deployer"))
@@ -83,9 +82,8 @@ class TapSystem:
 
         ``overlay_seed`` draws the node ids from a *different* root
         seed than the system's behavioural streams: ``bootstrap(n,
-        seed=rep, overlay_seed=base)`` is the fresh-build reference
-        that ``snapshot().fork(rep)`` of a ``seed=base`` system must
-        match byte for byte (the fork-equivalence contract).
+        seed=rep, overlay_seed=base)`` gives every repetition ``rep``
+        of a sweep point the same overlay and its own behaviour.
         """
         seeds = SeedSequenceFactory(seed)
         id_seeds = seeds if overlay_seed is None else SeedSequenceFactory(overlay_seed)
@@ -99,18 +97,6 @@ class TapSystem:
             network, store, seeds,
             metrics=metrics, event_trace=event_trace, tracer=tracer,
         )
-
-    def snapshot(self):
-        """Immutable, picklable capture of the overlay + storage state.
-
-        Returns a :class:`repro.perf.snapshot.SystemSnapshot`; call its
-        :meth:`~repro.perf.snapshot.SystemSnapshot.fork` per repetition
-        instead of re-bootstrapping.  Must be taken before any TAP
-        state (anchors, tunnels) exists.
-        """
-        from repro.perf.snapshot import SystemSnapshot
-
-        return SystemSnapshot.capture(self)
 
     # ------------------------------------------------------------------
     # observability (repro.obs)
@@ -187,11 +173,13 @@ class TapSystem:
     # node access
     # ------------------------------------------------------------------
     def tap_node(self, node_id: int) -> TapNode:
-        """TAP participant state for an overlay node (created lazily)."""
+        """TAP participant state for an overlay node (created lazily);
+        ``KeyError`` for an id the overlay never registered."""
         tap = self.tap_nodes.get(node_id)
         if tap is None:
-            pastry = self.network.nodes[node_id]
-            tap = TapNode(pastry, self.seeds.pyrandom("tap-node", node_id))
+            if not self.network.is_registered(node_id):
+                raise KeyError(node_id)
+            tap = TapNode(node_id, self.seeds.pyrandom("tap-node", node_id))
             self.tap_nodes[node_id] = tap
         return tap
 
@@ -305,7 +293,7 @@ class TapSystem:
     def _resolve_hint(self, owner: TapNode, hop_id: int) -> str:
         """Footnote-3 cache: map a hopid to its hop node's current IP."""
         root = self.network.closest_alive(hop_id)
-        ip = self.network.nodes[root].ip
+        ip = ip_for_id(root)
         owner.hint_cache[hop_id] = (ip, root)
         return ip
 
@@ -360,7 +348,7 @@ class TapSystem:
 
     def join_node(self, node_id: int) -> TapNode:
         self.network.join(node_id)
-        self.ip_index[self.network.nodes[node_id].ip] = node_id
+        self.ip_index[ip_for_id(node_id)] = node_id
         self.store.on_join(node_id)
         self._audit(f"join {node_id:#x}")
         return self.tap_node(node_id)

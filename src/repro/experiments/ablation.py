@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.analysis.idspace import IdSpaceModel, replica_table
 from repro.analysis.theory import tunnel_corruption_prob, tunnel_failure_prob_tap
-from repro.perf import Sinks, base_snapshot, run_trials
+from repro.perf import Sinks, run_trials
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -109,29 +109,19 @@ class HintStalenessConfig:
         return cls(num_nodes=150, tunnels=6, churn_steps=(0, 5, 15))
 
 
-def _hints_base_token(config: HintStalenessConfig) -> tuple:
-    return ("hints-base", config.seed, config.num_nodes)
-
-
-def _hints_base_build(config: HintStalenessConfig):
-    from repro.core.system import TapSystem
-
-    return TapSystem.bootstrap(config.num_nodes, seed=config.seed).snapshot()
-
-
 def _hint_staleness_level(
     config: HintStalenessConfig,
     churn: int,
     audit: bool,
     sinks: Sinks,
 ) -> dict:
-    """One churn level: forked system, hinted tunnels, churn, probe."""
-    snap = base_snapshot(
-        _hints_base_token(config), lambda: _hints_base_build(config)
-    )
-    system = snap.fork(
-        config.seed + churn, metrics=sinks.metrics,
-        event_trace=sinks.event_trace, tracer=sinks.tracer,
+    """One churn level: the base overlay of ``config.seed`` with its own
+    behavioural seed, hinted tunnels, churn, probe."""
+    from repro.core.system import TapSystem
+
+    system = TapSystem.bootstrap(
+        config.num_nodes, seed=config.seed + churn, overlay_seed=config.seed,
+        metrics=sinks.metrics, event_trace=sinks.event_trace, tracer=sinks.tracer,
     )
     if audit:
         system.enable_auditing(strict=True)
@@ -150,7 +140,7 @@ def _hint_staleness_level(
         ])
         system.fail_node(victim)
         new_id = rng.getrandbits(128)
-        while new_id in system.network.nodes:
+        while system.network.is_registered(new_id):
             new_id = rng.getrandbits(128)
         system.join_node(new_id)
 
@@ -194,13 +184,10 @@ def run_hint_staleness(
     built.  ``workers`` fans the (independent) churn levels out over
     processes; rows and obs are identical for any worker count.
     """
-    token = _hints_base_token(config)
-    bases = {token: base_snapshot(token, lambda: _hints_base_build(config))}
     return run_trials(
         _hint_staleness_level,
         [(config, churn, audit) for churn in config.churn_steps],
         workers,
-        shared=bases,
         sinks=Sinks() if sinks is None else sinks,
     )
 

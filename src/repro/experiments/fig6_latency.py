@@ -108,7 +108,7 @@ def _fig6_base_build(config: Fig6Config, n_nodes: int):
     One overlay per ``(config, n_nodes)``: repetitions vary the
     initiators/fileids/tunnels they sample, not the substrate — so the
     N-node construction (and the PNS candidate ranking in particular)
-    is paid once, and every rep forks the snapshot.
+    is paid once, and every rep restores the snapshot.
     """
     seeds = SeedSequenceFactory(config.seed)
     rng = seeds.pyrandom("fig6-base", n_nodes)
@@ -135,7 +135,7 @@ def _fig6_leg(
 
     The rng streams are labelled by ``(rep, n_nodes)``, so each cell
     is a self-contained trial — the unit the parallel executor fans
-    out, handing it trial-local ``sinks``.  The overlay is a fork of
+    out, handing it trial-local ``sinks``.  The overlay is restored from
     the per-size base snapshot, the same deterministic build whether
     it comes from the fan-out's payload or this process's cache.
     """
@@ -254,7 +254,7 @@ def run_fig6(
     worker count (cell-local sinks are folded back in cell order).
     """
     # One base overlay per network size, built here and shipped to
-    # workers as the shared payload; every cell forks it.
+    # workers as the shared payload; every cell restores it.
     bases = {
         _fig6_base_token(config, n_nodes): base_snapshot(
             _fig6_base_token(config, n_nodes),

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from repro.analysis.theory import tunnel_failure_prob_current
 from repro.core.system import TapSystem
 from repro.extensions.anonmail import AnonymousMail, FixedReturnPath
-from repro.perf import base_snapshot
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -37,15 +36,13 @@ def run_reply_durability(
     seeds = SeedSequenceFactory(config.seed)
     rows: list[dict] = []
 
-    # One base overlay for the whole sweep; each churn level forks it
-    # with its own behavioural seed instead of re-bootstrapping.
-    base = base_snapshot(
-        ("reply-base", config.seed, config.num_nodes),
-        lambda: TapSystem.bootstrap(config.num_nodes, seed=config.seed).snapshot(),
-    )
-
+    # One base overlay for the whole sweep; each churn level runs on it
+    # with its own behavioural seed.
     for churn in config.churn_fractions:
-        system = base.fork(config.seed + round(churn * 100))
+        system = TapSystem.bootstrap(
+            config.num_nodes, seed=config.seed + round(churn * 100),
+            overlay_seed=config.seed,
+        )
         mail = AnonymousMail(system)
         rng = seeds.pyrandom("durability", churn)
 

@@ -23,16 +23,8 @@ from dataclasses import dataclass
 from repro.baselines.fixed_tunnel import form_fixed_tunnel
 from repro.core.session import SessionServer, TapSession
 from repro.core.system import TapSystem
-from repro.perf import Sinks, base_snapshot, run_trials
+from repro.perf import Sinks, run_trials
 from repro.util.rng import SeedSequenceFactory
-
-
-def _base_token(config: SessionSurvivalConfig) -> tuple:
-    return ("sessions-base", config.seed, config.num_nodes)
-
-
-def _base_build(config: SessionSurvivalConfig):
-    return TapSystem.bootstrap(config.num_nodes, seed=config.seed).snapshot()
 
 
 @dataclass(frozen=True)
@@ -90,13 +82,12 @@ def _survival_level(
     audit: bool,
     sinks: Sinks,
 ) -> dict:
-    """One churn level on a fork of the shared base overlay, with its
+    """One churn level on the base overlay of ``config.seed``, with its
     own labelled rng streams (seed ``config.seed + churn``)."""
     seeds = SeedSequenceFactory(config.seed)
-    snap = base_snapshot(_base_token(config), lambda: _base_build(config))
-    system = snap.fork(
-        config.seed + churn, metrics=sinks.metrics,
-        event_trace=sinks.event_trace, tracer=sinks.tracer,
+    system = TapSystem.bootstrap(
+        config.num_nodes, seed=config.seed + churn, overlay_seed=config.seed,
+        metrics=sinks.metrics, event_trace=sinks.event_trace, tracer=sinks.tracer,
     )
     if audit:
         system.enable_auditing(strict=True)
@@ -173,12 +164,9 @@ def run_session_survival(
     repairs.  Each churn level is independent (its own overlay and
     labelled rng streams), so ``workers`` fans the levels out over
     processes with identical rows and obs."""
-    token = _base_token(config)
-    bases = {token: base_snapshot(token, lambda: _base_build(config))}
     return run_trials(
         _survival_level,
         [(config, churn, audit) for churn in config.failures_per_request],
         workers,
-        shared=bases,
         sinks=Sinks() if sinks is None else sinks,
     )

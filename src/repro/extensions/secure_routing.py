@@ -81,7 +81,7 @@ class RoutingInterceptor:
         if self.forge_honest_set:
             # Present the impostor's genuine leaf set: dense, but it
             # exposes honest nodes that may be closer to the key.
-            return network.nodes[fake].leaves()
+            return network.leaves(fake)
         pool = [m for m in self._sorted if m != fake]
         return closest_ids(pool, fake, min(NEIGHBOR_SET_SIZE, len(pool)))
 
@@ -108,13 +108,13 @@ class RoutingInterceptor:
 
 def honest_neighbor_set(network: PastryNetwork, root: int) -> list[int]:
     """What an honest root presents: its actual leaf set."""
-    return network.nodes[root].leaves()
+    return network.leaves(root)
 
 
 def estimate_id_spacing(network: PastryNetwork, observer_id: int) -> float:
     """The observer's local estimate of mean inter-node id spacing,
     from its own (trusted) leaf set."""
-    return neighbor_set_spacing(sorted(network.nodes[observer_id].leaves() + [observer_id]))
+    return neighbor_set_spacing(sorted(network.leaves(observer_id) + [observer_id]))
 
 
 def neighbor_set_spacing(sorted_members: list[int]) -> float:
@@ -200,15 +200,14 @@ def secure_route(
     neighbours (plus directly), applies the routing failure test to
     every response, and accepts the numerically closest verified root.
     """
-    src = network.nodes.get(src_id)
-    if src is None or not src.alive:
+    if not network.is_alive(src_id):
         raise RoutingError(f"source {src_id:#x} is not alive")
     rng = rng or random.Random(key & 0xFFFFFFFF)
 
     starts = [src_id]
     # the shuffle starts from set order, which the pinned rows digests
     # depend on
-    neighbours = list(set(src.leaves()))
+    neighbours = list(set(network.leaves(src_id)))
     rng.shuffle(neighbours)
     starts.extend(neighbours[: max(0, redundancy - 1)])
 

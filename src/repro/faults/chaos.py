@@ -36,14 +36,6 @@ from repro.util.rng import SeedSequenceFactory
 BASELINE = ResiliencePolicy.reactive(0)
 
 
-def _chaos_base_token(config: ChaosConfig) -> tuple:
-    return ("chaos-base", config.seed, config.num_nodes)
-
-
-def _chaos_base_build(config: ChaosConfig):
-    return TapSystem.bootstrap(config.num_nodes, seed=config.seed).snapshot()
-
-
 @dataclass(frozen=True)
 class ChaosConfig:
     """Shape of one chaos run (the fault content lives in the plan)."""
@@ -105,12 +97,6 @@ def run_chaos(
     ``policy=BASELINE`` is the no-resilience arm the CLI compares
     against; the report labels every other policy ``resilient``.
 
-    The system is a fork of the base snapshot for ``config.seed`` —
-    forking with the same seed the base was bootstrapped with yields a
-    system byte-identical to a fresh bootstrap, so report digests are
-    unchanged while repeated runs (the policy/baseline pair, replay
-    verification, job fan-out) skip the N-node construction.
-
     Raises ``ValueError`` for a plan with ``storage_events``: nothing
     here applies at-rest faults, and a run that skipped its faults
     would read as a pass.
@@ -121,13 +107,8 @@ def run_chaos(
             f"only run_durability applies (DurabilityConfig(plan={plan.name!r}))"
         )
     event_trace = EventTrace()
-    from repro.perf import base_snapshot
-
-    snap = base_snapshot(
-        _chaos_base_token(config), lambda: _chaos_base_build(config)
-    )
-    system = snap.fork(
-        config.seed,
+    system = TapSystem.bootstrap(
+        config.num_nodes, seed=config.seed,
         metrics=metrics, event_trace=event_trace, tracer=tracer,
     )
     seeds = SeedSequenceFactory(config.seed).spawn("chaos", plan.name)
@@ -290,20 +271,11 @@ def run_chaos_jobs(
 
     Each job is a self-contained deterministic run (its report embeds
     its own digest), so parallel execution cannot change any result —
-    only the wall clock.  Results come back in job order.  One base
-    overlay per distinct ``(seed, num_nodes)`` is bootstrapped here
-    and shipped to the workers; every job forks it.
+    only the wall clock.  Results come back in job order.
     """
-    from repro.perf import base_snapshot, run_trials
+    from repro.perf import run_trials
 
-    bases = {}
-    for _, config, _ in jobs:
-        token = _chaos_base_token(config)
-        if token not in bases:
-            bases[token] = base_snapshot(
-                token, lambda c=config: _chaos_base_build(c)
-            )
-    return run_trials(chaos_job, jobs, workers, shared=bases)
+    return run_trials(chaos_job, jobs, workers)
 
 
 def canonical_json(report: dict) -> str:

@@ -3,8 +3,8 @@
 Wraps :meth:`repro.past.replication.ReplicatedStore.verify_invariants`
 and adds the Pastry-level checks the store cannot see:
 
-* ``sorted-alive`` — the network's ``_sorted_alive`` index is strictly
-  ascending and agrees exactly with per-node ``alive`` flags;
+* ``sorted-alive`` — the network's alive ids are strictly ascending,
+  and no id is both alive and down;
 * ``memo-coherence`` — every memoised decision the network would
   serve now (a node's ``next_hop`` memo entry whose stamps hold, a
   route-memo entry that is current or would revalidate) equals a fresh
@@ -104,17 +104,9 @@ class InvariantAuditor:
                 report.violations.append(
                     f"sorted-alive: index not strictly ascending at {cur:#x}"
                 )
-        indexed = set(ids)
-        actual = {
-            nid for nid, node in self.network.nodes.items() if node.alive
-        }
-        for nid in indexed - actual:
+        for nid in sorted(self.network.down_ids.intersection(ids)):
             report.violations.append(
-                f"sorted-alive: {nid:#x} indexed alive but node is dead"
-            )
-        for nid in actual - indexed:
-            report.violations.append(
-                f"sorted-alive: {nid:#x} alive but missing from index"
+                f"sorted-alive: {nid:#x} indexed alive but down"
             )
 
     def _check_decisions(self, report: AuditReport) -> None:
@@ -124,15 +116,12 @@ class InvariantAuditor:
 
     def _check_memos(self, report: AuditReport) -> None:
         network = self.network
-        # the nodes built so far: a fork's others have decided nothing
-        for node in dict.values(network.nodes):
-            if not node.alive:
-                continue
-            for key, (got, _, _) in list(node.served_memo()):
-                want = node._decide(key)[0]
+        for nid in network.alive_ids:
+            for key, got in network.served_hops(nid):
+                want = network.decide(nid, key)
                 if got != want:
                     report.violations.append(
-                        f"memo-coherence: {node.node_id:#x} memoises "
+                        f"memo-coherence: {nid:#x} memoises "
                         f"{got:#x} for {key:#x}, decides {want:#x}"
                     )
         for (src, key), (path, stamps, epoch) in network._route_cache.items():
@@ -142,7 +131,7 @@ class InvariantAuditor:
                 continue  # refused before the memo is read
             walk = [src]
             while len(walk) <= network.MAX_HOPS:
-                nxt = network.nodes[walk[-1]]._decide(key)[0]
+                nxt = network.decide(walk[-1], key)
                 if nxt == walk[-1]:
                     break
                 walk.append(nxt)

@@ -64,9 +64,8 @@ class PlacementCore:
         #: become ``failover.repair`` spans carrying ``span_attrs``
         self.tracer = tracer
         self._prefix, self._unit, self._span_attrs = prefix, unit, span_attrs
-        #: per-node storage, created lazily by :meth:`storage_of` —
-        #: forked systems (repro.perf.snapshot) only ever pay for the
-        #: nodes that actually hold objects
+        #: per-node storage, created lazily by :meth:`storage_of` — a
+        #: store only ever pays for the nodes that actually hold objects
         self.storages: dict[int, Storage] = {}
         #: key -> holder node id -> slot attributed there (the share
         #: index; 0 for a full copy), plus the same keys in order

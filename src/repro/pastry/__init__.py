@@ -6,10 +6,10 @@ digit prefix routing (default b=4, i.e. 16-way digits and
 ``log_16 N``-hop routes), leaf sets of ``|L|=16``, join, failure and
 revival.
 
-A node stores its id and an alive flag; the rest of its routing state
-is read from the sorted alive ids on demand: its leaf set is its
-window of them and each routing cell the smallest alive id of the
-cell's prefix class.  :meth:`PastryNetwork.build` and any
+Membership is the sorted alive ids plus the registered ids that are
+down; a node's routing state is read from the alive ids on demand:
+its leaf set is its window of them and each routing cell the smallest
+alive id of the cell's prefix class.  :meth:`PastryNetwork.build` and any
 sequence of :meth:`~PastryNetwork.join` / :meth:`~PastryNetwork.fail`
 / :meth:`~PastryNetwork.revive` therefore reach the same state for the
 same alive set, which the test-suite cross-checks against

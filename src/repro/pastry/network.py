@@ -1,28 +1,33 @@
-"""The Pastry overlay: node registry, routing, join/leave/failure.
+"""The Pastry overlay: membership, routing, join/leave/failure.
 
 The network object plays two roles found in FreePastry's simulator:
 
-* global oracle for membership: the sorted alive ids.  Every node's
-  routing state is read from them on demand — its leaf set is its
-  window of the ring order (:meth:`PastryNode.leaves`, the stand-in
-  for Pastry's maintenance protocol) and its routing cells the
-  smallest alive ids of their prefix classes (:meth:`PastryNode.cell`)
-  — so no node ever references a dead one, and a membership event
-  only stamps the nodes whose window it changed;
+* global oracle for membership: the sorted alive ids plus the set of
+  registered ids that are down.  Every node's routing state is read
+  from the alive ids on demand — its leaf set is its window of the
+  ring order (:meth:`PastryNetwork.leaves`, the stand-in for Pastry's
+  maintenance protocol) and its routing cells the smallest alive ids
+  of their prefix classes (:meth:`PastryNetwork.cell`) — so no node
+  ever references a dead one, and a membership event only stamps the
+  nodes whose window it changed;
 * the per-hop *routing* itself, which walks each node's forwarding
   decision (:meth:`PastryNode.decision`) from the source to the key's
-  root.
+  root.  A :class:`PastryNode` holds only its memoised decisions and
+  is built on its first one, so building an overlay of N ids builds
+  no node and a route builds only the nodes on its path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.pastry.bulk import (
     adjacent_prefix_depths,
+    bucket_bounds,
     leaf_reach,
+    leaf_window,
     node_prefix,
     proximity_pools,
 )
@@ -62,7 +67,7 @@ class RouteResult:
 
 
 class PastryNetwork:
-    """Registry + routing fabric for a set of :class:`PastryNode`."""
+    """Membership + routing fabric of a Pastry overlay."""
 
     #: Safety valve against routing livelock; generous compared to the
     #: ~log_16 N hops a healthy overlay needs.
@@ -81,10 +86,14 @@ class PastryNetwork:
             raise ValueError("leaf-set capacity must be an even number >= 2")
         self.b_bits = b_bits
         self.leaf_set_size = leaf_set_size
-        self.nodes: dict[int, PastryNode] = {}
         self._sorted_alive: list[int] = []
+        #: registered ids that are not alive (failed, not yet revived)
+        self._down: set[int] = set()
+        #: ``node id -> PastryNode``, each built on the node's first
+        #: decision (:meth:`_node`)
+        self._nodes: dict[int, PastryNode] = {}
         #: PNS builds only: ``node id -> {(row, col) -> id}``, built once
-        #: and never mutated (forks share it)
+        #: and never mutated (restored networks share it)
         self.pns_cells: dict[int, dict[tuple[int, int], int]] = {}
         #: bumped on every alive-set change; lets derived views (e.g.
         #: :class:`repro.past.ReplicatedStore` replica-set caches) test
@@ -132,8 +141,8 @@ class PastryNetwork:
     ) -> "PastryNetwork":
         """Omniscient bootstrap: correct state for every node at once.
 
-        Nothing but the registry is built: leaf windows and routing
-        cells are read from the sorted ids.
+        Nothing but the sorted ids is built: leaf windows and routing
+        cells are read from them, and nodes on their first decision.
 
         ``proximity`` enables FreePastry-style proximity neighbour
         selection (PNS): a callable ``(a, b) -> latency`` (e.g.
@@ -156,12 +165,10 @@ class PastryNetwork:
         net._sorted_alive = ids
         if proximity is not None:
             net.pns_cells = _proximity_cells(ids, b_bits, proximity, proximity_sample)
-        for nid in ids:
-            net.nodes[nid] = PastryNode(nid, net)
         return net
 
     # ------------------------------------------------------------------
-    # snapshot / fork (repro.perf.snapshot)
+    # snapshot (repro.perf.snapshot)
     # ------------------------------------------------------------------
     def snapshot(self):
         """Immutable, picklable copy of the whole overlay state.
@@ -183,15 +190,22 @@ class PastryNetwork:
         return self._sorted_alive
 
     @property
+    def down_ids(self) -> set[int]:
+        """Registered ids that are not alive (shared, do not mutate)."""
+        return self._down
+
+    @property
     def size(self) -> int:
         return len(self._sorted_alive)
 
-    def __iter__(self) -> Iterator[PastryNode]:
-        return iter(self.nodes.values())
-
     def is_alive(self, node_id: int) -> bool:
-        node = self.nodes.get(node_id)
-        return node is not None and node.alive
+        ids = self._sorted_alive
+        pos = bisect_left(ids, node_id)
+        return pos < len(ids) and ids[pos] == node_id
+
+    def is_registered(self, node_id: int) -> bool:
+        """Has ``node_id`` ever entered the overlay (alive or down)?"""
+        return node_id in self._down or self.is_alive(node_id)
 
     def first_alive_in(self, lower: int, upper: int) -> int | None:
         """The smallest alive id in ``[lower, upper)``, if any — for a
@@ -202,43 +216,45 @@ class PastryNetwork:
             return ids[pos]
         return None
 
-    def join(self, node_id: int, bootstrap_id: int | None = None) -> PastryNode:
+    def join(self, node_id: int, bootstrap_id: int | None = None) -> None:
         """A node enters the overlay.
 
         The newcomer's join message routes its own id via
         ``bootstrap_id`` (default: the alive node with the lowest id);
         an overlay that cannot carry it refuses the newcomer and leaves
-        the registry as it was.  Then the newcomer is indexed alive,
-        which enters it into the leaf windows around it.
+        the membership as it was.  Then the newcomer is indexed alive,
+        which enters it into the leaf windows around it.  A newcomer
+        under a down id starts afresh: the old node object and what it
+        memoised are dropped.
         """
-        previous = self.nodes.get(node_id)
-        if previous is not None and previous.alive:
+        if self.is_alive(node_id):
             raise ValueError(f"node {node_id:#x} already in the overlay")
         if self._sorted_alive:
             if bootstrap_id is None:
                 bootstrap_id = self._sorted_alive[0]
             if not self.route(bootstrap_id, node_id).success:
                 raise RoutingError("join route failed; overlay too damaged")
-        newcomer = self.nodes[node_id] = PastryNode(node_id, self)
+        self._down.discard(node_id)
+        self._nodes.pop(node_id, None)
         self._enter(node_id, "pastry.joins")
-        return newcomer
 
     def fail(self, node_id: int) -> None:
         """Crash a node.  The nodes whose window held it, and the node
         itself (its window empties, so every decision it memoised is
         void), are stamped with the new epoch; no cell needs repair, it
         is read from the alive ids."""
-        node = self.nodes.get(node_id)
-        if node is None or not node.alive:
-            return
-        node.alive = False
         ids = self._sorted_alive
         pos = bisect_left(ids, node_id)
+        if pos == len(ids) or ids[pos] != node_id:
+            return
         del ids[pos]
+        self._down.add(node_id)
         self._turn_epoch(
             node_id, ids[pos - 1] if pos else None, ids[pos] if pos < len(ids) else None
         )
-        node.window_epoch = self.membership_epoch
+        node = self._nodes.get(node_id)
+        if node is not None:
+            node.window_epoch = self.membership_epoch
         if self.metrics is not None:
             self.metrics.counter("pastry.fails").inc()
             self.metrics.gauge("pastry.population").set(self.size)
@@ -249,10 +265,9 @@ class PastryNetwork:
         """Bring a failed node back: it and the ring neighbours whose
         window it re-entered are stamped, which leaves the overlay as a
         fresh :meth:`build` of the alive ids would be."""
-        node = self.nodes.get(node_id)
-        if node is None or node.alive:
+        if node_id not in self._down:
             return
-        node.alive = True
+        self._down.remove(node_id)
         self._enter(node_id, "pastry.revives")
 
     def _enter(self, node_id: int, counter: str) -> None:
@@ -299,14 +314,18 @@ class PastryNetwork:
     def _stamp_windows(self, lo: int, hi: int) -> int:
         """Stamp the current epoch on the nodes at ring positions ``lo``
         .. ``hi - 1`` (indices wrap; each node once), the ones whose
-        leaf window the event changed.  Returns how many were stamped."""
+        leaf window the event changed.  A node not built yet has
+        memoised nothing and is skipped.  Returns how many windows
+        changed."""
         ids = self._sorted_alive
         n = len(ids)
         first = max(lo, hi - n)
-        nodes = self.nodes
+        nodes = self._nodes
         epoch = self.membership_epoch
         for idx in range(first, hi):
-            nodes[ids[idx % n]].window_epoch = epoch
+            node = nodes.get(ids[idx % n])
+            if node is not None:
+                node.window_epoch = epoch
         return hi - first
 
     def _count_repair(self, stamped: int) -> None:
@@ -346,11 +365,75 @@ class PastryNetwork:
             raise RoutingError("no alive nodes")
         return closest_in_sorted(self._sorted_alive, key, min(k, len(self._sorted_alive)))
 
+    # ------------------------------------------------------------------
+    # per-node routing state, read from the alive ids
+    # ------------------------------------------------------------------
+    def leaves(self, node_id: int) -> list[int]:
+        """The leaf set of ``node_id``, ascending: its window of the
+        alive ids (``[]`` unless it is alive)."""
+        ids = self._sorted_alive
+        pos = bisect_left(ids, node_id)
+        if pos == len(ids) or ids[pos] != node_id:
+            return []
+        return leaf_window(ids, pos, leaf_reach(len(ids), self.leaf_set_size))
+
+    def cell(self, node_id: int, row: int, col: int) -> int | None:
+        """Routing-table cell ``(row, col)`` of ``node_id``: its PNS
+        choice if that is alive, else the smallest alive id of the
+        cell's prefix class; ``None`` if the class is empty or ``col``
+        is the node's own digit (not a cell)."""
+        if self.pns_cells:
+            entry = self.pns_cells.get(node_id, {}).get((row, col))
+            if entry is not None and self.is_alive(entry):
+                return entry
+        if col == id_digit(node_id, row, self.b_bits):
+            return None
+        return self.first_alive_in(*bucket_bounds(node_id, row, col, self.b_bits))
+
+    def cells(self, node_id: int, first_row: int = 0) -> dict[tuple[int, int], int]:
+        """Every populated cell of ``node_id`` in rows ``first_row`` and
+        deeper.  Rows past the longest prefix the node shares with a
+        sort neighbour are provably empty, so they are not visited."""
+        b = self.b_bits
+        ids = self._sorted_alive
+        pos = bisect_left(ids, node_id)
+        after = pos + 1 if pos < len(ids) and ids[pos] == node_id else pos
+        depth = max(
+            (shared_prefix_digits(node_id, ids[p], b) for p in (pos - 1, after)
+             if 0 <= p < len(ids)),
+            default=-1,
+        )
+        out = {}
+        for row in range(first_row, min(ID_BITS // b, depth + 1)):
+            for col in range(1 << b):
+                entry = self.cell(node_id, row, col)
+                if entry is not None:
+                    out[row, col] = entry
+        return out
+
+    def _node(self, node_id: int) -> PastryNode:
+        """The node object of ``node_id``, built on first use."""
+        node = self._nodes.get(node_id)
+        if node is None:
+            node = self._nodes[node_id] = PastryNode(node_id, self)
+        return node
+
     def next_hop(self, node_id: int, key: int) -> int:
         """One per-hop decision of node ``node_id`` for ``key``
         (:meth:`PastryNode.next_hop`); ``node_id`` itself means local
         delivery."""
-        return self.nodes[node_id].next_hop(key)
+        return self._node(node_id).next_hop(key)
+
+    def decide(self, node_id: int, key: int) -> int:
+        """The decision :meth:`next_hop` would take with no memo — what
+        the invariant auditor holds every memoised hop to."""
+        return self._node(node_id)._decide(key)[0]
+
+    def served_hops(self, node_id: int) -> list[tuple[int, int]]:
+        """``(key, next hop)`` of every memoised decision of ``node_id``
+        that :meth:`next_hop` would serve now (none before it decides)."""
+        node = self._nodes.get(node_id)
+        return [] if node is None else [(key, hit[0]) for key, hit in node.served_memo()]
 
     def route(self, src_id: int, key: int) -> RouteResult:
         """Route ``key`` from ``src_id``, one node decision per hop."""
@@ -386,8 +469,8 @@ class PastryNetwork:
         while each still has the window epoch and class stamp its
         decision was taken under.  A node's window epoch moves when it
         fails, and epochs only increase, so neither a dead node nor the
-        fresh node ``join`` installs under a reused id can pass for the
-        one the route crossed."""
+        fresh node built after a ``join`` under a reused id can pass for
+        the one the route crossed."""
         epochs = self._class_epochs
         for node, window_epoch, cls, stamp in stamps:
             if node.window_epoch != window_epoch or (
@@ -411,14 +494,12 @@ class PastryNetwork:
         return entry
 
     def _route_impl(self, src_id: int, key: int) -> RouteResult:
-        src = self.nodes.get(src_id)
-        if src is None or not src.alive:
-            raise RoutingError(f"source {src_id:#x} is not alive")
-
         # Routes are memoised per (src, key).  Within the epoch an entry
         # was last validated in, a hit is one integer compare; after an
         # epoch turn it is served only if its stamps still hold, and
-        # dropped otherwise.
+        # dropped otherwise.  A hit needs no liveness test: only a live
+        # source memoises, and its failure stamps its own window epoch,
+        # which voids every entry it holds.
         cache = self._route_cache
         memo_key = (src_id, key)
         entry = cache.get(memo_key)
@@ -428,11 +509,13 @@ class PastryNetwork:
             if self.metrics is not None:
                 self.metrics.counter("pastry.route.cache_hits").inc()
             return RouteResult(key, list(entry[0]), True, 0)
+        if not self.is_alive(src_id):
+            raise RoutingError(f"source {src_id:#x} is not alive")
 
-        nodes = self.nodes
+        node_of = self._node
         path = [src_id]
         stamps = []
-        current = src
+        current = node_of(src_id)
         for _ in range(self.MAX_HOPS):
             nxt, cls, stamp = current.decision(key)
             stamps.append((current, current.window_epoch, cls, stamp))
@@ -442,7 +525,7 @@ class PastryNetwork:
                 cache[memo_key] = [list(path), tuple(stamps), self.membership_epoch]
                 return RouteResult(key, path, True, 0)
             path.append(nxt)
-            current = nodes[nxt]
+            current = node_of(nxt)
         return RouteResult(key, path, False, 0, meta={"reason": "hop-limit"})
 
 

@@ -1,23 +1,22 @@
-"""A Pastry overlay node: id, liveness and the forwarding rule.
+"""A Pastry overlay node: its forwarding rule and what it memoised.
 
 A node stores no other id.  Its leaf set is its window of the
-network's sorted alive ids — the |L|/2 ring neighbours on each side
-(:func:`repro.pastry.bulk.leaf_window`) — and routing-table cell
-``(row, col)`` is the smallest alive id sharing the node's first
-``row`` digits followed by digit ``col``: the state a bulk build would
-install and the one :class:`repro.perf.compact.CompactOverlay`
-derives, so it is always canonical and never names a dead node.  A
-PNS build's proximity choices (the network's ``pns_cells``) override
-a cell while the chosen id is alive.
+network's sorted alive ids (:meth:`PastryNetwork.leaves`) and its
+routing-table cells the smallest alive ids of their prefix classes
+(:meth:`PastryNetwork.cell`): the state a bulk build would install and
+the one :class:`repro.perf.compact.CompactOverlay` derives, so it is
+always canonical and never names a dead node.  A node object holds
+only the window epoch its memoised decisions were taken under and the
+memo itself; the network builds it on the node's first decision.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.pastry.bulk import bucket_bounds, leaf_reach, leaf_window
+from repro.pastry.bulk import leaf_reach, leaf_window
 from repro.util.ids import (
-    ID_BITS, ID_SPACE, closest_in_sorted, id_digit, id_to_hex, ring_distance, shared_prefix_digits,
+    ID_BITS, ID_SPACE, closest_in_sorted, id_to_hex, ring_distance, shared_prefix_digits,
 )
 
 #: Cap on the per-node ``next_hop`` memo; cleared wholesale when
@@ -45,7 +44,7 @@ def class_key(digits: int, prefix: int, whole: bool = False) -> int:
 
 
 class PastryNode:
-    """Routing state of one overlay node of ``network``.
+    """Memoised forwarding decisions of one overlay node of ``network``.
 
     Message handling lives at higher layers (:mod:`repro.past`,
     :mod:`repro.core.node`); this class owns the Pastry invariants.
@@ -53,11 +52,9 @@ class PastryNode:
 
     def __init__(self, node_id: int, network):
         self.node_id = node_id
-        self.ip = ip_for_id(node_id)
         #: the :class:`~repro.pastry.network.PastryNetwork` whose alive
         #: ids the leaf set and routing cells are read from
         self.network = network
-        self.alive = True
         #: the membership epoch of the last event that changed the
         #: node's leaf window (the network stamps it); memoised
         #: decisions hold while it stands
@@ -67,56 +64,6 @@ class PastryNode:
         #: ``_hop_epoch``
         self._hop_memo: dict[int, tuple] = {}
         self._hop_epoch = None
-
-    def __getstate__(self) -> dict:
-        # a pickled or deep-copied node starts with an empty memo
-        return {**self.__dict__, "_hop_memo": {}, "_hop_epoch": None}
-
-    # -- routing state ---------------------------------------------------
-    def leaves(self) -> list[int]:
-        """The leaf set, ascending: the node's window of the alive ids
-        (``[]`` for a dead node)."""
-        if not self.alive:
-            return []
-        ids = self.network.alive_ids
-        reach = leaf_reach(len(ids), self.network.leaf_set_size)
-        return leaf_window(ids, bisect_left(ids, self.node_id), reach)
-
-    def cell(self, row: int, col: int) -> int | None:
-        """Routing-table cell ``(row, col)``: the node's PNS choice if it
-        is alive, else the smallest alive id of the cell's prefix class;
-        ``None`` if the class is empty or ``col`` is the node's own
-        digit (not a cell)."""
-        net = self.network
-        if net.pns_cells:
-            entry = net.pns_cells.get(self.node_id, {}).get((row, col))
-            if entry is not None and net.is_alive(entry):
-                return entry
-        if col == id_digit(self.node_id, row, net.b_bits):
-            return None
-        return net.first_alive_in(*bucket_bounds(self.node_id, row, col, net.b_bits))
-
-    def cells(self, first_row: int = 0) -> dict[tuple[int, int], int]:
-        """Every populated cell of rows ``first_row`` and deeper.  Rows
-        past the longest prefix the node shares with a sort neighbour
-        are provably empty, so they are not visited."""
-        net = self.network
-        b = net.b_bits
-        ids = net.alive_ids
-        pos = bisect_left(ids, self.node_id)
-        after = pos + 1 if pos < len(ids) and ids[pos] == self.node_id else pos
-        depth = max(
-            (shared_prefix_digits(self.node_id, ids[p], b) for p in (pos - 1, after)
-             if 0 <= p < len(ids)),
-            default=-1,
-        )
-        out = {}
-        for row in range(first_row, min(ID_BITS // b, depth + 1)):
-            for col in range(1 << b):
-                entry = self.cell(row, col)
-                if entry is not None:
-                    out[row, col] = entry
-        return out
 
     # -- the Pastry routing decision --------------------------------------
     def next_hop(self, key: int) -> int:
@@ -172,19 +119,19 @@ class PastryNode:
                 yield key, hit
 
     def _decide(self, key: int) -> tuple[int, int | None, int]:
-        """The rule itself, uncached, with what it read.  A dead node
-        delivers locally."""
-        if not self.alive:
-            return self.node_id, None, 0
+        """The rule itself, uncached, with what it read.  A node that
+        is not alive delivers locally."""
         net = self.network
         ids = net.alive_ids
         n = len(ids)
+        pos = bisect_left(ids, self.node_id)
+        if pos == n or ids[pos] != self.node_id:
+            return self.node_id, None, 0
         # Rule 1: a ring of at most |L| ids is one leaf window; past
         # that, the window's far ends bound the arc the node covers,
         # and the key's two ring neighbours (hence its closest id) lie
         # on it.
         if n > net.leaf_set_size:
-            pos = bisect_left(ids, self.node_id)
             half = net.leaf_set_size // 2
             ccw_far = ids[pos - half]
             covered = (key - ccw_far) % ID_SPACE <= (ids[(pos + half) % n] - ccw_far) % ID_SPACE
@@ -200,7 +147,7 @@ class PastryNode:
         cls = class_key(row + 1, prefix)
         if net.pns_cells:
             cls = class_key(row + 1, prefix, whole=True)
-            entry = self.cell(row, prefix & ((1 << b) - 1))
+            entry = net.cell(self.node_id, row, prefix & ((1 << b) - 1))
         else:  # the cell's class is the key's (row + 1)-digit prefix
             entry = net.first_alive_in(prefix << shift, (prefix + 1) << shift)
         if entry is not None:
@@ -211,8 +158,9 @@ class PastryNode:
         # qualify, and every cell of rows ``row`` and deeper does: all
         # of them lie in the node's ``row``-digit prefix class.
         cls = class_key(row, prefix >> b, whole=True)
-        candidates = [nid for nid in self.leaves() if shared_prefix_digits(nid, key, b) >= row]
-        candidates.extend(self.cells(row).values())
+        leaves = leaf_window(ids, pos, leaf_reach(n, net.leaf_set_size))
+        candidates = [nid for nid in leaves if shared_prefix_digits(nid, key, b) >= row]
+        candidates.extend(net.cells(self.node_id, row).values())
         own_dist = ring_distance(self.node_id, key)
         better = [
             (dist, nid) for nid in candidates if (dist := ring_distance(nid, key)) < own_dist
@@ -223,5 +171,4 @@ class PastryNode:
         return nxt, cls, net._class_epochs.get(cls, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.alive else "down"
-        return f"PastryNode({id_to_hex(self.node_id)[:8]}…, {state})"
+        return f"PastryNode({id_to_hex(self.node_id)[:8]}…)"

@@ -31,12 +31,7 @@ from repro.perf.parallel import (
     shared_payload,
 )
 from repro.perf.shm import SharedCompactSnapshot, shm_available
-from repro.perf.snapshot import (
-    NetworkSnapshot,
-    StoreSnapshot,
-    SystemSnapshot,
-    base_snapshot,
-)
+from repro.perf.snapshot import NetworkSnapshot, base_snapshot
 
 __all__ = [
     "CompactOverlay",
@@ -50,7 +45,5 @@ __all__ = [
     "run_trials",
     "shared_payload",
     "NetworkSnapshot",
-    "StoreSnapshot",
-    "SystemSnapshot",
     "base_snapshot",
 ]

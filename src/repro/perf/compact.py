@@ -33,9 +33,9 @@ Equivalence contract (pinned by ``tests/perf/test_compact.py``):
 
 The materialisation bridge (:meth:`CompactOverlay.to_network_snapshot`)
 produces a :class:`~repro.perf.snapshot.NetworkSnapshot` of the ids and
-alive flags; its restored network builds nodes on first access, so
-packet-level spot-checks on a 10^5-node compact overlay materialise
-only the nodes a route actually touches.
+alive flags; its restored network builds a node on its first decision,
+so packet-level spot-checks on a 10^5-node compact overlay build only
+the nodes a route actually touches.
 :class:`CompactSnapshot` is the picklable capture for sharding trials
 across workers via ``run_trials(shared=...)``.
 """
@@ -692,24 +692,11 @@ class CompactOverlay:
         and alive flags.
 
         ``restore()`` yields an object-engine :class:`PastryNetwork`
-        whose nodes materialise on first access — a packet-level route
-        on a 10^5-node overlay touches only the handful of nodes on
-        the path.
+        whose nodes are built on their first decision — a packet-level
+        route on a 10^5-node overlay builds only the handful of nodes
+        on the path.
         """
         return self.snapshot().to_network_snapshot()
-
-    def to_system_snapshot(self, replication_factor: int = 3):
-        """A :class:`~repro.perf.snapshot.SystemSnapshot` with an empty
-        store; ``fork(seed)`` then yields a full :class:`TapSystem` on
-        the materialised overlay for end-to-end spot-checks."""
-        from repro.perf.snapshot import StoreSnapshot, SystemSnapshot
-
-        return SystemSnapshot(
-            self.to_network_snapshot(),
-            StoreSnapshot(
-                k=replication_factor, objects={}, storage_keys={}, holders={}
-            ),
-        )
 
 
 class CompactSnapshot:
@@ -770,7 +757,6 @@ class CompactSnapshot:
             b_bits=self.b_bits,
             leaf_set_size=self.leaf_set_size,
             membership_epoch=self.membership_epoch,
-            order=tuple(ids),
             sorted_alive=tuple(nid for nid, up in zip(ids, alive_flags) if up),
             dead=frozenset(nid for nid, up in zip(ids, alive_flags) if not up),
             pns_cells={},

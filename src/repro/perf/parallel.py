@@ -121,7 +121,7 @@ def run_trials(
     parallel digest gate checks.  With an effective worker count of 1
     the trials run inline (no executor, no pickling).
 
-    ``shared`` maps base tokens to snapshots every trial may fork (via
+    ``shared`` maps base tokens to snapshots every trial may restore (via
     :func:`repro.perf.snapshot.base_snapshot`): pickled once per worker
     process (pool initializer) rather than once per trial, and
     installed around the serial loop so both paths observe identical

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.deploy import DeploymentError, select_prefix_diverse
 from repro.core.tha import tha_value_decode
+from repro.pastry.node import ip_for_id
 from repro.util.serialize import pack_fields
 
 
@@ -37,7 +38,7 @@ class TestDeployment:
         report = system.deploy_thas(owner, count=3)
         for path in report.relay_paths:
             prefixes = [
-                system.network.nodes[nid].ip.split(".")[0] for nid in path
+                ip_for_id(nid).split(".")[0] for nid in path
             ]
             assert len(set(prefixes)) == len(prefixes)
 

@@ -1,6 +1,9 @@
 """Tests for the TapSystem façade, TapNode, and tunnel refresh."""
 
+import pytest
+
 from repro.core.system import TapSystem
+from repro.pastry.node import ip_for_id
 
 
 class TestBootstrap:
@@ -21,13 +24,29 @@ class TestBootstrap:
     def test_ip_index_complete(self, tap_system):
         assert len(tap_system.ip_index) == 150
         for ip, nid in tap_system.ip_index.items():
-            assert tap_system.network.nodes[nid].ip == ip
+            assert ip_for_id(nid) == ip
 
 
 class TestTapNodeRegistry:
     def test_lazily_created_and_cached(self, tap_system):
         nid = tap_system.network.alive_ids[0]
         assert tap_system.tap_node(nid) is tap_system.tap_node(nid)
+
+    def test_unregistered_id_is_refused(self, tap_system):
+        """An id the overlay never registered gets no TAP state, and
+        reviving it changes nothing; a failed node stays registered."""
+        network = tap_system.network
+        stranger = next(nid for nid in range(1, 100) if not network.is_registered(nid))
+        with pytest.raises(KeyError):
+            tap_system.tap_node(stranger)
+        assert stranger not in tap_system.tap_nodes
+        epoch = network.membership_epoch
+        network.revive(stranger)
+        assert network.membership_epoch == epoch
+        assert not network.is_registered(stranger) and stranger not in tap_system.tap_nodes
+        victim = network.alive_ids[0]
+        tap_system.fail_node(victim)
+        assert tap_system.tap_node(victim).node_id == victim
 
     def test_random_node_deterministic_per_label(self, tap_system):
         assert tap_system.random_node_id("x") == tap_system.random_node_id("x")
@@ -67,8 +86,7 @@ class TestMembershipEvents:
     def test_join_node_updates_ip_index(self, tap_system):
         new_id = 12345678901234567890
         tap_system.join_node(new_id)
-        node = tap_system.network.nodes[new_id]
-        assert tap_system.ip_index[node.ip] == new_id
+        assert tap_system.ip_index[ip_for_id(new_id)] == new_id
 
     def test_mass_failure_without_repair_loses_objects(self, tap_system):
         fid = tap_system.publish(b"data")

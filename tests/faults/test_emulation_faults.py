@@ -220,7 +220,7 @@ class TestDuplicateIsACopy:
             SeedSequenceFactory(1).spawn("f"),
         )
         tunnel = system.form_tunnel(alice, length=3)
-        first_stop = system.network.nodes[alice.node_id].next_hop(tunnel.hops[0].hop_id)
+        first_stop = system.network.next_hop(alice.node_id, tunnel.hops[0].hop_id)
         assert first_stop != alice.node_id
         arrived = []
         emu.net.attach(first_stop, lambda net, src, dst, env: arrived.append((env, env.blob)))

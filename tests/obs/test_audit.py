@@ -55,11 +55,11 @@ class TestCleanAudits:
 class TestInjectedViolations:
     def test_alive_flag_divergence_detected(self, network):
         victim = network.alive_ids[7]
-        # Flip the per-node flag without going through network.fail:
-        # the _sorted_alive index now lies.
-        network.nodes[victim].alive = False
-        report = InvariantAuditor(network).run("flag flip")
-        assert any("sorted-alive" in v for v in report.violations)
+        # Mark the id down without going through network.fail: it is
+        # now both alive and down.
+        network._down.add(victim)
+        report = InvariantAuditor(network).run("down but indexed")
+        assert report.violations == [f"sorted-alive: {victim:#x} indexed alive but down"]
 
     @staticmethod
     def _missed_stamp(network, holder, key, event, node_id):
@@ -84,7 +84,7 @@ class TestInjectedViolations:
         its new immediate neighbour and still routes past it."""
         ids = network.alive_ids
         newcomer = (ids[3] + ids[4]) // 2
-        holder = network.nodes[ids[3]]
+        holder = network._node(ids[3])
         self._missed_stamp(network, holder, newcomer, network.join, newcomer)
         assert network.closest_alive(newcomer) == newcomer
 
@@ -92,7 +92,7 @@ class TestInjectedViolations:
         """A fail at the far edge of the window: the holder's stale window
         is no longer its slice of the ring and still names the lost id."""
         ids = network.alive_ids
-        holder, victim = network.nodes[ids[20]], ids[28]
+        holder, victim = network._node(ids[20]), ids[28]
         missed = self._missed_stamp(network, holder, victim, network.fail, victim)
         assert missed == victim
 
@@ -100,7 +100,7 @@ class TestInjectedViolations:
         """A fail of an immediate neighbour: the holder's memo, taken
         before the fail, still names the failed node."""
         ids = network.alive_ids
-        holder, victim = network.nodes[ids[5]], ids[6]
+        holder, victim = network._node(ids[5]), ids[6]
         missed = self._missed_stamp(network, holder, victim, network.fail, victim)
         assert missed == victim
         assert not network.is_alive(victim)
@@ -109,7 +109,7 @@ class TestInjectedViolations:
         """One planted ``next_hop`` memo entry that names the wrong node,
         under stamps that still hold: served as is, so only the audit's
         fresh decision sees it."""
-        node = network.nodes[network.alive_ids[4]]
+        node = network._node(network.alive_ids[4])
         key = random_id(random.Random(2))
         right, cls, stamp = node.decision(key)
         wrong = next(nid for nid in network.alive_ids if nid not in (right, node.node_id))
@@ -148,8 +148,7 @@ class TestInjectedViolations:
         assert any("storage-index" in v for v in report.violations)
 
     def test_assert_clean_raises(self, network):
-        victim = network.alive_ids[7]
-        network.nodes[victim].alive = False
+        network._down.add(network.alive_ids[7])
         auditor = InvariantAuditor(network)
         with pytest.raises(InvariantViolationError):
             auditor.assert_clean("bad")
@@ -162,7 +161,7 @@ class TestMetricsIntegration:
         metrics = MetricsRegistry()
         auditor = InvariantAuditor(network, metrics=metrics)
         auditor.run("one")
-        network.nodes[network.alive_ids[2]].alive = False
+        network._down.add(network.alive_ids[2])
         auditor.run("two")
         assert metrics.counter("obs.audit.runs").value == 2
         assert metrics.counter("obs.audit.violations").value >= 1

@@ -42,7 +42,7 @@ def test_churn_sequence_audits_clean():
             system.revive_node(dead.pop(rng.randrange(len(dead))))
         else:
             new_id = random_id(id_rng)
-            while new_id in system.network.nodes:
+            while system.network.is_registered(new_id):
                 new_id = random_id(id_rng)
             system.join_node(new_id)
 

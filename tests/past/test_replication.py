@@ -155,7 +155,7 @@ class TestJoinHandoff:
         key = random_id(random.Random(8))
         store.insert(key, b"v")
         # Craft a newcomer id right next to the key: it must become root.
-        new_id = key + 1 if key + 1 not in store.network.nodes else key + 2
+        new_id = key + 2 if store.network.is_registered(key + 1) else key + 1
         store.network.join(new_id)
         store.on_join(new_id)
         assert store.root(key) == new_id
@@ -172,7 +172,7 @@ class TestJoinHandoff:
             new_id = random_id(rng)
             if all(
                 new_id not in store.replica_set(k) for k in keys
-            ) and new_id not in store.network.nodes:
+            ) and not store.network.is_registered(new_id):
                 break
         store.network.join(new_id)
         store.on_join(new_id)
@@ -183,7 +183,7 @@ class TestJoinHandoff:
         key = random_id(random.Random(11))
         store.insert(key, b"v")
         displaced = store.replica_set(key)[-1]
-        new_id = key + 1 if key + 1 not in store.network.nodes else key + 2
+        new_id = key + 2 if store.network.is_registered(key + 1) else key + 1
         store.network.join(new_id)
         store.on_join(new_id)
         assert displaced not in store.holders(key)
@@ -272,7 +272,7 @@ class TestReviveReconciliation:
         new_id = key
         for _ in range(store.k):
             new_id += 1
-            while new_id in store.network.nodes:
+            while store.network.is_registered(new_id):
                 new_id += 1
             store.network.join(new_id)
             store.on_join(new_id)
@@ -340,7 +340,7 @@ class TestEpochMemoisation:
         store.insert(key, b"v")
         assert store.replica_set(key)  # populate the cache
         new_id = key + 1
-        while new_id in store.network.nodes:
+        while store.network.is_registered(new_id):
             new_id += 1
         store.network.join(new_id)
         store.on_join(new_id)

@@ -72,7 +72,7 @@ class ReplicationMachine(RuleBasedStateMachine):
     @rule(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def join_node(self, seed):
         new_id = random_id(random.Random(seed ^ 0xABCDEF))
-        if new_id in self.network.nodes:
+        if self.network.is_registered(new_id):
             return
         self.network.join(new_id)
         self.store.on_join(new_id)
@@ -118,8 +118,9 @@ class ReplicationMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     @invariant()
     def alive_list_consistent(self):
-        alive = [nid for nid, node in self.network.nodes.items() if node.alive]
-        assert sorted(alive) == self.network.alive_ids
+        alive = self.network.alive_ids
+        assert alive == sorted(alive)
+        assert not self.network.down_ids.intersection(alive)
 
     @invariant()
     def replica_sets_are_k_closest(self):

@@ -61,22 +61,22 @@ class TestFailedJoinLeavesTheRegistryAlone:
         network = PastryNetwork.build(_near(cw=6, ccw=6))
         bootstrap = network.alive_ids[3]
         network.fail(bootstrap)
-        before = dict(network.nodes)
+        before = (list(network.alive_ids), set(network.down_ids))
         with pytest.raises(RoutingError, match="is not alive"):
             network.join(OWNER, bootstrap_id=bootstrap)
-        assert not network.is_alive(OWNER) and OWNER not in network.alive_ids
-        assert dict(network.nodes) == before
+        assert not network.is_registered(OWNER) and OWNER not in network.alive_ids
+        assert (network.alive_ids, network.down_ids) == before
 
     def test_rejoin_of_a_dead_id_whose_route_does_not_converge(self, monkeypatch):
         """The dead node's record survives, so it can still be revived."""
         network = PastryNetwork.build(_near(cw=6, ccw=6) + [OWNER])
         network.fail(OWNER)
-        dead = network.nodes[OWNER]
+        dead = network._node(OWNER)
         monkeypatch.setattr(PastryNetwork, "MAX_HOPS", 0)
         with pytest.raises(RoutingError, match="join route failed"):
             network.join(OWNER)
         monkeypatch.undo()
-        assert network.nodes[OWNER] is dead and not network.is_alive(OWNER)
+        assert network._node(OWNER) is dead and OWNER in network.down_ids
         network.revive(OWNER)
         assert network.is_alive(OWNER) and OWNER in network.alive_ids
         assert network.route(network.alive_ids[0], OWNER).destination == OWNER

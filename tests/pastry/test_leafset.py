@@ -1,7 +1,7 @@
 """The leaf set, read from the sorted alive ids.
 
 A node's leaf set is its window of the alive ids
-(:meth:`PastryNode.leaves`), and rule 1 of its forwarding decision —
+(:meth:`PastryNetwork.leaves`), and rule 1 of its forwarding decision —
 deliver to the numerically closest id when the key lies on the
 window's arc — reads the same ids.  :class:`OracleLeafSet`, an
 unordered set re-ranked on every question, is the specification both
@@ -56,7 +56,12 @@ def rule_one(node, key):
 
 
 def leaves_of(ids, owner, capacity=4):
-    return PastryNetwork.build(ids, leaf_set_size=capacity).nodes[owner].leaves()
+    return PastryNetwork.build(ids, leaf_set_size=capacity).leaves(owner)
+
+
+def registered(net: PastryNetwork) -> list[int]:
+    """Every id the overlay holds, alive or down, ascending."""
+    return sorted([*net.alive_ids, *net.down_ids])
 
 
 class TestBasics:
@@ -75,27 +80,28 @@ class TestBasics:
 
     def test_owner_never_member(self):
         net = PastryNetwork.build([100, 200, 300], leaf_set_size=2)
-        assert all(node.node_id not in node.leaves() for node in net)
+        assert all(nid not in net.leaves(nid) for nid in net.alive_ids)
 
     def test_add_and_contains(self):
         net = PastryNetwork.build([100, 300])
         net.join(200)
-        assert net.nodes[200].leaves() == [100, 300]
-        assert 200 in net.nodes[100].leaves() and 200 in net.nodes[300].leaves()
+        assert net.leaves(200) == [100, 300]
+        assert 200 in net.leaves(100) and 200 in net.leaves(300)
 
     def test_remove(self):
         net = PastryNetwork.build([100, 200, 300])
         net.fail(200)
-        assert [node.leaves() for node in net] == [[300], [], [100]]
+        assert [net.leaves(nid) for nid in registered(net)] == [[300], [], [100]]
 
     def test_remove_missing_is_noop(self):
         net = PastryNetwork.build([100, 200, 300])
         net.fail(200)
-        state = [(node.leaves(), node.window_epoch) for node in net]
+        nodes = [net._node(nid) for nid in registered(net)]
+        state = [(net.leaves(node.node_id), node.window_epoch) for node in nodes]
         net.fail(999)
         net.fail(200)
         net.revive(100)
-        assert [(node.leaves(), node.window_epoch) for node in net] == state
+        assert [(net.leaves(node.node_id), node.window_epoch) for node in nodes] == state
 
 
 class TestHalves:
@@ -121,27 +127,27 @@ class TestHalves:
 class TestCovers:
     def test_non_full_covers_everything(self):
         net = PastryNetwork.build([0, 1, 2, 3], leaf_set_size=8)
-        assert rule_one(net.nodes[0], ID_SPACE // 2) == 3
+        assert rule_one(net._node(0), ID_SPACE // 2) == 3
 
     def test_full_covers_only_arc(self):
         net = PastryNetwork.build([900, 950, 1000, 1050, 1100, FAR], leaf_set_size=4)
-        node = net.nodes[1000]
+        node = net._node(1000)
         assert [rule_one(node, key) for key in (1000, 925, 1075)] == [1000, 900, 1050]
         assert rule_one(node, ID_SPACE // 2) is None
 
     def test_covers_boundary_members(self):
         net = PastryNetwork.build([900, 950, 1000, 1050, 1100, FAR], leaf_set_size=4)
-        assert [rule_one(net.nodes[1000], key) for key in (900, 1100)] == [900, 1100]
+        assert [rule_one(net._node(1000), key) for key in (900, 1100)] == [900, 1100]
 
 
 class TestClosest:
     def test_includes_owner_by_default(self):
-        assert PastryNetwork.build([900, 1000, 1100]).nodes[1000].next_hop(1001) == 1000
+        assert PastryNetwork.build([900, 1000, 1100]).next_hop(1000, 1001) == 1000
 
     @given(members=st.sets(ids_st, min_size=1, max_size=16), key=ids_st)
     @settings(max_examples=100)
     def test_closest_is_truly_closest(self, members, key):
-        node = PastryNetwork.build(members).nodes[min(members)]
+        node = PastryNetwork.build(members)._node(min(members))
         best = rule_one(node, key)
         assert all((ring_distance(best, key), best) <= (ring_distance(m, key), m) for m in members)
 
@@ -151,11 +157,11 @@ class TestTrimInvariant:
     @settings(max_examples=100)
     def test_members_always_in_a_half(self, owner, members):
         """The window is the |L|/2 nearest ids in each ring direction."""
-        node = PastryNetwork.build(members | {owner}, leaf_set_size=8).nodes[owner]
+        leaves = PastryNetwork.build(members | {owner}, leaf_set_size=8).leaves(owner)
         spec = OracleLeafSet(owner, 8)
         spec.members = members - {owner}
-        assert set(node.leaves()) == set(spec.cw_members()) | set(spec.ccw_members())
-        assert len(node.leaves()) <= 8
+        assert set(leaves) == set(spec.cw_members()) | set(spec.ccw_members())
+        assert len(leaves) <= 8
 
 
 #: ids within a few steps of the 0 / 2**128 wrap, so windows wrap and
@@ -172,7 +178,7 @@ def apply(net: PastryNetwork, op) -> None:
     join ``new_id`` (refused if alive)."""
     kind, pick, new_id = op
     alive = net.alive_ids
-    dead = sorted(nid for nid, node in net.nodes.items() if not node.alive)
+    dead = sorted(net.down_ids)
     if kind == "fail" and alive:
         net.fail(alive[pick % len(alive)])
     elif kind == "revive" and dead:
@@ -199,13 +205,13 @@ class TestAgainstOracle:
                 apply(net, op)
             alive = net.alive_ids
             for nid in alive:
-                node = net.nodes[nid]
+                node = net._node(nid)
                 spec = OracleLeafSet(nid, capacity)
                 spec.members = set(alive) - {nid}
                 window = set(spec.cw_members()) | set(spec.ccw_members())
-                assert set(node.leaves()) == window
+                assert set(net.leaves(nid)) == window
                 spec.members = window
-                for key in keys + alive[:3] + node.leaves()[-2:]:
+                for key in keys + alive[:3] + net.leaves(nid)[-2:]:
                     want = spec.closest(key) if spec.covers(key) else None
                     assert rule_one(node, key) == want
 
@@ -219,22 +225,29 @@ class TestVersion:
     def test_moves_iff_members_changed(self, ids, capacity, ops):
         net = PastryNetwork.build(ids, leaf_set_size=capacity)
         for op in ops:
-            before = [(node, node.leaves(), node.alive, node.window_epoch) for node in net]
+            before = [
+                (node := net._node(nid), net.leaves(nid), net.is_alive(nid), node.window_epoch)
+                for nid in registered(net)
+            ]
             apply(net, op)
             for node, leaves, alive, epoch in before:
-                moved = (node.leaves(), node.alive) != (leaves, alive)
+                nid = node.node_id
+                if net._node(nid) is not node:
+                    continue  # a join under a down id: a new node object
+                moved = (net.leaves(nid), net.is_alive(nid)) != (leaves, alive)
                 assert (node.window_epoch != epoch) == moved
                 assert node.window_epoch >= epoch
 
     def test_no_op_calls_leave_it_alone(self):
         net = PastryNetwork.build([998, 999, 1000, 1001, 1002, FAR], leaf_set_size=4)
         net.fail(FAR)
-        epochs = [node.window_epoch for node in net]
+        nodes = [net._node(nid) for nid in registered(net)]
+        epochs = [node.window_epoch for node in nodes]
         membership_epoch = net.membership_epoch
         net.fail(FAR)  # already dead
         net.fail(12345)  # never a member
         net.revive(999)  # alive
         with pytest.raises(ValueError):
             net.join(1000)  # alive
-        assert [node.window_epoch for node in net] == epochs
+        assert [node.window_epoch for node in nodes] == epochs
         assert net.membership_epoch == membership_epoch

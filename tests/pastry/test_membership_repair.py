@@ -58,6 +58,7 @@ class World:
     def __init__(self, ids):
         self.net = PastryNetwork.build(ids)
         self.compact = CompactOverlay.from_ids(ids)
+        self.known = set(ids)
         self.down: list[int] = []
 
     # -- events ----------------------------------------------------------
@@ -89,29 +90,32 @@ class World:
         else:  # join a new id, or re-join a registered dead one
             if kind == "rejoin":
                 new_id = self.down.pop(pick % len(self.down))
+            elif new_id in self.down:  # a new id that happens to be down
+                self.down.remove(new_id)
             bootstrap = alive[pick % len(alive)] if alive else None
             net.join(new_id, bootstrap_id=bootstrap)
             self.compact.join([new_id])
+            self.known.add(new_id)
         self.check(before)
 
     # -- the definition ----------------------------------------------------
     def check(self, before=None) -> None:
         net = self.net
-        alive = sorted(nid for nid, node in net.nodes.items() if node.alive)
+        alive = sorted(self.known.difference(self.down))
         assert net.alive_ids == alive
+        assert net.down_ids == set(self.down)
         fresh = PastryNetwork.build(alive)
         for idx, nid in enumerate(alive):
-            node = net.nodes[nid]
-            members = set(node.leaves())
+            members = set(net.leaves(nid))
             want = ring_neighbours(alive, idx)
             assert members == want, f"{nid:#x} of {len(alive)}"
-            assert members == set(fresh.nodes[nid].leaves())
+            assert members == set(fresh.leaves(nid))
             assert members == set(self.compact.leaf_members(nid))
             if len(alive) <= 40:
                 assert want == nearest_by_distance(alive, nid)
         if alive:
             src = alive[len(alive) // 3]
-            assert net.nodes[src].cells() == self.compact.node_cells(src)
+            assert net.cells(src) == self.compact.node_cells(src)
         for src in alive[:: max(1, len(alive) // 4)]:
             for key in (src ^ 0x5A5A << 100, (alive[len(alive) // 2] + 1) % ID_SPACE):
                 assert net.route(src, key).path == self.compact.route(src, key).path
@@ -119,38 +123,44 @@ class World:
             self._check_window_epochs(before)
 
     def _leaf_states(self):
-        return [(node, node.leaves(), node.alive, node.window_epoch) for node in self.net]
+        net = self.net
+        return [
+            (node := net._node(nid), net.leaves(nid), net.is_alive(nid), node.window_epoch)
+            for nid in sorted(self.known)
+        ]
 
-    @staticmethod
-    def _check_window_epochs(before) -> None:
+    def _check_window_epochs(self, before) -> None:
         """``window_epoch`` moved iff the window (or the node's own
         liveness, which empties or fills it) changed."""
+        net = self.net
         for node, ids, alive, epoch in before:
-            moved = (node.leaves(), node.alive) != (ids, alive)
+            nid = node.node_id
+            if net._node(nid) is not node:
+                continue  # a re-join: a new node object
+            moved = (net.leaves(nid), net.is_alive(nid)) != (ids, alive)
             assert (node.window_epoch != epoch) == moved
             assert node.window_epoch >= epoch
 
     def _cells_holding(self, victim: int):
+        net = self.net
         return [
-            (node, cell)
-            for node in self.net.nodes.values() if node.alive
-            for cell, entry in node.cells().items() if entry == victim
+            (nid, cell)
+            for nid in net.alive_ids
+            for cell, entry in net.cells(nid).items() if entry == victim
         ]
 
     def _check_vacated_cells(self, vacated) -> None:
         """Refilled iff some alive id belongs in the vacated cell, with
         the smallest of them."""
-        alive = self.net.alive_ids
-        for node, (row, col) in vacated:
-            if not node.alive:
+        net = self.net
+        for nid, (row, col) in vacated:
+            if not net.is_alive(nid):
                 continue
             candidates = [
-                a for a in alive
-                if a != node.node_id
-                and shared_prefix_digits(node.node_id, a) == row
-                and id_digit(a, row) == col
+                a for a in net.alive_ids
+                if a != nid and shared_prefix_digits(nid, a) == row and id_digit(a, row) == col
             ]
-            assert node.cell(row, col) == (min(candidates) if candidates else None)
+            assert net.cell(nid, row, col) == (min(candidates) if candidates else None)
 
 
 KINDS = ("fail", "fail", "fail", "revive", "revive", "join", "join", "rejoin")
@@ -193,7 +203,7 @@ def test_metrics_say_what_an_event_touched():
     # the smallest id of a populous first-digit class: every node of
     # the other fifteen classes routes through it
     victim = net.alive_ids[0]
-    holders = sum(victim in node.cells().values() for node in net)
+    holders = sum(victim in net.cells(nid).values() for nid in net.alive_ids)
     assert holders > 2 * HALF
     net.fail(victim)
     assert reloaded.value == 2 * HALF
@@ -210,10 +220,10 @@ def _first_fail_cost(net: PastryNetwork, metrics: MetricsRegistry, victim: int) 
     net = net.snapshot().restore(metrics=metrics)
     reloaded = metrics.counter("pastry.repair.leaf_sets_reloaded")
     before_count = reloaded.value
-    epochs = {nid: net.nodes[nid].window_epoch for nid in net.alive_ids}
+    epochs = {nid: net._node(nid).window_epoch for nid in net.alive_ids}
     net.fail(victim)
     rewritten = sum(
-        net.nodes[nid].window_epoch != epoch for nid, epoch in epochs.items() if nid != victim
+        net._node(nid).window_epoch != epoch for nid, epoch in epochs.items() if nid != victim
     )
     return reloaded.value - before_count, rewritten
 
@@ -241,18 +251,18 @@ def test_a_dead_holder_comes_back_indexed():
     at the entry's next failure."""
     net = build_network(300, seed=13)
     holder, target = next(
-        (node.node_id, entry)
-        for node in net
-        for entry in sorted(node.cells().values())
-        if entry not in node.leaves() and node.node_id not in net.nodes[entry].leaves()
+        (nid, entry)
+        for nid in net.alive_ids
+        for entry in sorted(net.cells(nid).values())
+        if entry not in net.leaves(nid) and nid not in net.leaves(entry)
     )
     net.fail(holder)
     net.fail(target)
     net.revive(target)
     net.revive(holder)
-    assert target in net.nodes[holder].cells().values()
+    assert target in net.cells(holder).values()
     net.fail(target)
-    assert target not in {*net.nodes[holder].leaves(), *net.nodes[holder].cells().values()}
+    assert target not in {*net.leaves(holder), *net.cells(holder).values()}
 
 
 def test_routes_match_compact_under_churn():

@@ -6,7 +6,9 @@ import statistics
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.pastry.network import PastryNetwork, RoutingError
+from repro.pastry.node import PastryNode
 from repro.util.ids import closest_ids, id_digit, random_id, ring_distance, shared_prefix_digits
 from tests.conftest import build_network
 
@@ -14,7 +16,7 @@ from tests.conftest import build_network
 class TestBuildInvariants:
     def test_all_nodes_present_and_alive(self, network200):
         assert network200.size == 200
-        assert all(n.alive for n in network200)
+        assert not network200.down_ids
 
     def test_alive_ids_sorted(self, network200):
         ids = network200.alive_ids
@@ -25,9 +27,8 @@ class TestBuildInvariants:
         ids = network200.alive_ids
         n = len(ids)
         for idx in (0, 57, 199):
-            node = network200.nodes[ids[idx]]
             expect = {ids[(idx + off) % n] for off in range(-8, 9) if off}
-            assert node.leaves() == sorted(expect)
+            assert network200.leaves(ids[idx]) == sorted(expect)
 
     def test_routing_table_cells_valid(self, network200):
         """Every entry sits in the cell its prefix dictates and no cell
@@ -35,8 +36,7 @@ class TestBuildInvariants:
         ids = set(network200.alive_ids)
         sample = list(network200.alive_ids)[::20]
         for nid in sample:
-            node = network200.nodes[nid]
-            for (row, col), entry in node.cells().items():
+            for (row, col), entry in network200.cells(nid).items():
                 assert shared_prefix_digits(nid, entry) == row
                 assert id_digit(entry, row) == col
                 assert entry in ids
@@ -46,10 +46,9 @@ class TestBuildInvariants:
         the network (other than the owner's)."""
         ids = network200.alive_ids
         digits_present = {i >> 124 for i in ids}
-        node = network200.nodes[ids[0]]
         own_digit = ids[0] >> 124
         for digit in digits_present - {own_digit}:
-            assert node.cell(0, digit) is not None
+            assert network200.cell(ids[0], 0, digit) is not None
 
     def test_empty_build(self):
         net = PastryNetwork.build([])
@@ -159,10 +158,9 @@ class TestFailures:
         victim = ids[5]
         neighbour = ids[4]
         small_network.fail(victim)
-        node = small_network.nodes[neighbour]
-        assert victim not in node.leaves()
+        assert victim not in small_network.leaves(neighbour)
         # refilled to full halves (population permitting)
-        assert len(node.leaves()) == small_network.leaf_set_size
+        assert len(small_network.leaves(neighbour)) == small_network.leaf_set_size
 
     def test_fail_twice_is_noop(self, small_network):
         victim = small_network.alive_ids[0]
@@ -194,12 +192,12 @@ class TestJoinProtocol:
     def test_join_leafset_correct(self, small_network):
         rng = random.Random(37)
         new_id = random_id(rng)
-        node = small_network.join(new_id)
+        small_network.join(new_id)
         ids = small_network.alive_ids
         idx = ids.index(new_id)
         n = len(ids)
         expect = {ids[(idx + off) % n] for off in range(-8, 9) if off}
-        assert node.leaves() == sorted(expect)
+        assert small_network.leaves(new_id) == sorted(expect)
 
     def test_join_duplicate_rejected(self, small_network):
         existing = small_network.alive_ids[0]
@@ -222,3 +220,82 @@ class TestJoinProtocol:
             res = small_network.route(src, key)
             assert res.success
             assert res.destination == small_network.closest_alive(key)
+
+
+class TestLazyNodes:
+    """Node objects hold only memoised decisions, so when they are built
+    cannot change a decision, a counter or a route."""
+
+    @staticmethod
+    def _counting(monkeypatch) -> list[int]:
+        built = []
+        init = PastryNode.__init__
+
+        def counted(self, node_id, network):
+            built.append(node_id)
+            init(self, node_id, network)
+
+        monkeypatch.setattr(PastryNode, "__init__", counted)
+        return built
+
+    def test_build_constructs_no_node(self, monkeypatch):
+        built = self._counting(monkeypatch)
+        net = build_network(1000, seed=2004)
+        assert net.size == 1000 and built == []
+
+    def test_a_route_builds_only_the_nodes_on_its_path(self, monkeypatch):
+        rng = random.Random(8)
+        probe = build_network(1000, seed=2004)
+        src = probe.alive_ids[17]
+        key = next(k for k in iter(lambda: random_id(rng), None)
+                   if len(probe.route(src, k).path) >= 3)
+        built = self._counting(monkeypatch)
+        net = build_network(1000, seed=2004)
+        assert built == []
+        path = net.route(src, key).path
+        assert built == path
+
+    def test_building_every_node_up_front_changes_nothing(self):
+        rng = random.Random(2004)
+        ids = sorted({random_id(rng) for _ in range(300)})
+        twins = []
+        for eager in (True, False):
+            metrics = MetricsRegistry()
+            net = PastryNetwork.build(ids, metrics=metrics)
+            if eager:
+                for nid in ids:
+                    net._node(nid)
+            twins.append((net, metrics))
+        sources = ids[::37]
+        keys = [random_id(rng) for _ in range(6)] + ids[5::61]
+        script = random.Random(36)
+        down: list[int] = []
+        paths = {id(net): [] for net, _ in twins}
+        for step in range(80):
+            if step % 9 == 8 and down:  # join under a down id
+                event = ("join", down.pop(script.randrange(len(down))))
+            elif step % 7 == 6:
+                event = ("join", random_id(script))
+            elif step % 3 == 2 and down:
+                event = ("revive", down.pop(0))
+            else:
+                victim = script.choice(twins[0][0].alive_ids)
+                down.append(victim)
+                event = ("fail", victim)
+            for net, _ in twins:
+                getattr(net, event[0])(event[1])
+                for src in sources:
+                    for key in keys:
+                        if net.is_alive(src):
+                            paths[id(net)].append(net.route(src, key).path)
+        (eager, eager_metrics), (lazy, lazy_metrics) = twins
+        assert paths[id(eager)] == paths[id(lazy)]
+        assert len(lazy._nodes) < len(eager._nodes)
+        names = [
+            "pastry.repair.leaf_sets_reloaded",
+            *(f"pastry.route.cache_{branch}" for branch in ("hits", "revalidated", "stale")),
+        ]
+        counts = [[metrics.counter(name).value for name in names]
+                  for metrics in (eager_metrics, lazy_metrics)]
+        assert counts[0] == counts[1]
+        assert all(counts[0])

@@ -1,7 +1,5 @@
 """Tests for the per-node Pastry forwarding rule."""
 
-import copy
-import pickle
 import random
 
 import pytest
@@ -38,20 +36,20 @@ class TestIpForId:
 class TestNextHop:
     def test_leafset_delivery_to_self(self):
         net = PastryNetwork.build([_id_with_digits(0x8)])
-        node = net.nodes[_id_with_digits(0x8)]
+        node = net._node(_id_with_digits(0x8))
         # alone: leaf set empty and not full -> covers all -> self
         assert node.next_hop(12345) == node.node_id
 
     def test_leafset_delivery_to_closest_leaf(self):
         net = PastryNetwork.build([900, 1000, 1100])
         # non-full leaf set covers everything; 1090 closest to 1100
-        assert net.nodes[1000].next_hop(1090) == 1100
+        assert net.next_hop(1000, 1090) == 1100
 
     def test_routing_table_hop_preferred_outside_leafset(self):
         owner = _id_with_digits(0x1)
         far = _id_with_digits(0x9, 0x9)
         net = PastryNetwork.build([owner - 1, owner, owner + 1, far], leaf_set_size=2)
-        node = net.nodes[owner]
+        node = net._node(owner)
         key = _id_with_digits(0x9, 0x3)
         assert node.decision(key)[1] is not None  # not rule 1
         nxt = node.next_hop(key)
@@ -67,9 +65,8 @@ class TestNextHop:
         key = _id_with_digits(0x1, 0xF)
         closer = _id_with_digits(0x1, 0xA)
         net = PastryNetwork.build([owner - 1, owner, owner + 1, closer], leaf_set_size=2)
-        node = net.nodes[owner]
-        assert node.cell(1, 0xF) is None
-        assert node.next_hop(key) == closer
+        assert net.cell(owner, 1, 0xF) is None
+        assert net.next_hop(owner, key) == closer
 
 
 def reference_next_hop(network: PastryNetwork, node: PastryNode, key: int) -> int:
@@ -78,7 +75,7 @@ def reference_next_hop(network: PastryNetwork, node: PastryNode, key: int) -> in
     ``min`` over the pool, checked ``ring_distance`` everywhere."""
     b = network.b_bits
     leaves = OracleLeafSet(node.node_id, network.leaf_set_size)
-    leaves.members = set(node.leaves())
+    leaves.members = set(network.leaves(node.node_id))
     if leaves.covers(key):
         pool = leaves.members | {node.node_id}
         return min(pool, key=lambda x: (ring_distance(x, key), x))
@@ -104,7 +101,8 @@ def reference_next_hop(network: PastryNetwork, node: PastryNode, key: int) -> in
 
 def _known(node: PastryNode) -> list[int]:
     """Leaf-window members and routing-cell entries, ascending."""
-    return sorted(set(node.leaves()) | set(node.cells().values()))
+    net = node.network
+    return sorted(set(net.leaves(node.node_id)) | set(net.cells(node.node_id).values()))
 
 
 def _join_beside(node: PastryNode, got: int, near: int) -> None:
@@ -122,7 +120,7 @@ def _fail_and_revive_smaller(node: PastryNode, got: int, near: int) -> None:
     its prefix class changes twice, its leaf windows may not."""
     net = node.network
     _fail(node, got, near)
-    dead = sorted(nid for nid, other in net.nodes.items() if not other.alive and nid < got)
+    dead = sorted(nid for nid in net.down_ids if nid < got)
     if dead:
         net.revive(dead[-1])
 
@@ -169,7 +167,7 @@ class TestNextHopUnchanged:
         net, rng = self._churned()
         branches = set()
         for nid in list(net.alive_ids):
-            node = net.nodes[nid]
+            node = net._node(nid)
             for key in self._keys(nid, _known(node), rng):
                 got = node.next_hop(key)
                 assert got == reference_next_hop(net, node, key)
@@ -195,14 +193,14 @@ class TestNextHopUnchanged:
         net, rng = self._churned()
         moved = 0
         for nid in list(net.alive_ids)[::10]:
-            node = net.nodes[nid]
-            if not node.alive:
+            node = net._node(nid)
+            if not net.is_alive(nid):
                 continue
             for key in self._keys(nid, _known(node), rng):
                 got = node.next_hop(key)
                 assert got == reference_next_hop(net, node, key)
                 mutate(node, got, key ^ 1)
-                if not node.alive:
+                if not net.is_alive(nid):
                     break
                 again = node.next_hop(key)
                 assert again == reference_next_hop(net, node, key)
@@ -212,37 +210,34 @@ class TestNextHopUnchanged:
     def test_repeated_add_keeps_the_memo(self):
         """Reviving an alive leaf or failing a dead id changes no window."""
         net, rng = self._churned()
-        node = net.nodes[net.alive_ids[0]]
+        node = net._node(net.alive_ids[0])
         keys = [random_id(rng) for _ in range(8)]
         memo = {key: node.next_hop(key) for key in keys}
-        for leaf in node.leaves():
+        for leaf in net.leaves(node.node_id):
             net.revive(leaf)
-        for nid, other in net.nodes.items():
-            if not other.alive:
-                net.fail(nid)
+        for nid in sorted(net.down_ids):
+            net.fail(nid)
         assert node.next_hop(keys[0]) == memo[keys[0]]
         assert {key: node._hop_memo[key][0] for key in keys} == memo
 
     def test_every_new_node_object_starts_with_an_empty_memo(self):
         net = build_network(50, seed=6)
-        for node in net:
+        for nid in net.alive_ids:
             for key in net.alive_ids[::5]:
-                node.next_hop(key)
-        node = net.nodes[net.alive_ids[0]]
+                net.next_hop(nid, key)
+        node = net._node(net.alive_ids[0])
         memo = dict(node._hop_memo)
         assert memo
-        copies = [
-            pickle.loads(pickle.dumps(node)),
-            copy.deepcopy(node),
-            net.snapshot().restore().nodes[node.node_id],
-        ]
-        assert [c._hop_memo for c in copies] == [{}] * 3
-        for twin in copies:  # same state, so the same decisions once asked
-            assert {key: twin.next_hop(key) for key in memo} == {
-                key: hit[0] for key, hit in memo.items()
-            }
+        twin = net.snapshot().restore()._node(node.node_id)
+        assert twin._hop_memo == {}
+        # same state, so the same decisions once asked
+        assert {key: twin.next_hop(key) for key in memo} == {
+            key: hit[0] for key, hit in memo.items()
+        }
         net.fail(node.node_id)
-        assert net.join(node.node_id)._hop_memo == {}
+        net.join(node.node_id)
+        newcomer = net._node(node.node_id)
+        assert newcomer is not node and newcomer._hop_memo == {}
 
 
 class TestLearnForget:
@@ -252,21 +247,19 @@ class TestLearnForget:
     def test_learn_populates_both_structures(self):
         net = PastryNetwork.build([1000, 1 << 127])
         net.join(2000)
-        node = net.nodes[1000]
-        assert 2000 in node.leaves()
-        assert 2000 in node.cells().values()
+        assert 2000 in net.leaves(1000)
+        assert 2000 in net.cells(1000).values()
 
     def test_learn_skips_self(self):
         net = PastryNetwork.build([1000])
-        node = net.nodes[1000]
-        assert node.leaves() == [] and node.cells() == {}
+        assert net.leaves(1000) == [] and net.cells(1000) == {}
 
     def test_forget_clears_both(self):
         net = PastryNetwork.build([1000, 2000, 1 << 127])
         net.fail(2000)
-        assert 2000 not in _known(net.nodes[1000])
-        assert net.nodes[2000].leaves() == []
+        assert 2000 not in _known(net._node(1000))
+        assert net.leaves(2000) == []
 
     def test_known_nodes_union(self):
         net = PastryNetwork.build([1000, 2000, 3000])
-        assert _known(net.nodes[1000]) == [2000, 3000]
+        assert _known(net._node(1000)) == [2000, 3000]

@@ -36,10 +36,9 @@ class TestCorrectness:
     def test_entries_occupy_valid_cells(self, setup):
         _, _, plain, pns = setup
         for nid in pns.alive_ids[::40]:
-            node = pns.nodes[nid]
-            cells = node.cells()
+            cells = pns.cells(nid)
             assert cells == pns.pns_cells[nid]  # every populated cell is a PNS choice
-            assert cells.keys() == plain.nodes[nid].cells().keys()
+            assert cells.keys() == plain.cells(nid).keys()
             for (row, col), entry in cells.items():
                 assert shared_prefix_digits(nid, entry) == row
                 assert id_digit(entry, row) == col
@@ -54,11 +53,11 @@ class TestCorrectness:
             (nid, cell, entry)
             for nid in pns.alive_ids
             for cell, entry in pns.pns_cells[nid].items()
-            if entry != plain.nodes[nid].cell(*cell)
+            if entry != plain.cell(nid, *cell)
         )
         for net in (plain, pns):
             net.fail(choice)
-        assert pns.nodes[owner].cell(*cell) == plain.nodes[owner].cell(*cell)
+        assert pns.cell(owner, *cell) == plain.cell(owner, *cell)
         for _ in range(40):
             src, key = rng.choice(pns.alive_ids), random_id(rng)
             assert pns.route(src, key).destination == pns.closest_alive(key)
@@ -68,7 +67,7 @@ class TestCorrectness:
         neighbours by definition."""
         _, _, plain, pns = setup
         for nid in plain.alive_ids[::40]:
-            assert plain.nodes[nid].leaves() == pns.nodes[nid].leaves()
+            assert plain.leaves(nid) == pns.leaves(nid)
 
 
 class TestLocality:
@@ -77,7 +76,7 @@ class TestLocality:
         def mean_entry_latency(net):
             vals = []
             for nid in net.alive_ids[::10]:
-                for entry in net.nodes[nid].cells().values():
+                for entry in net.cells(nid).values():
                     vals.append(topo.latency(nid, entry))
             return statistics.mean(vals)
 

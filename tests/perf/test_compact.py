@@ -45,13 +45,12 @@ def network_rows(net: PastryNetwork) -> list[dict]:
     network — the shape both engines are compared in."""
     rows = []
     for nid in sorted(net.alive_ids):
-        node = net.nodes[nid]
         rows.append({
             "id": nid,
-            "leaf": node.leaves(),
+            "leaf": net.leaves(nid),
             "cells": sorted(
                 [row, col, entry]
-                for (row, col), entry in node.cells().items()
+                for (row, col), entry in net.cells(nid).items()
             ),
         })
     return rows
@@ -474,9 +473,10 @@ class TestSnapshotSharding:
         expected = rows_digest(compact_rows(local))
         assert digests == [expected, expected]
 
-    def test_to_system_snapshot_forks_full_system(self):
+    def test_to_network_snapshot_carries_a_full_system(self):
         overlay = CompactOverlay.bootstrap(N, seed=SEED)
-        system = overlay.to_system_snapshot(replication_factor=3).fork(seed=2)
+        network = overlay.to_network_snapshot().restore()
+        system = TapSystem(network, ReplicatedStore(network, 3), SeedSequenceFactory(2))
         assert sorted(system.network.alive_ids) == overlay.alive_ids()
         rng = SeedSequenceFactory(SEED).pyrandom("system-spot")
         key = rng.getrandbits(128)

@@ -45,7 +45,7 @@ class TestLifecycleScenario:
                 ]
                 system.fail_node(candidates[rng.randrange(len(candidates))])
                 new_id = rng.getrandbits(128)
-                while new_id in system.network.nodes:
+                while system.network.is_registered(new_id):
                     new_id = rng.getrandbits(128)
                 system.join_node(new_id)
 

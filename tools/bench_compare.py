@@ -245,33 +245,15 @@ def bench_pastry_bootstrap_1000():
     return lambda: PastryNetwork.build(ids)
 
 
-def bench_system_fork():
-    from repro.core.system import TapSystem
-
-    snap = TapSystem.bootstrap(1000, seed=2004).snapshot()
-
-    def fork_and_route():
-        system = snap.fork(seed=7)
-        ids = system.network.alive_ids
-        n = len(ids)
-        # A few routes so the copy-on-write fork pays for the nodes a
-        # trial actually touches, not just the O(1) container setup.
-        for i in (0, n // 3, n // 2, n - 1):
-            system.network.route(ids[i], ids[(i * 13 + 7) % n])
-        return system
-
-    return fork_and_route
-
-
 def bench_pastry_route_churn_1000():
-    """One op = 1 fail + 1 revive + 128 fixed ``(src, key)`` routes on a
-    forked N=1,000 overlay: what the route memo is worth when the
-    membership epoch turns between visits to the same routes."""
+    """One op = 1 fail + 1 revive + 128 fixed ``(src, key)`` routes on an
+    N=1,000 overlay: what the route memo is worth when the membership
+    epoch turns between visits to the same routes."""
     from repro.pastry.network import PastryNetwork
     from repro.util.rng import make_pyrandom
 
     ids = sorted(_bench_ids_1000())
-    net = PastryNetwork.build(ids).snapshot().restore()
+    net = PastryNetwork.build(ids)
     rng = make_pyrandom(2004, "bench-route-churn")
     pairs = [(rng.choice(ids), rng.getrandbits(128)) for _ in range(128)]
     sources = {src for src, _ in pairs}
@@ -399,12 +381,10 @@ MICRO = {
     "serialize.unpack4": bench_serialize_roundtrip,
 }
 
-#: Overlay construction/fork benchmarks: the ``system.fork`` /
-#: ``pastry.bootstrap_1000`` pair is the fork-per-rep payoff the
-#: snapshot subsystem exists for, gated in CI via the quick suite.
-SNAPSHOT = {
+#: Object-overlay construction, what every trial pays to start from a
+#: fresh overlay; gated in CI via the quick suite.
+BUILD = {
     "pastry.bootstrap_1000": bench_pastry_bootstrap_1000,
-    "system.fork": bench_system_fork,
 }
 
 MACRO = {
@@ -711,9 +691,9 @@ OVERHEAD_PAIRS = {
 
 def run_suite(quick: bool, only: set[str] | None = None) -> dict[str, dict]:
     suite = (
-        {**MICRO, **SNAPSHOT, **SCALE, **ROUTE}
+        {**MICRO, **BUILD, **SCALE, **ROUTE}
         if quick
-        else {**MICRO, **SNAPSHOT, **SCALE, **ROUTE, **MACRO}
+        else {**MICRO, **BUILD, **SCALE, **ROUTE, **MACRO}
     )
     enabled, reason = scale_1m_status()
     if enabled:
@@ -995,7 +975,7 @@ def main(argv: list[str] | None = None) -> int:
         threshold = 2.0 if args.quick else 1.5
 
     if args.overhead_only:
-        suite = {**MICRO, **SNAPSHOT, **SCALE, **MACRO}
+        suite = {**MICRO, **BUILD, **SCALE, **MACRO}
         print(f"bench_compare: telemetry overhead gate at {git_sha()}")
         results: dict[str, dict] = {}
         for inst, (bare, _max) in OVERHEAD_PAIRS.items():
