@@ -1,6 +1,7 @@
 """Tests for the chaos runner: acceptance bars + deterministic replay."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.faults import (
     named_plan,
     run_chaos,
 )
+from repro.faults.chaos import BASELINE
 
 FAST = ChaosConfig.fast()
 
@@ -116,3 +118,30 @@ class TestOtherPlans:
         injected: none" (lease-skew) or drop its rot (bitrot)."""
         with pytest.raises(ValueError, match="run_durability"):
             run_chaos(named_plan(name), FAST)
+
+
+#: report digests of the plans that drive the resilient arm's retries,
+#: backoff, breakers, probes and degraded reads at seed 7 (the smoke
+#: plan in results/DIGESTS.txt drives none of them); partition alone
+#: makes 24 retries, 8 breaker trips, 62 probes and 7 degraded serves
+PINNED_DIGESTS = {
+    ("lossy", "resilient"):
+        "8ea35aa808d774dd6764c3f820f3226eb07226c8c2c946d9bbd5dfc5c07aedd4",
+    ("lossy", "baseline"):
+        "99e33af20f7fbdcdb70d052bfc0365c4661971c028618c3fa54c743c48cc6221",
+    ("byzantine", "resilient"):
+        "8a9182fb66cba27e7a5358c368300b10ca8ff50fc26954cf492cc3722dca4d21",
+    ("byzantine", "baseline"):
+        "fd4d35f6d8f04478860209ed853dc57b76dda569b1830e1de3dc7816d10ca738",
+    ("partition", "resilient"):
+        "27916f2f9ac224291769e016d1e2d46727935e790866e4732770526cd6434894",
+    ("partition", "baseline"):
+        "88cbf5f9a66a7f70e3c7c928c3bb59f3444ba53233cfd388842ad97e7b23d633",
+}
+
+
+@pytest.mark.parametrize("plan,arm", sorted(PINNED_DIGESTS))
+def test_policy_arms_pinned(plan, arm):
+    policy = ResiliencePolicy() if arm == "resilient" else BASELINE
+    report = run_chaos(named_plan(plan), replace(FAST, seed=7), policy=policy)
+    assert report["digest"] == PINNED_DIGESTS[plan, arm]
