@@ -313,15 +313,6 @@ class TunnelForwarder:
         if byz is not None:
             raise TunnelBroken(f"byzantine hop {hop_node:#x}: {byz}")
 
-    @staticmethod
-    def _check_budget(trace: ForwardTrace, max_links: int) -> None:
-        spent = trace.underlying_hops
-        if spent > max_links:
-            raise TunnelBroken(
-                f"attempt budget exhausted: {spent} links > {max_links} "
-                f"(simulated timeout)"
-            )
-
     # ------------------------------------------------------------------
     # traversal, both directions
     # ------------------------------------------------------------------
@@ -333,7 +324,6 @@ class TunnelForwarder:
         payload: bytes,
         deliver: Callable[[int, bytes], None] | None = None,
         parent=None,
-        max_links: int | None = None,
     ) -> ForwardTrace:
         """Send ``payload`` to ``destination_id`` through ``tunnel``.
 
@@ -344,9 +334,6 @@ class TunnelForwarder:
 
         ``parent`` optionally attaches the traversal's span tree under
         a caller-owned span (session round trip, retrieval, ...).
-        ``max_links`` caps the underlying links spent on this attempt
-        — the synchronous engine's per-attempt timeout budget (see
-        :class:`repro.core.resilience.ResiliencePolicy`).
         """
         blob = build_onion(tunnel.onion_layers(), destination_id, payload)
         tr = self.tracer
@@ -357,7 +344,7 @@ class TunnelForwarder:
         return self._traverse(
             span, "forward", initiator.node_id, tunnel.hops[0].hop_id,
             tunnel.hint_ips[0] or "", blob, len(tunnel.hops) + 1,
-            tunnel.formed_roots, max_links, None, deliver,
+            tunnel.formed_roots, None, deliver,
         )
 
     def send_reply(
@@ -369,7 +356,6 @@ class TunnelForwarder:
         max_hops: int = 32,
         parent=None,
         expected_roots: dict[int, int] | None = None,
-        max_links: int | None = None,
     ) -> ForwardTrace:
         """Route a reply payload back along a reply tunnel (§4).
 
@@ -392,7 +378,7 @@ class TunnelForwarder:
         ) if tr else None
         return self._traverse(
             span, "reply", responder_id, first_hop_id, "", reply_blob,
-            max_hops, expected_roots, max_links, payload, None,
+            max_hops, expected_roots, payload, None,
         )
 
     def round_trip(
@@ -404,7 +390,6 @@ class TunnelForwarder:
         destination_id: int,
         request: bytes,
         respond: Callable[[int, bytes], bytes | None],
-        max_links: int | None = None,
     ) -> Exchange:
         """The §4 exchange: :meth:`send` ``request`` to
         ``destination_id``, :meth:`send_reply` the answer back.
@@ -417,26 +402,21 @@ class TunnelForwarder:
         runs — the reply walk happens inside it — so a late or replayed
         walk finds nothing, however the send ends; a ``bid`` someone is
         already awaiting is refused before anything is sent.
-        ``max_links`` is the link budget of each direction.
         """
-        budget = {} if max_links is None else {"max_links": max_links}
         received: list[bytes] = []
         replies: list[ForwardTrace] = []
 
         def deliver(node_id: int, payload: bytes) -> None:
             answer = respond(node_id, payload)
             if answer is not None:
-                replies.append(
-                    self.send_reply(node_id, *capsule, answer, **budget)
-                )
+                replies.append(self.send_reply(node_id, *capsule, answer))
 
         initiator.register_pending(
             PendingReply(bid=reply_tunnel.bid, callback=received.append)
         )
         try:
             forward = self.send(
-                initiator, forward_tunnel, destination_id, request, deliver,
-                **budget,
+                initiator, forward_tunnel, destination_id, request, deliver
             )
         finally:
             initiator.release_pending(reply_tunnel.bid)
@@ -479,7 +459,6 @@ class TunnelForwarder:
         blob: bytes,
         limit: int,
         roots: dict[int, int | None] | None,
-        max_links: int | None,
         payload: bytes | None,
         deliver: Callable[[int, bytes], None] | None,
     ) -> None:
@@ -490,10 +469,10 @@ class TunnelForwarder:
         in how the walk *ends* — forward at the layer tagged EXIT, whose
         node routes the payload on to the destination; reply at the node
         holding a pending ``bid`` equal to the identifier, which has
-        nothing to peel — and therefore in when a hop is settled (link
-        budget checked, serving node and fail-over attributed): a reply
-        hop on arrival, before it might turn out to be the initiator; a
-        forward hop once it has peeled.
+        nothing to peel — and therefore in when a hop is settled (serving
+        node and fail-over attributed): a reply hop on arrival, before it
+        might turn out to be the initiator; a forward hop once it has
+        peeled.
         """
         tr = self.tracer
         faults = self.faults
@@ -526,8 +505,6 @@ class TunnelForwarder:
                         faults, msg_fault, current, hop_node, index, kind
                     )
                 if reply:
-                    if max_links is not None:
-                        self._check_budget(trace, max_links)
                     record.hop_node = hop_node
                 if roots is not None:
                     formed_root = roots.get(hop_id)
@@ -551,12 +528,10 @@ class TunnelForwarder:
                         return
                 peeled = self._peel_at(hop_node, hop_id, blob, reply)
                 if not reply:
-                    if max_links is not None:
-                        self._check_budget(trace, max_links)
                     if hop_span is not None:
                         _settled(hop_span, record)
                     if peeled.is_exit:
-                        exit_route = self._exit_leg(trace, hop_node, peeled, max_links)
+                        exit_route = self._exit_leg(trace, hop_node, peeled)
                         if hop_span is not None:
                             hop_span.set(
                                 is_exit=True,
@@ -584,7 +559,7 @@ class TunnelForwarder:
             else "onion deeper than tunnel length (malformed)"
         )
 
-    def _exit_leg(self, trace: ForwardTrace, tail: int, peeled, max_links: int | None):
+    def _exit_leg(self, trace: ForwardTrace, tail: int, peeled):
         """The forward walk's last leg: the tail routes the now-plain
         payload to the destination key."""
         trace.destination = peeled.next_id
@@ -596,7 +571,5 @@ class TunnelForwarder:
         if not exit_route.success:
             raise TunnelBroken("exit routing did not converge")
         trace.exit_path = exit_route.path
-        if max_links is not None:
-            self._check_budget(trace, max_links)
         trace.success = True
         return exit_route

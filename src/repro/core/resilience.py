@@ -8,13 +8,12 @@ failures that replica fail-over alone cannot mask.  This module is
 that policy layer, driven by
 :meth:`repro.core.session.TapSession.request_resilient`:
 
-* **bounded retries** (:func:`run_attempts`, the one attempt loop)
-  with exponential backoff and *deterministic* jitter (drawn from a
+* **bounded retries** (:func:`run_attempts`, the one attempt loop);
+
+and, on the resilient arm only,
+
+* exponential backoff with *deterministic* jitter (drawn from a
   :mod:`repro.util.rng` stream, so a chaos run replays bit-identically);
-* **per-attempt budgets** — the synchronous engine has no clock, so a
-  timeout is modelled as a cap on underlying links per attempt
-  (``attempt_link_budget``, threaded into
-  :meth:`repro.core.forwarding.TunnelForwarder.send`);
 * a **per-tunnel circuit breaker** that trips after consecutive
   unattributed failures and routes around them via proactive tunnel
   reform;
@@ -23,6 +22,9 @@ that policy layer, driven by
 * **graceful degradation** — when every attempt fails, serve the
   last-known-good reply with an explicit ``degraded`` flag instead of
   surfacing a hard failure.
+
+The reactive arm (:meth:`ResiliencePolicy.reactive`) reforms whichever
+tunnel an attempt broke on and retries at once.
 
 Everything here is pure initiator-local state: no global knowledge,
 no wall clock, no hidden randomness.
@@ -35,50 +37,38 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 
+#: resilient-arm backoff before retry n: BASE_BACKOFF_S *
+#: BACKOFF_FACTOR^(n-1), capped at MAX_BACKOFF_S, scaled by 1 +/- JITTER
+BASE_BACKOFF_S = 0.05
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_S = 1.0
+JITTER = 0.25
+#: consecutive unattributed failures before a tunnel's breaker trips
+BREAKER_THRESHOLD = 3
+#: consecutive failures before a share holder's breaker opens
+HOLDER_BREAKER_THRESHOLD = 2
+
+
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Tunable initiator-side resilience knobs (immutable, hashable).
+    """How many times an initiator retries, and on which arm (immutable,
+    hashable).
 
-    The defaults are tuned for the chaos plans shipped in
-    :mod:`repro.faults.plan`: 3 retries absorb ~5% message loss to
-    better than 99% availability while the breaker keeps reform churn
-    bounded under persistent faults.
+    The resilient arm backs off, probes both tunnels on a failure,
+    reforms proactively when a breaker trips and serves last-known-good
+    on exhaustion; the defaults (3 retries) absorb ~5% message loss to
+    better than 99% availability in the chaos plans shipped in
+    :mod:`repro.faults.plan`.
     """
 
     #: bounded retries per request (attempts = 1 + max_retries)
     max_retries: int = 3
-    #: exponential backoff: base * factor^(attempt-1), capped
-    base_backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 1.0
-    #: +/- fraction of deterministic jitter applied to each backoff
-    jitter: float = 0.25
-    #: per-attempt budget on underlying links (None = unbounded); the
-    #: synchronous engine's analogue of a per-attempt timeout
-    attempt_link_budget: int | None = None
-    #: consecutive unattributed failures before a breaker trips open
-    breaker_threshold: int = 3
-    #: reform the routed-around tunnel when the breaker trips
-    proactive_reform: bool = True
-    #: probe both tunnels together on ambiguous failure (vs. blindly
-    #: reforming whichever leg reported the error)
-    hedged_probes: bool = True
-    #: serve last-known-good replies (flagged degraded) on exhaustion
-    degraded_ok: bool = True
+    #: the resilient arm; False is the reactive arm (:meth:`reactive`)
+    resilient: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
-            raise ValueError("backoff times must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.attempt_link_budget is not None and self.attempt_link_budget < 1:
-            raise ValueError("attempt_link_budget must be >= 1 (or None)")
 
     @classmethod
     def reactive(cls, max_retries: int) -> "ResiliencePolicy":
@@ -87,26 +77,19 @@ class ResiliencePolicy:
         paper's structural fail-over plus the least an initiator can
         do: the session default, and with zero retries the chaos
         baseline."""
-        return cls(
-            max_retries=max_retries, base_backoff_s=0.0, jitter=0.0,
-            proactive_reform=False, hedged_probes=False, degraded_ok=False,
-        )
+        return cls(max_retries, resilient=False)
 
     def backoff_delay(self, attempt: int, rng: random.Random) -> float:
         """Backoff before retry ``attempt`` (1-based), with jitter.
 
-        The jitter is drawn from the caller's seeded stream, so two
-        runs with the same seed wait identical (virtual) times.
+        The jitter is one draw from the caller's seeded stream, so two
+        runs with the same seed wait identical (virtual) times; the
+        reactive arm waits nothing and draws nothing.
         """
-        if attempt < 1:
+        if attempt < 1 or not self.resilient:
             return 0.0
-        base = min(
-            self.max_backoff_s,
-            self.base_backoff_s * self.backoff_factor ** (attempt - 1),
-        )
-        if self.jitter:
-            base *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return base
+        base = min(MAX_BACKOFF_S, BASE_BACKOFF_S * BACKOFF_FACTOR ** (attempt - 1))
+        return base * (1.0 + JITTER * (2.0 * rng.random() - 1.0))
 
 
 class CircuitBreaker:
@@ -117,7 +100,7 @@ class CircuitBreaker:
     route-around) → back to ``closed`` on the next success.
     """
 
-    def __init__(self, threshold: int = 3):
+    def __init__(self, threshold: int = BREAKER_THRESHOLD):
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         self.threshold = threshold
@@ -182,10 +165,10 @@ def run_attempts(
     ``None`` and the tunnel the failure implicates (``"forward"`` /
     ``"reply"`` / ``None``).  ``repair(broken)`` runs after *every*
     failed attempt, the last included — the next request starts on
-    repaired tunnels — and returns the tunnels it reformed.  Backoff
-    jitter is drawn from ``rng`` before each retry.  When every attempt
-    fails and ``policy.degraded_ok``, ``last_known_good`` (if any) is
-    served, flagged ``degraded``.
+    repaired tunnels — and returns the tunnels it reformed.  On the
+    resilient arm backoff jitter is drawn from ``rng`` before each
+    retry and, when every attempt fails, ``last_known_good`` (if any)
+    is served, flagged ``degraded``.
     """
     reformed: list[str] = []
     waited = 0.0
@@ -200,33 +183,11 @@ def run_attempts(
                 reformed=tuple(reformed),
             )
         reformed.extend(repair(broken))
-    degraded = policy.degraded_ok and last_known_good is not None
+    degraded = policy.resilient and last_known_good is not None
     return ResilientReply(
         last_known_good if degraded else None, degraded=degraded,
         attempts=attempts, waited_s=waited, reformed=tuple(reformed),
     )
-
-
-@dataclass(frozen=True)
-class ShareGatherPolicy:
-    """Degraded-read knobs for k-of-n share gathering.
-
-    Used by :meth:`repro.past.erasure.ErasureStore.fetch`: the reader
-    needs ``k`` healthy shares, probes holders in proximity order, and
-    hedges ``hedge`` extra probes beyond the first ``k`` so a single
-    corrupt or slow share does not force a second gathering round.
-    """
-
-    #: extra holders probed beyond the first k (hedged probes)
-    hedge: int = 1
-    #: consecutive per-holder failures before its breaker opens
-    breaker_threshold: int = 2
-
-    def __post_init__(self) -> None:
-        if self.hedge < 0:
-            raise ValueError("hedge must be >= 0")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
 
 
 class ShareHolderHealth:
@@ -240,16 +201,13 @@ class ShareHolderHealth:
     recovered holder may be the difference between decode and loss.
     """
 
-    def __init__(self, policy: ShareGatherPolicy | None = None):
-        self.policy = policy or ShareGatherPolicy()
+    def __init__(self):
         self.breakers: dict[int, CircuitBreaker] = {}
 
     def breaker(self, holder: int) -> CircuitBreaker:
         br = self.breakers.get(holder)
         if br is None:
-            br = self.breakers[holder] = CircuitBreaker(
-                self.policy.breaker_threshold
-            )
+            br = self.breakers[holder] = CircuitBreaker(HOLDER_BREAKER_THRESHOLD)
         return br
 
     def is_open(self, holder: int) -> bool:

@@ -141,10 +141,7 @@ class TapSession:
         self._backoff_rng = system.seeds.pyrandom(
             "session-backoff", initiator.node_id
         )
-        self._breakers = {
-            "forward": CircuitBreaker(policy.breaker_threshold),
-            "reply": CircuitBreaker(policy.breaker_threshold),
-        }
+        self._breakers = {"forward": CircuitBreaker(), "reply": CircuitBreaker()}
         #: last successful response (the graceful-degradation fallback)
         self._last_known_good: bytes | None = None
         self._prober = None
@@ -188,7 +185,6 @@ class TapSession:
             self.initiator, self.forward, self.reply,
             self.reply.capsule(self._fake_rng), server.node_id,
             pack_fields(pack_int(seq, width=8), body), respond,
-            self.policy.attempt_link_budget,
         )
         if ex.received is None:
             # An initiator that hears nothing over an intact forward
@@ -234,17 +230,17 @@ class TapSession:
         """Diagnose one failed attempt and repair what it implicates;
         returns the tunnels reformed.
 
-        A suspect tunnel — probed unhealthy, or without hedged probes
-        the one the attempt broke on — is reformed immediately
+        A suspect tunnel — probed unhealthy, or on the reactive arm the
+        one the attempt broke on — is reformed immediately
         (reactive repair).  Ambiguous failures — probes say healthy, so
         likely transient loss — only feed the breakers: retrying without
         churning tunnels is the right move, until consecutive mysteries
-        trip a breaker and force a proactive route-around reform.  A
-        policy without ``proactive_reform`` has nothing for a trip to
-        drive, so its breakers are not fed.
+        trip a breaker and force a proactive route-around reform.  The
+        reactive arm has nothing for a trip to drive, so its breakers
+        are not fed.
         """
-        policy = self.policy
-        if policy.hedged_probes:
+        resilient = self.policy.resilient
+        if resilient:
             health = self._probe_health()
             suspects = tuple(w for w, ok in health.items() if not ok)
         else:
@@ -254,7 +250,7 @@ class TapSession:
             if suspects and which not in suspects:
                 continue
             breaker = self._breakers[which]
-            if policy.proactive_reform and breaker.record_failure():
+            if resilient and breaker.record_failure():
                 self.stats.breaker_trips += 1
             proactive = which not in suspects and breaker.state == "open"
             if which in suspects or proactive:
@@ -272,7 +268,7 @@ class TapSession:
 
         Bounded retries (:func:`repro.core.resilience.run_attempts`),
         each failure diagnosed and repaired by :meth:`_handle_failure`,
-        and (when ``policy.degraded_ok``) a last-known-good fallback
+        and (on the resilient arm) a last-known-good fallback
         with an explicit ``degraded`` flag instead of a hard failure.
         """
         self._seq += 1

@@ -39,7 +39,7 @@ SLO gate enforces.
 
 from __future__ import annotations
 
-from repro.core.resilience import ShareGatherPolicy, ShareHolderHealth
+from repro.core.resilience import ShareHolderHealth
 from repro.experiments.config import DurabilityConfig
 from repro.faults.injectors import StorageFaultInjector
 from repro.faults.plan import FaultPlan, named_plan
@@ -89,7 +89,7 @@ def _make_store(config: DurabilityConfig, backend: str,
         budget_bytes_per_epoch=config.crawler_budget_bytes,
         renew_before=config.renew_before, metrics=acct,
     )
-    health = ShareHolderHealth(ShareGatherPolicy(hedge=1))
+    health = ShareHolderHealth()
     return store, crawler, health
 
 
@@ -97,7 +97,7 @@ def _fetch_state(store, key: int, expected: bytes, health) -> str:
     """'clean', 'corrupt', or 'unavailable' for one object probe."""
     try:
         if health is not None:
-            obj = store.fetch(key, policy=health.policy, health=health)
+            obj = store.fetch(key, health=health)
         else:
             obj = store.fetch(key)
     except (StorageError, KeyError):

@@ -43,6 +43,10 @@ from repro.past.placement import PlacementCore, ReplicationError
 from repro.past.storage import StorageError, StoredObject
 from repro.pastry.network import PastryNetwork
 
+#: extra holders verified beyond the first k when a health tracker
+#: orders the probes (hedged probes)
+HEDGE = 1
+
 
 @dataclass(frozen=True)
 class CodedShare:
@@ -213,7 +217,6 @@ class ErasureStore(PlacementCore):
         self,
         key: int,
         requester_id: int | None = None,
-        policy=None,
         health=None,
     ) -> StoredObject:
         """Degraded read: decode from any k healthy shares.
@@ -221,7 +224,7 @@ class ErasureStore(PlacementCore):
         ``health`` is an optional
         :class:`repro.core.resilience.ShareHolderHealth`: holders with
         open breakers are probed last, probe outcomes feed back into
-        the breakers, and ``policy.hedge`` extra holders are verified
+        the breakers, and :data:`HEDGE` extra holders are verified
         beyond the first k so one slow/corrupt share does not force a
         second round trip.
         """
@@ -235,9 +238,10 @@ class ErasureStore(PlacementCore):
         live = self._live_holders(key)
         if not live:
             raise StorageError(f"all shares of {key:#x} are dead")
+        hedge = 0
         if health is not None:
             live = health.order(live)
-        hedge = getattr(policy, "hedge", 0) if policy is not None else 0
+            hedge = HEDGE
 
         gathered: dict[int, CodedShare] = {}
         probed = 0

@@ -127,12 +127,7 @@ def test_pinned_failures_are_the_ones_named():
     assert [r["promoted"] for r in pins["promoted"]["reply"]["records"]] == [
         False, True, False, False]
     for kind in ("forward", "reply"):
-        for name in (f"budget_{kind}_first_hop", f"anchor_lost_{kind}"):
-            assert not pins[name][kind]["success"]
-    assert "6 links > 5" in pins["budget_forward_exit_leg"]["forward"]["failure_reason"]
-    assert pins["budget_forward_exit_leg"]["forward"]["exit_path"]
-    # a reply hop is attributed to a node only once its leg is paid for
-    assert pins["budget_reply_bid_leg"]["reply"]["records"][-1]["hop_node"] is None
+        assert not pins[f"anchor_lost_{kind}"][kind]["success"]
 
 
 def test_untraced_walk_builds_no_span(monkeypatch):

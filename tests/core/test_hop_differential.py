@@ -11,9 +11,9 @@ and ``tap.peel.*`` counters — plus, on the emulated side, a latency
 equal to the Figure-6 formula over the recorded path wherever no
 timeout was charged.
 
-The fault-verdict and link-budget scenarios of ``walk_scenarios`` are
-properties of the synchronous driver (one verdict per traversal, a
-budget in links) and are pinned in ``test_forwarding_spans.py``.
+The fault-verdict scenarios of ``walk_scenarios`` are properties of
+the synchronous driver (one verdict per traversal) and are pinned in
+``test_forwarding_spans.py``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Each scenario builds the same seeded 150-node system, forms one forward
 and one reply tunnel, perturbs the world (stale hints, failed roots,
-lost anchors, an installed fault verdict, a link budget) and then runs
+lost anchors, an installed fault verdict) and then runs
 one request whose delivery triggers the reply, the way ``TapSession``
 does.  :func:`observe` returns what the engine let anyone see: both
 ``ForwardTrace`` objects field by field, the span tree (names, parent
@@ -59,9 +59,8 @@ class World:
             )
         self.tunnels = {"forward": self.forward, "reply": self.reply}
         #: per direction: the fault verdict installed just before that
-        #: traversal starts, and its link budget
+        #: traversal starts
         self.verdicts = {"forward": None, "reply": None}
-        self.max_links = {"forward": None, "reply": None}
         self.pass_expected_roots = False
 
     # -- perturbations --------------------------------------------------
@@ -113,23 +112,16 @@ class World:
             self._arm("reply")
             traces["reply"] = system.forwarder.send_reply(
                 node_id, first_hop, blob, b"pong:" + payload,
-                expected_roots=roots, max_links=self.max_links["reply"],
+                expected_roots=roots,
             )
 
         self._arm("forward")
         traces["forward"] = system.forwarder.send(
             self.alice, self.forward, DESTINATION, b"ping",
-            deliver=deliver, max_links=self.max_links["forward"],
+            deliver=deliver,
         )
         self.alice.pending_replies.pop(reply.bid, None)
         return {"traces": traces, "received": received}
-
-
-@lru_cache(maxsize=None)
-def _clean_links() -> dict[str, int]:
-    """Links a clean unhinted round trip spends per direction."""
-    traces = World().round_trip()["traces"]
-    return {kind: trace.underlying_hops for kind, trace in traces.items()}
 
 
 def _evict_hinted(w: World) -> None:
@@ -147,15 +139,6 @@ def _fail_roots_known_to_reply(w: World) -> None:
     w.pass_expected_roots = True
 
 
-def _budget(kind: str, last_leg: bool):
-    """Exhausted on the first hop (forward: noticed after the peel;
-    reply: before it) or on the last leg (forward: the exit leg, after
-    the tail's peel; reply: the bid leg, before delivery)."""
-    def perturb(w: World) -> None:
-        w.max_links[kind] = _clean_links()[kind] - 1 if last_leg else 0
-    return perturb
-
-
 #: name -> (hinted tunnels?, what is done to the world before the request)
 SCENARIOS = {
     "basic": (False, lambda w: None),
@@ -170,9 +153,6 @@ for _kind in ("forward", "reply"):
     for _verdict in VERDICTS:
         SCENARIOS[f"{_verdict}_{_kind}"] = (
             False, lambda w, kind=_kind, verdict=_verdict: w.verdicts.update({kind: verdict}))
-    SCENARIOS[f"budget_{_kind}_first_hop"] = (False, _budget(_kind, last_leg=False))
-SCENARIOS["budget_forward_exit_leg"] = (False, _budget("forward", last_leg=True))
-SCENARIOS["budget_reply_bid_leg"] = (False, _budget("reply", last_leg=True))
 
 
 def _plain(value):

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.core.resilience import ShareGatherPolicy, ShareHolderHealth
+from repro.core.resilience import ShareHolderHealth
 from repro.crypto.hashing import hash_password
 from repro.past.erasure import ErasureStore
 from repro.past.replication import ReplicatedStore, ReplicationError
@@ -173,20 +173,36 @@ class TestDegradedReads:
     def test_health_orders_rotted_holder_last(self, lazy_store):
         store, corpus = lazy_store
         key, value = next(iter(corpus.items()))
-        health = ShareHolderHealth(
-            ShareGatherPolicy(hedge=1, breaker_threshold=2)
-        )
+        health = ShareHolderHealth()
         # rot the holder fetch probes first (closest to the key), so
         # the breaker sees its failures
         rotted = min(store.holders(key),
                      key=lambda h: (ring_distance(h, key), h))
         store.corrupt_replica(rotted, key)
         for _ in range(3):
-            assert store.fetch(key, policy=health.policy,
-                               health=health).value == value
+            assert store.fetch(key, health=health).value == value
         assert health.is_open(rotted)
         ordered = health.order(sorted(store.holders(key)))
         assert ordered[-1] == rotted
+
+    def test_health_tracker_hedges_one_extra_holder(self, lazy_store, monkeypatch):
+        """A read ordered by a health tracker verifies one holder
+        beyond k; a bare read stops at the first k healthy ones."""
+        store, corpus = lazy_store
+        key, value = next(iter(corpus.items()))
+        probed: list[int] = []
+        stored_share = store.stored_share
+
+        def counting(holder, k):
+            probed.append(holder)
+            return stored_share(holder, k)
+
+        monkeypatch.setattr(store, "stored_share", counting)
+        assert store.fetch(key).value == value
+        assert len(probed) == store.k
+        probed.clear()
+        assert store.fetch(key, health=ShareHolderHealth()).value == value
+        assert len(probed) == store.k + 1
 
 
 class TestAccessControlAndErrors:
