@@ -72,7 +72,7 @@ class HopRecord:
 
     hop_id: int
     hop_node: int | None
-    underlying_path: list[int] = field(default_factory=list)
+    underlying_path: tuple[int, ...] = ()
     via_hint: bool = False
     #: the hint did not directly serve the hop (stale or dead)
     hint_failed: bool = False
@@ -82,7 +82,6 @@ class HopRecord:
     #: True when the node serving this hop is not the one that was the
     #: replica root when the tunnel was formed (fail-over happened).
     promoted: bool = False
-    route_failures: int = 0
 
 
 @dataclass
@@ -95,7 +94,7 @@ class ForwardTrace:
     destination: int | None = None
     delivered_payload: bytes | None = None
     #: underlying path of the final (tail -> destination) leg
-    exit_path: list[int] = field(default_factory=list)
+    exit_path: tuple[int, ...] = ()
 
     @property
     def overlay_hops(self) -> int:
@@ -204,7 +203,6 @@ class TunnelForwarder:
                         "hint_failed": rec.hint_failed,
                         "hint_timeout": rec.hint_timeout,
                         "promoted": rec.promoted,
-                        "route_failures": rec.route_failures,
                     }
                     for rec in trace.records
                 ],
@@ -234,7 +232,7 @@ class TunnelForwarder:
             if hinted is not None and self.network.is_alive(hinted):
                 if self.store.storage_of(hinted).contains(hop_id):
                     record.via_hint = True
-                    record.underlying_path = [from_node, hinted]
+                    record.underlying_path = (from_node, hinted)
                     if probe is not None:
                         tr.finish(probe, outcome="hit", hinted=hinted)
                     return hinted
@@ -242,7 +240,7 @@ class TunnelForwarder:
                 # message into the DHT from where it sits.
                 record.hint_failed = True
                 start = hinted
-                record.underlying_path = [from_node, hinted]
+                record.underlying_path = (from_node, hinted)
                 if probe is not None:
                     tr.finish(probe, outcome="stale", hinted=hinted)
             else:
@@ -253,19 +251,13 @@ class TunnelForwarder:
                 if probe is not None:
                     tr.finish(probe, outcome="timeout")
         try:
-            route = self.network.route(start, hop_id)
+            path = self.network.route(start, hop_id)
         except RoutingError as exc:
             raise TunnelBroken(f"routing to hop {hop_id:#x} failed: {exc}") from exc
-        if not route.success:
-            raise TunnelBroken(f"routing to hop {hop_id:#x} did not converge")
-        record.route_failures = route.failures
-        if not record.underlying_path:
-            record.underlying_path = route.path  # the route's own list: ours now
-        elif record.underlying_path[-1] == route.path[0]:
-            record.underlying_path.extend(route.path[1:])
-        else:
-            record.underlying_path.extend(route.path)
-        return route.destination
+        if record.underlying_path:  # a stale probe's link, ending where the route starts
+            path = record.underlying_path[:1] + path
+        record.underlying_path = path
+        return path[-1]
 
     def _peel_at(self, node_id: int, hop_id: int, blob: bytes, reply: bool = False):
         """The hop node's work (:func:`repro.core.hop.serve_hop`) under
@@ -531,15 +523,14 @@ class TunnelForwarder:
                     if hop_span is not None:
                         _settled(hop_span, record)
                     if peeled.is_exit:
-                        exit_route = self._exit_leg(trace, hop_node, peeled)
+                        exit_path = self._exit_leg(trace, hop_node, peeled)
                         if hop_span is not None:
                             hop_span.set(
                                 is_exit=True,
-                                links=record_links(record)
-                                + max(0, len(exit_route.path) - 1),
+                                links=record_links(record) + len(exit_path) - 1,
                             )
                         if deliver is not None:
-                            deliver(exit_route.destination, peeled.inner)
+                            deliver(exit_path[-1], peeled.inner)
                         return
             except TunnelBroken as exc:
                 trace.failure_reason = str(exc)
@@ -559,17 +550,14 @@ class TunnelForwarder:
             else "onion deeper than tunnel length (malformed)"
         )
 
-    def _exit_leg(self, trace: ForwardTrace, tail: int, peeled):
+    def _exit_leg(self, trace: ForwardTrace, tail: int, peeled) -> tuple[int, ...]:
         """The forward walk's last leg: the tail routes the now-plain
-        payload to the destination key."""
+        payload to the destination key; returns the leg's path."""
         trace.destination = peeled.next_id
         trace.delivered_payload = peeled.inner
         try:
-            exit_route = self.network.route(tail, peeled.next_id)
+            trace.exit_path = self.network.route(tail, peeled.next_id)
         except RoutingError as exc:
             raise TunnelBroken(f"exit routing failed: {exc}") from exc
-        if not exit_route.success:
-            raise TunnelBroken("exit routing did not converge")
-        trace.exit_path = exit_route.path
         trace.success = True
-        return exit_route
+        return trace.exit_path

@@ -22,6 +22,8 @@ ordering, ratios, and growth with l and N are the reproduced shape.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.analysis.theory import expected_route_hops
@@ -34,7 +36,7 @@ from repro.util.ids import random_id
 from repro.util.rng import SeedSequenceFactory
 
 
-def _stitch(*segments: list[int]) -> list[int]:
+def _stitch(*segments: tuple[int, ...]) -> list[int]:
     """Concatenate routing segments, dropping duplicated junctions."""
     path: list[int] = []
     for seg in segments:
@@ -49,7 +51,8 @@ def _tunnel_paths(
     initiator: int,
     destination_key: int,
     hop_keys: list[int],
-) -> tuple[list[int], list[int], list[tuple[str, list[int]]], list[tuple[str, list[int]]]]:
+) -> tuple[list[int], list[int], list[tuple[str, tuple[int, ...]]],
+           list[tuple[str, tuple[int, ...]]]]:
     """Paths *and* per-leg decomposition through the same tunnel hops.
 
     Returns ``(basic_path, optimised_path, basic_legs, opt_legs)``;
@@ -64,22 +67,21 @@ def _tunnel_paths(
     current = initiator
     for hop_key, root in zip(hop_keys, roots):
         seg = network.route(current, hop_key)
-        assert seg.success and seg.destination == root
-        basic_segments.append(seg.path)
+        assert seg[-1] == root
+        basic_segments.append(seg)
         current = root
     exit_seg = network.route(current, destination_key)
-    assert exit_seg.success
-    basic = _stitch(*basic_segments, exit_seg.path)
+    basic = _stitch(*basic_segments, exit_seg)
     basic_legs = [("dht.route", seg) for seg in basic_segments]
-    basic_legs.append(("exit.route", exit_seg.path))
+    basic_legs.append(("exit.route", exit_seg))
 
-    waypoints = [initiator, *roots, exit_seg.destination]
-    opt_legs: list[tuple[str, list[int]]] = []
+    waypoints = [initiator, *roots, exit_seg[-1]]
+    opt_legs: list[tuple[str, tuple[int, ...]]] = []
     for i, (a, b) in enumerate(zip(waypoints, waypoints[1:])):
         if a == b:
             continue  # co-located waypoints cost no link
         name = "exit.direct" if i == len(waypoints) - 2 else "hint.direct"
-        opt_legs.append((name, [a, b]))
+        opt_legs.append((name, (a, b)))
     optimised = _stitch(*[leg for _, leg in opt_legs]) or [initiator]
     return basic, optimised, basic_legs, opt_legs
 
@@ -160,8 +162,8 @@ def _fig6_leg(
 
     def record(
         scheme: str,
-        path: list[int],
-        legs: list[tuple[str, list[int]]] | None = None,
+        path: Sequence[int],
+        legs: list[tuple[str, tuple[int, ...]]] | None = None,
     ) -> None:
         t = path_transfer_time(
             topology, path, config.file_bits,
@@ -213,9 +215,7 @@ def _fig6_leg(
         initiator = alive[rng.randrange(len(alive))]
         fid = random_id(rng)
 
-        overt = network.route(initiator, fid)
-        assert overt.success
-        record("overt", overt.path)
+        record("overt", network.route(initiator, fid))
 
         for length in config.tunnel_lengths:
             hop_keys = [random_id(rng) for _ in range(length)]

@@ -225,11 +225,11 @@ def _churn_trial(
                 | int(overlay.lo[sweep_src[i]])
             )
             key = (int(key_hi[i]) << 64) | int(key_lo[i])
-            ref = overlay.route(src_id, key)
+            path = overlay.route(src_id, key)
             if (
-                sweep.path(i) == ref.path
-                and bool(sweep.success[i]) == ref.success
-                and int(sweep.hops[i]) == ref.hops
+                sweep.success[i]
+                and tuple(sweep.path(i)) == path
+                and int(sweep.hops[i]) == len(path) - 1
             ):
                 agree += 1
         rows.append({
@@ -257,11 +257,10 @@ def _churn_trial(
         for i in range(config.spot_check_routes):
             key = (int(key_hi[i]) << 64) | int(key_lo[i])
             bridged = network.route(spot_ids[i], key)
-            hops += bridged.hops
+            hops += len(bridged) - 1
             if (
-                bridged.success
-                and bridged.path == spot.path(i)
-                and bridged.destination == overlay.closest_alive(key)
+                bridged == tuple(spot.path(i))
+                and bridged[-1] == overlay.closest_alive(key)
             ):
                 agree += 1
         rows.append({

@@ -59,8 +59,8 @@ def run_secure_routing(config: SecureRoutingConfig = SecureRoutingConfig()) -> l
                     continue
                 trials += 1
 
-                naive = interceptor.route(network, src, key)
-                naive_was_deceived = naive.destination != truth
+                naive, _ = interceptor.route(network, src, key)
+                naive_was_deceived = naive[-1] != truth
                 naive_deceived += naive_was_deceived
 
                 secure = secure_route(

@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.pastry.network import PastryNetwork, RouteResult, RoutingError
+from repro.pastry.network import PastryNetwork, RoutingError
 from repro.util.ids import ID_SPACE, closest_ids, ring_distance
 
 #: how many neighbor ids a lookup response must present
@@ -85,25 +85,19 @@ class RoutingInterceptor:
         pool = [m for m in self._sorted if m != fake]
         return closest_ids(pool, fake, min(NEIGHBOR_SET_SIZE, len(pool)))
 
-    def route(self, network: PastryNetwork, src_id: int, key: int) -> RouteResult:
-        """Route with en-route interception."""
-        result = network.route(src_id, key)
-        for idx, node_id in enumerate(result.path[1:-1], start=1):
-            if self.is_malicious(node_id):
+    def route(
+        self, network: PastryNetwork, src_id: int, key: int
+    ) -> tuple[tuple[int, ...], list[int] | None]:
+        """Route with en-route interception: ``(path, forged neighbor
+        set)``.  A hijacked path ends at the impostor and comes with
+        the forged set (the *client* cannot tell yet); an honest one
+        comes with ``None``."""
+        path = network.route(src_id, key)
+        for idx in range(1, len(path) - 1):
+            if self.is_malicious(path[idx]):
                 fake = self.fake_root(key)
-                hijacked_path = result.path[: idx + 1] + [fake]
-                return RouteResult(
-                    key=key,
-                    path=hijacked_path,
-                    success=True,  # the *client* cannot tell (yet)
-                    failures=result.failures,
-                    meta={
-                        "hijacked": True,
-                        "hijacker": node_id,
-                        "neighbor_set": self.forged_neighbor_set(network, fake),
-                    },
-                )
-        return result
+                return path[: idx + 1] + (fake,), self.forged_neighbor_set(network, fake)
+        return path, None
 
 
 def honest_neighbor_set(network: PastryNetwork, root: int) -> list[int]:
@@ -218,25 +212,17 @@ def secure_route(
             if interceptor.is_malicious(start):
                 # Handing the query to a malicious neighbour is an
                 # immediate hijack.
-                fake = interceptor.fake_root(key)
-                route = RouteResult(
-                    key, [src_id, start, fake], True,
-                    meta={
-                        "hijacked": True,
-                        "neighbor_set": interceptor.forged_neighbor_set(network, fake),
-                    },
-                )
+                candidate = interceptor.fake_root(key)
+                forged = interceptor.forged_neighbor_set(network, candidate)
             else:
-                route = interceptor.route(network, start, key)
+                path, forged = interceptor.route(network, start, key)
+                candidate = path[-1]
         else:
-            route = network.route(start, key)
-        if not route.success:
-            continue
-        candidate = route.destination
-        neighbor_set = route.meta.get("neighbor_set")
-        if neighbor_set is None:
+            candidate, forged = network.route(start, key)[-1], None
+        if forged is None:
             neighbor_set = honest_neighbor_set(network, candidate)
-        if route.meta.get("hijacked"):
+        else:
+            neighbor_set = forged
             result.hijacked_paths += 1
         result.candidates.append(candidate)
         if routing_failure_test(

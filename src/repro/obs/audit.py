@@ -135,7 +135,7 @@ class InvariantAuditor:
                 if nxt == walk[-1]:
                     break
                 walk.append(nxt)
-            if walk != path:
+            if tuple(walk) != path:
                 report.violations.append(
                     f"memo-coherence: route {src:#x} -> {key:#x} memoised "
                     f"{' > '.join(map(hex, path))}, walks {' > '.join(map(hex, walk))}"

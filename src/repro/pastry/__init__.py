@@ -25,14 +25,13 @@ from repro.pastry.bulk import (
 )
 from repro.pastry.constants import DEFAULT_B_BITS, DEFAULT_LEAF_SET_SIZE
 from repro.pastry.node import PastryNode
-from repro.pastry.network import PastryNetwork, RouteResult, RoutingError
+from repro.pastry.network import PastryNetwork, RoutingError
 
 __all__ = [
     "DEFAULT_B_BITS",
     "DEFAULT_LEAF_SET_SIZE",
     "PastryNode",
     "PastryNetwork",
-    "RouteResult",
     "RoutingError",
     "adjacent_prefix_depths",
     "leaf_reach",

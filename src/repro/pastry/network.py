@@ -20,7 +20,6 @@ The network object plays two roles found in FreePastry's simulator:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.pastry.bulk import (
@@ -37,33 +36,7 @@ from repro.util.ids import ID_BITS, closest_in_sorted, id_digit, shared_prefix_d
 
 
 class RoutingError(RuntimeError):
-    """Raised when a route cannot be completed (all candidates dead)."""
-
-
-@dataclass
-class RouteResult:
-    """Outcome of routing a key from a source node.
-
-    ``path`` lists the node ids traversed, source first and the node
-    that accepted responsibility for the key last.  ``failures``
-    counts dead next-hops met on the way: always 0 on an overlay whose
-    state is read from its alive ids, kept for the per-hop records.
-    """
-
-    key: int
-    path: list[int]
-    success: bool
-    failures: int = 0
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def hops(self) -> int:
-        """Number of overlay hops actually taken."""
-        return max(0, len(self.path) - 1)
-
-    @property
-    def destination(self) -> int:
-        return self.path[-1]
+    """Raised when a route cannot be completed (dead source, hop limit)."""
 
 
 class PastryNetwork:
@@ -107,9 +80,10 @@ class PastryNetwork:
         #: more of a class (the rare-case scan, a PNS choice) while
         #: nothing in it changed.
         self._class_epochs: dict[int, int] = {}
-        #: ``(src, key) -> [path, stamps, epoch last validated]``.  A
-        #: route is a pure function of the decisions of the nodes on its
-        #: path, so an entry outlives any membership event that leaves
+        #: ``(src, key) -> [path, stamps, epoch last validated]``, the
+        #: path being the tuple :meth:`route` hands out.  A route is a
+        #: pure function of the decisions of the nodes on its path, so
+        #: an entry outlives any membership event that leaves
         #: those decisions alone: ``stamps`` holds, per path node, the
         #: node and its window epoch and the class its decision read
         #: with that class's stamp (see :meth:`_stamps_hold`).
@@ -232,8 +206,10 @@ class PastryNetwork:
         if self._sorted_alive:
             if bootstrap_id is None:
                 bootstrap_id = self._sorted_alive[0]
-            if not self.route(bootstrap_id, node_id).success:
-                raise RoutingError("join route failed; overlay too damaged")
+            try:
+                self.route(bootstrap_id, node_id)
+            except RoutingError as exc:
+                raise RoutingError(f"join route failed: {exc}") from exc
         self._down.discard(node_id)
         self._nodes.pop(node_id, None)
         self._enter(node_id, "pastry.joins")
@@ -435,34 +411,30 @@ class PastryNetwork:
         node = self._nodes.get(node_id)
         return [] if node is None else [(key, hit[0]) for key, hit in node.served_memo()]
 
-    def route(self, src_id: int, key: int) -> RouteResult:
-        """Route ``key`` from ``src_id``, one node decision per hop."""
+    def route(self, src_id: int, key: int) -> tuple[int, ...]:
+        """The path of ``key`` from ``src_id``, one node decision per
+        hop: the node ids traversed, source first and the key's root
+        last.  A memoised path comes back as the very tuple the memo
+        stores.  Raises :class:`RoutingError` when the source is not
+        alive or the walk exceeds :attr:`MAX_HOPS`."""
         if self.metrics is None and not self.tracer:
             return self._route_impl(src_id, key)
         tr = self.tracer
         span = tr.start_span("dht.route", observer="hop",
                              src=src_id) if tr else None
         try:
-            result = self._route_impl(src_id, key)
+            path = self._route_impl(src_id, key)
         except RoutingError as exc:
             if span is not None:
                 tr.finish(span, success=False, error=str(exc))
             raise
         if span is not None:
-            tr.finish(
-                span,
-                success=result.success,
-                links=result.hops,
-                failures=result.failures,
-                dst=result.destination,
-            )
+            tr.finish(span, success=True, links=len(path) - 1, dst=path[-1])
         m = self.metrics
         if m is not None:
             m.counter("pastry.route.count").inc()
-            m.histogram("pastry.route.hops").observe(result.hops)
-            if not result.success:
-                m.counter("pastry.route.failed").inc()
-        return result
+            m.histogram("pastry.route.hops").observe(len(path) - 1)
+        return path
 
     def _stamps_hold(self, stamps) -> bool:
         """Would every node on a memoised path decide as it did?  Yes
@@ -493,7 +465,7 @@ class PastryNetwork:
             m.counter("pastry.route.cache_revalidated").inc()
         return entry
 
-    def _route_impl(self, src_id: int, key: int) -> RouteResult:
+    def _route_impl(self, src_id: int, key: int) -> tuple[int, ...]:
         # Routes are memoised per (src, key).  Within the epoch an entry
         # was last validated in, a hit is one integer compare; after an
         # epoch turn it is served only if its stamps still hold, and
@@ -508,7 +480,7 @@ class PastryNetwork:
         if entry is not None:
             if self.metrics is not None:
                 self.metrics.counter("pastry.route.cache_hits").inc()
-            return RouteResult(key, list(entry[0]), True, 0)
+            return entry[0]
         if not self.is_alive(src_id):
             raise RoutingError(f"source {src_id:#x} is not alive")
 
@@ -522,11 +494,12 @@ class PastryNetwork:
             if nxt == current.node_id:
                 if len(cache) >= self.ROUTE_CACHE_LIMIT:
                     cache.clear()
-                cache[memo_key] = [list(path), tuple(stamps), self.membership_epoch]
-                return RouteResult(key, path, True, 0)
+                path = tuple(path)
+                cache[memo_key] = [path, tuple(stamps), self.membership_epoch]
+                return path
             path.append(nxt)
             current = node_of(nxt)
-        return RouteResult(key, path, False, 0, meta={"reason": "hop-limit"})
+        raise RoutingError(f"route to {key:#x} exceeded {self.MAX_HOPS} hops")
 
 
 def _proximity_cells(ids: list[int], b_bits: int, proximity, sample: int) -> dict:

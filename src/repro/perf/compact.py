@@ -53,7 +53,7 @@ from repro.analysis.idspace import (
 )
 from repro.pastry.bulk import bucket_bounds, leaf_reach
 from repro.pastry.constants import DEFAULT_B_BITS, DEFAULT_LEAF_SET_SIZE
-from repro.pastry.network import RouteResult, RoutingError
+from repro.pastry.network import RoutingError
 from repro.util.ids import (
     ID_BITS,
     ID_SPACE,
@@ -624,11 +624,14 @@ class CompactOverlay:
                 best = cand
         return best if best is not None else nid
 
-    def route(self, src_id: int, key: int) -> RouteResult:
-        """Route ``key`` from ``src_id`` hop by hop on derived state.
+    def route(self, src_id: int, key: int) -> tuple[int, ...]:
+        """The path of ``key`` from ``src_id``, hop by hop on derived
+        state.
 
         Identical decisions to ``PastryNetwork.route`` on an object
-        overlay with the same alive ids, however each reached them.
+        overlay with the same alive ids, however each reached them, and
+        the same :class:`RoutingError` on a dead source or a walk past
+        :attr:`MAX_HOPS`.
         """
         apos = self._alive_pos_of(src_id)
         if apos is None:
@@ -637,10 +640,10 @@ class CompactOverlay:
         for _ in range(self.MAX_HOPS):
             nxt = self._next_hop(apos, key)
             if nxt == path[-1]:
-                return RouteResult(key, path, True, 0)
+                return tuple(path)
             path.append(nxt)
             apos = self._alive_pos_of(nxt)
-        return RouteResult(key, path, False, 0, meta={"reason": "hop-limit"})
+        raise RoutingError(f"route to {key:#x} exceeded {self.MAX_HOPS} hops")
 
     # ------------------------------------------------------------------
     # batched packet plane (repro.perf.packet)

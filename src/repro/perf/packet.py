@@ -85,9 +85,9 @@ _DECISIONS = ("covered", "prefix_cell", "empty_cell")
 class BatchRouteResult:
     """Result of routing a batch of packets in lockstep.
 
-    Scalar fields mirror :class:`repro.pastry.network.RouteResult` per
-    packet: ``hops[i]`` edges traversed, ``success[i]`` responsibility
-    reached (False for dead sources and hop-limit casualties), and
+    Per packet: ``hops[i]`` edges traversed, ``success[i]``
+    responsibility reached (False for dead sources and hop-limit
+    casualties, where the scalar ``route`` raises), and
     ``dest_pos[i]`` the *global* overlay position where the packet
     stopped.  ``path(i)`` reconstructs the full id path lazily from
     the per-iteration trail, which is stored as one segment per

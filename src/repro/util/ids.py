@@ -84,22 +84,16 @@ def closest_index(sorted_ids: Sequence[int], key: int) -> int:
     # The elements of a sorted id list were validated where it was
     # built: only ``key`` is checked, distances are plain arithmetic.
     _check_id(key)
+    # The closest id is one of the key's two ring neighbours: the first
+    # id at or after it and the last one before it, each wrapping at an
+    # end of the array.  Ties go to the smaller id.
     pos = bisect_left(sorted_ids, key)
-    # Candidates: neighbours around the insertion point, plus the two
-    # ends of the array (the ring wraps around).
-    candidates = {pos - 1, pos, pos + 1, 0, n - 1}
-    best = None
-    best_key = None
-    for idx in candidates:
-        idx %= n
-        nid = sorted_ids[idx]
-        d = abs(nid - key)
-        cand_key = (min(d, ID_SPACE - d), nid)
-        if best_key is None or cand_key < best_key:
-            best_key = cand_key
-            best = idx
-    assert best is not None
-    return best
+    after, before = pos % n, (pos - 1) % n
+    a, b = sorted_ids[after], sorted_ids[before]
+    da, db = abs(a - key), abs(b - key)
+    if (min(da, ID_SPACE - da), a) < (min(db, ID_SPACE - db), b):
+        return after
+    return before
 
 
 def closest_in_sorted(sorted_ids: Sequence[int], key: int, count: int = 1) -> list[int]:
@@ -109,7 +103,7 @@ def closest_in_sorted(sorted_ids: Sequence[int], key: int, count: int = 1) -> li
     is how :mod:`repro.past` computes replica sets on large networks.
     """
     n = len(sorted_ids)
-    if count >= n:
+    if not 0 < count < n:
         return closest_ids(sorted_ids, key, count)
     centre = closest_index(sorted_ids, key)  # validates ``key``
     chosen = [sorted_ids[centre]]

@@ -124,8 +124,8 @@ class TestInjectedViolations:
     def test_wrong_route_memo_detected(self, network):
         src = network.alive_ids[9]
         key = random_id(random.Random(3))
-        path = network.route(src, key).path
-        network._route_cache[(src, key)][0] = path + [path[0]]
+        path = network.route(src, key)
+        network._route_cache[(src, key)][0] = path + path[:1]
         report = InvariantAuditor(network).run("planted route memo")
         assert len(report.violations) == 1
         assert report.violations[0].startswith(f"memo-coherence: route {src:#x}")

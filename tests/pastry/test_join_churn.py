@@ -49,9 +49,8 @@ def test_long_fail_join_churn_routes_to_the_root():
     rng = random.Random(2004)
     for _ in range(500):
         src, key = rng.choice(network.alive_ids), random_id(rng)
-        result = network.route(src, key)
-        assert result.success
-        assert result.destination == network.closest_alive(key)
+        path = network.route(src, key)
+        assert path[-1] == network.closest_alive(key)
 
 
 class TestFailedJoinLeavesTheRegistryAlone:
@@ -79,4 +78,4 @@ class TestFailedJoinLeavesTheRegistryAlone:
         assert network._node(OWNER) is dead and OWNER in network.down_ids
         network.revive(OWNER)
         assert network.is_alive(OWNER) and OWNER in network.alive_ids
-        assert network.route(network.alive_ids[0], OWNER).destination == OWNER
+        assert network.route(network.alive_ids[0], OWNER)[-1] == OWNER

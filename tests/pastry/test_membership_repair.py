@@ -118,7 +118,7 @@ class World:
             assert net.cells(src) == self.compact.node_cells(src)
         for src in alive[:: max(1, len(alive) // 4)]:
             for key in (src ^ 0x5A5A << 100, (alive[len(alive) // 2] + 1) % ID_SPACE):
-                assert net.route(src, key).path == self.compact.route(src, key).path
+                assert net.route(src, key) == self.compact.route(src, key)
         if before is not None:
             self._check_window_epochs(before)
 
@@ -300,7 +300,7 @@ def test_routes_match_compact_under_churn():
     assert net.alive_ids == compact.alive_ids()
     for _ in range(600):
         src, key = rng.choice(net.alive_ids), random_id(rng)
-        assert net.route(src, key).path == compact.route(src, key).path
+        assert net.route(src, key) == compact.route(src, key)
 
 
 def test_routes_after_churn_are_as_short_as_on_a_fresh_build():
@@ -320,5 +320,4 @@ def test_routes_after_churn_are_as_short_as_on_a_fresh_build():
     fresh = PastryNetwork.build(net.alive_ids)
     for _ in range(4000):
         src, key = rng.choice(net.alive_ids), random_id(rng)
-        churned, rebuilt = net.route(src, key), fresh.route(src, key)
-        assert churned.success and churned.path == rebuilt.path
+        assert net.route(src, key) == fresh.route(src, key)

@@ -56,8 +56,7 @@ class TestBuildInvariants:
 
     def test_single_node(self):
         net = PastryNetwork.build([42])
-        res = net.route(42, 777)
-        assert res.success and res.destination == 42 and res.hops == 0
+        assert net.route(42, 777) == (42,)
 
 
 class TestRouting:
@@ -67,15 +66,13 @@ class TestRouting:
         for _ in range(100):
             src = ids[rng.randrange(len(ids))]
             key = random_id(rng)
-            res = network200.route(src, key)
-            assert res.success
-            assert res.destination == network200.closest_alive(key)
-            assert res.path[0] == src
+            path = network200.route(src, key)
+            assert path[-1] == network200.closest_alive(key)
+            assert path[0] == src
 
     def test_route_to_own_id_is_local(self, network200):
         nid = network200.alive_ids[5]
-        res = network200.route(nid, nid)
-        assert res.success and res.hops == 0
+        assert network200.route(nid, nid) == (nid,)
 
     def test_hop_count_scales_logarithmically(self):
         """Mean hops ≈ log_16 N (the paper's performance premise)."""
@@ -86,9 +83,7 @@ class TestRouting:
             hops = []
             for _ in range(150):
                 src = ids[rng.randrange(len(ids))]
-                res = net.route(src, random_id(rng))
-                assert res.success
-                hops.append(res.hops)
+                hops.append(len(net.route(src, random_id(rng))) - 1)
             mean = statistics.mean(hops)
             expected = math.log(n, 16)
             assert expected - 1.0 < mean < expected + 1.5
@@ -100,8 +95,8 @@ class TestRouting:
             small_network.route(victim, 123)
 
     def test_path_nodes_alive(self, network200):
-        res = network200.route(network200.alive_ids[0], random_id(random.Random(5)))
-        assert all(network200.is_alive(nid) for nid in res.path)
+        path = network200.route(network200.alive_ids[0], random_id(random.Random(5)))
+        assert all(network200.is_alive(nid) for nid in path)
 
 
 class TestReplicaOracle:
@@ -149,9 +144,7 @@ class TestFailures:
         for _ in range(50):
             src = ids[rng.randrange(len(ids))]
             key = random_id(rng)
-            res = small_network.route(src, key)
-            assert res.success
-            assert res.destination == small_network.closest_alive(key)
+            assert small_network.route(src, key)[-1] == small_network.closest_alive(key)
 
     def test_leafset_repair_after_failure(self, small_network):
         ids = small_network.alive_ids
@@ -183,11 +176,9 @@ class TestJoinProtocol:
         small_network.join(new_id)
         assert small_network.is_alive(new_id)
         # Newcomer can route...
-        res = small_network.route(new_id, random_id(rng))
-        assert res.success
+        assert small_network.route(new_id, random_id(rng))[0] == new_id
         # ...and is found by others.
-        res2 = small_network.route(small_network.alive_ids[0], new_id)
-        assert res2.success and res2.destination == new_id
+        assert small_network.route(small_network.alive_ids[0], new_id)[-1] == new_id
 
     def test_join_leafset_correct(self, small_network):
         rng = random.Random(37)
@@ -217,9 +208,7 @@ class TestJoinProtocol:
         for _ in range(40):
             src = ids[rng.randrange(len(ids))]
             key = random_id(rng)
-            res = small_network.route(src, key)
-            assert res.success
-            assert res.destination == small_network.closest_alive(key)
+            assert small_network.route(src, key)[-1] == small_network.closest_alive(key)
 
 
 class TestLazyNodes:
@@ -248,12 +237,12 @@ class TestLazyNodes:
         probe = build_network(1000, seed=2004)
         src = probe.alive_ids[17]
         key = next(k for k in iter(lambda: random_id(rng), None)
-                   if len(probe.route(src, k).path) >= 3)
+                   if len(probe.route(src, k)) >= 3)
         built = self._counting(monkeypatch)
         net = build_network(1000, seed=2004)
         assert built == []
-        path = net.route(src, key).path
-        assert built == path
+        path = net.route(src, key)
+        assert tuple(built) == path
 
     def test_building_every_node_up_front_changes_nothing(self):
         rng = random.Random(2004)
@@ -287,7 +276,7 @@ class TestLazyNodes:
                 for src in sources:
                     for key in keys:
                         if net.is_alive(src):
-                            paths[id(net)].append(net.route(src, key).path)
+                            paths[id(net)].append(net.route(src, key))
         (eager, eager_metrics), (lazy, lazy_metrics) = twins
         assert paths[id(eager)] == paths[id(lazy)]
         assert len(lazy._nodes) < len(eager._nodes)

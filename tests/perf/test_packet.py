@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro import MetricsRegistry
 from repro.analysis.idspace import pack_ids, ring_distance_words
+from repro.pastry import RoutingError
 from repro.pastry.bulk import leaf_reach
 from repro.pastry.constants import DEFAULT_LEAF_SET_SIZE
 from repro.perf import packet
@@ -83,11 +84,11 @@ def _assert_matches_scalar(overlay, batch, src, key_hi, key_lo):
     for i in range(len(batch)):
         src_id = (int(overlay.hi[src[i]]) << 64) | int(overlay.lo[src[i]])
         key = (int(key_hi[i]) << 64) | int(key_lo[i])
-        ref = overlay.route(src_id, key)
-        assert batch.path(i) == ref.path, f"packet {i} path diverges"
-        assert bool(batch.success[i]) == ref.success
-        assert int(batch.hops[i]) == ref.hops
-        assert dest_ids[i] == ref.destination
+        path = overlay.route(src_id, key)
+        assert tuple(batch.path(i)) == path, f"packet {i} path diverges"
+        assert batch.success[i]
+        assert int(batch.hops[i]) == len(path) - 1
+        assert dest_ids[i] == path[-1]
 
 
 def _id_at(overlay, pos) -> int:
@@ -174,8 +175,12 @@ def _assert_matches_scalar_and_oracle(overlay, batch, src, key_hi, key_lo):
         if not overlay.alive[src[i]]:
             continue  # the scalar route raises on a dead source
         key = (int(key_hi[i]) << 64) | int(key_lo[i])
-        ref = overlay.route(_id_at(overlay, src[i]), key)
-        assert (want, ok, dest_ids[i]) == (ref.path, ref.success, ref.destination)
+        assert dest_ids[i] == want[-1]
+        if ok:
+            assert overlay.route(_id_at(overlay, src[i]), key) == tuple(want)
+        else:  # a hop-limit casualty: the scalar route raises
+            with pytest.raises(RoutingError, match="exceeded"):
+                overlay.route(_id_at(overlay, src[i]), key)
 
 
 def _assert_tunnels_match_oracle(overlay, result, src, hop_hi, hop_lo,
@@ -209,9 +214,8 @@ class TestRouteManyEquivalence:
             src_id = (int(overlay.hi[src[i]]) << 64) | int(overlay.lo[src[i]])
             key = (int(key_hi[i]) << 64) | int(key_lo[i])
             bridged = network.route(src_id, key)
-            assert bridged.success
-            assert batch.path(i) == bridged.path
-            assert batch.dest_ids()[i] == bridged.destination
+            assert tuple(batch.path(i)) == bridged
+            assert batch.dest_ids()[i] == bridged[-1]
 
     def test_clustered_ids_exercise_fallback_and_agree(self):
         overlay = _clustered_overlay(SEED)
@@ -283,8 +287,7 @@ class TestRouteManyEquivalence:
             i = int(i)
             src_id = (int(overlay.hi[src[i]]) << 64) | int(overlay.lo[src[i]])
             key = (int(key_hi[i]) << 64) | int(key_lo[i])
-            ref = overlay.route(src_id, key)
-            assert batch.path(i) == ref.path
+            assert tuple(batch.path(i)) == overlay.route(src_id, key)
 
     @pytest.mark.parametrize("n", (1, 2, 3, 17))
     def test_tiny_rings(self, n):
@@ -320,7 +323,7 @@ class TestRouteManyEquivalence:
         keys = [(i * 7919) << 100 for i in range(1, 6)]
         batch = overlay.route_many_ids(ids, keys)
         for i, (src_id, key) in enumerate(zip(ids, keys)):
-            assert batch.path(i) == overlay.route(src_id, key).path
+            assert tuple(batch.path(i)) == overlay.route(src_id, key)
 
     @given(
         pool=st.lists(st.integers(0, ID_SPACE - 1), min_size=2, max_size=40,
@@ -664,7 +667,7 @@ class TestChunkedRouting:
             i = int(i)
             src_id = (int(overlay.hi[src[i]]) << 64) | int(overlay.lo[src[i]])
             key = (int(key_hi[i]) << 64) | int(key_lo[i])
-            assert batch.path(i) == overlay.route(src_id, key).path
+            assert tuple(batch.path(i)) == overlay.route(src_id, key)
 
     @pytest.mark.parametrize("chunk_size", CHUNKS)
     def test_route_tunnels_failure_isolation_chunked(self, chunk_size):
@@ -723,20 +726,19 @@ class TestTunnelBatch:
             total = 0
             for j in range(length):
                 key = (int(hop_hi[t, j]) << 64) | int(hop_lo[t, j])
-                ref = overlay.route(cur, key)
-                assert ref.success
-                assert int(result.leg_hops[t, j]) == ref.hops
-                total += ref.hops
-                cur = ref.destination
+                path = overlay.route(cur, key)
+                assert int(result.leg_hops[t, j]) == len(path) - 1
+                total += len(path) - 1
+                cur = path[-1]
             key = (int(key_hi[t]) << 64) | int(key_lo[t])
-            ref = overlay.route(cur, key)
-            total += ref.hops
+            path = overlay.route(cur, key)
+            total += len(path) - 1
             assert bool(result.success[t])
             assert int(result.hops[t]) == total
             dest = (int(overlay.hi[result.dest_pos[t]]) << 64) | int(
                 overlay.lo[result.dest_pos[t]]
             )
-            assert dest == ref.destination
+            assert dest == path[-1]
 
     def test_dead_source_tunnel_fails_without_poisoning_batch(self):
         overlay = _uniform_overlay(200, SEED, churn=False)

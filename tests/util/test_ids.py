@@ -104,17 +104,21 @@ class TestClosestInSorted:
     @given(
         pool=st.lists(ids_st, min_size=1, max_size=40, unique=True),
         key=ids_st,
-        count=st.integers(min_value=1, max_value=10),
+        data=st.data(),
     )
     @settings(max_examples=200)
-    def test_matches_reference(self, pool, key, count):
+    def test_matches_reference(self, pool, key, data):
         """The O(log n) sorted variant must agree with the O(n log n)
-        reference on ids, order and ties."""
-        sorted_pool = sorted(pool)
-        count = min(count, len(pool))
-        assert closest_in_sorted(sorted_pool, key, count) == closest_ids(
+        reference on ids, order and ties, for every count from none to
+        the whole pool."""
+        count = data.draw(st.integers(min_value=0, max_value=len(pool)), label="count")
+        assert closest_in_sorted(sorted(pool), key, count) == closest_ids(
             pool, key, count
         )
+
+    def test_count_negative_rejected(self):
+        with pytest.raises(ValueError):
+            closest_in_sorted([1, 2, 3], 0, -1)
 
     def test_closest_index_empty_rejected(self):
         with pytest.raises(ValueError):
