@@ -126,17 +126,17 @@ class TestOtherPlans:
 #: makes 24 retries, 8 breaker trips, 62 probes and 7 degraded serves
 PINNED_DIGESTS = {
     ("lossy", "resilient"):
-        "8ea35aa808d774dd6764c3f820f3226eb07226c8c2c946d9bbd5dfc5c07aedd4",
+        "0231d95c7a750eb3be3ac94be9d134c7f602947491ca2a6c404239d23d4350ee",
     ("lossy", "baseline"):
-        "99e33af20f7fbdcdb70d052bfc0365c4661971c028618c3fa54c743c48cc6221",
+        "e5f7b69d5fa34ac3ad5025ed203deb9452848e25da35e9450e668a043219edb7",
     ("byzantine", "resilient"):
-        "8a9182fb66cba27e7a5358c368300b10ca8ff50fc26954cf492cc3722dca4d21",
+        "a56f454e7e18bf45816ee7e762756b4f50a611737b8f75fcf8a43ef92ad7c2fa",
     ("byzantine", "baseline"):
-        "fd4d35f6d8f04478860209ed853dc57b76dda569b1830e1de3dc7816d10ca738",
+        "a634fcc08d5c2933f5ac315fac60f31edd91f3319ed1ff1e4a8d15a4a53e6794",
     ("partition", "resilient"):
-        "27916f2f9ac224291769e016d1e2d46727935e790866e4732770526cd6434894",
+        "60746cd085c033a06daa8d2de0377d5d62dfa9cf5bfc1a5c10f02e443f78f133",
     ("partition", "baseline"):
-        "88cbf5f9a66a7f70e3c7c928c3bb59f3444ba53233cfd388842ad97e7b23d633",
+        "e531f681dca72ca6bf6f648c5313153879c2a07c63bba8ed93febb687412a01b",
 }
 
 
