@@ -1,6 +1,8 @@
 """Shape tests for every figure: the qualitative claims the paper makes
 must hold in the regenerated data (fast configs)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import (
@@ -17,6 +19,7 @@ from repro.experiments import (
     run_fig6,
     series,
 )
+from repro.perf import rows_digest
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +194,19 @@ class TestFig6:
             if r["num_nodes"] == last_n and r["scheme"] == "tap-opt-l5"
         )
         assert basic / opt > 1.5
+
+
+#: ``benchmarks/test_bench_pns.py``'s CI-sized configuration.
+PNS_BENCH = Fig6Config(network_sizes=(300, 1_000), transfers_per_size=15,
+                       num_seeds=1, tunnel_lengths=(5,), file_bits=10_000.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("pns, digest", [
+    (False, "2f41ce5191920237da658df92424e23d4a775e23ab4e2d8183a714bbbcb801ca"),
+    (True, "13fc593a7246d8220d5ada72155f0760d84f09dd4c8b975ba8c7f64df997917c"),
+])
+def test_pns_bench_rows_are_pinned(pns, digest, workers):
+    """Both arms of the PNS ablation reproduce their rows exactly, for
+    any worker count."""
+    assert rows_digest(run_fig6(replace(PNS_BENCH, pns=pns), workers=workers)) == digest
