@@ -130,8 +130,8 @@ class ScaleChurnConfig:
     joiners, then measures how many anchor keys still have a member
     of their *original* replica set alive, and how far the current
     replica sets have drifted.  ``spot_check_routes`` packet-level
-    routes per trial are run through the materialisation bridge and
-    cross-checked against the compact router.
+    routes per trial are run through an object-engine network built
+    from the alive ids and cross-checked against the compact router.
     """
 
     num_nodes: int = 100_000
@@ -148,8 +148,8 @@ class ScaleChurnConfig:
     telemetry_anchor_samples: int = 256
     telemetry_route_samples: int = 4
     #: sampled batched routes re-run through the scalar router per
-    #: trial (the million-node stand-in for the bridge spot check,
-    #: which would materialise N Python objects)
+    #: trial (the million-node stand-in for the object-engine spot
+    #: check, which would hold N Python ints)
     scalar_verify_routes: int = 0
     #: packet-plane window size (None = whole batch at once); any
     #: value yields identical rows, larger only costs memory
@@ -165,8 +165,8 @@ class ScaleChurnConfig:
 
     @classmethod
     def million(cls) -> "ScaleChurnConfig":
-        """The N=10^6 operating point: bridge spot checks off (they
-        materialise the ring as objects), sampled scalar verification
+        """The N=10^6 operating point: object-engine spot checks off
+        (they copy the ring into a Python list), sampled scalar verification
         on, routing chunked."""
         return cls(num_nodes=1_000_000, num_anchors=2_000, churn_rounds=3,
                    spot_check_routes=0, scalar_verify_routes=8,

@@ -29,7 +29,7 @@ import numpy as np
 from repro.analysis.theory import expected_route_hops
 from repro.experiments.config import Fig6Config
 from repro.pastry.network import PastryNetwork
-from repro.perf import Sinks, base_snapshot, run_trials
+from repro.perf import Sinks, run_trials
 from repro.simnet.topology import Topology
 from repro.simnet.transport import TransferModel, path_transfer_time
 from repro.util.ids import random_id
@@ -87,43 +87,14 @@ def _tunnel_paths(
 
 
 def _fig6_topology(config: Fig6Config, n_nodes: int) -> Topology:
-    """The per-size latency model, shared by the base overlay build
-    (PNS) and every repetition's transfer-time computation."""
+    """The per-size latency model: the PNS cell choices and every
+    repetition's transfer times read it."""
     return Topology(
         seed=SeedSequenceFactory(config.seed).child("fig6-topo", n_nodes),
         min_latency_s=config.min_latency_s,
         max_latency_s=config.max_latency_s,
         bandwidth_bps=config.bandwidth_bps,
     )
-
-
-def _fig6_base_token(config: Fig6Config, n_nodes: int) -> tuple:
-    return (
-        "fig6-base", config.seed, config.b_bits, config.pns, n_nodes,
-        config.min_latency_s, config.max_latency_s, config.bandwidth_bps,
-    )
-
-
-def _fig6_base_build(config: Fig6Config, n_nodes: int):
-    """Bootstrap the per-size base overlay and capture its snapshot.
-
-    One overlay per ``(config, n_nodes)``: repetitions vary the
-    initiators/fileids/tunnels they sample, not the substrate — so the
-    N-node construction (and the PNS candidate ranking in particular)
-    is paid once, and every rep restores the snapshot.
-    """
-    seeds = SeedSequenceFactory(config.seed)
-    rng = seeds.pyrandom("fig6-base", n_nodes)
-    ids = set()
-    while len(ids) < n_nodes:
-        ids.add(random_id(rng))
-    topology = _fig6_topology(config, n_nodes)
-    network = PastryNetwork.build(
-        ids,
-        b_bits=config.b_bits,
-        proximity=topology.latency if config.pns else None,
-    )
-    return network.snapshot()
 
 
 def _fig6_leg(
@@ -137,9 +108,9 @@ def _fig6_leg(
 
     The rng streams are labelled by ``(rep, n_nodes)``, so each cell
     is a self-contained trial — the unit the parallel executor fans
-    out, handing it trial-local ``sinks``.  The overlay is restored from
-    the per-size base snapshot, the same deterministic build whether
-    it comes from the fan-out's payload or this process's cache.
+    out, handing it trial-local ``sinks``.  Every cell of one size
+    bootstraps the same overlay: repetitions vary the initiators,
+    fileids and tunnels they sample, not the substrate.
     """
     metrics, tracer, event_trace = sinks.metrics, sinks.tracer, sinks.event_trace
     seeds = SeedSequenceFactory(config.seed)
@@ -147,11 +118,16 @@ def _fig6_leg(
 
     rng = seeds.pyrandom("fig6", rep, n_nodes)
     topology = _fig6_topology(config, n_nodes)
-    snap = base_snapshot(
-        _fig6_base_token(config, n_nodes),
-        lambda: _fig6_base_build(config, n_nodes),
+    id_rng = seeds.pyrandom("fig6-base", n_nodes)
+    ids = set()
+    while len(ids) < n_nodes:
+        ids.add(random_id(id_rng))
+    network = PastryNetwork.build(
+        ids,
+        b_bits=config.b_bits,
+        proximity=topology.latency if config.pns else None,
+        metrics=metrics,
     )
-    network = snap.restore(metrics=metrics)
     if audit:
         from repro.obs.audit import InvariantAuditor
 
@@ -253,15 +229,6 @@ def run_fig6(
     processes; rows, metrics, spans, and events are identical for any
     worker count (cell-local sinks are folded back in cell order).
     """
-    # One base overlay per network size, built here and shipped to
-    # workers as the shared payload; every cell restores it.
-    bases = {
-        _fig6_base_token(config, n_nodes): base_snapshot(
-            _fig6_base_token(config, n_nodes),
-            lambda n=n_nodes: _fig6_base_build(config, n),
-        )
-        for n_nodes in config.network_sizes
-    }
     partials = run_trials(
         _fig6_leg,
         [
@@ -270,7 +237,6 @@ def run_fig6(
             for n_nodes in config.network_sizes
         ],
         workers,
-        shared=bases,
         sinks=Sinks() if sinks is None else sinks,
     )
 

@@ -22,10 +22,10 @@ Per trial (one per ``rep``):
 4. sweep *every* anchor key through the vectorised packet plane
    (:meth:`CompactOverlay.route_many`) — completion, root-hit fraction
    and mean hops over the full batch, not a sample;
-5. finally, spot-check ``spot_check_routes`` packet-level routes: the
-   materialisation bridge restores an object-engine network from the
-   churned compact state and every route must agree hop-for-hop with
-   the batched router and terminate at the true root.
+5. finally, spot-check ``spot_check_routes`` packet-level routes: an
+   object-engine network built from the churned overlay's alive ids
+   must agree route for route, hop for hop, with the batched router
+   and terminate at the true root.
 
 Telemetry (opt-in, sampled): pass a
 :class:`~repro.obs.MetricsRegistry` / :class:`~repro.obs.EventTrace`
@@ -47,6 +47,7 @@ import time
 import numpy as np
 
 from repro.experiments.config import ScaleChurnConfig
+from repro.pastry.network import PastryNetwork
 from repro.perf import Sinks, base_snapshot, run_trials
 from repro.perf.compact import CompactOverlay
 from repro.util.rng import SeedSequenceFactory
@@ -215,8 +216,8 @@ def _churn_trial(
     if config.scalar_verify_routes:
         # Sampled scalar verification: re-route the first few sweep
         # packets one at a time through ``CompactOverlay.route`` —
-        # the million-node cross-check, where the materialisation
-        # bridge (``spot_check_routes``) is out of reach.
+        # the million-node cross-check, where the object engine
+        # (``spot_check_routes``) is out of reach.
         checks = min(config.scalar_verify_routes, config.num_anchors)
         agree = 0
         for i in range(checks):
@@ -240,11 +241,13 @@ def _churn_trial(
         })
 
     if config.spot_check_routes:
-        # Bridge verification stays sampled (the materialised network
-        # routes one packet at a time), but the compact side of the
-        # comparison now comes from a single route_many batch.
-        network = overlay.to_network_snapshot().restore()
+        # Object-engine verification stays sampled (it routes one
+        # packet at a time), but the compact side of the comparison
+        # comes from a single route_many batch.
         alive = overlay.alive_ids()
+        network = PastryNetwork.build(
+            alive, b_bits=overlay.b_bits, leaf_set_size=overlay.leaf_set_size
+        )
         src_picks = rng.integers(0, len(alive), size=config.spot_check_routes)
         spot_ids = [alive[int(p)] for p in src_picks]
         spot = overlay.route_many(

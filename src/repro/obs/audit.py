@@ -11,8 +11,6 @@ and adds the Pastry-level checks the store cannot see:
   decision.  Leaf windows and routing cells are read from the alive
   ids, so a stale memo — a window or class stamp a membership event
   missed — is the one way a route can go wrong;
-* ``pns-cell`` — on a PNS build, every stored cell choice is a member
-  of its cell's prefix class;
 * ``storage-index`` — every object physically present on an *alive*
   node is attributed to that node by the store's holder index, and
   vice versa (dead nodes legitimately keep unreachable stale copies
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.pastry.bulk import bucket_bounds
 from repro.pastry.network import PastryNetwork
 
 
@@ -73,7 +70,7 @@ class InvariantAuditor:
         report = AuditReport(context=context)
         checks = [
             self._check_sorted_alive,
-            self._check_decisions,
+            self._check_memos,
         ]
         if self.store is not None:
             checks.append(self._check_store)
@@ -109,11 +106,6 @@ class InvariantAuditor:
                 f"sorted-alive: {nid:#x} indexed alive but down"
             )
 
-    def _check_decisions(self, report: AuditReport) -> None:
-        """What decisions read (PNS choices) and what they memoised."""
-        self._check_pns_cells(report)
-        self._check_memos(report)
-
     def _check_memos(self, report: AuditReport) -> None:
         network = self.network
         for nid in network.alive_ids:
@@ -140,17 +132,6 @@ class InvariantAuditor:
                     f"memo-coherence: route {src:#x} -> {key:#x} memoised "
                     f"{' > '.join(map(hex, path))}, walks {' > '.join(map(hex, walk))}"
                 )
-
-    def _check_pns_cells(self, report: AuditReport) -> None:
-        b_bits = self.network.b_bits
-        for nid, cells in self.network.pns_cells.items():
-            for (row, col), entry in cells.items():
-                lower, upper = bucket_bounds(nid, row, col, b_bits)
-                if not lower <= entry < upper:
-                    report.violations.append(
-                        f"pns-cell: {nid:#x} cell ({row}, {col}) holds "
-                        f"{entry:#x}, outside its prefix class"
-                    )
 
     # ------------------------------------------------------------------
     # storage checks

@@ -9,20 +9,15 @@ revival.
 Membership is the sorted alive ids plus the registered ids that are
 down; a node's routing state is read from the alive ids on demand:
 its leaf set is its window of them and each routing cell the smallest
-alive id of the cell's prefix class.  :meth:`PastryNetwork.build` and any
-sequence of :meth:`~PastryNetwork.join` / :meth:`~PastryNetwork.fail`
+alive id of the cell's prefix class — on a PNS build (``proximity=``)
+the nearest of the class's first few.  :meth:`PastryNetwork.build` and
+any sequence of :meth:`~PastryNetwork.join` / :meth:`~PastryNetwork.fail`
 / :meth:`~PastryNetwork.revive` therefore reach the same state for the
 same alive set, which the test-suite cross-checks against
-:class:`repro.perf.compact.CompactOverlay`.  A PNS build
-(``proximity=``) adds a built-once per-node choice of cell entries.
+:class:`repro.perf.compact.CompactOverlay`.
 """
 
-from repro.pastry.bulk import (
-    adjacent_prefix_depths,
-    leaf_reach,
-    leaf_window,
-    node_prefix,
-)
+from repro.pastry.bulk import leaf_reach, leaf_window, node_prefix
 from repro.pastry.constants import DEFAULT_B_BITS, DEFAULT_LEAF_SET_SIZE
 from repro.pastry.node import PastryNode
 from repro.pastry.network import PastryNetwork, RoutingError
@@ -33,7 +28,6 @@ __all__ = [
     "PastryNode",
     "PastryNetwork",
     "RoutingError",
-    "adjacent_prefix_depths",
     "leaf_reach",
     "leaf_window",
     "node_prefix",

@@ -11,17 +11,12 @@ here, once:
   the ±reach window around its sorted position;
 * **prefix buckets** — a routing cell's entry is the smallest alive id
   of its prefix class, a contiguous interval of the sorted ring
-  (:func:`bucket_bounds`);
-* **prefix depths** — nodes sharing an r-digit prefix form a contiguous
-  run in sorted order, so each node's deepest populated routing row is
-  bounded by the shared prefix with its sort neighbours.
+  (:func:`bucket_bounds`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.util.ids import ID_BITS, id_digit, shared_prefix_digits
+from repro.util.ids import ID_BITS
 
 
 def leaf_reach(n: int, leaf_set_size: int) -> int:
@@ -61,46 +56,10 @@ def bucket_bounds(node_id: int, row: int, col: int, b_bits: int) -> tuple[int, i
     digits followed by digit ``col``.  Because the bucket is a
     contiguous interval of the sorted ring, its canonical entry (the
     smallest qualifying id) is the first alive id at or past ``lower``
-    — the one-bisect lookup :meth:`repro.pastry.node.PastryNode.cell`,
+    — the one-bisect lookup :meth:`repro.pastry.network.PastryNetwork.cell`,
     the compact engine's scalar router and the batched packet plane
     (:mod:`repro.perf.packet`) build on.
     """
     shift = ID_BITS - b_bits * (row + 1)
     lower = ((node_prefix(node_id, row, b_bits) << b_bits) | col) << shift
     return lower, lower + (1 << shift)
-
-
-def adjacent_prefix_depths(ids: Sequence[int], b_bits: int) -> list[int]:
-    """Per node: max shared-prefix digits with either sort neighbour.
-
-    This bounds the deepest routing row worth filling — a node's
-    longest shared prefix with *any* node is achieved by one of its
-    sort neighbours, so rows beyond ``depth + 1`` are provably empty.
-    """
-    n = len(ids)
-    adjacent = [
-        shared_prefix_digits(ids[i], ids[i + 1], b_bits) for i in range(n - 1)
-    ]
-    return [
-        max(
-            adjacent[i - 1] if i > 0 else 0,
-            adjacent[i] if i < n - 1 else 0,
-        )
-        for i in range(n)
-    ]
-
-
-def proximity_pools(
-    ids: Sequence[int], depths: Sequence[int], b_bits: int, sample: int
-) -> dict[tuple[int, int, int], list[int]]:
-    """Bounded candidate pools per bucket for proximity neighbour
-    selection; candidates arrive in ascending id order."""
-    rows = ID_BITS // b_bits
-    pools: dict[tuple[int, int, int], list[int]] = {}
-    for idx, nid in enumerate(ids):
-        for row in range(min(rows, depths[idx] + 1)):
-            key = (row, node_prefix(nid, row, b_bits), id_digit(nid, row, b_bits))
-            pool = pools.setdefault(key, [])
-            if len(pool) < sample:
-                pool.append(nid)
-    return pools

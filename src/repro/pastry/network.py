@@ -7,7 +7,8 @@ The network object plays two roles found in FreePastry's simulator:
   from the alive ids on demand — its leaf set is its window of the
   ring order (:meth:`PastryNetwork.leaves`, the stand-in for Pastry's
   maintenance protocol) and its routing cells the smallest alive ids
-  of their prefix classes (:meth:`PastryNetwork.cell`) — so no node
+  of their prefix classes, or on a PNS network the nearest of the
+  first few (:meth:`PastryNetwork.cell`) — so no node
   ever references a dead one, and a membership event only stamps the
   nodes whose window it changed;
 * the per-hop *routing* itself, which walks each node's forwarding
@@ -22,17 +23,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable
 
-from repro.pastry.bulk import (
-    adjacent_prefix_depths,
-    bucket_bounds,
-    leaf_reach,
-    leaf_window,
-    node_prefix,
-    proximity_pools,
-)
+from repro.pastry.bulk import bucket_bounds, leaf_reach, leaf_window
 from repro.pastry.constants import DEFAULT_B_BITS, DEFAULT_LEAF_SET_SIZE
 from repro.pastry.node import PastryNode, class_key
 from repro.util.ids import ID_BITS, closest_in_sorted, id_digit, shared_prefix_digits
+
+
+#: How many ids of a prefix class, from its smallest alive one up, a
+#: PNS cell chooses among (FreePastry samples a bounded candidate set).
+PNS_SAMPLE = 16
 
 
 class RoutingError(RuntimeError):
@@ -65,9 +64,9 @@ class PastryNetwork:
         #: ``node id -> PastryNode``, each built on the node's first
         #: decision (:meth:`_node`)
         self._nodes: dict[int, PastryNode] = {}
-        #: PNS builds only: ``node id -> {(row, col) -> id}``, built once
-        #: and never mutated (restored networks share it)
-        self.pns_cells: dict[int, dict[tuple[int, int], int]] = {}
+        #: PNS builds only: the ``(a, b) -> latency`` callable a cell
+        #: choice minimises (see :meth:`cell`)
+        self.proximity = None
         #: bumped on every alive-set change; lets derived views (e.g.
         #: :class:`repro.past.ReplicatedStore` replica-set caches) test
         #: staleness with one integer compare instead of subscribing
@@ -109,7 +108,6 @@ class PastryNetwork:
         b_bits: int = DEFAULT_B_BITS,
         leaf_set_size: int = DEFAULT_LEAF_SET_SIZE,
         proximity=None,
-        proximity_sample: int = 16,
         metrics=None,
         tracer=None,
     ) -> "PastryNetwork":
@@ -120,12 +118,12 @@ class PastryNetwork:
 
         ``proximity`` enables FreePastry-style proximity neighbour
         selection (PNS): a callable ``(a, b) -> latency`` (e.g.
-        :meth:`repro.simnet.Topology.latency`); each node then keeps,
-        per populated cell, the topologically nearest of up to
-        ``proximity_sample`` candidates of the cell's prefix class
-        (:attr:`pns_cells`).  Any member of the class is a *correct*
-        entry — PNS only changes which one, trading build time for
-        shorter physical routes (visible in the Figure-6 latencies).
+        :meth:`repro.simnet.Topology.latency`); each routing cell is
+        then the topologically nearest of the first :data:`PNS_SAMPLE`
+        alive ids of its prefix class, read on demand like any other
+        cell.  Any member of the class is a *correct* entry — PNS only
+        changes which one, for shorter physical routes (visible in the
+        Figure-6 latencies).
         """
         net = cls(
             b_bits=b_bits,
@@ -133,27 +131,9 @@ class PastryNetwork:
             metrics=metrics,
             tracer=tracer,
         )
-        ids = sorted(set(node_ids))
-        if not ids:
-            return net
-        net._sorted_alive = ids
-        if proximity is not None:
-            net.pns_cells = _proximity_cells(ids, b_bits, proximity, proximity_sample)
+        net._sorted_alive = sorted(set(node_ids))
+        net.proximity = proximity
         return net
-
-    # ------------------------------------------------------------------
-    # snapshot (repro.perf.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot(self):
-        """Immutable, picklable copy of the whole overlay state.
-
-        Returns a :class:`repro.perf.snapshot.NetworkSnapshot`; restore
-        any number of independent networks from it with
-        :meth:`~repro.perf.snapshot.NetworkSnapshot.restore`.
-        """
-        from repro.perf.snapshot import NetworkSnapshot
-
-        return NetworkSnapshot.capture(self)
 
     # ------------------------------------------------------------------
     # membership
@@ -354,17 +334,20 @@ class PastryNetwork:
         return leaf_window(ids, pos, leaf_reach(len(ids), self.leaf_set_size))
 
     def cell(self, node_id: int, row: int, col: int) -> int | None:
-        """Routing-table cell ``(row, col)`` of ``node_id``: its PNS
-        choice if that is alive, else the smallest alive id of the
-        cell's prefix class; ``None`` if the class is empty or ``col``
-        is the node's own digit (not a cell)."""
-        if self.pns_cells:
-            entry = self.pns_cells.get(node_id, {}).get((row, col))
-            if entry is not None and self.is_alive(entry):
-                return entry
+        """Routing-table cell ``(row, col)`` of ``node_id``: the smallest
+        alive id of the cell's prefix class, or on a PNS network the one
+        nearest ``node_id`` of the class's first :data:`PNS_SAMPLE`
+        (ties toward the smaller id); ``None`` if the class is empty or
+        ``col`` is the node's own digit (not a cell)."""
         if col == id_digit(node_id, row, self.b_bits):
             return None
-        return self.first_alive_in(*bucket_bounds(node_id, row, col, self.b_bits))
+        lower, upper = bucket_bounds(node_id, row, col, self.b_bits)
+        if self.proximity is None:
+            return self.first_alive_in(lower, upper)
+        ids = self._sorted_alive
+        pos = bisect_left(ids, lower)
+        pool = [c for c in ids[pos:pos + PNS_SAMPLE] if c < upper]
+        return min(pool, key=lambda c: (self.proximity(node_id, c), c), default=None)
 
     def cells(self, node_id: int, first_row: int = 0) -> dict[tuple[int, int], int]:
         """Every populated cell of ``node_id`` in rows ``first_row`` and
@@ -500,23 +483,3 @@ class PastryNetwork:
             path.append(nxt)
             current = node_of(nxt)
         raise RoutingError(f"route to {key:#x} exceeded {self.MAX_HOPS} hops")
-
-
-def _proximity_cells(ids: list[int], b_bits: int, proximity, sample: int) -> dict:
-    """PNS cell choices per node of a sorted population: per populated
-    cell, the candidate nearest the owner among the first ``sample`` ids
-    of the cell's prefix class (ties toward the smaller id)."""
-    rows = ID_BITS // b_bits
-    depths = adjacent_prefix_depths(ids, b_bits)
-    pools = proximity_pools(ids, depths, b_bits, sample)
-    out = {}
-    for idx, nid in enumerate(ids):
-        cells = out[nid] = {}
-        for row in range(min(rows, depths[idx] + 1)):
-            prefix = node_prefix(nid, row, b_bits)
-            own_digit = id_digit(nid, row, b_bits)
-            for digit in range(1 << b_bits):
-                pool = pools.get((row, prefix, digit))
-                if digit != own_digit and pool:
-                    cells[row, digit] = min(pool, key=lambda cand: (proximity(nid, cand), cand))
-    return out

@@ -2,10 +2,11 @@
 
 A node stores no other id.  Its leaf set is its window of the
 network's sorted alive ids (:meth:`PastryNetwork.leaves`) and its
-routing-table cells the smallest alive ids of their prefix classes
+routing-table cells the smallest alive ids of their prefix classes, or
+on a PNS network the nearest of the first few
 (:meth:`PastryNetwork.cell`): the state a bulk build would install and
-the one :class:`repro.perf.compact.CompactOverlay` derives, so it is
-always canonical and never names a dead node.  A node object holds
+(without PNS) the one :class:`repro.perf.compact.CompactOverlay`
+derives, so it never names a dead node.  A node object holds
 only the window epoch its memoised decisions were taken under and the
 memo itself; the network builds it on the node's first decision.
 """
@@ -145,7 +146,7 @@ class PastryNode:
         shift = ID_BITS - b * (row + 1)
         prefix = key >> shift
         cls = class_key(row + 1, prefix)
-        if net.pns_cells:
+        if net.proximity is not None:
             cls = class_key(row + 1, prefix, whole=True)
             entry = net.cell(self.node_id, row, prefix & ((1 << b) - 1))
         else:  # the cell's class is the key's (row + 1)-digit prefix

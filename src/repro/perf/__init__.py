@@ -26,12 +26,12 @@ from repro.perf.compact import CompactOverlay, CompactSnapshot
 from repro.perf.digest import canonical_json, rows_digest
 from repro.perf.parallel import (
     Sinks,
+    base_snapshot,
     resolve_workers,
     run_trials,
     shared_payload,
 )
 from repro.perf.shm import SharedCompactSnapshot, shm_available
-from repro.perf.snapshot import NetworkSnapshot, base_snapshot
 
 __all__ = [
     "CompactOverlay",
@@ -44,6 +44,5 @@ __all__ = [
     "resolve_workers",
     "run_trials",
     "shared_payload",
-    "NetworkSnapshot",
     "base_snapshot",
 ]

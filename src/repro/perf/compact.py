@@ -1,9 +1,10 @@
 """Compact array-backed overlay engine for 10^5–10^6-node simulation.
 
-The object engine (:class:`repro.pastry.PastryNetwork`) spends its
-memory and bootstrap time on per-node objects — a ``PastryNode`` each,
-and Python lists of Python ints — which caps practical overlay sizes
-around 10^4.  But the whole canonical overlay is a *derived view* of
+The object engine (:class:`repro.pastry.PastryNetwork`) keeps its
+sorted alive ids as a Python list of Python ints and builds a
+``PastryNode`` (its memoised decisions) on each node's first decision,
+which caps practical overlay sizes around 10^4.  But the whole
+canonical overlay is a *derived view* of
 one thing: the sorted alive id set.  Leaf sets are ±reach index
 windows in sorted order and routing cells are smallest-id
 prefix-bucket slices, exactly what the object engine reads (see
@@ -31,11 +32,10 @@ Equivalence contract (pinned by ``tests/perf/test_compact.py``):
 3. **Observable equality**: sorted alive ids, replica sets and routes
    match the object engine event for event under the strict auditor.
 
-The materialisation bridge (:meth:`CompactOverlay.to_network_snapshot`)
-produces a :class:`~repro.perf.snapshot.NetworkSnapshot` of the ids and
-alive flags; its restored network builds a node on its first decision,
-so packet-level spot-checks on a 10^5-node compact overlay build only
-the nodes a route actually touches.
+An object-engine twin of a compact overlay is
+``PastryNetwork.build(overlay.alive_ids())``: it builds a node on its
+first decision, so packet-level spot-checks on a 10^5-node compact
+overlay build only the nodes a route actually touches.
 :class:`CompactSnapshot` is the picklable capture for sharding trials
 across workers via ``run_trials(shared=...)``.
 """
@@ -524,7 +524,7 @@ class CompactOverlay:
 
     def _cell_entry(self, node_id: int, row: int, col: int) -> int | None:
         """Smallest alive id in the (row, prefix, col) bucket slice —
-        the canonical cell entry (:meth:`PastryNode.cell` over the
+        the canonical cell entry (:meth:`PastryNetwork.cell` over the
         prefix run in sorted order)."""
         ahi, alo, _ = self._alive_arrays()
         lower, upper = bucket_bounds(node_id, row, col, self.b_bits)
@@ -684,22 +684,11 @@ class CompactOverlay:
         )
 
     # ------------------------------------------------------------------
-    # snapshot / materialisation bridge
+    # snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> "CompactSnapshot":
         """Immutable, picklable capture (for ``run_trials(shared=...)``)."""
         return CompactSnapshot.capture(self)
-
-    def to_network_snapshot(self):
-        """A :class:`~repro.perf.snapshot.NetworkSnapshot` of the ids
-        and alive flags.
-
-        ``restore()`` yields an object-engine :class:`PastryNetwork`
-        whose nodes are built on their first decision — a packet-level
-        route on a 10^5-node overlay builds only the handful of nodes
-        on the path.
-        """
-        return self.snapshot().to_network_snapshot()
 
 
 class CompactSnapshot:
@@ -750,17 +739,3 @@ class CompactSnapshot:
         overlay._alive_count = self.num_alive
         overlay._count_epoch = self.membership_epoch
         return overlay
-
-    def to_network_snapshot(self):
-        from repro.perf.snapshot import NetworkSnapshot
-
-        ids = unpack_words(self.hi, self.lo)
-        alive_flags = self.alive.tolist()
-        return NetworkSnapshot(
-            b_bits=self.b_bits,
-            leaf_set_size=self.leaf_set_size,
-            membership_epoch=self.membership_epoch,
-            sorted_alive=tuple(nid for nid, up in zip(ids, alive_flags) if up),
-            dead=frozenset(nid for nid, up in zip(ids, alive_flags) if not up),
-            pns_cells={},
-        )

@@ -3,8 +3,8 @@
 :func:`route_many` advances a whole batch of packets one hop per
 iteration with NumPy kernels, making the same forwarding decision as
 ``CompactOverlay._next_hop`` for every packet — a tested hop-for-hop
-contract against both the scalar router and the object engine via the
-materialisation bridge (``tests/perf/test_packet.py``).
+contract against both the scalar router and an object-engine build of
+the alive ids (``tests/perf/test_packet.py``).
 
 Per iteration, the active front splits into three vectorised branches
 that mirror the scalar rule exactly:

@@ -94,9 +94,37 @@ def _set_shared(payload) -> None:
 def shared_payload():
     """The ``shared=`` payload of the enclosing :func:`run_trials`
     call, or ``None`` when the trial runs standalone.  Trials read it
-    through :func:`repro.perf.snapshot.base_snapshot`, which answers
-    from it first and builds (and caches) only on a miss."""
+    through :func:`base_snapshot`, which answers from it first and
+    builds (and caches) only on a miss."""
     return _SHARED
+
+
+#: Process-local snapshot memo for :func:`base_snapshot`; bounded and
+#: cleared wholesale (snapshots are large, tokens few).
+_SNAPSHOT_CACHE: dict = {}
+_SNAPSHOT_CACHE_LIMIT = 16
+
+
+def base_snapshot(token, build: Callable[[], object]):
+    """The base snapshot for ``token`` (a
+    :class:`~repro.perf.compact.CompactSnapshot`): from the enclosing
+    :func:`run_trials` payload when it carries one, else built once per
+    process and cached.
+
+    Runners key the token by everything that determines the base
+    overlay (seed, size); serial reps, same-process workers and every
+    trial of a fan-out then share one build per distinct base, and
+    trials stay callable outside ``run_trials``.
+    """
+    payload = shared_payload()
+    if payload and token in payload:
+        return payload[token]
+    snap = _SNAPSHOT_CACHE.get(token)
+    if snap is None:
+        if len(_SNAPSHOT_CACHE) >= _SNAPSHOT_CACHE_LIMIT:
+            _SNAPSHOT_CACHE.clear()
+        snap = _SNAPSHOT_CACHE[token] = build()
+    return snap
 
 
 def _call(trial: Callable, args: tuple, sinks: Sinks | None):
@@ -122,7 +150,7 @@ def run_trials(
     the trials run inline (no executor, no pickling).
 
     ``shared`` maps base tokens to snapshots every trial may restore (via
-    :func:`repro.perf.snapshot.base_snapshot`): pickled once per worker
+    :func:`base_snapshot`): pickled once per worker
     process (pool initializer) rather than once per trial, and
     installed around the serial loop so both paths observe identical
     state.  When a pool actually starts, every

@@ -217,7 +217,7 @@ def test_metrics_say_what_an_event_touched():
 def _first_fail_cost(net: PastryNetwork, metrics: MetricsRegistry, victim: int) -> tuple[int, int]:
     """Leaf windows re-read and node states rewritten by failing
     ``victim`` on a fresh copy of ``net``."""
-    net = net.snapshot().restore(metrics=metrics)
+    net = PastryNetwork.build(net.alive_ids, metrics=metrics)
     reloaded = metrics.counter("pastry.repair.leaf_sets_reloaded")
     before_count = reloaded.value
     epochs = {nid: net._node(nid).window_epoch for nid in net.alive_ids}

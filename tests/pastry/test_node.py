@@ -228,7 +228,7 @@ class TestNextHopUnchanged:
         node = net._node(net.alive_ids[0])
         memo = dict(node._hop_memo)
         assert memo
-        twin = net.snapshot().restore()._node(node.node_id)
+        twin = PastryNetwork.build(net.alive_ids)._node(node.node_id)
         assert twin._hop_memo == {}
         # same state, so the same decisions once asked
         assert {key: twin.next_hop(key) for key in memo} == {

@@ -5,7 +5,7 @@ would return.
 The specification is the walk itself: a twin network whose
 ``_route_cache`` and per-node ``next_hop`` memos are emptied before
 every route must agree with the shipped one after every step of any
-fail / revive / join / route sequence.
+fail / revive / join / route sequence, with and without PNS.
 """
 
 import random
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry
 from repro.pastry.network import PastryNetwork, RoutingError
+from repro.simnet.topology import Topology
 from repro.util.ids import ID_BITS, ID_SPACE
 
 N = 200
@@ -43,12 +44,12 @@ def always_walks(network: PastryNetwork) -> PastryNetwork:
     return network
 
 
-def twins(restored: bool = False):
-    base = PastryNetwork.build(IDS)
-    if restored:
-        snap = base.snapshot()
-        return snap.restore(), always_walks(snap.restore())
-    return base, always_walks(PastryNetwork.build(IDS))
+def twins(pns: bool = False):
+    proximity = Topology(seed=5).latency if pns else None
+    return (
+        PastryNetwork.build(IDS, proximity=proximity),
+        always_walks(PastryNetwork.build(IDS, proximity=proximity)),
+    )
 
 
 def outcome(network: PastryNetwork, op: str, *args):
@@ -88,10 +89,10 @@ step_st = st.one_of(
 
 
 class TestAgainstUncachedTwin:
-    @given(steps=st.lists(step_st, max_size=60), restored=st.booleans())
+    @given(steps=st.lists(step_st, max_size=60), pns=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_same_answer_after_every_step(self, steps, restored):
-        shipped, reference = twins(restored)
+    def test_same_answer_after_every_step(self, steps, pns):
+        shipped, reference = twins(pns)
         for src in SOURCES:  # start with a warm memo
             for key in KEYS:
                 same_step(shipped, reference, "route", src, key)

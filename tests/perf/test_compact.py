@@ -10,8 +10,9 @@ object engine's.  Three layers are pinned here:
 2. canonical-maintenance equality: after fail/revive/join churn the
    compact state equals a *fresh* build over the current alive set;
 3. observable equality: replica sets vs :class:`ReplicatedStore`,
-   routes hop-for-hop vs the materialisation bridge, destinations vs
-   ``closest_alive``, all under a strict :class:`InvariantAuditor`.
+   routes hop-for-hop vs an object-engine build of the alive ids
+   (clean under a strict :class:`InvariantAuditor`), destinations vs
+   ``closest_alive``.
 
 Plus the sharding contract: snapshots pickle, restore isolated
 overlays, and fan out through ``run_trials(shared=...)`` with a
@@ -98,12 +99,6 @@ class TestBootstrapEquivalence:
         net = PastryNetwork.build(overlay.alive_ids())
         assert rows_digest(compact_rows(overlay)) == rows_digest(network_rows(net))
 
-    def test_materialisation_bridge_digest_matches_object_build(self):
-        overlay = CompactOverlay.bootstrap(N, seed=SEED)
-        bridged = overlay.to_network_snapshot().restore()
-        net = PastryNetwork.build(overlay.alive_ids())
-        assert rows_digest(network_rows(bridged)) == rows_digest(network_rows(net))
-
     @pytest.mark.parametrize("n", (1, 2, 3, 17))
     def test_tiny_rings(self, n):
         overlay = CompactOverlay.bootstrap(n, seed=SEED)
@@ -123,15 +118,6 @@ class TestChurnIsCanonicalMaintenance:
         churn_script(overlay)
         net = PastryNetwork.build(overlay.alive_ids())
         assert rows_digest(compact_rows(overlay)) == rows_digest(network_rows(net))
-
-    def test_bridge_survives_churn_under_strict_auditor(self):
-        overlay = CompactOverlay.bootstrap(N, seed=SEED)
-        churn_script(overlay)
-        bridged = overlay.to_network_snapshot().restore()
-        report = InvariantAuditor(bridged).assert_clean("churned bridge")
-        assert report.clean
-        net = PastryNetwork.build(overlay.alive_ids())
-        assert rows_digest(network_rows(bridged)) == rows_digest(network_rows(net))
 
     def test_epoch_bumps_only_on_change(self):
         overlay = CompactOverlay.bootstrap(50, seed=SEED)
@@ -242,8 +228,8 @@ class TestObservableEquality:
     def test_routes_match_bridge_hop_for_hop(self):
         overlay = CompactOverlay.bootstrap(N, seed=SEED)
         churn_script(overlay)
-        bridged = overlay.to_network_snapshot().restore()
         alive = overlay.alive_ids()
+        bridged = PastryNetwork.build(alive)
         rng = SeedSequenceFactory(SEED).pyrandom("route-spots")
         for _ in range(50):
             src = alive[rng.randrange(len(alive))]
@@ -252,6 +238,7 @@ class TestObservableEquality:
             assert compact == bridged.route(src, key)
             assert compact[-1] == overlay.closest_alive(key)
             assert compact[-1] == bridged.closest_alive(key)
+        InvariantAuditor(bridged).assert_clean("routed object twin")
 
     def test_replica_k_clamped_to_alive_population(self):
         overlay = CompactOverlay.bootstrap(5, seed=SEED)
@@ -469,9 +456,9 @@ class TestSnapshotSharding:
         expected = rows_digest(compact_rows(local))
         assert digests == [expected, expected]
 
-    def test_to_network_snapshot_carries_a_full_system(self):
+    def test_object_build_of_the_ids_carries_a_full_system(self):
         overlay = CompactOverlay.bootstrap(N, seed=SEED)
-        network = overlay.to_network_snapshot().restore()
+        network = PastryNetwork.build(overlay.alive_ids())
         system = TapSystem(network, ReplicatedStore(network, 3), SeedSequenceFactory(2))
         assert sorted(system.network.alive_ids) == overlay.alive_ids()
         rng = SeedSequenceFactory(SEED).pyrandom("system-spot")

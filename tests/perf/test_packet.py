@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro import MetricsRegistry
 from repro.analysis.idspace import pack_ids, ring_distance_words
-from repro.pastry import RoutingError
+from repro.pastry import PastryNetwork, RoutingError
 from repro.pastry.bulk import leaf_reach
 from repro.pastry.constants import DEFAULT_LEAF_SET_SIZE
 from repro.perf import packet
@@ -206,7 +206,7 @@ class TestRouteManyEquivalence:
 
     def test_hop_for_hop_vs_object_engine_bridge(self):
         overlay = _uniform_overlay(200, SEED)
-        network = overlay.to_network_snapshot().restore()
+        network = PastryNetwork.build(overlay.alive_ids())
         rng = np.random.default_rng(SEED)
         src, key_hi, key_lo = _sample_packets(overlay, rng, 40)
         batch = route_many(overlay, src, key_hi, key_lo)

@@ -1,14 +1,16 @@
-"""Tests for repro.perf.snapshot: capture and restore of an overlay.
+"""Tests for what a sweep's trials share and what outlives an epoch.
 
-A :class:`~repro.perf.snapshot.NetworkSnapshot` carries a network's
-sorted alive ids, its down ids and a PNS build's cell choices.  A
-network restored from it (a *fork* in the test names) must read the
-state the captured one reads — before churn, after identical
-fail/revive/join scripts, and under a strict
+A copy of an object overlay (a *fork* in the test names) is a build of
+its alive ids: it must read the state the original reads — before
+churn, after identical fail/revive/join scripts and under a strict
 :class:`~repro.obs.InvariantAuditor` — carry a full
-:class:`~repro.core.TapSystem`, be isolated (mutations never leak to
-the snapshot, the captured network or a sibling restore) and survive
-pickling for worker shipping.
+:class:`~repro.core.TapSystem`, and be isolated (mutations never leak
+to the original or a sibling fork).  A base
+:class:`~repro.perf.compact.CompactSnapshot` reaches trials through
+:func:`~repro.perf.base_snapshot` (built once per token, or shipped in
+the ``run_trials(shared=...)`` payload) and survives pickling.  The
+route memo and the routing cells of a network follow its membership
+epoch by epoch.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from repro.past.replication import ReplicatedStore
 from repro.pastry.bulk import bucket_bounds
 from repro.pastry.network import PastryNetwork
 from repro.pastry.node import PastryNode, class_key
-from repro.perf import base_snapshot, rows_digest, run_trials, shared_payload
-from repro.perf.snapshot import _SNAPSHOT_CACHE
+from repro.perf import (
+    CompactOverlay, base_snapshot, rows_digest, run_trials, shared_payload,
+)
+from repro.perf.parallel import _SNAPSHOT_CACHE
 from repro.util.rng import SeedSequenceFactory
 
 BASE_SEED = 3
@@ -41,6 +45,10 @@ def _clear_snapshot_cache():
 
 def base_network() -> PastryNetwork:
     return TapSystem.bootstrap(N, seed=BASE_SEED).network
+
+
+def base_compact():
+    return CompactOverlay.from_ids(base_network().alive_ids).snapshot()
 
 
 def on_network(network: PastryNetwork, seed: int) -> TapSystem:
@@ -85,35 +93,21 @@ def churn_script(network: PastryNetwork, seed: int = 0) -> None:
         network.join(new_id)
 
 
-class TestForkEquivalence:
-    def test_node_keypairs_survive_capture_pickle_restore(self):
-        """A system on a restored network generates the node key pair
-        (CRT form: p, q, d_p, d_q, q⁻¹) a fresh bootstrap would, the
-        pair itself pickles, and the THA bootstrap that decrypts under
-        it works."""
-        snap = pickle.loads(pickle.dumps(base_network().snapshot()))
-        system = on_network(snap.restore(), seed=5)
-        fresh = TapSystem.bootstrap(N, seed=5, overlay_seed=BASE_SEED)
-        node_id = system.random_node_id("relay")
-        pair = system.tap_node(node_id).keypair
-        assert pair.public == fresh.tap_node(node_id).keypair.public
-        clone = pickle.loads(pickle.dumps(pair))
-        ct = pair.public.encrypt(b"relay layer", random.Random(1))
-        assert clone.decrypt(ct) == pair.decrypt(ct) == b"relay layer"
-        assert clone.public.verify(b"m", pair.sign(b"m"))
-        alice = system.tap_node(system.random_node_id("alice"))
-        system.deploy_thas(alice, count=3)
-        assert all(tha.deployed for tha in alice.owned_thas)
-        assert system.send(alice, system.form_tunnel(alice, length=3), 42, b"x").success
+def fork(network: PastryNetwork) -> PastryNetwork:
+    """An independent copy of ``network``'s overlay: a build of its
+    alive ids."""
+    return PastryNetwork.build(network.alive_ids)
 
+
+class TestForkEquivalence:
     def test_fork_equivalence_survives_churn(self):
         base = base_network()
-        restored = base.snapshot().restore()
-        for network in (base, restored):
+        forked = fork(base)
+        for network in (base, forked):
             auditor = InvariantAuditor(network)
             churn_script(network)
             auditor.assert_clean("after churn")
-        assert network_digest(restored) == network_digest(base)
+        assert network_digest(forked) == network_digest(base)
 
     def test_forked_behaviour_matches_fresh(self):
         # Same seed streams => identical tunnels and traffic end to end.
@@ -128,47 +122,75 @@ class TestForkEquivalence:
                 [list(r.underlying_path) for r in trace.records],
             ]
 
-        restored_rows = exercise(on_network(base_network().snapshot().restore(), seed=5))
+        forked_rows = exercise(on_network(fork(base_network()), seed=5))
         fresh_rows = exercise(TapSystem.bootstrap(N, seed=5, overlay_seed=BASE_SEED))
-        assert rows_digest(restored_rows) == rows_digest(fresh_rows)
+        assert rows_digest(forked_rows) == rows_digest(fresh_rows)
 
     def test_leaf_sets_round_trip_through_a_pickled_snapshot(self):
-        # capture keeps the alive and down ids; restore must read the
-        # same leaf window of every alive node from them.
+        # A compact capture keeps the ids and alive flags of a churned
+        # overlay; its restore and the object build of its alive ids
+        # must read the leaf window the churned network reads.
         network = base_network()
         churn_script(network)
-        restored = pickle.loads(pickle.dumps(network.snapshot())).restore()
-        assert restored.alive_ids == network.alive_ids
-        assert restored.down_ids == network.down_ids
-        assert restored.membership_epoch == network.membership_epoch
+        overlay = CompactOverlay.from_ids(network.alive_ids + sorted(network.down_ids))
+        overlay.fail(sorted(network.down_ids))
+        restored = pickle.loads(pickle.dumps(overlay.snapshot())).restore()
+        assert restored.alive_ids() == network.alive_ids
+        assert set(restored.ids_list()) - set(network.alive_ids) == network.down_ids
+        rebuilt = PastryNetwork.build(restored.alive_ids())
         for nid in network.alive_ids:
-            assert restored.leaves(nid) == network.leaves(nid)
+            assert rebuilt.leaves(nid) == network.leaves(nid)
+            assert set(restored.leaf_members(nid)) == set(network.leaves(nid))
+
+    def test_node_keypairs_survive_capture_pickle_restore(self):
+        """A system on an object network built from a pickled compact
+        base generates the node key pair (CRT form: p, q, d_p, d_q,
+        q⁻¹) a fresh bootstrap would, the pair itself pickles, and the
+        THA bootstrap that decrypts under it works."""
+        snap = pickle.loads(pickle.dumps(base_compact()))
+        system = on_network(PastryNetwork.build(snap.restore().alive_ids()), seed=5)
+        fresh = TapSystem.bootstrap(N, seed=5, overlay_seed=BASE_SEED)
+        node_id = system.random_node_id("relay")
+        pair = system.tap_node(node_id).keypair
+        assert pair.public == fresh.tap_node(node_id).keypair.public
+        clone = pickle.loads(pickle.dumps(pair))
+        ct = pair.public.encrypt(b"relay layer", random.Random(1))
+        assert clone.decrypt(ct) == pair.decrypt(ct) == b"relay layer"
+        assert clone.public.verify(b"m", pair.sign(b"m"))
+        alice = system.tap_node(system.random_node_id("alice"))
+        system.deploy_thas(alice, count=3)
+        assert all(tha.deployed for tha in alice.owned_thas)
+        assert system.send(alice, system.form_tunnel(alice, length=3), 42, b"x").success
 
 
 class TestForkIsolation:
     def test_fork_mutations_do_not_leak(self):
         base = base_network()
-        snap = base.snapshot()
         base_digest = network_digest(base)
 
-        restored_a = snap.restore()
-        restored_b = snap.restore()
-        churn_script(restored_a)
-        assert network_digest(restored_a) != base_digest
+        fork_a = fork(base)
+        fork_b = fork(base)
+        churn_script(fork_a)
+        assert network_digest(fork_a) != base_digest
         assert network_digest(base) == base_digest
-        assert network_digest(restored_b) == base_digest
-        assert network_digest(snap.restore()) == base_digest
+        assert network_digest(fork_b) == base_digest
+        churn_script(base)
+        assert network_digest(fork_b) == base_digest
 
     def test_snapshot_is_picklable(self):
-        snap = base_network().snapshot()
+        snap = base_compact()
         clone = pickle.loads(pickle.dumps(snap))
-        assert network_digest(clone.restore()) == network_digest(snap.restore())
+        assert clone.restore().alive_ids() == snap.restore().alive_ids()
+        assert network_digest(fork(base_network())) == network_digest(
+            PastryNetwork.build(clone.restore().alive_ids())
+        )
 
     def test_join_then_fail_on_fork(self):
-        # Registry semantics: joined-then-failed nodes on a restored
-        # network stay registered and down; no snapshot resurrection.
-        snap = base_network().snapshot()
-        network = snap.restore()
+        # Registry semantics: joined-then-failed nodes on a fork stay
+        # registered and down; the network it was built from never
+        # sees them.
+        base = base_network()
+        network = fork(base)
         auditor = InvariantAuditor(network)
         new_id = random.Random(4).getrandbits(128)
         network.join(new_id)
@@ -176,7 +198,8 @@ class TestForkIsolation:
         network.fail(new_id)
         auditor.assert_clean("join then fail")
         assert network.is_registered(new_id) and not network.is_alive(new_id)
-        assert not snap.restore().is_registered(new_id)
+        assert not base.is_registered(new_id)
+        assert not fork(base).is_registered(new_id)
 
 
 class TestEpochKeyedCaches:
@@ -240,35 +263,32 @@ class TestEpochKeyedCaches:
         assert self._memo_counts(metrics) == (hits, revalidated, stale + 1)
 
     def test_row_entries_matches_cells(self):
-        """A restored network lists the cells the captured one does,
-        row by row, and each listed entry is the one :meth:`cell`
-        reads."""
-        base = base_network()
-        restored = base.snapshot().restore()
-        for nid in base.alive_ids[:10]:
+        """The cells listed from ``first_row`` on are those of the full
+        listing, row by row, and each listed entry is the one
+        :meth:`cell` reads."""
+        net = base_network()
+        for nid in net.alive_ids[:10]:
             for row in range(4):
                 listed = {
-                    col: entry for (r, col), entry in restored.cells(nid, first_row=row).items()
+                    col: entry for (r, col), entry in net.cells(nid, first_row=row).items()
                     if r == row
                 }
                 assert listed == {
-                    col: entry for (r, col), entry in base.cells(nid).items() if r == row
+                    col: entry for (r, col), entry in net.cells(nid).items() if r == row
                 }
-                assert all(restored.cell(nid, row, col) == entry for col, entry in listed.items())
+                assert all(net.cell(nid, row, col) == entry for col, entry in listed.items())
 
     def test_row_entries_tracks_removal(self):
-        """A failed entry leaves every row on a restored network, and its
-        cell passes to the next id of its prefix class."""
-        base = base_network()
-        restored = base.snapshot().restore()
-        nid = base.alive_ids[0]
-        (row, col), victim = next(iter(restored.cells(nid).items()))
-        restored.fail(victim)
-        assert victim not in restored.cells(nid).values()
-        lower, upper = bucket_bounds(nid, row, col, restored.b_bits)
-        heirs = [a for a in restored.alive_ids if lower <= a < upper]
-        assert restored.cell(nid, row, col) == (heirs[0] if heirs else None)
-        assert victim in base.cells(nid).values()  # the captured network is untouched
+        """A failed entry leaves every row, and its cell passes to the
+        next id of its prefix class."""
+        net = base_network()
+        nid = net.alive_ids[0]
+        (row, col), victim = next(iter(net.cells(nid).items()))
+        net.fail(victim)
+        assert victim not in net.cells(nid).values()
+        lower, upper = bucket_bounds(nid, row, col, net.b_bits)
+        heirs = [a for a in net.alive_ids if lower <= a < upper]
+        assert net.cell(nid, row, col) == (heirs[0] if heirs else None)
 
 
 def _shared_probe(token):
@@ -276,7 +296,7 @@ def _shared_probe(token):
     snap = payload.get(token) if payload else None
     if snap is None:
         return None
-    network = snap.restore()
+    network = PastryNetwork.build(snap.restore().alive_ids())
     churn_script(network, seed=9)
     return network_digest(network)
 
@@ -287,7 +307,7 @@ class TestSharedSnapshots:
 
         def build():
             calls.append(1)
-            return base_network().snapshot()
+            return base_compact()
 
         a = base_snapshot(("t", 1), build)
         b = base_snapshot(("t", 1), build)
@@ -298,12 +318,12 @@ class TestSharedSnapshots:
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_shared_payload_reaches_trials(self, workers):
-        snap = base_network().snapshot()
+        snap = base_compact()
         token = ("shared-test", BASE_SEED, N)
         digests = run_trials(
             _shared_probe, [(token,), (token,)], workers, shared={token: snap}
         )
-        local = snap.restore()
+        local = base_network()
         churn_script(local, seed=9)
         assert digests == [network_digest(local)] * 2
 
