@@ -53,14 +53,14 @@ def main() -> None:
         adversary.knows(h.hop_id) for t in tunnels for h in t.hops
     )
     total_hops = TUNNELS * LENGTH
-    corrupted = sum(adversary.tunnel_corrupted(t) for t in tunnels)
+    corrupted = adversary.knowledge_fraction(tunnels)
     case2 = sum(adversary.first_and_tail_controlled(system, t) for t in tunnels)
 
     print(f"anchors deployed:        {anchors}")
     print(f"anchors disclosed:       {disclosed}/{total_hops} "
           f"({disclosed / total_hops:.1%}; "
           f"theory {tha_disclosure_prob(MALICIOUS_FRACTION, 3):.1%})")
-    print(f"tunnels corrupted (c1):  {corrupted}/{TUNNELS} "
+    print(f"tunnels corrupted (c1):  {corrupted:.2%} of {TUNNELS} "
           f"(theory {tunnel_corruption_prob(MALICIOUS_FRACTION, LENGTH, 3):.2%})")
     print(f"first+tail control (c2): {case2}/{TUNNELS} "
           f"(theory {MALICIOUS_FRACTION**2:.2%})")

@@ -136,10 +136,6 @@ class TimingAnalysisAdversary:
                 break
         return out
 
-    def reset(self) -> None:
-        self.events.clear()
-        self.reveals.clear()
-
 
 def evaluate_claims(
     claims: list[Claim],

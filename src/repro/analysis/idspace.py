@@ -219,9 +219,6 @@ class IdSpaceModel:
             self._replica_memo[token] = table
         return table
 
-    def replica_ids(self, keys, k: int) -> np.ndarray:
-        return self.ids[self.replica_indices(keys, k)]
-
     def any_malicious_holder(self, keys, k: int) -> np.ndarray:
         """Per key: is any replica-set member malicious? (THA disclosure)"""
         return self.malicious[self.replica_indices(keys, k)].any(axis=1)
@@ -269,9 +266,6 @@ class IdSpaceModel:
 
     def benign_indices(self) -> np.ndarray:
         return np.flatnonzero(~self.malicious)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IdSpaceModel(n={self.size}, malicious={int(self.malicious.sum())})"
 
 
 # ----------------------------------------------------------------------

@@ -6,34 +6,19 @@ between random *jondos*: each holder flips a biased coin and forwards
 to a uniformly random member with probability ``p_f``, otherwise
 submits to the destination.
 
-Implemented here:
-
-* path sampling (:meth:`CrowdsNetwork.send`) with collaborator
-  observation — the first colluding member on the path records its
-  predecessor (the predecessor attack);
-* the closed-form posterior ``P(predecessor = initiator | observed)``
-  = ``1 - p_f (n - c - 1) / n`` and the probable-innocence condition
-  ``n >= p_f/(p_f - 1/2) (c + 1)``, both cross-checked against the
-  Monte Carlo in the tests;
-* a fixed-relay failure model (a Crowds path, once built, breaks like
-  any fixed-node path — the property Figure 2 compares against).
+Implemented here are the closed forms the anonymity comparison reads
+(Reiter & Rubin §5): the posterior ``P(predecessor = initiator |
+observed)`` = ``1 - p_f (n - c - 1) / n`` seen by the first colluding
+member on a path (the predecessor attack), the adversary's resulting
+suspect distribution, and the mean path length.  The tests check the
+posterior and the path length against a Monte Carlo path sampler.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass
-class CrowdsObservation:
-    """What the first collaborator on a path sees."""
-
-    predecessor: int
-    position: int  # 1-based index of the collaborator on the path
-    is_initiator: bool  # ground truth (scoring only)
 
 
 @dataclass
@@ -62,42 +47,11 @@ class CrowdsNetwork:
         return len(self.collaborators)
 
     # ------------------------------------------------------------------
-    def send(
-        self, initiator: int, rng: random.Random
-    ) -> tuple[list[int], CrowdsObservation | None]:
-        """Sample one path; return it plus the first collaborator's
-        observation (None if no collaborator relays the message)."""
-        path = [initiator]
-        current = initiator
-        observation = None
-        while True:
-            nxt = self.members[rng.randrange(self.n)]
-            path.append(nxt)
-            if observation is None and nxt in self.collaborators:
-                observation = CrowdsObservation(
-                    predecessor=current,
-                    position=len(path) - 1,
-                    is_initiator=(current == initiator),
-                )
-            current = nxt
-            if rng.random() >= self.p_f:
-                return path, observation
-
-    def path_functions(self, path: list[int], is_alive) -> bool:
-        """Once built, a Crowds path is a fixed-node path: it breaks if
-        any jondo on it fails (Figure 2's 'current tunneling')."""
-        return all(is_alive(member) for member in path)
-
-    # ------------------------------------------------------------------
     # closed forms (Reiter & Rubin §5)
     # ------------------------------------------------------------------
     def predecessor_posterior(self) -> float:
         """P(the observed predecessor is the initiator)."""
         return 1.0 - self.p_f * (self.n - self.c - 1) / self.n
-
-    def probable_innocence(self) -> bool:
-        """True iff the crowd satisfies probable innocence (P <= 1/2)."""
-        return self.n >= self.p_f / (self.p_f - 0.5) * (self.c + 1)
 
     def suspect_distribution(self) -> np.ndarray:
         """The adversary's initiator distribution after one observation:

@@ -108,20 +108,6 @@ class ForwardTrace:
         total += max(0, len(self.exit_path) - 1)
         return total
 
-    def full_underlying_path(self) -> list[int]:
-        """Concatenated node sequence, deduplicating junction nodes."""
-        path: list[int] = []
-        for rec in self.records:
-            seg = rec.underlying_path
-            if path and seg and path[-1] == seg[0]:
-                seg = seg[1:]
-            path.extend(seg)
-        seg = self.exit_path
-        if path and seg and path[-1] == seg[0]:
-            seg = seg[1:]
-        path.extend(seg)
-        return path
-
 
 class Exchange(NamedTuple):
     """Everything observable about one :meth:`TunnelForwarder.round_trip`."""

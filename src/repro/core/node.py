@@ -13,7 +13,7 @@ A :class:`TapNode` owns the secrets and caches a participant needs:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.tha import OwnedTha, generate_tha
@@ -121,6 +121,3 @@ class TapNode:
     def release_pending(self, bid: int) -> None:
         """Stop awaiting ``bid``: a later reply walk to it fails closed."""
         self.pending_replies.pop(bid, None)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TapNode({self.node_id:#034x})"

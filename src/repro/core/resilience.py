@@ -126,10 +126,6 @@ class CircuitBreaker:
         self.state = "half-open"
         self.consecutive_failures = 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CircuitBreaker(state={self.state}, "
-                f"consecutive={self.consecutive_failures}, trips={self.trips})")
-
 
 @dataclass
 class ResilientReply:

@@ -367,8 +367,3 @@ class TapSystem:
         return self.tap_node(node_id)
 
     # ------------------------------------------------------------------
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TapSystem(nodes={self.network.size}, k={self.store.k}, "
-            f"objects={len(self.store.all_keys())})"
-        )

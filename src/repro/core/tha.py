@@ -69,10 +69,6 @@ class OwnedTha:
     def hop_id(self) -> int:
         return self.anchor.hop_id
 
-    @property
-    def key(self) -> SymmetricKey:
-        return self.anchor.key
-
 
 def generate_tha(
     node_identifier: bytes,

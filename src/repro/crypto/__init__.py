@@ -20,7 +20,6 @@ from repro.crypto.hashing import (
     sha256_bytes,
     derive_hopid,
     hash_password,
-    verify_password,
     random_key,
     random_password,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "sha256_bytes",
     "derive_hopid",
     "hash_password",
-    "verify_password",
     "random_key",
     "random_password",
     "SymmetricKey",

@@ -190,15 +190,6 @@ class RsaPublicKey:
         digest = int.from_bytes(hashlib.sha256(message).digest(), "big") % self.n
         return recovered == digest
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RsaPublicKey) and (self.n, self.e) == (other.n, other.e)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.e))
-
-    def __repr__(self) -> str:
-        return f"RsaPublicKey(n~2^{self.n.bit_length()}, e={self.e})"
-
 
 class RsaKeyPair:
     """A node's key pair, held in CRT form (``p``, ``q`` and the three
@@ -266,6 +257,3 @@ class RsaKeyPair:
         if pow(sig, self.public.e, self.public.n) != digest:
             raise RsaError("signature failed its own verification")
         return sig.to_bytes(self.public.modulus_bytes, "big")
-
-    def __repr__(self) -> str:
-        return f"RsaKeyPair({self.public!r})"

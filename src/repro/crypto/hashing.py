@@ -12,7 +12,6 @@ that outsiders cannot link a hopid to its creator by recomputation.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import random
 
 from repro.util.ids import ID_BITS
@@ -65,18 +64,6 @@ def hash_password(password: bytes) -> bytes:
     if not password:
         raise ValueError("password must be non-empty")
     return sha256_bytes(b"tap-pw", password)
-
-
-def verify_password(password: bytes, stored_hash: bytes) -> bool:
-    """Proof-of-ownership check used by the THA delete protocol (§3.4).
-
-    Constant-time and fail-closed: a malformed or bit-rotted
-    ``stored_hash`` denies rather than raises, and the comparison
-    leaks no prefix-match timing signal.
-    """
-    if not password or not isinstance(stored_hash, (bytes, bytearray)):
-        return False
-    return hmac.compare_digest(hash_password(password), bytes(stored_hash))
 
 
 def random_key(rng: random.Random, nbytes: int = 16) -> bytes:

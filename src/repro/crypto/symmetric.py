@@ -87,12 +87,6 @@ def _hmac_sha256(key: bytes, message: bytes) -> bytes:
     return hashlib.sha256(o_key + inner).digest()
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """The keystream from its definition: ``SHAKE-256(key || nonce)``
-    squeezed to ``length`` bytes (the tests' reference)."""
-    return hashlib.shake_256(key + nonce).digest(length)
-
-
 class SymmetricKey:
     """A symmetric key ``K`` as stored inside a tunnel hop anchor.
 
@@ -199,6 +193,3 @@ class SymmetricKey:
     def __setstate__(self, state: bytes) -> None:
         self.__init__(state[:-9])
         self._nonce_counter = int.from_bytes(state[-9:], "big")
-
-    def __repr__(self) -> str:
-        return f"SymmetricKey({self.key_bytes[:4].hex()}…)"

@@ -7,7 +7,7 @@ shape (who wins, monotonicity, knees) at ~100× less work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 def _frange(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -259,8 +259,3 @@ class DurabilityConfig:
     def fast(cls) -> "DurabilityConfig":
         return cls(num_nodes=160, num_objects=32, object_bytes=128,
                    crawler_budget_bytes=8_192, num_seeds=2)
-
-
-def scaled(config, **overrides):
-    """Return a copy of any config with fields overridden."""
-    return replace(config, **overrides)

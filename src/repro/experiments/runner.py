@@ -68,12 +68,3 @@ def rows_to_csv(rows: list[dict], columns: Sequence[str] | None = None) -> str:
     for row in rows:
         lines.append(",".join(str(row.get(c, "")) for c in columns))
     return "\n".join(lines) + "\n"
-
-
-def pivot(rows: list[dict], index: str, column: str, value: str) -> list[dict]:
-    """Wide-format rows: one per index value, one column per scheme."""
-    table: dict[object, dict] = {}
-    for row in rows:
-        entry = table.setdefault(row[index], {index: row[index]})
-        entry[str(row[column])] = row[value]
-    return [table[k] for k in sorted(table)]

@@ -169,10 +169,6 @@ class SecureRouteResult:
     hijacked_paths: int = 0
 
     @property
-    def success(self) -> bool:
-        return self.accepted_root is not None
-
-    @property
     def alarm(self) -> bool:
         """Every candidate failed verification: routing failure
         *detected* — the seeker knows not to trust the lookup."""

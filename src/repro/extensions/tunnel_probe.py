@@ -43,10 +43,6 @@ class ProbeReport:
     failure_reason: str | None = None
     meta: dict = field(default_factory=dict)
 
-    @property
-    def healthy(self) -> bool:
-        return self.functional and not self.tampered
-
 
 class TunnelProber:
     """Probes tunnels through the live forwarding engine."""
@@ -118,12 +114,11 @@ class TunnelProber:
     def audit(self, owner: TapNode, tunnels: list[Tunnel]) -> dict:
         """Probe a set of tunnels; summarise which need refreshing."""
         reports = [self.probe(owner, t, seq) for seq, t in enumerate(tunnels)]
-        needs_refresh = [
-            t for t, r in zip(tunnels, reports) if not r.healthy
-        ]
+        healthy = [r.functional and not r.tampered for r in reports]
+        needs_refresh = [t for t, ok in zip(tunnels, healthy) if not ok]
         return {
             "probed": len(tunnels),
-            "healthy": sum(1 for r in reports if r.healthy),
+            "healthy": sum(healthy),
             "broken": sum(1 for r in reports if not r.functional),
             "tampered": sum(1 for r in reports if r.tampered),
             "needs_refresh": needs_refresh,

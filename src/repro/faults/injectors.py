@@ -110,10 +110,6 @@ class _FaultCounters:
         if self.metrics is not None:
             self.metrics.counter(f"faults.{what}").inc()
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.counts.values())
-
 
 class SyncFaultInjector(_FaultCounters):
     """Fault oracle consulted by the synchronous forwarding engine."""
@@ -151,10 +147,6 @@ class SyncFaultInjector(_FaultCounters):
         if self._isolated is not None:
             self.note("partition.heal", size=len(self._isolated))
         self._isolated = None
-
-    @property
-    def partitioned(self) -> bool:
-        return bool(self._isolated)
 
     def check_leg(self, src: int, dst: int) -> str | None:
         """Partition verdict for one overlay leg (None = deliverable)."""

@@ -119,10 +119,6 @@ class Span:
         sim = self.sim_duration
         return sim if sim is not None else self.wall_duration
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Span({self.name!r}, trace={self.trace_id}, "
-                f"id={self.span_id}, parent={self.parent_id})")
-
 
 # ----------------------------------------------------------------------
 # redaction (anonymity-aware export)

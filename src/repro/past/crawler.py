@@ -28,7 +28,7 @@ starve the same suffix of the key space.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.past.erasure import ErasureStore
 from repro.util.rng import derive_seed, make_pyrandom
@@ -181,17 +181,3 @@ class RepairCrawler:
                     budget_exhausted=report.budget_exhausted,
                 )
         return report
-
-    def run_until_stable(self, max_passes: int = 16) -> list[CrawlReport]:
-        """Run passes until one completes the cycle without repairing
-        anything (the converged fixpoint), or ``max_passes`` elapse."""
-        reports: list[CrawlReport] = []
-        for _ in range(max_passes):
-            report = self.run_pass()
-            reports.append(report)
-            if (not report.budget_exhausted
-                    and not report.shares_rebuilt
-                    and not report.corrupt_found
-                    and not report.objects_lost):
-                break
-        return reports

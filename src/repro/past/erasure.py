@@ -116,10 +116,6 @@ class ErasureStore(PlacementCore):
         #: per-node lease-clock skew in epochs (fault-injected)
         self._clock_skew: dict[int, int] = {}
 
-    def share_index_of(self, key: int, node_id: int) -> int | None:
-        """Which share index ``node_id`` is attributed (None = none)."""
-        return self._index.get(key, {}).get(node_id)
-
     def node_epoch(self, node_id: int) -> int:
         """The lease clock as ``node_id`` sees it (epoch + skew)."""
         return self.epoch + self._clock_skew.get(node_id, 0)
@@ -275,19 +271,6 @@ class ErasureStore(PlacementCore):
         return StoredObject(
             key, value, exemplar.delete_proof_hash, dict(exemplar.meta)
         )
-
-    def delete(self, key: int, proof: bytes) -> bool:
-        """The core's §3.4 delete walk, counted per object."""
-        deleted_any = super().delete(key, proof)
-        if deleted_any:
-            self._count("objects.deleted")
-        return deleted_any
-
-    def exists(self, key: int) -> bool:
-        """Decodable right now: at least k shares on live holders."""
-        live = [h for h in self._index.get(key, ())
-                if self.network.is_alive(h)]
-        return len(live) >= self.k
 
     # ------------------------------------------------------------------
     # fault hooks
@@ -445,49 +428,3 @@ class ErasureStore(PlacementCore):
                 continue
             moved, nbytes = self.repair_key(key)
             self._charge_repair(moved, nbytes)
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def under_replicated(self) -> list[int]:
-        """Keys currently below a verified share per intended holder."""
-        out = []
-        for key in self._sorted_keys:
-            placements = self._index.get(key, {})
-            live = {h: i for h, i in placements.items()
-                    if self.network.is_alive(h)}
-            if len(live) < self.n or set(live) != set(self.replica_set(key)):
-                out.append(key)
-        return out
-
-    def verify_invariants(self) -> list[str]:
-        """Invariant violations (empty == healthy).
-
-        Healthy means: live holders are exactly the intended n closest,
-        they hold n distinct share indices, and every share verifies
-        against its hash tree.
-        """
-        problems: list[str] = []
-        for key in self._sorted_keys:
-            placements = self._index.get(key, {})
-            live = {h: i for h, i in placements.items()
-                    if self.network.is_alive(h)}
-            intended = set(self.replica_set(key))
-            if set(live) != intended:
-                problems.append(
-                    f"key {key:#x}: holders {sorted(live)} != "
-                    f"intended {sorted(intended)}"
-                )
-            if len(set(live.values())) != len(live):
-                problems.append(f"key {key:#x}: duplicate share indices")
-            for holder in live:
-                share = self.stored_share(holder, key)
-                if share is None:
-                    problems.append(
-                        f"key {key:#x}: holder {holder:#x} has no share"
-                    )
-                elif not share.verify():
-                    problems.append(
-                        f"key {key:#x}: corrupt share on {holder:#x}"
-                    )
-        return problems

@@ -148,10 +148,6 @@ class PlacementCore:
         (same epoch-scoped cache as :meth:`replica_set`)."""
         return self._intended(key)[1]
 
-    def root(self, key: int) -> int:
-        """The replica root — TAP's tunnel hop node for this key."""
-        return self.network.closest_alive(key)
-
     def holders(self, key: int) -> set[int]:
         """Nodes currently attributed a copy or share of ``key`` (may
         lag the intended set)."""

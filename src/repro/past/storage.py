@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hmac
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.crypto.hashing import hash_password
 
@@ -96,12 +96,3 @@ class Storage:
 
     def keys(self) -> list[int]:
         return list(self._objects)
-
-    def __iter__(self) -> Iterator[StoredObject]:
-        return iter(self._objects.values())
-
-    def __len__(self) -> int:
-        return len(self._objects)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Storage(node={self.node_id:#x}, objects={len(self)})"

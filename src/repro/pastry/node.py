@@ -17,7 +17,7 @@ from bisect import bisect_left
 
 from repro.pastry.bulk import leaf_reach, leaf_window
 from repro.util.ids import (
-    ID_BITS, ID_SPACE, closest_in_sorted, id_to_hex, ring_distance, shared_prefix_digits,
+    ID_BITS, ID_SPACE, closest_in_sorted, ring_distance, shared_prefix_digits,
 )
 
 #: Cap on the per-node ``next_hop`` memo; cleared wholesale when
@@ -170,6 +170,3 @@ class PastryNode:
         # deliver locally.
         nxt = min(better)[1] if better else self.node_id
         return nxt, cls, net._class_epochs.get(cls, 0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PastryNode({id_to_hex(self.node_id)[:8]}…)"

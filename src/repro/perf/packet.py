@@ -66,7 +66,6 @@ from repro.analysis.idspace import (
     ring_distance_words,
     searchsorted_words,
     shared_prefix_bits_words,
-    unpack_words,
 )
 from repro.pastry.bulk import leaf_reach
 from repro.util.ids import ID_BITS
@@ -119,9 +118,6 @@ class BatchRouteResult:
         self._trail = trail
         self._trail_starts = [start for start, _ in trail]
 
-    def __len__(self) -> int:
-        return len(self.src_pos)
-
     def path(self, i: int) -> list[int]:
         """The id path of packet ``i`` (source first, stop last).
 
@@ -144,12 +140,6 @@ class BatchRouteResult:
         lo = self._overlay.lo
         return [(int(hi[g]) << 64) | int(lo[g]) for g in positions]
 
-    def dest_ids(self) -> list[int]:
-        """Ids at each packet's stop position."""
-        return unpack_words(
-            self._overlay.hi[self.dest_pos], self._overlay.lo[self.dest_pos]
-        )
-
 
 class TunnelBatchResult:
     """Result of routing a batch of stitched tunnel paths.
@@ -169,9 +159,6 @@ class TunnelBatchResult:
         self.hops = hops
         self.success = success
         self.dest_pos = dest_pos
-
-    def __len__(self) -> int:
-        return len(self.hops)
 
 
 def _alive_ranks(overlay, positions) -> np.ndarray:

@@ -18,10 +18,9 @@ This package provides the equivalent:
 """
 
 from repro.simnet.events import Simulator, Event, SimulationError
-from repro.simnet.topology import Topology, UniformLatencyModel, LinkSpec
+from repro.simnet.topology import Topology
 from repro.simnet.transport import (
     TransferModel,
-    transfer_time,
     path_transfer_time,
     serialization_delay,
 )
@@ -32,10 +31,7 @@ __all__ = [
     "Event",
     "SimulationError",
     "Topology",
-    "UniformLatencyModel",
-    "LinkSpec",
     "TransferModel",
-    "transfer_time",
     "path_transfer_time",
     "serialization_delay",
     "SimNetwork",

@@ -113,8 +113,8 @@ class SimNetwork:
         a message is in flight causes a drop — the situation TAP's
         replica fail-over must handle.
         """
-        # The delay is transfer_time(size_bits, latency, bandwidth), term
-        # for term and check for check — before anything is counted.
+        # The delay is propagation plus serialization, each input checked
+        # (size, then latency, then bandwidth) before anything is counted.
         if not size_bits >= 0:  # also NaN
             raise ValueError("size must be non-negative")
         if src == dst:

@@ -14,59 +14,20 @@ for a given topology seed — the same idiom the HPC guides recommend
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 DEFAULT_MIN_LATENCY_S = 0.010
 DEFAULT_MAX_LATENCY_S = 0.230
 DEFAULT_BANDWIDTH_BPS = 1_500_000.0  # 1.5 Mb/s, as in the paper
 
 
-@dataclass(frozen=True)
-class LinkSpec:
-    """Resolved properties of one (directed-use, symmetric-value) link."""
-
-    latency_s: float
-    bandwidth_bps: float
-
-
-class UniformLatencyModel:
-    """Uniform per-pair latency in ``[min_latency, max_latency]``.
-
-    A 64-bit hash of ``(seed, min(a,b), max(a,b))`` is mapped to the
-    interval, so ``latency(a, b) == latency(b, a)`` and draws for
-    distinct pairs are independent to hash quality.
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        min_latency_s: float = DEFAULT_MIN_LATENCY_S,
-        max_latency_s: float = DEFAULT_MAX_LATENCY_S,
-    ):
-        if min_latency_s < 0 or max_latency_s < min_latency_s:
-            raise ValueError("need 0 <= min_latency <= max_latency")
-        self.seed = int(seed)
-        self.min_latency_s = float(min_latency_s)
-        self.max_latency_s = float(max_latency_s)
-
-    def latency(self, a: int, b: int) -> float:
-        if a == b:
-            return 0.0
-        lo, hi = (a, b) if a <= b else (b, a)
-        digest = hashlib.sha256(
-            b"link" + self.seed.to_bytes(8, "big")
-            + lo.to_bytes(16, "big") + hi.to_bytes(16, "big")
-        ).digest()
-        unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return self.min_latency_s + unit * (self.max_latency_s - self.min_latency_s)
-
-
 class Topology:
-    """A set of node addresses plus the latency/bandwidth model.
+    """Opaque int node addresses (the reproduction uses Pastry nodeids),
+    one bandwidth for every link, and a uniform per-pair latency.
 
-    Node addresses are opaque ints (the reproduction uses Pastry
-    nodeids directly, but any int works).  ``link(a, b)`` returns the
-    resolved :class:`LinkSpec` for the pair.
+    A 64-bit hash of ``(seed, min(a,b), max(a,b))`` is mapped to
+    ``[min_latency_s, max_latency_s]``, so ``latency(a, b) ==
+    latency(b, a)`` and draws for distinct pairs are independent to
+    hash quality.
     """
 
     def __init__(
@@ -78,23 +39,24 @@ class Topology:
     ):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
-        self._latency_model = UniformLatencyModel(seed, min_latency_s, max_latency_s)
+        if min_latency_s < 0 or max_latency_s < min_latency_s:
+            raise ValueError("need 0 <= min_latency <= max_latency")
+        self.seed = int(seed)
+        self.min_latency_s = float(min_latency_s)
+        self.max_latency_s = float(max_latency_s)
         self.bandwidth_bps = float(bandwidth_bps)
-
-    @property
-    def min_latency_s(self) -> float:
-        return self._latency_model.min_latency_s
-
-    @property
-    def max_latency_s(self) -> float:
-        return self._latency_model.max_latency_s
 
     def latency(self, a: int, b: int) -> float:
         """One-way propagation delay between two addresses (seconds)."""
-        return self._latency_model.latency(a, b)
-
-    def link(self, a: int, b: int) -> LinkSpec:
-        return LinkSpec(self.latency(a, b), self.bandwidth_bps)
+        if a == b:
+            return 0.0
+        lo, hi = (a, b) if a <= b else (b, a)
+        digest = hashlib.sha256(
+            b"link" + self.seed.to_bytes(8, "big")
+            + lo.to_bytes(16, "big") + hi.to_bytes(16, "big")
+        ).digest()
+        unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
+        return self.min_latency_s + unit * (self.max_latency_s - self.min_latency_s)
 
     def path_latency(self, path: list[int]) -> float:
         """Sum of propagation delays along consecutive path elements."""

@@ -35,17 +35,6 @@ def serialization_delay(size_bits: float, bandwidth_bps: float) -> float:
     return size_bits / bandwidth_bps
 
 
-def transfer_time(
-    size_bits: float,
-    latency_s: float,
-    bandwidth_bps: float,
-) -> float:
-    """One-hop transfer: propagation plus serialization."""
-    if latency_s < 0:
-        raise ValueError("latency must be non-negative")
-    return latency_s + serialization_delay(size_bits, bandwidth_bps)
-
-
 def path_transfer_time(
     topology: Topology,
     path: list[int],

@@ -70,6 +70,3 @@ class SeedSequenceFactory:
     def spawn(self, *labels: object) -> "SeedSequenceFactory":
         """A nested factory whose streams are independent of the parent's."""
         return SeedSequenceFactory(self.child("spawn", *labels))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SeedSequenceFactory(root_seed={self.root_seed})"

@@ -27,12 +27,6 @@ class TestTaps:
         adversary.content_tap(2.0, 7, 999, 100.0)  # honest peel: unseen
         assert len(adversary.reveals) == 1
 
-    def test_reset(self, adversary):
-        adversary.tap(1.0, 5, 10, 100.0)
-        adversary.content_tap(1.0, 10, 9, 100.0)
-        adversary.reset()
-        assert not adversary.events and not adversary.reveals
-
 
 class TestClaims:
     def test_pairs_entry_with_reveal(self, adversary):

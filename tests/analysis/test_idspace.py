@@ -104,7 +104,7 @@ class TestCrossValidationAgainstObjectModel:
         net = PastryNetwork.build([int(i) << 64 for i in ids64])
         store = ReplicatedStore(net, replication_factor=3)
 
-        table = model.replica_ids(keys64, 3)
+        table = model.ids[model.replica_indices(keys64, 3)]
         for key64, row in zip(keys64, table):
             object_level = store.replica_set(int(key64) << 64)
             assert [int(x) << 64 for x in row] == object_level
@@ -128,7 +128,7 @@ class TestCrossValidationAgainstObjectModel:
         net = PastryNetwork.build([int(i) << 64 for i in ids64])
         original_sets = {
             int(key): [int(x) for x in row]
-            for key, row in zip(keys64, model.replica_ids(keys64, 3))
+            for key, row in zip(keys64, model.ids[model.replica_indices(keys64, 3)])
         }
         for idx, flag in enumerate(failed):
             if flag:

@@ -1,11 +1,36 @@
-"""Tests for the Crowds baseline."""
+"""Tests for the Crowds baseline: its closed forms against a Monte
+Carlo path sampler."""
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.baselines.crowds import CrowdsNetwork
+
+
+@dataclass
+class CrowdsObservation:
+    """What the first collaborator on a path sees."""
+
+    predecessor: int
+    position: int  # 1-based index of the collaborator on the path
+    is_initiator: bool  # ground truth (scoring only)
+
+
+def send(crowd, initiator, rng):
+    """Sample one path by the Crowds coin; return it plus the first
+    collaborator's observation (None if no collaborator relays)."""
+    path = [initiator]
+    observation = None
+    while True:
+        nxt = crowd.members[rng.randrange(crowd.n)]
+        if observation is None and nxt in crowd.collaborators:
+            observation = CrowdsObservation(path[-1], len(path), path[-1] == initiator)
+        path.append(nxt)
+        if rng.random() >= crowd.p_f:
+            return path, observation
 
 
 @pytest.fixture()
@@ -32,27 +57,21 @@ class TestValidation:
 
 class TestPaths:
     def test_path_starts_at_initiator(self, crowd):
-        path, _ = crowd.send(5, random.Random(1))
+        path, _ = send(crowd, 5, random.Random(1))
         assert path[0] == 5
         assert len(path) >= 2
 
     def test_mean_path_length_matches_geometric(self, crowd):
         rng = random.Random(2)
-        lengths = [len(crowd.send(5, rng)[0]) for _ in range(3000)]
+        lengths = [len(send(crowd, 5, rng)[0]) for _ in range(3000)]
         assert np.mean(lengths) == pytest.approx(crowd.expected_path_length(), rel=0.05)
-
-    def test_path_function_check(self, crowd):
-        path, _ = crowd.send(5, random.Random(3))
-        assert crowd.path_functions(path, lambda m: True)
-        dead = path[1]
-        assert not crowd.path_functions(path, lambda m: m != dead)
 
 
 class TestPredecessorAttack:
     def test_observation_reports_first_collaborator(self, crowd):
         rng = random.Random(4)
         for _ in range(200):
-            path, obs = crowd.send(5, rng)
+            path, obs = send(crowd, 5, rng)
             if obs is None:
                 assert not any(
                     m in crowd.collaborators for m in path[1:]
@@ -73,21 +92,12 @@ class TestPredecessorAttack:
         honest = [m for m in crowd.members if m not in crowd.collaborators]
         for i in range(8000):
             initiator = honest[i % len(honest)]
-            _, obs = crowd.send(initiator, rng)
+            _, obs = send(crowd, initiator, rng)
             if obs is not None:
                 total += 1
                 hits += obs.is_initiator
         assert total > 2000
         assert hits / total == pytest.approx(crowd.predecessor_posterior(), abs=0.03)
-
-    def test_probable_innocence_threshold(self):
-        # p_f = 0.75 -> probable innocence iff n >= 3(c+1)
-        assert not CrowdsNetwork(
-            list(range(31)), 0.75, collaborators=set(range(10))
-        ).probable_innocence()  # needs n >= 33
-        assert CrowdsNetwork(
-            list(range(31)), 0.75, collaborators=set(range(9))
-        ).probable_innocence()  # needs n >= 30
 
     def test_suspect_distribution_sums_to_one(self, crowd):
         dist = crowd.suspect_distribution()

@@ -49,6 +49,27 @@ def build_network(num_nodes: int, seed: int = 99, **kwargs) -> PastryNetwork:
     return PastryNetwork.build(ids, **kwargs)
 
 
+def erasure_invariants(store) -> list[str]:
+    """An ``ErasureStore``'s invariant violations (empty == healthy):
+    the live holders of every key are exactly its intended n closest,
+    hold n distinct share indices, and every share verifies against
+    its hash tree."""
+    problems: list[str] = []
+    for key in store.all_keys():
+        live = {h: i for h, i in store._index.get(key, {}).items()
+                if store.network.is_alive(h)}
+        intended = set(store.replica_set(key))
+        if set(live) != intended:
+            problems.append(f"key {key:#x}: holders {sorted(live)} != intended {sorted(intended)}")
+        if len(set(live.values())) != len(live):
+            problems.append(f"key {key:#x}: duplicate share indices")
+        for holder in live:
+            share = store.stored_share(holder, key)
+            if share is None or not share.verify():
+                problems.append(f"key {key:#x}: holder {holder:#x} has no sound share")
+    return problems
+
+
 def crash_unnoticed(emu, victim: int) -> None:
     """Crash ``victim`` in an emulation's message fabric only: every
     leaf set that holds it keeps it stale until a message to it times

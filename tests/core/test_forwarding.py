@@ -6,6 +6,7 @@ import pytest
 
 from repro.crypto.onion import build_reply_onion, make_fake_onion
 from repro.core.node import PendingReply
+from tests.core.walk_scenarios import full_underlying_path
 
 
 @pytest.fixture()
@@ -49,7 +50,7 @@ class TestForwardTraversal:
     def test_underlying_path_continuous(self, system, alice):
         tunnel = system.form_tunnel(alice, length=3)
         trace = system.send(alice, tunnel, 42, b"x")
-        path = trace.full_underlying_path()
+        path = full_underlying_path(trace)
         assert path[0] == alice.node_id
         assert path[-1] == system.network.closest_alive(42)
         # consecutive entries differ (no zero-length hops kept)

@@ -32,7 +32,7 @@ from repro.simnet.transport import TransferModel, path_transfer_time
 from repro.util.rng import SeedSequenceFactory
 
 from tests.conftest import crash_unnoticed
-from tests.core.walk_scenarios import DESTINATION, SCENARIOS, World
+from tests.core.walk_scenarios import DESTINATION, SCENARIOS, World, full_underlying_path
 
 #: the scenarios that are about what a hop node does
 HOP_SCENARIOS = (
@@ -105,10 +105,10 @@ def assert_same_round_trip(perturb, hints=False, same_paths=True, perturb_emulat
         assert emu.delivered == walk.success
         assert emu.failed_reason == walk.failure_reason
         if same_paths:
-            assert emu.path == walk.full_underlying_path()
+            assert emu.path == full_underlying_path(walk)
         if emu.delivered:
             assert emu.payload == walk.delivered_payload == sent
-            assert emu.destination == (walk.exit_path or walk.full_underlying_path())[-1]
+            assert emu.destination == (walk.exit_path or full_underlying_path(walk))[-1]
             if not emu.timeouts:
                 assert emu.latency == pytest.approx(path_transfer_time(
                     topology, emu.path, 8.0 * len(sent) + CONTROL_BITS,
@@ -173,7 +173,7 @@ def test_fail_then_revive_through_the_emulator():
     want = walked.round_trip()
     assert down["received"] == want["received"] == [REPLY]
     assert victim not in down["traces"]["forward"].path
-    assert down["traces"]["forward"].path == want["traces"]["forward"].full_underlying_path()
+    assert down["traces"]["forward"].path == full_underlying_path(want["traces"]["forward"])
 
     walked.system.revive_node(victim)
     emu.revive_node(victim)
@@ -182,7 +182,7 @@ def test_fail_then_revive_through_the_emulator():
     assert back["received"] == want["received"] == [REPLY]
     assert victim in back["traces"]["forward"].path
     for kind in ("forward", "reply"):
-        assert back["traces"][kind].path == want["traces"][kind].full_underlying_path()
+        assert back["traces"][kind].path == full_underlying_path(want["traces"][kind])
 
 
 def test_duplicated_reply_completes_the_pending_once():
@@ -199,7 +199,7 @@ def test_duplicated_reply_completes_the_pending_once():
     got = emulated_round_trip(world, emu)
     assert got["received"] == [REPLY] and got["completed"]
     for kind in ("forward", "reply"):
-        assert got["traces"][kind].path == clean[kind].full_underlying_path()
+        assert got["traces"][kind].path == full_underlying_path(clean[kind])
     links = sum(len(t.path) - 1 for t in got["traces"].values())
     assert injector.counts["message.duplicate"] >= links
     assert emu.net.delivered_count > links  # ... and the copies did arrive
@@ -222,7 +222,7 @@ def test_exit_layer_in_a_reply_onion_fails_closed(engine):
         trace = world.system.forwarder.send_reply(
             responder, reply.hops[0].hop_id, blob, b"answer"
         )
-        outcome = (trace.success, trace.failure_reason, trace.full_underlying_path()[-1])
+        outcome = (trace.success, trace.failure_reason, full_underlying_path(trace)[-1])
         assert trace.delivered_payload is None
     else:
         emu = TapEmulation.from_system(world.system)

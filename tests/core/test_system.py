@@ -78,7 +78,7 @@ class TestBidGeneration:
 class TestMembershipEvents:
     def test_fail_node_keeps_store_consistent(self, tap_system):
         fid = tap_system.publish(b"data")
-        victim = tap_system.store.root(fid)
+        victim = tap_system.store.network.closest_alive(fid)
         tap_system.fail_node(victim)
         assert tap_system.store.verify_invariants() == []
         assert tap_system.store.fetch(fid).value == b"data"

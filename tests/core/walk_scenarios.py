@@ -40,6 +40,17 @@ DESTINATION = 0x5EED << 96
 VERDICTS = ("drop", "corrupt", "partition", "byzantine")
 
 
+def full_underlying_path(trace) -> list[int]:
+    """A ``ForwardTrace``'s node sequence end to end, junction nodes once:
+    the physical path the emulator's envelope must retrace."""
+    path: list[int] = []
+    for seg in [*(rec.underlying_path for rec in trace.records), trace.exit_path]:
+        if path and seg and path[-1] == seg[0]:
+            seg = seg[1:]
+        path.extend(seg)
+    return path
+
+
 class World:
     """A fresh system with alice's two tunnels formed and (unless
     ``observed`` is off) a tracer, event trace and registry attached."""

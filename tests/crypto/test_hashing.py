@@ -13,8 +13,8 @@ from repro.crypto.hashing import (
     random_password,
     sha1_id,
     sha256_bytes,
-    verify_password,
 )
+from repro.past.storage import StoredObject
 from repro.util.ids import ID_SPACE
 
 
@@ -74,16 +74,23 @@ class TestDeriveHopid:
         assert len(hopids) == 1000
 
 
+def _guarded(stored_hash) -> StoredObject:
+    """An object whose §3.4 delete guard is ``stored_hash``."""
+    return StoredObject(1, b"v", stored_hash)
+
+
 class TestPasswords:
+    """The proof-of-ownership check is ``StoredObject.may_delete``."""
+
     @given(pw=st.binary(min_size=1, max_size=64))
     def test_verify_accepts_correct(self, pw):
-        assert verify_password(pw, hash_password(pw))
+        assert _guarded(hash_password(pw)).may_delete(pw)
 
     def test_verify_rejects_wrong(self):
-        assert not verify_password(b"wrong", hash_password(b"right"))
+        assert not _guarded(hash_password(b"right")).may_delete(b"wrong")
 
     def test_verify_rejects_empty(self):
-        assert not verify_password(b"", hash_password(b"right"))
+        assert not _guarded(hash_password(b"right")).may_delete(b"")
 
     def test_hash_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -95,12 +102,12 @@ class TestPasswords:
 
     def test_verify_fails_closed_on_malformed_stored_hash(self):
         """A bit-rotted or mistyped stored hash denies, never raises."""
-        assert not verify_password(b"pw", None)  # type: ignore[arg-type]
-        assert not verify_password(b"pw", "text")  # type: ignore[arg-type]
-        assert not verify_password(b"pw", hash_password(b"pw")[:-3])
+        assert not _guarded(None).may_delete(b"pw")
+        assert not _guarded("text").may_delete(b"pw")
+        assert not _guarded(hash_password(b"pw")[:-3]).may_delete(b"pw")
 
     def test_verify_accepts_bytearray_hash(self):
-        assert verify_password(b"pw", bytearray(hash_password(b"pw")))
+        assert _guarded(bytearray(hash_password(b"pw"))).may_delete(b"pw")
 
 
 class TestRandomMaterial:

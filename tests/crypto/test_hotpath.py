@@ -10,6 +10,7 @@ boundary, and round-trip through pickling (workers carry keys across
 process boundaries).
 """
 
+import hashlib
 import pickle
 
 import pytest
@@ -21,10 +22,15 @@ from repro.crypto.symmetric import (
     _NONCE_MODULUS,
     CipherError,
     SymmetricKey,
-    _keystream,
 )
 
 KEY = b"k" * 32
+
+
+def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+    """The keystream from its definition: ``SHAKE-256(key || nonce)``
+    squeezed to ``length`` bytes (the reference the fast path must equal)."""
+    return hashlib.shake_256(key + nonce).digest(length)
 
 #: the size classes the construction distinguishes: empty, one byte,
 #: a few bytes either side of a 32-byte word multiple, either side of

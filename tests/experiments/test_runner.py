@@ -4,8 +4,8 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from repro.experiments.config import Fig2Config, Fig6Config, scaled
-from repro.experiments.runner import pivot, render_table, rows_to_csv, series
+from repro.experiments.config import Fig2Config, Fig6Config
+from repro.experiments.runner import render_table, rows_to_csv, series
 
 
 ROWS = [
@@ -57,12 +57,6 @@ class TestCsv:
         assert rows_to_csv([]) == ""
 
 
-class TestPivot:
-    def test_wide_format(self):
-        wide = pivot(ROWS, index="x", column="scheme", value="y")
-        assert wide == [{"x": 1, "a": 0.5, "b": 0.1}, {"x": 2, "a": 0.7}]
-
-
 class TestConfigs:
     def test_frozen(self):
         config = Fig2Config()
@@ -84,8 +78,3 @@ class TestConfigs:
 
     def test_fast_smaller(self):
         assert Fig2Config.fast().num_nodes < Fig2Config().num_nodes
-
-    def test_scaled_override(self):
-        config = scaled(Fig2Config(), num_nodes=123)
-        assert config.num_nodes == 123
-        assert config.num_tunnels == Fig2Config().num_tunnels

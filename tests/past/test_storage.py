@@ -26,7 +26,7 @@ class TestInsertLookup:
         obj = StoredObject(key=1, value=b"v")
         storage.insert(obj)
         storage.insert(StoredObject(key=1, value=b"v"))
-        assert len(storage) == 1
+        assert storage.keys() == [1]
 
     def test_conflicting_insert_rejected(self, storage):
         storage.insert(StoredObject(key=1, value=b"v"))
@@ -42,7 +42,7 @@ class TestInsertLookup:
         storage.insert(StoredObject(key=1, value=b"a"))
         storage.insert(StoredObject(key=2, value=b"b"))
         assert sorted(storage.keys()) == [1, 2]
-        assert {o.value for o in storage} == {b"a", b"b"}
+        assert {storage.lookup(k).value for k in storage.keys()} == {b"a", b"b"}
 
 
 class TestDeleteGuard:

@@ -152,7 +152,7 @@ class TestForkEquivalence:
         fresh = TapSystem.bootstrap(N, seed=5, overlay_seed=BASE_SEED)
         node_id = system.random_node_id("relay")
         pair = system.tap_node(node_id).keypair
-        assert pair.public == fresh.tap_node(node_id).keypair.public
+        assert pair.public.to_bytes() == fresh.tap_node(node_id).keypair.public.to_bytes()
         clone = pickle.loads(pickle.dumps(pair))
         ct = pair.public.encrypt(b"relay layer", random.Random(1))
         assert clone.decrypt(ct) == pair.decrypt(ct) == b"relay layer"

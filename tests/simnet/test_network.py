@@ -10,8 +10,7 @@ from repro.faults.injectors import MessageFaultSpec, SimNetFaultInjector
 from repro.simnet import network as network_module
 from repro.simnet.events import Simulator
 from repro.simnet.network import SimMessage, SimNetwork
-from repro.simnet.topology import Topology, UniformLatencyModel
-from repro.simnet.transport import transfer_time
+from repro.simnet.topology import Topology
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -199,8 +198,8 @@ class TestLinkTable:
                 # arrival time is the scheduled delay, bit for bit
                 for a, b in ((src, dst), (dst, src)):
                     network.send(a, b, (n, a, b), size_bits=size_bits)
-                    delay = 0.0 if a == b else transfer_time(
-                        size_bits, topo.latency(a, b), topo.bandwidth_bps
+                    delay = 0.0 if a == b else (
+                        topo.latency(a, b) + size_bits / topo.bandwidth_bps
                     )
                     expected.append(((n, a, b), delay))
                     assert len(network._link_latency) <= 4
@@ -234,14 +233,14 @@ class TestLinkTable:
         assert network_module.LINK_TABLE_LIMIT == 1 << 16
 
     def test_latency_model_keeps_no_per_pair_state(self):
-        """Compute over tabulate stays true of the model: a PNS build
+        """Compute over tabulate stays true of the topology: a PNS build
         probes pairs that never repeat and would only thrash a memo."""
-        model = UniformLatencyModel(seed=1)
-        before = dict(vars(model))
+        topo = Topology(seed=1)
+        before = dict(vars(topo))
         for b in range(1, 200):
-            model.latency(0, b)
-        assert vars(model) == before
-        assert set(before) == {"seed", "min_latency_s", "max_latency_s"}
+            topo.latency(0, b)
+        assert vars(topo) == before
+        assert set(before) == {"seed", "min_latency_s", "max_latency_s", "bandwidth_bps"}
 
 
 class _Parcel:

@@ -7,7 +7,6 @@ from repro.simnet.transport import (
     TransferModel,
     path_transfer_time,
     serialization_delay,
-    transfer_time,
 )
 
 
@@ -31,12 +30,9 @@ class TestSerializationDelay:
 
 
 class TestTransferTime:
-    def test_latency_plus_serialization(self):
-        assert transfer_time(500, 0.2, 1000) == pytest.approx(0.2 + 0.5)
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            transfer_time(1, -0.1, 1)
+    def test_latency_plus_serialization(self, topo):
+        """One hop costs its propagation delay plus one serialization."""
+        assert path_transfer_time(topo, [1, 2], 500) == pytest.approx(0.1 + 0.5)
 
 
 class TestPathTransfer:

@@ -32,7 +32,7 @@ class TestLifecycleScenario:
         rpl = system.form_reply_tunnel(reader, length=3)
         interval = 2.0
         rng = random.Random(7002)
-        protected = {reader.node_id, system.store.root(fid)}
+        protected = {reader.node_id, system.store.network.closest_alive(fid)}
 
         successes = 0
         now = 0.0

@@ -73,3 +73,12 @@ def test_listed_functions_exist_with_their_sizes(defined, sheet):
         assert sum(n for *_, n in entries) == lines, col
         for rel, qual, n in entries:
             assert defined.get((rel, qual)) == n, f"{col}: {rel}: {qual} ({n})"
+
+
+def test_nothing_is_unreached(sheet):
+    """Every function in ``src/repro`` is executed by the product, the
+    benchmarks or the tests: one that nothing calls is deleted, not
+    listed."""
+    _, sections = sheet
+    unreached = {col: entries for (col, *_), entries in sections}["unreached"]
+    assert unreached == [], unreached

@@ -28,10 +28,10 @@ Usage::
     python tools/reach_sheet.py                  # or: make reach
 
 Takes ~5 min, writes ``results/REACHABILITY.txt`` and nothing else
-(``benchmarks/results/`` is put back as it was).  A function listed as
-*unreached* is a candidate to argue about, not a verdict: ``__repr__``s,
-protocol stubs and methods that complete a mapping or null-object
-contract are expected there.  Timing gates fail by design under the
+(``benchmarks/results/`` is put back as it was).  The *unreached*
+list must stay empty: tier-1's ``tests/test_reach_sheet.py`` fails on a
+sheet that names a function there, which is then deleted or given a
+caller.  Timing gates fail by design under the
 tracer, so their exit status is not checked; every other command must
 exit as listed.
 """
