@@ -21,6 +21,7 @@ workers-independent digest.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -110,6 +111,17 @@ class TestBootstrapEquivalence:
         ids = overlay.ids_list()
         assert ids == sorted(set(ids))
         assert overlay.num_alive == 5_000
+
+    @pytest.mark.parametrize("seed, digest", [
+        (7, "6e8666d94e2f2ab21e5543c323de67b1dcc08f640164c320cab30c52de3d6d36"),
+        (2004, "00f5b614fcd27290d6d89fc821b44ed3974f10a2b69ff01bf607e30316e9a27b"),
+    ])
+    def test_random_bootstrap_is_pinned(self, seed, digest):
+        # sha256 over the sorted (hi, lo) words of the 10^5 scale ring:
+        # any change to the draw, the sort or the duplicate redraw shows
+        overlay = CompactOverlay.random(100_000, seed=seed)
+        words = overlay.hi.astype("<u8").tobytes() + overlay.lo.astype("<u8").tobytes()
+        assert hashlib.sha256(words).hexdigest() == digest
 
 
 class TestChurnIsCanonicalMaintenance:
