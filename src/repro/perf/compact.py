@@ -45,6 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.idspace import (
+    argsort_words,
     merge_insert_positions,
     pack_ids,
     replica_table_words,
@@ -199,10 +200,7 @@ class CompactOverlay:
         hi = rng.integers(0, _U64_MAX, size=num_nodes, dtype=np.uint64)
         lo = rng.integers(0, _U64_MAX, size=num_nodes, dtype=np.uint64)
         while True:
-            order = np.lexsort((lo, hi))
-            shi, slo = hi[order], lo[order]
-            dup_sorted = np.zeros(num_nodes, dtype=bool)
-            dup_sorted[1:] = (shi[1:] == shi[:-1]) & (slo[1:] == slo[:-1])
+            order, shi, slo, dup_sorted = argsort_words(hi, lo)
             if not dup_sorted.any():
                 break
             dup = order[dup_sorted]
