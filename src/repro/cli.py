@@ -7,6 +7,7 @@ Usage::
     tap-repro fig6 [--fast] [--metrics-out metrics.json] [--audit]
     tap-repro fig6 [--fast] [--trace-out trace.json] [--trace-redact]
     tap-repro trace trace.json [--csv breakdown.csv]
+    tap-repro durability [--fast] [--plan lease-skew]
     tap-repro chaos [--plan lossy] [--seed S] [--fast] [--list-plans]
     tap-repro report results/ [--json report.json] [--md report.md]
     tap-repro gate results/ [--slo slo.toml]
@@ -18,8 +19,9 @@ Every runner takes its config plus whichever of ``workers``, ``sinks``
 (a :class:`repro.perf.Sinks`) and ``audit`` it uses.  A flag the one
 named runner has no argument for (``--metrics-out`` / ``--trace-out``
 need ``sinks``, ``--audit`` needs ``audit``, ``--workers`` above 1
-needs ``workers``) is a usage error; ``all`` / ``extensions`` apply
-each flag to the runners that take it.
+needs ``workers``), and ``--plan`` for a runner whose config has no
+``plan`` field, is a usage error; ``all`` / ``extensions`` apply each
+flag to the runners that take it.
 
 ``--metrics-out`` threads a :class:`repro.obs.MetricsRegistry` through
 the runners' sinks and writes the final snapshot (counters, gauges,
@@ -64,7 +66,7 @@ import inspect
 import pathlib
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 from repro.experiments import (
     ComparisonConfig,
@@ -103,6 +105,7 @@ from repro.experiments import (
     ScaleChurnConfig,
     ScaleLatencyConfig,
 )
+from repro.faults.plan import NAMED_PLANS
 
 _FIGURES = {
     "fig2": (Fig2Config, run_fig2, "tunnel failures vs node failures"),
@@ -146,16 +149,14 @@ def _contract(runner) -> set[str]:
     return set(inspect.signature(runner).parameters) - {"config"}
 
 
-def _run_one(
-    name: str,
-    fast: bool,
-    seed: int | None,
-    million: bool = False,
-    **contract,
-) -> tuple[list[dict], object]:
-    """Run one named runner, handing it whichever of the ``contract``
-    arguments (``workers`` / ``sinks`` / ``audit``) it takes."""
-    config_cls, runner, _ = _ALL_RUNNERS[name]
+def _config(
+    name: str, fast: bool, seed: int | None, million: bool, plan: str | None
+):
+    """Runner ``name``'s config (fast, default or million-node) with the
+    ``--seed`` override and, where the config has the field, ``--plan``.
+
+    Raises ``ValueError`` for a plan the config refuses."""
+    config_cls = _ALL_RUNNERS[name][0]
     if million:
         if not hasattr(config_cls, "million"):
             raise SystemExit(
@@ -167,19 +168,35 @@ def _run_one(
         config = config_cls.fast() if fast else config_cls()
     if seed is not None:
         config = replace(config, seed=seed)
+    if plan is not None and "plan" in _config_fields(config_cls):
+        config = replace(config, plan=plan)
+    return config
+
+
+def _config_fields(config_cls) -> set[str]:
+    return {field.name for field in fields(config_cls)}
+
+
+def _run_one(name: str, config, **contract) -> list[dict]:
+    """Run one named runner, handing it whichever of the ``contract``
+    arguments (``workers`` / ``sinks`` / ``audit``) it takes."""
+    runner = _ALL_RUNNERS[name][1]
     takes = _contract(runner)
-    kwargs = {key: value for key, value in contract.items() if key in takes}
-    return runner(config, **kwargs), config
+    return runner(config, **{key: value for key, value in contract.items()
+                             if key in takes})
 
 
 def _refused_flags(name: str, args) -> list[str]:
-    """The flags of ``args`` that runner ``name`` has no argument for."""
-    takes = _contract(_ALL_RUNNERS[name][1])
+    """The flags of ``args`` that runner ``name`` has no argument or
+    config field for."""
+    config_cls, runner, _ = _ALL_RUNNERS[name]
+    takes = _contract(runner) | _config_fields(config_cls)
     asked = {
         "--metrics-out": (args.metrics_out is not None, "sinks"),
         "--trace-out": (args.trace_out is not None, "sinks"),
         "--audit": (args.audit, "audit"),
         "--workers": (args.workers not in (None, 0, 1), "workers"),
+        "--plan": (args.plan is not None, "plan"),
     }
     return [flag for flag, (wanted, param) in asked.items()
             if wanted and param not in takes]
@@ -573,6 +590,11 @@ def main(argv: list[str] | None = None) -> int:
                              "scalar verification")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the experiment seed")
+    parser.add_argument("--plan", default=None, choices=sorted(NAMED_PLANS),
+                        metavar="NAME",
+                        help="named fault plan, for runners whose config "
+                             "has one (durability; 'chaos --list-plans' "
+                             "names its plans)")
     parser.add_argument("--csv", type=pathlib.Path, default=None,
                         help="also write one runner's rows as CSV to this "
                              "path (groups: use --outdir)")
@@ -625,6 +647,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.csv is not None and len(names) > 1:
         parser.error(f"--csv writes one runner's rows; use --outdir with "
                      f"{args.figure!r} (one CSV per runner)")
+    try:
+        run_configs = {name: _config(name, args.fast, args.seed,
+                                     args.million, args.plan)
+                       for name in names}
+    except ValueError as exc:  # a --plan whose faults the runner cannot apply
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     from repro.obs import EventTrace, MetricsRegistry, SpanTracer
     from repro.perf import Sinks, rows_digest
@@ -642,9 +671,9 @@ def main(argv: list[str] | None = None) -> int:
         # one Sinks per runner: shared registry / tracer / event trace,
         # the runner's own volatile timings
         sinks = Sinks(metrics, tracer, event_trace)
-        rows, config = _run_one(name, args.fast, args.seed, args.million,
-                                workers=args.workers, sinks=sinks,
-                                audit=args.audit)
+        config = run_configs[name]
+        rows = _run_one(name, config, workers=args.workers, sinks=sinks,
+                        audit=args.audit)
         if sinks.volatile:
             runner_volatile[name] = sinks.volatile
         _, _, description = _ALL_RUNNERS[name]
@@ -653,8 +682,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.assert_deterministic:
             # The replay runs without telemetry on purpose: rows must
             # be identical with instrumentation on or off.
-            replay_rows, _ = _run_one(name, args.fast, args.seed,
-                                      args.million, workers=args.workers)
+            replay_rows = _run_one(name, config, workers=args.workers)
             if rows_digest(replay_rows) != rows_digest(rows):
                 print(
                     f"DETERMINISM VIOLATION: {name} replay digest "

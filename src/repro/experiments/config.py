@@ -255,6 +255,24 @@ class DurabilityConfig:
     seed: int = 2004
     num_seeds: int = 2
 
+    def __post_init__(self) -> None:
+        # run_durability applies node and at-rest storage events only; a
+        # run that skipped the plan's other faults would read as a pass
+        from repro.faults.plan import named_plan
+
+        plan = named_plan(self.plan)
+        skipped = [what for what, scheduled in (
+            ("message faults", plan.messages.any()),
+            ("partitions", plan.partitions),
+            ("Byzantine hops", plan.byzantine is not None),
+        ) if scheduled]
+        if skipped:
+            raise ValueError(
+                f"fault plan {plan.name!r} schedules {', '.join(skipped)}, "
+                f"which only run_chaos applies (tap-repro chaos --plan "
+                f"{plan.name})"
+            )
+
     @classmethod
     def fast(cls) -> "DurabilityConfig":
         return cls(num_nodes=160, num_objects=32, object_bytes=128,

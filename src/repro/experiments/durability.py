@@ -238,21 +238,9 @@ def run_durability(
     per-trial accounting registries merge into ``sinks.metrics`` in
     trial order, so the merged telemetry is too.
 
-    Raises ``ValueError`` for a plan with message faults, partitions or
-    a Byzantine spec: only node and at-rest storage events are applied
-    here, and a run that skipped its faults would read as a pass.
+    Only node and at-rest storage events are applied here;
+    :class:`DurabilityConfig` refuses a plan with any other fault.
     """
-    plan = named_plan(config.plan)
-    skipped = [what for what, scheduled in (
-        ("message faults", plan.messages.any()),
-        ("partitions", plan.partitions),
-        ("Byzantine hops", plan.byzantine is not None),
-    ) if scheduled]
-    if skipped:
-        raise ValueError(
-            f"fault plan {plan.name!r} schedules {', '.join(skipped)}, which "
-            f"only run_chaos applies (tap-repro chaos --plan {plan.name})"
-        )
     results = run_trials(
         _durability_trial,
         [

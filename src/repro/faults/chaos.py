@@ -104,7 +104,8 @@ def run_chaos(
     if plan.storage_events:
         raise ValueError(
             f"fault plan {plan.name!r} schedules at-rest storage faults, which "
-            f"only run_durability applies (DurabilityConfig(plan={plan.name!r}))"
+            f"only run_durability applies (tap-repro run durability --plan "
+            f"{plan.name})"
         )
     event_trace = EventTrace()
     system = TapSystem.bootstrap(

@@ -26,13 +26,17 @@ FLAGS = {
     "--trace-out": ("sinks", ["--trace-out", "t/trace.json"]),
     "--audit": ("audit", ["--audit"]),
     "--workers": ("workers", ["--workers", "2"]),
+    "--plan": ("plan", ["--plan", "churn"]),
 }
+
+#: config fields a flag sets, per runner whose config has them
+CONFIG_FIELDS = {"durability": {"plan"}}
 
 REFUSED = [
     (name, flag)
     for name in CONTRACT
     for flag, (param, _) in FLAGS.items()
-    if param not in CONTRACT[name]
+    if param not in CONTRACT[name] | CONFIG_FIELDS.get(name, set())
 ]
 
 
@@ -100,6 +104,33 @@ class TestInvocation:
         err = capsys.readouterr().err
         assert name in err and flag in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_plan_reaches_the_durability_config(self, tmp_path, capsys):
+        target = tmp_path / "metrics.json"
+        assert main(["durability", "--fast", "--plan", "lease-skew",
+                     "--metrics-out", str(target)]) == 0
+        snapshot = json.loads(target.read_text())
+        assert snapshot["faults.storage.lease_skew"]["value"] > 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["configs"]["durability"]["plan"] == "lease-skew"
+
+    @pytest.mark.parametrize("name", ["durability", "extensions"])
+    def test_plan_the_runner_cannot_apply_exits_2_before_running(
+            self, name, tmp_path, capsys):
+        assert main([name, "--fast", "--plan", "lossy",
+                     "--outdir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert ("fault plan 'lossy' schedules message faults, which only "
+                "run_chaos applies (tap-repro chaos --plan lossy)"
+                in captured.err)
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_plan_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["durability", "--fast", "--plan", "nope"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_serial_workers_accepted_everywhere(self, capsys):
         assert main(["scatter", "--fast", "--workers", "1"]) == 0
@@ -275,7 +306,8 @@ class TestChaosSubcommand:
     def test_storage_plan_exits_2_naming_durability(self, plan, capsys):
         assert main(["chaos", "--plan", plan, "--fast"]) == 2
         captured = capsys.readouterr()
-        assert "durability" in captured.err and "digest" not in captured.out
+        assert f"(tap-repro run durability --plan {plan})" in captured.err
+        assert "digest" not in captured.out
         assert main(["chaos", "--list-plans"]) == 0
         assert f"{plan:12s} [durability]" in capsys.readouterr().out
 

@@ -138,6 +138,8 @@ def commands(tmp: pathlib.Path) -> dict[str, list[tuple[list[str], set[int] | No
             "--report-out", str(obs / f"chaos-{name}" / "report.json"),
             "--events-out", str(obs / f"chaos-{name}" / "events.jsonl"),
         ], {2} if plan.storage_events else {0}))  # storage plans: durability's
+        if plan.storage_events:
+            product.append(([*cli, "run", "durability", "--fast", "--plan", name], {0}))
     product += [
         ([*cli, "trace", str(obs / "all" / "trace.json"),
           "--csv", str(obs / "breakdown.csv")], {0}),
