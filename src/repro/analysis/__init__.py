@@ -23,7 +23,6 @@ from repro.analysis.theory import (
     tunnel_failure_prob_tap,
     tha_disclosure_prob,
     tunnel_corruption_prob,
-    first_and_tail_prob,
     expected_route_hops,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "tunnel_failure_prob_tap",
     "tha_disclosure_prob",
     "tunnel_corruption_prob",
-    "first_and_tail_prob",
     "expected_route_hops",
 ]

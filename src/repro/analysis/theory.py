@@ -81,19 +81,6 @@ def tunnel_corruption_prob(
     return tha_disclosure_prob(p, k, n_nodes) ** length
 
 
-def first_and_tail_prob(p: float, k: int, n_nodes: int | None = None) -> float:
-    """Case-2 compromise (§6): adversary controls the first *and* tail
-    tunnel hop node (timing analysis); approximated as the two roots
-    being malicious independently."""
-    if n_nodes is None:
-        root_malicious = p
-    else:
-        n = _population(n_nodes, k=k)
-        root_malicious = round(p * n) / n
-    del k  # the root is one specific node; k does not enter case 2
-    return root_malicious**2
-
-
 def expected_route_hops(n_nodes: int, b_bits: int = 4) -> float:
     """Pastry's ``log_{2^b} N`` expected overlay route length."""
     if n_nodes < 1:

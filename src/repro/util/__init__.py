@@ -21,7 +21,6 @@ from repro.util.ids import (
 )
 from repro.util.rng import SeedSequenceFactory, derive_seed, make_rng, make_pyrandom
 from repro.util.serialize import (
-    pack_bytes,
     pack_fields,
     unpack_fields,
     unpack_fields_view,
@@ -46,7 +45,6 @@ __all__ = [
     "derive_seed",
     "make_rng",
     "make_pyrandom",
-    "pack_bytes",
     "pack_fields",
     "unpack_fields",
     "unpack_fields_view",

@@ -17,11 +17,6 @@ class SerializationError(ValueError):
     """Raised when a byte buffer does not decode as expected."""
 
 
-def pack_bytes(data: bytes) -> bytes:
-    """Length-prefix a single byte string."""
-    return pack_fields(data)
-
-
 def pack_fields(*fields: bytes) -> bytes:
     """Concatenate several length-prefixed byte strings.
 

@@ -13,7 +13,6 @@ from repro.analysis.theory import (
     _hyper_all_in_subset,
     _hyper_any_in_subset,
     expected_route_hops,
-    first_and_tail_prob,
     tha_disclosure_prob,
     tunnel_corruption_prob,
     tunnel_failure_prob_current,
@@ -50,7 +49,6 @@ _EXACT_FORMS = {
     "tap": lambda n, l, k: tunnel_failure_prob_tap(0.1, l, k, n_nodes=n),
     "disclosure": lambda n, l, k: tha_disclosure_prob(0.1, k, n_nodes=n),
     "corruption": lambda n, l, k: tunnel_corruption_prob(0.1, l, k, n_nodes=n),
-    "first_and_tail": lambda n, l, k: first_and_tail_prob(0.1, k, n_nodes=n),
 }
 
 
@@ -66,8 +64,7 @@ class TestPopulationFailsClosed:
         with pytest.raises(ValueError, match="tunnel length 5 exceeds"):
             _EXACT_FORMS[form](3, 5, 1)
 
-    @pytest.mark.parametrize("form", ["tap", "disclosure", "corruption",
-                                      "first_and_tail"])
+    @pytest.mark.parametrize("form", ["tap", "disclosure", "corruption"])
     def test_more_replicas_than_population(self, form):
         with pytest.raises(ValueError, match="k=4 exceeds"):
             _EXACT_FORMS[form](3, 1, 4)
@@ -189,14 +186,6 @@ class TestDisclosureAndCorruption:
                 hits += 1
         expected = tha_disclosure_prob(p, k, n_nodes=n)
         assert hits / trials == pytest.approx(expected, abs=0.03)
-
-
-class TestFirstAndTail:
-    def test_squared_root_probability(self):
-        assert first_and_tail_prob(0.1, 3) == pytest.approx(0.01)
-
-    def test_exact_rounding(self):
-        assert first_and_tail_prob(0.1, 3, n_nodes=1000) == pytest.approx(0.01)
 
 
 class TestExpectedRouteHops:

@@ -6,29 +6,11 @@ from hypothesis import strategies as st
 
 from repro.util.serialize import (
     SerializationError,
-    pack_bytes,
     pack_fields,
     pack_int,
     unpack_fields,
     unpack_int,
 )
-
-
-class TestPackBytes:
-    def test_prefix_is_big_endian_length(self):
-        packed = pack_bytes(b"abc")
-        assert packed[:4] == (3).to_bytes(4, "big")
-        assert packed[4:] == b"abc"
-
-    def test_empty_field(self):
-        assert unpack_fields(pack_bytes(b"")) == [b""]
-
-    def test_rejects_non_bytes(self):
-        with pytest.raises(TypeError):
-            pack_bytes("text")  # type: ignore[arg-type]
-
-    def test_accepts_bytearray(self):
-        assert unpack_fields(pack_bytes(bytearray(b"xy"))) == [b"xy"]
 
 
 class TestFieldsRoundtrip:
