@@ -36,7 +36,7 @@ from repro.crypto.onion import build_onion
 from repro.past.replication import ReplicatedStore
 from repro.pastry.network import PastryNetwork
 from repro.simnet.events import Simulator
-from repro.simnet.network import SimMessage, SimNetwork
+from repro.simnet.network import SimNetwork
 from repro.simnet.topology import Topology
 
 #: control-plane message size (headers, hop ids, key material)
@@ -428,18 +428,16 @@ class TapEmulation:
             env.history.hint_failures += 1
         self._dispatch(dst, env)
 
-    def _on_drop(self, record: SimMessage) -> None:
+    def _on_drop(self, sender: int, dead: int, env: _Envelope) -> None:
         """A message hit a dead node: its sender times out and retries.
 
         The timeout charge is one round-trip to the dead neighbour —
         the sender waited for an ack that never came.  The retry decides
         afresh, and no decision names a node the overlay knows is dead.
         """
-        env: _Envelope = record.payload
         if env.trace.finished_at is not None:
             return  # trace already concluded (deadline exceeded)
         env.history.timeouts += 1
-        sender, dead = record.src, record.dst
         if env.via_hint:
             env.via_hint = False
             env.history.hint_failures += 1

@@ -230,7 +230,7 @@ class SimNetFaultInjector(_FaultCounters):
         seeds = seeds or SeedSequenceFactory(0)
         self._rng = seeds.pyrandom("simnet-messages")
 
-    def on_message(self, record, delay: float) -> SimVerdict | None:
+    def on_message(self, src: int, dst: int, delay: float) -> SimVerdict | None:
         """Decide the fate of one physical send (None = untouched)."""
         spec = self.spec
         if not spec.any():
@@ -239,39 +239,40 @@ class SimNetFaultInjector(_FaultCounters):
         rng = self._rng
         if spec.drop and rng.random() < spec.drop:
             verdict.drop = True
-            self.note("message.drop", src=record.src, dst=record.dst)
+            self.note("message.drop", src=src, dst=dst)
             return verdict
         if spec.delay and rng.random() < spec.delay:
             verdict.extra_delay_s += spec.delay_s
-            self.note("message.delay", src=record.src, dst=record.dst)
+            self.note("message.delay", src=src, dst=dst)
         if spec.reorder and rng.random() < spec.reorder:
             # Reordering = holding this message back past successors.
             verdict.extra_delay_s += spec.reorder_s
-            self.note("message.reorder", src=record.src, dst=record.dst)
+            self.note("message.reorder", src=src, dst=dst)
         if spec.duplicate and rng.random() < spec.duplicate:
             verdict.duplicate = True
             verdict.duplicate_gap_s = spec.reorder_s
-            self.note("message.duplicate", src=record.src, dst=record.dst)
+            self.note("message.duplicate", src=src, dst=dst)
         if spec.corrupt and rng.random() < spec.corrupt:
             verdict.corrupt = True
-            self.note("message.corrupt", src=record.src, dst=record.dst)
+            self.note("message.corrupt", src=src, dst=dst)
         return verdict
 
     @staticmethod
-    def corrupt_payload(record) -> None:
-        """Flip bits in the payload in place (best effort).
+    def corrupt_payload(payload):
+        """Flip bits in the payload (best effort); returns the payload
+        to deliver.
 
-        Understands raw ``bytes`` payloads and envelope objects with a
-        ``blob: bytes`` attribute (the emulation's onion carrier); any
-        other payload is left intact but still counted.
+        An envelope object with a ``blob: bytes`` attribute (the
+        emulation's onion carrier) is damaged in place and returned; a
+        raw ``bytes`` payload is returned damaged; any other payload is
+        returned intact (the fault is still counted by its note).
         """
-        payload = record.payload
         blob = getattr(payload, "blob", None)
         if isinstance(blob, bytes) and blob:
             payload.blob = bytes([blob[0] ^ 0xFF]) + blob[1:]
         elif isinstance(payload, bytes) and payload:
-            record.payload = bytes([payload[0] ^ 0xFF]) + payload[1:]
-        record.meta["fault"] = "corrupt"
+            payload = bytes([payload[0] ^ 0xFF]) + payload[1:]
+        return payload
 
 
 class StorageFaultInjector(_FaultCounters):

@@ -17,23 +17,21 @@ This package provides the equivalent:
   the latency of the links its traffic reuses).
 """
 
-from repro.simnet.events import Simulator, Event, SimulationError
+from repro.simnet.events import Simulator, SimulationError
 from repro.simnet.topology import Topology
 from repro.simnet.transport import (
     TransferModel,
     path_transfer_time,
     serialization_delay,
 )
-from repro.simnet.network import SimNetwork, SimMessage
+from repro.simnet.network import SimNetwork
 
 __all__ = [
     "Simulator",
-    "Event",
     "SimulationError",
     "Topology",
     "TransferModel",
     "path_transfer_time",
     "serialization_delay",
     "SimNetwork",
-    "SimMessage",
 ]

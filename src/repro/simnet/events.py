@@ -1,23 +1,21 @@
 """Deterministic discrete-event kernel.
 
-A minimal but complete simulation core: events run in ``(time, seq)``
-order (FIFO among simultaneous events, so runs are reproducible),
-events may be cancelled, and the clock only moves forward.
+A minimal simulation core: events run in ``(time, seq)`` order (FIFO
+among simultaneous events, so runs are reproducible) and the clock only
+moves forward.
 
-The heap holds ``(time, seq, event)`` tuples, so every sift of
-``heappush``/``heappop`` compares in C.  ``seq`` is unique per
-simulator, which decides every comparison at the second element at the
-latest: the :class:`Event` in the third slot is never compared and
-needs no ordering of its own — it is the handle a caller keeps to
-cancel.  Cancellation is lazy: a cancelled entry stays in the heap and
-is discarded when it reaches the head.
+An event is its heap entry, ``(time, seq, callback, args)``, and
+nothing else: no handle is handed out and none is kept.  Every sift of
+``heappush``/``heappop`` compares in C, and ``seq`` is unique per
+simulator, so every comparison is decided at the second element at the
+latest — the callback and its arguments are never compared.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass
+import math
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 
@@ -25,73 +23,22 @@ class SimulationError(RuntimeError):
     """Raised on scheduler misuse (negative delays, running twice, …)."""
 
 
-@dataclass(slots=True, eq=False)
-class Event:
-    """Handle of a scheduled callback: due at ``time``, ``seq``-th scheduled."""
-
-    time: float
-    seq: int
-    callback: Callable[..., Any]
-    args: tuple = ()
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        """Mark the event dead; the kernel skips it when popped."""
-        self.cancelled = True
-
-
 class Simulator:
     """Heap-based event loop with a simulated clock (seconds)."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Callable[..., Any], tuple]] = []
         self._seq = itertools.count()
-        self._now = 0.0
         self._running = False
+        #: current simulated time in seconds; only :meth:`run` moves it
+        self.now = 0.0
         self.processed_events = 0
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at ``now + delay``; returns a handle."""
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``callback(*args)`` at ``now + delay``."""
         if not delay >= 0:  # also NaN, which would silently break heap order
             raise SimulationError(f"negative or NaN delay {delay!r}")
-        time = self._now + delay
-        seq = next(self._seq)
-        event = Event(time, seq, callback, args)
-        heapq.heappush(self._heap, (time, seq, event))
-        return event
-
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule at an absolute simulated time (must not be in the past)."""
-        if not time >= self._now:
-            raise SimulationError(
-                f"cannot schedule at {time!r}: before now {self._now!r}, or NaN"
-            )
-        return self.schedule(time - self._now, callback, *args)
-
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or None if the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
-    def step(self) -> bool:
-        """Run one event.  Returns False when the queue is exhausted."""
-        heap = self._heap
-        while heap:
-            time, _, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            self._now = time
-            self.processed_events += 1
-            event.callback(*event.args)
-            return True
-        return False
+        heappush(self._heap, (self.now + delay, next(self._seq), callback, args))
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Drain the queue (optionally bounded by time or event count).
@@ -104,28 +51,19 @@ class Simulator:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         heap = self._heap
-        heappop = heapq.heappop
-        executed = 0
+        horizon = math.inf if until is None else until
+        stop = self.processed_events + (math.inf if max_events is None else max_events)
         try:
-            while heap:
-                if max_events is not None and executed >= max_events:
-                    break
-                time, _, event = heap[0]
-                if event.cancelled:
-                    heappop(heap)
-                    continue
-                if until is not None and time > until:
-                    break
-                heappop(heap)
-                self._now = time
+            while heap and self.processed_events < stop and not heap[0][0] > horizon:
+                time, _, callback, args = heappop(heap)
+                self.now = time
                 self.processed_events += 1
-                executed += 1
-                event.callback(*event.args)
+                callback(*args)
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
+        return len(self._heap)

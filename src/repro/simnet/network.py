@@ -23,7 +23,6 @@ the model, and the fabric tabulates the few thousand links it reuses.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.simnet.events import Simulator
@@ -34,29 +33,6 @@ Handler = Callable[["SimNetwork", int, int, Any], None]
 #: Most links the fabric remembers the latency of (~180 B each); the
 #: table is cleared wholesale when a new link would exceed it.
 LINK_TABLE_LIMIT = 1 << 16
-
-
-@dataclass(slots=True)
-class SimMessage:
-    """Bookkeeping record for an in-flight or delivered message."""
-
-    src: int
-    dst: int
-    payload: Any
-    size_bits: float
-    sent_at: float
-    delivered_at: float | None = None
-    dropped: bool = False
-    _meta: dict | None = None
-
-    @property
-    def meta(self) -> dict:
-        """Free-form annotations (fault injectors write ``meta["fault"]``);
-        created on first use, since most messages carry none."""
-        meta = self._meta
-        if meta is None:
-            meta = self._meta = {}
-        return meta
 
 
 class SimNetwork:
@@ -72,7 +48,9 @@ class SimNetwork:
         self.delivered_count = 0
         self.dropped_count = 0
         self.bits_sent = 0.0
-        self.on_drop: Callable[[SimMessage], None] | None = None
+        #: called as ``on_drop(src, dst, payload)`` when a message meets a
+        #: dead or unknown address (not on an injected drop)
+        self.on_drop: Callable[[int, int, Any], None] | None = None
         #: optional :class:`repro.faults.SimNetFaultInjector`; consulted
         #: per physical send when installed (see
         #: :meth:`repro.core.emulation.TapEmulation.install_faults`)
@@ -106,12 +84,13 @@ class SimNetwork:
         return [a for a, alive in self._alive.items() if alive]
 
     # -- messaging -----------------------------------------------------
-    def send(self, src: int, dst: int, payload: Any, size_bits: float = 8 * 1024) -> SimMessage:
+    def send(self, src: int, dst: int, payload: Any, size_bits: float = 8 * 1024) -> None:
         """Schedule delivery of ``payload`` from ``src`` to ``dst``.
 
         Liveness is checked at *delivery* time, so a node failing while
         a message is in flight causes a drop — the situation TAP's
-        replica fail-over must handle.
+        replica fail-over must handle.  The message in flight is its
+        delivery event, ``_deliver(src, dst, payload)``, and nothing else.
         """
         # The delay is propagation plus serialization, each input checked
         # (size, then latency, then bandwidth) before anything is counted.
@@ -128,36 +107,32 @@ class SimNetwork:
             if bandwidth <= 0:
                 raise ValueError("bandwidth must be positive")
             delay = latency + size_bits / bandwidth
-        simulator = self.simulator
-        record = SimMessage(src, dst, payload, size_bits, simulator.now)
         self.bits_sent += size_bits
-        if self.faults is not None:
-            verdict = self.faults.on_message(record, delay)
+        faults = self.faults
+        if faults is not None:
+            verdict = faults.on_message(src, dst, delay)
             if verdict is not None:
                 if verdict.drop:
                     # Silent UDP-style loss: the message just never
                     # arrives.  Crucially this does NOT fire ``on_drop``
                     # (the dead-neighbour discovery path) — transient
-                    # loss must not poison routing tables.
-                    record.meta["fault"] = "drop"
-                    simulator.schedule(delay, self._drop_injected, record)
-                    return record
+                    # loss must not poison routing tables.  A marker event
+                    # fires at the arrival time, so the event count is
+                    # the same as for a message that arrives.
+                    self.simulator.schedule(delay, self._drop_injected)
+                    return
                 delay += verdict.extra_delay_s
                 if verdict.duplicate:
                     # A copy in its own right (taken before any damage
                     # below): a mutable payload must not let one copy's
                     # progress or corruption show through the other.
-                    dup = SimMessage(
-                        src, dst, copy.copy(record.payload), size_bits, simulator.now
-                    )
-                    dup.meta["fault"] = "duplicate"
-                    simulator.schedule(
-                        delay + verdict.duplicate_gap_s, self._deliver, dup
+                    self.simulator.schedule(
+                        delay + verdict.duplicate_gap_s, self._deliver,
+                        src, dst, copy.copy(payload),
                     )
                 if verdict.corrupt:
-                    self.faults.corrupt_payload(record)
-        simulator.schedule(delay, self._deliver, record)
-        return record
+                    payload = faults.corrupt_payload(payload)
+        self.simulator.schedule(delay, self._deliver, src, dst, payload)
 
     def _learn_link(self, link: tuple[int, int]) -> float:
         """Enter ``link``'s latency into the link table; returns it."""
@@ -170,19 +145,15 @@ class SimNetwork:
         table[link] = latency
         return latency
 
-    def _drop_injected(self, record: SimMessage) -> None:
-        record.dropped = True
+    def _drop_injected(self) -> None:
         self.dropped_count += 1
 
-    def _deliver(self, record: SimMessage) -> None:
-        dst = record.dst
+    def _deliver(self, src: int, dst: int, payload: Any) -> None:
         handler = self._handlers.get(dst)
         if handler is None or not self._alive.get(dst, False):
-            record.dropped = True
             self.dropped_count += 1
             if self.on_drop is not None:
-                self.on_drop(record)
+                self.on_drop(src, dst, payload)
             return
-        record.delivered_at = self.simulator.now
         self.delivered_count += 1
-        handler(self, record.src, dst, record.payload)
+        handler(self, src, dst, payload)

@@ -80,11 +80,11 @@ def crash_unnoticed(emu, victim: int) -> None:
     emu.net.fail(victim)
     on_drop = emu.net.on_drop
 
-    def noticed(record) -> None:
-        if emu.network.is_alive(record.dst):
-            emu.network.fail(record.dst)
-            emu.store.on_fail(record.dst)
-        on_drop(record)
+    def noticed(src, dst, payload) -> None:
+        if emu.network.is_alive(dst):
+            emu.network.fail(dst)
+            emu.store.on_fail(dst)
+        on_drop(src, dst, payload)
 
     emu.net.on_drop = noticed
 

@@ -174,13 +174,26 @@ class TestDuplicateIsACopy:
         read that copy's whole walk, not the original's two nodes."""
 
         class HoldTheOriginal:
-            def on_message(self, record, delay):
-                env = record.payload
-                if env.history is not env.trace:
+            """The oracle sees no payload, so it tells the copies apart
+            by order: the copy made at the first hop runs ahead and is
+            the first to send from every node it reaches; any later
+            send from a node is the message as sent, or a copy of it."""
+
+            def __init__(self):
+                self.senders = set()
+
+            def on_message(self, src, dst, delay):
+                if self.senders and src not in self.senders:
+                    self.senders.add(src)
                     return None
+                self.senders.add(src)
                 return SimVerdict(extra_delay_s=5.0, duplicate=True)
 
         expected, _ = _transfer(31)
+        # every node sends once on the clean walk, so the copy that runs
+        # ahead is never mistaken for a lagging one
+        senders = expected.path[:-1]
+        assert len(set(senders)) == len(senders)
         trace, emu = _transfer(31, faults=HoldTheOriginal())
         assert trace.delivered and trace.path == expected.path
         assert trace.latency == pytest.approx(expected.latency + 5.0)

@@ -121,14 +121,6 @@ class TestSyncInjector:
         assert events[0].fields["leg"] == 2
 
 
-class _Record:
-    def __init__(self, payload):
-        self.src = 1
-        self.dst = 2
-        self.payload = payload
-        self.meta = {}
-
-
 class TestSimNetInjector:
     def _injector(self, seed=0, **spec_kwargs):
         return SimNetFaultInjector(
@@ -137,44 +129,41 @@ class TestSimNetInjector:
         )
 
     def test_clean_spec_is_no_op(self):
-        assert self._injector().on_message(_Record(b"x"), 0.1) is None
+        assert self._injector().on_message(1, 2, 0.1) is None
 
     def test_drop_short_circuits(self):
         inj = self._injector(drop=1.0, corrupt=1.0)
-        verdict = inj.on_message(_Record(b"x"), 0.1)
+        verdict = inj.on_message(1, 2, 0.1)
         assert verdict.drop and not verdict.corrupt
         assert inj.counts == {"message.drop": 1}
 
     def test_delay_and_reorder_add_latency(self):
         inj = self._injector(delay=1.0, delay_s=0.05, reorder=1.0,
                              reorder_s=0.02)
-        verdict = inj.on_message(_Record(b"x"), 0.1)
+        verdict = inj.on_message(1, 2, 0.1)
         assert verdict.extra_delay_s == pytest.approx(0.07)
 
     def test_duplicate_verdict(self):
         inj = self._injector(duplicate=1.0)
-        verdict = inj.on_message(_Record(b"x"), 0.1)
+        verdict = inj.on_message(1, 2, 0.1)
         assert verdict.duplicate and verdict.duplicate_gap_s > 0
 
     def test_corrupt_payload_bytes(self):
-        rec = _Record(b"\x00abc")
-        SimNetFaultInjector.corrupt_payload(rec)
-        assert rec.payload == b"\xffabc"
-        assert rec.meta["fault"] == "corrupt"
+        assert SimNetFaultInjector.corrupt_payload(b"\x00abc") == b"\xffabc"
 
     def test_corrupt_payload_blob_object(self):
         class Env:
             blob = b"\x0fxy"
 
-        rec = _Record(Env())
-        SimNetFaultInjector.corrupt_payload(rec)
-        assert rec.payload.blob == b"\xf0xy"
+        env = Env()
+        assert SimNetFaultInjector.corrupt_payload(env) is env
+        assert env.blob == b"\xf0xy"
 
     def test_verdicts_deterministic(self):
         a = self._injector(drop=0.2, delay=0.3)
         b = self._injector(drop=0.2, delay=0.3)
-        va = [a.on_message(_Record(b"x"), 0.1) for _ in range(50)]
-        vb = [b.on_message(_Record(b"x"), 0.1) for _ in range(50)]
+        va = [a.on_message(1, 2, 0.1) for _ in range(50)]
+        vb = [b.on_message(1, 2, 0.1) for _ in range(50)]
         assert [
             (v.drop, v.extra_delay_s) if v else None for v in va
         ] == [

@@ -46,12 +46,6 @@ class TestScheduling:
             sim.schedule(delay, lambda: None)
         assert len(sim) == 0
 
-    def test_schedule_at_nan_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_at(float("nan"), lambda: None)
-        assert len(sim) == 0
-
     def test_negative_zero_and_infinite_delays_are_delays(self):
         sim = Simulator()
         log = []
@@ -59,13 +53,6 @@ class TestScheduling:
         sim.schedule(-0.0, log.append, "now")
         sim.run(until=1e9)
         assert log == ["now"] and len(sim) == 1
-
-    def test_schedule_at_past_rejected(self):
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_at(1.0, lambda: None)
 
     def test_events_may_schedule_events(self):
         sim = Simulator()
@@ -80,39 +67,39 @@ class TestScheduling:
         assert log == [1.0, 2.0]
 
 
-class TestCancellation:
-    def test_handle_describes_the_event(self):
+class TestQueue:
+    """An event is its heap entry: nothing is handed out, and ``len``
+    is the number of entries still to run."""
+
+    def test_schedule_hands_out_no_handle(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run()
-        handle = sim.schedule(0.5, print, "a", 2)
-        assert (handle.time, handle.seq, handle.callback, handle.args) == (1.5, 1, print, ("a", 2))
-        assert handle.cancelled is False
-        with pytest.raises(AttributeError):
-            handle.note = "slotted: no per-event dict"
+        assert sim.schedule(0.5, print, "a", 2) is None
+        assert sim._heap == [(1.5, 1, print, ("a", 2))]
 
-    def test_cancelled_event_skipped(self):
+    def test_len_counts_pending_events(self):
         sim = Simulator()
-        log = []
-        handle = sim.schedule(1.0, log.append, "dead")
-        sim.schedule(2.0, log.append, "alive")
-        handle.cancel()
-        sim.run()
-        assert log == ["alive"]
+        for i in range(5):
+            sim.schedule(float(i % 3), lambda: None)
+        assert len(sim) == 5
+        for run_events, pending in ((0, 5), (1, 4), (2, 2), (5, 0)):
+            sim.run(max_events=run_events)
+            assert len(sim) == pending == 5 - sim.processed_events
 
-    def test_len_ignores_cancelled(self):
+    def test_len_counts_events_scheduled_by_callbacks(self):
         sim = Simulator()
-        h = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        h.cancel()
-        assert len(sim) == 1
+        seen = []
 
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        h = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        h.cancel()
-        assert sim.peek_time() == 2.0
+        def spawn():
+            sim.schedule(1.0, lambda: None)
+            sim.schedule(2.0, lambda: None)
+            seen.append(len(sim))
+
+        sim.schedule(1.0, spawn)
+        sim.schedule(5.0, lambda: None)
+        sim.run(until=1.0)
+        assert seen == [3] and len(sim) == 3
 
 
 class TestRunBounds:
@@ -135,8 +122,10 @@ class TestRunBounds:
         sim.run(max_events=2)
         assert log == [0, 1]
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
+    def test_run_returns_at_once_when_empty(self):
+        sim = Simulator()
+        assert sim.run() == 0.0
+        assert (sim.now, sim.processed_events, len(sim)) == (0.0, 0, 0)
 
     def test_processed_count(self):
         sim = Simulator()

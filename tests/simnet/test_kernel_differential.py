@@ -2,12 +2,14 @@
 
 ``reference_kernel`` is the kernel as it was (dataclass-ordered heap,
 ``peek_time`` + ``step`` per event); ``repro.simnet.events`` holds
-``(time, seq, event)`` tuples and pops once per event.  Both are driven
-through the same operation sequence by one interpreter, and everything
-an outsider can see must agree: which callbacks ran, in what order, at
-what time and with what arguments; ``now``, ``processed_events``,
-``len()`` and ``peek_time()`` after every operation; and the ``time`` /
-``seq`` / ``cancelled`` of every handle handed out.
+``(time, seq, callback, args)`` heap entries and pops once per event.
+Both are driven through the same operation sequence by one interpreter,
+through the API the shipped kernel has — ``schedule``, ``run`` with
+and without ``until`` / ``max_events``, callbacks that schedule,
+re-enter ``run`` or raise — and everything an outsider can see must
+agree: which callbacks ran, in what order, at what time and with what
+arguments, which calls were rejected, and ``now``,
+``processed_events`` and ``len()`` after every operation.
 """
 
 import pytest
@@ -27,51 +29,41 @@ class _Boom(Exception):
     """Raised by a callback on purpose."""
 
 
-def drive(kernel, ops, observe_peek=True):
+def drive(kernel, ops):
     """Apply ``ops`` to a fresh ``kernel.Simulator``; return what was seen.
 
     Operations (top level, applied in order):
 
-    * ``("schedule", delay, action)`` / ``("schedule_at", offset, action)``
-      — offset is relative to ``now`` (negative: must be rejected);
-    * ``("cancel", i)`` — cancel the i-th handle handed out so far
-      (modulo), be it at the head, in the middle, or already run;
+    * ``("schedule", delay, action)`` — a negative delay must be rejected;
     * ``("run",)``, ``("run", until_offset, max_events)`` — ``until`` is
-      ``now + offset``; either bound may be None;
-    * ``("step",)``.
+      ``now + offset``; either bound may be None.
 
     ``action`` is what the callback does when it fires, after logging
-    itself: None, ``("schedule", delay, action)``, ``("cancel", i)``,
-    ``("run",)`` (re-entrant: must raise), ``("step",)`` or ``("raise",)``.
+    itself: None, ``("schedule", delay, action)``, ``("run",)``
+    (re-entrant: must raise) or ``("raise",)``.
     """
     sim = kernel.Simulator()
     seen = []
-    handles = []
+    tags = iter(range(1 << 30))
 
     def fire(tag, action):
         seen.append(("fired", tag, sim.now, sim.processed_events))
         act(action)
 
-    def schedule(method, when, action):
-        tag = len(handles)  # not consumed if the kernel rejects the call
-        handles.append(method(when, fire, tag, action))
+    def schedule(delay, action):
+        sim.schedule(delay, fire, next(tags), action)
 
     def act(action):
         if action is None:
             return
         verb = action[0]
         if verb == "schedule":
-            schedule(sim.schedule, action[1], action[2])
-        elif verb == "cancel":
-            if handles:
-                handles[action[1] % len(handles)].cancel()
+            schedule(action[1], action[2])
         elif verb == "run":
             try:
                 sim.run()
             except SimulationError:
                 seen.append(("reentrant run rejected", sim.now))
-        elif verb == "step":
-            seen.append(("nested step", sim.step()))
         elif verb == "raise":
             raise _Boom
 
@@ -79,39 +71,30 @@ def drive(kernel, ops, observe_peek=True):
         verb = op[0]
         try:
             if verb == "schedule":
-                schedule(sim.schedule, op[1], op[2])
-            elif verb == "schedule_at":
-                schedule(sim.schedule_at, sim.now + op[1], op[2])
-            elif verb == "cancel":
-                act(op)
+                schedule(op[1], op[2])
             elif verb == "run":
                 until, max_events = (op[1], op[2]) if len(op) > 1 else (None, None)
                 if until is not None:
                     until = sim.now + until
                 seen.append(("run returned", sim.run(until=until, max_events=max_events)))
-            elif verb == "step":
-                seen.append(("step returned", sim.step()))
         except SimulationError:
             seen.append(("rejected", verb))
         except _Boom:
             seen.append(("callback raised", verb))
         seen.append((sim.now, sim.processed_events, len(sim)))
-        if observe_peek:  # peek_time discards cancelled heads: also run without
-            seen.append(("peek", sim.peek_time()))
-    seen.append([(h.time, h.seq, h.cancelled, h.args) for h in handles])
     while len(sim):
         try:
             sim.run()
         except _Boom:
             seen.append(("callback raised", "drain"))
-    seen.append(("drained", sim.now, sim.processed_events, sim.peek_time()))
+        except SimulationError:
+            seen.append(("rejected", "drain"))
+    seen.append(("drained", sim.now, sim.processed_events, len(sim)))
     return seen
 
 
 def assert_same(ops):
-    for observe_peek in (True, False):
-        expected = drive(reference_kernel, ops, observe_peek)
-        assert drive(events, ops, observe_peek) == expected
+    assert drive(events, ops) == drive(reference_kernel, ops)
 
 
 def _three(then=None):
@@ -124,21 +107,9 @@ SCENARIOS = {
     "zero delay from a callback runs in the same instant, after its peers": [
         ("schedule", 1.0, ("schedule", 0.0, None)), ("schedule", 1.0, None), ("run",),
     ],
-    "schedule_at now, later and in the past": [
-        ("schedule_at", 0.0, None), ("schedule_at", 2.0, None), ("run", 1.0, None),
-        ("schedule_at", -0.5, None), ("schedule_at", 0.0, None), ("run",),
-    ],
-    "cancel head": _three() + [("cancel", 0), ("run",)],
-    "cancel middle": _three() + [("cancel", 1), ("run",)],
-    "cancel everything": _three() + [("cancel", 0), ("cancel", 1), ("cancel", 2),
-                                     ("run", 5.0, None), ("step",)],
-    "cancel an event that already ran": _three() + [("run", None, 1), ("cancel", 0), ("run",)],
-    "callback cancels a later event": [
-        ("schedule", 1.0, ("cancel", 1)), ("schedule", 2.0, None), ("schedule", 3.0, None),
-        ("run",),
-    ],
-    "callback cancels a simultaneous event": [
-        ("schedule", 1.0, ("cancel", 1)), ("schedule", 1.0, None), ("run",),
+    "negative delay rejected, at top level and from a callback": [
+        ("schedule", -1.0, None), ("schedule", 1.0, ("schedule", -0.5, None)),
+        ("schedule", 2.0, None), ("run",), ("run",),
     ],
     "until before the next event": _three() + [("run", 0.5, None), ("run",)],
     "until exactly at an event": _three() + [("run", 2.0, None), ("run",)],
@@ -147,16 +118,12 @@ SCENARIOS = {
                                 ("run",)],
     "until in the past of the clock": _three() + [("run", 2.5, None), ("run", -1.0, None),
                                                   ("run",)],
-    "until behind a cancelled head": _three() + [("cancel", 0), ("run", 1.5, None), ("run",)],
     "max_events 0 to n": _three() + [("run", None, 0), ("run", None, 1), ("run", None, 5)],
-    "max_events behind a cancelled head": _three() + [("cancel", 0), ("run", None, 0),
-                                                      ("run", None, 1), ("run",)],
     "until and max_events together": _three() + [("run", 2.0, 1), ("run", 2.0, 5), ("run",)],
-    "bare steps": _three() + [("cancel", 1)] + [("step",)] * 4,
+    "single-event runs": _three(("schedule", 0.0, None)) + [("run", None, 1)] * 6,
     "re-entrant run": _three(("run",)) + [("run",)],
-    "step inside a callback": _three(("step",)) + [("run",)],
     "callback raises, the run can be resumed": _three(("raise",)) + [("run",), ("run",)],
-    "callback raises inside step": _three(("raise",)) + [("step",)] * 4,
+    "raising callback, one-event runs": _three(("raise",)) + [("run", None, 1)] * 4,
 }
 
 
@@ -172,22 +139,15 @@ def test_scenarios_do_what_their_names_say():
     assert fired == [4, 5, 6, 0, 1, 2, 3]
     log = drive(events, SCENARIOS["re-entrant run"])
     assert ("reentrant run rejected", 2.0) in log
-    log = drive(events, SCENARIOS["schedule_at now, later and in the past"])
-    assert ("rejected", "schedule_at") in log
+    log = drive(events, SCENARIOS["negative delay rejected, at top level and from a callback"])
+    assert ("rejected", "schedule") in log and ("rejected", "run") in log
     log = drive(events, SCENARIOS["callback raises, the run can be resumed"])
     assert ("callback raised", "run") in log and log[-1][:3] == ("drained", 3.0, 3)
 
 
 delays = st.sampled_from(DELAYS)
-indices = st.integers(0, 30)
 actions = st.recursive(
-    st.one_of(
-        st.none(),
-        st.tuples(st.just("cancel"), indices),
-        st.just(("run",)),
-        st.just(("step",)),
-        st.just(("raise",)),
-    ),
+    st.one_of(st.none(), st.just(("run",)), st.just(("raise",))),
     lambda inner: st.tuples(st.just("schedule"), delays, inner),
     max_leaves=3,
 )
@@ -195,11 +155,9 @@ offsets = st.sampled_from((-1.0, -0.25, 0.0, 0.25, 0.5, 1.0, 1.25, 2.0, 10.0))
 operations = st.one_of(
     st.tuples(st.just("schedule"), delays, actions),
     st.tuples(st.just("schedule"), delays, actions),
-    st.tuples(st.just("schedule_at"), offsets, actions),
-    st.tuples(st.just("cancel"), indices),
+    st.tuples(st.just("schedule"), st.just(-0.5), actions),
     st.just(("run",)),
     st.tuples(st.just("run"), st.none() | offsets, st.none() | st.integers(0, 6)),
-    st.just(("step",)),
 )
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.faults.injectors import MessageFaultSpec, SimNetFaultInjector
 from repro.simnet import network as network_module
 from repro.simnet.events import Simulator
-from repro.simnet.network import SimMessage, SimNetwork
+from repro.simnet.network import SimNetwork
 from repro.simnet.topology import Topology
 from repro.util.rng import SeedSequenceFactory
 
@@ -68,18 +68,18 @@ class TestDrops:
     def test_unknown_destination_dropped(self, net):
         sim, network = net
         network.attach(1, lambda *a: None)
-        record = network.send(1, 99, "void")
+        assert network.send(1, 99, "void") is None
         sim.run()
-        assert record.dropped and network.dropped_count == 1
+        assert (network.dropped_count, network.delivered_count) == (1, 0)
 
     def test_failed_node_drops(self, net):
         sim, network = net
         network.attach(1, lambda *a: None)
         network.attach(2, lambda *a: None)
         network.fail(2)
-        record = network.send(1, 2, "x")
+        network.send(1, 2, "x")
         sim.run()
-        assert record.dropped
+        assert (network.dropped_count, network.delivered_count) == (1, 0)
 
     def test_failure_in_flight_drops(self, net):
         """Liveness is checked at delivery, not send — the race TAP's
@@ -87,19 +87,21 @@ class TestDrops:
         sim, network = net
         network.attach(1, lambda *a: None)
         network.attach(2, lambda *a: None)
-        record = network.send(1, 2, "x")
+        network.send(1, 2, "x")
         network.fail(2)  # dies while message is in flight
+        assert network.dropped_count == 0
         sim.run()
-        assert record.dropped
+        assert (network.dropped_count, network.delivered_count) == (1, 0)
 
     def test_drop_callback(self, net):
         sim, network = net
         drops = []
-        network.on_drop = drops.append
+        network.on_drop = lambda src, dst, payload: drops.append((src, dst, payload, sim.now))
         network.attach(1, lambda *a: None)
-        network.send(1, 42, "x")
+        network.send(1, 42, "x", size_bits=100)
         sim.run()
-        assert len(drops) == 1 and drops[0].dst == 42
+        assert drops == [(1, 42, "x", pytest.approx(0.05 + 0.1))]
+        assert network.dropped_count == 1
 
     def test_revive_restores_delivery(self, net):
         sim, network = net
@@ -252,23 +254,25 @@ class _Parcel:
 
 
 class TestMessageRecord:
-    def test_meta_reads_empty_until_written(self):
-        record = SimMessage(1, 2, b"x", 8.0, 0.0)
-        assert record.meta == {}
-        assert record.meta is record.meta
-        record.meta["note"] = 1
-        assert record.meta == {"note": 1}
+    """A message in flight is its delivery event and nothing else: the
+    fabric keeps no record of it, so what a test can read is the
+    counters, the handler's arguments and ``on_drop``'s."""
 
-    def test_record_is_slotted(self):
-        record = SimMessage(1, 2, b"x", 8.0, 0.0)
-        assert not hasattr(record, "__dict__")
-        assert (record.delivered_at, record.dropped) == (None, False)
+    def test_a_message_in_flight_is_one_heap_entry(self, net):
+        sim, network = net
+        network.attach(2, lambda *a: None)
+        assert network.send(1, 2, b"x", size_bits=100) is None
+        assert sim._heap == [(pytest.approx(0.15), 0, network._deliver, (1, 2, b"x"))]
+        assert len(sim) == 1
 
-    def test_injector_writes_meta_on_a_real_record(self):
-        record = SimMessage(1, 2, b"\x00abc", 8.0, 0.0)
-        SimNetFaultInjector.corrupt_payload(record)
-        assert record.payload == b"\xffabc"
-        assert record.meta == {"fault": "corrupt"}
+    def test_injector_corrupts_what_the_handler_receives(self, net):
+        sim, network = self._faulty(net, corrupt=1.0)
+        inbox = []
+        network.attach(2, lambda n, s, d, p: inbox.append(p))
+        network.send(1, 2, b"\x00abc")
+        sim.run()
+        assert inbox == [b"\xffabc"]
+        assert network.faults.counts == {"message.corrupt": 1}
 
     def _faulty(self, net, **spec):
         sim, network = net
@@ -278,20 +282,29 @@ class TestMessageRecord:
         return sim, network
 
     def test_injected_drop_is_marked_and_counted(self, net):
+        """An injected drop is noted by the injector at send time and
+        counted by the fabric when its marker event fires at the
+        arrival time; ``on_drop`` (dead-neighbour discovery) stays quiet."""
         sim, network = self._faulty(net, drop=1.0)
+        drops = []
+        network.on_drop = lambda *a: drops.append(a)
         network.attach(2, lambda *a: None)
-        record = network.send(1, 2, "x")
-        assert record.meta == {"fault": "drop"} and not record.dropped
-        sim.run()
-        assert record.dropped and network.dropped_count == 1
-        assert network.delivered_count == 0
+        network.send(1, 2, "x", size_bits=100)
+        assert network.faults.counts == {"message.drop": 1}
+        assert network.dropped_count == 0 and len(sim) == 1
+        assert sim.run() == pytest.approx(0.15)
+        assert sim.processed_events == 1
+        assert network.dropped_count == 1 and network.delivered_count == 0
+        assert drops == []
 
-    def test_clean_delivery_leaves_meta_untouched(self, net):
+    def test_clean_delivery_is_counted_once(self, net):
         sim, network = net
-        network.attach(2, lambda *a: None)
-        record = network.send(1, 2, "x")
+        arrivals = []
+        network.attach(2, lambda n, s, d, p: arrivals.append((s, d, p, sim.now)))
+        network.send(1, 2, "x", size_bits=100)
         sim.run()
-        assert record._meta is None and record.delivered_at == sim.now
+        assert arrivals == [(1, 2, "x", pytest.approx(0.15))]
+        assert (network.delivered_count, network.dropped_count, len(sim)) == (1, 0, 0)
 
     def test_duplicate_is_a_copy_of_a_mutable_payload(self, net):
         """What the first arrival does to its payload must not show in

@@ -312,9 +312,10 @@ def bench_erasure_repair_cycle_300():
 def bench_simnet_send_deliver_10k():
     """One op = 10,000 sends, in batches of 64 with a ``run()`` after
     each, over 2,000 fixed links of a 3,000-address fabric with no-op
-    handlers: what one message costs the event plane alone (record,
-    link delay, heap push and pop, dispatch) when links are reused the
-    way overlay traffic reuses them."""
+    handlers: what one message costs the event plane alone (link delay,
+    one heap entry pushed and popped — the message in flight is that
+    entry, no handle and no record — and dispatch) when links are
+    reused the way overlay traffic reuses them."""
     from repro.simnet import Simulator, SimNetwork, Topology
     from repro.util.rng import make_pyrandom
 
