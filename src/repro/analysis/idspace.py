@@ -71,17 +71,31 @@ def argsort_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return order, ranked, tie
 
 
-def _duplicate_positions(values: np.ndarray) -> np.ndarray:
-    """Boolean mask of every position holding a repeat of an earlier draw.
+def _duplicate_positions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boolean mask of every position holding a repeat of an earlier draw,
+    with the sort that found them: ``(dup, order, values[order])``.
 
     The *first* occurrence of each value (in array order) is kept
     unmarked; the stable order of :func:`argsort_ids` makes "first"
     well-defined within each run of equal values.
     """
-    order, _, tie = argsort_ids(values)
+    order, ranked, tie = argsort_ids(values)
     dup = np.empty(len(values), dtype=bool)
     dup[order] = tie
-    return dup
+    return dup, order, ranked
+
+
+def _draw_unique(count: int, rng: np.random.Generator):
+    """:meth:`IdSpaceModel.draw_unique_ids` plus the ascending sort of the
+    draw it returns: ``(ids, order, ids[order])``."""
+    out = rng.integers(0, np.iinfo(np.uint64).max, size=count, dtype=np.uint64)
+    while True:
+        dup, order, ranked = _duplicate_positions(out)
+        if not dup.any():
+            return out, order, ranked
+        out[dup] = rng.integers(
+            0, np.iinfo(np.uint64).max, size=int(dup.sum()), dtype=np.uint64
+        )
 
 
 def replica_table(sorted_ids: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
@@ -128,9 +142,15 @@ class IdSpaceModel:
 
     def __init__(self, node_ids, malicious=None):
         ids = _as_ring_array(node_ids)
-        order, self.ids, tie = argsort_ids(ids)
+        order, ranked, tie = argsort_ids(ids)
         if tie.any():
             raise ValueError("duplicate node ids")
+        self._adopt(ids, order, ranked, malicious)
+
+    def _adopt(self, ids, order, ranked, malicious) -> None:
+        """Take the duplicate-free ``ids`` whose ascending order is
+        ``order`` (``ranked`` = ``ids[order]``), flags aligned with ``ids``."""
+        self.ids = ranked
         if malicious is None:
             malicious = np.zeros(len(ids), dtype=bool)
         malicious = np.asarray(malicious, dtype=bool)
@@ -156,12 +176,15 @@ class IdSpaceModel:
         malicious_fraction: float = 0.0,
     ) -> "IdSpaceModel":
         """Uniform ids; exactly ``round(p*N)`` nodes flagged malicious."""
-        ids = cls.draw_unique_ids(num_nodes, rng)
+        # the draw's last duplicate check sorted the ids: adopt that sort
+        ids, order, ranked = _draw_unique(num_nodes, rng)
         malicious = np.zeros(num_nodes, dtype=bool)
         m = int(round(malicious_fraction * num_nodes))
         if m > 0:
             malicious[rng.choice(num_nodes, size=m, replace=False)] = True
-        return cls(ids, malicious)
+        model = cls.__new__(cls)
+        model._adopt(ids, order, ranked, malicious)
+        return model
 
     @staticmethod
     def draw_unique_ids(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,14 +197,7 @@ class IdSpaceModel:
         smallest-first prefix that biased retry-path ids low and
         destroyed draw order.
         """
-        out = rng.integers(0, np.iinfo(np.uint64).max, size=count, dtype=np.uint64)
-        while True:
-            dup = _duplicate_positions(out)
-            if not dup.any():
-                return out
-            out[dup] = rng.integers(
-                0, np.iinfo(np.uint64).max, size=int(dup.sum()), dtype=np.uint64
-            )
+        return _draw_unique(count, rng)[0]
 
     # ------------------------------------------------------------------
     # queries

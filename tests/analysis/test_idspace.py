@@ -373,7 +373,7 @@ class TestFastSortFallback:
         for v in values.tolist():
             want.append(v in seen)
             seen.add(v)
-        assert list(idspace._duplicate_positions(values)) == want
+        assert list(idspace._duplicate_positions(values)[0]) == want
 
     @given(small_words)
     @settings(max_examples=200, deadline=None)
