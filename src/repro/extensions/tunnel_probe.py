@@ -110,17 +110,3 @@ class TunnelProber:
             overlay_hops=trace.overlay_hops,
             underlying_hops=trace.underlying_hops,
         )
-
-    def audit(self, owner: TapNode, tunnels: list[Tunnel]) -> dict:
-        """Probe a set of tunnels; summarise which need refreshing."""
-        reports = [self.probe(owner, t, seq) for seq, t in enumerate(tunnels)]
-        healthy = [r.functional and not r.tampered for r in reports]
-        needs_refresh = [t for t, ok in zip(tunnels, healthy) if not ok]
-        return {
-            "probed": len(tunnels),
-            "healthy": sum(healthy),
-            "broken": sum(1 for r in reports if not r.functional),
-            "tampered": sum(1 for r in reports if r.tampered),
-            "needs_refresh": needs_refresh,
-            "reports": reports,
-        }

@@ -10,11 +10,8 @@ from repro.util.ids import (
     ID_BITS,
     ID_SPACE,
     ring_distance,
-    numeric_distance,
     closest_ids,
     closest_index,
-    id_to_hex,
-    hex_to_id,
     random_id,
     shared_prefix_digits,
     id_digit,
@@ -33,11 +30,8 @@ __all__ = [
     "ID_BITS",
     "ID_SPACE",
     "ring_distance",
-    "numeric_distance",
     "closest_ids",
     "closest_index",
-    "id_to_hex",
-    "hex_to_id",
     "random_id",
     "shared_prefix_digits",
     "id_digit",

@@ -44,11 +44,6 @@ def ring_distance(a: int, b: int) -> int:
     return min(d, ID_SPACE - d)
 
 
-def numeric_distance(a: int, b: int) -> int:
-    """Plain absolute difference (used by leaf-set ordering tests)."""
-    return abs(_check_id(a) - _check_id(b))
-
-
 def _closeness_key(key: int):
     """Sort key implementing 'closest first, ties toward smaller id'."""
 
@@ -119,17 +114,6 @@ def closest_in_sorted(sorted_ids: Sequence[int], key: int, count: int = 1) -> li
             chosen.append(rid)
             right = (right + 1) % n
     return chosen
-
-
-def id_to_hex(value: int) -> str:
-    """Canonical 32-hex-digit rendering of an id."""
-    return f"{_check_id(value):032x}"
-
-
-def hex_to_id(text: str) -> int:
-    """Inverse of :func:`id_to_hex`."""
-    value = int(text, 16)
-    return _check_id(value)
 
 
 def random_id(rng: random.Random) -> int:

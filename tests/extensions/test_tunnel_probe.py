@@ -81,30 +81,3 @@ class TestProbe:
 
     def test_probe_key_stable_per_owner(self, system, alice, prober):
         assert prober._owner_probe_key(alice) is prober._owner_probe_key(alice)
-
-
-class TestAudit:
-    def test_audit_flags_broken_tunnels(self, system, alice, prober):
-        healthy = system.form_tunnel(alice, length=2)
-        broken = system.form_tunnel(alice, length=2)
-        holders = list(system.store.holders(broken.hops[0].hop_id))
-        system.fail_nodes(holders, repair_after=False)
-        summary = prober.audit(alice, [healthy, broken])
-        assert summary["probed"] == 2
-        assert summary["healthy"] == 1
-        assert summary["broken"] == 1
-        assert summary["needs_refresh"] == [broken]
-
-    def test_audit_then_refresh_recovers(self, system, alice, prober):
-        """End-to-end: audit detects, refresh replaces, traffic flows."""
-        tunnel = system.form_tunnel(alice, length=2)
-        holders = list(system.store.holders(tunnel.hops[1].hop_id))
-        system.fail_nodes(holders, repair_after=False)
-        summary = prober.audit(alice, [tunnel])
-        assert summary["needs_refresh"]
-
-        system.deploy_thas(alice, count=tunnel.length)
-        replacement = system.form_tunnel(alice, length=tunnel.length, now=1.0)
-        system.retire_tunnel(alice, tunnel, delete=True)
-        report = prober.probe(alice, replacement)
-        assert report.functional and not report.tampered

@@ -12,10 +12,7 @@ from repro.util.ids import (
     closest_ids,
     closest_in_sorted,
     closest_index,
-    hex_to_id,
     id_digit,
-    id_to_hex,
-    numeric_distance,
     random_id,
     ring_distance,
     shared_prefix_digits,
@@ -61,15 +58,6 @@ class TestRingDistance:
         assert ring_distance(a, b) == ring_distance(
             (a + shift) % ID_SPACE, (b + shift) % ID_SPACE
         )
-
-
-class TestNumericDistance:
-    def test_no_wrap(self):
-        assert numeric_distance(0, ID_SPACE - 1) == ID_SPACE - 1
-
-    @given(a=ids_st, b=ids_st)
-    def test_at_least_ring(self, a, b):
-        assert numeric_distance(a, b) >= ring_distance(a, b)
 
 
 class TestClosestIds:
@@ -128,16 +116,6 @@ class TestClosestInSorted:
         pool = [10, ID_SPACE - 10]
         assert pool[closest_index(pool, 3)] == 10
         assert pool[closest_index(pool, ID_SPACE - 3)] == ID_SPACE - 10
-
-
-class TestHexRoundtrip:
-    @given(value=ids_st)
-    def test_roundtrip(self, value):
-        assert hex_to_id(id_to_hex(value)) == value
-
-    def test_fixed_width(self):
-        assert len(id_to_hex(0)) == 32
-        assert len(id_to_hex(ID_SPACE - 1)) == 32
 
 
 class TestDigits:
