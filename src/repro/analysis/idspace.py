@@ -373,8 +373,11 @@ def searchsorted_words(
     Equivalent to ``np.searchsorted(ids, keys)`` on the 128-bit values:
     searchsorted on the high words, then advance each position past
     entries whose high word ties but whose low word is still smaller.
-    The advance loop runs at most max-run-of-equal-hi times, which for
-    uniform ids is O(1).
+    For a batch the advance loop runs at most max-run-of-equal-hi
+    times, which for uniform ids is O(1); one needle instead searches
+    the low words of its run of equal high words, so a long run (a
+    clustered ring) costs it two more binary searches, not a step per
+    member.
 
     The high words are searched in ascending needle order and the
     answers scattered back: NumPy's binary search keeps its lower bound
@@ -390,13 +393,16 @@ def searchsorted_words(
     """
     key_hi, key_lo = _key_words(key_hi, key_lo)
     n = len(hi)
-    if len(key_hi) > 1:
-        order = np.argsort(key_hi)
-        pos = np.empty(len(key_hi), dtype=np.intp)
-        pos[order] = np.searchsorted(hi, key_hi[order], side="left")
-    else:
-        # one needle — the scalar engine's probes — is already in order
-        pos = np.searchsorted(hi, key_hi, side="left")
+    if len(key_hi) == 1:
+        # one needle — the scalar engine's probes: search the low words
+        # of its run of equal high words
+        left = int(np.searchsorted(hi, key_hi[0], side="left"))
+        right = int(np.searchsorted(hi, key_hi[0], side="right"))
+        left += int(np.searchsorted(lo[left:right], key_lo[0], side="left"))
+        return np.array([left], dtype=np.intp)
+    order = np.argsort(key_hi)
+    pos = np.empty(len(key_hi), dtype=np.intp)
+    pos[order] = np.searchsorted(hi, key_hi[order], side="left")
     if n == 0:
         # nothing to probe: every key inserts at 0
         return pos
@@ -437,6 +443,8 @@ def ring_distance_words(ahi, alo, bhi, blo):
 _LOW_MASKS = np.array(
     [(1 << s) - 1 for s in range(64)] + [_WORD_MASK], dtype=np.uint64
 )
+#: high_masks[s] clears the low ``s`` bits: the complement of _LOW_MASKS
+_HIGH_MASKS = ~_LOW_MASKS
 
 
 def clz64(values: np.ndarray) -> np.ndarray:
@@ -477,15 +485,12 @@ def clear_low_words(hi, lo, nbits) -> tuple[np.ndarray, np.ndarray]:
 
     The prefix-bucket lower bound of the packet plane: an id masked to
     its first ``128 - nbits`` bits is the smallest id in that bucket.
-    ``nbits`` may be scalar or per-element, in [0, 128].
+    ``nbits`` may be scalar or per-element, in [0, 128]; each word array
+    broadcasts against it like a NumPy ufunc operand.
     """
-    hi = np.asarray(hi, dtype=np.uint64)
-    lo = np.asarray(lo, dtype=np.uint64)
     n = np.asarray(nbits, dtype=np.int64)
-    hi, lo, n = np.broadcast_arrays(hi, lo, n)
-    lo_bits = np.clip(n, 0, 64)
-    hi_bits = np.clip(n - 64, 0, 64)
-    return hi & ~_LOW_MASKS[hi_bits], lo & ~_LOW_MASKS[lo_bits]
+    return (np.asarray(hi, dtype=np.uint64) & _HIGH_MASKS[np.maximum(n - 64, 0)],
+            np.asarray(lo, dtype=np.uint64) & _HIGH_MASKS[np.minimum(n, 64)])
 
 
 def less_words(ahi, alo, bhi, blo) -> np.ndarray:
@@ -523,17 +528,19 @@ def closest_index_words(
     sorted_lo: np.ndarray,
     key_hi,
     key_lo,
-) -> np.ndarray:
-    """Index of the id closest to each key, ties toward the smaller id.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the id closest to each key, ties toward the smaller id,
+    and the key's insertion rank: ``(closest, after)``, where ``after``
+    is the index of the first id at or after the key (0 past the last).
 
-    Column 0 of :func:`replica_table_words` without ranking a window:
-    the ``(ring distance, id)`` minimum over the ring — and over any
-    subset holding both of the key's ring neighbours — is the first id
-    at or after the key or the last one before it (wrapping at either
-    end of the array).  With two or more ids those two gaps sum to
-    less than 2**128, so the smaller *directed* gap is also the smaller
-    ring distance and no folding is needed.  A single id is closest to
-    every key; an empty ring has no answer and raises.
+    ``closest`` is column 0 of :func:`replica_table_words` without
+    ranking a window: the ``(ring distance, id)`` minimum over the ring
+    — and over any subset holding both of the key's ring neighbours — is
+    the first id at or after the key or the last one before it (wrapping
+    at either end of the array).  With two or more ids those two gaps
+    sum to less than 2**128, so the smaller *directed* gap is also the
+    smaller ring distance and no folding is needed.  A single id is
+    closest to every key; an empty ring has no answer and raises.
     """
     n = len(sorted_hi)
     if n == 0:
@@ -550,7 +557,7 @@ def closest_index_words(
     take_before = less_words(down_hi, down_lo, up_hi, up_lo) | (
         (down_hi == up_hi) & (down_lo == up_lo) & (before < after)
     )
-    return np.where(take_before, before, after)
+    return np.where(take_before, before, after), after
 
 
 def replica_table_words(
@@ -566,6 +573,17 @@ def replica_table_words(
     duplicate-free.  Returns ``(len(keys), k)`` indices, closest-first
     with ties toward the smaller id — the
     :func:`repro.util.ids.closest_ids` ranking on the real ring.
+
+    With ``2k < n`` the answer is a k-step merge of two runs leaving the
+    key's insertion point: ``k`` ids down from it, ordered by the
+    directed gap ``key - id``, and ``k`` up from it, ordered by ``id -
+    key`` (mod 2^128 both; the runs do not overlap).  Each step takes the
+    run head with the smaller gap, a tie going to the smaller id.  This
+    is the ``(ring distance, id)`` ranking of those ``2k`` ids, exactly:
+    an id whose directed gap is at most 2^127 is at that ring distance,
+    and one whose gap exceeds it lies past all ``k`` ids of the other run
+    going the other way round, so all of them are closer and the merge,
+    too, ranks it after them.
     """
     n = len(sorted_hi)
     if k < 1:
@@ -577,17 +595,35 @@ def replica_table_words(
 
     if 2 * k >= n:
         cand = np.broadcast_to(np.arange(n), (len(key_hi), n))
-    else:
-        pos = searchsorted_words(sorted_hi, sorted_lo, key_hi, key_lo)
-        offsets = np.arange(-k, k)
-        cand = (pos[:, None] + offsets[None, :]) % n
+        cand_hi = sorted_hi[cand]
+        cand_lo = sorted_lo[cand]
+        dist_hi, dist_lo = ring_distance_words(
+            cand_hi, cand_lo, key_hi[:, None], key_lo[:, None]
+        )
+        # lexsort ranks by the last key first: distance (hi then lo), then
+        # the candidate id (hi then lo) to break ties toward the smaller id.
+        order = np.lexsort((cand_lo, cand_hi, dist_lo, dist_hi), axis=-1)
+        return np.take_along_axis(cand, order[:, :k], axis=1)
 
-    cand_hi = sorted_hi[cand]
-    cand_lo = sorted_lo[cand]
-    dist_hi, dist_lo = ring_distance_words(
-        cand_hi, cand_lo, key_hi[:, None], key_lo[:, None]
-    )
-    # lexsort ranks by the last key first: distance (hi then lo), then
-    # the candidate id (hi then lo) to break ties toward the smaller id.
-    order = np.lexsort((cand_lo, cand_hi, dist_lo, dist_hi), axis=-1)
-    return np.take_along_axis(cand, order[:, :k], axis=1)
+    pos = searchsorted_words(sorted_hi, sorted_lo, key_hi, key_lo)
+    steps = np.arange(k)
+    down = ((pos[:, None] - 1 - steps) % n).ravel()
+    up = ((pos[:, None] + steps) % n).ravel()
+    khi = np.repeat(key_hi, k)
+    klo = np.repeat(key_lo, k)
+    down_hi, down_lo = _sub_words(khi, klo, sorted_hi[down], sorted_lo[down])
+    up_hi, up_lo = _sub_words(sorted_hi[up], sorted_lo[up], khi, klo)
+    # each run's head, as a flat index into its (keys, k) block
+    i = np.arange(0, len(down), k)
+    j = i.copy()
+    table = np.empty((len(key_hi), k), dtype=np.intp)
+    for step in range(k):
+        dh, uh = down_hi[i], up_hi[j]
+        dl, ul = down_lo[i], up_lo[j]
+        di, ui = down[i], up[j]
+        # ids ascend with index, so the smaller id is the smaller index
+        take = (dh < uh) | (dh == uh) & ((dl < ul) | (dl == ul) & (di < ui))
+        table[:, step] = np.where(take, di, ui)
+        i += take
+        j += ~take
+    return table

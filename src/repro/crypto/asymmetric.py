@@ -26,17 +26,15 @@ Key material is prepared once per key pair:
   346 candidates, 96 second-stage gcds and 46 modexps, 24 of them
   modulo 256-bit numbers; 86 % of candidates never reach a modexp.
 * **CRT private operations.**  The pair keeps ``p``, ``q``,
-  ``d mod (p-1)``, ``d mod (q-1)`` and ``q⁻¹ mod p``; ``decrypt`` and
-  ``sign`` are two half-size modexps recombined by Garner's formula
-  instead of one full-size ``pow(c, d, n)``.  ``sign`` re-checks its
-  result under the public key before releasing it — the standard guard
-  against a faulty half leaking a factor of ``n``.  The full private
-  exponent ``d`` is not stored; the tests compute it as the reference.
+  ``d mod (p-1)``, ``d mod (q-1)`` and ``q⁻¹ mod p``; ``decrypt`` is
+  two half-size modexps recombined by Garner's formula instead of one
+  full-size ``pow(c, d, n)``.  The full private exponent ``d`` is not
+  stored; the tests compute it as the reference.  Nothing in TAP signs,
+  so the pair has no signing operation.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 
@@ -57,7 +55,7 @@ _SIEVE_BOUND = 4096
 
 
 class RsaError(ValueError):
-    """Raised on malformed ciphertexts/signatures or bad parameters."""
+    """Raised on malformed ciphertexts or bad parameters."""
 
 
 def _primes_below(bound: int) -> list[int]:
@@ -179,17 +177,6 @@ class RsaPublicKey:
         sealed = SymmetricKey(session_key).seal(plaintext)
         return wrapped + sealed
 
-    def verify(self, message: bytes, signature: bytes) -> bool:
-        """Hash-and-verify a signature produced by :meth:`RsaKeyPair.sign`."""
-        if len(signature) != self.modulus_bytes:
-            return False
-        sig_int = int.from_bytes(signature, "big")
-        if sig_int >= self.n:
-            return False
-        recovered = pow(sig_int, self.e, self.n)
-        digest = int.from_bytes(hashlib.sha256(message).digest(), "big") % self.n
-        return recovered == digest
-
 
 class RsaKeyPair:
     """A node's key pair, held in CRT form (``p``, ``q`` and the three
@@ -249,11 +236,3 @@ class RsaKeyPair:
             return SymmetricKey(session_key).open(ciphertext[width:])
         except CipherError as exc:
             raise RsaError("payload authentication failed") from exc
-
-    def sign(self, message: bytes) -> bytes:
-        """Hash-and-sign (no padding — simulation-grade)."""
-        digest = int.from_bytes(hashlib.sha256(message).digest(), "big") % self.public.n
-        sig = self._private_op(digest)
-        if pow(sig, self.public.e, self.public.n) != digest:
-            raise RsaError("signature failed its own verification")
-        return sig.to_bytes(self.public.modulus_bytes, "big")

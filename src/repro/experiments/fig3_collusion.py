@@ -33,16 +33,17 @@ def corruption_fraction(
 def _fig3_trial(config: Fig3Config, rep: int) -> list[tuple[float, float]]:
     """One repetition: ``(malicious fraction, corruption)`` pairs."""
     rng = SeedSequenceFactory(config.seed).numpy("fig3", rep)
-    ids = IdSpaceModel.draw_unique_ids(config.num_nodes, rng)
-    hop_keys = IdSpaceModel.draw_unique_ids(
-        config.num_tunnels * config.tunnel_length, rng
-    )
-    out: list[tuple[float, float]] = []
     # One model per repetition: only the malicious flags vary across
     # the sweep, so the sorted population (and the replica_indices
     # memo keyed on it) is shared by every p — reassigning the flags
     # through sort_order is exactly what re-constructing would compute.
-    model = IdSpaceModel(ids)
+    # At fraction 0 `random` draws only the ids, and it adopts the sort
+    # its duplicate check already made.
+    model = IdSpaceModel.random(config.num_nodes, rng)
+    hop_keys = IdSpaceModel.draw_unique_ids(
+        config.num_tunnels * config.tunnel_length, rng
+    )
+    out: list[tuple[float, float]] = []
     for p in config.malicious_fractions:
         malicious = np.zeros(config.num_nodes, dtype=bool)
         m = round(p * config.num_nodes)

@@ -232,8 +232,8 @@ class CompactOverlay:
     def _alive_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(hi, lo, global positions) of the alive set, epoch-cached."""
         if self._view_epoch != self.membership_epoch:
-            idx = np.flatnonzero(self.alive)
-            self._view = (self.hi[idx], self.lo[idx], idx)
+            alive = self.alive
+            self._view = (self.hi[alive], self.lo[alive], np.flatnonzero(alive))
             self._view_epoch = self.membership_epoch
         return self._view
 
@@ -253,12 +253,14 @@ class CompactOverlay:
     # ------------------------------------------------------------------
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the canonical arrays (id words + alive).
+        """Bytes of the canonical arrays (id words + alive).
 
         17 bytes per tracked node: the whole overlay state, measured
         rather than guessed — at N=10^6 this is ~17 MB, which is why
         the compact engine reaches populations the object engine's
-        per-node containers cannot.
+        per-node containers cannot.  An overlay restored from a
+        :class:`CompactSnapshot` shares the snapshot's id words until
+        it joins, so of these bytes it owns only the alive flags.
         """
         return int(self.hi.nbytes) + int(self.lo.nbytes) + int(self.alive.nbytes)
 
@@ -689,6 +691,12 @@ class CompactOverlay:
         return CompactSnapshot.capture(self)
 
 
+def _read_only(words: np.ndarray) -> np.ndarray:
+    view = words.view()
+    view.setflags(write=False)
+    return view
+
+
 class CompactSnapshot:
     """Frozen copy of a :class:`CompactOverlay`; cheap to pickle/ship."""
 
@@ -722,10 +730,17 @@ class CompactSnapshot:
         )
 
     def restore(self) -> CompactOverlay:
-        """An independent mutable overlay resuming from this capture."""
+        """An independent mutable overlay resuming from this capture.
+
+        Only ``alive`` is copied: the overlay shares this snapshot's id
+        words, as read-only views, because nothing writes them in
+        place — fail and revive write ``alive``, and join replaces all
+        three arrays.  An in-place write to a restored overlay's
+        ``hi``/``lo`` therefore raises instead of reaching the capture.
+        """
         overlay = CompactOverlay(
-            self.hi.copy(),
-            self.lo.copy(),
+            _read_only(self.hi),
+            _read_only(self.lo),
             self.alive.copy(),
             self.b_bits,
             self.leaf_set_size,

@@ -9,10 +9,11 @@ the alive ids (``tests/perf/test_packet.py``).
 Per iteration, the active front splits into three vectorised branches
 that mirror the scalar rule exactly:
 
-* **leaf-covered** — a span test against the far leaf-window edges;
+* **leaf-covered** — a rank test: the key's insertion rank (resolved
+  once per packet, with its root) against the node's ±half window;
   the window minimum by (ring distance, id) is then the alive id
   closest to the key (:func:`repro.analysis.idspace.closest_index_words`,
-  resolved once per packet), and a packet that moves on such a
+  also resolved once per packet), and a packet that moves on such a
   decision is settled on arrival;
 * **prefix bucket** — the routing cell for (row, key digit) is the
   first alive id at or past the bucket lower bound
@@ -59,7 +60,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.analysis.idspace import (
-    _sub_words,
     clear_low_words,
     closest_index_words,
     less_words,
@@ -169,15 +169,19 @@ def _alive_ranks(overlay, positions) -> np.ndarray:
     return rank
 
 
-def _roots(overlay, key_hi, key_lo) -> np.ndarray:
-    """Alive rank of the id closest to each key — where every
-    leaf-covered decision of a packet points, fixed for the packet's
-    lifetime, and by the paper's definition the node of a tunnel hop.
-    With nobody alive there is no such id (-1): every source is dead
-    too, so the front never reads it."""
+def _roots(overlay, key_hi, key_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``(root, after)`` per key, both alive ranks: ``root`` is the id
+    closest to the key — where every leaf-covered decision of a packet
+    points, fixed for the packet's lifetime, and by the paper's
+    definition the node of a tunnel hop — and ``after`` the key's
+    insertion rank, the first alive id at or after it (mod n), which
+    the leaf-cover test compares with the window.  With nobody alive
+    there is no such id (-1): every source is dead too, so the front
+    never reads them."""
     ahi, alo, _ = overlay._alive_arrays()
     if len(ahi) == 0:
-        return np.full(len(key_hi), -1, dtype=np.intp)
+        none = np.full(len(key_hi), -1, dtype=np.intp)
+        return none, none
     return closest_index_words(ahi, alo, key_hi, key_lo)
 
 
@@ -207,7 +211,7 @@ def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
     trail: list[tuple[int, list[np.ndarray]]] = []
     dest_pos, hops, success = _route_front(
         overlay, src_pos, _alive_ranks(overlay, src_pos),
-        _roots(overlay, key_hi, key_lo), key_hi, key_lo,
+        *_roots(overlay, key_hi, key_lo), key_hi, key_lo,
         chunk_size, trail,
     )
     return BatchRouteResult(
@@ -228,17 +232,18 @@ def _chunk_bounds(num: int, chunk_size: int | None) -> list[tuple[int, int]]:
     ]
 
 
-def _route_front(overlay, src_pos, rank, root, key_hi, key_lo, chunk_size,
-                 trail):
+def _route_front(overlay, src_pos, rank, root, after, key_hi, key_lo,
+                 chunk_size, trail):
     """Route validated packets chunk by chunk; returns ``(dest_pos,
     hops, success)``.
 
     The caller has resolved the front once, for every chunk: ``rank``
     is each source's alive rank (:func:`_alive_ranks`, -1 = dead, the
-    packet fails where it stands) and ``root`` the alive rank of the
-    id closest to each key (:func:`_roots`).  ``trail`` collects one
-    ``(chunk start, per-iteration positions)`` segment per chunk, or
-    is None when no one will ask for paths."""
+    packet fails where it stands), and ``root`` and ``after`` the alive
+    ranks of the id closest to each key and of its insertion point
+    (:func:`_roots`).  ``trail`` collects one ``(chunk start,
+    per-iteration positions)`` segment per chunk, or is None when no
+    one will ask for paths."""
     num = len(src_pos)
     bounds = _chunk_bounds(num, chunk_size)
 
@@ -252,7 +257,7 @@ def _route_front(overlay, src_pos, rank, root, key_hi, key_lo, chunk_size,
     for start, end in bounds:
         segment = _route_chunk(
             overlay, ahi, alo, idx, reach,
-            rank[start:end], root[start:end],
+            rank[start:end], root[start:end], after[start:end],
             key_hi[start:end], key_lo[start:end],
             dest_pos[start:end], hops[start:end], success[start:end],
             tally, trail is not None,
@@ -268,14 +273,14 @@ def _route_front(overlay, src_pos, rank, root, key_hi, key_lo, chunk_size,
     return dest_pos, hops, success
 
 
-def _route_chunk(overlay, ahi, alo, idx, reach, rank, root, kh, kl,
+def _route_chunk(overlay, ahi, alo, idx, reach, rank, root, after, kh, kl,
                  dest, hops, success, tally, keep_trail):
     """Advance one packet window to termination, writing into the
     caller's ``dest``/``hops``/``success`` views (``dest`` arrives
     holding the sources); returns the chunk's per-iteration trail
-    (None unless ``keep_trail``).  ``rank``/``root`` are the chunk's
-    slices of the front's resolution — nothing is looked up again
-    here.  Work arrays come from the overlay scratch pool, so
+    (None unless ``keep_trail``).  ``rank``/``root``/``after`` are the
+    chunk's slices of the front's resolution — nothing is looked up
+    again here.  Work arrays come from the overlay scratch pool, so
     back-to-back chunks reuse one allocation."""
     num = len(rank)
     trail = [dest.copy()] if keep_trail else None
@@ -296,7 +301,7 @@ def _route_chunk(overlay, ahi, alo, idx, reach, rank, root, kh, kl,
             break
         at = cur[act]
         nxt, covered = _next_hops(
-            overlay, ahi, alo, at, kh[act], kl[act], root[act],
+            overlay, ahi, alo, at, kh[act], kl[act], root[act], after[act],
             reach, tally,
         )
         stay = nxt == at
@@ -320,7 +325,7 @@ def _route_chunk(overlay, ahi, alo, idx, reach, rank, root, kh, kl,
     return trail
 
 
-def _next_hops(overlay, ahi, alo, cpos, kh, kl, root, reach, tally):
+def _next_hops(overlay, ahi, alo, cpos, kh, kl, root, after, reach, tally):
     """One forwarding decision per active packet (alive positions):
     ``(next position, decision was leaf-covered)``."""
     n = len(ahi)
@@ -330,12 +335,17 @@ def _next_hops(overlay, ahi, alo, cpos, kh, kl, root, reach, tally):
         tally["covered"] += num
         return root, np.ones(num, dtype=bool)
 
+    # The window is the 2*half + 1 ranks from cpos - half clockwise, and
+    # the key lies on its arc iff both ring neighbours of the key are in
+    # it: the key's insertion rank is 1..2*half steps past the far
+    # counter-clockwise edge, or is that edge and the key is its id.
     half = overlay.leaf_set_size // 2
-    cw = (cpos + half) % n
-    ccw = (cpos - half) % n
-    span_hi, span_lo = _sub_words(ahi[cw], alo[cw], ahi[ccw], alo[ccw])
-    rel_hi, rel_lo = _sub_words(kh, kl, ahi[ccw], alo[ccw])
-    covered = ~less_words(span_hi, span_lo, rel_hi, rel_lo)
+    d = (after - cpos + half) % n
+    covered = (d >= 1) & (d <= 2 * half)
+    edge = np.flatnonzero(d == 0)
+    if len(edge):
+        at = after[edge]
+        covered[edge] = (ahi[at] == kh[edge]) & (alo[at] == kl[edge])
     # Covered: the scalar rule takes the (distance, id) minimum over
     # the window.  The key lies on the arc between the window's far
     # edges and every alive id on that arc is a member, so the key's
@@ -495,7 +505,7 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
     key_hi = np.concatenate((hop_key_hi.T.ravel(), dest_key_hi))
     key_lo = np.concatenate((hop_key_lo.T.ravel(), dest_key_lo))
     idx = overlay._alive_arrays()[2]
-    root = _roots(overlay, key_hi, key_lo)
+    root, after = _roots(overlay, key_hi, key_lo)
     # leg j >= 1 starts at the root of hop key j-1: the block before it
     rank = np.concatenate((_alive_ranks(overlay, src_pos), root[:inner]))
     start = np.concatenate((
@@ -504,7 +514,7 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
         idx[root[:inner]] if len(idx) else np.tile(src_pos, tunnel_len),
     ))
     dest, hops, success = _route_front(
-        overlay, start, rank, root, key_hi, key_lo,
+        overlay, start, rank, root, after, key_hi, key_lo,
         chunk_size, None,
     )
     # a failed leg leaves its tunnel at the leg's own source
@@ -520,7 +530,7 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
         start[wrong] = again
         dest, hops[wrong], success[wrong] = _route_front(
             overlay, again, _alive_ranks(overlay, again),
-            root[wrong], key_hi[wrong], key_lo[wrong],
+            root[wrong], after[wrong], key_hi[wrong], key_lo[wrong],
             chunk_size, None,
         )
         end[wrong] = np.where(success[wrong], dest, again)

@@ -174,8 +174,11 @@ class SharedCompactSnapshot:
 
     def restore(self):
         """An independent mutable overlay (same contract as
-        :meth:`CompactSnapshot.restore`; the copy leaves the segment
-        untouched)."""
+        :meth:`CompactSnapshot.restore`): it reads the segment's id
+        words in place, read-only, and copies only the alive flags.
+        Workers stay attached for life; in the publishing process an
+        overlay restored here must not be read after :meth:`unlink`,
+        which unmaps the segment under it."""
         return self.view().restore()
 
 

@@ -518,11 +518,16 @@ class TestWordKernels:
             for a, b in zip(ids, ids[1:] + ids[:1])
         ][-4:]
         khi, klo = pack_ids(keys)
-        got = closest_index_words(shi, slo, khi, klo)
+        got, after = closest_index_words(shi, slo, khi, klo)
         assert [ids[i] for i in got] == [
             closest_ids(ids, key, 1)[0] for key in keys
         ]
         assert (got == replica_table_words(shi, slo, khi, klo, 1)[:, 0]).all()
+        # the insertion rank comes from the same search, wrapped to 0
+        import bisect
+        assert after.tolist() == [
+            bisect.bisect_left(ids, key) % len(ids) for key in keys
+        ]
 
     def test_closest_index_words_shared_high_word_and_edges(self):
         # one high word for the whole ring: searchsorted_words resolves
@@ -532,12 +537,14 @@ class TestWordKernels:
         keys = [(7 << 64) | 4, (7 << 64) | 8, (7 << 64) | 7, 0, RING128 - 1,
                 (7 << 64) | 50]
         khi, klo = pack_ids(keys)
-        got = closest_index_words(shi, slo, khi, klo)
+        got, after = closest_index_words(shi, slo, khi, klo)
         # 4 and 8 are exact ties: the smaller id wins
         assert list(got) == [0, 1, 1, 0, 0, 3]
+        assert list(after) == [1, 2, 2, 0, 0, 3]
         # a single id is closest to everything; no ids, no answer
         one_hi, one_lo = pack_ids([123])
-        assert list(closest_index_words(one_hi, one_lo, khi, klo)) == [0] * 6
+        got, after = closest_index_words(one_hi, one_lo, khi, klo)
+        assert list(got) == list(after) == [0] * 6
         none_hi, none_lo = pack_ids([])
         with pytest.raises(ValueError):
             closest_index_words(none_hi, none_lo, khi, klo)
@@ -744,6 +751,80 @@ class TestOrderedSearch:
             assert got.shape == (count,) and got.dtype == np.intp
         # scalars are one needle
         assert searchsorted_words(hi, lo, np.uint64(0), np.uint64(0)).tolist() == [0]
+
+
+#: ids drawn under a few high words (the two ends of the word range
+#: among them, so runs straddle the wrap): long runs of equal high
+#: words, where the low words decide every comparison
+_few_high_words = st.builds(
+    lambda high, low: (high << 64) | low,
+    st.sampled_from((0, 1, 7, 2**63, 2**64 - 1)),
+    st.integers(0, 2**64 - 1) | st.integers(0, 64),
+)
+
+
+class TestClusteredSearch:
+    """``searchsorted_words`` on rings made of runs of equal high words:
+    the one-needle path searches a run's low words, the batch path
+    advances through it; both must be ``bisect_left``."""
+
+    @given(
+        pool=st.sets(_few_high_words, min_size=0, max_size=40),
+        keys=st.lists(_few_high_words, min_size=0, max_size=12),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_one_needle_and_batch_equal_bisect_left(self, pool, keys):
+        ids = sorted(pool)
+        # ring members and their neighbours are the run-boundary cases
+        keys = keys + ids[:4] + [(v + 1) % RING128 for v in ids[-4:]]
+        want = _bisect_words(ids, keys)
+        assert _search(ids, keys) == want
+        assert [_search(ids, [key])[0] for key in keys] == want
+
+
+def _lexsort_replicas(ids: list[int], keys: list[int], k: int) -> np.ndarray:
+    """The replica table by its definition: the ``2k`` ids around each
+    key's insertion point, ranked by ``(ring distance, id)`` with one
+    ``np.lexsort`` (what ``replica_table_words`` computed before it
+    merged two runs)."""
+    hi, lo = pack_ids(ids)
+    khi, klo = pack_ids(keys)
+    pos = searchsorted_words(hi, lo, khi, klo)
+    cand = (pos[:, None] + np.arange(-k, k)) % len(ids)
+    dist_hi, dist_lo = ring_distance_words(hi[cand], lo[cand],
+                                           khi[:, None], klo[:, None])
+    order = np.lexsort((lo[cand], hi[cand], dist_lo, dist_hi), axis=-1)
+    return np.take_along_axis(cand, order[:, :k], axis=1)
+
+
+class TestReplicaMerge:
+    """``replica_table_words`` with ``2k < n`` is a k-step merge of the
+    runs down and up from the insertion point; it must rank exactly as
+    the lexsort definition and as ``closest_ids`` on the whole ring."""
+
+    @given(
+        k=st.integers(1, 6),
+        pool=st.sets(_few_high_words, min_size=3, max_size=40),
+        centres=st.lists(_few_high_words, min_size=1, max_size=6),
+        gaps=st.lists(st.integers(1, 2**70) | st.integers(1, 8),
+                      min_size=1, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_merge_equals_the_lexsort_definition(self, k, pool, centres,
+                                                 gaps):
+        # every centre gets ids at equal distances either side: a key
+        # there is an exact tie, on whichever side of the wrap
+        for centre, gap in zip(centres, gaps):
+            pool |= {(centre - gap) % RING128, (centre + gap) % RING128}
+        ids = sorted(pool)
+        k = min(k, (len(ids) - 1) // 2)  # the merge branch: 2k < n
+        keys = centres + ids[:3] + [0, RING128 - 1, RING128 // 2]
+        hi, lo = pack_ids(ids)
+        khi, klo = pack_ids(keys)
+        table = replica_table_words(hi, lo, khi, klo, k)
+        assert np.array_equal(table, _lexsort_replicas(ids, keys, k))
+        for row, key in zip(table.tolist(), keys):
+            assert [ids[i] for i in row] == closest_ids(ids, key, k)
 
 
 class TestKeyWordsMustPair:

@@ -1,6 +1,5 @@
 """Tests for the RSA key pairs (bootstrap PKI, temporary K_I)."""
 
-import hashlib
 import math
 import pickle
 import random
@@ -453,49 +452,13 @@ class TestCrt:
         for msg in (b"", b"k" * 16, bytes(range(256)) * 5):
             assert sized_pair.decrypt(sized_pair.public.encrypt(msg, rng)) == msg
 
-    def test_sign_verify_each_size(self, sized_pair):
-        sig = sized_pair.sign(b"message")
-        assert len(sig) == sized_pair.public.modulus_bytes
-        assert sized_pair.public.verify(b"message", sig)
-        assert not sized_pair.public.verify(b"other", sig)
-        n = sized_pair.public.n
-        digest = int.from_bytes(
-            hashlib.sha256(b"message").digest(), "big") % n
-        assert int.from_bytes(sig, "big") == pow(digest, _private_exponent(sized_pair), n)
-
-    def test_sign_refuses_to_release_a_faulty_signature(self, keypair):
-        """A corrupted CRT half would hand out a signature whose gcd
-        with ``n`` factors it; ``sign`` checks under the public key
-        first."""
-        broken = pickle.loads(pickle.dumps(keypair))
-        broken._d_p ^= 1
-        with pytest.raises(RsaError, match="verification"):
-            broken.sign(b"message")
-
     def test_pickle_roundtrip(self, sized_pair):
         clone = pickle.loads(pickle.dumps(sized_pair))
         assert clone.public.to_bytes() == sized_pair.public.to_bytes()
         ct = sized_pair.public.encrypt(b"across processes", random.Random(7))
         assert clone.decrypt(ct) == b"across processes"
-        assert clone.sign(b"m") == sized_pair.sign(b"m")
-
-
-class TestSignVerify:
-    def test_roundtrip(self, keypair):
-        sig = keypair.sign(b"message")
-        assert keypair.public.verify(b"message", sig)
-
-    def test_wrong_message_rejected(self, keypair):
-        sig = keypair.sign(b"message")
-        assert not keypair.public.verify(b"other", sig)
-
-    def test_tampered_signature_rejected(self, keypair):
-        sig = bytearray(keypair.sign(b"message"))
-        sig[0] ^= 1
-        assert not keypair.public.verify(b"message", bytes(sig))
-
-    def test_wrong_length_signature_rejected(self, keypair):
-        assert not keypair.public.verify(b"message", b"\x00" * 10)
+        back = clone.public.encrypt(b"and back", random.Random(8))
+        assert sized_pair.decrypt(back) == b"and back"
 
 
 class TestPublicKeyEncoding:

@@ -445,6 +445,41 @@ class TestSnapshotSharding:
         with pytest.raises(ValueError):
             snap.alive[0] = False
 
+    def test_restore_shares_the_id_words_and_copies_alive(self):
+        snap = CompactOverlay.bootstrap(30, seed=SEED).snapshot()
+        overlay = snap.restore()
+        assert np.shares_memory(snap.hi, overlay.hi)
+        assert np.shares_memory(snap.lo, overlay.lo)
+        assert not np.shares_memory(snap.alive, overlay.alive)
+        # a shared word cannot be written in place, so it cannot reach
+        # the snapshot or a sibling restore
+        for words in (overlay.hi, overlay.lo):
+            with pytest.raises(ValueError):
+                words[0] = 0
+            with pytest.raises(ValueError):
+                words += 1
+        overlay.alive[0] = False  # the flags are the overlay's own
+        assert snap.alive[0]
+
+    def test_churn_on_one_restore_leaves_snapshot_and_sibling_unchanged(self):
+        snap = CompactOverlay.bootstrap(N, seed=SEED).snapshot()
+        words = (snap.hi.copy(), snap.lo.copy(), snap.alive.copy())
+        churned = snap.restore()
+        sibling = snap.restore()
+        sibling_digest = rows_digest(compact_rows(sibling))
+        ids = churned.alive_ids()
+        churned.fail(ids[:4])
+        churned.revive(ids[1:3])
+        churned.join([ids[0] + 1, ids[-1] + 1])
+        # join replaced the churned overlay's words wholesale
+        assert not np.shares_memory(snap.hi, churned.hi)
+        assert churned.size == len(words[0]) + 2
+        for kept, now in zip(words, (snap.hi, snap.lo, snap.alive)):
+            assert np.array_equal(kept, now)
+        assert np.array_equal(sibling.alive, words[2])
+        assert rows_digest(compact_rows(sibling)) == sibling_digest
+        assert sibling.alive_ids() == ids
+
     def test_snapshot_pickle_roundtrip(self):
         overlay = CompactOverlay.bootstrap(N, seed=SEED)
         churn_script(overlay)

@@ -75,6 +75,16 @@ class TestEquivalence:
         overlay.fail_positions(overlay.alive_positions()[:5])
         assert (published.alive == snap.alive).all()
 
+    def test_worker_restore_reads_the_segment_in_place(self, snap, published):
+        clone = pickle.loads(pickle.dumps(published))
+        try:
+            overlay = clone.restore()
+            assert np.shares_memory(overlay.hi, clone.hi)
+            assert not overlay.hi.flags.writeable
+            assert not np.shares_memory(overlay.alive, clone.alive)
+        finally:
+            shm._ATTACHED.pop(published.name, None)
+
     def test_metadata_mirrors_snapshot(self, snap, published):
         assert published.size == len(snap.hi)
         assert published.b_bits == snap.b_bits

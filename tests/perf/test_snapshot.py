@@ -156,7 +156,8 @@ class TestForkEquivalence:
         clone = pickle.loads(pickle.dumps(pair))
         ct = pair.public.encrypt(b"relay layer", random.Random(1))
         assert clone.decrypt(ct) == pair.decrypt(ct) == b"relay layer"
-        assert clone.public.verify(b"m", pair.sign(b"m"))
+        back = clone.public.encrypt(b"reply layer", random.Random(2))
+        assert pair.decrypt(back) == b"reply layer"
         alice = system.tap_node(system.random_node_id("alice"))
         system.deploy_thas(alice, count=3)
         assert all(tha.deployed for tha in alice.owned_thas)
