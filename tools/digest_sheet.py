@@ -9,9 +9,10 @@ digest:
 
 * the 17 ``rows digest`` lines of ``tap-repro all --fast`` and
   ``tap-repro extensions --fast``;
-* the rows digest of ``tap-repro scale-churn --million`` (the
-  million-node operating point, labelled ``scale-churn --million``),
-  so a change that moves every worker count alike still shows;
+* the rows digests of ``tap-repro scale-churn --million`` and
+  ``tap-repro scale-latency --million`` (the million-node operating
+  points, labelled with their ``--million``), so a change that moves
+  every worker count alike still shows;
 * sha256 of the chaos smoke report and event trace
   (``chaos --plan smoke --seed 7 --fast``), which are the policy arm's,
   and the report digest of the same run's no-policy baseline arm (from
@@ -68,8 +69,9 @@ def sheet() -> list[str]:
         if "rows digest: " in line
     ]
     lines += [
-        line.replace("scale-churn", "scale-churn --million", 1)
-        for line in _cli("scale-churn", "--million").splitlines()
+        line.replace(runner, f"{runner} --million", 1)
+        for runner in ("scale-churn", "scale-latency")
+        for line in _cli(runner, "--million").splitlines()
         if "rows digest: " in line
     ]
     with tempfile.TemporaryDirectory() as tmp:
