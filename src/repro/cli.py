@@ -586,8 +586,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--million", action="store_true",
                         help="the N=10^6 operating point (scale-churn / "
                              "scale-latency only): chunked routing, "
-                             "shared-memory base sharding, sampled "
-                             "scalar verification")
+                             "one base build inherited by fork "
+                             "workers, sampled scalar verification")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the experiment seed")
     parser.add_argument("--plan", default=None, choices=sorted(NAMED_PLANS),
@@ -733,8 +733,8 @@ def main(argv: list[str] | None = None) -> int:
     _write_run_manifest(
         f"run {args.figure}", args.manifest_out, written,
         started=t0, workers=args.workers, argv=argv,
-        # per-runner machine timings (e.g. per-worker snapshot restore /
-        # shared-segment attach); volatile is outside the core digest
+        # per-runner machine timings (e.g. per-trial snapshot restore);
+        # volatile is outside the core digest
         volatile={"runners": runner_volatile} if runner_volatile else None,
         configs=configs,
         results=results,

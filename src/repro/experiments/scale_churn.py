@@ -10,9 +10,10 @@ the config, identical for any ``workers`` value.
 
 Per trial (one per ``rep``):
 
-1. restore a private overlay from the shared base
-   :class:`~repro.perf.compact.CompactSnapshot` (shipped to workers
-   once per worker by :func:`~repro.perf.run_trials`);
+1. restore a private overlay from the base
+   :class:`~repro.perf.compact.CompactSnapshot`, which the runner
+   builds once before it fans out (see :func:`~repro.perf.run_trials`
+   for how workers reach it);
 2. sample ``num_anchors`` keys and record their original replica sets
    *by id content* (robust across joins, which shift array positions);
 3. per churn round: fail ``fail_fraction`` of the alive set, admit
@@ -100,16 +101,13 @@ def _churn_trial(
     sinks: Sinks,
 ) -> list[dict]:
     snap = base_snapshot(_base_token(config), lambda: _base_build(config))
-    # Wall-clock facts about how the base reached this trial — shipped
-    # back through the volatile channel, never into rows.
+    # A wall-clock fact about this trial — shipped back through the
+    # volatile channel, never into rows.
     start = time.perf_counter()
     overlay = snap.restore()
     sinks.volatile.update({
         "rep": rep,
         "restore_seconds": round(time.perf_counter() - start, 6),
-        # the lazy shared-segment map cost in this worker (None when
-        # the base arrived as a plain array pickle)
-        "attach_seconds": getattr(snap, "attach_seconds", None),
     })
     rng = SeedSequenceFactory(config.seed).numpy("scale-churn", rep)
     k = config.replication_factor
@@ -283,25 +281,22 @@ def run_scale_churn(
 ) -> list[dict]:
     """The scale-churn runner; trials fan out over ``workers``.
 
-    The base overlay is built once, snapshotted, and shipped to every
-    worker — workers restore from arrays (milliseconds at 100k) instead
-    of re-bootstrapping, and under a process pool the arrays travel as
-    one named shared-memory segment (metadata-only pickle, pages mapped
-    on first touch), so at 10^6 nodes a 17 MB per-worker copy becomes
-    a shared mapping.  Pass ``sinks`` with a ``metrics`` registry /
+    The base overlay is built once in this process and snapshotted
+    before the fan-out; trials restore from its arrays (milliseconds at
+    100k) instead of re-bootstrapping, and fork workers inherit the
+    snapshot copy-on-write, so at 10^6 nodes no worker copies or
+    rebuilds it.  Pass ``sinks`` with a ``metrics`` registry /
     ``event_trace`` to collect the sampled telemetry described in the
     module docstring; trial-local copies are folded back in trial
     order, so the merged state is identical for any ``workers`` value.
-    ``sinks.volatile`` receives machine-dependent timings — per-trial
-    restore and shared-segment attach cost — for the run manifest's
-    volatile section.
+    ``sinks.volatile`` receives a machine-dependent timing — the
+    per-trial restore cost — for the run manifest's volatile section.
     """
-    token = _base_token(config)
+    base_snapshot(_base_token(config), lambda: _base_build(config))
     results = run_trials(
         _churn_trial,
         [(config, rep) for rep in range(config.num_seeds)],
         workers,
-        shared={token: base_snapshot(token, lambda: _base_build(config))},
         sinks=Sinks() if sinks is None else sinks,
     )
     return [row for rows in results for row in rows]

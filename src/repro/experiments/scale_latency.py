@@ -13,8 +13,9 @@ packet with ``np.add.reduceat``.
 
 Per trial (one per ``rep``):
 
-1. restore a private overlay from the shared base
-   :class:`~repro.perf.compact.CompactSnapshot`, then apply
+1. restore a private overlay from the base
+   :class:`~repro.perf.compact.CompactSnapshot` (built once before the
+   fan-out, see :func:`~repro.perf.run_trials`), then apply
    ``churn_rounds`` rounds of fail/join churn so the measured ring is
    not pristine;
 2. sample ``num_transfers`` sources and destination keys, route the
@@ -84,7 +85,6 @@ def _latency_trial(
     sinks.volatile.update({
         "rep": rep,
         "restore_seconds": round(time.perf_counter() - start, 6),
-        "attach_seconds": getattr(snap, "attach_seconds", None),
     })
     rng = SeedSequenceFactory(config.seed).numpy("scale-latency", rep)
 
@@ -211,20 +211,18 @@ def run_scale_latency(
 ) -> list[dict]:
     """The scale-latency runner; trials fan out over ``workers``.
 
-    Same sharding contract as every runner: the base overlay snapshot
-    ships to workers once (as a shared-memory segment under a process
-    pool), per-rep seed streams make rows identical for any
-    ``workers`` value, and telemetry folds back in trial order.
-    ``sinks.volatile`` receives per-trial restore/attach timings (and
-    the segment count when one was published) for the manifest's
-    volatile section.
+    Same contract as scale-churn: the base overlay snapshot is built
+    once in this process before the fan-out (fork workers inherit it),
+    per-rep seed streams make rows identical for any ``workers`` value,
+    and telemetry folds back in trial order.  ``sinks.volatile``
+    receives per-trial restore timings for the manifest's volatile
+    section.
     """
-    token = _base_token(config)
+    base_snapshot(_base_token(config), lambda: _base_build(config))
     results = run_trials(
         _latency_trial,
         [(config, rep) for rep in range(config.num_seeds)],
         workers,
-        shared={token: base_snapshot(token, lambda: _base_build(config))},
         sinks=Sinks() if sinks is None else sinks,
     )
     return [row for rows in results for row in rows]

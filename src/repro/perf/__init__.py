@@ -6,8 +6,8 @@
   sweep points, chaos jobs) out over a ``ProcessPoolExecutor`` and
   returns their results **in submission order**, so any fold over them
   is order-deterministic.  It owns everything a fan-out shares: base
-  snapshots reach trials through :func:`base_snapshot` (as
-  shared-memory segments under a pool), and the caller's
+  snapshots reach trials through :func:`base_snapshot` (fork workers
+  inherit the parent's cached build), and the caller's
   :class:`Sinks` (metrics registry, span tracer, event trace, volatile
   timings) reach each trial fresh and fold back in trial order, for
   any worker count;
@@ -29,20 +29,15 @@ from repro.perf.parallel import (
     base_snapshot,
     resolve_workers,
     run_trials,
-    shared_payload,
 )
-from repro.perf.shm import SharedCompactSnapshot, shm_available
 
 __all__ = [
     "CompactOverlay",
     "CompactSnapshot",
     "canonical_json",
     "rows_digest",
-    "SharedCompactSnapshot",
-    "shm_available",
     "Sinks",
     "resolve_workers",
     "run_trials",
-    "shared_payload",
     "base_snapshot",
 ]

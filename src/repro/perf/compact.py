@@ -36,8 +36,9 @@ An object-engine twin of a compact overlay is
 ``PastryNetwork.build(overlay.alive_ids())``: it builds a node on its
 first decision, so packet-level spot-checks on a 10^5-node compact
 overlay build only the nodes a route actually touches.
-:class:`CompactSnapshot` is the picklable capture for sharding trials
-across workers via ``run_trials(shared=...)``.
+:class:`CompactSnapshot` is the frozen capture every trial of a
+fan-out restores; runners cache it through ``base_snapshot``, and
+fork workers of ``run_trials`` inherit that cache.
 """
 
 from __future__ import annotations
@@ -687,7 +688,8 @@ class CompactOverlay:
     # snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> "CompactSnapshot":
-        """Immutable, picklable capture (for ``run_trials(shared=...)``)."""
+        """Immutable capture, the base a trial restores (see
+        ``base_snapshot``)."""
         return CompactSnapshot.capture(self)
 
 
@@ -698,7 +700,8 @@ def _read_only(words: np.ndarray) -> np.ndarray:
 
 
 class CompactSnapshot:
-    """Frozen copy of a :class:`CompactOverlay`; cheap to pickle/ship."""
+    """Frozen copy of a :class:`CompactOverlay`; many restores read
+    its id words, and fork workers inherit it without a copy."""
 
     __slots__ = ("hi", "lo", "alive", "b_bits", "leaf_set_size",
                  "membership_epoch", "num_alive")

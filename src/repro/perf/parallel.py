@@ -22,8 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.perf.shm import share_base
-
 
 def resolve_workers(workers: int | None, n_items: int) -> int:
     """Normalise a worker-count request against the work available.
@@ -47,8 +45,8 @@ class Sinks:
     not asked for) to :func:`run_trials`; every trial receives *fresh*
     sinks of the same kinds as its last argument and instruments
     against them exactly as a standalone run would.  ``volatile``
-    carries machine-dependent facts (restore / shared-segment attach
-    timings) to the manifest's volatile section, never into rows.
+    carries machine-dependent facts (restore timings) to the manifest's
+    volatile section, never into rows.
     """
 
     metrics: object | None = None
@@ -80,25 +78,6 @@ class Sinks:
             self.volatile.setdefault("trials", []).append(trial.volatile)
 
 
-#: Trial-visible shared payload installed by :func:`run_trials`; read
-#: it with :func:`shared_payload`.  In workers it is set once by the
-#: pool initializer; in the serial path it is set around the loop.
-_SHARED = None
-
-
-def _set_shared(payload) -> None:
-    global _SHARED
-    _SHARED = payload
-
-
-def shared_payload():
-    """The ``shared=`` payload of the enclosing :func:`run_trials`
-    call, or ``None`` when the trial runs standalone.  Trials read it
-    through :func:`base_snapshot`, which answers from it first and
-    builds (and caches) only on a miss."""
-    return _SHARED
-
-
 #: Process-local snapshot memo for :func:`base_snapshot`; bounded and
 #: cleared wholesale (snapshots are large, tokens few).
 _SNAPSHOT_CACHE: dict = {}
@@ -107,18 +86,15 @@ _SNAPSHOT_CACHE_LIMIT = 16
 
 def base_snapshot(token, build: Callable[[], object]):
     """The base snapshot for ``token`` (a
-    :class:`~repro.perf.compact.CompactSnapshot`): from the enclosing
-    :func:`run_trials` payload when it carries one, else built once per
+    :class:`~repro.perf.compact.CompactSnapshot`), built once per
     process and cached.
 
     Runners key the token by everything that determines the base
-    overlay (seed, size); serial reps, same-process workers and every
-    trial of a fan-out then share one build per distinct base, and
-    trials stay callable outside ``run_trials``.
+    overlay (seed, size) and call this in the parent before they fan
+    out, so every trial of a fan-out restores one build per distinct
+    base (see :func:`run_trials` for how workers reach it), and trials
+    stay callable outside ``run_trials``.
     """
-    payload = shared_payload()
-    if payload and token in payload:
-        return payload[token]
     snap = _SNAPSHOT_CACHE.get(token)
     if snap is None:
         if len(_SNAPSHOT_CACHE) >= _SNAPSHOT_CACHE_LIMIT:
@@ -139,7 +115,6 @@ def run_trials(
     trial: Callable,
     arglists: Sequence[tuple],
     workers: int | None = 1,
-    shared: dict | None = None,
     sinks: Sinks | None = None,
 ) -> list:
     """Run ``trial(*args)`` for every ``args`` tuple, possibly in parallel.
@@ -149,14 +124,14 @@ def run_trials(
     parallel digest gate checks.  With an effective worker count of 1
     the trials run inline (no executor, no pickling).
 
-    ``shared`` maps base tokens to snapshots every trial may restore (via
-    :func:`base_snapshot`): pickled once per worker
-    process (pool initializer) rather than once per trial, and
-    installed around the serial loop so both paths observe identical
-    state.  When a pool actually starts, every
-    :class:`~repro.perf.compact.CompactSnapshot` in it travels as a
-    shared-memory segment instead (:func:`repro.perf.shm.share_base`),
-    unlinked here however the fan-out ends; serial runs never publish.
+    Workers reach a base overlay through :func:`base_snapshot` alone.
+    A caller that builds it there before the fan-out hands it to
+    fork-start workers for free: they inherit the parent's snapshot
+    cache copy-on-write, and nothing is pickled.  A spawn or forkserver
+    worker (forkserver is the Linux default from CPython 3.14) starts
+    with an empty cache and builds each base once from its token; the
+    build is deterministic, so rows do not change, but at N=10^6 every
+    such worker pays ~0.4 s for it.
 
     With ``sinks``, each trial is called as ``trial(*args, fresh)``
     with :meth:`Sinks.fresh` sinks, which are folded back into
@@ -167,31 +142,13 @@ def run_trials(
     jobs = [(trial, args, None if sinks is None else sinks.fresh())
             for args in arglists]
     w = resolve_workers(workers, len(jobs))
-    prev = _SHARED
-    published = []
-    try:
-        if w <= 1:
-            if shared is not None:
-                _set_shared(shared)
-            outcomes = [_call(*job) for job in jobs]
-        else:
-            if shared is not None:
-                shared, published = share_base(shared)
-            with ProcessPoolExecutor(
-                max_workers=w, initializer=_set_shared, initargs=(shared,)
-            ) as pool:
-                futures = [pool.submit(_call, *job) for job in jobs]
-                outcomes = [f.result() for f in futures]
-    finally:
-        _set_shared(prev)
-        for segment in published:
-            segment.unlink()
+    if w <= 1:
+        outcomes = [_call(*job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=w) as pool:
+            futures = [pool.submit(_call, *job) for job in jobs]
+            outcomes = [f.result() for f in futures]
     if sinks is not None:
         for _, trial_sinks in outcomes:
             sinks.fold(trial_sinks)
-        if published:
-            sinks.volatile["shared_memory"] = {
-                "segments": len(published),
-                "segment_nbytes": sum(s.nbytes for s in published),
-            }
     return [result for result, _ in outcomes]

@@ -140,8 +140,8 @@ class TestSummarizeRows:
 
 class TestMillionKnobs:
     """The million-node execution knobs, exercised at toy scale: the
-    rows must not depend on chunking or the shared-memory transport,
-    and the scalar-verify arm must pin batch-vs-scalar agreement."""
+    rows must not depend on chunking or the worker count, and the
+    scalar-verify arm must pin batch-vs-scalar agreement."""
 
     def test_million_config_shape(self):
         cfg = ScaleChurnConfig.million()
@@ -150,13 +150,10 @@ class TestMillionKnobs:
         assert cfg.scalar_verify_routes > 0
         assert cfg.spot_check_routes == 0  # bridge spot checks don't scale
 
-    def test_rows_invariant_to_chunk_and_shm(self):
+    def test_rows_invariant_to_chunk_and_workers(self):
         flat = rows_digest(run_scale_churn(TINY))
-        # two workers: the base crosses as a shared-memory segment
-        sinks = Sinks()
         knobs = dataclasses.replace(TINY, chunk_size=7)
-        rows = run_scale_churn(knobs, workers=2, sinks=sinks)
-        assert sinks.volatile["shared_memory"]["segments"] == 1
+        rows = run_scale_churn(knobs, workers=2)
         assert rows_digest(rows) == flat
 
     def test_scalar_verify_rows_agree(self):
@@ -168,16 +165,13 @@ class TestMillionKnobs:
             assert row["routes"] == 5
             assert row["agree"] == 5
 
-    def test_volatile_out_reports_restore_and_segments(self):
+    def test_volatile_out_reports_restore(self):
         sinks = Sinks()
         run_scale_churn(TINY, workers=2, sinks=sinks)
         volatile = sinks.volatile
         assert len(volatile["trials"]) == TINY.num_seeds
         for entry in volatile["trials"]:
             assert entry["restore_seconds"] >= 0.0
-        segments = volatile["shared_memory"]
-        assert segments["segments"] == 1
-        assert segments["segment_nbytes"] == 17 * TINY.num_nodes
 
     def test_summary_aliases_scale_1m_for_million_configs(self):
         cfg = dataclasses.replace(TINY, scalar_verify_routes=3)

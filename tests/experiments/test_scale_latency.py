@@ -140,7 +140,7 @@ class TestSummarizeRows:
 
 
 class TestMillionKnobs:
-    """Chunked routing and shared-memory sharding must leave the rows
+    """Chunked routing and the worker count must leave the rows
     byte-identical; million configs alias their SLOs under scale_1m."""
 
     def test_million_config_shape(self):
@@ -149,23 +149,19 @@ class TestMillionKnobs:
         assert cfg.chunk_size is not None
         assert cfg.verify_routes > 0
 
-    def test_rows_invariant_to_chunk_and_shm(self):
+    def test_rows_invariant_to_chunk_and_workers(self):
         flat = rows_digest(run_scale_latency(TINY))
-        # two workers: the base crosses as a shared-memory segment
-        sinks = Sinks()
         knobs = dataclasses.replace(TINY, chunk_size=13)
-        rows = run_scale_latency(knobs, workers=2, sinks=sinks)
-        assert sinks.volatile["shared_memory"]["segments"] == 1
+        rows = run_scale_latency(knobs, workers=2)
         assert rows_digest(rows) == flat
 
-    def test_volatile_out_reports_restore_and_segments(self):
+    def test_volatile_out_reports_restore(self):
         sinks = Sinks()
         run_scale_latency(TINY, workers=2, sinks=sinks)
         volatile = sinks.volatile
         assert len(volatile["trials"]) == TINY.num_seeds
-        segments = volatile["shared_memory"]
-        assert segments["segments"] == 1
-        assert segments["segment_nbytes"] == 17 * TINY.num_nodes
+        for entry in volatile["trials"]:
+            assert entry["restore_seconds"] >= 0.0
 
     def test_summary_aliases_scale_1m_for_million_configs(self):
         rows = run_scale_latency(TINY)

@@ -15,8 +15,8 @@ object engine's.  Three layers are pinned here:
    ``closest_alive``.
 
 Plus the sharding contract: snapshots pickle, restore isolated
-overlays, and fan out through ``run_trials(shared=...)`` with a
-workers-independent digest.
+overlays, and fan out through ``run_trials`` (trials reach the base
+through ``base_snapshot``) with a workers-independent digest.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from repro.core.system import TapSystem
 from repro.obs import InvariantAuditor
 from repro.past import ReplicatedStore
 from repro.pastry import PastryNetwork, RoutingError
-from repro.perf import rows_digest, run_trials
+from repro.perf import base_snapshot, rows_digest, run_trials
 from repro.perf.compact import CompactOverlay, CompactSnapshot
+from repro.perf.parallel import _SNAPSHOT_CACHE
 from repro.util.ids import ID_SPACE
 from repro.util.rng import SeedSequenceFactory
 
@@ -493,11 +494,11 @@ class TestSnapshotSharding:
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_shared_fanout_digest_is_worker_independent(self, workers):
-        snap = CompactOverlay.bootstrap(N, seed=SEED).snapshot()
-        token = ("compact-shared", SEED, N)
-        digests = run_trials(
-            _churned_digest, [(token,), (token,)], workers, shared={token: snap}
-        )
+        snap = base_snapshot(_SHARED_TOKEN, _shared_build)
+        try:
+            digests = run_trials(_churned_digest, [()] * 2, workers)
+        finally:
+            _SNAPSHOT_CACHE.pop(_SHARED_TOKEN)
         local = snap.restore()
         churn_script(local)
         expected = rows_digest(compact_rows(local))
@@ -568,10 +569,14 @@ class TestMemoryAccounting:
         assert overlay.scratch_nbytes == settled
 
 
-def _churned_digest(token):
-    from repro.perf import shared_payload
+_SHARED_TOKEN = ("compact-shared", SEED, N)
 
-    snap = shared_payload()[token]
-    overlay = snap.restore()
+
+def _shared_build():
+    return CompactOverlay.bootstrap(N, seed=SEED).snapshot()
+
+
+def _churned_digest():
+    overlay = base_snapshot(_SHARED_TOKEN, _shared_build).restore()
     churn_script(overlay)
     return rows_digest(compact_rows(overlay))

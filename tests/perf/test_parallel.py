@@ -5,16 +5,18 @@ worker processes must produce byte-identical canonical-JSON rows — and
 identical metrics, spans and events — to a serial run.  These tests
 pin rows for fig2 (the acceptance example) and the chaos harness
 across three worker counts, telemetry for every runner that takes
-sinks, and unit-test the merge primitives the gate relies on.
+sinks, and unit-test the merge primitives the gate relies on.  Fork
+workers must restore the base the parent built, never rebuild it, and
+a killed worker must fail the fan-out promptly.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
 
 import pytest
 
@@ -39,6 +41,7 @@ from repro.perf import (
     rows_digest,
     run_trials,
 )
+from repro.perf.parallel import _SNAPSHOT_CACHE
 from tests.experiments import test_durability, test_scale_churn, test_scale_latency
 
 WORKER_COUNTS = (1, 2, 3)
@@ -266,28 +269,49 @@ class TestObsParity:
 
 
 # ----------------------------------------------------------------------
-# worker death: prompt error, no leaked segment
+# the base a fan-out shares, and worker death
 # ----------------------------------------------------------------------
-_DEATH_TOKEN = ("worker-death", 5, 64)
+_BASE_TOKEN = ("inherited-base", 5, 64)
 
 
-def _die_holding_segment(marker):
-    snap = base_snapshot(_DEATH_TOKEN, lambda: None)
-    with open(marker, "w") as fh:
-        fh.write(snap.name)
+def _no_build_in_a_worker():
+    raise AssertionError(f"worker {os.getpid()} rebuilt the base")
+
+
+def _inherited_base(parent_pid):
+    snap = base_snapshot(_BASE_TOKEN, _no_build_in_a_worker)
+    overlay = snap.restore()
+    return (os.getpid() != parent_pid, overlay.hi.tolist(),
+            overlay.lo.tolist(), overlay.alive.tolist())
+
+
+def _die(_):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+class TestBaseInheritance:
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only fork workers inherit the parent's cache")
+    def test_fork_workers_restore_the_parent_build(self):
+        snap = base_snapshot(
+            _BASE_TOKEN, lambda: CompactOverlay.random(64, seed=5).snapshot()
+        )
+        try:
+            results = run_trials(_inherited_base, [(os.getpid(),)] * 2, 2)
+        finally:
+            _SNAPSHOT_CACHE.pop(_BASE_TOKEN)
+        expected = (True, snap.hi.tolist(), snap.lo.tolist(),
+                    snap.alive.tolist())
+        assert results == [expected, expected]
+
+
 class TestWorkerDeath:
-    def test_sigkilled_worker_raises_and_unlinks_its_segment(self, tmp_path):
-        snap = CompactOverlay.random(64, seed=5).snapshot()
-        marker = tmp_path / "segment"
+    def test_sigkilled_worker_raises_broken_process_pool(self):
         outcome = []
 
         def fan_out():
             try:
-                run_trials(_die_holding_segment, [(str(marker),)] * 2, 2,
-                           shared={_DEATH_TOKEN: snap})
+                run_trials(_die, [(0,)] * 2, 2)
             except Exception as exc:  # inspected below, off this thread
                 outcome.append(exc)
 
@@ -296,7 +320,3 @@ class TestWorkerDeath:
         thread.join(timeout=60)
         assert not thread.is_alive(), "run_trials hung on a dead worker"
         assert len(outcome) == 1 and isinstance(outcome[0], BrokenProcessPool)
-        name = marker.read_text()
-        assert name
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)

@@ -7,10 +7,9 @@ churn, after identical fail/revive/join scripts and under a strict
 :class:`~repro.core.TapSystem`, and be isolated (mutations never leak
 to the original or a sibling fork).  A base
 :class:`~repro.perf.compact.CompactSnapshot` reaches trials through
-:func:`~repro.perf.base_snapshot` (built once per token, or shipped in
-the ``run_trials(shared=...)`` payload) and survives pickling.  The
-route memo and the routing cells of a network follow its membership
-epoch by epoch.
+:func:`~repro.perf.base_snapshot` (built once per token) and survives
+pickling.  The route memo and the routing cells of a network follow
+its membership epoch by epoch.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ from repro.past.replication import ReplicatedStore
 from repro.pastry.bulk import bucket_bounds
 from repro.pastry.network import PastryNetwork
 from repro.pastry.node import PastryNode, class_key
-from repro.perf import (
-    CompactOverlay, base_snapshot, rows_digest, run_trials, shared_payload,
-)
+from repro.perf import CompactOverlay, base_snapshot, rows_digest
 from repro.perf.parallel import _SNAPSHOT_CACHE
 from repro.util.rng import SeedSequenceFactory
 
@@ -292,16 +289,6 @@ class TestEpochKeyedCaches:
         assert net.cell(nid, row, col) == (heirs[0] if heirs else None)
 
 
-def _shared_probe(token):
-    payload = shared_payload()
-    snap = payload.get(token) if payload else None
-    if snap is None:
-        return None
-    network = PastryNetwork.build(snap.restore().alive_ids())
-    churn_script(network, seed=9)
-    return network_digest(network)
-
-
 class TestSharedSnapshots:
     def test_base_snapshot_caches_by_token(self):
         calls = []
@@ -316,19 +303,3 @@ class TestSharedSnapshots:
         assert len(calls) == 1
         base_snapshot(("t", 2), build)
         assert len(calls) == 2
-
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_shared_payload_reaches_trials(self, workers):
-        snap = base_compact()
-        token = ("shared-test", BASE_SEED, N)
-        digests = run_trials(
-            _shared_probe, [(token,), (token,)], workers, shared={token: snap}
-        )
-        local = base_network()
-        churn_script(local, seed=9)
-        assert digests == [network_digest(local)] * 2
-
-    def test_shared_payload_restored_after_serial_run(self):
-        assert shared_payload() is None
-        run_trials(_shared_probe, [(("none",),)], 1, shared={})
-        assert shared_payload() is None
