@@ -8,6 +8,7 @@ read-only overlays; tests that mutate membership build their own
 from __future__ import annotations
 
 import os
+import pathlib
 import random
 
 import pytest
@@ -87,6 +88,19 @@ def crash_unnoticed(emu, victim: int) -> None:
         on_drop(src, dst, payload)
 
     emu.net.on_drop = noticed
+
+
+@pytest.fixture(scope="session")
+def digest_sheet() -> dict[str, str]:
+    """The ``rows digest`` lines of the committed ``results/DIGESTS.txt``,
+    as ``{experiment: digest}`` (``fig2``, ``fig4a``, ``tradeoff``, ...)."""
+    sheet = pathlib.Path(__file__).resolve().parent.parent / "results" / "DIGESTS.txt"
+    digests = {}
+    for line in sheet.read_text().splitlines():
+        name, sep, digest = line.partition(" rows digest: ")
+        if sep:
+            digests[name] = digest
+    return digests
 
 
 @pytest.fixture(scope="module")

@@ -23,11 +23,18 @@ from repro.experiments.session_survival import (
     run_session_survival,
 )
 from repro.experiments.timing_attack import TimingAttackConfig, run_timing_attack
+from repro.perf import rows_digest
 
 
 class TestTradeoff:
-    def test_monotone_in_k_both_axes(self):
-        rows = run_tradeoff(TradeoffConfig.fast())
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return run_tradeoff(TradeoffConfig.fast())
+
+    def test_rows_match_the_digest_sheet(self, rows, digest_sheet):
+        assert rows_digest(rows) == digest_sheet["tradeoff"]
+
+    def test_monotone_in_k_both_axes(self, rows):
         by_l = {}
         for row in rows:
             by_l.setdefault(row["tunnel_length"], []).append(row)
@@ -38,8 +45,7 @@ class TestTradeoff:
             assert fails == sorted(fails, reverse=True)
             assert corr == sorted(corr)
 
-    def test_tracks_theory(self):
-        rows = run_tradeoff(TradeoffConfig.fast())
+    def test_tracks_theory(self, rows):
         for row in rows:
             assert row["failed_tunnels"] == pytest.approx(
                 row["expected_failed"], abs=0.12
@@ -50,8 +56,14 @@ class TestTradeoff:
 
 
 class TestScatter:
-    def test_scattering_reduces_multi_hop_holders(self):
-        rows = run_scatter(ScatterConfig.fast())
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return run_scatter(ScatterConfig.fast())
+
+    def test_rows_match_the_digest_sheet(self, rows, digest_sheet):
+        assert rows_digest(rows) == digest_sheet["scatter"]
+
+    def test_scattering_reduces_multi_hop_holders(self, rows):
         rates = {r["selection"]: r["multi_hop_holder_rate"] for r in rows}
         assert rates["scattered"] < rates["uniform"]
 

@@ -33,6 +33,16 @@ def fig3_rows():
 
 
 @pytest.fixture(scope="module")
+def fig4a_rows():
+    return run_fig4a(Fig4Config.fast())
+
+
+@pytest.fixture(scope="module")
+def fig4b_rows():
+    return run_fig4b(Fig4Config.fast())
+
+
+@pytest.fixture(scope="module")
 def fig5_rows():
     return run_fig5(Fig5Config.fast())
 
@@ -43,6 +53,9 @@ def fig6_rows():
 
 
 class TestFig2:
+    def test_rows_match_the_digest_sheet(self, fig2_rows, digest_sheet):
+        assert rows_digest(fig2_rows) == digest_sheet["fig2"]
+
     def test_tap_far_below_current(self, fig2_rows):
         by_scheme = series(fig2_rows, "failed_fraction", "failed_tunnels")
         for (p, cur), (_, tap) in zip(by_scheme["current"], by_scheme["tap-k3"]):
@@ -79,6 +92,9 @@ class TestFig2:
 
 
 class TestFig3:
+    def test_rows_match_the_digest_sheet(self, fig3_rows, digest_sheet):
+        assert rows_digest(fig3_rows) == digest_sheet["fig3"]
+
     def test_monotone_in_malicious_fraction(self, fig3_rows):
         values = [r["corrupted_tunnels"] for r in fig3_rows]
         assert values == sorted(values)
@@ -96,15 +112,18 @@ class TestFig3:
 
 
 class TestFig4:
-    def test_4a_increasing_in_k(self):
-        rows = run_fig4a(Fig4Config.fast())
-        values = [r["corrupted_tunnels"] for r in rows]
+    def test_rows_match_the_digest_sheet(self, fig4a_rows, fig4b_rows,
+                                         digest_sheet):
+        assert rows_digest(fig4a_rows) == digest_sheet["fig4a"]
+        assert rows_digest(fig4b_rows) == digest_sheet["fig4b"]
+
+    def test_4a_increasing_in_k(self, fig4a_rows):
+        values = [r["corrupted_tunnels"] for r in fig4a_rows]
         assert values == sorted(values)
         assert values[-1] > values[0]
 
-    def test_4b_decreasing_in_length(self):
-        rows = run_fig4b(Fig4Config.fast())
-        values = [r["corrupted_tunnels"] for r in rows]
+    def test_4b_decreasing_in_length(self, fig4b_rows):
+        values = [r["corrupted_tunnels"] for r in fig4b_rows]
         assert values == sorted(values, reverse=True)
         assert values[0] > values[-1]
 
@@ -125,6 +144,9 @@ class TestFig4:
 
 
 class TestFig5:
+    def test_rows_match_the_digest_sheet(self, fig5_rows, digest_sheet):
+        assert rows_digest(fig5_rows) == digest_sheet["fig5"]
+
     def test_unrefreshed_grows(self, fig5_rows):
         unref = series(fig5_rows, "time", "corrupted_tunnels")["unrefreshed"]
         assert unref[-1][1] >= unref[0][1]
