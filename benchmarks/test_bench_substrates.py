@@ -4,7 +4,8 @@ These are classic pytest-benchmark timing runs (many rounds), profiling
 the layers per the HPC guide workflow — measure before optimising:
 
 * Pastry routing decisions over a built overlay;
-* the vectorised replica-table kernel (NumPy searchsorted + lexsort);
+* the id-space model's replica table (``IdSpaceModel.replica_indices``:
+  a two-word search plus a k-step merge);
 * symmetric seal/open (one op per tunnel hop per message);
 * full 5-hop onion build + peel.
 """
@@ -14,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.analysis.idspace import IdSpaceModel, replica_table
+from repro.analysis.idspace import IdSpaceModel
 from repro.crypto.onion import OnionLayer, build_onion, peel_layer
 from repro.crypto.symmetric import SymmetricKey
 from repro.pastry.network import PastryNetwork
@@ -54,10 +55,14 @@ def test_bench_overlay_build(benchmark):
 
 def test_bench_replica_table(benchmark):
     rng = np.random.default_rng(1)
-    ids = np.sort(IdSpaceModel.draw_unique_ids(10_000, rng))
+    model = IdSpaceModel.random(10_000, rng)
     keys = IdSpaceModel.draw_unique_ids(25_000, rng)
 
-    table = benchmark(replica_table, ids, keys, 3)
+    def query():
+        model._replica_memo.clear()  # time the kernel, not the memo
+        return model.replica_indices(keys, 3)
+
+    table = benchmark(query)
     assert table.shape == (25_000, 3)
 
 

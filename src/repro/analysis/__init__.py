@@ -11,7 +11,7 @@
   probabilities, expected route lengths).
 """
 
-from repro.analysis.idspace import IdSpaceModel, replica_table
+from repro.analysis.idspace import IdSpaceModel
 from repro.analysis.anonymity import (
     responder_guess_probability,
     predecessor_confidence,
@@ -28,7 +28,6 @@ from repro.analysis.theory import (
 
 __all__ = [
     "IdSpaceModel",
-    "replica_table",
     "responder_guess_probability",
     "predecessor_confidence",
     "anonymity_set_entropy",

@@ -3,36 +3,33 @@
 Figures 2–5 of the paper are Monte-Carlo statements about *which k
 nodes are numerically closest to which keys* under failures, collusion
 and churn — packet-level routing never enters the measured quantity.
-This module computes that mapping with NumPy over a 64-bit ring
-(statistically identical to the 128-bit ring: with 10^4 uniform ids the
-collision probability is ~2^-37), which makes the paper-scale runs
-(10^4 nodes × 25,000 anchors) take milliseconds instead of minutes.
+This module computes that mapping with NumPy, which makes the
+paper-scale runs (10^4 nodes × 25,000 anchors) take milliseconds
+instead of minutes.
 
 The semantics — ring distance, closest-first, ties toward the smaller
 id — are the ones defined in :mod:`repro.util.ids`; the test-suite
 cross-validates this module against the object-level
 :class:`repro.past.ReplicatedStore` on the same inputs.
 
-Two families of kernels live here:
-
-* the original 64-bit single-word kernels (:func:`replica_table`,
-  :class:`IdSpaceModel`) used by the figure sweeps, where a 64-bit
-  ring is statistically indistinguishable from the 128-bit one;
-* exact 128-bit *two-word* kernels (:func:`pack_ids`,
-  :func:`searchsorted_words`, :func:`ring_distance_words`,
-  :func:`replica_table_words`, :func:`closest_index_words`) operating
-  on aligned ``(hi, lo)`` uint64 array pairs.  These share the ring
-  semantics bit-for-bit
-  with :mod:`repro.util.ids` and are the substrate of the compact
-  overlay engine (:mod:`repro.perf.compact`), which must agree with
-  the object engine on *real* 128-bit ids, not a scaled model.
+One kernel family lives here: exact 128-bit *two-word* kernels
+(:func:`pack_ids`, :func:`argsort_words`, :func:`searchsorted_words`,
+:func:`ring_distance_words`, :func:`replica_table_words`,
+:func:`closest_index_words`, ...) on aligned ``(hi, lo)`` uint64 array
+pairs, bit-for-bit with :mod:`repro.util.ids`.  The compact overlay
+engine (:mod:`repro.perf.compact`) and the packet plane run them on
+real 128-bit ids.  :class:`IdSpaceModel`, the figure sweeps'
+population, draws 64-bit ids and hands each id and key to the same
+kernels as a high word over a zero low word, i.e. as the 128-bit id
+``x << 64``.  That keeps ring order and ties and scales every distance
+by 2^64, so its replica sets are the exact 128-bit rankings of those
+ids, not a statistical stand-in for them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-RING_BITS = 64
 _DTYPE = np.uint64
 
 _WORD_BITS = 64
@@ -46,40 +43,16 @@ def _as_ring_array(values) -> np.ndarray:
     return arr
 
 
-def _ring_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise ring distance; relies on well-defined uint64 wrap."""
-    diff = a - b
-    return np.minimum(diff, np.zeros_like(diff) - diff)
-
-
-def argsort_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.argsort(values, kind="stable")``, by NumPy's fast default sort.
-
-    Returns ``(order, ranked, tie)``: the permutation, ``values[order]``
-    and a mask over ``ranked`` marking each entry equal to its
-    predecessor.  Distinct values have exactly one ascending order, so
-    the default sort's answer is the stable one; only when ``tie`` marks
-    an entry is the order recomputed by the stable sort (``ranked`` and
-    ``tie`` do not depend on how ties are ordered).
-    """
-    order = np.argsort(values)
-    ranked = values[order]
-    tie = np.zeros(len(values), dtype=bool)
-    tie[1:] = ranked[1:] == ranked[:-1]
-    if tie.any():
-        order = np.argsort(values, kind="stable")
-    return order, ranked, tie
-
-
 def _duplicate_positions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boolean mask of every position holding a repeat of an earlier draw,
     with the sort that found them: ``(dup, order, values[order])``.
 
     The *first* occurrence of each value (in array order) is kept
-    unmarked; the stable order of :func:`argsort_ids` makes "first"
-    well-defined within each run of equal values.
+    unmarked; over a zero low word :func:`argsort_words` is the stable
+    argsort, which makes "first" well-defined within each run of equal
+    values.
     """
-    order, ranked, tie = argsort_ids(values)
+    order, ranked, _, tie = argsort_words(values, np.zeros_like(values))
     dup = np.empty(len(values), dtype=bool)
     dup[order] = tie
     return dup, order, ranked
@@ -98,35 +71,6 @@ def _draw_unique(count: int, rng: np.random.Generator):
         )
 
 
-def replica_table(sorted_ids: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
-    """Indices (into ``sorted_ids``) of the k closest nodes per key.
-
-    ``sorted_ids`` must be ascending and duplicate-free.  Returns shape
-    ``(len(keys), k)``; column order is closest-first with ties broken
-    toward the smaller id, matching :func:`repro.util.ids.closest_ids`.
-    """
-    sorted_ids = _as_ring_array(sorted_ids)
-    keys = _as_ring_array(keys)
-    n = len(sorted_ids)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n:
-        raise ValueError(f"k={k} exceeds population {n}")
-
-    if 2 * k >= n:
-        # Small population: rank every node for every key.
-        cand = np.broadcast_to(np.arange(n), (len(keys), n))
-    else:
-        pos = np.searchsorted(sorted_ids, keys)
-        offsets = np.arange(-k, k)
-        cand = (pos[:, None] + offsets[None, :]) % n
-
-    cand_ids = sorted_ids[cand]
-    dist = _ring_distance(cand_ids, keys[:, None])
-    order = np.lexsort((cand_ids, dist), axis=-1)
-    return np.take_along_axis(cand, order[:, :k], axis=1)
-
-
 class IdSpaceModel:
     """A population of node ids with per-node boolean attributes.
 
@@ -142,7 +86,7 @@ class IdSpaceModel:
 
     def __init__(self, node_ids, malicious=None):
         ids = _as_ring_array(node_ids)
-        order, ranked, tie = argsort_ids(ids)
+        order, ranked, _, tie = argsort_words(ids, np.zeros_like(ids))
         if tie.any():
             raise ValueError("duplicate node ids")
         self._adopt(ids, order, ranked, malicious)
@@ -244,7 +188,9 @@ class IdSpaceModel:
         if table is None:
             if len(self._replica_memo) >= self._MEMO_LIMIT:
                 self._replica_memo.clear()
-            table = replica_table(self.ids, keys_arr, k)
+            # each id and key is the high word over a zero low word
+            table = replica_table_words(self.ids, np.zeros_like(self.ids),
+                                        keys_arr, np.zeros_like(keys_arr), k)
             table.setflags(write=False)
             self._replica_memo[token] = table
         return table
@@ -285,7 +231,7 @@ class IdSpaceModel:
         malicious = np.asarray(malicious, dtype=bool)
         ids = np.concatenate([self.ids, new_ids])
         flags = np.concatenate([self.malicious, malicious])
-        order, ranked, tie = argsort_ids(ids)
+        order, ranked, _, tie = argsort_words(ids, np.zeros_like(ids))
         if tie.any():
             raise ValueError("duplicate node ids after add")
         self.ids = ranked
@@ -371,13 +317,14 @@ def searchsorted_words(
     """Leftmost insertion positions of keys in a sorted (hi, lo) pair.
 
     Equivalent to ``np.searchsorted(ids, keys)`` on the 128-bit values:
-    searchsorted on the high words, then advance each position past
-    entries whose high word ties but whose low word is still smaller.
-    For a batch the advance loop runs at most max-run-of-equal-hi
-    times, which for uniform ids is O(1); one needle instead searches
-    the low words of its run of equal high words, so a long run (a
-    clustered ring) costs it two more binary searches, not a step per
-    member.
+    searchsorted on the high words, then, for the keys whose high word
+    ties an entry with a smaller low word, search the low words of that
+    run of equal high words.  Uniform ids make every run one long, so a
+    batch is settled by one check after the high-word search; the keys
+    left bisect their runs together, one pass per halving of the
+    longest run, not a step per member.  One needle searches the low
+    words of its run directly: a long run (a clustered ring) costs it
+    two more binary searches.
 
     The high words are searched in ascending needle order and the
     answers scattered back: NumPy's binary search keeps its lower bound
@@ -406,13 +353,27 @@ def searchsorted_words(
     if n == 0:
         # nothing to probe: every key inserts at 0
         return pos
+    inside = pos < n
+    probe = np.where(inside, pos, 0)
+    step = inside & (hi[probe] == key_hi) & (lo[probe] < key_lo)
+    if not step.any():
+        return pos
+    # bisect [first, last) of each run left: every entry before `first`
+    # has a smaller low word, every one from `last` on does not (or is
+    # past the run)
+    idx = np.flatnonzero(step)
+    first = pos[idx] + 1
+    last = np.searchsorted(hi, key_hi[idx], side="right")
+    klo = key_lo[idx]
     while True:
-        inside = pos < n
-        probe = np.where(inside, pos, 0)
-        step = inside & (hi[probe] == key_hi) & (lo[probe] < key_lo)
-        if not step.any():
+        open_ = first < last
+        if not open_.any():
+            pos[idx] = first
             return pos
-        pos = pos + step
+        mid = (first + last) // 2
+        below = open_ & (lo[np.where(open_, mid, 0)] < klo)
+        first = np.where(below, mid + 1, first)
+        last = np.where(open_ & ~below, mid, last)
 
 
 def _sub_words(ahi, alo, bhi, blo):
@@ -567,7 +528,7 @@ def replica_table_words(
     key_lo: np.ndarray,
     k: int,
 ) -> np.ndarray:
-    """128-bit twin of :func:`replica_table`.
+    """Indices (into the sorted ids) of the k closest ids per key.
 
     ``(sorted_hi, sorted_lo)`` must be numerically ascending and
     duplicate-free.  Returns ``(len(keys), k)`` indices, closest-first

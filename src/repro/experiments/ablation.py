@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.idspace import IdSpaceModel, replica_table
+from repro.analysis.idspace import IdSpaceModel
 from repro.analysis.theory import tunnel_corruption_prob, tunnel_failure_prob_tap
 from repro.perf import Sinks, run_trials
 from repro.util.rng import SeedSequenceFactory

@@ -354,8 +354,9 @@ class TestKeyWordsMustPair:
 
 class TestTieBreaking:
     """Deterministic tie-breaking at exact ring-distance ties and
-    id-space wrap, mirroring the PR 6 ``replica_table`` wrap tests —
-    the convention everywhere is closest first, smaller id on ties."""
+    id-space wrap, mirroring ``IdSpaceModel``'s ``TestReplicaTable``
+    wrap tests — the convention everywhere is closest first, smaller id
+    on ties."""
 
     @staticmethod
     def _oracle(ids, key, k):
