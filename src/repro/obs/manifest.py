@@ -34,7 +34,7 @@ import pathlib
 import subprocess
 import sys
 
-from repro.perf.digest import canonical_json
+from repro.perf.digest import _coerce, canonical_json
 
 SCHEMA = 1
 
@@ -156,13 +156,6 @@ def write_manifest(manifest: dict, path) -> dict:
         + "\n"
     )
     return manifest
-
-
-def _coerce(obj):
-    tolist = getattr(obj, "tolist", None)
-    if callable(tolist):
-        return tolist()
-    raise TypeError(f"not manifest-serialisable: {type(obj).__name__}")
 
 
 def load_manifest(path) -> dict:

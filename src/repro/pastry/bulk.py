@@ -56,9 +56,8 @@ def bucket_bounds(node_id: int, row: int, col: int, b_bits: int) -> tuple[int, i
     digits followed by digit ``col``.  Because the bucket is a
     contiguous interval of the sorted ring, its canonical entry (the
     smallest qualifying id) is the first alive id at or past ``lower``
-    — the one-bisect lookup :meth:`repro.pastry.network.PastryNetwork.cell`,
-    the compact engine's scalar router and the batched packet plane
-    (:mod:`repro.perf.packet`) build on.
+    — the one-bisect lookup :meth:`repro.pastry.network.PastryNetwork.cell`
+    and the batched packet plane (:mod:`repro.perf.packet`) build on.
     """
     shift = ID_BITS - b_bits * (row + 1)
     lower = ((node_prefix(node_id, row, b_bits) << b_bits) | col) << shift

@@ -21,7 +21,7 @@ The network object plays two roles found in FreePastry's simulator:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.pastry.bulk import bucket_bounds, leaf_reach, leaf_window
 from repro.pastry.constants import DEFAULT_B_BITS, DEFAULT_LEAF_SET_SIZE
@@ -133,6 +133,22 @@ class PastryNetwork:
         )
         net._sorted_alive = sorted(set(node_ids))
         net.proximity = proximity
+        return net
+
+    @classmethod
+    def over_sorted(
+        cls,
+        sorted_ids: Sequence[int],
+        b_bits: int = DEFAULT_B_BITS,
+        leaf_set_size: int = DEFAULT_LEAF_SET_SIZE,
+    ) -> "PastryNetwork":
+        """A network whose alive ids are ``sorted_ids`` as given: an
+        ascending, duplicate-free sequence, adopted with no sort and no
+        copy.  Membership events write the sequence, so on a read-only
+        one (:meth:`repro.perf.compact.CompactOverlay.twin`) they
+        raise."""
+        net = cls(b_bits=b_bits, leaf_set_size=leaf_set_size)
+        net._sorted_alive = sorted_ids
         return net
 
     # ------------------------------------------------------------------

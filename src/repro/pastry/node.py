@@ -4,9 +4,10 @@ A node stores no other id.  Its leaf set is its window of the
 network's sorted alive ids (:meth:`PastryNetwork.leaves`) and its
 routing-table cells the smallest alive ids of their prefix classes, or
 on a PNS network the nearest of the first few
-(:meth:`PastryNetwork.cell`): the state a bulk build would install and
-(without PNS) the one :class:`repro.perf.compact.CompactOverlay`
-derives, so it never names a dead node.  A node object holds
+(:meth:`PastryNetwork.cell`): the state a bulk build would install,
+so it never names a dead node.  The same rule routes a
+:class:`repro.perf.compact.CompactOverlay`, read over its id words
+(``CompactOverlay.twin``).  A node object holds
 only the window epoch its memoised decisions were taken under and the
 memo itself; the network builds it on the node's first decision.
 """

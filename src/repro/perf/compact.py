@@ -16,26 +16,25 @@ prefix-bucket slices, exactly what the object engine reads (see
 * an aligned boolean ``alive`` array plus a ``membership_epoch``
   counter (the same epoch contract the object engine's caches use);
 
-and derives everything else on demand: replica sets via the vectorised
-128-bit kernels, leaf windows and routing cells per node when routing
-or materialising.  Bootstrap at N=10^5 is an array sort; fail/revive is
-a flag write; join is an array merge.
+and derives everything else on demand: replica sets and the packet
+plane's routes via the vectorised 128-bit kernels, and scalar routes
+through :meth:`CompactOverlay.twin`.  Bootstrap at N=10^5 is an array
+sort; fail/revive is a flag write; join is an array merge.
 
 Equivalence contract (pinned by ``tests/perf/test_compact.py``):
 
-1. **Bootstrap**: materialising every node of a compact overlay yields
-   byte-for-byte the rows of ``PastryNetwork.build`` on the same ids.
+1. **Bootstrap**: the rows of every node of a compact overlay's twin
+   equal byte-for-byte those of ``PastryNetwork.build`` on the same ids.
 2. **Churn is canonical maintenance**: after any fail/revive/join
-   sequence the compact overlay's derived state equals a *fresh*
-   ``PastryNetwork.build`` over the current alive set — the state the
-   object engine keeps too.
+   sequence the twin's rows equal a *fresh* ``PastryNetwork.build``
+   over the current alive set — the state the object engine keeps too.
 3. **Observable equality**: sorted alive ids, replica sets and routes
    match the object engine event for event under the strict auditor.
 
-An object-engine twin of a compact overlay is
-``PastryNetwork.build(overlay.alive_ids())``: it builds a node on its
-first decision, so packet-level spot-checks on a 10^5-node compact
-overlay build only the nodes a route actually touches.
+The object-engine twin of a compact overlay (:meth:`CompactOverlay.twin`)
+is a ``PastryNetwork`` reading the alive id words in place: no copy, no
+forwarding rule of this module's own, and a node built only where a
+route decides, so a scalar route on a 10^6-node overlay costs its hops.
 :class:`CompactSnapshot` is the frozen capture every trial of a
 fan-out restores; runners cache it through ``base_snapshot``, and
 fork workers of ``run_trials`` inherit that cache.
@@ -43,9 +42,12 @@ fork workers of ``run_trials`` inherit that cache.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.analysis.idspace import (
+    _WORD_BITS,
     argsort_words,
     merge_insert_positions,
     pack_ids,
@@ -53,30 +55,36 @@ from repro.analysis.idspace import (
     searchsorted_words,
     unpack_words,
 )
-from repro.pastry.bulk import bucket_bounds, leaf_reach
 from repro.pastry.constants import DEFAULT_B_BITS, DEFAULT_LEAF_SET_SIZE
-from repro.pastry.network import RoutingError
-from repro.util.ids import (
-    ID_BITS,
-    ID_SPACE,
-    id_digit,
-    random_id,
-    ring_distance,
-    shared_prefix_digits,
-)
+from repro.pastry.network import PastryNetwork, RoutingError
+from repro.util.ids import random_id
 from repro.util.rng import SeedSequenceFactory
 
 _U64_MAX = np.iinfo(np.uint64).max
-_WORD_BITS = 64
-_WORD_MASK = (1 << _WORD_BITS) - 1
 
 
-def _pack_scalar(value: int) -> tuple[np.uint64, np.uint64]:
-    return np.uint64(value >> _WORD_BITS), np.uint64(value & _WORD_MASK)
+class _SortedWords(Sequence):
+    """Ascending 128-bit ids read off aligned ``(hi, lo)`` word arrays.
 
+    A read-only sequence: ``len``, an int index (negative too) and a
+    slice (a fresh list) — what ``bisect``, ``leaf_window`` and
+    ``closest_in_sorted`` read — with no copy of the words into Python
+    ints, which at 10^6 ids would cost more than the route.
+    """
 
-def _unpack_scalar(hi, lo) -> int:
-    return (int(hi) << _WORD_BITS) | int(lo)
+    __slots__ = ("_hi", "_lo")
+
+    def __init__(self, hi: np.ndarray, lo: np.ndarray):
+        self._hi = hi
+        self._lo = lo
+
+    def __len__(self) -> int:
+        return len(self._hi)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return unpack_words(self._hi[index], self._lo[index])
+        return (self._hi.item(index) << _WORD_BITS) | self._lo.item(index)
 
 
 class CompactOverlay:
@@ -297,10 +305,6 @@ class CompactOverlay:
             self._scratch[name] = buf
         return buf[:size]
 
-    def ids_list(self) -> list[int]:
-        """All tracked ids, ascending (alive and dead)."""
-        return unpack_words(self.hi, self.lo)
-
     def alive_ids(self) -> list[int]:
         """Ascending ids of alive nodes (fresh list)."""
         ahi, alo, _ = self._alive_arrays()
@@ -493,158 +497,36 @@ class CompactOverlay:
         return out.reshape(np.shape(member_hi))
 
     # ------------------------------------------------------------------
-    # derived per-node canonical state
+    # scalar routing (the object engine's rule over the alive words)
     # ------------------------------------------------------------------
-    def _alive_id_at(self, apos: int) -> int:
-        ahi, alo, _ = self._alive_arrays()
-        return _unpack_scalar(ahi[apos], alo[apos])
+    def twin(self) -> PastryNetwork:
+        """The object engine over this overlay's alive ids, read in place.
 
-    def _alive_pos_of(self, node_id: int) -> int | None:
-        ahi, alo, _ = self._alive_arrays()
-        khi, klo = _pack_scalar(node_id)
-        pos = int(searchsorted_words(ahi, alo, khi, klo)[0])
-        if pos < len(ahi) and ahi[pos] == khi and alo[pos] == klo:
-            return pos
-        return None
-
-    def leaf_members(self, node_id: int) -> list[int]:
-        """The canonical leaf set of an alive node (unordered ids)."""
-        apos = self._alive_pos_of(node_id)
-        if apos is None:
-            raise KeyError(f"node {node_id:#x} is not alive")
-        return self._leaf_member_ids(apos)
-
-    def _leaf_member_ids(self, apos: int) -> list[int]:
-        ahi, alo, _ = self._alive_arrays()
-        n = len(ahi)
-        reach = leaf_reach(n, self.leaf_set_size)
-        if reach <= 0:
-            return []
-        positions = {(apos + off) % n for off in range(-reach, reach + 1) if off}
-        return [self._alive_id_at(p) for p in positions]
-
-    def _cell_entry(self, node_id: int, row: int, col: int) -> int | None:
-        """Smallest alive id in the (row, prefix, col) bucket slice —
-        the canonical cell entry (:meth:`PastryNetwork.cell` over the
-        prefix run in sorted order)."""
-        ahi, alo, _ = self._alive_arrays()
-        lower, upper = bucket_bounds(node_id, row, col, self.b_bits)
-        khi, klo = _pack_scalar(lower)
-        pos = int(searchsorted_words(ahi, alo, khi, klo)[0])
-        if pos < len(ahi):
-            candidate = self._alive_id_at(pos)
-            if lower <= candidate < upper:
-                return candidate
-        return None
-
-    def node_cells(self, node_id: int) -> dict[tuple[int, int], int]:
-        """The canonical routing-table cells of an alive node.
-
-        Row depth is bounded by the shared prefix with the sorted
-        neighbours, exactly as in the bulk builder — deeper rows are
-        provably empty.
+        Its sorted alive ids are a read-only view of the epoch's alive
+        words (:class:`_SortedWords`), so building it copies nothing and
+        it decides with :class:`repro.pastry.PastryNode`'s rule — the one
+        forwarding rule of the repository.  It is frozen at the epoch of
+        the call and routes under this overlay's :attr:`MAX_HOPS`;
+        ``fail`` and ``join`` on it raise, since the view takes no
+        writes.
         """
-        apos = self._alive_pos_of(node_id)
-        if apos is None:
-            raise KeyError(f"node {node_id:#x} is not alive")
-        return self._node_cells(apos)
-
-    def _node_cells(self, apos: int) -> dict[tuple[int, int], int]:
         ahi, alo, _ = self._alive_arrays()
-        n = len(ahi)
-        nid = self._alive_id_at(apos)
-        if n == 1:
-            return {}
-        depth = 0
-        if apos > 0:
-            depth = shared_prefix_digits(nid, self._alive_id_at(apos - 1), self.b_bits)
-        if apos < n - 1:
-            depth = max(
-                depth,
-                shared_prefix_digits(nid, self._alive_id_at(apos + 1), self.b_bits),
-            )
-        cells: dict[tuple[int, int], int] = {}
-        for row in range(min(ID_BITS // self.b_bits, depth + 1)):
-            own_digit = id_digit(nid, row, self.b_bits)
-            for col in range(1 << self.b_bits):
-                if col == own_digit:
-                    continue
-                entry = self._cell_entry(nid, row, col)
-                if entry is not None:
-                    cells[(row, col)] = entry
-        return cells
-
-    # ------------------------------------------------------------------
-    # routing (mirrors PastryNode.next_hop on the canonical state)
-    # ------------------------------------------------------------------
-    def _leaf_covers(self, apos: int, key: int) -> bool:
-        ahi, alo, _ = self._alive_arrays()
-        n = len(ahi)
-        if n <= self.leaf_set_size:
-            # the window wraps or under-fills: not "full", covers all
-            return True
-        half = self.leaf_set_size // 2
-        cw_far = self._alive_id_at((apos + half) % n)
-        ccw_far = self._alive_id_at((apos - half) % n)
-        span = (cw_far - ccw_far) % ID_SPACE
-        return (key - ccw_far) % ID_SPACE <= span
-
-    def _next_hop(self, apos: int, key: int) -> int:
-        """Pastry's forwarding rule over derived state; returns the
-        next node id (itself when this node is responsible)."""
-        nid = self._alive_id_at(apos)
-
-        if self._leaf_covers(apos, key):
-            pool = self._leaf_member_ids(apos)
-            pool.append(nid)
-            return min(pool, key=lambda x: (ring_distance(x, key), x))
-
-        row = shared_prefix_digits(nid, key, self.b_bits)
-        col = id_digit(key, row, self.b_bits)
-        entry = self._cell_entry(nid, row, col)
-        if entry is not None:
-            return entry
-
-        # Rare case: any known node with a no-shorter prefix that is
-        # strictly closer.  "Known" for canonical state is the leaf
-        # window plus every populated cell.
-        own_dist = ring_distance(nid, key)
-        known = set(self._leaf_member_ids(apos))
-        known.update(self._node_cells(apos).values())
-        best = None
-        best_key = None
-        for cand in known:
-            if shared_prefix_digits(cand, key, self.b_bits) < row:
-                continue
-            dist = ring_distance(cand, key)
-            if dist >= own_dist:
-                continue
-            cand_key = (dist, cand)
-            if best_key is None or cand_key < best_key:
-                best_key = cand_key
-                best = cand
-        return best if best is not None else nid
+        net = PastryNetwork.over_sorted(
+            _SortedWords(ahi, alo), self.b_bits, self.leaf_set_size
+        )
+        net.MAX_HOPS = self.MAX_HOPS
+        return net
 
     def route(self, src_id: int, key: int) -> tuple[int, ...]:
-        """The path of ``key`` from ``src_id``, hop by hop on derived
-        state.
+        """The path of ``key`` from ``src_id``, a cold walk of a fresh
+        :meth:`twin` (no memo outlives the call).
 
         Identical decisions to ``PastryNetwork.route`` on an object
         overlay with the same alive ids, however each reached them, and
         the same :class:`RoutingError` on a dead source or a walk past
         :attr:`MAX_HOPS`.
         """
-        apos = self._alive_pos_of(src_id)
-        if apos is None:
-            raise RoutingError(f"source {src_id:#x} is not alive")
-        path = [src_id]
-        for _ in range(self.MAX_HOPS):
-            nxt = self._next_hop(apos, key)
-            if nxt == path[-1]:
-                return tuple(path)
-            path.append(nxt)
-            apos = self._alive_pos_of(nxt)
-        raise RoutingError(f"route to {key:#x} exceeded {self.MAX_HOPS} hops")
+        return self.twin().route(src_id, key)
 
     # ------------------------------------------------------------------
     # batched packet plane (repro.perf.packet)
@@ -663,13 +545,6 @@ class CompactOverlay:
         from repro.perf.packet import route_many
 
         return route_many(self, src_pos, key_hi, key_lo, chunk_size=chunk_size)
-
-    def route_many_ids(self, src_ids, keys):
-        """ID-level convenience wrapper over :meth:`route_many`."""
-        from repro.perf.packet import route_many
-
-        key_hi, key_lo = pack_ids(keys)
-        return route_many(self, self.positions_of(src_ids), key_hi, key_lo)
 
     def route_tunnels(self, src_pos, hop_key_hi, hop_key_lo,
                       dest_key_hi, dest_key_lo, *,

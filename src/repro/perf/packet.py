@@ -2,12 +2,15 @@
 
 :func:`route_many` advances a whole batch of packets one hop per
 iteration with NumPy kernels, making the same forwarding decision as
-``CompactOverlay._next_hop`` for every packet — a tested hop-for-hop
-contract against both the scalar router and an object-engine build of
-the alive ids (``tests/perf/test_packet.py``).
+:class:`repro.pastry.PastryNode`'s rule read over the compact words
+(``CompactOverlay.route``, a walk of the overlay's ``twin()``) for
+every packet — a tested hop-for-hop contract against that scalar walk
+and an object-engine build of the alive ids
+(``tests/perf/test_packet.py``).
 
 Per iteration, the active front splits into three vectorised branches
-that mirror the scalar rule exactly:
+that mirror the scalar rule's three (``PastryNode.decision``'s class
+key: none, a cell's class, the rare case's whole class) exactly:
 
 * **leaf-covered** — a rank test: the key's insertion rank (resolved
   once per packet, with its root) against the node's ±half window;

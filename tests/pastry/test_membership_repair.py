@@ -105,20 +105,27 @@ class World:
         assert net.alive_ids == alive
         assert net.down_ids == set(self.down)
         fresh = PastryNetwork.build(alive)
+        twin = self.compact.twin()
         for idx, nid in enumerate(alive):
             members = set(net.leaves(nid))
             want = ring_neighbours(alive, idx)
             assert members == want, f"{nid:#x} of {len(alive)}"
             assert members == set(fresh.leaves(nid))
-            assert members == set(self.compact.leaf_members(nid))
+            assert members == set(twin.leaves(nid))
             if len(alive) <= 40:
                 assert want == nearest_by_distance(alive, nid)
         if alive:
             src = alive[len(alive) // 3]
-            assert net.cells(src) == self.compact.node_cells(src)
+            assert net.cells(src) == twin.cells(src)
         for src in alive[:: max(1, len(alive) // 4)]:
             for key in (src ^ 0x5A5A << 100, (alive[len(alive) // 2] + 1) % ID_SPACE):
-                assert net.route(src, key) == self.compact.route(src, key)
+                path = net.route(src, key)
+                assert path == self.compact.route(src, key)
+                # each hop took the same branch: None (leaf-covered), an
+                # even class key (a prefix cell) or an odd one (rare case)
+                assert [net._node(hop).decision(key)[1] for hop in path] == [
+                    twin._node(hop).decision(key)[1] for hop in path
+                ]
         if before is not None:
             self._check_window_epochs(before)
 

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.idspace import unpack_words
 from repro.core.system import TapSystem
 from repro.obs import InvariantAuditor
 from repro.past import ReplicatedStore
@@ -38,6 +39,7 @@ from repro.perf.compact import CompactOverlay, CompactSnapshot
 from repro.perf.parallel import _SNAPSHOT_CACHE
 from repro.util.ids import ID_SPACE
 from repro.util.rng import SeedSequenceFactory
+from tests.perf.test_packet import _clustered_overlay
 
 SEED = 7
 N = 300
@@ -54,21 +56,6 @@ def network_rows(net: PastryNetwork) -> list[dict]:
             "cells": sorted(
                 [row, col, entry]
                 for (row, col), entry in net.cells(nid).items()
-            ),
-        })
-    return rows
-
-
-def compact_rows(overlay: CompactOverlay) -> list[dict]:
-    """The same rows derived straight from the compact arrays."""
-    rows = []
-    for nid in overlay.alive_ids():
-        rows.append({
-            "id": nid,
-            "leaf": sorted(overlay.leaf_members(nid)),
-            "cells": sorted(
-                [row, col, entry]
-                for (row, col), entry in overlay.node_cells(nid).items()
             ),
         })
     return rows
@@ -99,17 +86,17 @@ class TestBootstrapEquivalence:
     def test_bootstrap_digest_matches_object_build(self):
         overlay = CompactOverlay.bootstrap(N, seed=SEED)
         net = PastryNetwork.build(overlay.alive_ids())
-        assert rows_digest(compact_rows(overlay)) == rows_digest(network_rows(net))
+        assert rows_digest(network_rows(overlay.twin())) == rows_digest(network_rows(net))
 
     @pytest.mark.parametrize("n", (1, 2, 3, 17))
     def test_tiny_rings(self, n):
         overlay = CompactOverlay.bootstrap(n, seed=SEED)
         net = PastryNetwork.build(overlay.alive_ids())
-        assert rows_digest(compact_rows(overlay)) == rows_digest(network_rows(net))
+        assert rows_digest(network_rows(overlay.twin())) == rows_digest(network_rows(net))
 
     def test_random_bootstrap_is_sorted_and_unique(self):
         overlay = CompactOverlay.random(5_000, seed=SEED)
-        ids = overlay.ids_list()
+        ids = unpack_words(overlay.hi, overlay.lo)
         assert ids == sorted(set(ids))
         assert overlay.num_alive == 5_000
 
@@ -125,12 +112,51 @@ class TestBootstrapEquivalence:
         assert hashlib.sha256(words).hexdigest() == digest
 
 
+class TestTwin:
+    """``twin()`` is the object engine reading the alive words in place."""
+
+    def test_clustered_ring_digest_matches_object_build(self):
+        # empty cells and one deep prefix run: the rare-case rows
+        overlay = _clustered_overlay(SEED)
+        net = PastryNetwork.build(overlay.alive_ids())
+        assert rows_digest(network_rows(overlay.twin())) == rows_digest(network_rows(net))
+
+    @pytest.mark.parametrize("n", (1, 2, 17))
+    def test_view_reads_as_the_alive_id_list(self, n):
+        overlay = CompactOverlay.bootstrap(n, seed=SEED)
+        view, ids = overlay.twin().alive_ids, overlay.alive_ids()
+        assert len(view) == n and list(view) == ids
+        for idx in range(-n, n):
+            assert view[idx] == ids[idx]
+        for lo, hi in ((None, None), (1, None), (-3, None), (None, -1), (2, 40)):
+            assert view[lo:hi] == ids[lo:hi]
+        with pytest.raises(IndexError):
+            view[n]
+
+    def test_membership_events_on_a_twin_raise_and_leave_the_overlay(self):
+        overlay = CompactOverlay.bootstrap(N, seed=SEED)
+        overlay.fail(overlay.alive_ids()[::9])
+        ids = overlay.alive_ids()
+        words = (overlay.hi.copy(), overlay.lo.copy(), overlay.alive.copy())
+        epoch = overlay.membership_epoch
+        twin = overlay.twin()
+        with pytest.raises(TypeError):
+            twin.fail(ids[5])
+        with pytest.raises(AttributeError):
+            twin.join(ids[5] + 1)
+        for kept, now in zip(words, (overlay.hi, overlay.lo, overlay.alive)):
+            assert np.array_equal(kept, now)
+        assert overlay.membership_epoch == epoch
+        assert overlay.alive_ids() == ids == list(twin.alive_ids)
+        assert twin.membership_epoch == 0
+
+
 class TestChurnIsCanonicalMaintenance:
     def test_post_churn_digest_matches_fresh_build(self):
         overlay = CompactOverlay.bootstrap(N, seed=SEED)
         churn_script(overlay)
         net = PastryNetwork.build(overlay.alive_ids())
-        assert rows_digest(compact_rows(overlay)) == rows_digest(network_rows(net))
+        assert rows_digest(network_rows(overlay.twin())) == rows_digest(network_rows(net))
 
     def test_epoch_bumps_only_on_change(self):
         overlay = CompactOverlay.bootstrap(50, seed=SEED)
@@ -212,10 +238,6 @@ class TestChurnIsCanonicalMaintenance:
         )
         with pytest.raises(KeyError, match="unknown node id"):
             overlay.positions_of([ghost])
-        with pytest.raises(KeyError, match="not alive"):
-            overlay.leaf_members(ghost)
-        with pytest.raises(KeyError, match="not alive"):
-            overlay.node_cells(ghost)
         assert not overlay.is_alive(ghost)
         assert ghost not in overlay
 
@@ -436,11 +458,11 @@ class TestSnapshotSharding:
     def test_snapshot_restore_is_isolated(self):
         overlay = CompactOverlay.bootstrap(N, seed=SEED)
         snap = overlay.snapshot()
-        base_digest = rows_digest(compact_rows(snap.restore()))
+        base_digest = rows_digest(network_rows(snap.restore().twin()))
         churned = snap.restore()
         churn_script(churned)
-        assert rows_digest(compact_rows(snap.restore())) == base_digest
-        assert rows_digest(compact_rows(churned)) != base_digest
+        assert rows_digest(network_rows(snap.restore().twin())) == base_digest
+        assert rows_digest(network_rows(churned.twin())) != base_digest
 
     def test_snapshot_arrays_are_read_only(self):
         snap = CompactOverlay.bootstrap(30, seed=SEED).snapshot()
@@ -468,7 +490,7 @@ class TestSnapshotSharding:
         words = (snap.hi.copy(), snap.lo.copy(), snap.alive.copy())
         churned = snap.restore()
         sibling = snap.restore()
-        sibling_digest = rows_digest(compact_rows(sibling))
+        sibling_digest = rows_digest(network_rows(sibling.twin()))
         ids = churned.alive_ids()
         churned.fail(ids[:4])
         churned.revive(ids[1:3])
@@ -479,7 +501,7 @@ class TestSnapshotSharding:
         for kept, now in zip(words, (snap.hi, snap.lo, snap.alive)):
             assert np.array_equal(kept, now)
         assert np.array_equal(sibling.alive, words[2])
-        assert rows_digest(compact_rows(sibling)) == sibling_digest
+        assert rows_digest(network_rows(sibling.twin())) == sibling_digest
         assert sibling.alive_ids() == ids
 
     def test_snapshot_pickle_roundtrip(self):
@@ -488,8 +510,8 @@ class TestSnapshotSharding:
         snap = overlay.snapshot()
         clone = pickle.loads(pickle.dumps(snap))
         assert isinstance(clone, CompactSnapshot)
-        assert rows_digest(compact_rows(clone.restore())) == rows_digest(
-            compact_rows(snap.restore())
+        assert rows_digest(network_rows(clone.restore().twin())) == rows_digest(
+            network_rows(snap.restore().twin())
         )
         assert clone.membership_epoch == snap.membership_epoch
 
@@ -502,7 +524,7 @@ class TestSnapshotSharding:
             _SNAPSHOT_CACHE.pop(_SHARED_TOKEN)
         local = snap.restore()
         churn_script(local)
-        expected = rows_digest(compact_rows(local))
+        expected = rows_digest(network_rows(local.twin()))
         assert digests == [expected, expected]
 
     def test_object_build_of_the_ids_carries_a_full_system(self):
@@ -530,7 +552,7 @@ class TestMemoryAccounting:
         pos = overlay.alive_positions()
         assert (pos == np.flatnonzero(overlay.alive)).all()
         assert overlay.alive_positions() is pos  # same epoch, same array
-        overlay.revive(overlay.ids_list()[2:3])
+        overlay.revive(unpack_words(overlay.hi, overlay.lo)[2:3])
         fresh = overlay.alive_positions()
         assert fresh is not pos  # epoch bumped, view rebuilt
         assert (fresh == np.flatnonzero(overlay.alive)).all()
@@ -580,4 +602,4 @@ def _shared_build():
 def _churned_digest():
     overlay = base_snapshot(_SHARED_TOKEN, _shared_build).restore()
     churn_script(overlay)
-    return rows_digest(compact_rows(overlay))
+    return rows_digest(network_rows(overlay.twin()))

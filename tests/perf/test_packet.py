@@ -18,6 +18,8 @@ two-neighbour rule and the one-front stitch are held to.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from repro.pastry.constants import DEFAULT_LEAF_SET_SIZE
 from repro.perf import packet
 from repro.perf.compact import CompactOverlay
 from repro.perf.packet import latency_sums, route_many, route_tunnels
-from repro.util.ids import ID_SPACE, id_digit, shared_prefix_digits
+from repro.util.ids import ID_SPACE
 from repro.util.rng import SeedSequenceFactory
 
 SEED = 7
@@ -129,12 +131,14 @@ class OracleWindowPlane:
         idx = overlay.alive_positions()
         apos = int(np.searchsorted(idx, src_pos))
         key = (int(key_hi) << 64) | int(key_lo)
+        twin = overlay.twin()
         path = [src_pos]
         for _ in range(overlay.MAX_HOPS):
-            if overlay._leaf_covers(apos, key):
+            hop, branch, _ = twin._node(twin.alive_ids[apos]).decision(key)
+            if branch is None:  # leaf-covered
                 nxt = cls.covered_winner(overlay, apos, key_hi, key_lo)
             else:
-                nxt = overlay._alive_pos_of(overlay._next_hop(apos, key))
+                nxt = bisect_left(twin.alive_ids, hop)
             if nxt == apos:
                 return path, True
             path.append(int(idx[nxt]))
@@ -313,14 +317,6 @@ class TestRouteManyEquivalence:
                 np.zeros(3, dtype=np.uint64),
                 np.zeros(3, dtype=np.uint64),
             )
-
-    def test_route_many_ids_convenience(self):
-        overlay = _uniform_overlay(100, SEED, churn=False)
-        ids = overlay.alive_ids()[:5]
-        keys = [(i * 7919) << 100 for i in range(1, 6)]
-        batch = overlay.route_many_ids(ids, keys)
-        for i, (src_id, key) in enumerate(zip(ids, keys)):
-            assert tuple(batch.path(i)) == overlay.route(src_id, key)
 
     @given(
         pool=st.lists(st.integers(0, ID_SPACE - 1), min_size=2, max_size=40,
@@ -559,25 +555,22 @@ class TestInputValidation:
 
 def _scalar_decisions(overlay, src_id, key) -> dict[str, int]:
     """Branch of every decision the plane takes for one packet, read
-    off the scalar rule: one per node visited, except that a covered
+    off the class key of :meth:`PastryNode.decision` on the overlay's
+    twin: ``None`` is leaf-covered, an even key a prefix cell and an odd
+    one the rare case.  One per node visited, except that a covered
     decision is the packet's last (it stays, or settles on arrival)."""
     made = dict.fromkeys(("covered", "prefix_cell", "empty_cell"), 0)
-    apos = overlay._alive_pos_of(src_id)
+    twin = overlay.twin()
+    nid = src_id
     while True:
-        nid = overlay._alive_id_at(apos)
-        if overlay._leaf_covers(apos, key):
+        nxt, branch, _ = twin._node(nid).decision(key)
+        if branch is None:
             made["covered"] += 1
             return made
-        row = shared_prefix_digits(nid, key, overlay.b_bits)
-        col = id_digit(key, row, overlay.b_bits)
-        if overlay._cell_entry(nid, row, col) is not None:
-            made["prefix_cell"] += 1
-        else:
-            made["empty_cell"] += 1
-        nxt = overlay._next_hop(apos, key)
+        made["empty_cell" if branch & 1 else "prefix_cell"] += 1
         if nxt == nid:
             return made
-        apos = overlay._alive_pos_of(nxt)
+        nid = nxt
 
 
 class TestDecisionCounters:

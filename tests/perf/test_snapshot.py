@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.analysis.idspace import unpack_words
 from repro.core.system import TapSystem
 from repro.obs import InvariantAuditor, MetricsRegistry
 from repro.past.replication import ReplicatedStore
@@ -133,11 +134,13 @@ class TestForkEquivalence:
         overlay.fail(sorted(network.down_ids))
         restored = pickle.loads(pickle.dumps(overlay.snapshot())).restore()
         assert restored.alive_ids() == network.alive_ids
-        assert set(restored.ids_list()) - set(network.alive_ids) == network.down_ids
+        tracked = unpack_words(restored.hi, restored.lo)
+        assert set(tracked) - set(network.alive_ids) == network.down_ids
         rebuilt = PastryNetwork.build(restored.alive_ids())
+        twin = restored.twin()
         for nid in network.alive_ids:
             assert rebuilt.leaves(nid) == network.leaves(nid)
-            assert set(restored.leaf_members(nid)) == set(network.leaves(nid))
+            assert twin.leaves(nid) == network.leaves(nid)
 
     def test_node_keypairs_survive_capture_pickle_restore(self):
         """A system on an object network built from a pickled compact

@@ -495,7 +495,7 @@ def _route_setup():
 
 
 def bench_compact_route_100k():
-    """Scalar baseline: 16 hop-loop routes per call (one op = 16 routes)."""
+    """Scalar baseline: 16 cold twin walks per call (one op = 16 routes)."""
     overlay, src, key_hi, key_lo, _ = _route_setup()
     pairs = [
         (
@@ -607,7 +607,7 @@ def bench_route_throughput_1m():
 
 
 def bench_compact_route_1m():
-    """Scalar baseline at 10^6: 16 hop-loop routes per call."""
+    """Scalar baseline at 10^6: 16 cold twin walks per call."""
     overlay, src, key_hi, key_lo = _route_setup_1m()
     pairs = [
         (
@@ -641,7 +641,10 @@ ROUTE_UNITS = {
 
 #: batched -> (scalar, min per-route speedup): same-run relative gate,
 #: normalised by ROUTE_UNITS — the vectorised plane must stay at least
-#: this many times faster per route than the scalar hop loop
+#: this many times faster per route than the scalar route, a cold walk
+#: of ``CompactOverlay.twin()`` (PastryNode's rule over the id words).
+#: Four ``--quick`` runs on a 2-CPU box, CPython 3.11.7, read x47–95,
+#: x46–81 and (three runs) x47–84 for the three pairs below
 BATCH_PAIRS = {
     "compact.route_many_100k": ("compact.route_100k", 20.0),
     # 128 tunnels x 4 legs: the same 512 routes per call, held to the
