@@ -1,13 +1,12 @@
 """Benchmark harness configuration.
 
-Each ``test_bench_*`` module regenerates one figure (or ablation) of
-the paper: the benchmark measures the experiment's runtime, and the
-figure's rows are printed and written to ``benchmarks/results/`` so
-the series the paper plots can be inspected (or piped into a plotting
-tool) after a run.
+What is left here is what no pinned figure covers: the substrate micro
+timings and the event-driven Figure 6 cross-check, whose rows are
+printed and written to ``benchmarks/results/``.  Every figure runner's
+fast rows are pinned in ``results/DIGESTS.txt`` and its shape is
+asserted in ``tests/experiments/``.
 
-Benchmarks default to the ``fast()`` configs; set
-``TAP_BENCH_SCALE=paper`` to run the paper-scale parameters.
+Set ``TAP_BENCH_SCALE=paper`` to run the paper-scale parameters.
 """
 
 from __future__ import annotations

@@ -526,7 +526,15 @@ class CompactOverlay:
         the same :class:`RoutingError` on a dead source or a walk past
         :attr:`MAX_HOPS`.
         """
-        return self.twin().route(src_id, key)
+        net = self.twin()
+        try:
+            return net.route(src_id, key)
+        finally:
+            # the walk's nodes point back at the twin and its route memo
+            # at them: unlink both so reference counting frees the twin
+            # instead of leaving a cycle to the collector
+            net._nodes.clear()
+            net._route_cache.clear()
 
     # ------------------------------------------------------------------
     # batched packet plane (repro.perf.packet)

@@ -75,6 +75,7 @@ class TestHintStaleness:
         assert base["churn_events"] == 0
         assert base["hint_failure_rate"] == 0.0
         assert base["via_hint_rate"] == 1.0
+        assert base["mean_underlying_per_hop"] == 1.0  # one link per hop
 
     def test_fallback_preserves_success(self):
         rows = run_hint_staleness(HintStalenessConfig.fast())
@@ -100,6 +101,7 @@ class TestTimingAttack:
         base = next(r for r in rows if r["condition"] == "no-defence")
         padded = next(r for r in rows if r["condition"] == "padded-cells")
         assert padded["precision"] <= base["precision"] / 2
+        assert padded["recall"] <= base["recall"] / 2
 
     def test_defences_cost_bandwidth(self, rows):
         base = next(r for r in rows if r["condition"] == "no-defence")
@@ -114,6 +116,7 @@ class TestSecureRouting:
         for row in rows:
             assert row["naive_deceived"] > 0.02
             assert row["secure_deceived"] <= row["naive_deceived"] / 3
+            assert row["secure_alarms"] > 0  # deception becomes alarms
             assert row["false_alarms"] <= 0.05
 
 
@@ -129,6 +132,7 @@ class TestSessionSurvival:
         heavy = rows[-1]
         assert heavy["failures_per_request"] > 0
         assert heavy["fixed_availability"] < 1.0
+        assert heavy["fixed_reforms"] > 0
         assert heavy["tap_availability"] >= 0.99
 
 
@@ -149,10 +153,11 @@ class TestReplyDurability:
         assert base["fixed_reply_success"] == 1.0
 
     def test_tap_survives_fixed_rots(self, rows):
+        assert all(r["tap_reply_success"] >= r["fixed_reply_success"] for r in rows)
         heavy = rows[-1]
-        assert heavy["churn_fraction"] > 0
+        assert heavy["churn_fraction"] >= 0.3
         assert heavy["tap_reply_success"] >= 0.9
-        assert heavy["fixed_reply_success"] < 1.0
+        assert heavy["fixed_reply_success"] < 0.8
         assert heavy["tap_reply_success"] > heavy["fixed_reply_success"]
 
     def test_fixed_tracks_theory(self, rows):
@@ -174,8 +179,14 @@ class TestComparison:
 
     def test_tap_survival_dominates(self, rows):
         by = {r["system"]: r for r in rows}
-        assert by["tap-opt"]["path_failure_prob"] < by["crowds"]["path_failure_prob"]
-        assert by["tap-opt"]["path_failure_prob"] < by["onion-routing"]["path_failure_prob"]
+        assert by["tap-opt"]["path_failure_prob"] < by["crowds"]["path_failure_prob"] / 5
+        assert by["tap-opt"]["path_failure_prob"] < by["onion-routing"]["path_failure_prob"] / 5
+
+    def test_tap_anonymity_near_crowds(self, rows):
+        by = {r["system"]: r for r in rows}
+        tap = by["tap-opt"]["degree_of_anonymity"]
+        assert tap > 0.8
+        assert abs(tap - by["crowds"]["degree_of_anonymity"]) < 0.2
 
     def test_anonymity_in_same_band(self, rows):
         degrees = [r["degree_of_anonymity"] for r in rows]

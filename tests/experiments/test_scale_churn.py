@@ -60,6 +60,9 @@ class TestScaleChurn:
             ]
             assert series == sorted(series, reverse=True)
             assert series[-1] < 1.0
+        # ... while at these rates most anchors keep an original replica
+        assert all(r["survivor_fraction"] > 0.9
+                   for r in rows if r["figure"] == "scale-churn")
 
     def test_spot_checks_agree_with_bridge(self, rows):
         for row in rows:

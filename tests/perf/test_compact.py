@@ -21,6 +21,7 @@ through ``base_snapshot``) with a workers-independent digest.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import pickle
 
@@ -149,6 +150,23 @@ class TestTwin:
         assert overlay.membership_epoch == epoch
         assert overlay.alive_ids() == ids == list(twin.alive_ids)
         assert twin.membership_epoch == 0
+
+    def test_route_leaves_no_cyclic_garbage(self):
+        """A cold walk's twin is freed by reference counting: nothing
+        is left for the cycle collector."""
+        overlay = CompactOverlay.bootstrap(10_000, seed=SEED)
+        rng = np.random.default_rng(SEED)
+        ids = overlay.alive_ids()
+        pairs = [(ids[i], int(k)) for i, k in zip(
+            rng.integers(0, len(ids), 16), rng.integers(0, 2**63, 16))]
+        gc.collect()
+        gc.disable()
+        try:
+            for src, key in pairs:
+                overlay.route(src, key << 65)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestChurnIsCanonicalMaintenance:

@@ -1,9 +1,10 @@
 """Unit tests for the bench_compare gate logic (no benchmarks run).
 
 The harness itself lives outside the package in ``tools/``, so it is
-loaded by path; only the pure comparison/gate functions are exercised
-— ``compare`` (baseline carry-forward + loud missing-benchmark
-warning) and ``batch_speedup_failures`` (per-route normalisation).
+loaded by path; only the pure gate functions are exercised —
+``batch_speedup_failures`` (per-route normalisation),
+``scale_1m_failures`` (the 10^6 RSS budget) and ``overhead_failures``
+(each telemetry arm against its off/off control).
 """
 
 from __future__ import annotations
@@ -24,82 +25,6 @@ def bench():
     sys.modules.setdefault("bench_compare", module)
     spec.loader.exec_module(module)
     return module
-
-
-def _stamped(results: dict, cpus: int = 4) -> dict:
-    return {"cpus": cpus, "results": results}
-
-
-class TestCompare:
-    def test_speedup_and_gate(self, bench):
-        baseline = _stamped({"a": {"median_ns": 1000.0}})
-        current = _stamped({"a": {"median_ns": 500.0}})
-        speedup, failures = bench.compare(baseline, current, threshold=1.15)
-        assert speedup == {"a": 2.0}
-        assert failures == []
-
-    def test_regression_beyond_threshold_fails(self, bench):
-        baseline = _stamped({"a": {"median_ns": 1000.0}})
-        current = _stamped({"a": {"median_ns": 2000.0}})
-        _, failures = bench.compare(baseline, current, threshold=1.15)
-        assert len(failures) == 1
-        assert "a:" in failures[0]
-
-    def test_missing_benchmark_warns_and_carries_forward(self, bench, capsys):
-        baseline = _stamped({
-            "a": {"median_ns": 1000.0},
-            "gone": {"median_ns": 700.0},
-        })
-        current = _stamped({"a": {"median_ns": 1000.0}})
-        speedup, failures = bench.compare(
-            baseline, current, threshold=1.15,
-            previous_speedup={"gone": 1.4, "a": 9.9},
-        )
-        assert failures == []
-        # the stale entry rides along; the measured one is refreshed
-        assert speedup == {"a": 1.0, "gone": 1.4}
-        err = capsys.readouterr().err
-        assert "1 baseline benchmark(s) not measured" in err
-        assert "gone" in err
-        assert "carried forward" in err
-
-    def test_missing_benchmark_without_history_still_warns(self, bench, capsys):
-        baseline = _stamped({"gone": {"median_ns": 700.0}})
-        current = _stamped({})
-        speedup, _ = bench.compare(baseline, current, threshold=1.15)
-        assert speedup == {}
-        assert "gone" in capsys.readouterr().err
-
-    def test_cpu_mismatch_warns(self, bench, capsys):
-        baseline = _stamped({}, cpus=8)
-        current = _stamped({}, cpus=1)
-        bench.compare(baseline, current, threshold=1.15)
-        assert "not like-for-like" in capsys.readouterr().err
-
-    def test_new_benchmark_fails_without_allow_new(self, bench):
-        baseline = _stamped({"a": {"median_ns": 1000.0}})
-        current = _stamped({
-            "a": {"median_ns": 1000.0},
-            "brand.new_1m": {"median_ns": 5.0},
-        })
-        speedup, failures = bench.compare(baseline, current, threshold=1.15)
-        assert len(failures) == 1
-        assert "brand.new_1m" in failures[0]
-        assert "--allow-new" in failures[0]
-        assert "brand.new_1m" not in speedup
-
-    def test_new_benchmark_adopted_with_allow_new(self, bench, capsys):
-        baseline = _stamped({"a": {"median_ns": 1000.0}})
-        current = _stamped({
-            "a": {"median_ns": 1000.0},
-            "brand.new_1m": {"median_ns": 5.0},
-        })
-        speedup, failures = bench.compare(
-            baseline, current, threshold=1.15, allow_new=True,
-        )
-        assert failures == []
-        assert speedup == {"a": 1.0, "brand.new_1m": 1.0}
-        assert "adopting 1 benchmark(s)" in capsys.readouterr().err
 
 
 class TestScale1mGates:
@@ -133,24 +58,6 @@ class TestScale1mGates:
         assert not enabled and "TAP_BENCH_SCALE_1M" in reason
 
 
-class TestBytesRegressions:
-    def test_within_ratio_is_quiet(self, bench):
-        baseline = _stamped({"a": {"median_ns": 1.0, "bytes_per_op": 100}})
-        current = _stamped({"a": {"median_ns": 1.0, "bytes_per_op": 110}})
-        assert bench.bytes_regressions(baseline, current) == []
-
-    def test_regression_warns_with_names(self, bench):
-        baseline = _stamped({"a": {"median_ns": 1.0, "bytes_per_op": 100}})
-        current = _stamped({"a": {"median_ns": 1.0, "bytes_per_op": 200}})
-        warnings = bench.bytes_regressions(baseline, current)
-        assert len(warnings) == 1 and "a:" in warnings[0]
-
-    def test_absent_column_is_skipped(self, bench):
-        baseline = _stamped({"a": {"median_ns": 1.0}})
-        current = _stamped({"a": {"median_ns": 1.0, "bytes_per_op": 200}})
-        assert bench.bytes_regressions(baseline, current) == []
-
-
 class TestBatchSpeedupGate:
     def _results(self, bench, per_route_ratio: float) -> dict:
         fast = "compact.route_many_100k"
@@ -175,3 +82,32 @@ class TestBatchSpeedupGate:
         results = self._results(bench, 10.0)
         del results["compact.route_100k"]
         assert bench.batch_speedup_failures(results) == []
+
+
+class TestOverheadGate:
+    BARE = [100.0, 102.0, 99.0, 101.0, 100.0]
+
+    def _samples(self, bench, on: list[float]) -> dict:
+        samples = {}
+        for arm, (bare, _) in bench.OVERHEAD.items():
+            samples[bare] = self.BARE
+            samples[bare + "#2"] = [101.0, 99.0, 100.0, 100.0, 102.0]
+            samples[arm] = on
+        return samples
+
+    def test_arms_within_their_bars_pass(self, bench):
+        assert bench.overhead_failures(self._samples(bench, [102.0] * 5)) == []
+
+    def test_arm_past_its_bar_fails(self, bench):
+        samples = self._samples(bench, [102.0] * 5)
+        samples["fig6.spans"] = [115.0] * 5  # bar 10 %
+        samples["compact.churn_100k_telemetry"] = [107.0] * 5  # bar 5 %
+        failures = bench.overhead_failures(samples)
+        assert [f.split(":")[0] for f in failures] == [
+            "fig6.spans", "compact.churn_100k_telemetry"]
+
+    def test_within_one_bar_past_another(self, bench):
+        # 7 % passes the span bar (10 %) and fails the metrics bar (5 %)
+        failures = bench.overhead_failures(self._samples(bench, [107.0] * 5))
+        assert [f.split(":")[0] for f in failures] == [
+            "fig6.metrics", "compact.churn_100k_telemetry"]

@@ -1,48 +1,46 @@
 #!/usr/bin/env python
-"""Benchmark baseline harness: pinned micro/macro suite + regression gate.
+"""Micro timings no benchmark workload covers, and their same-run gates.
 
-Runs a fixed suite of micro benchmarks (seal/open throughput, HMAC,
-onion build+peel, serialization) and macro benchmarks (a Figure-6 leg,
-an N-node overlay build, one Figure-2 Monte-Carlo rep), then records
-``{git sha, timestamp, median ns/op, ops/s}`` per benchmark in
-``BENCH_core.json`` and compares against the baseline stored in the
-same file.
+``BENCHMARK.json``'s workloads time what a TAP request does end to end
+(crypto, onions, framing, routing, PAST repair, the simnet plane, the
+10^5-node packet plane), and ``tools/compare.py`` judges a change on
+them.  This harness keeps only what those workloads do not time, and
+the gates that compare two entries of the same run, so machine noise
+cancels and no stored baseline is needed:
 
-The committed ``BENCH_core.json`` is the repo's performance
-trajectory: ``baseline`` pins the numbers a change is judged against,
-``current`` holds the latest run, and ``speedup`` is
-``baseline.median_ns / current.median_ns`` per benchmark (>1 means
-faster than the baseline).
+* the batched packet plane against the scalar route per route
+  (:data:`BATCH_PAIRS`), at 10^5 and, opt-in, at 10^6 nodes, where the
+  10^6 group also holds the 2 GiB peak-RSS budget;
+* the telemetry overhead gate (``--overhead-only``): each telemetry-on
+  arm in a round robin with two bare runs, judged by
+  ``compare.verdict`` against its bar (:data:`OVERHEAD`);
+* in the full suite, the entries of :data:`UNCOVERED` and the serial
+  vs parallel wall clock of one experiment.
 
 Usage::
 
-    python tools/bench_compare.py                  # run, compare, update 'current'
-    python tools/bench_compare.py --quick          # micro suite only, loose 2x gate
-    python tools/bench_compare.py --write-baseline # (re)pin the baseline to this run
-    python tools/bench_compare.py --check-only     # compare without rewriting the file
+    python tools/bench_compare.py                  # everything, then the gates
+    python tools/bench_compare.py --quick          # the packet-plane group only
+    python tools/bench_compare.py --overhead-only  # the telemetry overhead gate
 
-Exit codes: 0 ok, 1 regression beyond ``--threshold``, 2 baseline
-missing (CI treats that as a failure so the trajectory cannot silently
-disappear).
+Exit code 1 when a gate fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
-import json
 import os
 import pathlib
 import statistics
 import subprocess
 import sys
 import time
-import tracemalloc
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+TOOLS = pathlib.Path(__file__).resolve().parent
+REPO_ROOT = TOOLS.parent
+sys.path[:0] = [str(REPO_ROOT / "src"), str(TOOLS)]
 
-DEFAULT_OUT = REPO_ROOT / "BENCH_core.json"
+from compare import ROUNDS, verdict  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -69,22 +67,6 @@ def time_op(fn, *, min_time_s: float = 0.15, repeats: int = 5) -> float:
     return statistics.median(samples) * 1e9
 
 
-def measure_bytes(fn) -> int:
-    """Peak Python-heap bytes of one ``fn()`` call (``tracemalloc``).
-
-    NumPy routes array allocations through the ``PyDataMem`` hooks, so
-    this sees scratch arrays and temporaries too.  Measured on its own
-    (untimed) call — tracemalloc's bookkeeping would distort ns/op.
-    """
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return int(peak)
-
-
 def peak_rss_bytes() -> int | None:
     """The process's high-water RSS in bytes (Linux: ru_maxrss KiB)."""
     try:
@@ -97,125 +79,8 @@ def peak_rss_bytes() -> int | None:
 
 
 # ----------------------------------------------------------------------
-# the pinned suite
+# the suite
 # ----------------------------------------------------------------------
-def bench_crypto_seal_1k():
-    from repro.crypto.symmetric import SymmetricKey
-
-    key = SymmetricKey(b"bench-key-0123456789abcdef")
-    payload = bytes(range(256)) * 4  # 1024 B
-    nonce = b"\x07" * 8
-    return lambda: key.seal(payload, nonce=nonce)
-
-
-def bench_crypto_open_1k():
-    from repro.crypto.symmetric import SymmetricKey
-
-    key = SymmetricKey(b"bench-key-0123456789abcdef")
-    sealed = key.seal(bytes(range(256)) * 4, nonce=b"\x07" * 8)
-    return lambda: key.open(sealed)
-
-
-def bench_crypto_seal_64():
-    from repro.crypto.symmetric import SymmetricKey
-
-    key = SymmetricKey(b"bench-key-0123456789abcdef")
-    payload = b"m" * 64
-    nonce = b"\x07" * 8
-    return lambda: key.seal(payload, nonce=nonce)
-
-
-def bench_crypto_hmac_1k():
-    from repro.crypto.symmetric import _hmac_sha256
-
-    msg = b"h" * 1024
-    return lambda: _hmac_sha256(b"bench-mac-key", msg)
-
-
-def bench_crypto_rsa_keygen_512():
-    """One op is 32 key pairs from 32 fixed seeds: a prime search is a
-    geometric draw (~89 candidates per prime), so a single seed would
-    time its luck, not the code."""
-    import random
-
-    from repro.crypto.asymmetric import RsaKeyPair
-
-    return lambda: [
-        RsaKeyPair.generate(random.Random(seed), bits=512) for seed in range(32)
-    ]
-
-
-def bench_crypto_rsa_decrypt_512():
-    """The private operation plus opening a 16-byte hybrid payload."""
-    import random
-
-    from repro.crypto.asymmetric import RsaKeyPair
-
-    pair = RsaKeyPair.generate(random.Random(512), bits=512)
-    wrapped = pair.public.encrypt(b"k" * 16, random.Random(1))
-    return lambda: pair.decrypt(wrapped)
-
-
-def bench_onion_build_l5():
-    from repro.crypto.onion import OnionLayer, build_onion
-    from repro.crypto.symmetric import SymmetricKey
-
-    layers = [
-        OnionLayer(1000 + i, SymmetricKey(bytes([i + 1]) * 16))
-        for i in range(5)
-    ]
-    payload = b"p" * 256
-    return lambda: build_onion(layers, 77, payload)
-
-
-def bench_onion_peel_l5():
-    from repro.crypto.onion import OnionLayer, build_onion, peel_layer
-    from repro.crypto.symmetric import SymmetricKey
-
-    keys = [SymmetricKey(bytes([i + 1]) * 16) for i in range(5)]
-    layers = [OnionLayer(1000 + i, keys[i]) for i in range(5)]
-    blob = build_onion(layers, 77, b"p" * 256)
-
-    def peel_all():
-        b = blob
-        for k in keys:
-            b = peel_layer(k, b).inner
-        return b
-
-    return peel_all
-
-
-def bench_serialize_roundtrip():
-    from repro.util.serialize import pack_fields, unpack_fields
-
-    fields = [b"R", b"\x01" * 16, b"10.0.0.1", b"inner" * 64]
-    blob = pack_fields(*fields)
-    return lambda: unpack_fields(blob, count=4)
-
-
-def bench_fig6_leg():
-    from repro.experiments.config import Fig6Config
-    from repro.experiments.fig6_latency import run_fig6
-
-    config = Fig6Config(
-        network_sizes=(100,), tunnel_lengths=(3,),
-        transfers_per_size=5, num_seeds=1,
-    )
-    return lambda: run_fig6(config)
-
-
-def bench_pastry_join_200():
-    from repro.pastry.network import PastryNetwork
-    from repro.util.ids import random_id
-    from repro.util.rng import make_pyrandom
-
-    rng = make_pyrandom(2004, "bench-join")
-    ids = set()
-    while len(ids) < 200:
-        ids.add(random_id(rng))
-    return lambda: PastryNetwork.build(ids)
-
-
 def bench_fig2_rep():
     from repro.experiments.config import Fig2Config
     from repro.experiments.fig2_failures import run_fig2
@@ -227,53 +92,12 @@ def bench_fig2_rep():
     return lambda: run_fig2(config)
 
 
-def _bench_ids_1000() -> set[int]:
-    from repro.util.ids import random_id
-    from repro.util.rng import make_pyrandom
-
-    rng = make_pyrandom(2004, "bench-bootstrap")
-    ids: set[int] = set()
-    while len(ids) < 1000:
-        ids.add(random_id(rng))
-    return ids
-
-
-def bench_pastry_bootstrap_1000():
-    from repro.pastry.network import PastryNetwork
-
-    ids = _bench_ids_1000()
-    return lambda: PastryNetwork.build(ids)
-
-
-def bench_pastry_route_churn_1000():
-    """One op = 1 fail + 1 revive + 128 fixed ``(src, key)`` routes on an
-    N=1,000 overlay: what the route memo is worth when the membership
-    epoch turns between visits to the same routes."""
-    from repro.pastry.network import PastryNetwork
-    from repro.util.rng import make_pyrandom
-
-    ids = sorted(_bench_ids_1000())
-    net = PastryNetwork.build(ids)
-    rng = make_pyrandom(2004, "bench-route-churn")
-    pairs = [(rng.choice(ids), rng.getrandbits(128)) for _ in range(128)]
-    sources = {src for src, _ in pairs}
-    victims = [nid for nid in ids if nid not in sources]
-
-    def churn_and_route():
-        victim = rng.choice(victims)
-        net.fail(victim)
-        net.revive(victim)
-        for src, key in pairs:
-            net.route(src, key)
-
-    return churn_and_route
-
-
-def _bench_repair_cycle(make_store):
+def bench_erasure_repair_cycle_300():
     """One op = ``fail`` + ``on_fail`` + ``revive`` + ``on_revive`` of
     one fixed holder (the fullest) on a 300-node overlay storing 200
-    objects: the membership-repair path of a storage backend, through
-    its public surface only."""
+    objects in a (2, 4) erasure store: its membership-repair path,
+    through its public surface only."""
+    from repro.past.erasure import ErasureStore
     from repro.pastry.network import PastryNetwork
     from repro.util.ids import random_id
     from repro.util.rng import make_pyrandom
@@ -283,10 +107,10 @@ def _bench_repair_cycle(make_store):
     while len(ids) < 300:
         ids.add(random_id(rng))
     net = PastryNetwork.build(ids)
-    store = make_store(net)
+    store = ErasureStore(net, 2, 4)
     for _ in range(200):
         store.insert(random_id(rng), rng.randbytes(64))
-    victim = max(sorted(store.storages), key=lambda n: len(store.storages[n]))
+    victim = max(sorted(store.storages), key=lambda n: len(store.storages[n].keys()))
 
     def repair_cycle():
         net.fail(victim)
@@ -297,145 +121,20 @@ def _bench_repair_cycle(make_store):
     return repair_cycle
 
 
-def bench_past_repair_cycle_300():
-    from repro.past.replication import ReplicatedStore
-
-    return _bench_repair_cycle(lambda net: ReplicatedStore(net, 3))
-
-
-def bench_erasure_repair_cycle_300():
-    from repro.past.erasure import ErasureStore
-
-    return _bench_repair_cycle(lambda net: ErasureStore(net, 2, 4))
-
-
-def bench_simnet_send_deliver_10k():
-    """One op = 10,000 sends, in batches of 64 with a ``run()`` after
-    each, over 2,000 fixed links of a 3,000-address fabric with no-op
-    handlers: what one message costs the event plane alone (link delay,
-    one heap entry pushed and popped — the message in flight is that
-    entry, no handle and no record — and dispatch) when links are
-    reused the way overlay traffic reuses them."""
-    from repro.simnet import Simulator, SimNetwork, Topology
-    from repro.util.rng import make_pyrandom
-
-    rng = make_pyrandom(2004, "bench-simnet")
-    simulator = Simulator()
-    net = SimNetwork(simulator, Topology(seed=2004))
-    for address in range(3_000):
-        net.attach(address, lambda net, src, dst, payload: None)
-    links = [tuple(rng.sample(range(3_000), 2)) for _ in range(2_000)]
-    sends = [links[rng.randrange(2_000)] for _ in range(10_000)]
-    batches = [sends[i:i + 64] for i in range(0, len(sends), 64)]
-
-    def send_and_deliver():
-        for batch in batches:
-            for src, dst in batch:
-                net.send(src, dst, b"", 2_000_000.0)
-            simulator.run()
-
-    return send_and_deliver
-
-
-def bench_emu_transfer_64():
-    """One op = 64 L=3 transmissions of a modelled 2 Mb message, sent
-    together and run to completion, through a prebuilt 1,000-node
-    :class:`TapEmulation` (the build is excluded): Figure 6's method
-    with the event plane, routing, storage and the cipher in their
-    real proportions — ``fig6.leg`` is dominated by its system build."""
-    from repro.core.emulation import TapEmulation
-    from repro.core.system import TapSystem
-    from repro.simnet import Topology
-    from repro.util.rng import make_pyrandom
-
-    rng = make_pyrandom(2004, "bench-emu")
-    system = TapSystem.bootstrap(1_000, seed=2004)
-    ids = system.network.alive_ids
-    routes = []
-    for node_id in rng.sample(ids, 8):
-        node = system.tap_node(node_id)
-        system.deploy_thas(node, count=6)
-        routes.append((node, system.form_tunnel(node, 3)))
-    jobs = [routes[i % 8] + (rng.choice(ids),) for i in range(64)]
-    emu = TapEmulation.from_system(system, Topology(seed=2004))
-
-    def transfer_64():
-        traces = [
-            emu.send_through_tunnel(node, tunnel, dest, b"x" * 64, 2_000_000.0)
-            for node, tunnel, dest in jobs
-        ]
-        emu.simulator.run()
-        assert all(trace.delivered for trace in traces)
-
-    return transfer_64
-
-
-MICRO = {
-    "crypto.seal_1k": bench_crypto_seal_1k,
-    "crypto.open_1k": bench_crypto_open_1k,
-    "crypto.seal_64": bench_crypto_seal_64,
-    "crypto.hmac_1k": bench_crypto_hmac_1k,
-    "crypto.rsa_keygen_512": bench_crypto_rsa_keygen_512,
-    "crypto.rsa_decrypt_512": bench_crypto_rsa_decrypt_512,
-    "onion.build_l5": bench_onion_build_l5,
-    "onion.peel_l5": bench_onion_peel_l5,
-    "serialize.unpack4": bench_serialize_roundtrip,
-}
-
-#: Object-overlay construction, what every trial pays to start from a
-#: fresh overlay; gated in CI via the quick suite.
-BUILD = {
-    "pastry.bootstrap_1000": bench_pastry_bootstrap_1000,
-}
-
-MACRO = {
-    "fig6.leg": bench_fig6_leg,
-    "simnet.send_deliver_10k": bench_simnet_send_deliver_10k,
-    "emu.transfer_64": bench_emu_transfer_64,
-    "pastry.join_200": bench_pastry_join_200,
-    "pastry.route_churn_1000": bench_pastry_route_churn_1000,
-    "past.repair_cycle_300": bench_past_repair_cycle_300,
+#: entries no workload times: every workload stores by replication and
+#: none runs the id-space model behind figures 2-5
+UNCOVERED = {
     "erasure.repair_cycle_300": bench_erasure_repair_cycle_300,
     "fig2.rep": bench_fig2_rep,
 }
 
 
-def bench_pastry_bootstrap_100k():
-    from repro.perf.compact import CompactOverlay
-
-    return lambda: CompactOverlay.random(100_000, seed=2004)
-
-
-def bench_compact_churn_100k():
-    import numpy as np
-
-    from repro.perf.compact import CompactOverlay
-    from repro.util.rng import SeedSequenceFactory
-
-    snap = CompactOverlay.random(100_000, seed=2004).snapshot()
-    rng = SeedSequenceFactory(2004).numpy("bench-churn")
-    u64_max = np.iinfo(np.uint64).max
-    key_hi = rng.integers(0, u64_max, size=2_000, dtype=np.uint64)
-    key_lo = rng.integers(0, u64_max, size=2_000, dtype=np.uint64)
-    victims = rng.choice(100_000, size=1_000, replace=False)
-
-    def churn_round():
-        overlay = snap.restore()
-        overlay.fail_positions(victims)
-        return overlay.replica_positions(key_hi, key_lo, 3)
-
-    return churn_round
-
-
-def bench_compact_churn_100k_telemetry():
-    """The churn round again, with the sampled telemetry attached.
-
-    Mirrors what one scale-churn round pays when a MetricsRegistry is
-    threaded through: the overlay's membership instrumentation, the
-    per-round counters/gauges, and a 256-value histogram sample.
-    Gated against ``compact.churn_100k`` from the *same run* via
-    :data:`OVERHEAD_PAIRS` so machine noise cancels.
-    """
+def churn_100k_arms():
+    """The scale-churn round at 10^5 nodes (restore the base, fail 1 %,
+    query 2,000 replica sets), bare and with the sampled telemetry one
+    such round pays when a MetricsRegistry is threaded through: the
+    overlay's membership instrumentation, the per-round counters and
+    gauge, and a 256-value histogram sample."""
     import numpy as np
 
     from repro.obs import MetricsRegistry
@@ -451,7 +150,12 @@ def bench_compact_churn_100k_telemetry():
     tel = SeedSequenceFactory(2004).numpy("bench-telemetry")
     sample_idx = np.sort(tel.choice(2_000, size=256, replace=False))
 
-    def churn_round():
+    def bare():
+        overlay = snap.restore()
+        overlay.fail_positions(victims)
+        return overlay.replica_positions(key_hi, key_lo, 3)
+
+    def telemetry():
         metrics = MetricsRegistry()
         overlay = snap.restore()
         overlay.instrument(metrics)
@@ -465,17 +169,26 @@ def bench_compact_churn_100k_telemetry():
         )
         return positions
 
-    return churn_round
+    return {"compact.churn_100k": bare, "compact.churn_100k_telemetry": telemetry}
 
 
-#: 10^5-node compact-engine benchmarks: the array bootstrap and a full
-#: restore + fail-1% + 2k-replica-query round — the per-trial cost of
-#: the scale-churn experiment, gated in CI via the quick suite.
-SCALE = {
-    "pastry.bootstrap_100k": bench_pastry_bootstrap_100k,
-    "compact.churn_100k": bench_compact_churn_100k,
-    "compact.churn_100k_telemetry": bench_compact_churn_100k_telemetry,
-}
+def fig6_arms():
+    """Figure 6 at three sizes, bare (``sinks=None``) and with each
+    telemetry sink live: a :class:`~repro.obs.SpanTracer` recording
+    every span of the hot routing path, and a
+    :class:`~repro.obs.MetricsRegistry` on every instrumented layer."""
+    from repro.experiments import Fig6Config, run_fig6
+    from repro.obs import MetricsRegistry, SpanTracer
+    from repro.perf import Sinks
+
+    config = Fig6Config(
+        network_sizes=(100, 500, 1_000), transfers_per_size=20, num_seeds=1,
+    )
+    return {
+        "fig6": lambda: run_fig6(config),
+        "fig6.spans": lambda: run_fig6(config, sinks=Sinks(tracer=SpanTracer())),
+        "fig6.metrics": lambda: run_fig6(config, sinks=Sinks(MetricsRegistry())),
+    }
 
 
 def _route_setup():
@@ -655,9 +368,16 @@ BATCH_PAIRS = {
     "route.throughput_1m": ("compact.route_1m", 15.0),
 }
 
-#: groups whose results carry a ``bytes_per_op`` column (tracemalloc
-#: peak of one call); compared warn-only against the baseline
-BYTES_BENCHMARKS = set(SCALE) | set(ROUTE) | set(SCALE_1M)
+#: telemetry-on arm -> (its bare run, bar): the relative cost the arm
+#: may add.  Each arm runs in a round robin with two runs of its bare
+#: twin, an off/off control, and fails only when
+#: :func:`compare.verdict` reads it *slower*, i.e. when its median is
+#: past the bare median by more than the bar.
+OVERHEAD = {
+    "fig6.spans": ("fig6", 0.10),
+    "fig6.metrics": ("fig6", 0.05),
+    "compact.churn_100k_telemetry": ("compact.churn_100k", 0.05),
+}
 
 
 def scale_1m_status() -> tuple[bool, str]:
@@ -685,50 +405,28 @@ def scale_1m_status() -> tuple[bool, str]:
         pass  # no /proc (macOS): trust the env knob
     return True, ""
 
-#: instrumented -> (bare, max ratio): same-run pairs gated on relative
-#: cost, independent of the recorded baseline (noise cancels because
-#: both members run back to back on the same machine state)
-OVERHEAD_PAIRS = {
-    "compact.churn_100k_telemetry": ("compact.churn_100k", 1.05),
-}
 
-
-def run_suite(quick: bool, only: set[str] | None = None) -> dict[str, dict]:
-    suite = (
-        {**MICRO, **BUILD, **SCALE, **ROUTE}
-        if quick
-        else {**MICRO, **BUILD, **SCALE, **ROUTE, **MACRO}
-    )
+def run_suite(quick: bool) -> dict[str, dict]:
+    suite = dict(ROUTE) if quick else {**ROUTE, **UNCOVERED}
     enabled, reason = scale_1m_status()
     if enabled:
         suite.update(SCALE_1M)
     else:
-        # never a silent skip: the trajectory reader must be able to
-        # tell "not run" from "mysteriously missing"
+        # never a silent skip: a reader must be able to tell "not run"
+        # from "mysteriously missing"
         print(f"  scale-1m group SKIPPED: {reason}")
-    if only is not None:
-        suite = {name: fn for name, fn in suite.items() if name in only}
     results: dict[str, dict] = {}
     for name, setup in suite.items():
         fn = setup()
-        fn()  # warm caches / JIT-less sanity check
+        fn()  # warm caches
         median_ns = time_op(fn)
-        results[name] = {
-            "median_ns": round(median_ns, 1),
-            "ops_per_s": round(1e9 / median_ns, 2),
-        }
-        if name in BYTES_BENCHMARKS:
-            results[name]["bytes_per_op"] = measure_bytes(fn)
+        results[name] = {"median_ns": round(median_ns, 1)}
         if name in SCALE_1M:
             rss = peak_rss_bytes()
             if rss is not None:
                 results[name]["peak_rss_bytes"] = rss
-        extra = ""
-        if "bytes_per_op" in results[name]:
-            extra = f"  {results[name]['bytes_per_op'] / 1024**2:8.1f} MiB/op"
-        print(f"  {name:24s} {median_ns:14,.0f} ns/op "
-              f"({results[name]['ops_per_s']:12,.1f} ops/s){extra}")
-    if not quick and only is None:
+        print(f"  {name:28s} {median_ns:14,.0f} ns/op")
+    if not quick:
         results.update(wallclock_suite())
     return results
 
@@ -741,9 +439,9 @@ def scale_1m_failures(results: dict[str, dict]) -> list[str]:
         rss = results.get(name, {}).get("peak_rss_bytes")
         if rss is None:
             continue
-        verdict = "ok" if rss <= SCALE_1M_MAX_RSS else "FAIL"
+        status = "ok" if rss <= SCALE_1M_MAX_RSS else "FAIL"
         print(f"  scale-1m rss {name}: {rss / 1024**3:.2f} GiB "
-              f"(max {SCALE_1M_MAX_RSS / 1024**3:.0f} GiB) {verdict}")
+              f"(max {SCALE_1M_MAX_RSS / 1024**3:.0f} GiB) {status}")
         if rss > SCALE_1M_MAX_RSS:
             failures.append(
                 f"{name}: peak RSS {rss / 1024**3:.2f} GiB over the "
@@ -752,55 +450,12 @@ def scale_1m_failures(results: dict[str, dict]) -> list[str]:
     return failures
 
 
-def bytes_regressions(baseline: dict, current: dict,
-                      max_ratio: float = 1.25) -> list[str]:
-    """Warn-only memory trajectory: ``bytes_per_op`` vs baseline.
-
-    Returns the offending names (for the caller to print); never fails
-    the gate — allocation footprints move with numpy versions and the
-    point is visibility, not flakiness.
-    """
-    warnings: list[str] = []
-    base_results = baseline.get("results", {})
-    for name, cur in current.get("results", {}).items():
-        cur_bytes = cur.get("bytes_per_op")
-        base_bytes = base_results.get(name, {}).get("bytes_per_op")
-        if not cur_bytes or not base_bytes:
-            continue
-        if cur_bytes > base_bytes * max_ratio:
-            warnings.append(
-                f"{name}: {cur_bytes / 1024**2:.1f} MiB/op vs baseline "
-                f"{base_bytes / 1024**2:.1f} MiB/op "
-                f"(x{cur_bytes / base_bytes:.2f}, warn at x{max_ratio:.2f})"
-            )
-    return warnings
-
-
-def overhead_failures(results: dict[str, dict]) -> list[str]:
-    """Same-run pair gate: instrumented vs bare, per OVERHEAD_PAIRS."""
-    failures: list[str] = []
-    for inst, (bare, max_ratio) in OVERHEAD_PAIRS.items():
-        if inst not in results or bare not in results:
-            continue
-        ratio = results[inst]["median_ns"] / results[bare]["median_ns"]
-        verdict = "ok" if ratio <= max_ratio else "FAIL"
-        print(f"  overhead {inst} / {bare}: x{ratio:.3f} "
-              f"(max x{max_ratio:.2f}) {verdict}")
-        if ratio > max_ratio:
-            failures.append(
-                f"{inst}: x{ratio:.3f} over {bare}, "
-                f"telemetry overhead gate is x{max_ratio:.2f}"
-            )
-    return failures
-
-
 def batch_speedup_failures(results: dict[str, dict]) -> list[str]:
     """Same-run pair gate: batched vs scalar per-route cost.
 
     Normalised by :data:`ROUTE_UNITS` (routes per call) so the two
-    members compare per route regardless of their batch sizes; like
-    :func:`overhead_failures`, both sides come from this run, so
-    machine noise cancels and no baseline is needed.
+    members compare per route regardless of their batch sizes; both
+    sides come from this run, so machine noise cancels.
     """
     failures: list[str] = []
     for fast, (slow, min_ratio) in BATCH_PAIRS.items():
@@ -809,9 +464,9 @@ def batch_speedup_failures(results: dict[str, dict]) -> list[str]:
         per_fast = results[fast]["median_ns"] / ROUTE_UNITS[fast]
         per_slow = results[slow]["median_ns"] / ROUTE_UNITS[slow]
         ratio = per_slow / per_fast
-        verdict = "ok" if ratio >= min_ratio else "FAIL"
+        status = "ok" if ratio >= min_ratio else "FAIL"
         print(f"  batch speedup {fast} vs {slow}: x{ratio:.1f}/route "
-              f"(min x{min_ratio:.0f}) {verdict}")
+              f"(min x{min_ratio:.0f}) {status}")
         if ratio < min_ratio:
             failures.append(
                 f"{fast}: only x{ratio:.1f} per route over {slow}, "
@@ -820,12 +475,44 @@ def batch_speedup_failures(results: dict[str, dict]) -> list[str]:
     return failures
 
 
-def wallclock_suite() -> dict[str, dict]:
-    """Serial vs parallel wall-clock of one experiment (informational).
+def overhead_samples(rounds: int = ROUNDS) -> dict[str, list[float]]:
+    """ns per call (:func:`time_op`) of every arm of :data:`OVERHEAD`
+    and of two runs of each bare twin (``name`` and ``name#2``), once
+    per round, the arm order rotating every round."""
+    arms = {**fig6_arms(), **churn_100k_arms()}
+    groups: dict[str, list[str]] = {}
+    for arm, (bare, _) in OVERHEAD.items():
+        groups.setdefault(bare, [bare, bare + "#2"]).append(arm)
+    samples: dict[str, list[float]] = {}
+    for names in groups.values():
+        for name in names:
+            arms[name.split("#")[0]]()  # warm
+        for r in range(rounds):
+            for name in names[r % len(names):] + names[:r % len(names)]:
+                fn = arms[name.split("#")[0]]
+                samples.setdefault(name, []).append(time_op(fn))
+    return samples
 
-    Recorded as seconds (``median_ns`` is the whole-run time) so the
-    parallel-executor payoff is part of the tracked trajectory.
-    """
+
+def overhead_failures(samples: dict[str, list[float]]) -> list[str]:
+    """Judge each telemetry arm against its two bare runs."""
+    failures: list[str] = []
+    for arm, (bare, bar) in OVERHEAD.items():
+        off, off2, on = samples[bare], samples[bare + "#2"], samples[arm]
+        ratio = statistics.median(on) / statistics.median(off + off2)
+        aa = statistics.median(off2) / statistics.median(off) - 1.0
+        judged = verdict(off, off2, on, "lower", bar)
+        print(f"  overhead {arm} / {bare}: x{ratio:.3f} (bar x{1 + bar:.2f}, "
+              f"A/A {100 * aa:+.1f}%) -> {judged}")
+        if judged == "slower":
+            failures.append(f"{arm}: x{ratio:.3f} over {bare}, past the "
+                            f"x{1 + bar:.2f} telemetry overhead bar")
+    return failures
+
+
+def wallclock_suite() -> dict[str, dict]:
+    """Serial vs parallel wall clock of one experiment (informational):
+    no workload runs ``run_trials``' worker processes."""
     from repro.experiments.config import Fig6Config
     from repro.experiments.fig6_latency import run_fig6
 
@@ -838,17 +525,11 @@ def wallclock_suite() -> dict[str, dict]:
         start = time.perf_counter()
         run_fig6(config, workers=workers)
         elapsed = time.perf_counter() - start
-        out[label] = {
-            "median_ns": round(elapsed * 1e9, 1),
-            "ops_per_s": round(1.0 / elapsed, 4),
-        }
+        out[label] = {"median_ns": round(elapsed * 1e9, 1)}
         print(f"  {label:24s} {elapsed:14.3f} s/run (workers={workers})")
     return out
 
 
-# ----------------------------------------------------------------------
-# baseline file plumbing
-# ----------------------------------------------------------------------
 def git_sha() -> str:
     try:
         return subprocess.run(
@@ -859,220 +540,27 @@ def git_sha() -> str:
         return "unknown"
 
 
-def stamp(results: dict, label: str) -> dict:
-    return {
-        "label": label,
-        "git_sha": git_sha(),
-        "timestamp": datetime.datetime.now(datetime.timezone.utc)
-        .isoformat(timespec="seconds"),
-        "python": sys.version.split()[0],
-        # Wall-clock entries for --workers N only mean something when N
-        # cores exist; record how many this run actually had.
-        "cpus": os.cpu_count(),
-        # the whole run's high-water RSS — the context for every
-        # per-benchmark peak_rss_bytes entry
-        "peak_rss_bytes": peak_rss_bytes(),
-        "results": results,
-    }
-
-
-def compare(
-    baseline: dict,
-    current: dict,
-    threshold: float,
-    previous_speedup: dict | None = None,
-    allow_new: bool = False,
-) -> tuple[dict, list[str]]:
-    """Per-benchmark speedups plus the list of gate failures.
-
-    A benchmark present in the baseline but absent from this run (a
-    ``--quick`` run skips the MACRO group, a renamed benchmark drops
-    out entirely) is never silently dropped from the report: it warns
-    loudly on stderr and carries the previously recorded speedup
-    entry forward, explicitly marked stale.
-
-    The reverse — a benchmark this run emits that the baseline has
-    never seen — **fails** the gate unless ``allow_new``: a new entry
-    joining the trajectory with no baseline number is an untracked
-    claim, so it must be adopted deliberately, not slipped in.
-    """
-    speedup: dict[str, float] = {}
-    failures: list[str] = []
-    base_cpus = baseline.get("cpus")
-    cur_cpus = current.get("cpus")
-    if base_cpus is not None and cur_cpus is not None and base_cpus != cur_cpus:
-        print(
-            f"warning: baseline ran on {base_cpus} cpus, this run on "
-            f"{cur_cpus} — wall-clock comparisons are not like-for-like",
-            file=sys.stderr,
-        )
-    base_results = baseline["results"]
-    new = sorted(set(current["results"]) - set(base_results))
-    if new:
-        if allow_new:
-            print(
-                f"note: adopting {len(new)} benchmark(s) new to the "
-                f"baseline: {', '.join(new)}",
-                file=sys.stderr,
-            )
-            for name in new:
-                speedup[name] = 1.0
-        else:
-            failures.append(
-                f"benchmark(s) absent from baseline: {', '.join(new)} — "
-                f"rerun with --allow-new to adopt them deliberately"
-            )
-    for name, cur in current["results"].items():
-        base = base_results.get(name)
-        if base is None:
-            continue
-        ratio = base["median_ns"] / cur["median_ns"]
-        speedup[name] = round(ratio, 3)
-        if cur["median_ns"] > base["median_ns"] * threshold:
-            failures.append(
-                f"{name}: {cur['median_ns']:,.0f} ns/op vs baseline "
-                f"{base['median_ns']:,.0f} ns/op "
-                f"(x{1 / ratio:.2f} slower, threshold x{threshold:.2f})"
-            )
-    missing = sorted(set(base_results) - set(current["results"]))
-    if missing:
-        print(
-            f"warning: {len(missing)} baseline benchmark(s) not measured "
-            f"in this run: {', '.join(missing)} — their trajectory "
-            f"entries are carried forward, not refreshed",
-            file=sys.stderr,
-        )
-        for name in missing:
-            prev = (previous_speedup or {}).get(name)
-            if prev is not None:
-                speedup[name] = prev
-    return speedup, failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT,
-                        help="benchmark record file (default BENCH_core.json)")
     parser.add_argument("--quick", action="store_true",
-                        help="micro suite only (CI smoke; default gate x2)")
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="fail if median ns/op exceeds baseline*X "
-                             "(default 1.5, or 2.0 with --quick)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="pin this run as the new baseline")
-    parser.add_argument("--check-only", action="store_true",
-                        help="compare but leave the record file untouched")
-    parser.add_argument("--allow-new", action="store_true",
-                        help="adopt benchmarks absent from the baseline "
-                             "into it (without this, a new benchmark "
-                             "name fails the gate)")
+                        help="the packet-plane group only (CI smoke)")
     parser.add_argument("--overhead-only", action="store_true",
-                        help="run only the OVERHEAD_PAIRS benchmarks and "
-                             "gate the instrumented/bare ratio (no "
-                             "baseline needed, file untouched)")
-    parser.add_argument("--label", default="current",
-                        help="label stored with this run")
+                        help="run only the telemetry overhead gate")
     args = parser.parse_args(argv)
 
-    threshold = args.threshold
-    if threshold is None:
-        threshold = 2.0 if args.quick else 1.5
-
     if args.overhead_only:
-        suite = {**MICRO, **BUILD, **SCALE, **MACRO}
         print(f"bench_compare: telemetry overhead gate at {git_sha()}")
-        results: dict[str, dict] = {}
-        for inst, (bare, _max) in OVERHEAD_PAIRS.items():
-            pair = {}
-            for name in (bare, inst):
-                fn = suite[name]()
-                fn()  # warm
-                pair[name] = fn
-            # Alternate timing passes and keep each side's best median:
-            # one-off process warmup (page faults, allocator growth)
-            # then biases neither member of the ratio.
-            for _ in range(2):
-                for name, fn in pair.items():
-                    ns = time_op(fn)
-                    cur = results.get(name)
-                    if cur is None or ns < cur["median_ns"]:
-                        results[name] = {
-                            "median_ns": round(ns, 1),
-                            "ops_per_s": round(1e9 / ns, 2),
-                        }
-        for name, res in results.items():
-            print(f"  {name:28s} {res['median_ns']:14,.0f} ns/op")
-        failures = overhead_failures(results)
-        if failures:
-            print("\nTELEMETRY OVERHEAD GATE FAILED:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print("\ntelemetry overhead gate ok")
-        return 0
-
-    print(f"bench_compare: running {'micro' if args.quick else 'full'} suite "
-          f"at {git_sha()}")
-    results = run_suite(args.quick)
-    current = stamp(results, args.label)
-
-    record: dict = {}
-    if args.out.exists():
-        record = json.loads(args.out.read_text())
-
-    if args.write_baseline:
-        record = {
-            "schema": 1,
-            "baseline": stamp(results, args.label or "baseline"),
-            "current": current,
-            "speedup": {name: 1.0 for name in results},
-        }
-        args.out.write_text(json.dumps(record, indent=2) + "\n")
-        print(f"pinned new baseline ({len(results)} benchmarks) -> {args.out}")
-        return 0
-
-    baseline = record.get("baseline")
-    if baseline is None:
-        print(f"error: no baseline recorded in {args.out}; "
-              f"run with --write-baseline first", file=sys.stderr)
-        return 2
-
-    speedup, failures = compare(baseline, current, threshold,
-                                previous_speedup=record.get("speedup"),
-                                allow_new=args.allow_new)
-    failures.extend(overhead_failures(results))
-    failures.extend(batch_speedup_failures(results))
-    failures.extend(scale_1m_failures(results))
-    for warning in bytes_regressions(baseline, current):
-        print(f"warning: bytes_per_op regression: {warning}",
-              file=sys.stderr)
-    print(f"\nvs baseline '{baseline['label']}' @ {baseline['git_sha']}:")
-    for name in sorted(speedup):
-        stale = "" if name in results else "  (carried, not measured this run)"
-        print(f"  {name:24s} x{speedup[name]:.2f} "
-              f"{'faster' if speedup[name] >= 1 else 'slower'}{stale}")
-
-    if not args.check_only:
-        if args.allow_new:
-            # adopt new entries into the baseline so future runs gate
-            # against this run's numbers
-            for name in set(current["results"]) - set(baseline["results"]):
-                baseline["results"][name] = current["results"][name]
-        record.update({
-            "schema": 1,
-            "current": current,
-            "speedup": speedup,
-        })
-        record.setdefault("baseline", baseline)
-        args.out.write_text(json.dumps(record, indent=2) + "\n")
-        print(f"updated {args.out}")
-
+        failures = overhead_failures(overhead_samples())
+    else:
+        print(f"bench_compare: {'quick' if args.quick else 'full'} suite at {git_sha()}")
+        results = run_suite(args.quick)
+        failures = batch_speedup_failures(results) + scale_1m_failures(results)
     if failures:
-        print("\nREGRESSION GATE FAILED:", file=sys.stderr)
+        print("\nGATE FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print(f"\nregression gate ok (threshold x{threshold:.2f})")
+    print("\ngates ok")
     return 0
 
 
