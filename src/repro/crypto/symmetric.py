@@ -76,17 +76,6 @@ _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
-def _hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """RFC 2104 HMAC over SHA-256, written out from the definition."""
-    if len(key) > _BLOCK:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_BLOCK, b"\x00")
-    o_key = key.translate(_OPAD)
-    i_key = key.translate(_IPAD)
-    inner = hashlib.sha256(i_key + message).digest()
-    return hashlib.sha256(o_key + inner).digest()
-
-
 class SymmetricKey:
     """A symmetric key ``K`` as stored inside a tunnel hop anchor.
 

@@ -7,11 +7,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.symmetric import _TAG_BYTES, CipherError, SymmetricKey, _hmac_sha256
+from repro.crypto.symmetric import _TAG_BYTES, CipherError, SymmetricKey
+
+
+def _hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """RFC 2104 HMAC over SHA-256, written out from the definition: the
+    reference for the tag ``SymmetricKey.seal`` computes from its
+    pre-primed pad states."""
+    if len(key) > 64:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(64, b"\x00")
+    o_key = bytes(b ^ 0x5C for b in key)
+    i_key = bytes(b ^ 0x36 for b in key)
+    inner = hashlib.sha256(i_key + message).digest()
+    return hashlib.sha256(o_key + inner).digest()
 
 
 class TestHmac:
-    """Our RFC 2104 implementation must match the stdlib exactly."""
+    """The RFC 2104 reference must match the stdlib exactly."""
 
     @given(key=st.binary(min_size=1, max_size=100), msg=st.binary(max_size=200))
     def test_matches_stdlib(self, key, msg):
@@ -24,6 +37,12 @@ class TestHmac:
         assert _hmac_sha256(key, b"m") == stdlib_hmac.new(
             key, b"m", hashlib.sha256
         ).digest()
+
+    @given(plaintext=st.binary(max_size=500))
+    def test_seal_tag_is_the_reference_hmac(self, plaintext):
+        key = SymmetricKey(b"0123456789abcdef")
+        sealed = key.seal(plaintext)
+        assert sealed[-_TAG_BYTES:] == _hmac_sha256(key._mac_key, sealed[:-_TAG_BYTES])
 
 
 class TestSealOpen:
