@@ -167,18 +167,3 @@ class SymmetricKey:
     def overhead() -> int:
         """Bytes added by one layer of ``seal`` (nonce + tag)."""
         return _NONCE_BYTES + _TAG_BYTES
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SymmetricKey) and other.key_bytes == self.key_bytes
-
-    def __hash__(self) -> int:
-        return hash(self.key_bytes)
-
-    def __getstate__(self) -> bytes:
-        # hashlib states are not picklable; rebuild them on unpickle so
-        # keys cross process boundaries (the parallel trial executor).
-        return self.key_bytes + self._nonce_counter.to_bytes(9, "big")
-
-    def __setstate__(self, state: bytes) -> None:
-        self.__init__(state[:-9])
-        self._nonce_counter = int.from_bytes(state[-9:], "big")

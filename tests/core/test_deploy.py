@@ -27,7 +27,9 @@ class TestDeployment:
             holders = system.store.holders(tha.hop_id)
             assert holders == set(system.store.replica_set(tha.hop_id))
             stored = system.store.fetch(tha.hop_id)
-            assert tha_value_decode(tha.hop_id, stored.value) == tha.anchor
+            decoded = tha_value_decode(tha.hop_id, stored.value)
+            assert (decoded.hop_id, decoded.key.key_bytes, decoded.pw_hash) == (
+                tha.hop_id, tha.anchor.key.key_bytes, tha.anchor.pw_hash)
 
     def test_owner_not_on_bootstrap_path(self, system, owner):
         report = system.deploy_thas(owner, count=3)

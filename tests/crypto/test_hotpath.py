@@ -5,13 +5,11 @@ squeeze, an XOR of two big ints up to ``_INT_XOR_MAX`` bytes and one
 vector XOR beyond, slicing whatever buffer ``open`` is handed) must
 stay byte-identical to the reference construction at every size class
 the keystream and the XOR distinguish, on both XOR paths, accept every
-buffer type its callers hand it, survive the 8-byte nonce-counter
-boundary, and round-trip through pickling (workers carry keys across
-process boundaries).
+buffer type its callers hand it, and survive the 8-byte nonce-counter
+boundary.
 """
 
 import hashlib
-import pickle
 
 import pytest
 from hypothesis import given
@@ -153,32 +151,3 @@ class TestNonceCounterBoundary:
         wrapped = SymmetricKey(KEY)
         wrapped._nonce_counter = _NONCE_MODULUS
         assert wrapped.seal(b"m") == first
-
-
-class TestPickling:
-    def test_key_round_trips_with_counter(self):
-        key = SymmetricKey(KEY)
-        key.seal(b"one")
-        key.seal(b"two")
-        clone = pickle.loads(pickle.dumps(key))
-        assert clone == key
-        assert clone._nonce_counter == key._nonce_counter
-        # The clone continues the nonce sequence, not restarts it.
-        assert clone.seal(b"x")[:8] == (3).to_bytes(8, "big")
-        assert SymmetricKey(KEY).open(clone.seal(b"payload")) == b"payload"
-
-    def test_clone_pickled_mid_stream_seals_identically(self):
-        """A key shipped to a worker mid-stream produces the very bytes
-        the original would have: same nonce, same rebuilt XOF state."""
-        key = SymmetricKey(KEY)
-        key.seal(b"one")
-        clone = pickle.loads(pickle.dumps(key))
-        message = b"\xc3" * 300
-        assert clone.seal(message) == key.seal(message)
-
-    def test_unpickled_key_rejects_tampering(self):
-        clone = pickle.loads(pickle.dumps(SymmetricKey(KEY)))
-        sealed = bytearray(clone.seal(b"payload"))
-        sealed[10] ^= 0x01
-        with pytest.raises(CipherError):
-            clone.open(bytes(sealed))

@@ -116,12 +116,6 @@ class TestSealOpen:
         with pytest.raises(ValueError):
             SymmetricKey(b"short")
 
-    def test_equality_and_hash(self):
-        a = SymmetricKey(b"0123456789abcdef")
-        b = SymmetricKey(b"0123456789abcdef")
-        assert a == b and hash(a) == hash(b)
-        assert a != SymmetricKey(b"fedcba9876543210")
-
     def test_empty_plaintext(self):
         key = SymmetricKey(b"0123456789abcdef")
         assert key.open(key.seal(b"")) == b""
