@@ -8,8 +8,8 @@
 * :mod:`repro.adversary.timing` — §6 case-2 end-to-end timing analysis
   on the emulation.
 
-The paper-scale figures (2–5, churn included) run on the vectorised
-id-space model, :mod:`repro.analysis.idspace`, from
+The paper-scale figures (2–5, churn included) run on a compact
+overlay (:mod:`repro.experiments.ring`) from
 :mod:`repro.experiments`; the models here operate on a live
 :class:`~repro.core.system.TapSystem`.
 """

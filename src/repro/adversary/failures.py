@@ -7,7 +7,7 @@ function."  The failures are *simultaneous*: no repair runs in
 between, so an object is lost iff its entire replica set is inside
 the failed set.  :func:`tunnel_functions` answers that for one tunnel
 of a live :class:`~repro.core.system.TapSystem`; the paper-scale
-Figure 2 runs on :mod:`repro.analysis.idspace`.
+Figure 2 runs on a compact overlay (:mod:`repro.experiments.ring`).
 """
 
 from __future__ import annotations

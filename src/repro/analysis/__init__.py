@@ -1,8 +1,9 @@
 """Analysis layer: vectorised Monte-Carlo model, metrics, closed forms.
 
-* :mod:`repro.analysis.idspace` — NumPy id-ring model computing the
-  exact same replica-set mapping as :mod:`repro.past`, vectorised for
-  the paper's 10^4-node, 5,000-tunnel experiments;
+* :mod:`repro.analysis.idspace` — exact 128-bit NumPy kernels of the
+  id ring, computing the same replica-set mapping as :mod:`repro.past`
+  for the compact overlay and the paper's 10^4-node, 5,000-tunnel
+  experiments;
 * :mod:`repro.analysis.anonymity` — anonymity metrics from §6
   (responder guess probability, predecessor confidence, anonymity-set
   entropy / degree of anonymity);
@@ -11,7 +12,6 @@
   probabilities, expected route lengths).
 """
 
-from repro.analysis.idspace import IdSpaceModel
 from repro.analysis.anonymity import (
     responder_guess_probability,
     predecessor_confidence,
@@ -27,7 +27,6 @@ from repro.analysis.theory import (
 )
 
 __all__ = [
-    "IdSpaceModel",
     "responder_guess_probability",
     "predecessor_confidence",
     "anonymity_set_entropy",

@@ -1,46 +1,26 @@
-"""Vectorised id-ring model of PAST replica sets.
+"""Exact 128-bit two-word kernels of the id ring, and the figures' id draw.
 
-Figures 2–5 of the paper are Monte-Carlo statements about *which k
-nodes are numerically closest to which keys* under failures, collusion
-and churn — packet-level routing never enters the measured quantity.
-This module computes that mapping with NumPy, which makes the
-paper-scale runs (10^4 nodes × 25,000 anchors) take milliseconds
-instead of minutes.
+A 128-bit id is carried as an aligned pair of uint64 arrays
+``(hi, lo)``.  The kernels (:func:`pack_ids`, :func:`argsort_words`,
+:func:`searchsorted_words`, :func:`ring_distance_words`,
+:func:`replica_table_words`, :func:`closest_index_words`, ...) are
+bit-for-bit with :mod:`repro.util.ids`: ring distance, closest-first,
+ties toward the smaller id.  The compact overlay engine
+(:mod:`repro.perf.compact`) and its packet plane run them, and so do
+the figure sweeps, on a compact overlay of 64-bit ids as high words
+(:mod:`repro.experiments.ring`).  The test-suite cross-validates them
+against the object-level :class:`repro.past.ReplicatedStore` on the
+same inputs.
 
-The semantics — ring distance, closest-first, ties toward the smaller
-id — are the ones defined in :mod:`repro.util.ids`; the test-suite
-cross-validates this module against the object-level
-:class:`repro.past.ReplicatedStore` on the same inputs.
-
-One kernel family lives here: exact 128-bit *two-word* kernels
-(:func:`pack_ids`, :func:`argsort_words`, :func:`searchsorted_words`,
-:func:`ring_distance_words`, :func:`replica_table_words`,
-:func:`closest_index_words`, ...) on aligned ``(hi, lo)`` uint64 array
-pairs, bit-for-bit with :mod:`repro.util.ids`.  The compact overlay
-engine (:mod:`repro.perf.compact`) and the packet plane run them on
-real 128-bit ids.  :class:`IdSpaceModel`, the figure sweeps'
-population, draws 64-bit ids and hands each id and key to the same
-kernels as a high word over a zero low word, i.e. as the 128-bit id
-``x << 64``.  That keeps ring order and ties and scales every distance
-by 2^64, so its replica sets are the exact 128-bit rankings of those
-ids, not a statistical stand-in for them.
+:func:`draw_unique_ids` is the figures' uniform id and key draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_DTYPE = np.uint64
-
 _WORD_BITS = 64
 _WORD_MASK = (1 << _WORD_BITS) - 1
-
-
-def _as_ring_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=_DTYPE)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-D array of ids")
-    return arr
 
 
 def _duplicate_positions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -59,8 +39,8 @@ def _duplicate_positions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _draw_unique(count: int, rng: np.random.Generator):
-    """:meth:`IdSpaceModel.draw_unique_ids` plus the ascending sort of the
-    draw it returns: ``(ids, order, ids[order])``."""
+    """:func:`draw_unique_ids` plus the ascending sort of the draw it
+    returns: ``(ids, order, ids[order])``."""
     out = rng.integers(0, np.iinfo(np.uint64).max, size=count, dtype=np.uint64)
     while True:
         dup, order, ranked = _duplicate_positions(out)
@@ -71,177 +51,16 @@ def _draw_unique(count: int, rng: np.random.Generator):
         )
 
 
-class IdSpaceModel:
-    """A population of node ids with per-node boolean attributes.
+def draw_unique_ids(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform duplicate-free uint64 ids, in draw order.
 
-    The model owns a sorted id array plus aligned flag arrays
-    (``malicious`` by default) and answers vectorised replica-set
-    queries.  Membership changes (:meth:`remove_nodes`,
-    :meth:`add_nodes`) re-sort, keeping flags aligned — the churn
-    primitive of Figure 5.
+    The collision-retry path (probability ~2^-37 at paper scale)
+    redraws *only* the duplicate positions, keeping the first
+    occurrence of each value where it was drawn.  An earlier version
+    returned ``np.unique(...)[:count]`` — a sorted, smallest-first
+    prefix that biased retry-path ids low and destroyed draw order.
     """
-
-    #: bound on the replica-set memo (distinct (keys, k) queries kept)
-    _MEMO_LIMIT = 8
-
-    def __init__(self, node_ids, malicious=None):
-        ids = _as_ring_array(node_ids)
-        order, ranked, _, tie = argsort_words(ids, np.zeros_like(ids))
-        if tie.any():
-            raise ValueError("duplicate node ids")
-        self._adopt(ids, order, ranked, malicious)
-
-    def _adopt(self, ids, order, ranked, malicious) -> None:
-        """Take the duplicate-free ``ids`` whose ascending order is
-        ``order`` (``ranked`` = ``ids[order]``), flags aligned with ``ids``."""
-        self.ids = ranked
-        if malicious is None:
-            malicious = np.zeros(len(ids), dtype=bool)
-        malicious = np.asarray(malicious, dtype=bool)
-        if malicious.shape != ids.shape:
-            raise ValueError("malicious flags must align with ids")
-        self.malicious = malicious[order]
-        # input→sorted permutation; see the `sort_order` property
-        self._sort_order: np.ndarray | None = order
-        # replica_indices memo: the figure sweeps re-query identical
-        # (keys, k) pairs once per sweep level over an unchanged
-        # population.  Keyed by content (bytes hash), bumped on churn.
-        self._rev = 0
-        self._replica_memo: dict[tuple, np.ndarray] = {}
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def random(
-        cls,
-        num_nodes: int,
-        rng: np.random.Generator,
-        malicious_fraction: float = 0.0,
-    ) -> "IdSpaceModel":
-        """Uniform ids; exactly ``round(p*N)`` nodes flagged malicious."""
-        # the draw's last duplicate check sorted the ids: adopt that sort
-        ids, order, ranked = _draw_unique(num_nodes, rng)
-        malicious = np.zeros(num_nodes, dtype=bool)
-        m = int(round(malicious_fraction * num_nodes))
-        if m > 0:
-            malicious[rng.choice(num_nodes, size=m, replace=False)] = True
-        model = cls.__new__(cls)
-        model._adopt(ids, order, ranked, malicious)
-        return model
-
-    @staticmethod
-    def draw_unique_ids(count: int, rng: np.random.Generator) -> np.ndarray:
-        """Uniform duplicate-free uint64 ids, in draw order.
-
-        The collision-retry path (probability ~2^-37 at paper scale)
-        redraws *only* the duplicate positions, keeping the first
-        occurrence of each value where it was drawn.  An earlier
-        version returned ``np.unique(...)[:count]`` — a sorted,
-        smallest-first prefix that biased retry-path ids low and
-        destroyed draw order.
-        """
-        return _draw_unique(count, rng)[0]
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return len(self.ids)
-
-    @property
-    def sort_order(self) -> np.ndarray:
-        """The constructor's input→sorted permutation.
-
-        Sweeps that vary only the flags reuse one model by assigning
-        ``model.malicious = flags[model.sort_order]``.  The permutation
-        describes the *constructor's* population only, so it is
-        invalidated by churn: after :meth:`remove_nodes` /
-        :meth:`add_nodes` the positions it maps to no longer exist and
-        a silent reuse would misalign every flag.
-        """
-        if self._sort_order is None:
-            raise RuntimeError(
-                "sort_order is stale: membership changed since "
-                "construction; rebuild the model (or recompute flags "
-                "against the current `ids`) instead of reusing the "
-                "constructor permutation"
-            )
-        return self._sort_order
-
-    def replica_indices(self, keys, k: int) -> np.ndarray:
-        """(M, k) indices of each key's replica set, closest first.
-
-        Memoised on ``(keys, k)`` content until the next membership
-        change — a pure cache, so results are byte-identical with and
-        without it.  The returned array is shared and marked
-        read-only; copy before mutating.
-        """
-        keys_arr = _as_ring_array(keys)
-        # Keyed on the literal key bytes, not hash(bytes): a hash
-        # collision between two key arrays would silently return the
-        # wrong table.  The arrays are small (anchor samples), so
-        # holding the bytes in the memo key is cheap.
-        token = (int(k), self._rev, keys_arr.tobytes())
-        table = self._replica_memo.get(token)
-        if table is None:
-            if len(self._replica_memo) >= self._MEMO_LIMIT:
-                self._replica_memo.clear()
-            # each id and key is the high word over a zero low word
-            table = replica_table_words(self.ids, np.zeros_like(self.ids),
-                                        keys_arr, np.zeros_like(keys_arr), k)
-            table.setflags(write=False)
-            self._replica_memo[token] = table
-        return table
-
-    def any_malicious_holder(self, keys, k: int) -> np.ndarray:
-        """Per key: is any replica-set member malicious? (THA disclosure)"""
-        return self.malicious[self.replica_indices(keys, k)].any(axis=1)
-
-    def any_survivor(self, keys, k: int, failed_mask: np.ndarray) -> np.ndarray:
-        """Per key: does any replica survive the failure mask?
-
-        ``failed_mask`` aligns with ``self.ids``.  A key's object
-        survives a *simultaneous* failure iff at least one of its k
-        closest original nodes is outside the failed set (the closest
-        survivor is then provably still in the original replica set).
-        """
-        failed_mask = np.asarray(failed_mask, dtype=bool)
-        if failed_mask.shape != self.ids.shape:
-            raise ValueError("failure mask must align with ids")
-        return (~failed_mask[self.replica_indices(keys, k)]).any(axis=1)
-
-    # ------------------------------------------------------------------
-    # membership changes (churn)
-    # ------------------------------------------------------------------
-    def remove_nodes(self, indices) -> None:
-        keep = np.ones(self.size, dtype=bool)
-        keep[np.asarray(indices, dtype=np.intp)] = False
-        self.ids = self.ids[keep]
-        self.malicious = self.malicious[keep]
-        self._sort_order = None
-        self._rev += 1
-        self._replica_memo.clear()
-
-    def add_nodes(self, new_ids, malicious=None) -> None:
-        new_ids = _as_ring_array(new_ids)
-        if malicious is None:
-            malicious = np.zeros(len(new_ids), dtype=bool)
-        malicious = np.asarray(malicious, dtype=bool)
-        ids = np.concatenate([self.ids, new_ids])
-        flags = np.concatenate([self.malicious, malicious])
-        order, ranked, _, tie = argsort_words(ids, np.zeros_like(ids))
-        if tie.any():
-            raise ValueError("duplicate node ids after add")
-        self.ids = ranked
-        self.malicious = flags[order]
-        self._sort_order = None
-        self._rev += 1
-        self._replica_memo.clear()
-
-    def benign_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.malicious)
+    return _draw_unique(count, rng)[0]
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ Every module exposes ``run_figN(config) -> list[dict]`` returning tidy
 rows (one dict per plotted point, including the matching closed-form
 expectation where one exists) plus a module-level default config at
 paper scale and a ``fast()`` config for CI-sized runs.  The rows are
-rendered into the paper's series by :mod:`repro.experiments.runner`.
+rendered as tables and CSV by :mod:`repro.experiments.runner`.
 
 Runners share one contract: ``run_x(config, workers=None, sinks=None)``
 plus ``audit`` where the runner audits, each argument only where the
@@ -55,11 +55,7 @@ from repro.experiments.scale_churn import ScaleChurnConfig, run_scale_churn
 from repro.experiments.scale_latency import ScaleLatencyConfig, run_scale_latency
 from repro.experiments.config import DurabilityConfig
 from repro.experiments.durability import run_durability
-from repro.experiments.runner import (
-    render_table,
-    rows_to_csv,
-    series,
-)
+from repro.experiments.runner import render_table, rows_to_csv
 
 __all__ = [
     "Fig2Config",
@@ -97,5 +93,4 @@ __all__ = [
     "run_durability",
     "render_table",
     "rows_to_csv",
-    "series",
 ]

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.idspace import IdSpaceModel
+from repro.analysis.idspace import draw_unique_ids
 from repro.analysis.theory import tunnel_corruption_prob, tunnel_failure_prob_tap
+from repro.experiments.ring import figure_ring, replica_table
 from repro.perf import Sinks, run_trials
 from repro.util.rng import SeedSequenceFactory
 
@@ -51,20 +52,25 @@ def _tradeoff_trial(config: TradeoffConfig, length: int) -> list[dict]:
     """
     seeds = SeedSequenceFactory(config.seed)
     rng = seeds.numpy("tradeoff")
-    model = IdSpaceModel.random(config.num_nodes, rng, config.malicious_fraction)
+    overlay, malicious, _ = figure_ring(
+        config.num_nodes, rng, config.malicious_fraction
+    )
 
     n_failed = round(config.failure_fraction * config.num_nodes)
     failed_mask = np.zeros(config.num_nodes, dtype=bool)
     failed_mask[rng.choice(config.num_nodes, size=n_failed, replace=False)] = True
 
     hop_rng = seeds.numpy("tradeoff-hops", length)
-    hop_keys = IdSpaceModel.draw_unique_ids(config.num_tunnels * length, hop_rng)
+    hop_keys = draw_unique_ids(config.num_tunnels * length, hop_rng)
 
     rows: list[dict] = []
     for k in config.replication_factors:
-        survivors = model.any_survivor(hop_keys, k, failed_mask)
+        # one table per k answers both questions; the failure is a mask
+        # over the original replica sets, as in Figure 2
+        table = replica_table(overlay, hop_keys, k)
+        survivors = (~failed_mask[table]).any(axis=1)
         functional = survivors.reshape(config.num_tunnels, length).all(axis=1)
-        disclosed = model.any_malicious_holder(hop_keys, k)
+        disclosed = malicious[table].any(axis=1)
         corrupted = disclosed.reshape(config.num_tunnels, length).all(axis=1)
         rows.append(
             {
@@ -215,12 +221,12 @@ def run_scatter(config: ScatterConfig = ScatterConfig()) -> list[dict]:
     """
     seeds = SeedSequenceFactory(config.seed)
     rng = seeds.numpy("scatter")
-    model = IdSpaceModel.random(config.num_nodes, rng)
+    overlay, _, _ = figure_ring(config.num_nodes, rng)
 
     l, k, t = config.tunnel_length, config.replication_factor, config.num_tunnels
 
     def multi_hop_rate(hop_keys: np.ndarray) -> float:
-        table = model.replica_indices(hop_keys, k).reshape(t, l * k)
+        table = replica_table(overlay, hop_keys, k).reshape(t, l * k)
         hits = 0
         for row in table:
             # A node appearing under two *different hops* of the tunnel:
@@ -237,7 +243,7 @@ def run_scatter(config: ScatterConfig = ScatterConfig()) -> list[dict]:
         return hits / t
 
     # Uniform selection: independent uniform hopids.
-    uniform_keys = IdSpaceModel.draw_unique_ids(t * l, rng)
+    uniform_keys = draw_unique_ids(t * l, rng)
 
     # Scattered selection: force distinct top-4-bit prefixes per tunnel.
     prefixes = np.empty((t, l), dtype=np.uint64)

@@ -6,21 +6,29 @@ p of nodes fails simultaneously; measure the fraction of tunnels that
 no longer function.
 
 * current tunneling: a tunnel dies iff any of its l relay nodes died;
-* TAP: a hop dies iff its entire replica set died (the closest
-  survivor of a replica set is provably still a member, see
-  :meth:`repro.analysis.idspace.IdSpaceModel.any_survivor`).
+* TAP: a hop dies iff its entire replica set died.  A key's object
+  survives a *simultaneous* failure iff at least one of its k closest
+  original nodes is outside the failed set: the closest survivor is
+  then still a member of the original replica set, since every
+  original member is closer than any node outside it.
+
+The failure is a mask over the original ring, and the survivor test
+reads each key's *original* replica set, so the overlay never fails a
+node: the replica table of each k is computed once per repetition and
+every failure fraction reads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.idspace import IdSpaceModel
+from repro.analysis.idspace import draw_unique_ids
 from repro.analysis.theory import (
     tunnel_failure_prob_current,
     tunnel_failure_prob_tap,
 )
 from repro.experiments.config import Fig2Config
+from repro.experiments.ring import figure_ring, replica_table
 from repro.perf import run_trials
 from repro.util.rng import SeedSequenceFactory
 
@@ -48,12 +56,16 @@ def _fig2_trial(config: Fig2Config, rep: int) -> list[tuple[tuple[float, str], f
     identical whether this runs inline or in any worker process.
     """
     rng = SeedSequenceFactory(config.seed).numpy("fig2", rep)
-    model = IdSpaceModel.random(config.num_nodes, rng)
+    overlay, _, _ = figure_ring(config.num_nodes, rng)
     total_hops = config.num_tunnels * config.tunnel_length
-    hop_keys = IdSpaceModel.draw_unique_ids(total_hops, rng)
+    hop_keys = draw_unique_ids(total_hops, rng)
     relays = _distinct_relay_matrix(
         config.num_nodes, config.num_tunnels, config.tunnel_length, rng
     )
+    tables = {
+        k: replica_table(overlay, hop_keys, k)
+        for k in config.replication_factors
+    }
 
     out: list[tuple[tuple[float, str], float]] = []
     for p in config.failure_fractions:
@@ -67,8 +79,8 @@ def _fig2_trial(config: Fig2Config, rep: int) -> list[tuple[tuple[float, str], f
         cur_failed = failed_mask[relays].any(axis=1).mean()
         out.append(((p, "current"), float(cur_failed)))
 
-        for k in config.replication_factors:
-            hop_ok = model.any_survivor(hop_keys, k, failed_mask)
+        for k, table in tables.items():
+            hop_ok = (~failed_mask[table]).any(axis=1)
             tunnels_ok = hop_ok.reshape(
                 config.num_tunnels, config.tunnel_length
             ).all(axis=1)

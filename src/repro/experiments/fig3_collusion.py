@@ -10,22 +10,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.idspace import IdSpaceModel
+from repro.analysis.idspace import draw_unique_ids
 from repro.analysis.theory import tunnel_corruption_prob
 from repro.experiments.config import Fig3Config
+from repro.experiments.ring import figure_ring, replica_table
 from repro.perf import run_trials
 from repro.util.rng import SeedSequenceFactory
 
 
 def corruption_fraction(
-    model: IdSpaceModel,
-    hop_keys: np.ndarray,
+    malicious: np.ndarray,
+    table: np.ndarray,
     num_tunnels: int,
     tunnel_length: int,
-    k: int,
 ) -> float:
-    """Fraction of tunnels whose every hop's THA is disclosed."""
-    disclosed = model.any_malicious_holder(hop_keys, k)
+    """Fraction of tunnels whose every hop's THA is disclosed.
+
+    ``table`` holds each hop key's replica set as ring positions, and
+    ``malicious`` flags those positions.
+    """
+    disclosed = malicious[table].any(axis=1)
     corrupted = disclosed.reshape(num_tunnels, tunnel_length).all(axis=1)
     return float(corrupted.mean())
 
@@ -33,35 +37,26 @@ def corruption_fraction(
 def _fig3_trial(config: Fig3Config, rep: int) -> list[tuple[float, float]]:
     """One repetition: ``(malicious fraction, corruption)`` pairs."""
     rng = SeedSequenceFactory(config.seed).numpy("fig3", rep)
-    # One model per repetition: only the malicious flags vary across
-    # the sweep, so the sorted population (and the replica_indices
-    # memo keyed on it) is shared by every p — reassigning the flags
-    # through sort_order is exactly what re-constructing would compute.
-    # At fraction 0 `random` draws only the ids, and it adopts the sort
-    # its duplicate check already made.
-    model = IdSpaceModel.random(config.num_nodes, rng)
-    hop_keys = IdSpaceModel.draw_unique_ids(
-        config.num_tunnels * config.tunnel_length, rng
-    )
+    # One ring per repetition: only the malicious flags vary across the
+    # sweep, so one replica table serves every p.  Each p draws its
+    # flags in draw order and aligns them with the ring through
+    # `order`, which is what re-constructing the ring would compute.
+    overlay, _, order = figure_ring(config.num_nodes, rng)
+    hop_keys = draw_unique_ids(config.num_tunnels * config.tunnel_length, rng)
+    table = replica_table(overlay, hop_keys, config.replication_factor)
     out: list[tuple[float, float]] = []
     for p in config.malicious_fractions:
         malicious = np.zeros(config.num_nodes, dtype=bool)
         m = round(p * config.num_nodes)
         if m:
             malicious[rng.choice(config.num_nodes, size=m, replace=False)] = True
-        model.malicious = malicious[model.sort_order]
-        out.append(
-            (
-                p,
-                corruption_fraction(
-                    model,
-                    hop_keys,
-                    config.num_tunnels,
-                    config.tunnel_length,
-                    config.replication_factor,
-                ),
-            )
-        )
+        out.append((
+            p,
+            corruption_fraction(
+                malicious[order], table, config.num_tunnels,
+                config.tunnel_length,
+            ),
+        ))
     return out
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.idspace import IdSpaceModel
+from repro.analysis.idspace import draw_unique_ids
 from repro.analysis.theory import tunnel_corruption_prob
 from repro.experiments.config import Fig4Config
 from repro.experiments.fig3_collusion import corruption_fraction
+from repro.experiments.ring import figure_ring, replica_table
 from repro.perf import run_trials
 from repro.util.rng import SeedSequenceFactory
 
@@ -24,43 +25,37 @@ from repro.util.rng import SeedSequenceFactory
 def _fig4a_trial(config: Fig4Config, rep: int) -> list[tuple[int, float]]:
     """One repetition of the k-sweep: ``(k, corruption)`` pairs."""
     rng = SeedSequenceFactory(config.seed).numpy("fig4a", rep)
-    model = IdSpaceModel.random(
+    overlay, malicious, _ = figure_ring(
         config.num_nodes, rng, config.malicious_fraction
     )
-    hop_keys = IdSpaceModel.draw_unique_ids(
-        config.num_tunnels * config.tunnel_length, rng
-    )
-    return [
-        (
+    hop_keys = draw_unique_ids(config.num_tunnels * config.tunnel_length, rng)
+    out: list[tuple[int, float]] = []
+    for k in config.replication_factors:
+        # bound until the next k's table replaces it (see replica_table)
+        table = replica_table(overlay, hop_keys, k)
+        out.append((
             k,
             corruption_fraction(
-                model, hop_keys, config.num_tunnels, config.tunnel_length, k
+                malicious, table, config.num_tunnels, config.tunnel_length
             ),
-        )
-        for k in config.replication_factors
-    ]
+        ))
+    return out
 
 
 def _fig4b_trial(config: Fig4Config, rep: int) -> list[tuple[int, float]]:
     """One repetition of the l-sweep: ``(length, corruption)`` pairs."""
     rng = SeedSequenceFactory(config.seed).numpy("fig4b", rep)
-    model = IdSpaceModel.random(
+    overlay, malicious, _ = figure_ring(
         config.num_nodes, rng, config.malicious_fraction
     )
     out: list[tuple[int, float]] = []
     for length in config.tunnel_lengths:
-        hop_keys = IdSpaceModel.draw_unique_ids(
-            config.num_tunnels * length, rng
-        )
-        out.append(
-            (
-                length,
-                corruption_fraction(
-                    model, hop_keys, config.num_tunnels, length,
-                    config.replication_factor,
-                ),
-            )
-        )
+        hop_keys = draw_unique_ids(config.num_tunnels * length, rng)
+        table = replica_table(overlay, hop_keys, config.replication_factor)
+        out.append((
+            length,
+            corruption_fraction(malicious, table, config.num_tunnels, length),
+        ))
     return out
 
 

@@ -18,16 +18,24 @@ now contains a malicious node has been handed a replica (the repair
 traffic) and is disclosed forever.  This is exactly the aggregate
 behaviour of :meth:`repro.past.ReplicatedStore.on_fail`/``on_join``,
 which the tests cross-validate at small scale.
+
+The population is a compact overlay (:mod:`repro.experiments.ring`):
+departures are ``fail_positions`` and arrivals ``join``.  A departed
+node keeps its slot as a tombstone, so the arrays grow by
+``churn_per_unit`` a unit (10^4 + 20 × 100 positions at paper scale).
+The malicious flags follow each join (:func:`churn_unit`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.idspace import IdSpaceModel
+from repro.analysis.idspace import draw_unique_ids
 from repro.analysis.theory import tunnel_corruption_prob
 from repro.experiments.config import Fig5Config
+from repro.experiments.ring import figure_ring, replica_table
 from repro.perf import run_trials
+from repro.perf.compact import CompactOverlay
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -35,15 +43,40 @@ def _corrupted_fraction(known_hops: np.ndarray, num_tunnels: int, length: int) -
     return float(known_hops.reshape(num_tunnels, length).all(axis=1).mean())
 
 
+def churn_unit(
+    overlay: CompactOverlay, malicious: np.ndarray, churn: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One time unit: ``churn`` benign nodes leave, then ``churn`` fresh
+    benign nodes join.  Returns ``malicious`` realigned with the
+    overlay's positions after the join's merge.
+
+    The departures are drawn from the alive benign positions in ring
+    order.  Malicious nodes never leave, so their high words find
+    their new positions.
+    """
+    benign = np.flatnonzero(overlay.alive & ~malicious)
+    overlay.fail_positions(
+        rng.choice(benign, size=min(churn, len(benign)), replace=False)
+    )
+    malicious_hi = overlay.hi[malicious]
+    overlay.join(int(x) << 64 for x in draw_unique_ids(churn, rng))
+    flags = np.zeros(overlay.size, dtype=bool)
+    flags[np.searchsorted(overlay.hi, malicious_hi)] = True
+    return flags
+
+
 def _fig5_trial(config: Fig5Config, rep: int) -> list[tuple[tuple[int, str], float]]:
     """One churn timeline: ``((time, scheme), corruption)`` points."""
     total_hops = config.num_tunnels * config.tunnel_length
+    k = config.replication_factor
     rng = SeedSequenceFactory(config.seed).numpy("fig5", rep)
-    model = IdSpaceModel.random(
+    overlay, malicious, _ = figure_ring(
         config.num_nodes, rng, config.malicious_fraction
     )
-    static_keys = IdSpaceModel.draw_unique_ids(total_hops, rng)
-    known = model.any_malicious_holder(static_keys, config.replication_factor)
+    static_keys = draw_unique_ids(total_hops, rng)
+    static_table = replica_table(overlay, static_keys, k)
+    known = malicious[static_table].any(axis=1)
 
     out: list[tuple[tuple[int, str], float]] = []
     start = _corrupted_fraction(known, config.num_tunnels, config.tunnel_length)
@@ -51,31 +84,24 @@ def _fig5_trial(config: Fig5Config, rep: int) -> list[tuple[tuple[int, str], flo
     out.append(((0, "refreshed"), start))
 
     for t in range(1, config.time_units + 1):
-        # Benign leave ...
-        benign = model.benign_indices()
-        departing = rng.choice(
-            benign, size=min(config.churn_per_unit, len(benign)), replace=False
-        )
-        model.remove_nodes(departing)
-        # ... then benign join (p restored each unit).
-        model.add_nodes(
-            IdSpaceModel.draw_unique_ids(config.churn_per_unit, rng)
-        )
+        # Benign leave then benign join (p restored each unit).
+        malicious = churn_unit(overlay, malicious, config.churn_per_unit, rng)
+        # the tables index the alive ids; each stays bound until the
+        # next unit's replaces it (see replica_table)
+        flags = malicious[overlay.alive]
 
         # Unrefreshed: knowledge accumulates monotonically.
-        known |= model.any_malicious_holder(
-            static_keys, config.replication_factor
-        )
+        static_table = replica_table(overlay, static_keys, k)
+        known |= flags[static_table].any(axis=1)
         out.append((
             (t, "unrefreshed"),
             _corrupted_fraction(known, config.num_tunnels, config.tunnel_length),
         ))
 
         # Refreshed: brand-new anchors; only the current state counts.
-        fresh_keys = IdSpaceModel.draw_unique_ids(total_hops, rng)
-        fresh_known = model.any_malicious_holder(
-            fresh_keys, config.replication_factor
-        )
+        fresh_keys = draw_unique_ids(total_hops, rng)
+        fresh_table = replica_table(overlay, fresh_keys, k)
+        fresh_known = flags[fresh_table].any(axis=1)
         out.append((
             (t, "refreshed"),
             _corrupted_fraction(fresh_known, config.num_tunnels, config.tunnel_length),

@@ -1,25 +1,14 @@
-"""Rendering and sweep utilities for experiment rows.
+"""Rendering utilities for experiment rows.
 
 The experiment modules return tidy rows; this module turns them into
-the tables/series the paper plots (and the benchmark harness prints),
-plus CSV for external plotting.
+fixed-width tables (what the CLI prints) and CSV for external
+plotting.
 """
 
 from __future__ import annotations
 
 import io
 from typing import Sequence
-
-
-def series(rows: list[dict], x: str, y: str, scheme_key: str = "scheme") -> dict[str, list[tuple]]:
-    """Group rows into per-scheme (x, y) series — one per plotted line."""
-    out: dict[str, list[tuple]] = {}
-    for row in rows:
-        name = str(row.get(scheme_key, "value"))
-        out.setdefault(name, []).append((row[x], row[y]))
-    for points in out.values():
-        points.sort()
-    return out
 
 
 def render_table(

@@ -18,8 +18,12 @@ prefix-bucket slices, exactly what the object engine reads (see
 
 and derives everything else on demand: replica sets and the packet
 plane's routes via the vectorised 128-bit kernels, and scalar routes
-through :meth:`CompactOverlay.twin`.  Bootstrap at N=10^5 is an array
-sort; fail/revive is a flag write; join is an array merge.
+through :meth:`CompactOverlay.twin`.  The same class is the ring of
+the paper's Figures 2–5 and the ablations
+(:mod:`repro.experiments.ring`), whose per-node flags are the
+experiments' own arrays aligned by global position.  Bootstrap at
+N=10^5 is an array sort; fail/revive is a flag write; join is an
+array merge.
 
 Equivalence contract (pinned by ``tests/perf/test_compact.py``):
 
@@ -203,7 +207,11 @@ class CompactOverlay:
         population does not match an object-engine system — use it for
         scale runs, :meth:`bootstrap`/:meth:`from_ids` for equivalence.
         Duplicate pairs are redrawn in place, preserving draw order for
-        the survivors (same policy as ``IdSpaceModel.draw_unique_ids``).
+        the survivors (same policy as
+        :func:`repro.analysis.idspace.draw_unique_ids`).  The figure
+        sweeps' rings come from
+        :func:`repro.experiments.ring.figure_ring` instead: 64-bit ids
+        over a zero low word, drawn from the figure's own stream.
         """
         rng = SeedSequenceFactory(seed).numpy("compact-ids")
         hi = rng.integers(0, _U64_MAX, size=num_nodes, dtype=np.uint64)

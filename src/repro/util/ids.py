@@ -4,8 +4,8 @@ Pastry node identifiers and PAST file identifiers (and therefore TAP
 ``hopid`` values) live in a circular space of ``2**128`` points.  All
 "numerically closest" semantics in the reproduction are defined here in
 one place so that the protocol simulation (:mod:`repro.pastry`), the
-storage substrate (:mod:`repro.past`) and the vectorised experiment
-model (:mod:`repro.analysis.idspace`) provably agree.
+storage substrate (:mod:`repro.past`) and the vectorised 128-bit
+kernels (:mod:`repro.analysis.idspace`) provably agree.
 
 Conventions
 -----------

@@ -1,5 +1,5 @@
-"""Tests for the vectorised id-space model — including the critical
-cross-validation against the object-level substrates."""
+"""Tests for the 128-bit id-ring kernels and the figures' ring — including
+the critical cross-validation against the object-level substrates."""
 
 import bisect
 import hashlib
@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import repro.analysis.idspace as idspace
 from repro.analysis.idspace import (
-    IdSpaceModel,
     closest_index_words,
+    draw_unique_ids,
     merge_insert_positions,
     pack_ids,
     replica_table_words,
@@ -22,6 +22,9 @@ from repro.analysis.idspace import (
     shared_prefix_bits_words,
     unpack_words,
 )
+from repro.experiments.fig5_churn import churn_unit
+from repro.experiments.ring import figure_ring, replica_table
+from repro.perf.compact import CompactOverlay
 from repro.util.ids import closest_ids, ring_distance, shared_prefix_digits
 
 RING = 1 << 64
@@ -31,17 +34,22 @@ ids64 = st.integers(min_value=0, max_value=RING - 1)
 ids128 = st.integers(min_value=0, max_value=RING128 - 1)
 
 
+def _ring(sorted_ids) -> CompactOverlay:
+    """A figure ring over ascending 64-bit ``sorted_ids``, all alive."""
+    sorted_ids = np.asarray(sorted_ids, dtype=np.uint64)
+    return CompactOverlay(sorted_ids, np.zeros_like(sorted_ids),
+                          np.ones(len(sorted_ids), dtype=bool))
+
+
 def _replica_table(sorted_ids, keys, k: int) -> np.ndarray:
-    """The model's replica table for ascending 64-bit ``sorted_ids``:
-    indices into them, closest first."""
-    model = IdSpaceModel(sorted_ids)
-    assert np.array_equal(model.ids, sorted_ids)
-    return model.replica_indices(np.asarray(keys, dtype=np.uint64), k)
+    """The figure ring's replica table for ascending 64-bit
+    ``sorted_ids``: indices into them, closest first."""
+    return replica_table(_ring(sorted_ids), np.asarray(keys, dtype=np.uint64), k)
 
 
 class TestReplicaTable:
-    """``IdSpaceModel.replica_indices``: 64-bit ids and keys as high
-    words over a zero low word in ``replica_table_words``."""
+    """``replica_table`` on a figure ring: 64-bit ids and keys as high
+    words over a zero low word."""
 
     @given(
         pool=st.sets(ids64, min_size=1, max_size=30),
@@ -71,12 +79,25 @@ class TestReplicaTable:
         assert ids[table[0, 0]] == RING - 5
 
     def test_k_validation(self):
-        model = IdSpaceModel(np.array([1, 2], dtype=np.uint64))
+        # the kernel raises; the overlay clamps k to the alive population
+        ids = np.array([1, 2], dtype=np.uint64)
+        zeros = np.zeros_like(ids)
         keys = np.array([0], dtype=np.uint64)
-        with pytest.raises(ValueError):
-            model.replica_indices(keys, 0)
-        with pytest.raises(ValueError):
-            model.replica_indices(keys, 3)
+        for k in (0, 3):
+            with pytest.raises(ValueError):
+                replica_table_words(ids, zeros, keys, np.zeros_like(keys), k)
+
+    def test_alive_indices_are_replica_positions(self):
+        # with tombstones the table indexes the alive ids; mapped back
+        # it is the overlay's own replica_positions
+        rng = np.random.default_rng(6)
+        overlay, _, _ = figure_ring(300, rng)
+        overlay.fail_positions(rng.choice(300, size=40, replace=False))
+        overlay.join(int(x) << 64 for x in draw_unique_ids(20, rng))
+        keys = draw_unique_ids(100, rng)
+        table = replica_table(overlay, keys, 4)
+        want = overlay.replica_positions(keys, np.zeros_like(keys), 4)
+        assert np.array_equal(overlay.alive_positions()[table], want)
 
     def test_small_population_path(self):
         # 2k >= n triggers the full-ranking branch
@@ -86,8 +107,8 @@ class TestReplicaTable:
 
     def test_large_batch_consistency(self):
         rng = np.random.default_rng(0)
-        ids = np.sort(IdSpaceModel.draw_unique_ids(500, rng))
-        keys = IdSpaceModel.draw_unique_ids(200, rng)
+        ids = np.sort(draw_unique_ids(500, rng))
+        keys = draw_unique_ids(200, rng)
         table = _replica_table(ids, keys, 4)
         # spot-check 10 keys against the scalar reference
         for i in range(0, 200, 20):
@@ -101,21 +122,21 @@ class TestReplicaTable:
 
 class TestCrossValidationAgainstObjectModel:
     def test_same_replica_sets_as_replicated_store(self):
-        """THE bridge test: the vectorised model and the object-level
+        """THE bridge test: the figure ring and the object-level
         ReplicatedStore must compute identical replica sets when fed
         isomorphic ids (64-bit ids shifted onto the 128-bit ring)."""
         from repro.past.replication import ReplicatedStore
         from repro.pastry.network import PastryNetwork
 
         rng = np.random.default_rng(7)
-        ids64 = IdSpaceModel.draw_unique_ids(60, rng)
-        keys64 = IdSpaceModel.draw_unique_ids(25, rng)
+        ids64 = draw_unique_ids(60, rng)
+        keys64 = draw_unique_ids(25, rng)
 
-        model = IdSpaceModel(ids64)
+        ring = np.sort(ids64)
         net = PastryNetwork.build([int(i) << 64 for i in ids64])
         store = ReplicatedStore(net, replication_factor=3)
 
-        table = model.ids[model.replica_indices(keys64, 3)]
+        table = ring[_replica_table(ring, keys64, 3)]
         for key64, row in zip(keys64, table):
             object_level = store.replica_set(int(key64) << 64)
             assert [int(x) << 64 for x in row] == object_level
@@ -124,22 +145,23 @@ class TestCrossValidationAgainstObjectModel:
         from repro.pastry.network import PastryNetwork
 
         rng = np.random.default_rng(8)
-        # sort so the failure mask aligns with model.ids
-        ids64 = np.sort(IdSpaceModel.draw_unique_ids(50, rng))
-        keys64 = IdSpaceModel.draw_unique_ids(20, rng)
-        model = IdSpaceModel(ids64)
+        # sort so the failure mask aligns with the ring's positions
+        ids64 = np.sort(draw_unique_ids(50, rng))
+        keys64 = draw_unique_ids(20, rng)
+        table = _replica_table(ids64, keys64, 3)
 
         failed = np.zeros(50, dtype=bool)
         failed[rng.choice(50, size=20, replace=False)] = True
 
-        survived = model.any_survivor(keys64, 3, failed)
+        # Figure 2's survivor test: a member of the original set is up
+        survived = (~failed[table]).any(axis=1)
 
         # Object semantics: closest alive node after failure must be a
         # member of the original replica set iff any member survived.
         net = PastryNetwork.build([int(i) << 64 for i in ids64])
         original_sets = {
             int(key): [int(x) for x in row]
-            for key, row in zip(keys64, model.ids[model.replica_indices(keys64, 3)])
+            for key, row in zip(keys64, ids64[table])
         }
         for idx, flag in enumerate(failed):
             if flag:
@@ -157,158 +179,124 @@ class TestCrossValidationAgainstObjectModel:
 
 
 class TestModelAttributes:
+    """``figure_ring``: the ring and flags every figure sweep starts from."""
+
     def test_random_malicious_count(self):
         rng = np.random.default_rng(1)
-        model = IdSpaceModel.random(1000, rng, malicious_fraction=0.1)
-        assert model.malicious.sum() == 100
-        assert model.size == 1000
+        overlay, malicious, _ = figure_ring(1000, rng, malicious_fraction=0.1)
+        assert malicious.sum() == 100
+        assert overlay.size == overlay.num_alive == 1000
 
     def test_ids_sorted_and_unique(self):
         rng = np.random.default_rng(2)
-        model = IdSpaceModel.random(500, rng)
-        assert np.all(np.diff(model.ids.astype(np.uint64)) > 0)
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            IdSpaceModel(np.array([1, 1, 2], dtype=np.uint64))
-
-    def test_flag_alignment_enforced(self):
-        with pytest.raises(ValueError):
-            IdSpaceModel(
-                np.array([1, 2], dtype=np.uint64),
-                malicious=np.array([True]),
-            )
+        overlay, _, _ = figure_ring(500, rng)
+        assert np.all(np.diff(overlay.hi) > 0)
+        assert not overlay.lo.any()
 
     def test_flags_follow_sort(self):
-        model = IdSpaceModel(
-            np.array([30, 10, 20], dtype=np.uint64),
-            malicious=np.array([True, False, False]),
+        # the same draws by hand: ids, then flags in draw order
+        rng = np.random.default_rng(4)
+        ids = draw_unique_ids(300, rng)
+        flags = np.zeros(300, dtype=bool)
+        flags[rng.choice(300, size=30, replace=False)] = True
+
+        overlay, malicious, order = figure_ring(
+            300, np.random.default_rng(4), 0.1
         )
-        assert list(model.ids) == [10, 20, 30]
-        assert list(model.malicious) == [False, False, True]
+        assert np.array_equal(order, np.argsort(ids))
+        assert np.array_equal(overlay.hi, ids[order])
+        assert np.array_equal(malicious, flags[order])
 
     def test_any_malicious_holder(self):
-        model = IdSpaceModel(
-            np.array([10, 20, 30, 1000], dtype=np.uint64),
-            malicious=np.array([False, True, False, False]),
-        )
-        keys = np.array([11, 999], dtype=np.uint64)
-        out = model.any_malicious_holder(keys, 2)
-        assert list(out) == [True, False]  # {10,20} vs {1000,30}
+        malicious = np.array([False, True, False, False])
+        table = _replica_table([10, 20, 30, 1000], [11, 999], 2)
+        # {10,20} vs {1000,30}
+        assert list(malicious[table].any(axis=1)) == [True, False]
 
 
 class TestChurnPrimitives:
+    """Figure 5's churn on the overlay: ``fail_positions``, ``join`` and
+    :func:`churn_unit`, which keeps the malicious flags aligned."""
+
     def test_remove_nodes(self):
-        model = IdSpaceModel(np.array([10, 20, 30], dtype=np.uint64))
-        model.remove_nodes([1])
-        assert list(model.ids) == [10, 30]
+        overlay = _ring([10, 20, 30])
+        overlay.fail_positions([1])
+        assert list(overlay.hi[overlay.alive]) == [10, 30]
+        assert overlay.size == 3  # the departed node stays a tombstone
 
     def test_add_nodes_keeps_sorted(self):
-        model = IdSpaceModel(np.array([10, 30], dtype=np.uint64))
-        model.add_nodes(np.array([20], dtype=np.uint64),
-                        malicious=np.array([True]))
-        assert list(model.ids) == [10, 20, 30]
-        assert list(model.malicious) == [False, True, False]
+        overlay = _ring([10, 30])
+        malicious = np.array([False, True])
+        malicious = churn_unit(overlay, malicious, 1, _ScriptedChurnRng([20]))
+        assert list(overlay.hi[overlay.alive]) == [20, 30]
+        assert list(overlay.hi) == [10, 20, 30]
+        assert list(malicious) == [False, False, True]
 
     def test_add_duplicate_rejected(self):
-        model = IdSpaceModel(np.array([10], dtype=np.uint64))
+        overlay = _ring([10])
         with pytest.raises(ValueError):
-            model.add_nodes(np.array([10], dtype=np.uint64))
-        assert list(model.ids) == [10]  # refused before any change
+            overlay.join([10 << 64])
+        assert list(overlay.hi) == [10]  # refused before any change
 
     def test_benign_indices(self):
-        model = IdSpaceModel(
-            np.array([10, 20], dtype=np.uint64),
-            malicious=np.array([True, False]),
-        )
-        assert list(model.benign_indices()) == [1]
+        # churn_unit's departures are drawn from the alive benign
+        # positions, in ring order
+        overlay = _ring([10, 20, 30])
+        malicious = np.array([True, False, False])
+        overlay.fail_positions([2])
+        assert list(np.flatnonzero(overlay.alive & ~malicious)) == [1]
 
     @pytest.mark.parametrize("seed, digest", [
         (3, "96f6fe1109358d21864476bb91719f69b27ffed2c7f7a6386da0e1fa0a432a92"),
         (2004, "1d33bd95358c76573d2fa4c705af6d039bfbdd492c0bbf5186dc77f4cb542522"),
     ])
     def test_random_model_is_pinned(self, seed, digest):
-        # sha256 over ids, flags and the constructor permutation of a
+        # sha256 over ids, flags and the draw->ring permutation of a
         # figure-scale population with 10 % malicious
-        model = IdSpaceModel.random(10_000, np.random.default_rng(seed), 0.1)
+        overlay, malicious, order = figure_ring(
+            10_000, np.random.default_rng(seed), 0.1
+        )
         h = hashlib.sha256()
-        h.update(model.ids.astype("<u8").tobytes())
-        h.update(model.malicious.tobytes())
-        h.update(model.sort_order.astype("<i8").tobytes())
+        h.update(overlay.hi.astype("<u8").tobytes())
+        h.update(malicious.tobytes())
+        h.update(order.astype("<i8").tobytes())
         assert h.hexdigest() == digest
 
     def test_churn_preserves_population(self):
         rng = np.random.default_rng(3)
-        model = IdSpaceModel.random(200, rng, malicious_fraction=0.1)
+        overlay, malicious, _ = figure_ring(200, rng, malicious_fraction=0.1)
         for _ in range(5):
-            benign = model.benign_indices()
-            model.remove_nodes(rng.choice(benign, size=10, replace=False))
-            model.add_nodes(IdSpaceModel.draw_unique_ids(10, rng))
-            assert model.size == 200
-            assert model.malicious.sum() == 20  # malicious never leave
+            malicious = churn_unit(overlay, malicious, 10, rng)
+            assert overlay.num_alive == 200
+            assert malicious.sum() == 20  # malicious never leave
+
+    def test_flags_follow_churn(self):
+        rng = np.random.default_rng(53)
+        overlay, malicious, _ = figure_ring(200, rng, malicious_fraction=0.1)
+        original = set(overlay.hi[malicious].tolist())
+        assert len(original) == 20
+        for _ in range(5):
+            malicious = churn_unit(overlay, malicious, 10, rng)
+            assert overlay.num_alive == 200
+            assert malicious.shape == overlay.alive.shape
+            assert sorted(overlay.hi[malicious].tolist()) == sorted(original)
+            assert not (malicious & ~overlay.alive).any()
+        assert overlay.size == 250  # five units of ten tombstones
 
 
-class TestMemoContentKeyed:
-    """Regression: the replica memo must key on key *content*.
+class _ScriptedChurnRng:
+    """Fake generator for one :func:`churn_unit`: departs the first
+    benign position and joins the scripted ids."""
 
-    The old token used ``hash(keys_arr.tobytes())`` — on a (forced)
-    hash collision between two different key arrays, the memo silently
-    returned the first array's table for the second.
-    """
+    def __init__(self, joins):
+        self._joins = np.asarray(joins, dtype=np.uint64)
 
-    def test_forced_hash_collision_returns_correct_tables(self, monkeypatch):
-        # Shadow the builtin `hash` inside the module: every old-style
-        # token now collides.  The content-keyed memo never calls it,
-        # so both queries must still get their own (correct) tables.
-        monkeypatch.setattr(idspace, "hash", lambda _data: 0, raising=False)
-        model = IdSpaceModel(np.array([10, 20, 30, 1000], dtype=np.uint64))
-        keys_a = np.array([11, 21], dtype=np.uint64)
-        keys_b = np.array([999, 29], dtype=np.uint64)  # same len, same k
-        table_a = model.replica_indices(keys_a, 2)
-        table_b = model.replica_indices(keys_b, 2)
-        assert list(model.ids[table_a[0]]) == [10, 20]
-        assert list(model.ids[table_b[0]]) == [1000, 30]
-        # and the memo still works: identical content hits the cache
-        assert model.replica_indices(keys_a.copy(), 2) is table_a
+    def choice(self, a, size, replace):
+        return np.asarray(a)[:size]
 
-    def test_memo_results_read_only(self):
-        model = IdSpaceModel(np.array([10, 20, 30], dtype=np.uint64))
-        table = model.replica_indices(np.array([11], dtype=np.uint64), 1)
-        with pytest.raises(ValueError):
-            table[0, 0] = 2
-
-
-class TestSortOrderInvalidation:
-    """Regression: reusing the constructor permutation after churn
-    (the documented ``flags[model.sort_order]`` pattern) silently
-    misaligned every flag; it must now raise."""
-
-    def test_sort_order_valid_before_churn(self):
-        model = IdSpaceModel(np.array([30, 10, 20], dtype=np.uint64))
-        flags = np.array([True, False, False])
-        assert list(flags[model.sort_order]) == [False, False, True]
-
-    def test_stale_after_remove(self):
-        model = IdSpaceModel(np.array([30, 10, 20], dtype=np.uint64))
-        model.remove_nodes([0])
-        with pytest.raises(RuntimeError, match="stale"):
-            _ = model.sort_order
-
-    def test_stale_after_add(self):
-        model = IdSpaceModel(np.array([30, 10], dtype=np.uint64))
-        model.add_nodes(np.array([20], dtype=np.uint64))
-        with pytest.raises(RuntimeError, match="stale"):
-            _ = model.sort_order
-
-    def test_churn_then_reassign_pattern_raises(self):
-        # The fig3 sweep idiom, applied after churn: must fail loudly
-        # instead of producing misaligned malicious flags.
-        rng = np.random.default_rng(5)
-        model = IdSpaceModel.random(50, rng)
-        model.remove_nodes([0, 1])
-        flags = rng.random(48) < 0.2
-        with pytest.raises(RuntimeError):
-            model.malicious = flags[model.sort_order]
+    def integers(self, low, high, size, dtype):
+        assert size == len(self._joins)
+        return self._joins.copy()
 
 
 class _ScriptedRng:
@@ -334,21 +322,21 @@ class TestDrawUniqueRetry:
             [5, 9],           # redraw for positions (1, 4): one still dup
             [11],             # final redraw for position 1
         ])
-        out = IdSpaceModel.draw_unique_ids(5, rng)
+        out = draw_unique_ids(5, rng)
         assert list(out) == [5, 11, 3, 7, 9]
         assert len(np.unique(out)) == 5
 
     def test_draw_order_preserved_without_collisions(self):
         rng = _ScriptedRng([[40, 10, 30, 20]])
-        assert list(IdSpaceModel.draw_unique_ids(4, rng)) == [40, 10, 30, 20]
+        assert list(draw_unique_ids(4, rng)) == [40, 10, 30, 20]
 
     def test_zero_count(self):
         rng = _ScriptedRng([[]])
-        assert len(IdSpaceModel.draw_unique_ids(0, rng)) == 0
+        assert len(draw_unique_ids(0, rng)) == 0
 
     def test_real_generator_unique(self):
         rng = np.random.default_rng(11)
-        out = IdSpaceModel.draw_unique_ids(1000, rng)
+        out = draw_unique_ids(1000, rng)
         assert len(np.unique(out)) == 1000
 
 
@@ -366,7 +354,7 @@ class TestFastSortFallback:
     @settings(max_examples=200, deadline=None)
     def test_argsort_words_on_a_zero_low_word_is_the_stable_argsort(self,
                                                                     pairs):
-        # how IdSpaceModel sorts its 64-bit ids
+        # how figure_ring sorts its 64-bit ids
         values = np.array([h for h, _ in pairs], dtype=np.uint64)
         order, ranked, _, tie = idspace.argsort_words(values,
                                                       np.zeros_like(values))
@@ -455,8 +443,8 @@ class TestWindowedVsFullBranch:
         # population still on the merge branch, which one node fewer
         # flips to full ranking.  Both must agree.
         rng = np.random.default_rng(n * 31 + k)
-        sorted_ids = np.sort(IdSpaceModel.draw_unique_ids(n, rng))
-        keys = IdSpaceModel.draw_unique_ids(30, rng)
+        sorted_ids = np.sort(draw_unique_ids(n, rng))
+        keys = draw_unique_ids(30, rng)
         got = _replica_table(sorted_ids, keys, k)
         want = self._full_rank_reference(sorted_ids, keys, k)
         assert np.array_equal(got, want)

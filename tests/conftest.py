@@ -26,6 +26,17 @@ from repro.util.serialize import pack_fields
 AUDIT_ENABLED = os.environ.get("TAP_AUDIT", "").strip() not in ("", "0")
 
 
+def series(rows: list[dict], x: str, y: str, scheme_key: str = "scheme") -> dict[str, list[tuple]]:
+    """Group rows into per-scheme (x, y) series — one per plotted line."""
+    out: dict[str, list[tuple]] = {}
+    for row in rows:
+        name = str(row.get(scheme_key, "value"))
+        out.setdefault(name, []).append((row[x], row[y]))
+    for points in out.values():
+        points.sort()
+    return out
+
+
 def _maybe_audited(system: TapSystem) -> TapSystem:
     if AUDIT_ENABLED:
         system.enable_auditing(strict=True)

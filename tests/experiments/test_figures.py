@@ -17,9 +17,9 @@ from repro.experiments import (
     run_fig4b,
     run_fig5,
     run_fig6,
-    series,
 )
 from repro.perf import rows_digest
+from tests.conftest import series
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,8 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from repro.experiments.config import Fig2Config, Fig6Config
-from repro.experiments.runner import render_table, rows_to_csv, series
+from repro.experiments.runner import render_table, rows_to_csv
+from tests.conftest import series
 
 
 ROWS = [

@@ -394,7 +394,7 @@ class TestKeyWordsMustPair:
 
 class TestTieBreaking:
     """Deterministic tie-breaking at exact ring-distance ties and
-    id-space wrap, mirroring ``IdSpaceModel``'s ``TestReplicaTable``
+    id-space wrap, mirroring the figure ring's ``TestReplicaTable``
     wrap tests — the convention everywhere is closest first, smaller id
     on ties."""
 
