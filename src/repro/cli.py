@@ -585,9 +585,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="scaled-down config (quick, same shapes)")
     parser.add_argument("--million", action="store_true",
                         help="the N=10^6 operating point (scale-churn / "
-                             "scale-latency only): chunked routing, "
-                             "one base build inherited by fork "
-                             "workers, sampled scalar verification")
+                             "scale-latency only): one base build "
+                             "inherited by fork workers, sampled "
+                             "scalar verification")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the experiment seed")
     parser.add_argument("--plan", default=None, choices=sorted(NAMED_PLANS),

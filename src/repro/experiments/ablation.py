@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.analysis.idspace import draw_unique_ids
 from repro.analysis.theory import tunnel_corruption_prob, tunnel_failure_prob_tap
-from repro.experiments.ring import figure_ring, replica_table
+from repro.experiments.ring import figure_ring
 from repro.perf import Sinks, run_trials
 from repro.util.rng import SeedSequenceFactory
 
@@ -67,7 +67,7 @@ def _tradeoff_trial(config: TradeoffConfig, length: int) -> list[dict]:
     for k in config.replication_factors:
         # one table per k answers both questions; the failure is a mask
         # over the original replica sets, as in Figure 2
-        table = replica_table(overlay, hop_keys, k)
+        table = overlay.replica_positions(hop_keys, np.zeros_like(hop_keys), k)
         survivors = (~failed_mask[table]).any(axis=1)
         functional = survivors.reshape(config.num_tunnels, length).all(axis=1)
         disclosed = malicious[table].any(axis=1)
@@ -226,7 +226,8 @@ def run_scatter(config: ScatterConfig = ScatterConfig()) -> list[dict]:
     l, k, t = config.tunnel_length, config.replication_factor, config.num_tunnels
 
     def multi_hop_rate(hop_keys: np.ndarray) -> float:
-        table = replica_table(overlay, hop_keys, k).reshape(t, l * k)
+        table = overlay.replica_positions(hop_keys, np.zeros_like(hop_keys), k)
+        table = table.reshape(t, l * k)
         hits = 0
         for row in table:
             # A node appearing under two *different hops* of the tunnel:

@@ -129,9 +129,9 @@ class ScaleChurnConfig:
     Each round fails a fraction of the alive set and admits fresh
     joiners, then measures how many anchor keys still have a member
     of their *original* replica set alive, and how far the current
-    replica sets have drifted.  ``spot_check_routes`` packet-level
-    routes per trial are run through an object-engine network built
-    from the alive ids and cross-checked against the compact router.
+    replica sets have drifted.  ``verify_routes`` packets of each
+    trial's route sweep are re-routed through the scalar
+    ``CompactOverlay.route`` and must agree hop-for-hop.
     """
 
     num_nodes: int = 100_000
@@ -141,36 +141,26 @@ class ScaleChurnConfig:
     churn_rounds: int = 5
     fail_fraction: float = 0.01
     join_fraction: float = 0.005
-    spot_check_routes: int = 8
+    #: per-trial batch-vs-scalar hop-for-hop cross-checks
+    verify_routes: int = 8
     #: telemetry sampling budget (only drawn on when a MetricsRegistry
     #: is threaded through; sampled on its own derived seed stream so
     #: rows are identical with telemetry on or off)
     telemetry_anchor_samples: int = 256
     telemetry_route_samples: int = 4
-    #: sampled batched routes re-run through the scalar router per
-    #: trial (the million-node stand-in for the object-engine spot
-    #: check, which would hold N Python ints)
-    scalar_verify_routes: int = 0
-    #: packet-plane window size (None = whole batch at once); any
-    #: value yields identical rows, larger only costs memory
-    chunk_size: int | None = None
     seed: int = 2004
     num_seeds: int = 2
 
     @classmethod
     def fast(cls) -> "ScaleChurnConfig":
         return cls(num_nodes=2_000, num_anchors=200, churn_rounds=3,
-                   spot_check_routes=4, telemetry_anchor_samples=64,
+                   verify_routes=4, telemetry_anchor_samples=64,
                    telemetry_route_samples=2)
 
     @classmethod
     def million(cls) -> "ScaleChurnConfig":
-        """The N=10^6 operating point: object-engine spot checks off
-        (they copy the ring into a Python list), sampled scalar verification
-        on, routing chunked."""
-        return cls(num_nodes=1_000_000, num_anchors=2_000, churn_rounds=3,
-                   spot_check_routes=0, scalar_verify_routes=8,
-                   chunk_size=1_024)
+        """The N=10^6 operating point."""
+        return cls(num_nodes=1_000_000, num_anchors=2_000, churn_rounds=3)
 
 
 @dataclass(frozen=True)
@@ -202,9 +192,6 @@ class ScaleLatencyConfig:
     #: telemetry sampling budget (drawn on a dedicated stream, so rows
     #: are identical with telemetry on or off)
     telemetry_latency_samples: int = 256
-    #: packet-plane window size (None = whole batch at once); any
-    #: value yields identical rows, larger only costs memory
-    chunk_size: int | None = None
     seed: int = 2004
     num_seeds: int = 2
 
@@ -215,9 +202,9 @@ class ScaleLatencyConfig:
 
     @classmethod
     def million(cls) -> "ScaleLatencyConfig":
-        """The N=10^6 operating point (chunked routing)."""
+        """The N=10^6 operating point."""
         return cls(num_nodes=1_000_000, num_transfers=2_000,
-                   churn_rounds=1, verify_routes=4, chunk_size=1_024)
+                   churn_rounds=1, verify_routes=4)
 
 
 @dataclass(frozen=True)

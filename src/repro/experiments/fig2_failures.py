@@ -28,7 +28,7 @@ from repro.analysis.theory import (
     tunnel_failure_prob_tap,
 )
 from repro.experiments.config import Fig2Config
-from repro.experiments.ring import figure_ring, replica_table
+from repro.experiments.ring import figure_ring
 from repro.perf import run_trials
 from repro.util.rng import SeedSequenceFactory
 
@@ -63,7 +63,7 @@ def _fig2_trial(config: Fig2Config, rep: int) -> list[tuple[tuple[float, str], f
         config.num_nodes, config.num_tunnels, config.tunnel_length, rng
     )
     tables = {
-        k: replica_table(overlay, hop_keys, k)
+        k: overlay.replica_positions(hop_keys, np.zeros_like(hop_keys), k)
         for k in config.replication_factors
     }
 

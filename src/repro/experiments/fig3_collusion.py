@@ -13,7 +13,7 @@ import numpy as np
 from repro.analysis.idspace import draw_unique_ids
 from repro.analysis.theory import tunnel_corruption_prob
 from repro.experiments.config import Fig3Config
-from repro.experiments.ring import figure_ring, replica_table
+from repro.experiments.ring import figure_ring
 from repro.perf import run_trials
 from repro.util.rng import SeedSequenceFactory
 
@@ -43,7 +43,9 @@ def _fig3_trial(config: Fig3Config, rep: int) -> list[tuple[float, float]]:
     # `order`, which is what re-constructing the ring would compute.
     overlay, _, order = figure_ring(config.num_nodes, rng)
     hop_keys = draw_unique_ids(config.num_tunnels * config.tunnel_length, rng)
-    table = replica_table(overlay, hop_keys, config.replication_factor)
+    table = overlay.replica_positions(
+        hop_keys, np.zeros_like(hop_keys), config.replication_factor
+    )
     out: list[tuple[float, float]] = []
     for p in config.malicious_fractions:
         malicious = np.zeros(config.num_nodes, dtype=bool)

@@ -17,7 +17,7 @@ from repro.analysis.idspace import draw_unique_ids
 from repro.analysis.theory import tunnel_corruption_prob
 from repro.experiments.config import Fig4Config
 from repro.experiments.fig3_collusion import corruption_fraction
-from repro.experiments.ring import figure_ring, replica_table
+from repro.experiments.ring import figure_ring
 from repro.perf import run_trials
 from repro.util.rng import SeedSequenceFactory
 
@@ -31,8 +31,9 @@ def _fig4a_trial(config: Fig4Config, rep: int) -> list[tuple[int, float]]:
     hop_keys = draw_unique_ids(config.num_tunnels * config.tunnel_length, rng)
     out: list[tuple[int, float]] = []
     for k in config.replication_factors:
-        # bound until the next k's table replaces it (see replica_table)
-        table = replica_table(overlay, hop_keys, k)
+        # bound until the next k's table replaces it (see
+        # CompactOverlay.replica_positions)
+        table = overlay.replica_positions(hop_keys, np.zeros_like(hop_keys), k)
         out.append((
             k,
             corruption_fraction(
@@ -51,7 +52,9 @@ def _fig4b_trial(config: Fig4Config, rep: int) -> list[tuple[int, float]]:
     out: list[tuple[int, float]] = []
     for length in config.tunnel_lengths:
         hop_keys = draw_unique_ids(config.num_tunnels * length, rng)
-        table = replica_table(overlay, hop_keys, config.replication_factor)
+        table = overlay.replica_positions(
+            hop_keys, np.zeros_like(hop_keys), config.replication_factor
+        )
         out.append((
             length,
             corruption_fraction(malicious, table, config.num_tunnels, length),

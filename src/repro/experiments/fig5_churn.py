@@ -33,7 +33,7 @@ import numpy as np
 from repro.analysis.idspace import draw_unique_ids
 from repro.analysis.theory import tunnel_corruption_prob
 from repro.experiments.config import Fig5Config
-from repro.experiments.ring import figure_ring, replica_table
+from repro.experiments.ring import figure_ring
 from repro.perf import run_trials
 from repro.perf.compact import CompactOverlay
 from repro.util.rng import SeedSequenceFactory
@@ -75,7 +75,8 @@ def _fig5_trial(config: Fig5Config, rep: int) -> list[tuple[tuple[int, str], flo
         config.num_nodes, rng, config.malicious_fraction
     )
     static_keys = draw_unique_ids(total_hops, rng)
-    static_table = replica_table(overlay, static_keys, k)
+    zeros = np.zeros_like(static_keys)
+    static_table = overlay.replica_positions(static_keys, zeros, k)
     known = malicious[static_table].any(axis=1)
 
     out: list[tuple[tuple[int, str], float]] = []
@@ -86,13 +87,12 @@ def _fig5_trial(config: Fig5Config, rep: int) -> list[tuple[tuple[int, str], flo
     for t in range(1, config.time_units + 1):
         # Benign leave then benign join (p restored each unit).
         malicious = churn_unit(overlay, malicious, config.churn_per_unit, rng)
-        # the tables index the alive ids; each stays bound until the
-        # next unit's replaces it (see replica_table)
-        flags = malicious[overlay.alive]
 
-        # Unrefreshed: knowledge accumulates monotonically.
-        static_table = replica_table(overlay, static_keys, k)
-        known |= flags[static_table].any(axis=1)
+        # Unrefreshed: knowledge accumulates monotonically.  Each table
+        # stays bound until the next unit's replaces it (see
+        # CompactOverlay.replica_positions).
+        static_table = overlay.replica_positions(static_keys, zeros, k)
+        known |= malicious[static_table].any(axis=1)
         out.append((
             (t, "unrefreshed"),
             _corrupted_fraction(known, config.num_tunnels, config.tunnel_length),
@@ -100,8 +100,8 @@ def _fig5_trial(config: Fig5Config, rep: int) -> list[tuple[tuple[int, str], flo
 
         # Refreshed: brand-new anchors; only the current state counts.
         fresh_keys = draw_unique_ids(total_hops, rng)
-        fresh_table = replica_table(overlay, fresh_keys, k)
-        fresh_known = flags[fresh_table].any(axis=1)
+        fresh_table = overlay.replica_positions(fresh_keys, zeros, k)
+        fresh_known = malicious[fresh_table].any(axis=1)
         out.append((
             (t, "refreshed"),
             _corrupted_fraction(fresh_known, config.num_tunnels, config.tunnel_length),

@@ -7,8 +7,8 @@ holds its ring as a :class:`repro.perf.compact.CompactOverlay` whose
 ids are 64-bit draws carried as the high word over a zero low word,
 i.e. as the 128-bit id ``x << 64``.  That keeps ring order and ties and
 scales every distance by 2^64, so its replica sets are the exact
-128-bit rankings of those ids; keys are high words the same way, and
-:func:`replica_table` asks the overlay's words for their replica sets.
+128-bit rankings of those ids; keys are high words the same way, so a
+runner asks ``overlay.replica_positions(keys, np.zeros_like(keys), k)``.
 
 Per-node attributes (``malicious``) are the experiment's own boolean
 arrays, aligned with the overlay's global positions.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.idspace import _draw_unique, replica_table_words
+from repro.analysis.idspace import _draw_unique
 from repro.perf.compact import CompactOverlay
 
 
@@ -45,21 +45,3 @@ def figure_ring(
     )
     return overlay, malicious[order], order
 
-
-def replica_table(overlay: CompactOverlay, keys: np.ndarray, k: int) -> np.ndarray:
-    """``(len(keys), k)`` replica sets of the 64-bit ``keys``, closest
-    first, as indices into the overlay's alive ids — on a ring with no
-    tombstone, its global positions.
-
-    :meth:`CompactOverlay.replica_positions` without the map back to
-    global positions, so it returns the kernel's own table.  The
-    runners keep each table bound until the next one replaces it; a
-    table freed inside the call lets glibc trim the heap top after
-    every query, and the next query faults the kernel's temporaries
-    back in (fig5 at paper scale: 214k minor faults through
-    ``replica_positions`` against 50k here).
-    """
-    alive = overlay.alive
-    return replica_table_words(
-        overlay.hi[alive], overlay.lo[alive], keys, np.zeros_like(keys), k
-    )

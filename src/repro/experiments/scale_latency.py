@@ -112,11 +112,9 @@ def _latency_trial(
     key_hi = rng.integers(0, _U64_MAX, size=num, dtype=np.uint64)
     key_lo = rng.integers(0, _U64_MAX, size=num, dtype=np.uint64)
 
-    direct = overlay.route_many(src, key_hi, key_lo,
-                                chunk_size=config.chunk_size)
+    direct = overlay.route_many(src, key_hi, key_lo)
     direct_lat = latency_sums(
-        rng, direct.hops, config.min_latency_s, config.max_latency_s,
-        chunk_size=config.chunk_size,
+        rng, direct.hops, config.min_latency_s, config.max_latency_s
     )
     ok = direct.success
     mean_direct_hops = float(direct.hops[ok].mean()) if ok.any() else 0.0
@@ -137,11 +135,9 @@ def _latency_trial(
     for length in config.tunnel_lengths:
         hop_hi = rng.integers(0, _U64_MAX, size=(num, length), dtype=np.uint64)
         hop_lo = rng.integers(0, _U64_MAX, size=(num, length), dtype=np.uint64)
-        tunnels = overlay.route_tunnels(src, hop_hi, hop_lo, key_hi, key_lo,
-                                        chunk_size=config.chunk_size)
+        tunnels = overlay.route_tunnels(src, hop_hi, hop_lo, key_hi, key_lo)
         lat = latency_sums(
-            rng, tunnels.hops, config.min_latency_s, config.max_latency_s,
-            chunk_size=config.chunk_size,
+            rng, tunnels.hops, config.min_latency_s, config.max_latency_s
         )
         tok = tunnels.success
         mean_hops = float(tunnels.hops[tok].mean()) if tok.any() else 0.0

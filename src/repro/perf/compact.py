@@ -122,9 +122,6 @@ class CompactOverlay:
         self._view: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._count_epoch = -1
         self._alive_count = 0
-        #: named reusable scratch buffers (chunked packet plane); grown
-        #: geometrically, never shrunk, accounted by scratch_nbytes
-        self._scratch: dict[str, np.ndarray] = {}
         #: optional MetricsRegistry; hot paths pay one None check
         self._metrics = None
 
@@ -283,35 +280,16 @@ class CompactOverlay:
 
     @property
     def scratch_nbytes(self) -> int:
-        """Bytes held by derived caches and reusable scratch buffers.
+        """Bytes held by the epoch-keyed alive view (hi/lo/positions of
+        the alive set), the one derived cache.
 
-        Covers the epoch-keyed alive view (hi/lo/positions of the
-        alive set) plus every named buffer the chunked packet plane
-        has parked on this overlay.  ``nbytes + scratch_nbytes`` is
-        the engine's whole steady-state footprint; per-call
-        temporaries are bounded by the routing chunk size on top.
+        ``nbytes + scratch_nbytes`` is the engine's whole steady-state
+        footprint; a routed batch adds its own per-call temporaries on
+        top, a few arrays of the batch's length per front iteration.
         """
-        total = 0
-        if self._view is not None:
-            total += sum(int(arr.nbytes) for arr in self._view)
-        total += sum(int(arr.nbytes) for arr in self._scratch.values())
-        return total
-
-    def _scratch_buf(self, name: str, size: int, dtype) -> np.ndarray:
-        """A reusable scratch array of at least ``size`` elements.
-
-        Grown geometrically and kept for the overlay's lifetime, so
-        successive chunks (and successive rounds) stream through the
-        same allocation instead of churning ``size``-element
-        temporaries.  Contents are unspecified — callers initialise
-        what they read.
-        """
-        buf = self._scratch.get(name)
-        if buf is None or buf.dtype != np.dtype(dtype) or len(buf) < size:
-            grow = 0 if buf is None or buf.dtype != np.dtype(dtype) else 2 * len(buf)
-            buf = np.empty(max(size, grow), dtype=dtype)
-            self._scratch[name] = buf
-        return buf[:size]
+        if self._view is None:
+            return 0
+        return sum(int(arr.nbytes) for arr in self._view)
 
     def alive_ids(self) -> list[int]:
         """Ascending ids of alive nodes (fresh list)."""
@@ -355,10 +333,18 @@ class CompactOverlay:
     def _shift_alive_count(self, delta: int) -> None:
         """Carry the alive-count cache across an epoch bump (O(delta)
         bookkeeping instead of a fresh 10^5-element mask sum); call
-        immediately *before* ``membership_epoch += 1``."""
+        immediately *before* :meth:`_bump_epoch`."""
         if self._count_epoch == self.membership_epoch:
             self._alive_count += delta
             self._count_epoch = self.membership_epoch + 1
+
+    def _bump_epoch(self) -> None:
+        """Advance ``membership_epoch`` and release the alive view it
+        keyed: a stale view is never served again, and held it would
+        keep 24 bytes per alive node resident through the next
+        churn and rebuild."""
+        self.membership_epoch += 1
+        self._view = None
 
     def _checked_positions(self, positions, name: str) -> np.ndarray:
         """Global positions arriving from outside, as an intp array.
@@ -395,7 +381,7 @@ class CompactOverlay:
                 -int(self.alive[np.unique(positions)].sum())
             )
             self.alive[positions] = False
-            self.membership_epoch += 1
+            self._bump_epoch()
             if self._metrics is not None:
                 self._note_membership("compact.fail_events", len(positions))
 
@@ -406,7 +392,7 @@ class CompactOverlay:
                 int((~self.alive[np.unique(positions)]).sum())
             )
             self.alive[positions] = True
-            self.membership_epoch += 1
+            self._bump_epoch()
             if self._metrics is not None:
                 self._note_membership("compact.revive_events", len(positions))
 
@@ -454,7 +440,7 @@ class CompactOverlay:
             self.hi = merged_hi
             self.lo = merged_lo
             self.alive = merged_alive
-        self.membership_epoch += 1
+        self._bump_epoch()
         if self._metrics is not None:
             self._note_membership("compact.join_events", len(values))
 
@@ -468,12 +454,20 @@ class CompactOverlay:
         :meth:`ReplicatedStore.replica_set` ranking.  ``k`` is clamped
         to the alive population like ``replica_candidates``.  Global
         positions are stable across fail/revive (not across join).
+
+        The result is the kernel's own table, mapped from alive ranks
+        to global positions in place where some position is dead: a
+        gather into a fresh array would free the kernel's table inside
+        the call, and a caller querying repeatedly would then pay for
+        the heap being trimmed and faulted back in every time.
         """
         ahi, alo, idx = self._alive_arrays()
         if len(ahi) == 0:
             raise RoutingError("no alive nodes")
         table = replica_table_words(ahi, alo, key_hi, key_lo, min(k, len(ahi)))
-        return idx[table]
+        if len(idx) < self.size:
+            np.take(idx, table, out=table)
+        return table
 
     def replica_ids(self, keys, k: int) -> list[list[int]]:
         """Replica sets as id lists, for cross-validation against the
@@ -547,32 +541,26 @@ class CompactOverlay:
     # ------------------------------------------------------------------
     # batched packet plane (repro.perf.packet)
     # ------------------------------------------------------------------
-    def route_many(self, src_pos, key_hi, key_lo, *,
-                   chunk_size: int | None = None):
+    def route_many(self, src_pos, key_hi, key_lo):
         """Vectorised lockstep routing of a whole packet batch.
 
         ``src_pos`` are *global* positions; keys are (hi, lo) word
         arrays.  Hop-for-hop identical to :meth:`route` per packet
         (dead sources fail in-row instead of raising); see
-        :mod:`repro.perf.packet`.  ``chunk_size`` streams the batch
-        through bounded scratch windows (results are digest-identical
-        for any value).
+        :mod:`repro.perf.packet`.
         """
         from repro.perf.packet import route_many
 
-        return route_many(self, src_pos, key_hi, key_lo, chunk_size=chunk_size)
+        return route_many(self, src_pos, key_hi, key_lo)
 
     def route_tunnels(self, src_pos, hop_key_hi, hop_key_lo,
-                      dest_key_hi, dest_key_lo, *,
-                      chunk_size: int | None = None):
+                      dest_key_hi, dest_key_lo):
         """Batched TAP tunnel construction + exit-leg routing; see
         :func:`repro.perf.packet.route_tunnels`."""
         from repro.perf.packet import route_tunnels
 
         return route_tunnels(
-            self, src_pos, hop_key_hi, hop_key_lo,
-            dest_key_hi, dest_key_lo,
-            chunk_size=chunk_size,
+            self, src_pos, hop_key_hi, hop_key_lo, dest_key_hi, dest_key_lo
         )
 
     # ------------------------------------------------------------------

@@ -38,17 +38,6 @@ Dead sources fail immediately (the scalar ``route`` raises instead —
 batches must keep their row alignment); all other packets terminate
 exactly where the scalar loop would, including the MAX_HOPS limit.
 
-**Chunked execution.**  Every entry point takes a ``chunk_size``: the
-batch then streams through fixed-size windows, so peak memory is
-bounded by the chunk, not the batch — the per-iteration trail copies
-of a 10^6-packet front would otherwise dominate RSS.  Each packet's
-route is an independent pure function of overlay state, and the
-latency model draws its uniforms sequentially per packet, so results
-(and experiment row digests) are bitwise identical for **any** chunk
-size, including none.  The per-chunk work arrays come from the
-overlay's reusable scratch pool (``CompactOverlay._scratch_buf``),
-accounted by ``scratch_nbytes``.
-
 Everything here is a pure function of overlay state and inputs — no
 ambient randomness; the latency model draws from a caller-supplied
 Generator so experiment rows stay digest-identical across workers.
@@ -57,7 +46,6 @@ Generator so experiment rows stay digest-identical across workers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -92,9 +80,8 @@ class BatchRouteResult:
     casualties, where the scalar ``route`` raises), and
     ``dest_pos[i]`` the *global* overlay position where the packet
     stopped.  ``path(i)`` reconstructs the full id path lazily from
-    the per-iteration trail, which is stored as one segment per
-    execution chunk (``(chunk start, per-iteration position arrays)``)
-    so a chunked run never holds batch-sized trail copies.
+    the per-iteration trail: one array of every packet's position per
+    front iteration.
     """
 
     __slots__ = (
@@ -106,7 +93,6 @@ class BatchRouteResult:
         "hops",
         "success",
         "_trail",
-        "_trail_starts",
     )
 
     def __init__(self, overlay, key_hi, key_lo, src_pos, dest_pos, hops,
@@ -119,7 +105,6 @@ class BatchRouteResult:
         self.hops = hops
         self.success = success
         self._trail = trail
-        self._trail_starts = [start for start, _ in trail]
 
     def path(self, i: int) -> list[int]:
         """The id path of packet ``i`` (source first, stop last).
@@ -130,12 +115,9 @@ class BatchRouteResult:
         """
         if not 0 <= i < len(self.src_pos):
             raise IndexError(f"packet index {i} out of range")
-        seg = bisect_right(self._trail_starts, i) - 1
-        start, arrays = self._trail[seg]
-        local = i - start
         positions: list[int] = []
-        for arr in arrays:
-            g = int(arr[local])
+        for arr in self._trail:
+            g = int(arr[i])
             if positions and g == positions[-1]:
                 break
             positions.append(g)
@@ -188,8 +170,7 @@ def _roots(overlay, key_hi, key_lo) -> tuple[np.ndarray, np.ndarray]:
     return closest_index_words(ahi, alo, key_hi, key_lo)
 
 
-def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
-               chunk_size: int | None = None) -> BatchRouteResult:
+def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo) -> BatchRouteResult:
     """Route one key per packet from global positions ``src_pos``.
 
     Hop-for-hop identical to ``overlay.route`` for every packet whose
@@ -198,104 +179,46 @@ def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
     a batch keeps row alignment instead, so sweeps over churned
     overlays need no pre-filtering).  Positions outside the overlay
     raise ``ValueError``.
-
-    ``chunk_size`` bounds peak memory: the batch streams through
-    windows of at most that many in-flight packets, reusing the
-    overlay's scratch buffers, with per-chunk trail segments instead
-    of batch-sized per-iteration copies.  Routing decisions are per
-    packet, so results are bitwise identical for any chunk size
-    (``None`` routes the whole batch at once).
     """
     src_pos = overlay._checked_positions(src_pos, "src_pos")
     key_hi = np.atleast_1d(np.asarray(key_hi, dtype=np.uint64))
     key_lo = np.atleast_1d(np.asarray(key_lo, dtype=np.uint64))
     if not (len(key_hi) == len(key_lo) == len(src_pos)):
         raise ValueError("src_pos and key words must have equal length")
-    trail: list[tuple[int, list[np.ndarray]]] = []
+    trail: list[np.ndarray] = []
     dest_pos, hops, success = _route_front(
         overlay, src_pos, _alive_ranks(overlay, src_pos),
-        *_roots(overlay, key_hi, key_lo), key_hi, key_lo,
-        chunk_size, trail,
+        *_roots(overlay, key_hi, key_lo), key_hi, key_lo, trail,
     )
     return BatchRouteResult(
         overlay, key_hi, key_lo, src_pos, dest_pos, hops, success, trail
     )
 
 
-def _chunk_bounds(num: int, chunk_size: int | None) -> list[tuple[int, int]]:
-    """``(start, end)`` windows of at most ``chunk_size`` rows covering
-    ``num`` rows; ``None`` (or a size covering them all) is one window."""
-    if chunk_size is None or chunk_size >= num or num == 0:
-        return [(0, num)]
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    return [
-        (start, min(start + chunk_size, num))
-        for start in range(0, num, chunk_size)
-    ]
-
-
-def _route_front(overlay, src_pos, rank, root, after, key_hi, key_lo,
-                 chunk_size, trail):
-    """Route validated packets chunk by chunk; returns ``(dest_pos,
+def _route_front(overlay, src_pos, rank, root, after, key_hi, key_lo, trail):
+    """Advance validated packets to termination; returns ``(dest_pos,
     hops, success)``.
 
-    The caller has resolved the front once, for every chunk: ``rank``
-    is each source's alive rank (:func:`_alive_ranks`, -1 = dead, the
-    packet fails where it stands), and ``root`` and ``after`` the alive
-    ranks of the id closest to each key and of its insertion point
-    (:func:`_roots`).  ``trail`` collects one ``(chunk start,
-    per-iteration positions)`` segment per chunk, or is None when no
-    one will ask for paths."""
+    The caller has resolved the front once: ``rank`` is each source's
+    alive rank (:func:`_alive_ranks`, -1 = dead, the packet fails where
+    it stands), and ``root`` and ``after`` the alive ranks of the id
+    closest to each key and of its insertion point (:func:`_roots`) —
+    nothing is looked up again here.  ``trail`` collects every
+    packet's position before the first iteration and after each one,
+    or is None when no one will ask for paths."""
     num = len(src_pos)
-    bounds = _chunk_bounds(num, chunk_size)
-
     ahi, alo, idx = overlay._alive_arrays()
     reach = leaf_reach(len(ahi), overlay.leaf_set_size) if len(ahi) else 0
 
-    dest_pos = src_pos.copy()
+    dest = src_pos.copy()
     hops = np.zeros(num, dtype=np.int64)
     success = np.zeros(num, dtype=bool)
     tally = dict.fromkeys(_DECISIONS, 0)
-    for start, end in bounds:
-        segment = _route_chunk(
-            overlay, ahi, alo, idx, reach,
-            rank[start:end], root[start:end], after[start:end],
-            key_hi[start:end], key_lo[start:end],
-            dest_pos[start:end], hops[start:end], success[start:end],
-            tally, trail is not None,
-        )
-        if trail is not None:
-            trail.append((start, segment))
-
-    metrics = overlay._metrics
-    if metrics is not None:
-        metrics.counter("compact.route.packets").inc(num)
-        for branch, decisions in tally.items():
-            metrics.counter(f"compact.route.decisions_{branch}").inc(decisions)
-    return dest_pos, hops, success
-
-
-def _route_chunk(overlay, ahi, alo, idx, reach, rank, root, after, kh, kl,
-                 dest, hops, success, tally, keep_trail):
-    """Advance one packet window to termination, writing into the
-    caller's ``dest``/``hops``/``success`` views (``dest`` arrives
-    holding the sources); returns the chunk's per-iteration trail
-    (None unless ``keep_trail``).  ``rank``/``root``/``after`` are the
-    chunk's slices of the front's resolution — nothing is looked up
-    again here.  Work arrays come from the overlay scratch pool, so
-    back-to-back chunks reuse one allocation."""
-    num = len(rank)
-    trail = [dest.copy()] if keep_trail else None
-    alive_src = rank >= 0
-    if not alive_src.any():
-        # also the empty chunk and the ring with nobody alive
-        return trail
-    done = overlay._scratch_buf("packet.done", num, bool)
-    np.logical_not(alive_src, out=done)
+    if trail is not None:
+        trail.append(dest.copy())
+    done = rank < 0
     # alive ranks, read only where the packet is still in flight
-    cur = overlay._scratch_buf("packet.cur", num, np.intp)
-    cur[:] = rank
+    cur = rank.copy()
 
     last = overlay.MAX_HOPS - 1
     for iteration in range(overlay.MAX_HOPS):
@@ -304,8 +227,8 @@ def _route_chunk(overlay, ahi, alo, idx, reach, rank, root, after, kh, kl,
             break
         at = cur[act]
         nxt, covered = _next_hops(
-            overlay, ahi, alo, at, kh[act], kl[act], root[act], after[act],
-            reach, tally,
+            overlay, ahi, alo, at, key_hi[act], key_lo[act], root[act],
+            after[act], reach, tally,
         )
         stay = nxt == at
         go = ~stay
@@ -321,11 +244,16 @@ def _route_chunk(overlay, ahi, alo, idx, reach, rank, root, after, kh, kl,
         settled = act[(stay | covered) if iteration < last else stay]
         done[settled] = True
         success[settled] = True
-        if keep_trail:
+        if trail is not None:
             trail.append(dest.copy())
-
     # anything still active hit the hop limit: done, success stays False
-    return trail
+
+    metrics = overlay._metrics
+    if metrics is not None:
+        metrics.counter("compact.route.packets").inc(num)
+        for branch, decisions in tally.items():
+            metrics.counter(f"compact.route.decisions_{branch}").inc(decisions)
+    return dest, hops, success
 
 
 def _next_hops(overlay, ahi, alo, cpos, kh, kl, root, after, reach, tally):
@@ -456,8 +384,7 @@ def _fallback_hops(ahi, alo, cpos, kh, kl, row, pos, b_bits, reach):
 
 
 def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
-                  dest_key_hi, dest_key_lo, *,
-                  chunk_size: int | None = None) -> TunnelBatchResult:
+                  dest_key_hi, dest_key_lo) -> TunnelBatchResult:
     """Build one TAP tunnel per packet and route the exit leg, batched.
 
     ``hop_key_hi``/``hop_key_lo`` are (T, L) word arrays — one random
@@ -481,9 +408,6 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
     or a hop-limit casualty — get a fresh rank and are routed again.
     A leg is a pure function of (source, key), so this equals routing
     the legs one after the other on every row.
-
-    ``chunk_size`` passes straight through to the front; leg stitching
-    is per packet, so tunnel results are chunk-size invariant too.
     """
     src_pos = overlay._checked_positions(src_pos, "src_pos")
     hop_key_hi = np.asarray(hop_key_hi, dtype=np.uint64)
@@ -517,8 +441,7 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
         idx[root[:inner]] if len(idx) else np.tile(src_pos, tunnel_len),
     ))
     dest, hops, success = _route_front(
-        overlay, start, rank, root, after, key_hi, key_lo,
-        chunk_size, None,
+        overlay, start, rank, root, after, key_hi, key_lo, None,
     )
     # a failed leg leaves its tunnel at the leg's own source
     end = np.where(success, dest, start)
@@ -533,8 +456,7 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
         start[wrong] = again
         dest, hops[wrong], success[wrong] = _route_front(
             overlay, again, _alive_ranks(overlay, again),
-            root[wrong], after[wrong], key_hi[wrong], key_lo[wrong],
-            chunk_size, None,
+            root[wrong], after[wrong], key_hi[wrong], key_lo[wrong], None,
         )
         end[wrong] = np.where(success[wrong], dest, again)
     if overlay._metrics is not None:
@@ -550,18 +472,12 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
 
 
 def latency_sums(rng: np.random.Generator, hops, min_latency_s: float,
-                 max_latency_s: float, *,
-                 chunk_size: int | None = None) -> np.ndarray:
+                 max_latency_s: float) -> np.ndarray:
     """Per-packet end-to-end latency: sum of per-hop U[min, max] draws.
 
     One flat draw of ``hops.sum()`` link latencies on the caller's
     seed stream, folded per packet with ``np.add.reduceat`` — the
     batched twin of the fig6 per-leg loop.  Zero-hop packets cost 0 s.
-
-    ``chunk_size`` bounds the draw buffer to one packet window at a
-    time.  A Generator's uniform stream is sequential, so chunked
-    draws concatenate bitwise-identically to one flat draw — chunked
-    output equals unchunked output exactly, not just statistically.
 
     Bounds must be finite with ``0 <= min_latency_s <= max_latency_s``
     and hop counts integral and non-negative; anything else raises
@@ -580,16 +496,10 @@ def latency_sums(rng: np.random.Generator, hops, min_latency_s: float,
     hops = raw.astype(np.int64)
     if (hops < 0).any():
         raise ValueError("negative hop counts")
-    num = len(hops)
-    out = np.zeros(num, dtype=np.float64)
-    bounds = _chunk_bounds(num, chunk_size)
-    for start, end in bounds:
-        h = hops[start:end]
-        total = int(h.sum())
-        if total == 0:
-            continue
+    out = np.zeros(len(hops), dtype=np.float64)
+    total = int(hops.sum())
+    if total:
         draws = rng.uniform(min_latency_s, max_latency_s, size=total)
-        ends = np.cumsum(h)
-        nz = h > 0
-        out[start:end][nz] = np.add.reduceat(draws, (ends - h)[nz])
+        nz = hops > 0
+        out[nz] = np.add.reduceat(draws, (np.cumsum(hops) - hops)[nz])
     return out

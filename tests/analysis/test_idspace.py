@@ -23,7 +23,7 @@ from repro.analysis.idspace import (
     unpack_words,
 )
 from repro.experiments.fig5_churn import churn_unit
-from repro.experiments.ring import figure_ring, replica_table
+from repro.experiments.ring import figure_ring
 from repro.perf.compact import CompactOverlay
 from repro.util.ids import closest_ids, ring_distance, shared_prefix_digits
 
@@ -44,12 +44,13 @@ def _ring(sorted_ids) -> CompactOverlay:
 def _replica_table(sorted_ids, keys, k: int) -> np.ndarray:
     """The figure ring's replica table for ascending 64-bit
     ``sorted_ids``: indices into them, closest first."""
-    return replica_table(_ring(sorted_ids), np.asarray(keys, dtype=np.uint64), k)
+    keys = np.asarray(keys, dtype=np.uint64)
+    return _ring(sorted_ids).replica_positions(keys, np.zeros_like(keys), k)
 
 
 class TestReplicaTable:
-    """``replica_table`` on a figure ring: 64-bit ids and keys as high
-    words over a zero low word."""
+    """``replica_positions`` on a figure ring: 64-bit ids and keys as
+    high words over a zero low word."""
 
     @given(
         pool=st.sets(ids64, min_size=1, max_size=30),
@@ -87,17 +88,33 @@ class TestReplicaTable:
             with pytest.raises(ValueError):
                 replica_table_words(ids, zeros, keys, np.zeros_like(keys), k)
 
-    def test_alive_indices_are_replica_positions(self):
-        # with tombstones the table indexes the alive ids; mapped back
-        # it is the overlay's own replica_positions
+    def test_alive_indices_are_replica_positions(self, monkeypatch):
+        # the kernel indexes the alive ids; the overlay hands back the
+        # kernel's own table, mapped to global positions in place
+        # where some position is dead
+        import repro.perf.compact as compact
+
+        made = []
+
+        def kernel(*args):
+            made.append(replica_table_words(*args))
+            return made[-1]
+
+        monkeypatch.setattr(compact, "replica_table_words", kernel)
         rng = np.random.default_rng(6)
         overlay, _, _ = figure_ring(300, rng)
+        keys = draw_unique_ids(100, rng)
+        zeros = np.zeros_like(keys)
+        whole = overlay.replica_positions(keys, zeros, 4)
+        assert whole is made[-1]
         overlay.fail_positions(rng.choice(300, size=40, replace=False))
         overlay.join(int(x) << 64 for x in draw_unique_ids(20, rng))
-        keys = draw_unique_ids(100, rng)
-        table = replica_table(overlay, keys, 4)
-        want = overlay.replica_positions(keys, np.zeros_like(keys), 4)
-        assert np.array_equal(overlay.alive_positions()[table], want)
+        alive = overlay.alive
+        want = replica_table_words(overlay.hi[alive], overlay.lo[alive],
+                                   keys, zeros, 4)
+        got = overlay.replica_positions(keys, zeros, 4)
+        assert got is made[-1]
+        assert np.array_equal(got, overlay.alive_positions()[want])
 
     def test_small_population_path(self):
         # 2k >= n triggers the full-ranking branch

@@ -15,7 +15,6 @@ from repro.analysis.idspace import draw_unique_ids
 from repro.experiments.fig3_collusion import corruption_fraction
 from repro.past.replication import ReplicatedStore
 from repro.pastry.network import PastryNetwork
-from repro.experiments.ring import replica_table
 from repro.perf.compact import CompactOverlay
 
 N_NODES = 120
@@ -33,7 +32,7 @@ def common_world():
     # the figures' ring: 64-bit ids and keys as high words
     overlay = CompactOverlay(ids64, np.zeros_like(ids64),
                              np.ones(N_NODES, dtype=bool))
-    table = replica_table(overlay, keys64, K)
+    table = overlay.replica_positions(keys64, np.zeros_like(keys64), K)
 
     network = PastryNetwork.build([int(i) << 64 for i in ids64])
     store = ReplicatedStore(network, replication_factor=K)

@@ -556,8 +556,8 @@ class TestSnapshotSharding:
 
 
 class TestMemoryAccounting:
-    """The memory-lean kernel contract: epoch-cached alive views,
-    measured footprints, and reusable scratch buffers."""
+    """The memory-lean kernel contract: epoch-cached alive views and
+    measured footprints."""
 
     def test_nbytes_is_17_bytes_per_node(self):
         overlay = CompactOverlay.bootstrap(N, seed=SEED)
@@ -575,40 +575,26 @@ class TestMemoryAccounting:
         assert fresh is not pos  # epoch bumped, view rebuilt
         assert (fresh == np.flatnonzero(overlay.alive)).all()
 
-    def test_scratch_buf_reuses_and_grows_geometrically(self):
-        overlay = CompactOverlay.bootstrap(N, seed=SEED)
-        a = overlay._scratch_buf("t.x", 100, np.intp)
-        b = overlay._scratch_buf("t.x", 60, np.intp)
-        assert b.base is a.base or b.base is a  # same backing allocation
-        overlay._scratch_buf("t.x", 150, np.intp)
-        # growth doubled the 100-element buffer rather than sizing to 150
-        assert len(overlay._scratch["t.x"]) == 200
-        # dtype change discards rather than aliasing
-        c = overlay._scratch_buf("t.x", 10, np.float64)
-        assert c.dtype == np.float64
-
-    def test_scratch_nbytes_counts_view_and_buffers(self):
+    def test_scratch_nbytes_counts_the_alive_view(self):
         overlay = CompactOverlay.bootstrap(N, seed=SEED)
         overlay._view = None
         overlay._view_epoch = -1
-        overlay._scratch.clear()
         assert overlay.scratch_nbytes == 0
-        overlay._scratch_buf("t.y", 64, np.int64)
-        assert overlay.scratch_nbytes == 64 * 8
         overlay.alive_positions()
-        assert overlay.scratch_nbytes > 64 * 8
+        # hi and lo words plus one position per alive node
+        assert overlay.scratch_nbytes == 3 * 8 * overlay.num_alive
 
     def test_routing_scratch_stabilises_across_calls(self):
         overlay = CompactOverlay.bootstrap(N, seed=SEED)
         src = overlay.alive_positions()[:40].copy()
         key_hi = np.arange(40, dtype=np.uint64) * np.uint64(7919)
         key_lo = np.arange(40, dtype=np.uint64) * np.uint64(104729)
-        overlay.route_many(src, key_hi, key_lo, chunk_size=7)
+        overlay.route_many(src, key_hi, key_lo)
         settled = overlay.scratch_nbytes
         for _ in range(3):
-            overlay.route_many(src, key_hi, key_lo, chunk_size=7)
-        assert overlay.scratch_nbytes == settled
-
+            overlay.route_many(src, key_hi, key_lo)
+        # a routed batch parks nothing on the overlay past the view
+        assert overlay.scratch_nbytes == settled == 3 * 8 * overlay.num_alive
 
 _SHARED_TOKEN = ("compact-shared", SEED, N)
 

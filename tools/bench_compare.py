@@ -303,20 +303,9 @@ def _route_setup_1m():
 
 
 def bench_route_throughput_1m():
-    """4096 chunked routes per call at 10^6 nodes; setup proves the
-    chunked batch is digest-identical to the unchunked one."""
-    import numpy as np
-
+    """4096 routes per call at 10^6 nodes, as one batch."""
     overlay, src, key_hi, key_lo = _route_setup_1m()
-    flat = overlay.route_many(src[:512], key_hi[:512], key_lo[:512])
-    chunked = overlay.route_many(src[:512], key_hi[:512], key_lo[:512],
-                                 chunk_size=97)
-    assert (
-        np.array_equal(flat.dest_pos, chunked.dest_pos)
-        and np.array_equal(flat.hops, chunked.hops)
-        and np.array_equal(flat.success, chunked.success)
-    ), "chunked route_many diverged from unchunked at 10^6"
-    return lambda: overlay.route_many(src, key_hi, key_lo, chunk_size=1_024)
+    return lambda: overlay.route_many(src, key_hi, key_lo)
 
 
 def bench_compact_route_1m():
