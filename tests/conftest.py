@@ -11,12 +11,15 @@ import os
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.system import TapSystem
 from repro.crypto.symmetric import SymmetricKey
 from repro.past.storage import StoredObject
 from repro.pastry.network import PastryNetwork
+from repro.perf.compact import CompactOverlay
+from repro.perf.packet import BatchRouteResult, TunnelBatchResult
 from repro.util.rng import SeedSequenceFactory
 from repro.util.serialize import pack_fields
 
@@ -112,6 +115,64 @@ def digest_sheet() -> dict[str, str]:
         if sep:
             digests[name] = digest
     return digests
+
+
+def _joined(parts, names):
+    return [np.concatenate([getattr(part, name) for part in parts])
+            for name in names]
+
+
+def _joined_routes(parts) -> BatchRouteResult:
+    """One ``BatchRouteResult`` of consecutive ``parts``.  A part's
+    trail stops once all its packets have settled, so it is held at
+    its last entry (a repeat ends a path) while longer ones go on."""
+    depth = max(len(part._trail) for part in parts)
+    trail = [
+        np.concatenate([part._trail[min(t, len(part._trail) - 1)]
+                        for part in parts])
+        for t in range(depth)
+    ]
+    return BatchRouteResult(
+        parts[0]._overlay,
+        *_joined(parts, ("key_hi", "key_lo", "src_pos", "dest_pos", "hops",
+                         "success")),
+        trail,
+    )
+
+
+def _joined_tunnels(parts) -> TunnelBatchResult:
+    return TunnelBatchResult(
+        *_joined(parts, ("leg_hops", "hops", "success", "dest_pos"))
+    )
+
+
+@pytest.fixture()
+def route_in_windows(monkeypatch):
+    """``route_in_windows(size)`` makes every ``CompactOverlay.route_many``
+    and ``route_tunnels`` call from here on route its batch as
+    consecutive windows of at most ``size`` rows (all of them when
+    ``size`` is None) and join the parts, as a caller that splits its
+    batches would.  A result that does not move under it depends on no
+    packet's batch-mates.  Fork workers inherit the patch."""
+
+    def windowed(size):
+        for name, join in (("route_many", _joined_routes),
+                           ("route_tunnels", _joined_tunnels)):
+            whole = getattr(CompactOverlay, name)
+
+            def split(self, *columns, whole=whole, join=join):
+                rows = len(columns[0])
+                if size is None or rows <= size:
+                    return whole(self, *columns)
+                return join([
+                    whole(self, *(column[start:start + size]
+                                  for column in columns))
+                    for start in range(0, rows, size)
+                ])
+
+            monkeypatch.setattr(CompactOverlay, name, split)
+
+    return windowed
 
 
 @pytest.fixture(scope="module")
