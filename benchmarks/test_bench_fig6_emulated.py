@@ -16,7 +16,7 @@ from repro.core.emulation import CONTROL_BITS, TapEmulation
 from repro.core.system import TapSystem
 from repro.experiments.runner import render_table, rows_to_csv
 from repro.simnet.topology import Topology
-from repro.simnet.transport import TransferModel, path_transfer_time
+from repro.simnet.transport import path_transfer_time
 
 from conftest import paper_scale
 
@@ -52,7 +52,6 @@ def _run_emulated_fig6(sizes, transfers):
                 acc[name].append(trace.latency)
                 analytic = path_transfer_time(
                     topo, trace.path, FILE_BITS + CONTROL_BITS,
-                    TransferModel.STORE_AND_FORWARD,
                 )
                 if abs(trace.latency - analytic) > 1e-9:
                     mismatches.append((name, trace.latency, analytic))

@@ -10,8 +10,8 @@ This package provides the equivalent:
 * :mod:`repro.simnet.topology` — per-link latency/bandwidth models with
   O(1) memory (latencies are hash-derived on demand, so a 10^4-node
   all-pairs topology needs no N² table);
-* :mod:`repro.simnet.transport` — message/file transfer-time models
-  (store-and-forward and pipelined/chunked);
+* :mod:`repro.simnet.transport` — the store-and-forward message/file
+  transfer-time model;
 * :mod:`repro.simnet.network` — a message-passing façade that delivers
   payloads to node handlers through the event kernel (and remembers
   the latency of the links its traffic reuses).
@@ -20,7 +20,6 @@ This package provides the equivalent:
 from repro.simnet.events import Simulator, SimulationError
 from repro.simnet.topology import Topology
 from repro.simnet.transport import (
-    TransferModel,
     path_transfer_time,
     serialization_delay,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "Topology",
-    "TransferModel",
     "path_transfer_time",
     "serialization_delay",
     "SimNetwork",

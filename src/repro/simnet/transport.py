@@ -1,29 +1,16 @@
-"""Transfer-time models over a topology path.
+"""Store-and-forward transfer time over a topology path.
 
-Two classic models are provided:
-
-* ``STORE_AND_FORWARD`` — every relay receives the complete message
-  before forwarding it: ``sum(latency_i) + hops * size/bandwidth``.
-  This matches a Java emulation that sends whole application messages
-  hop by hop (the paper's setting), and is the Figure-6 default.
-* ``PIPELINED`` — the message is cut into chunks that stream through
-  the path (cut-through at chunk granularity):
-  ``sum(latency_i) + size/bandwidth + (hops-1) * chunk/bandwidth``.
+Every relay receives the complete message before forwarding it:
+``sum(latency_i) + hops * size/bandwidth``.  This matches a Java
+emulation that sends whole application messages hop by hop (the
+paper's setting, §7.3), and is the Figure-6 model.
 """
 
 from __future__ import annotations
 
-from enum import Enum
+from collections.abc import Sequence
 
 from repro.simnet.topology import Topology
-
-
-class TransferModel(Enum):
-    STORE_AND_FORWARD = "store-and-forward"
-    PIPELINED = "pipelined"
-
-
-DEFAULT_CHUNK_BITS = 8 * 1024 * 8  # 8 KiB chunks for the pipelined model
 
 
 def serialization_delay(size_bits: float, bandwidth_bps: float) -> float:
@@ -35,13 +22,19 @@ def serialization_delay(size_bits: float, bandwidth_bps: float) -> float:
     return size_bits / bandwidth_bps
 
 
-def path_transfer_time(
-    topology: Topology,
-    path: list[int],
-    size_bits: float,
-    model: TransferModel = TransferModel.STORE_AND_FORWARD,
-    chunk_bits: float = DEFAULT_CHUNK_BITS,
+def store_and_forward(
+    latencies: Sequence[float], size_bits: float, bandwidth_bps: float
 ) -> float:
+    """Time to move ``size_bits`` whole over links with the given
+    one-way ``latencies``, in path order (summed in that order, as
+    :meth:`Topology.path_latency` does); no link costs zero."""
+    hops = len(latencies)
+    if hops == 0:
+        return 0.0
+    return sum(latencies) + hops * serialization_delay(size_bits, bandwidth_bps)
+
+
+def path_transfer_time(topology: Topology, path: list[int], size_bits: float) -> float:
     """End-to-end time to move ``size_bits`` along ``path``.
 
     ``path`` lists node addresses including source and destination; a
@@ -49,17 +42,7 @@ def path_transfer_time(
     """
     if not path:
         raise ValueError("path must contain at least the source")
-    hops = len(path) - 1
-    if hops == 0:
-        return 0.0
-    propagation = topology.path_latency(path)
-    serial = serialization_delay(size_bits, topology.bandwidth_bps)
-    if model is TransferModel.STORE_AND_FORWARD:
-        return propagation + hops * serial
-    if model is TransferModel.PIPELINED:
-        if chunk_bits <= 0:
-            raise ValueError("chunk size must be positive")
-        chunk = min(chunk_bits, size_bits) if size_bits > 0 else 0.0
-        chunk_serial = serialization_delay(chunk, topology.bandwidth_bps)
-        return propagation + serial + (hops - 1) * chunk_serial
-    raise ValueError(f"unknown transfer model {model!r}")
+    return store_and_forward(
+        [topology.latency(u, v) for u, v in zip(path, path[1:])],
+        size_bits, topology.bandwidth_bps,
+    )

@@ -5,7 +5,7 @@ import pytest
 from repro.core.emulation import CONTROL_BITS, TapEmulation
 from repro.core.system import TapSystem
 from repro.simnet.topology import Topology
-from repro.simnet.transport import TransferModel, path_transfer_time
+from repro.simnet.transport import path_transfer_time
 from tests.conftest import crash_unnoticed
 
 
@@ -40,9 +40,7 @@ class TestDelivery:
         trace = emu.send_through_tunnel(alice, tunnel, 42, b"x", size_bits=size)
         emu.simulator.run()
         assert trace.delivered
-        expected = path_transfer_time(
-            topo, trace.path, size + CONTROL_BITS, TransferModel.STORE_AND_FORWARD
-        )
+        expected = path_transfer_time(topo, trace.path, size + CONTROL_BITS)
         assert trace.latency == pytest.approx(expected, rel=1e-12)
 
     def test_on_done_callback(self, setup):

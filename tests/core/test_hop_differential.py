@@ -28,7 +28,7 @@ from repro.crypto.onion import build_onion, build_reply_onion, make_fake_onion
 from repro.faults.injectors import MessageFaultSpec
 from repro.faults.plan import FaultPlan
 from repro.simnet.topology import Topology
-from repro.simnet.transport import TransferModel, path_transfer_time
+from repro.simnet.transport import path_transfer_time
 from repro.util.rng import SeedSequenceFactory
 
 from tests.conftest import crash_unnoticed
@@ -112,7 +112,6 @@ def assert_same_round_trip(perturb, hints=False, same_paths=True, perturb_emulat
             if not emu.timeouts:
                 assert emu.latency == pytest.approx(path_transfer_time(
                     topology, emu.path, 8.0 * len(sent) + CONTROL_BITS,
-                    TransferModel.STORE_AND_FORWARD,
                 ), abs=1e-9)
     assert _peel_counters(emulated) == _peel_counters(walked)
     return got, walked, emulated

@@ -1,13 +1,9 @@
-"""Tests for transfer-time models."""
+"""Tests for the store-and-forward transfer-time model."""
 
 import pytest
 
 from repro.simnet.topology import Topology
-from repro.simnet.transport import (
-    TransferModel,
-    path_transfer_time,
-    serialization_delay,
-)
+from repro.simnet.transport import path_transfer_time, serialization_delay
 
 
 @pytest.fixture()
@@ -47,37 +43,6 @@ class TestPathTransfer:
         # 3 hops, fixed 0.1s latency: 3*0.1 + 3*(1000/1000)
         t = path_transfer_time(topo, [1, 2, 3, 4], 1000.0)
         assert t == pytest.approx(0.3 + 3.0)
-
-    def test_pipelined_beats_store_and_forward(self, topo):
-        saf = path_transfer_time(topo, [1, 2, 3, 4], 10_000.0,
-                                 TransferModel.STORE_AND_FORWARD)
-        pipe = path_transfer_time(topo, [1, 2, 3, 4], 10_000.0,
-                                  TransferModel.PIPELINED, chunk_bits=100.0)
-        assert pipe < saf
-
-    def test_pipelined_formula(self, topo):
-        # propagation + full serialization once + (hops-1) chunk delays
-        t = path_transfer_time(topo, [1, 2, 3], 1000.0,
-                               TransferModel.PIPELINED, chunk_bits=100.0)
-        assert t == pytest.approx(0.2 + 1.0 + 1 * 0.1)
-
-    def test_pipelined_chunk_capped_by_message(self, topo):
-        # chunk bigger than message: degenerates to store-and-forward
-        saf = path_transfer_time(topo, [1, 2, 3], 50.0,
-                                 TransferModel.STORE_AND_FORWARD)
-        pipe = path_transfer_time(topo, [1, 2, 3], 50.0,
-                                  TransferModel.PIPELINED, chunk_bits=10_000.0)
-        assert pipe == pytest.approx(saf)
-
-    def test_invalid_chunk_rejected(self, topo):
-        with pytest.raises(ValueError):
-            path_transfer_time(topo, [1, 2], 10.0, TransferModel.PIPELINED,
-                               chunk_bits=0)
-
-    def test_single_hop_models_agree(self, topo):
-        saf = path_transfer_time(topo, [1, 2], 777.0, TransferModel.STORE_AND_FORWARD)
-        pipe = path_transfer_time(topo, [1, 2], 777.0, TransferModel.PIPELINED)
-        assert saf == pytest.approx(pipe)
 
     def test_longer_path_costs_more(self, topo):
         short = path_transfer_time(topo, [1, 2], 1000.0)
