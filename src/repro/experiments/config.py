@@ -143,19 +143,13 @@ class ScaleChurnConfig:
     join_fraction: float = 0.005
     #: per-trial batch-vs-scalar hop-for-hop cross-checks
     verify_routes: int = 8
-    #: telemetry sampling budget (only drawn on when a MetricsRegistry
-    #: is threaded through; sampled on its own derived seed stream so
-    #: rows are identical with telemetry on or off)
-    telemetry_anchor_samples: int = 256
-    telemetry_route_samples: int = 4
     seed: int = 2004
     num_seeds: int = 2
 
     @classmethod
     def fast(cls) -> "ScaleChurnConfig":
         return cls(num_nodes=2_000, num_anchors=200, churn_rounds=3,
-                   verify_routes=4, telemetry_anchor_samples=64,
-                   telemetry_route_samples=2)
+                   verify_routes=4)
 
     @classmethod
     def million(cls) -> "ScaleChurnConfig":
@@ -189,16 +183,12 @@ class ScaleLatencyConfig:
     max_latency_s: float = 0.230
     #: per-trial batch-vs-scalar hop-for-hop cross-checks
     verify_routes: int = 4
-    #: telemetry sampling budget (drawn on a dedicated stream, so rows
-    #: are identical with telemetry on or off)
-    telemetry_latency_samples: int = 256
     seed: int = 2004
     num_seeds: int = 2
 
     @classmethod
     def fast(cls) -> "ScaleLatencyConfig":
-        return cls(num_nodes=2_000, num_transfers=200, verify_routes=2,
-                   telemetry_latency_samples=64)
+        return cls(num_nodes=2_000, num_transfers=200, verify_routes=2)
 
     @classmethod
     def million(cls) -> "ScaleLatencyConfig":

@@ -28,17 +28,18 @@ Per trial (one per ``rep``):
    engine's forwarding rule over the alive words): each must settle
    and agree hop for hop with the batch.
 
-Telemetry (opt-in, sampled): pass a
-:class:`~repro.obs.MetricsRegistry` / :class:`~repro.obs.EventTrace`
-and the trial additionally maintains ``compact.*`` membership counters
-(via :meth:`CompactOverlay.instrument`), per-round churn counters and
-alive-fraction gauges, and *seeded-sample* histograms — anchor-overlap
-values and route hop counts drawn on a dedicated
-``derive_seed(seed, "scale-telemetry", rep)`` stream.  Because the
-sampling never touches the trial's own stream, rows (and their digest)
-are identical with telemetry on or off, and worker-local registries
-merge in trial order, so serial == parallel holds for the telemetry
-too.
+Telemetry (opt-in): pass a :class:`~repro.obs.MetricsRegistry` /
+:class:`~repro.obs.EventTrace` and the trial additionally maintains
+``compact.*`` membership counters (via
+:meth:`CompactOverlay.instrument`), per-round churn counters and
+alive-fraction gauges, and histograms of the first
+:data:`TELEMETRY_VALUES` values of arrays the trial computes anyway —
+each round's anchor overlaps and the sweep's hop counts.  Anchors and
+sweep sources are drawn i.i.d., so a prefix is a uniform sample; the
+telemetry draws, routes and computes nothing of its own, so rows (and
+their digest) are identical with telemetry on or off, and worker-local
+registries merge in trial order, so serial == parallel holds for the
+telemetry too.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ from repro.perf.compact import CompactOverlay
 from repro.util.rng import SeedSequenceFactory
 
 _U64_MAX = np.iinfo(np.uint64).max
+
+#: values a telemetry histogram takes from each array it observes
+TELEMETRY_VALUES = 256
 
 
 def _base_token(config: ScaleChurnConfig) -> tuple:
@@ -80,20 +84,6 @@ def _fresh_ids(overlay: CompactOverlay, rng: np.random.Generator, count: int) ->
     return out
 
 
-def _observe_samples(histogram, values: np.ndarray, rng, budget: int) -> None:
-    """Fold a seeded sample of ``values`` into ``histogram``.
-
-    Sample positions come from the telemetry stream, sorted so the
-    fold order (and therefore the retained-sample layout) is a pure
-    function of the seed.
-    """
-    n = len(values)
-    if n > budget:
-        picks = np.sort(rng.choice(n, size=budget, replace=False))
-        values = values[picks]
-    histogram.observe_many(values.tolist())
-
-
 def _churn_trial(
     config: ScaleChurnConfig,
     rep: int,
@@ -111,12 +101,7 @@ def _churn_trial(
     rng = SeedSequenceFactory(config.seed).numpy("scale-churn", rep)
     k = config.replication_factor
 
-    # Trial-local sinks; the telemetry stream is derived under its own
-    # label so enabling it cannot perturb the trial's randomness.
     metrics, event_trace = sinks.metrics, sinks.event_trace
-    tel_rng = None
-    if metrics is not None or event_trace is not None:
-        tel_rng = SeedSequenceFactory(config.seed).numpy("scale-telemetry", rep)
     if metrics is not None:
         overlay.instrument(metrics)
 
@@ -165,9 +150,8 @@ def _churn_trial(
                 overlay.num_alive / config.num_nodes
             )
             metrics.gauge("scale.survivor_fraction").set(survivor_fraction)
-            _observe_samples(
-                metrics.histogram("scale.replica.overlap"),
-                overlap, tel_rng, config.telemetry_anchor_samples,
+            metrics.histogram("scale.replica.overlap").observe_many(
+                overlap[:TELEMETRY_VALUES].tolist()
             )
         if event_trace is not None:
             event_trace.record(
@@ -176,19 +160,6 @@ def _churn_trial(
                 survivor_fraction=round(survivor_fraction, 6),
                 replica_overlap=round(replica_overlap, 6),
             )
-
-    if metrics is not None and config.telemetry_route_samples:
-        # Seeded-sample route-hop histogram on the churned overlay:
-        # sources are the alive owners of fresh telemetry-stream
-        # probes, routed as one batch — a pure read of compact state.
-        samples = config.telemetry_route_samples
-        tkey_hi = tel_rng.integers(0, _U64_MAX, size=samples, dtype=np.uint64)
-        tkey_lo = tel_rng.integers(0, _U64_MAX, size=samples, dtype=np.uint64)
-        probe_hi = tel_rng.integers(0, _U64_MAX, size=samples, dtype=np.uint64)
-        probe_lo = tel_rng.integers(0, _U64_MAX, size=samples, dtype=np.uint64)
-        tsrc = overlay.replica_positions(probe_hi, probe_lo, 1)[:, 0]
-        batch = overlay.route_many(tsrc, tkey_hi, tkey_lo)
-        metrics.histogram("scale.route.hops").observe_many(batch.hops.tolist())
 
     # Full batched route sweep over the churned ring: every anchor key
     # routed at once on the packet plane; each packet must settle on
@@ -207,6 +178,10 @@ def _churn_trial(
         ),
         "mean_hops": float(sweep.hops.mean()),
     })
+    if metrics is not None:
+        metrics.histogram("scale.route.hops").observe_many(
+            sweep.hops[:TELEMETRY_VALUES].tolist()
+        )
 
     if config.verify_routes:
         checks = min(config.verify_routes, config.num_anchors)
@@ -245,8 +220,8 @@ def run_scale_churn(
     100k) instead of re-bootstrapping, and fork workers inherit the
     snapshot copy-on-write, so at 10^6 nodes no worker copies or
     rebuilds it.  Pass ``sinks`` with a ``metrics`` registry /
-    ``event_trace`` to collect the sampled telemetry described in the
-    module docstring; trial-local copies are folded back in trial
+    ``event_trace`` to collect the telemetry described in the module
+    docstring; trial-local copies are folded back in trial
     order, so the merged state is identical for any ``workers`` value.
     ``sinks.volatile`` receives a machine-dependent timing — the
     per-trial restore cost — for the run manifest's volatile section.
