@@ -119,7 +119,8 @@ class CompactOverlay:
         #: object engine); keys the derived alive-view cache
         self.membership_epoch = membership_epoch
         self._view_epoch = -1
-        self._view: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._positions: np.ndarray | None = None
+        self._words: tuple[np.ndarray, np.ndarray] | None = None
         self._count_epoch = -1
         self._alive_count = 0
         #: optional MetricsRegistry; hot paths pay one None check
@@ -132,13 +133,13 @@ class CompactOverlay:
         """Attach a :class:`repro.obs.MetricsRegistry` (None detaches).
 
         Membership changes then maintain ``compact.*`` counters and
-        gauges: one counter bump plus an alive-fraction gauge per
-        membership *event* (a whole vectorised fail/join batch), so
-        the cost is O(alive-scan) per churn round, not per node —
-        the sampling discipline that keeps 10^5-node telemetry within
-        the <5% overhead gate.  Detached overlays pay a single None
-        check.  The attachment is runtime-only: snapshots never carry
-        it, so pickled shards stay slim.
+        gauges: one counter bump plus the epoch and alive-fraction
+        gauges per membership *event* (a whole vectorised fail/join
+        batch), read from counts the overlay keeps anyway
+        (``num_alive`` is carried across epochs), so a note costs the
+        same for any batch size and scans nothing.  Detached overlays
+        pay a single None check.  The attachment is runtime-only:
+        snapshots never carry it, so pickled shards stay slim.
         """
         self._metrics = metrics
         if metrics is not None:
@@ -243,24 +244,35 @@ class CompactOverlay:
             self._count_epoch = self.membership_epoch
         return self._alive_count
 
-    def _alive_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(hi, lo, global positions) of the alive set, epoch-cached."""
+    def _alive_index(self) -> np.ndarray:
+        """Global positions of the alive set: one ``flatnonzero`` per
+        membership epoch."""
         if self._view_epoch != self.membership_epoch:
-            alive = self.alive
-            self._view = (self.hi[alive], self.lo[alive], np.flatnonzero(alive))
+            self._positions = np.flatnonzero(self.alive)
+            self._words = None
             self._view_epoch = self.membership_epoch
-        return self._view
+        return self._positions
+
+    def _alive_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(hi, lo, global positions) of the alive set, epoch-cached;
+        the id words are gathered on the first call that reads them."""
+        idx = self._alive_index()
+        if self._words is None:
+            alive = self.alive
+            self._words = (self.hi[alive], self.lo[alive])
+        return (*self._words, idx)
 
     def alive_positions(self) -> np.ndarray:
         """Ascending *global* positions of the alive set, epoch-cached.
 
         The public accessor scale trials use instead of re-running
         ``np.flatnonzero(overlay.alive)`` per round — at 10^6 nodes
-        that is a fresh 8 MB temporary per call; this returns the same
-        values from the derived-view cache.  Callers must treat the
+        that is a fresh 8 MB temporary per call.  It gathers no id
+        words: a churn round reads positions, then fails some of them,
+        which would discard the words unread.  Callers must treat the
         array as read-only (it backs the routing view of this epoch).
         """
-        return self._alive_arrays()[2]
+        return self._alive_index()
 
     # ------------------------------------------------------------------
     # memory accounting
@@ -280,16 +292,16 @@ class CompactOverlay:
 
     @property
     def scratch_nbytes(self) -> int:
-        """Bytes held by the epoch-keyed alive view (hi/lo/positions of
-        the alive set), the one derived cache.
+        """Bytes held by the epoch-keyed alive view (positions of the
+        alive set, and their hi/lo words once a query has read them),
+        the one derived cache.
 
         ``nbytes + scratch_nbytes`` is the engine's whole steady-state
         footprint; a routed batch adds its own per-call temporaries on
         top, a few arrays of the batch's length per front iteration.
         """
-        if self._view is None:
-            return 0
-        return sum(int(arr.nbytes) for arr in self._view)
+        held = [self._positions, *(self._words or ())]
+        return sum(int(arr.nbytes) for arr in held if arr is not None)
 
     def alive_ids(self) -> list[int]:
         """Ascending ids of alive nodes (fresh list)."""
@@ -344,7 +356,7 @@ class CompactOverlay:
         keep 24 bytes per alive node resident through the next
         churn and rebuild."""
         self.membership_epoch += 1
-        self._view = None
+        self._positions = self._words = None
 
     def _checked_positions(self, positions, name: str) -> np.ndarray:
         """Global positions arriving from outside, as an intp array.

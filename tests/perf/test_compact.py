@@ -577,11 +577,21 @@ class TestMemoryAccounting:
 
     def test_scratch_nbytes_counts_the_alive_view(self):
         overlay = CompactOverlay.bootstrap(N, seed=SEED)
-        overlay._view = None
-        overlay._view_epoch = -1
+        overlay._bump_epoch()
         assert overlay.scratch_nbytes == 0
-        overlay.alive_positions()
+        overlay.alive_ids()
         # hi and lo words plus one position per alive node
+        assert overlay.scratch_nbytes == 3 * 8 * overlay.num_alive
+
+    def test_alive_positions_gathers_no_id_words(self):
+        overlay = CompactOverlay.bootstrap(N, seed=SEED)
+        overlay._bump_epoch()
+        pos = overlay.alive_positions()
+        # a churn round reads positions, then fails some of them: words
+        # gathered here would be released unread
+        assert overlay.scratch_nbytes <= 8 * overlay.num_alive
+        _, _, idx = overlay._alive_arrays()
+        assert idx is pos  # one alive scan per epoch serves both
         assert overlay.scratch_nbytes == 3 * 8 * overlay.num_alive
 
     def test_routing_scratch_stabilises_across_calls(self):
