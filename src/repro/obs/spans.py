@@ -315,13 +315,6 @@ class SpanTracer:
         """Finished spans evicted by the ring bound."""
         return self.completed - len(self.finished)
 
-    def traces(self) -> dict[int, list[Span]]:
-        """Finished spans grouped by trace id (insertion order kept)."""
-        out: dict[int, list[Span]] = {}
-        for span in self.finished:
-            out.setdefault(span.trace_id, []).append(span)
-        return out
-
     def clear(self) -> None:
         self.finished.clear()
         self.completed = 0

@@ -159,13 +159,6 @@ class TestChromeExport:
         doc = json.loads(path.read_text())
         assert len(doc["traceEvents"]) == 2
 
-    def test_traces_grouping(self):
-        tr = self._tracer()
-        groups = tr.traces()
-        assert len(groups) == 1
-        (spans,) = groups.values()
-        assert {s.name for s in spans} == {"tap.forward", "dht.route"}
-
 
 class TestRedaction:
     def test_initiator_loses_responder_and_hops(self):
