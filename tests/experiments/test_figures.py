@@ -185,6 +185,9 @@ class TestFig5:
 
 
 class TestFig6:
+    def test_rows_match_the_digest_sheet(self, fig6_rows, digest_sheet):
+        assert rows_digest(fig6_rows) == digest_sheet["fig6"]
+
     def test_ordering_overt_opt_basic(self, fig6_rows):
         by_n = {}
         for row in fig6_rows:

@@ -15,7 +15,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import sys
 import threading
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -256,6 +258,53 @@ def _observed_run(runner, config, workers):
     }
 
 
+#: functions that only feed a sink, by qualified name; neither they nor
+#: anything they call counts as the run's own work.  None of them draws
+#: randomness, hashes, routes or builds state.
+SINK_ONLY = frozenset({
+    "record_links", "_settled", "TunnelForwarder._observe_trace",
+    "Tunnel.span_attrs", "TapSystem.attach_observability",
+    "repair_latency_s", "_fig6_leg.<locals>.trace_spans",
+    # accessors read for attributes and gauges
+    "PastryNetwork.size", "Tunnel.length", "ResilientReply.ok",
+    "ForwardTrace.overlay_hops", "ForwardTrace.underlying_hops",
+    "CompactOverlay.instrument", "CompactOverlay._note_membership",
+    "CompactOverlay.num_alive", "CompactOverlay.size",
+})
+
+
+def _program_calls(run) -> Counter:
+    """Calls ``run()`` makes to named ``repro`` functions outside
+    ``repro.obs`` and :data:`SINK_ONLY`.  Comprehensions and lambdas
+    are not counted (from Python 3.12 comprehensions run inline), but
+    the functions they call are."""
+    counts: Counter = Counter()
+    skipping = None  # the outermost sink-only frame still running
+
+    def profile(frame, event, arg):
+        nonlocal skipping
+        if event == "return" and frame is skipping:
+            skipping = None
+        if event != "call" or skipping is not None:
+            return
+        package = frame.f_globals.get("__name__", "").split(".")
+        code = frame.f_code
+        if (package[0] != "repro" or package[1:2] == ["obs"]
+                or code.co_name.startswith("<")):
+            return
+        if code.co_qualname in SINK_ONLY:
+            skipping = frame
+        else:
+            counts[".".join(package), code.co_qualname] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
 class TestObsParity:
     @pytest.mark.parametrize("name", PARITY_CASES)
     def test_serial_equals_parallel(self, name):
@@ -266,6 +315,26 @@ class TestObsParity:
         parallel = _observed_run(runner, config, 2)
         for part in ("rows", "metrics", "spans", "events"):
             assert parallel[part] == serial[part], part
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="qualified names need code.co_qualname")
+    @pytest.mark.parametrize("name", PARITY_CASES)
+    def test_sinks_add_no_program_calls(self, name):
+        """Telemetry records what ran and never runs program code of
+        its own: all three sinks on make the same calls as none."""
+        runner, config, _ = PARITY_CASES[name]
+        runner(config, workers=1)  # both arms see warm caches (base snapshots)
+        bare = _program_calls(lambda: runner(config, workers=1))
+        observed = _program_calls(lambda: runner(
+            config, workers=1,
+            sinks=Sinks(MetricsRegistry(), SpanTracer(), EventTrace()),
+        ))
+        assert bare
+        assert {
+            call: observed[call] - bare[call]
+            for call in bare.keys() | observed.keys()
+            if observed[call] != bare[call]
+        } == {}
 
 
 # ----------------------------------------------------------------------
