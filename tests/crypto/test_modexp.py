@@ -171,7 +171,8 @@ def test_failed_bn_call_raises(monkeypatch):
     is returned.  Each libcrypto call, stubbed to report failure (a 0
     status, a NULL pointer), makes ``_modexp`` or ``_pocklington`` raise
     ``RuntimeError`` rather than return a value, and so does a
-    ``BN_new`` that fails while a thread makes its workspace."""
+    ``BN_new`` or ``BN_MONT_CTX_new`` that fails while a thread makes
+    its workspace."""
     if asymmetric._BN is None:
         pytest.skip("no libcrypto bound")
     lib = asymmetric._BN
@@ -180,7 +181,8 @@ def test_failed_bn_call_raises(monkeypatch):
     calls = [
         (_modexp, pow, (2, AT - 2, AT), ("BN_bin2bn", "BN_mod_exp", "BN_bn2binpad")),
         (_pocklington, _pow_pocklington, (n, f),
-         ("BN_bin2bn", "BN_mod_exp", "BN_sub_word", "BN_gcd")),
+         ("BN_bin2bn", "BN_MONT_CTX_set", "BN_mod_exp_mont_word", "BN_mod_exp_mont",
+          "BN_sub_word", "BN_gcd")),
     ]
     for fn, reference, args, names in calls:
         for name in names:
@@ -198,11 +200,14 @@ def test_failed_bn_call_raises(monkeypatch):
         except RuntimeError as exc:
             raised.append(exc)
 
-    monkeypatch.setattr(lib, "BN_new", lambda: None)
-    thread = threading.Thread(target=first_native_call)
-    thread.start()
-    thread.join(timeout=10)
-    assert not thread.is_alive() and len(raised) == 1
+    for name in ("BN_new", "BN_MONT_CTX_new"):
+        with monkeypatch.context() as stubbed:
+            stubbed.setattr(lib, name, lambda: None)
+            thread = threading.Thread(target=first_native_call)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    assert len(raised) == 2
 
 
 def _run_two_threads(worker):
