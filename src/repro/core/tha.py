@@ -12,10 +12,10 @@ recompute the hopid for a suspected node (§3.2).
 A hop node holds its anchor for the life of the tunnel but is handed
 the stored bytes again on every message.  Decoding them — two field
 reads and priming a :class:`SymmetricKey` (two SHA-256 derivations, two
-HMAC pad states, one SHAKE state) — is a pure function of immutable
-bytes, so :func:`tha_value_decode` memoises it: a hop decodes an anchor
-once, the way an onion relay keeps per-circuit key state, not once per
-message.
+HMAC pad states, one keyed AES-256-CTR context) — is a pure function of
+immutable bytes, so :func:`tha_value_decode` memoises it: a hop decodes
+an anchor once, the way an onion relay keeps per-circuit key state, not
+once per message.
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ TAP assumes three cryptographic capabilities (paper §2–§4):
 3. a public-key infrastructure for the Onion-Routing bootstrap and the
    initiator's temporary key ``K_I`` — :mod:`repro.crypto.asymmetric`.
 
-Everything is implemented from scratch over :mod:`hashlib` primitives
-and Python big integers.  The constructions are *functionally* faithful
-(layer counts, message sizes and failure modes match the paper) but are
-research simulators, not production cryptography.
+Everything is built over :mod:`hashlib` primitives, Python big integers
+and the OpenSSL libcrypto that :mod:`hashlib` links (AES-256-CTR for the
+keystream, RSA's larger modexps).  The constructions are *functionally*
+faithful (layer counts, message sizes and failure modes match the paper)
+but are research simulators, not production cryptography.
 """
 
 from repro.crypto.hashing import (

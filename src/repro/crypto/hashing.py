@@ -34,7 +34,7 @@ def sha1_id(*parts: bytes) -> int:
 
 
 def sha256_bytes(*parts: bytes) -> bytes:
-    """SHA-256 over separated parts — keystreams, MACs, PW hashes."""
+    """SHA-256 over separated parts — hash-tree nodes, PW hashes."""
     h = hashlib.sha256()
     for part in parts:
         h.update(part)
