@@ -16,7 +16,7 @@ from repro.core.emulation import CONTROL_BITS, TapEmulation
 from repro.core.system import TapSystem
 from repro.experiments.runner import render_table, rows_to_csv
 from repro.simnet.topology import Topology
-from repro.simnet.transport import path_transfer_time
+from repro.simnet.transport import store_and_forward
 
 from conftest import paper_scale
 
@@ -50,8 +50,9 @@ def _run_emulated_fig6(sizes, transfers):
                 emu.simulator.run()
                 assert trace.delivered, trace.failed_reason
                 acc[name].append(trace.latency)
-                analytic = path_transfer_time(
-                    topo, trace.path, FILE_BITS + CONTROL_BITS,
+                analytic = store_and_forward(
+                    [topo.latency(u, v) for u, v in zip(trace.path, trace.path[1:])],
+                    FILE_BITS + CONTROL_BITS, topo.bandwidth_bps,
                 )
                 if abs(trace.latency - analytic) > 1e-9:
                     mismatches.append((name, trace.latency, analytic))

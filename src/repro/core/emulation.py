@@ -20,8 +20,10 @@ a message reaches the next node:
 
 The emulation is cross-validated in the tests against the analytic
 path model — on a failure-free overlay, the emulated end-to-end latency
-of a transfer, forward or reply, equals ``path_transfer_time`` over the
-recorded path — and against the synchronous walk, scenario by scenario.
+of a transfer, forward or reply, equals
+:func:`repro.simnet.transport.store_and_forward` over the link latencies
+of the recorded path — and against the synchronous walk, scenario by
+scenario.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ recompute the hopid for a suspected node (§3.2).
 
 A hop node holds its anchor for the life of the tunnel but is handed
 the stored bytes again on every message.  Decoding them — two field
-reads and priming a :class:`SymmetricKey` (two SHA-256 derivations, two
-HMAC pad states, one keyed AES-256-CTR context) — is a pure function of
+reads and priming a :class:`SymmetricKey` (one SHA-256 derivation, one
+keyed AES-256-GCM context) — is a pure function of
 immutable bytes, so :func:`tha_value_decode` memoises it: a hop decodes
 an anchor once, the way an onion relay keeps per-circuit key state, not
 once per message.

@@ -10,8 +10,8 @@ TAP assumes three cryptographic capabilities (paper §2–§4):
    initiator's temporary key ``K_I`` — :mod:`repro.crypto.asymmetric`.
 
 Everything is built over :mod:`hashlib` primitives, Python big integers
-and the OpenSSL libcrypto that :mod:`hashlib` links (AES-256-CTR for the
-keystream, RSA's larger modexps).  The constructions are *functionally*
+and the OpenSSL libcrypto that :mod:`hashlib` links (AES-256-GCM for the
+tunnel layers, RSA's larger modexps).  The constructions are *functionally*
 faithful (layer counts, message sizes and failure modes match the paper)
 but are research simulators, not production cryptography.
 """

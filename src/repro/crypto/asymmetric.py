@@ -189,14 +189,18 @@ class _Workspace:
         # int's own methods, so a non-int argument raises pow's TypeError
         width = (int.bit_length(mod) + 7) >> 3
         exp_width = (int.bit_length(exp) + 7) >> 3
-        out = ctypes.create_string_buffer(width)
+        # a bytearray, not a ctypes array: ctypes keeps array types
+        # only weakly, so a (c_char * width) per call is rebuilt after
+        # every GC pass
+        out = bytearray(width)
         if not (lib.BN_bin2bn(int.to_bytes(mod, width, "big"), width, m)
                 and lib.BN_bin2bn(int.to_bytes(exp, exp_width, "big"), exp_width, p)
                 and lib.BN_bin2bn(int.to_bytes(base % mod, width, "big"), width, a)
                 and lib.BN_mod_exp(r, a, p, m, self._ctx)
-                and lib.BN_bn2binpad(r, out, width) == width):
+                and lib.BN_bn2binpad(r, ctypes.byref(ctypes.c_char.from_buffer(out)),
+                                     width) == width):
             raise RuntimeError("libcrypto modexp failed")
-        return int.from_bytes(out.raw, "big")
+        return int.from_bytes(out, "big")
 
     def pocklington(self, n: int, f: int) -> bool:
         """``_pocklington(n, f)`` as one native sequence: the operands go

@@ -94,6 +94,10 @@ class PastryNetwork:
         self._closest_cache_epoch = -1
         #: optional :class:`repro.obs.MetricsRegistry`
         self.metrics = metrics
+        #: ``(registry, pastry.route.count, pastry.route.hops)`` and
+        #: ``(registry, pastry.route.cache_hits)``: each route's
+        #: instruments, resolved on first use under the attached registry
+        self._route_meters = self._hit_meter = (None, None)
         #: optional :class:`repro.obs.SpanTracer`; ``route`` is the one
         #: creator of ``dht.route`` spans (parented via the stack)
         self.tracer = tracer
@@ -431,8 +435,12 @@ class PastryNetwork:
             tr.finish(span, success=True, links=len(path) - 1, dst=path[-1])
         m = self.metrics
         if m is not None:
-            m.counter("pastry.route.count").inc()
-            m.histogram("pastry.route.hops").observe(len(path) - 1)
+            meters = self._route_meters
+            if meters[0] is not m:
+                meters = self._route_meters = (
+                    m, m.counter("pastry.route.count"), m.histogram("pastry.route.hops"))
+            meters[1].inc()
+            meters[2].observe(len(path) - 1)
         return path
 
     def _stamps_hold(self, stamps) -> bool:
@@ -477,8 +485,12 @@ class PastryNetwork:
         if entry is not None and entry[2] != self.membership_epoch:
             entry = self._revalidated(memo_key, entry)
         if entry is not None:
-            if self.metrics is not None:
-                self.metrics.counter("pastry.route.cache_hits").inc()
+            m = self.metrics
+            if m is not None:
+                meter = self._hit_meter
+                if meter[0] is not m:
+                    meter = self._hit_meter = (m, m.counter("pastry.route.cache_hits"))
+                meter[1].inc()
             return entry[0]
         if not self.is_alive(src_id):
             raise RoutingError(f"source {src_id:#x} is not alive")

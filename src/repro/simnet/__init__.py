@@ -19,17 +19,13 @@ This package provides the equivalent:
 
 from repro.simnet.events import Simulator, SimulationError
 from repro.simnet.topology import Topology
-from repro.simnet.transport import (
-    path_transfer_time,
-    serialization_delay,
-)
+from repro.simnet.transport import serialization_delay
 from repro.simnet.network import SimNetwork
 
 __all__ = [
     "Simulator",
     "SimulationError",
     "Topology",
-    "path_transfer_time",
     "serialization_delay",
     "SimNetwork",
 ]

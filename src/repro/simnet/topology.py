@@ -57,7 +57,3 @@ class Topology:
         ).digest()
         unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
         return self.min_latency_s + unit * (self.max_latency_s - self.min_latency_s)
-
-    def path_latency(self, path: list[int]) -> float:
-        """Sum of propagation delays along consecutive path elements."""
-        return sum(self.latency(u, v) for u, v in zip(path, path[1:]))

@@ -20,6 +20,8 @@ from repro.past.storage import StoredObject
 from repro.pastry.network import PastryNetwork
 from repro.perf.compact import CompactOverlay
 from repro.perf.packet import BatchRouteResult, TunnelBatchResult
+from repro.simnet.topology import Topology
+from repro.simnet.transport import store_and_forward
 from repro.util.rng import SeedSequenceFactory
 from repro.util.serialize import pack_fields
 
@@ -38,6 +40,24 @@ def series(rows: list[dict], x: str, y: str, scheme_key: str = "scheme") -> dict
     for points in out.values():
         points.sort()
     return out
+
+
+def path_latency(topology: Topology, path: list[int]) -> float:
+    """Sum of ``topology``'s propagation delays along consecutive path
+    elements."""
+    return sum(topology.latency(u, v) for u, v in zip(path, path[1:]))
+
+
+def path_transfer_time(topology: Topology, path: list[int], size_bits: float) -> float:
+    """The emulation tests' analytic reference: the store-and-forward
+    time to move ``size_bits`` along ``path`` (node addresses, source
+    first) over ``topology``'s links; a one-node path costs zero."""
+    if not path:
+        raise ValueError("path must contain at least the source")
+    return store_and_forward(
+        [topology.latency(u, v) for u, v in zip(path, path[1:])],
+        size_bits, topology.bandwidth_bps,
+    )
 
 
 def _maybe_audited(system: TapSystem) -> TapSystem:

@@ -5,8 +5,7 @@ import pytest
 from repro.core.emulation import CONTROL_BITS, TapEmulation
 from repro.core.system import TapSystem
 from repro.simnet.topology import Topology
-from repro.simnet.transport import path_transfer_time
-from tests.conftest import crash_unnoticed
+from tests.conftest import crash_unnoticed, path_transfer_time
 
 
 @pytest.fixture()

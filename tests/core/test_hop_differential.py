@@ -28,10 +28,9 @@ from repro.crypto.onion import build_onion, build_reply_onion, make_fake_onion
 from repro.faults.injectors import MessageFaultSpec
 from repro.faults.plan import FaultPlan
 from repro.simnet.topology import Topology
-from repro.simnet.transport import path_transfer_time
 from repro.util.rng import SeedSequenceFactory
 
-from tests.conftest import crash_unnoticed
+from tests.conftest import crash_unnoticed, path_transfer_time
 from tests.core.walk_scenarios import DESTINATION, SCENARIOS, World, full_underlying_path
 
 #: the scenarios that are about what a hop node does

@@ -1,9 +1,7 @@
-"""Tests for the authenticated stream cipher."""
+"""Tests for the authenticated tunnel-layer cipher (AES-256-GCM)."""
 
 import copy
 import gc
-import hashlib
-import hmac as stdlib_hmac
 import os
 import pickle
 import subprocess
@@ -18,41 +16,6 @@ from hypothesis import strategies as st
 import repro
 from repro.crypto import symmetric
 from repro.crypto.symmetric import _TAG_BYTES, CipherError, SymmetricKey
-
-
-def _hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """RFC 2104 HMAC over SHA-256, written out from the definition: the
-    reference for the tag ``SymmetricKey.seal`` computes from its
-    pre-primed pad states."""
-    if len(key) > 64:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(64, b"\x00")
-    o_key = bytes(b ^ 0x5C for b in key)
-    i_key = bytes(b ^ 0x36 for b in key)
-    inner = hashlib.sha256(i_key + message).digest()
-    return hashlib.sha256(o_key + inner).digest()
-
-
-class TestHmac:
-    """The RFC 2104 reference must match the stdlib exactly."""
-
-    @given(key=st.binary(min_size=1, max_size=100), msg=st.binary(max_size=200))
-    def test_matches_stdlib(self, key, msg):
-        ours = _hmac_sha256(key, msg)
-        theirs = stdlib_hmac.new(key, msg, hashlib.sha256).digest()
-        assert ours == theirs
-
-    def test_long_key_hashed_first(self):
-        key = b"k" * 100  # longer than the 64-byte block
-        assert _hmac_sha256(key, b"m") == stdlib_hmac.new(
-            key, b"m", hashlib.sha256
-        ).digest()
-
-    @given(plaintext=st.binary(max_size=500))
-    def test_seal_tag_is_the_reference_hmac(self, plaintext):
-        key = SymmetricKey(b"0123456789abcdef")
-        sealed = key.seal(plaintext)
-        assert sealed[-_TAG_BYTES:] == _hmac_sha256(key._mac_key, sealed[:-_TAG_BYTES])
 
 
 class TestSealOpen:
@@ -75,7 +38,7 @@ class TestSealOpen:
     def test_tampered_ciphertext_rejected(self):
         key = SymmetricKey(b"0123456789abcdef")
         sealed = bytearray(key.seal(b"payload"))
-        sealed[10] ^= 0x01
+        sealed[14] ^= 0x01  # a ciphertext byte: the nonce is bytes 0-11
         with pytest.raises(CipherError):
             key.open(bytes(sealed))
 
@@ -88,7 +51,7 @@ class TestSealOpen:
 
     def test_tag_with_only_its_first_byte_flipped_rejected(self):
         """The other end of the tag from ``test_tampered_tag_rejected``:
-        31 of 32 bytes right is still a mismatch."""
+        15 of 16 bytes right is still a mismatch."""
         key = SymmetricKey(b"0123456789abcdef")
         sealed = bytearray(key.seal(b"payload"))
         sealed[-_TAG_BYTES] ^= 0x80
@@ -108,12 +71,13 @@ class TestSealOpen:
 
     def test_explicit_nonce_reproducible(self):
         key = SymmetricKey(b"0123456789abcdef")
-        n = b"\x00" * 8
+        n = b"\x00" * 12
         assert key.seal(b"m", nonce=n) == key.seal(b"m", nonce=n)
 
     def test_bad_nonce_length_rejected(self):
         key = SymmetricKey(b"0123456789abcdef")
-        for nonce in (b"short", b"\x00" * 9, bytearray(7), memoryview(b"\x00" * 9)):
+        for nonce in (b"short", b"\x00" * 8, b"\x00" * 13, bytearray(11),
+                      memoryview(b"\x00" * 13)):
             with pytest.raises(ValueError):
                 key.seal(b"m", nonce=nonce)
 
@@ -136,7 +100,7 @@ class TestSealOpen:
     )
     def test_any_single_bit_flip_detected(self, plaintext, flip):
         key = SymmetricKey(b"0123456789abcdef")
-        sealed = bytearray(key.seal(plaintext, nonce=b"\x01" * 8))
+        sealed = bytearray(key.seal(plaintext, nonce=b"\x01" * 12))
         byte = flip % len(sealed)
         sealed[byte] ^= 1 << (flip % 8)
         with pytest.raises(CipherError):
@@ -164,7 +128,7 @@ class TestNativeContext:
         with pytest.raises(ValueError):
             SymmetricKey(b"short")
         for name, failed in (("EVP_CIPHER_CTX_new", lambda: None),
-                             ("EVP_EncryptInit_ex", lambda *_: 0)):
+                             ("EVP_CipherInit_ex", lambda *_: 0)):
             with monkeypatch.context() as stubbed:
                 stubbed.setattr(symmetric._LIBCRYPTO, name, failed)
                 with pytest.raises(RuntimeError, match="libcrypto"):
@@ -189,50 +153,61 @@ class TestNativeContext:
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stderr) == (0, "")
 
-    @pytest.mark.parametrize("name, fake", [
-        ("EVP_EncryptInit_ex", lambda *_: 0),
-        ("EVP_EncryptUpdate", lambda *_: 0),
+    @pytest.mark.parametrize("name, fake, open_raises", [
+        ("EVP_CipherInit_ex", lambda *_: 0, RuntimeError),
+        ("EVP_CipherUpdate", lambda *_: 0, RuntimeError),
         # reports success but writes one byte short
-        ("EVP_EncryptUpdate", lambda ctx, out, written, data, length:
-            setattr(written, "value", length - 1) or 1),
-    ], ids=("init-fails", "update-fails", "update-short"))
-    def test_failed_native_call_raises(self, name, fake, monkeypatch):
-        """Fail closed: a failed status or a short output length raises
-        ``RuntimeError`` from ``seal`` and ``open`` instead of returning
-        bytes."""
+        ("EVP_CipherUpdate", lambda ctx, out, written, data, length:
+            setattr(written._obj, "value", length - 1) or 1, RuntimeError),
+        ("EVP_CIPHER_CTX_ctrl", lambda *_: 0, RuntimeError),
+        # on open a failed Final is a tag that did not verify
+        ("EVP_CipherFinal_ex", lambda *_: 0, CipherError),
+        # reports success but claims to have written a byte
+        ("EVP_CipherFinal_ex", lambda ctx, out, written:
+            setattr(written._obj, "value", 1) or 1, RuntimeError),
+    ], ids=("init-fails", "update-fails", "update-short", "ctrl-fails",
+            "final-fails", "final-writes"))
+    def test_failed_native_call_raises(self, name, fake, open_raises, monkeypatch):
+        """Fail closed: a failed status or a wrong output length raises
+        from ``seal`` and ``open`` instead of returning bytes —
+        ``RuntimeError``, or ``CipherError`` where ``open``'s ``Final``
+        reports that the tag did not verify."""
         key = SymmetricKey(b"0123456789abcdef")
         sealed = key.seal(b"payload")
         with monkeypatch.context() as stubbed:
             stubbed.setattr(symmetric._LIBCRYPTO, name, fake)
             with pytest.raises(RuntimeError, match="libcrypto"):
                 key.seal(b"payload")
-            with pytest.raises(RuntimeError, match="libcrypto"):
+            with pytest.raises(open_raises):
                 key.open(sealed)
         assert key.open(sealed) == b"payload"
 
     def test_length_past_c_int_raises(self):
-        """``EVP_EncryptUpdate`` takes a C ``int``: a message of 2**31
+        """``EVP_CipherUpdate`` takes a C ``int``: a message of 2**31
         bytes or more raises ``ValueError`` before any native call
         rather than being truncated (a stand-in reports the length, so
         nothing that large is allocated)."""
         class Huge:
             def __len__(self):
-                return 1 << 31
+                return (1 << 31) + SymmetricKey.overhead()
 
         key = SymmetricKey(b"0123456789abcdef")
         with pytest.raises(ValueError, match="exceeds"):
             key.seal(Huge())
+        with pytest.raises(ValueError, match="exceeds"):
+            key.open(Huge())
         counter = key._nonce_counter
         assert key.open(key.seal(b"x")) == b"x"
         assert key._nonce_counter == counter + 1
 
     @pytest.mark.parametrize("exported", (False, True), ids=("no-evp", "null-cipher"))
-    def test_libcrypto_without_aes_ctr_fails_the_import(self, exported, monkeypatch):
+    def test_libcrypto_without_aes_gcm_fails_the_import(self, exported, monkeypatch):
         """Where hashlib's library lacks the ``EVP_*`` functions, or its
-        ``EVP_aes_256_ctr`` returns NULL, loading it raises ``ImportError``
-        saying why; there is no fallback keystream."""
-        names = ("EVP_aes_256_ctr", "EVP_CIPHER_CTX_new", "EVP_CIPHER_CTX_free",
-                 "EVP_EncryptInit_ex", "EVP_EncryptUpdate")
+        ``EVP_aes_256_gcm`` returns NULL, loading it raises ``ImportError``
+        saying why; there is no fallback cipher."""
+        names = ("EVP_aes_256_gcm", "EVP_CIPHER_CTX_new", "EVP_CIPHER_CTX_free",
+                 "EVP_CipherInit_ex", "EVP_CipherUpdate", "EVP_CipherFinal_ex",
+                 "EVP_CIPHER_CTX_ctrl")
 
         class Library:
             def __init__(self, path):
@@ -241,7 +216,7 @@ class TestNativeContext:
                         setattr(self, name, lambda *_: None)
 
         monkeypatch.setattr(symmetric.ctypes, "CDLL", Library)
-        with pytest.raises(ImportError, match="AES-256-CTR"):
+        with pytest.raises(ImportError, match="AES-256-GCM"):
             symmetric._load_libcrypto()
 
     def test_keys_on_two_threads_stay_apart(self):

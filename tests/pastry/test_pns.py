@@ -15,6 +15,7 @@ from repro.pastry import network as network_module
 from repro.pastry.network import PastryNetwork
 from repro.simnet.topology import Topology
 from repro.util.ids import ID_BITS, id_digit, random_id, shared_prefix_digits
+from tests.conftest import path_latency
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +76,7 @@ class TestLocality:
             vals = []
             for _ in range(100):
                 src = net.alive_ids[r.randrange(net.size)]
-                vals.append(topo.path_latency(net.route(src, random_id(r))))
+                vals.append(path_latency(topo, net.route(src, random_id(r))))
             return statistics.mean(vals)
 
         assert mean_route_latency(pns) < mean_route_latency(plain)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simnet.topology import Topology
+from tests.conftest import path_latency
 
 
 class TestUniformLatencyModel:
@@ -57,12 +58,12 @@ class TestTopology:
         topo = Topology(seed=1)
         path = [1, 2, 3, 4]
         expected = sum(topo.latency(a, b) for a, b in zip(path, path[1:]))
-        assert topo.path_latency(path) == pytest.approx(expected)
+        assert path_latency(topo, path) == pytest.approx(expected)
 
     def test_path_latency_trivial_paths(self):
         topo = Topology(seed=1)
-        assert topo.path_latency([7]) == 0.0
-        assert topo.path_latency([]) == 0.0
+        assert path_latency(topo, [7]) == 0.0
+        assert path_latency(topo, []) == 0.0
 
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ValueError):

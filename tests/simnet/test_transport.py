@@ -3,7 +3,8 @@
 import pytest
 
 from repro.simnet.topology import Topology
-from repro.simnet.transport import path_transfer_time, serialization_delay
+from repro.simnet.transport import serialization_delay
+from tests.conftest import path_transfer_time
 
 
 @pytest.fixture()
