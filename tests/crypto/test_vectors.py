@@ -7,14 +7,13 @@ refactor, the change is wire-breaking and must be intentional.
 """
 
 import hashlib
-import hmac
 import random
 
 from repro.crypto.hashing import derive_hopid, hash_password, sha1_id
 from repro.crypto.onion import OnionLayer, build_onion
 from repro.crypto.symmetric import SymmetricKey
 from repro.util.serialize import pack_fields, pack_int
-from tests.crypto.test_hotpath import keystream
+from tests.crypto.test_hotpath import keystream, reference_tag
 
 
 class TestHashVectors:
@@ -37,39 +36,37 @@ class TestCipherVectors:
     def test_seal_with_fixed_nonce(self):
         """Nonce, ciphertext and tag of one seal, byte for byte.
 
-        The keystream changed twice, each an intentional wire change in
-        which only the ciphertext bytes moved: the lengths, the nonce and
-        the tag construction stayed as they were.  First SHA-256 in counter
-        mode, one Python-level hash call per 32 bytes, became one
-        SHAKE-256 squeeze per message.  Then the SHAKE-256 squeeze,
+        The cipher changed three times, each an intentional wire change.
+        Twice only the ciphertext bytes moved: SHA-256 in counter mode
+        became one SHAKE-256 squeeze per message, and that squeeze,
         which was most of a 256 KiB retrieval's symmetric cost, became
-        AES-256-CTR with the initial counter block ``nonce || 0^64``, in
-        a cipher context keyed once per key.  The expected ciphertext
-        comes from ``test_hotpath.keystream``, AES-256-ECB over the
-        counter blocks through a binding of its own, so this pins the
-        construction without sharing code with it; the whole seal is
-        also pinned as a literal.
+        AES-256-CTR in a cipher context keyed once per key.  Then
+        AES-256-CTR with an encrypt-then-MAC HMAC-SHA256 tag (an 8-byte
+        nonce and a 32-byte tag, 40 bytes a layer) became AES-256-GCM
+        (a 12-byte nonce and a 16-byte tag, 28 bytes a layer), because
+        the HMAC's SHA-256 pass cost most of what was left.  The expected
+        ciphertext comes from ``test_hotpath.keystream``, AES-256-ECB
+        over GCM's counter blocks through a binding of its own, and the
+        tag from ``test_hotpath.reference_tag``, GHASH written out in
+        Python, so this pins the construction without sharing code with
+        it; the whole seal is also pinned as a literal.
         """
         secret = b"0123456789abcdef"
         plaintext = b"attack at dawn"
-        nonce = b"\x00" * 8
+        nonce = b"\x00" * 12
         key = SymmetricKey(secret)
         sealed = key.seal(plaintext, nonce=nonce)
-        assert len(sealed) == len(plaintext) + SymmetricKey.overhead()
-        assert sealed[:8] == nonce
+        assert len(sealed) == len(plaintext) + SymmetricKey.overhead() == 42
+        assert sealed[:12] == nonce
         enc_key = hashlib.sha256(b"enc" + secret).digest()
         stream = keystream(enc_key, nonce, len(plaintext))
         ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
-        assert sealed[8:-32] == ciphertext
-        # the tag is RFC 2104 HMAC-SHA256 over nonce || ciphertext
-        mac_key = hashlib.sha256(b"mac" + secret).digest()
-        assert sealed[-32:] == hmac.new(
-            mac_key, nonce + ciphertext, hashlib.sha256
-        ).digest()
+        assert sealed[12:-16] == ciphertext
+        assert sealed[-16:] == reference_tag(enc_key, nonce, ciphertext)
         assert sealed.hex() == (
-            "0000000000000000"
-            "3af8de74f6309c4ae0b3a61536f0"
-            "6f1be00ea4082295e4c92c417e45ce5bd1965013d4c651fc173312bf3173403b"
+            "000000000000000000000000"
+            "22b49c1c2e7d3bf4db6635136bcb"
+            "77c69e167459abf713135842b48f629c"
         )
         assert key.open(sealed) == plaintext
 
@@ -111,7 +108,7 @@ class TestOnionDeterminism:
         deltas = {b - a for a, b in zip(sizes, sizes[1:])}
         assert len(deltas) == 1  # constant per-layer growth
         per_layer = deltas.pop()
-        # seal overhead (40) + 4 length prefixes (16) + tag (1) + id (16) + hint (0)
+        # seal overhead (28) + 4 length prefixes (16) + tag (1) + id (16) + hint (0)
         assert per_layer == SymmetricKey.overhead() + 16 + 1 + 16
 
 
